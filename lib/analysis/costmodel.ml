@@ -20,7 +20,7 @@ let cnt_m _t placement ~part ~node =
    in another region ships its bytes over the WAN, so both terms scale
    by [factor]. [None] — every region-free run — takes the historical
    expression untouched. *)
-let wan_scale t placement ~part ~node =
+let[@inline] wan_scale t placement ~part ~node =
   match t.wan with
   | None -> 1.0
   | Some w ->
@@ -67,13 +67,20 @@ let find_dst_node ?eligible t placement ~parts =
    transaction that would disrupt a hot clump runs 2PC instead. *)
 let route_freq_scale = 1000.0
 
+(* A loop rather than a fold so the running sum stays an unboxed local;
+   the terms are added in list order, as a left fold would. *)
 let txn_route_cost t placement ~parts ~node =
-  List.fold_left
-    (fun acc part ->
-      if Placement.has_primary placement ~part ~node then acc
-      else if Placement.has_secondary placement ~part ~node then (
-        let f = t.freq part *. route_freq_scale in
-        let s = wan_scale t placement ~part ~node in
-        acc +. (s *. (t.w_r *. (1.0 +. (log (f +. 1.0) /. log 2.0)))))
-      else acc +. t.w_m)
-    0.0 parts
+  let acc = ref 0.0 and rest = ref parts in
+  while !rest != [] do
+    match !rest with
+    | [] -> ()
+    | part :: tl ->
+        rest := tl;
+        if Placement.has_primary placement ~part ~node then ()
+        else if Placement.has_secondary placement ~part ~node then (
+          let f = t.freq part *. route_freq_scale in
+          let s = wan_scale t placement ~part ~node in
+          acc := !acc +. (s *. (t.w_r *. (1.0 +. (log (f +. 1.0) /. log 2.0)))))
+        else acc := !acc +. t.w_m
+  done;
+  !acc

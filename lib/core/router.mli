@@ -4,8 +4,11 @@
     dispatches a transaction to the node where the execution cost is
     lowest — the node with the most requisite replicas: all primaries
     beats all-replicas-some-secondary (remaster cost) beats missing
-    replicas (2PC cost). Ties break toward the less-loaded node so
-    independent hot clumps spread across their replica sets. *)
+    replicas (2PC cost). Each live node is priced once per call. Ties
+    (live nodes within 1e-9 of the cheapest) break by a hash of the
+    transaction's partition list, never by load: transactions over the
+    same partitions always pick the same node, while distinct partition
+    sets spread across their tied candidates. *)
 
 type t
 

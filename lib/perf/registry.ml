@@ -11,7 +11,9 @@
      service layers;
    - end-to-end: one small uniform-YCSB cell per protocol family
      ([ycsb_2pc], [ycsb_star], [ycsb_lion]), where simulated txns/sec
-     is the headline number.
+     is the headline number, plus [ycsb_lion_standard], Lion's
+     standard-mode serving path (router, planner observe, store) on
+     skewed YCSB.
 
    Scenario shapes are part of the BENCH_*.json contract: changing a
    shape (chain count, op size, cell scale) invalidates comparison
@@ -176,8 +178,9 @@ let metrics_record () =
 
 (* One small uniform-YCSB cell (all-distributed transactions, as in
    the fig6 ablation) per protocol family: blocking 2PC, Star's
-   batched full replication, and Lion's adaptive replica provision.
-   Scaled so one op is a few hundred ms of wall time. *)
+   batched full replication, and Lion's adaptive replica provision in
+   batch mode with the LSTM off. Scaled so one op is a few hundred ms
+   of wall time. *)
 let ycsb_cell ~batch make () =
   let cfg = Config.default in
   let rc = { Runner.quick with warmup = 0.3; duration = 0.7 } in
@@ -194,6 +197,21 @@ let ycsb_lion =
       Lion_core.Batch_mode.create ~name:"Lion"
         ~config:{ Lion_core.Planner.default_config with Lion_core.Planner.predict = true; use_lstm = false }
         cl)
+
+(* Lion's standard (ad-hoc) mode with the default planner on skewed,
+   half-cross YCSB: every transaction is priced by the router, observed
+   by the planner and run through the store, the path [ycsb_lion]'s
+   batch engine skips. Same 0.3 + 0.7 s shape as the cells above. *)
+let ycsb_lion_standard () =
+  let cfg = Config.default in
+  let rc = { Runner.quick with warmup = 0.3; duration = 0.7 } in
+  let r =
+    Runner.run ~cfg
+      ~make:(fun cl -> fst (Lion_core.Standard.create_with_planner ~name:"Lion" cl))
+      ~gen:(Workloads.ycsb ~skew:0.8 ~cross:0.5 cfg)
+      rc
+  in
+  (r.Runner.engine_events, r.Runner.commits)
 
 (* ------------------------------------------------------------------ *)
 
@@ -252,8 +270,13 @@ let all : Scenario.spec list =
     };
     {
       name = "ycsb_lion";
-      descr = "small uniform-YCSB cell, Lion (adaptive replica provision)";
+      descr = "small uniform-YCSB cell, Lion batch mode (LSTM off)";
       run = ycsb_lion;
+    };
+    {
+      name = "ycsb_lion_standard";
+      descr = "small skewed-YCSB cell, Lion standard mode (router + default planner)";
+      run = ycsb_lion_standard;
     };
   ]
 

@@ -11,6 +11,10 @@ let log_src = Logs.Src.create "lion.cluster" ~doc:"Cluster replica operations"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* An all-float record is stored flat, so assigning [hottest] writes an
+   unboxed double instead of allocating a box per touch. *)
+type access_peak = { mutable hottest : float }
+
 type t = {
   cfg : Config.t;
   engine : Engine.t;
@@ -27,6 +31,7 @@ type t = {
   rng : Rng.t;
   part_available : float array;
   part_access : float array;
+  access_peak : access_peak;
   node_alive : bool array;
   part_last_remaster : float array;
   mutable remaster_count : int;
@@ -85,15 +90,29 @@ let session_for t ~part ~dst : Replication.session =
 
 let session_stale t ~dst (s : Replication.session) =
   t.node_epoch.(dst) <> s.Replication.epoch
-let touch_partition t p = t.part_access.(p) <- t.part_access.(p) +. 1.0
+
+(* [access_peak.hottest] is the value [Array.fold_left max 0.0
+   part_access] would return, maintained exactly rather than re-folded
+   per routed transaction. A touch raises one counter, so the new
+   maximum is the old one or that counter. A decay rescales every
+   counter, so it recomputes the maximum over the rescaled values, once
+   per planner round. *)
+let touch_partition t p =
+  let v = t.part_access.(p) +. 1.0 in
+  t.part_access.(p) <- v;
+  if v > t.access_peak.hottest then t.access_peak.hottest <- v
 
 let decay_access t factor =
+  let hottest = ref 0.0 in
   for p = 0 to Array.length t.part_access - 1 do
-    t.part_access.(p) <- t.part_access.(p) *. factor
-  done
+    let v = t.part_access.(p) *. factor in
+    t.part_access.(p) <- v;
+    if v > !hottest then hottest := v
+  done;
+  t.access_peak.hottest <- !hottest
 
 let normalized_freq t p =
-  let hottest = Array.fold_left Stdlib.max 0.0 t.part_access in
+  let hottest = t.access_peak.hottest in
   if hottest <= 0.0 then 0.0 else t.part_access.(p) /. hottest
 
 let partition_wait t p = Stdlib.max 0.0 (t.part_available.(p) -. now t)
@@ -1331,7 +1350,7 @@ let create ?(seed = 1) ?tracer ?history cfg =
       store = Kvstore.create ();
       replication =
         Replication.create ~interval:cfg.Config.group_commit_interval ~partitions:parts
-          engine;
+          ~slots engine;
       workers =
         Array.init slots (fun _ ->
             Server.create ~queue_cap:cfg.Config.queue_cap
@@ -1349,6 +1368,7 @@ let create ?(seed = 1) ?tracer ?history cfg =
       rng = Rng.create seed;
       part_available = Array.make parts 0.0;
       part_access = Array.make parts 0.0;
+      access_peak = { hottest = 0.0 };
       node_alive = Array.init slots (fun n -> n < cfg.Config.nodes);
       part_last_remaster = Array.make parts neg_infinity;
       remaster_count = 0;

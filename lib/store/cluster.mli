@@ -4,6 +4,10 @@
 
     All protocol implementations run against this one substrate. *)
 
+type access_peak
+(** The hottest [part_access] value, kept current by [touch_partition]
+    and [decay_access] so [normalized_freq] is O(1). *)
+
 type t = {
   cfg : Config.t;
   engine : Lion_sim.Engine.t;
@@ -35,7 +39,11 @@ type t = {
   part_available : float array;
       (** per-partition time before which operations block (remaster
           or migration in progress) *)
-  part_access : float array;  (** decayed per-partition access counter *)
+  part_access : float array;
+      (** decayed per-partition access counter; change it only through
+          [touch_partition] and [decay_access], which keep [access_peak]
+          equal to its maximum *)
+  access_peak : access_peak;
   node_alive : bool array;  (** liveness; see [fail_node] *)
   part_last_remaster : float array;
       (** start time of each partition's most recent remaster, enforcing

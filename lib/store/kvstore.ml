@@ -8,18 +8,107 @@ let key_compare a b =
 
 let pp_key fmt k = Format.fprintf fmt "P%d/%d" k.part k.slot
 
-module Ktbl = Hashtbl.Make (struct
-  type t = key
+(* Keys are packed into one non-negative immediate: the partition in
+   bits 32..61, the slot in bits 0..31. A key outside that range would
+   alias another key, so it is refused; [lsr] maps a negative field to
+   a large one, so one test per field covers both ends. *)
+let slot_bits = 32
 
-  let equal a b = a.part = b.part && a.slot = b.slot
-  let hash k = (k.part * 1_000_003) lxor k.slot
-end)
+let pack k =
+  if k.part lsr 30 <> 0 || k.slot lsr slot_bits <> 0 then
+    invalid_arg (Format.asprintf "Kvstore: key %a outside the packable range" pp_key k);
+  (k.part lsl slot_bits) lor k.slot
 
-type t = { versions : int Ktbl.t; pending : int Ktbl.t; mutable next_session : int }
+(* An open-addressing map from packed keys to non-negative ints, by
+   linear probing over one flat array: [cells.(2i)] holds a key or
+   [empty], [cells.(2i+1)] its value. A probe touches one cache line, no
+   entry allocates a block, and lookups return the value or a default
+   instead of an option. The capacity is a power of two and the table
+   is at most three quarters full; a lower bound would cost memory, as
+   a resize briefly holds both arrays. Removal shifts the rest of the
+   probe run back instead of leaving tombstones. *)
+module Itbl = struct
+  type t = { mutable cells : int array; mutable shift : int; mutable count : int }
 
-let create () = { versions = Ktbl.create 4096; pending = Ktbl.create 64; next_session = 0 }
-let version t k = match Ktbl.find_opt t.versions k with Some v -> v | None -> 0
-let touched_keys t = Ktbl.length t.versions
+  let empty = -1
+
+  (* Fibonacci hashing: the top [log2 capacity] bits of the product. *)
+  let multiplier = 0x1E3779B97F4A7C15
+
+  let create ~log2_capacity =
+    { cells = Array.make (2 lsl log2_capacity) empty; shift = 63 - log2_capacity; count = 0 }
+
+  let length t = t.count
+  let[@inline] mask t = (Array.length t.cells lsr 1) - 1
+  let[@inline] home t k = (k * multiplier) lsr t.shift
+
+  (* Cell index of [k], or of the empty cell ending its probe run. *)
+  let rec probe cells mask k i =
+    let c = Array.unsafe_get cells (2 * i) in
+    if c = k || c = empty then i else probe cells mask k ((i + 1) land mask)
+
+  let find t k ~default =
+    let i = probe t.cells (mask t) k (home t k) in
+    if Array.unsafe_get t.cells (2 * i) = empty then default
+    else Array.unsafe_get t.cells ((2 * i) + 1)
+
+  let rec grow t =
+    let old = t.cells in
+    t.cells <- Array.make (2 * Array.length old) empty;
+    t.shift <- t.shift - 1;
+    t.count <- 0;
+    for i = 0 to (Array.length old / 2) - 1 do
+      let k = old.(2 * i) in
+      if k <> empty then replace t k old.((2 * i) + 1)
+    done
+
+  and replace t k v =
+    let cells = t.cells in
+    let i = probe cells (mask t) k (home t k) in
+    if Array.unsafe_get cells (2 * i) = empty then
+      if 4 * (t.count + 1) > 3 * (Array.length cells lsr 1) then (
+        grow t;
+        replace t k v)
+      else (
+        Array.unsafe_set cells (2 * i) k;
+        Array.unsafe_set cells ((2 * i) + 1) v;
+        t.count <- t.count + 1)
+    else Array.unsafe_set cells ((2 * i) + 1) v
+
+  let remove t k =
+    let cells = t.cells and mask = mask t in
+    let hole = ref (probe cells mask k (home t k)) in
+    if cells.(2 * !hole) <> empty then begin
+      t.count <- t.count - 1;
+      (* Move back every later entry of the run whose home does not lie
+         cyclically between the hole and itself. *)
+      let j = ref ((!hole + 1) land mask) in
+      while cells.(2 * !j) <> empty do
+        let k' = cells.(2 * !j) in
+        if (!j - home t k') land mask >= (!j - !hole) land mask then (
+          cells.(2 * !hole) <- k';
+          cells.((2 * !hole) + 1) <- cells.((2 * !j) + 1);
+          hole := !j);
+        j := (!j + 1) land mask
+      done;
+      cells.(2 * !hole) <- empty
+    end
+end
+
+(* [versions] maps a key to its version (absent = 0); [pending] maps a
+   key to the session holding its reservation. *)
+type t = { versions : Itbl.t; pending : Itbl.t; mutable next_session : int }
+
+let create () =
+  {
+    versions = Itbl.create ~log2_capacity:12;
+    pending = Itbl.create ~log2_capacity:6;
+    next_session = 0;
+  }
+
+let version_packed t pk = Itbl.find t.versions pk ~default:0
+let version t k = version_packed t (pack k)
+let touched_keys t = Itbl.length t.versions
 
 type session = {
   store : t;
@@ -45,33 +134,43 @@ let write_set s = List.rev s.writes
 
 let validate s = List.for_all (fun (k, v) -> version s.store k = v) s.reads
 
-let pending_by_other s k =
-  match Ktbl.find_opt s.store.pending k with
-  | Some sid -> sid <> s.sid
-  | None -> false
+let no_session = -1
+
+let rec reservable store sid = function
+  | [] -> true
+  | (k, v) :: rest ->
+      let pk = pack k in
+      version_packed store pk = v
+      && (let holder = Itbl.find store.pending pk ~default:no_session in
+          holder = no_session || holder = sid)
+      && reservable store sid rest
 
 let try_reserve s =
-  if
-    List.for_all (fun (k, v) -> version s.store k = v && not (pending_by_other s k)) s.reads
-  then (
-    List.iter (fun k -> Ktbl.replace s.store.pending k s.sid) s.writes;
+  if reservable s.store s.sid s.reads then (
+    List.iter (fun k -> Itbl.replace s.store.pending (pack k) s.sid) s.writes;
     true)
   else false
 
 let release_reservation s =
   List.iter
     (fun k ->
-      match Ktbl.find_opt s.store.pending k with
-      | Some sid when sid = s.sid -> Ktbl.remove s.store.pending k
-      | _ -> ())
+      let pk = pack k in
+      if Itbl.find s.store.pending pk ~default:no_session = s.sid then
+        Itbl.remove s.store.pending pk)
+    s.writes
+
+let install s =
+  List.iter
+    (fun k ->
+      let pk = pack k in
+      Itbl.replace s.store.versions pk (version_packed s.store pk + 1))
     s.writes
 
 let finalize s =
-  List.iter (fun k -> Ktbl.replace s.store.versions k (version s.store k + 1)) s.writes;
+  install s;
   release_reservation s
 
-let commit_session s =
-  List.iter (fun k -> Ktbl.replace s.store.versions k (version s.store k + 1)) s.writes
+let commit_session = install
 
 let abort_session s =
   s.reads <- [];

@@ -3,7 +3,9 @@
     Keys name a (partition, slot) pair. Only versions are materialised —
     payload bytes are modelled as message sizes by the simulator — and
     only touched keys occupy memory, so a "24 M items per node" YCSB
-    dataset costs nothing until accessed.
+    dataset costs nothing until accessed. Touched keys live in an
+    open-addressing table of packed integer keys, so an entry costs two
+    words of a flat array and no block of its own.
 
     Concurrency control is classic backward-validation OCC: a session
     records the version of every key it reads (writes are treated as
@@ -14,6 +16,9 @@
     at simulated commit time is exactly serializable-history OCC. *)
 
 type key = { part : int; slot : int }
+(** Every operation below packs the key into one integer and raises
+    [Invalid_argument] for a key it cannot represent: a partition
+    outside [0, 2{^30}) or a slot outside [0, 2{^32}). *)
 
 val key : part:int -> slot:int -> key
 val key_compare : key -> key -> int

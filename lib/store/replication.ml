@@ -10,21 +10,26 @@ type t = {
   logs : Timeseries.t array; (* appends bucketed by epoch *)
   totals : int array;
   mutable grand_total : int;
-  (* Per-replica apply progress: (partition, node) -> index of the last
-     log record the replica has applied. The authoritative length is
+  (* Per-replica apply progress, flat over partition × node slot
+     ([index]): the index of the last log record the replica has
+     applied, 0 if never stamped. The authoritative length is
      [totals]; the divergence audit compares the two at quiescence. *)
-  applied_tbl : (int * int, int) Hashtbl.t;
-  (* Ground truth behind [applied_tbl]: what the replica's storage
+  slots : int;
+  applied_wm : int array;
+  (* Ground truth behind [applied_wm]: what the replica's storage
      actually holds. The two differ only when a stale stream stamped
      the believed watermark of a node that lost its state in between —
      the divergence the session-tagging audit exists to catch
      (docs/MEMBERSHIP.md). A row exists only for replicas seeded at
-     startup or installed by a full-state transfer. *)
-  durable_tbl : (int * int, int) Hashtbl.t;
+     startup or installed by a full-state transfer; [no_row] marks the
+     others, distinct from a row holding 0. *)
+  durable_wm : int array;
 }
 
-let create ?sync_delay ~interval ~partitions engine =
-  assert (interval > 0.0);
+let no_row = min_int
+
+let create ?sync_delay ~interval ~partitions ~slots engine =
+  assert (interval > 0.0 && slots > 0);
   {
     engine;
     interval;
@@ -32,8 +37,9 @@ let create ?sync_delay ~interval ~partitions engine =
     logs = Array.init partitions (fun _ -> Timeseries.create ~interval);
     totals = Array.make partitions 0;
     grand_total = 0;
-    applied_tbl = Hashtbl.create 256;
-    durable_tbl = Hashtbl.create 256;
+    slots;
+    applied_wm = Array.make (partitions * slots) 0;
+    durable_wm = Array.make (partitions * slots) no_row;
   }
 
 let append t ~part =
@@ -52,41 +58,44 @@ let lag t ~part =
 let total_appends t = t.grand_total
 let sync_delay t = t.sync_delay
 
-let applied t ~part ~node =
-  match Hashtbl.find_opt t.applied_tbl (part, node) with
-  | Some i -> i
-  | None -> 0
+let index t ~part ~node =
+  if node < 0 || node >= t.slots then
+    invalid_arg (Printf.sprintf "Replication: node %d outside %d slots" node t.slots);
+  (part * t.slots) + node
+
+let applied t ~part ~node = t.applied_wm.(index t ~part ~node)
 
 let durable t ~part ~node =
-  match Hashtbl.find_opt t.durable_tbl (part, node) with
-  | Some i -> i
-  | None -> 0
+  let d = t.durable_wm.(index t ~part ~node) in
+  if d = no_row then 0 else d
+
+let raise_applied t i upto = if upto > t.applied_wm.(i) then t.applied_wm.(i) <- upto
 
 let set_applied t ~part ~node ~upto =
-  if upto > applied t ~part ~node then Hashtbl.replace t.applied_tbl (part, node) upto;
+  let i = index t ~part ~node in
+  raise_applied t i upto;
   (* A full-state transfer is ground truth: it (re)creates the durable
      row even when the believed watermark was already ahead of it. *)
-  match Hashtbl.find_opt t.durable_tbl (part, node) with
-  | Some d -> if upto > d then Hashtbl.replace t.durable_tbl (part, node) upto
-  | None -> Hashtbl.replace t.durable_tbl (part, node) upto
+  let d = t.durable_wm.(i) in
+  if d = no_row || upto > d then t.durable_wm.(i) <- upto
 
 let seed_replica t ~part ~node =
-  if not (Hashtbl.mem t.durable_tbl (part, node)) then
-    Hashtbl.replace t.durable_tbl (part, node) 0
+  let i = index t ~part ~node in
+  if t.durable_wm.(i) = no_row then t.durable_wm.(i) <- 0
 
 let ack_stream t ~part ~node ~upto ~stale ~reject =
   if not (stale && reject) then begin
-    if upto > applied t ~part ~node then Hashtbl.replace t.applied_tbl (part, node) upto;
+    let i = index t ~part ~node in
+    raise_applied t i upto;
     (* An incremental stream can only extend storage that already holds
        the prefix, so the durable watermark moves only where a row
        exists — and never on a stale stream, whose bytes belong to a
        state the destination lost when it left the membership. *)
-    if not stale then
-      match Hashtbl.find_opt t.durable_tbl (part, node) with
-      | Some d -> if upto > d then Hashtbl.replace t.durable_tbl (part, node) upto
-      | None -> ()
+    let d = t.durable_wm.(i) in
+    if (not stale) && d <> no_row && upto > d then t.durable_wm.(i) <- upto
   end
 
 let forget_applied t ~part ~node =
-  Hashtbl.remove t.applied_tbl (part, node);
-  Hashtbl.remove t.durable_tbl (part, node)
+  let i = index t ~part ~node in
+  t.applied_wm.(i) <- 0;
+  t.durable_wm.(i) <- no_row

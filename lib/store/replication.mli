@@ -21,10 +21,17 @@ type session = { version : int; term : int; epoch : int }
 type t
 
 val create :
-  ?sync_delay:float -> interval:float -> partitions:int -> Lion_sim.Engine.t -> t
+  ?sync_delay:float ->
+  interval:float ->
+  partitions:int ->
+  slots:int ->
+  Lion_sim.Engine.t ->
+  t
 (** [interval]: group-commit epoch length in µs (bucket granularity of
     the lag window). [sync_delay] defaults to 2 × interval: one epoch
-    of buffering plus the replication round trip. *)
+    of buffering plus the replication round trip. [slots] is the number
+    of node slots ([Config.total_slots]); the watermarks below take a
+    [node] in [0, slots) and raise [Invalid_argument] outside it. *)
 
 val append : t -> part:int -> unit
 (** Record one committed write set on the partition's log. *)

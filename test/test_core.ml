@@ -64,6 +64,112 @@ let test_router_skips_dead_nodes () =
   Cluster.fail_node cl 0;
   Alcotest.(check int) "falls over to live node" 1 (Router.route router t)
 
+(* Reference for the router's O(1) pricing: the fold-based frequency,
+   per-node cost and two-pass routing as they were before the hottest
+   access count was cached and each node priced once (region-free
+   cost expression). Random touch/decay sequences interleaved with
+   placement moves, node failures and routing must agree exactly. *)
+let reference_freq (cl : Cluster.t) p =
+  let hottest = Array.fold_left Stdlib.max 0.0 cl.Cluster.part_access in
+  if hottest <= 0.0 then 0.0 else cl.Cluster.part_access.(p) /. hottest
+
+let reference_cost (cost : Costmodel.t) placement ~parts ~node =
+  List.fold_left
+    (fun acc part ->
+      if Placement.has_primary placement ~part ~node then acc
+      else if Placement.has_secondary placement ~part ~node then (
+        let f = cost.Costmodel.freq part *. Costmodel.route_freq_scale in
+        acc +. (cost.Costmodel.w_r *. (1.0 +. (log (f +. 1.0) /. log 2.0))))
+      else acc +. cost.Costmodel.w_m)
+    0.0 parts
+
+let reference_route cl cost (txn : Txn.t) =
+  let placement = cl.Cluster.placement in
+  let nodes = Placement.nodes placement in
+  let best_cost = ref infinity in
+  for node = 0 to nodes - 1 do
+    if Cluster.alive cl node then (
+      let c = reference_cost cost placement ~parts:txn.Txn.parts ~node in
+      if c < !best_cost then best_cost := c)
+  done;
+  let tied = ref [] in
+  for node = nodes - 1 downto 0 do
+    if Cluster.alive cl node then (
+      let c = reference_cost cost placement ~parts:txn.Txn.parts ~node in
+      if c <= !best_cost +. 1e-9 then tied := node :: !tied)
+  done;
+  match !tied with
+  | [] -> invalid_arg "reference_route: no live node"
+  | [ n ] -> n
+  | candidates -> List.nth candidates (Hashtbl.hash txn.Txn.parts mod List.length candidates)
+
+type route_op =
+  | Touch of int
+  | Decay of float
+  | Move of int * int  (** part, node: promote, add or shed a replica *)
+  | Fail of int
+  | Route of int list
+
+let route_op_print = function
+  | Touch p -> Printf.sprintf "touch %d" p
+  | Decay f -> Printf.sprintf "decay %g" f
+  | Move (p, n) -> Printf.sprintf "move %d->%d" p n
+  | Fail n -> Printf.sprintf "fail %d" n
+  | Route ps -> "route [" ^ String.concat ";" (List.map string_of_int ps) ^ "]"
+
+let prop_router_matches_reference =
+  let cfg = Config.default in
+  let parts = Config.total_partitions cfg and nodes = cfg.Config.nodes in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun p -> Touch p) (int_bound (parts - 1)));
+          (1, map (fun f -> Decay f) (oneofl [ 0.0; 0.5; 1.0 ]));
+          (3, map2 (fun p n -> Move (p, n)) (int_bound (parts - 1)) (int_bound (nodes - 1)));
+          (1, map (fun n -> Fail n) (int_bound (nodes - 1)));
+          (4, map (fun ps -> Route ps) (list_size (int_range 1 4) (int_bound (parts - 1))));
+        ])
+  in
+  QCheck.Test.make ~name:"O(1) frequency and one-pass routing match the reference" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat ", " (List.map route_op_print ops))
+       QCheck.Gen.(list_size (int_range 1 120) op))
+    (fun ops ->
+      let cl = Cluster.create ~seed:1 cfg in
+      let placement = cl.Cluster.placement in
+      let router = Router.create cl (Costmodel.make ~freq:(Cluster.normalized_freq cl) ()) in
+      let reference = Costmodel.make ~freq:(reference_freq cl) () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Touch p -> Cluster.touch_partition cl p
+          | Decay f -> Cluster.decay_access cl f
+          | Move (part, node) ->
+              if Placement.has_secondary placement ~part ~node then
+                Placement.remaster placement ~part ~node
+              else if Placement.has_primary placement ~part ~node then ()
+              else if Placement.replica_count placement part < Placement.max_replicas placement
+              then Placement.add_secondary placement ~part ~node
+              else
+                List.iter
+                  (fun n -> Placement.remove_secondary placement ~part ~node:n)
+                  (Placement.secondaries placement part)
+          | Fail n ->
+              let live = List.filter (Cluster.alive cl) (List.init nodes Fun.id) in
+              if List.length live > 1 then Cluster.fail_node cl n
+          | Route _ -> ());
+          List.for_all
+            (fun p -> Float.equal (Cluster.normalized_freq cl p) (reference_freq cl p))
+            (List.init parts Fun.id)
+          &&
+          match op with
+          | Route ps ->
+              let t = txn (List.map (fun p -> Txn.Read (key p 0)) ps) in
+              Router.route router t = reference_route cl reference t
+          | _ -> true)
+        ops)
+
 let test_read_at_secondary_serves_locally () =
   let cl = Cluster.create ~seed:1 small_cfg in
   (* Read-only cross transaction; node 0 holds a secondary of 1. *)
@@ -283,6 +389,7 @@ let () =
           Alcotest.test_case "writes still promote" `Quick
             test_read_at_secondary_writes_still_promote;
         ] );
+      ("router-props", [ QCheck_alcotest.to_alcotest prop_router_matches_reference ]);
       ( "planner",
         [
           Alcotest.test_case "colocates hot pair" `Quick test_planner_colocates_pair;

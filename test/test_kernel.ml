@@ -98,6 +98,142 @@ let test_stats_mean_of () =
   Alcotest.(check (float 1e-9)) "mean" 2.0 (Stats.mean_of [ 1.0; 2.0; 3.0 ]);
   Alcotest.(check (float 1e-9)) "empty" 0.0 (Stats.mean_of [])
 
+(* The first 16 draws of [int] (bound [max_int]), [float] (bound 1.0),
+   [bool], and [split] (one split per step, read through the child's
+   first [int] draw) for three seeds. Every simulated result depends
+   on this stream, so it is pinned to literals rather than checked
+   only for agreement between two generators. *)
+type golden = { ints : int array; floats : float array; bools : bool array; splits : int array }
+
+let rng_golden =
+  [
+    ( 0,
+      {
+        ints =
+          [|
+            4073552104164651883; 1990071630548588925; 121904254867886419;
+            4477402844195135611; 490437550606523686; 1509523650315790522;
+            801824006500076728; 3558130466400086735; 1133040290248155824;
+            4390466628494765097; 1828385819961610050; 3509651801762101181;
+            2416295617881896670; 2560258272037612107; 3266099039056368454;
+            2391077038489821226;
+          |];
+        floats =
+          [|
+            0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6;
+            0x1.f1177150e499p-1; 0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2;
+            0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1; 0x1.f72bc4820e4c4p-3;
+            0x1.e77091186d196p-1; 0x1.95fbb374f2c4ep-2; 0x1.85a64dc00ab7bp-1;
+            0x1.0c43407fc177bp-1; 0x1.1c3eeaab30755p-1; 0x1.6a9c1e2c01989p-1;
+            0x1.09767f2f2e3bp-1;
+          |];
+        bools =
+          [|
+            true; false; true; false; true; false; true; false;
+            true; false; true; false; true; true; true; true;
+          |];
+        splits =
+          [|
+            1558991776508477819; 2442876978393746326; 2669000434556329607;
+            318494087943405462; 4402042803381354480; 1943574106500607562;
+            2359489906686667812; 2581454134034343743; 4431752818682075842;
+            34100527527005035; 3022128160370884655; 3231189363788106035;
+            1447414602484729711; 2855234423034810074; 2841308713825637329;
+            1565844006573864618;
+          |];
+      } );
+    ( 1,
+      {
+        ints =
+          [|
+            3457603482011350492; 1717361541646166673; 2021227762714211881;
+            4400086718694418251; 931835874657720878; 2747494643000335897;
+            2101864950107900286; 857522058586991323; 1452024965492620143;
+            4068567495939744465; 2375297743655821729; 2460862104762392994;
+            4255540332154841467; 930770776204252489; 714345195597446422;
+            2518289453620838583;
+          |];
+        floats =
+          [|
+            0x1.7fdf0061bb85ap-1; 0x1.7d54b3920bcaap-2; 0x1.c0cd7f0f6bcf6p-2;
+            0x1.e881fc76c58f3p-1; 0x1.9dd1794f3e0b4p-3; 0x1.31087e915296fp-1;
+            0x1.d2b5309350688p-2; 0x1.7cd0f89b24754p-3; 0x1.426a103512fbap-2;
+            0x1.c3b3a4a6a1831p-1; 0x1.07b605b43323p-1; 0x1.1135e85e5ca9p-1;
+            0x1.d875bb150b7f4p-1; 0x1.9d5862dd5f028p-3; 0x1.3d3ba575d2f78p-3;
+            0x1.179617532576p-1;
+          |];
+        bools =
+          [|
+            false; true; true; false; true; false; false; false;
+            true; false; false; true; false; true; true; false;
+          |];
+        splits =
+          [|
+            4339281941979455995; 1391299123406820051; 1417007850453426237;
+            1554089943986380381; 949687826934003247; 648995657791945184;
+            160324482413054671; 1995478261059698654; 457814980740196634;
+            3995948329676669337; 2967204382541216653; 1835091278482929523;
+            2997613987862879563; 1126531799859285001; 4411803297724487305;
+            2510695561808310957;
+          |];
+      } );
+    ( 42,
+      {
+        ints =
+          [|
+            2749113066540076570; 739554815828047797; 767374426118319285;
+            221479889520321091; 4523206237176398889; 1084310982420964528;
+            1288224301085851122; 705096088656582996; 3508032700170470195;
+            1124334894917578461; 3525383132830741061; 4086949034143292357;
+            4150417550033776723; 370735096921512237; 175046579690018138;
+            3938296023606899261;
+          |];
+        floats =
+          [|
+            0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3;
+            0x1.896d649de031p-5; 0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3;
+            0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3; 0x1.8578493c50ec1p-1;
+            0x1.f34e1428846dcp-3; 0x1.87656a3f8c3d9p-1; 0x1.c5be13f199e4dp-1;
+            0x1.ccc9f62cda7b8p-1; 0x1.494766cf71b6p-4; 0x1.36f1f7e8c90ap-5;
+            0x1.b53d1af09b619p-1;
+          |];
+        bools =
+          [|
+            true; true; true; false; true; true; true; false;
+            true; true; false; false; false; false; false; true;
+          |];
+        splits =
+          [|
+            933631369328210195; 238878687638062903; 2971277477668741067;
+            2336215669959865781; 1670432612978786612; 4490812022443545457;
+            843897392032972668; 841192260638776802; 2752194746923212899;
+            4332002957534440313; 748917982327307671; 4325850520526138318;
+            2063810864527232204; 4472048752535541494; 1479957198545004531;
+            481783941198122157;
+          |];
+      } );
+  ]
+
+let test_rng_golden_stream () =
+  List.iter
+    (fun (seed, g) ->
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      let r = Rng.create seed in
+      Array.iter (fun x -> Alcotest.(check int) (name "int") x (Rng.int r max_int)) g.ints;
+      let r = Rng.create seed in
+      Array.iter
+        (fun x ->
+          let y = Rng.float r 1.0 in
+          if not (Float.equal x y) then Alcotest.failf "%s: %h <> %h" (name "float") x y)
+        g.floats;
+      let r = Rng.create seed in
+      Array.iter (fun x -> Alcotest.(check bool) (name "bool") x (Rng.bool r)) g.bools;
+      let r = Rng.create seed in
+      Array.iter
+        (fun x -> Alcotest.(check int) (name "split") x (Rng.int (Rng.split r) max_int))
+        g.splits)
+    rng_golden
+
 (* --- zipf --- *)
 
 let test_zipf_uniform_when_theta0 () =
@@ -392,6 +528,7 @@ let () =
           Alcotest.test_case "gaussian moments" `Slow test_rng_gaussian_moments;
           Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
           Alcotest.test_case "choose and exponential" `Quick test_rng_choose_and_exponential;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
         ] );
       ( "zipf",
         [

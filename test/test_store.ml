@@ -248,6 +248,148 @@ let test_occ_serializability_property =
         (fun slot n acc -> acc && Kvstore.version s (Kvstore.key ~part:0 ~slot) = n)
         commits true)
 
+(* A reference model of the store: versions and pending marks in
+   polymorphic hashtables keyed by (part, slot), sessions as plain
+   lists, following the documented semantics. Random interleavings over
+   [model_sessions] live sessions touch hot keys (conflicts), fresh
+   stock and TPC-C order slots (≥ 10,000,000), slots anywhere below
+   2^32 and the packing's boundary keys, so the table grows from its
+   initial size several times. *)
+type model_session = {
+  real : Kvstore.session;
+  sid : int;
+  mutable m_reads : ((int * int) * int) list;
+  mutable m_writes : (int * int) list;
+}
+
+let model_sessions = 4
+let model_ops = 400_000
+let boundary_keys = [| (0, 0); (0, (1 lsl 32) - 1); ((1 lsl 30) - 1, 0); ((1 lsl 30) - 1, (1 lsl 32) - 1) |]
+
+let prop_kvstore_matches_model =
+  QCheck.Test.make ~name:"kvstore agrees with a Hashtbl model" ~count:3 QCheck.small_nat
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let store = Kvstore.create () in
+      let versions = Hashtbl.create 1024 and pending = Hashtbl.create 64 in
+      let mversion k = Option.value ~default:0 (Hashtbl.find_opt versions k) in
+      let check what expected actual =
+        if expected <> actual then
+          QCheck.Test.fail_reportf "%s: model %d, store %d" what expected actual
+      in
+      let real_version (part, slot) = Kvstore.version store (Kvstore.key ~part ~slot) in
+      let next_sid = ref 0 in
+      let fresh_session () =
+        let sid = !next_sid in
+        incr next_sid;
+        { real = Kvstore.begin_session store; sid; m_reads = []; m_writes = [] }
+      in
+      let sessions = Array.init model_sessions (fun _ -> fresh_session ()) in
+      let fresh = ref 0 in
+      let pick_key () =
+        let part = Random.State.int rs 48 in
+        match Random.State.int rs 8 with
+        | 0 | 1 -> (part, Random.State.int rs 64)
+        | 2 | 3 ->
+            incr fresh;
+            (part, 10_000_000 + !fresh)
+        | 4 ->
+            incr fresh;
+            (part, 1_000_000 + !fresh)
+        | 5 | 6 -> (part, Random.State.full_int rs (1 lsl 32))
+        | _ -> boundary_keys.(Random.State.int rs (Array.length boundary_keys))
+      in
+      let install s =
+        List.iter (fun k -> Hashtbl.replace versions k (mversion k + 1)) s.m_writes
+      in
+      let release s =
+        List.iter
+          (fun k -> if Hashtbl.find_opt pending k = Some s.sid then Hashtbl.remove pending k)
+          s.m_writes
+      in
+      let check_writes s =
+        List.iter (fun k -> check "installed version" (mversion k) (real_version k)) s.m_writes
+      in
+      for op = 1 to model_ops do
+        let i = Random.State.int rs model_sessions in
+        let s = sessions.(i) in
+        (match Random.State.int rs 100 with
+        | r when r < 30 ->
+            let ((part, slot) as k) = pick_key () in
+            Kvstore.read s.real (Kvstore.key ~part ~slot);
+            s.m_reads <- (k, mversion k) :: s.m_reads
+        | r when r < 65 ->
+            let ((part, slot) as k) = pick_key () in
+            Kvstore.write s.real (Kvstore.key ~part ~slot);
+            s.m_reads <- (k, mversion k) :: s.m_reads;
+            s.m_writes <- k :: s.m_writes
+        | r when r < 77 ->
+            let observed =
+              List.map
+                (fun ((k : Kvstore.key), v) -> ((k.part, k.slot), v))
+                (Kvstore.observed_reads s.real)
+            in
+            if observed <> List.rev s.m_reads then
+              QCheck.Test.fail_report "observed reads differ from the model";
+            let ok =
+              List.for_all
+                (fun (k, v) ->
+                  mversion k = v
+                  &&
+                  match Hashtbl.find_opt pending k with
+                  | Some sid -> sid = s.sid
+                  | None -> true)
+                s.m_reads
+            in
+            if ok then List.iter (fun k -> Hashtbl.replace pending k s.sid) s.m_writes;
+            if Kvstore.try_reserve s.real <> ok then
+              QCheck.Test.fail_reportf "reserve verdict differs at op %d" op
+        | r when r < 85 ->
+            Kvstore.finalize s.real;
+            install s;
+            release s;
+            check_writes s;
+            sessions.(i) <- fresh_session ()
+        | r when r < 90 ->
+            Kvstore.release_reservation s.real;
+            release s
+        | r when r < 95 ->
+            Kvstore.commit_session s.real;
+            install s;
+            check_writes s;
+            sessions.(i) <- fresh_session ()
+        | _ -> sessions.(i) <- fresh_session ());
+        if op mod 1000 = 0 then
+          check "touched keys" (Hashtbl.length versions) (Kvstore.touched_keys store)
+      done;
+      Hashtbl.iter (fun k v -> check "final version" v (real_version k)) versions;
+      check "touched keys" (Hashtbl.length versions) (Kvstore.touched_keys store);
+      if Hashtbl.length versions < 50_000 then
+        QCheck.Test.fail_reportf "only %d distinct keys" (Hashtbl.length versions);
+      true)
+
+(* A key the packed representation cannot hold must be refused, not
+   folded onto a neighbour: slot 2^32 of partition 0 would otherwise
+   alias slot 0 of partition 1. *)
+let test_kvstore_rejects_unpackable_keys () =
+  let s = Kvstore.create () in
+  let w = Kvstore.begin_session s in
+  Kvstore.write w (Kvstore.key ~part:1 ~slot:0);
+  Kvstore.commit_session w;
+  List.iter
+    (fun (part, slot) ->
+      let k = Kvstore.key ~part ~slot in
+      let refused f =
+        match f () with
+        | () -> Alcotest.failf "key P%d/%d accepted" part slot
+        | exception Invalid_argument _ -> ()
+      in
+      refused (fun () -> ignore (Kvstore.version s k));
+      refused (fun () -> Kvstore.read (Kvstore.begin_session s) k);
+      refused (fun () -> Kvstore.write (Kvstore.begin_session s) k))
+    [ (0, 1 lsl 32); (0, -1); (-1, 0); (1 lsl 30, 0); (0, max_int); (max_int, 0) ];
+  Alcotest.(check int) "neighbour untouched" 1 (Kvstore.version s (Kvstore.key ~part:1 ~slot:0))
+
 (* --- cluster --- *)
 
 let mk_cluster ?(cfg = Config.default) () = Cluster.create ~seed:5 cfg
@@ -402,7 +544,7 @@ module Replication = Lion_store.Replication
 
 let test_replication_appends_counted () =
   let e = Engine.create () in
-  let r = Replication.create ~interval:10_000.0 ~partitions:4 e in
+  let r = Replication.create ~interval:10_000.0 ~partitions:4 ~slots:4 e in
   Replication.append r ~part:0;
   Replication.append r ~part:0;
   Replication.append r ~part:1;
@@ -412,7 +554,7 @@ let test_replication_appends_counted () =
 
 let test_replication_lag_window () =
   let e = Engine.create () in
-  let r = Replication.create ~interval:10_000.0 ~partitions:2 e in
+  let r = Replication.create ~interval:10_000.0 ~partitions:2 ~slots:4 e in
   Replication.append r ~part:0;
   (* Within the sync window: still lagging. *)
   Alcotest.(check int) "fresh record lags" 1 (Replication.lag r ~part:0);
@@ -420,6 +562,73 @@ let test_replication_lag_window () =
   Engine.run_until e (Replication.sync_delay r +. 20_000.0);
   Alcotest.(check int) "acked after delay" 0 (Replication.lag r ~part:0);
   Alcotest.(check int) "history retained" 1 (Replication.appends r ~part:0)
+
+(* The durable watermark has a row only for replicas that were seeded
+   or received a full-state transfer; [durable] reads 0 both for "no
+   row" and for a row at 0, so the row's existence shows in whether a
+   later fresh stream can advance it. *)
+let test_replication_durable_rows () =
+  let e = Engine.create () in
+  (* 4 member nodes plus 2 standby slots, as [Config.total_slots]. *)
+  let r = Replication.create ~interval:10_000.0 ~partitions:3 ~slots:6 e in
+  let ack ?(stale = false) ~part ~node upto =
+    Replication.ack_stream r ~part ~node ~upto ~stale ~reject:false
+  in
+  let wm what ~part ~node expect_applied expect_durable =
+    Alcotest.(check int) (what ^ ": applied") expect_applied (Replication.applied r ~part ~node);
+    Alcotest.(check int) (what ^ ": durable") expect_durable (Replication.durable r ~part ~node)
+  in
+  (* A stream never creates a row. *)
+  ack ~part:0 ~node:1 5;
+  wm "stream without row" ~part:0 ~node:1 5 0;
+  ack ~part:0 ~node:1 7;
+  wm "still no row" ~part:0 ~node:1 7 0;
+  (* Seeding does; a fresh stream then advances it, a stale one not. *)
+  Replication.seed_replica r ~part:0 ~node:2;
+  wm "seeded" ~part:0 ~node:2 0 0;
+  ack ~part:0 ~node:2 4;
+  wm "fresh stream on row" ~part:0 ~node:2 4 4;
+  ack ~stale:true ~part:0 ~node:2 9;
+  wm "stale stream" ~part:0 ~node:2 9 4;
+  Replication.seed_replica r ~part:0 ~node:2;
+  wm "reseeding keeps the row" ~part:0 ~node:2 9 4;
+  (* A rejected stale stream changes nothing. *)
+  Replication.ack_stream r ~part:0 ~node:2 ~upto:12 ~stale:true ~reject:true;
+  wm "rejected stream" ~part:0 ~node:2 9 4;
+  (* A full-state transfer creates a row, or raises the existing one
+     even behind the believed watermark, and never lowers either. *)
+  Replication.set_applied r ~part:0 ~node:1 ~upto:3;
+  wm "transfer creates row" ~part:0 ~node:1 7 3;
+  ack ~part:0 ~node:1 8;
+  wm "row now advances" ~part:0 ~node:1 8 8;
+  Replication.set_applied r ~part:0 ~node:2 ~upto:6;
+  wm "transfer raises row" ~part:0 ~node:2 9 6;
+  Replication.set_applied r ~part:0 ~node:2 ~upto:2;
+  wm "lower transfer ignored" ~part:0 ~node:2 9 6;
+  (* Forgetting clears both tables: the row is gone too. *)
+  Replication.forget_applied r ~part:0 ~node:2;
+  wm "forgotten" ~part:0 ~node:2 0 0;
+  ack ~part:0 ~node:2 11;
+  wm "no row after forget" ~part:0 ~node:2 11 0;
+  (* Standby slots index their own cells: node 5 of partition 1 is not
+     node 1 or 3 of partition 2, whatever stride a 4-node table had. *)
+  Replication.set_applied r ~part:1 ~node:5 ~upto:13;
+  wm "standby slot" ~part:1 ~node:5 13 13;
+  List.iter
+    (fun (part, node) -> wm "neighbour untouched" ~part ~node 0 0)
+    [ (1, 4); (2, 0); (2, 1); (2, 3) ];
+  Alcotest.check_raises "slot past capacity"
+    (Invalid_argument "Replication: node 6 outside 6 slots") (fun () ->
+      ignore (Replication.applied r ~part:0 ~node:6))
+
+let test_cluster_watermarks_span_standby_slots () =
+  let cfg = Config.with_elastic_defaults Config.default in
+  let cl = Cluster.create ~seed:5 cfg in
+  let repl = cl.Cluster.replication in
+  let last = Config.total_partitions cfg - 1 and standby = Config.total_slots cfg - 1 in
+  Alcotest.(check bool) "has standby slots" true (standby >= cfg.Config.nodes);
+  Replication.set_applied repl ~part:last ~node:standby ~upto:2;
+  Alcotest.(check int) "standby durable" 2 (Replication.durable repl ~part:last ~node:standby)
 
 let test_commit_feeds_replication_log () =
   let cl = mk_cluster () in
@@ -922,7 +1131,12 @@ let () =
           Alcotest.test_case "read/write sets" `Quick test_read_write_sets;
           Alcotest.test_case "sparse storage" `Quick test_touched_keys_sparse;
         ] );
-      qsuite "occ-props" [ test_occ_serializability_property ];
+      ( "kvstore-model",
+        [
+          Alcotest.test_case "unpackable keys refused" `Quick
+            test_kvstore_rejects_unpackable_keys;
+        ] );
+      qsuite "occ-props" [ test_occ_serializability_property; prop_kvstore_matches_model ];
       ( "cluster",
         [
           Alcotest.test_case "shape" `Quick test_cluster_shape;
@@ -952,6 +1166,9 @@ let () =
           Alcotest.test_case "lag window" `Quick test_replication_lag_window;
           Alcotest.test_case "commit feeds log" `Quick test_commit_feeds_replication_log;
           Alcotest.test_case "remaster ships lag" `Quick test_remaster_bytes_scale_with_lag;
+          Alcotest.test_case "durable rows" `Quick test_replication_durable_rows;
+          Alcotest.test_case "standby-slot watermarks" `Quick
+            test_cluster_watermarks_span_standby_slots;
         ] );
       ( "failover",
         [
