@@ -61,7 +61,7 @@ elastic:
 	dune exec bin/elastic_run.exe -- --smoke
 
 # Overload experiments (see docs/OVERLOAD.md): offered-load sweeps for
-# lion/star/twopc through 1.5x capacity (with and without protection)
+# lion/star/2pc through 1.5x capacity (with and without protection)
 # plus the metastable-failure repro; CSVs land in overload/.
 overload:
 	dune exec bin/overload_sweep.exe -- --out overload

@@ -15,29 +15,7 @@ module Drive = Lion_audit.Drive
 module Checker = Lion_audit.Checker
 module Divergence = Lion_audit.Divergence
 
-let protocols :
-    (string * (Lion_store.Cluster.t -> Lion_protocols.Proto.t)) list =
-  [
-    ("2pc", fun cl -> Lion_protocols.Twopc.create cl);
-    ("leap", fun cl -> Lion_protocols.Leap.create cl);
-    ("clay", fun cl -> Lion_protocols.Clay.create cl);
-    ( "lion",
-      fun cl ->
-        Lion_core.Standard.create ~name:"Lion"
-          ~config:{ Lion_core.Planner.default_config with predict = true }
-          cl );
-    ("star", fun cl -> Lion_protocols.Star.create cl);
-    ("calvin", fun cl -> Lion_protocols.Calvin.create cl);
-    ("hermes", fun cl -> Lion_protocols.Hermes.create cl);
-    ("aria", fun cl -> Lion_protocols.Aria.create cl);
-    ("lotus", fun cl -> Lion_protocols.Lotus.create cl);
-    ("epoch", fun cl -> Lion_protocols.Epoch.create cl);
-    ( "lion-batch",
-      fun cl ->
-        Lion_core.Batch_mode.create ~name:"Lion"
-          ~config:{ Lion_core.Planner.default_config with predict = true }
-          cl );
-  ]
+module Protocols = Lion_harness.Protocols
 
 let nemeses ~nodes ~seed :
     (string * Nemesis.t) list =
@@ -83,7 +61,7 @@ let usage ~nodes () =
      divergence without tagging, clean with it (lion, star, 2pc)\n\
      protocols: all, %s\n\
      nemeses: all, %s, crash-rejoin (not in \"all\"; see --rejoin-safe)\n"
-    (String.concat ", " (List.map fst protocols))
+    (String.concat ", " Protocols.ids)
     (String.concat ", " (List.map fst (nemeses ~nodes ~seed:1)));
   exit 2
 
@@ -99,7 +77,7 @@ let assert_rejoin_safe ~seed ~seconds ~clients ~cross ~skew () =
       ~gen:(Workloads.ycsb ~seed ~skew ~cross cfg)
       ~nemesis:nem ()
   in
-  let find name = List.assoc name protocols in
+  let find id = (Protocols.get id).make in
   let off = run ~tagging:false (find "lion") in
   let stale_found =
     List.exists
@@ -183,6 +161,9 @@ let () =
     | _ -> usage ~nodes ()
   in
   parse (List.tl (Array.to_list Sys.argv));
+  let protos =
+    if !proto = "all" then Protocols.all else [ Protocols.resolve ~also:[ "all" ] !proto ]
+  in
   if !assert_rejoin then
     assert_rejoin_safe ~seed:!seed ~seconds:!seconds ~clients:!clients
       ~cross:!cross ~skew:!skew ();
@@ -198,7 +179,6 @@ let () =
       | Some p -> [ p ]
       | None -> usage ~nodes ()
   in
-  let protos = pick protocols !proto in
   (* crash-rejoin resolves by name only: "all" must stay green on the
      default config, and this nemesis exists to diverge it. *)
   let nems =
@@ -209,12 +189,12 @@ let () =
   Printf.printf "%-10s  %-16s  %7s  %6s  %9s  %7s  %6s  %6s  %s\n" "protocol"
     "nemesis" "commits" "aborts" "anomalies" "behind" "wedged" "avail" "verdict";
   List.iter
-    (fun (pname, make) ->
+    (fun (p : Protocols.entry) ->
       List.iter
         (fun (nname, nem) ->
           let o =
             Drive.run ~seed:!seed ~clients:!clients ~duration:!seconds ~cfg
-              ~make
+              ~make:p.make
               ~gen:(Workloads.ycsb ~seed:!seed ~skew:!skew ~cross:!cross cfg)
               ~nemesis:nem ()
           in
@@ -229,7 +209,7 @@ let () =
           in
           if not ok then incr failures;
           Printf.printf "%-10s  %-16s  %7d  %6d  %9d  %7d  %6d  %6.3f  %s\n"
-            pname nname o.Drive.commits o.Drive.aborts
+            p.id nname o.Drive.commits o.Drive.aborts
             (List.length o.Drive.check.Checker.anomalies)
             (List.length o.Drive.divergence.Divergence.findings)
             (List.length o.Drive.liveness.Lion_audit.Liveness.findings)

@@ -3,7 +3,12 @@
    per-node worker load — the fastest way to watch a protocol converge.
 
    Usage: dune exec bin/debug_run.exe -- [variant] [skew] [cross] [secs]
-   (REMASTER_DELAY=<us> overrides the remaster delay/cooldown.) *)
+   (REMASTER_DELAY=<us> overrides the remaster delay/cooldown.)
+
+   [variant] is a protocol id from Lion_harness.Protocols ([lion] is
+   standard-mode Lion) or one of the Table II ablations lion-s, lion-r,
+   lion-rw, lion-rb. Full batch Lion ([Ablation.V_full]: Batch_mode,
+   default planner, seed 31) is exactly the registry's [lion-batch]. *)
 
 module Config = Lion_store.Config
 module Cluster = Lion_store.Cluster
@@ -13,9 +18,22 @@ module Server = Lion_sim.Server
 module Metrics = Lion_sim.Metrics
 module Ycsb = Lion_workload.Ycsb
 module Proto = Lion_protocols.Proto
+module Ablation = Lion_core.Ablation
+module Protocols = Lion_harness.Protocols
+
+let ablations =
+  [ ("lion-s", Ablation.V_s); ("lion-r", Ablation.V_r); ("lion-rw", Ablation.V_rw);
+    ("lion-rb", Ablation.V_rb) ]
 
 let () =
   let variant = try Sys.argv.(1) with _ -> "lion-rw" in
+  let is_batch, make =
+    match List.assoc_opt variant ablations with
+    | Some v -> (Ablation.is_batch v, Ablation.create v)
+    | None ->
+        let p = Protocols.resolve ~also:(List.map fst ablations) variant in
+        (p.batch, fun cl -> p.make cl)
+  in
   let skew = try float_of_string Sys.argv.(2) with _ -> 0.8 in
   let cross = try float_of_string Sys.argv.(3) with _ -> 0.5 in
   let secs = try int_of_string Sys.argv.(4) with _ -> 8 in
@@ -31,24 +49,7 @@ let () =
       with Ycsb.skew_factor = skew; cross_ratio = cross } in
   let gen = Ycsb.create ~seed:7 params in
   let cl = Cluster.create ~seed:1 cfg in
-  let mk = function
-    | "2pc" -> Lion_protocols.Twopc.create cl
-    | "leap" -> Lion_protocols.Leap.create cl
-    | "clay" -> Lion_protocols.Clay.create cl
-    | "star" -> Lion_protocols.Star.create cl
-    | "calvin" -> Lion_protocols.Calvin.create cl
-    | "hermes" -> Lion_protocols.Hermes.create cl
-    | "aria" -> Lion_protocols.Aria.create cl
-    | "lotus" -> Lion_protocols.Lotus.create cl
-    | "lion-r" -> Lion_core.Ablation.create Lion_core.Ablation.V_r cl
-    | "lion-s" -> Lion_core.Ablation.create Lion_core.Ablation.V_s cl
-    | "lion-rw" -> Lion_core.Ablation.create Lion_core.Ablation.V_rw cl
-    | "lion-rb" -> Lion_core.Ablation.create Lion_core.Ablation.V_rb cl
-    | "lion" -> Lion_core.Ablation.create Lion_core.Ablation.V_full cl
-    | v -> failwith ("unknown variant " ^ v)
-  in
-  let proto = mk variant in
-  let is_batch = List.mem variant ["star";"calvin";"hermes";"aria";"lotus";"lion-rb";"lion"] in
+  let proto = make cl in
   let clients = if is_batch then cfg.Config.batch_size else 64 in
   let engine = cl.Cluster.engine in
   let rec client_loop () =

@@ -12,30 +12,11 @@ module Config = Lion_store.Config
 module Workloads = Lion_harness.Workloads
 module Fuzz = Lion_audit.Fuzz
 module Liveness = Lion_audit.Liveness
+module Protocols = Lion_harness.Protocols
 
-let protocols : (string * (Lion_store.Cluster.t -> Lion_protocols.Proto.t)) list
-    =
-  [
-    ("2pc", fun cl -> Lion_protocols.Twopc.create cl);
-    ("leap", fun cl -> Lion_protocols.Leap.create cl);
-    ("clay", fun cl -> Lion_protocols.Clay.create cl);
-    ( "lion",
-      fun cl ->
-        Lion_core.Standard.create ~name:"Lion"
-          ~config:{ Lion_core.Planner.default_config with predict = true }
-          cl );
-    ( "lion-batch",
-      fun cl ->
-        Lion_core.Batch_mode.create ~name:"Lion"
-          ~config:{ Lion_core.Planner.default_config with predict = true }
-          cl );
-    ("star", fun cl -> Lion_protocols.Star.create cl);
-    ("hermes", fun cl -> Lion_protocols.Hermes.create cl);
-  ]
-
-let target ~protos : Fuzz.target =
+let target protos : Fuzz.target =
   {
-    Fuzz.protos;
+    Fuzz.protos = List.map (fun (p : Protocols.entry) -> (p.id, fun cl -> p.make cl)) protos;
     workload =
       (fun ~cfg ~seed ~skew ~cross -> Workloads.ycsb ~seed ~skew ~cross cfg);
   }
@@ -54,7 +35,7 @@ let usage () =
      --reintroduce-phantom  re-plant the phantom-secondary bug\n\
      --replay FILE        replay one corpus case; exit 1 on mismatch\n\
      protocols: %s\n"
-    (String.concat ", " (List.map fst protocols));
+    (String.concat ", " Protocols.ids);
   exit 2
 
 let replay ~max_events path =
@@ -63,7 +44,7 @@ let replay ~max_events path =
       Printf.printf "%s: unreadable corpus case: %s\n" path msg;
       exit 1
   | Ok (case, expect) ->
-      let r = Fuzz.run_case ?max_events ~target:(target ~protos:protocols) case in
+      let r = Fuzz.run_case ?max_events ~target:(target Protocols.all) case in
       let got = r.Fuzz.verdict in
       Printf.printf "%s: expected %s, got %s\n" case.Fuzz.name
         (Fuzz.verdict_name expect) (Fuzz.verdict_name got);
@@ -116,20 +97,10 @@ let () =
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
+  let target = target (List.map Protocols.resolve (String.split_on_char ',' !protos)) in
   (match !replay_file with
   | Some path -> replay ~max_events:!max_events path
   | None -> ());
-  let selected =
-    List.map
-      (fun name ->
-        match List.find_opt (fun (n, _) -> n = name) protocols with
-        | Some p -> p
-        | None ->
-            Printf.eprintf "unknown protocol %s\n" name;
-            usage ())
-      (String.split_on_char ',' !protos)
-  in
-  let target = target ~protos:selected in
   Printf.printf "fuzz: seed %d, %d rounds, protocols %s%s%s\n" !seed !rounds
     !protos
     (if !phantom then ", phantom-secondary bug re-planted" else "")

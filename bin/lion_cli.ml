@@ -10,37 +10,24 @@ module Config = Lion_store.Config
 module Runner = Lion_harness.Runner
 module Workloads = Lion_harness.Workloads
 module Table = Lion_kernel.Table
-
-let protocols : (string * (bool * (Lion_store.Cluster.t -> Lion_protocols.Proto.t))) list =
-  [
-    ("2pc", (false, Lion_protocols.Twopc.create));
-    ("leap", (false, Lion_protocols.Leap.create));
-    ("clay", (false, fun cl -> Lion_protocols.Clay.create cl));
-    ("unified", (false, Lion_protocols.Unified.create));
-    ("star", (true, Lion_protocols.Star.create));
-    ("calvin", (true, Lion_protocols.Calvin.create));
-    ("hermes", (true, Lion_protocols.Hermes.create));
-    ("aria", (true, Lion_protocols.Aria.create));
-    ("lotus", (true, fun cl -> Lion_protocols.Lotus.create cl));
-    ("lion", (false, fun cl -> Lion_core.Standard.create ~name:"Lion" cl));
-    ("lion-batch", (true, fun cl -> Lion_core.Batch_mode.create ~name:"Lion" cl));
-  ]
+module Protocols = Lion_harness.Protocols
 
 let protocol_conv =
   let parse s =
-    match List.assoc_opt s protocols with
-    | Some _ -> Ok s
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown protocol %S (try: %s)" s
-               (String.concat ", " (List.map fst protocols))))
+    match Protocols.find s with Some p -> Ok p | None -> Error (`Msg (Protocols.unknown s))
   in
-  Arg.conv (parse, Format.pp_print_string)
+  Arg.conv (parse, fun ppf (p : Protocols.entry) -> Format.pp_print_string ppf p.id)
 
-(* --- run --- *)
+(* A fresh generator for [workload]; called once per protocol run so
+   every protocol sees the same transaction stream. *)
+let workload_gen workload ~seed ~skew ~cross cfg =
+  match workload with
+  | "tpcc" -> Workloads.tpcc ~seed:(seed + 1) ~skew ~cross cfg
+  | "dynamic" -> Workloads.dynamic_position ~seed:(seed + 1) ~period:8.0 cfg
+  | _ -> Workloads.ycsb ~seed:(seed + 1) ~skew ~cross cfg
 
-let do_run protocol workload nodes skew cross duration warmup remaster_delay seed csv =
+let run_protocol (p : Protocols.entry) workload ~nodes ~skew ~cross ~warmup ~duration
+    ~remaster_delay ~seed =
   let cfg =
     {
       (Config.with_nodes Config.default nodes) with
@@ -48,22 +35,52 @@ let do_run protocol workload nodes skew cross duration warmup remaster_delay see
       remaster_cooldown = 10.0 *. remaster_delay;
     }
   in
-  let batch, make = List.assoc protocol protocols in
-  let gen =
-    match workload with
-    | "ycsb" -> Workloads.ycsb ~seed:(seed + 1) ~skew ~cross cfg
-    | "tpcc" -> Workloads.tpcc ~seed:(seed + 1) ~skew ~cross cfg
-    | "dynamic" -> Workloads.dynamic_position ~seed:(seed + 1) ~period:8.0 cfg
-    | w -> failwith (Printf.sprintf "unknown workload %S (ycsb | tpcc | dynamic)" w)
+  Runner.run ~seed ~batch:p.batch ~cfg ~make:p.make
+    ~gen:(workload_gen workload ~seed ~skew ~cross cfg)
+    { Runner.quick with Runner.warmup; duration }
+
+(* The options [run] and [compare] share, in their functions' order. *)
+let with_run_options ~duration f =
+  let open Arg in
+  let workloads = List.map (fun w -> (w, w)) [ "ycsb"; "tpcc"; "dynamic" ] in
+  let workload =
+    value & opt (enum workloads) "ycsb" & info [ "w"; "workload" ] ~doc:"ycsb | tpcc | dynamic."
   in
+  let nodes = value & opt int 4 & info [ "n"; "nodes" ] ~doc:"Executor node count." in
+  let skew = value & opt float 0.0 & info [ "skew" ] ~doc:"Skew factor (0..1)." in
+  let cross =
+    value & opt float 0.5 & info [ "cross" ] ~doc:"Cross-partition transaction ratio."
+  in
+  let duration =
+    value & opt float duration & info [ "duration" ] ~doc:"Measured simulated seconds."
+  in
+  let warmup = value & opt float 4.0 & info [ "warmup" ] ~doc:"Warm-up seconds." in
+  let remaster =
+    value & opt float 300.0 & info [ "remaster-delay" ] ~doc:"Remaster delay in us."
+  in
+  let seed = value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed." in
+  let csv = value & opt (some string) None & info [ "csv" ] ~doc:"Write a summary CSV." in
+  Term.(f $ workload $ nodes $ skew $ cross $ duration $ warmup $ remaster $ seed $ csv)
+
+let write_summary csv results =
+  Option.iter
+    (fun path ->
+      Lion_harness.Export.result_csv ~path results;
+      Printf.printf "summary written to %s\n" path)
+    csv;
+  0
+
+(* --- run --- *)
+
+let do_run (protocol : Protocols.entry) workload nodes skew cross duration warmup
+    remaster_delay seed csv =
   let r =
-    Runner.run ~seed ~batch ~cfg ~make ~gen
-      { Runner.quick with Runner.warmup; duration }
+    run_protocol protocol workload ~nodes ~skew ~cross ~warmup ~duration ~remaster_delay ~seed
   in
   let t =
     Table.create
       ~title:
-        (Printf.sprintf "%s on %s (nodes=%d skew=%.2f cross=%.2f)" protocol workload nodes
+        (Printf.sprintf "%s on %s (nodes=%d skew=%.2f cross=%.2f)" protocol.id workload nodes
            skew cross)
       ~columns:[ "metric"; "value" ]
   in
@@ -78,58 +95,33 @@ let do_run protocol workload nodes skew cross duration warmup remaster_delay see
   Table.add_row t [ "remasters"; Table.cell_int r.Runner.remasters ];
   Table.add_row t [ "replica adds"; Table.cell_int r.Runner.replica_adds ];
   Table.print t;
-  (match csv with
-  | Some path ->
-      Lion_harness.Export.result_csv ~path [ (protocol, r) ];
-      Printf.printf "summary written to %s\n" path
-  | None -> ());
-  0
+  write_summary csv [ (protocol.id, r) ]
 
 let run_cmd =
   let protocol =
-    Arg.(value & opt protocol_conv "lion" & info [ "p"; "protocol" ] ~doc:"Protocol to run.")
-  in
-  let workload =
-    Arg.(value & opt string "ycsb" & info [ "w"; "workload" ] ~doc:"ycsb | tpcc | dynamic.")
-  in
-  let nodes = Arg.(value & opt int 4 & info [ "n"; "nodes" ] ~doc:"Executor node count.") in
-  let skew = Arg.(value & opt float 0.0 & info [ "skew" ] ~doc:"Skew factor (0..1).") in
-  let cross =
-    Arg.(value & opt float 0.5 & info [ "cross" ] ~doc:"Cross-partition transaction ratio.")
-  in
-  let duration =
-    Arg.(value & opt float 6.0 & info [ "duration" ] ~doc:"Measured simulated seconds.")
-  in
-  let warmup = Arg.(value & opt float 4.0 & info [ "warmup" ] ~doc:"Warm-up seconds.") in
-  let remaster =
-    Arg.(value & opt float 300.0 & info [ "remaster-delay" ] ~doc:"Remaster delay in us.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed.") in
-  let csv =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~doc:"Write a summary CSV.")
+    Arg.(
+      value
+      & opt protocol_conv (Protocols.get "lion")
+      & info [ "p"; "protocol" ] ~doc:"Protocol to run.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one protocol on one workload")
-    Term.(
-      const do_run $ protocol $ workload $ nodes $ skew $ cross $ duration $ warmup
-      $ remaster $ seed $ csv)
+    (with_run_options ~duration:6.0 Term.(const do_run $ protocol))
 
 (* --- experiment --- *)
 
-let do_experiment name scale =
-  match List.find_opt (fun (id, _, _) -> id = name) Lion_harness.Experiments.registry with
-  | Some (_, desc, f) ->
-      Printf.printf ">>> %s - %s\n%!" name desc;
-      f scale;
-      0
-  | None ->
-      Printf.eprintf "unknown experiment %S; available: %s\n" name
-        (String.concat ", "
-           (List.map (fun (id, _, _) -> id) Lion_harness.Experiments.registry));
-      1
+let do_experiment (name, desc, f) scale =
+  Printf.printf ">>> %s - %s\n%!" name desc;
+  f scale;
+  0
 
 let experiment_cmd =
-  let exp_name = Arg.(required & pos 0 (some string) None & info [] ~docv:"ID") in
+  let exp_name =
+    let experiments =
+      List.map (fun ((id, _, _) as e) -> (id, e)) Lion_harness.Experiments.registry
+    in
+    Arg.(required & pos 0 (some (enum experiments)) None & info [] ~docv:"ID")
+  in
   let scale =
     Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Duration scale factor.")
   in
@@ -139,36 +131,15 @@ let experiment_cmd =
 
 (* --- compare --- *)
 
-let do_compare names workload nodes skew cross duration warmup remaster_delay seed csv =
-  let cfg =
-    {
-      (Config.with_nodes Config.default nodes) with
-      Config.remaster_delay;
-      remaster_cooldown = 10.0 *. remaster_delay;
-    }
-  in
-  let selected =
-    match names with
-    | [] -> List.map fst protocols
-    | _ -> names
-  in
+let do_compare protocols workload nodes skew cross duration warmup remaster_delay seed csv =
+  let protocols = match protocols with [] -> Protocols.all | ps -> ps in
   let results =
     List.map
-      (fun name ->
-        match List.assoc_opt name protocols with
-        | None -> failwith (Printf.sprintf "unknown protocol %S" name)
-        | Some (batch, make) ->
-            let gen =
-              match workload with
-              | "ycsb" -> Workloads.ycsb ~seed:(seed + 1) ~skew ~cross cfg
-              | "tpcc" -> Workloads.tpcc ~seed:(seed + 1) ~skew ~cross cfg
-              | "dynamic" -> Workloads.dynamic_position ~seed:(seed + 1) ~period:8.0 cfg
-              | w -> failwith (Printf.sprintf "unknown workload %S" w)
-            in
-            ( name,
-              Runner.run ~seed ~batch ~cfg ~make ~gen
-                { Runner.quick with Runner.warmup; duration } ))
-      selected
+      (fun (p : Protocols.entry) ->
+        ( p.id,
+          run_protocol p workload ~nodes ~skew ~cross ~warmup ~duration ~remaster_delay ~seed
+        ))
+      protocols
   in
   let t =
     Table.create
@@ -189,49 +160,25 @@ let do_compare names workload nodes skew cross duration warmup remaster_delay se
         ])
     results;
   Table.print t;
-  (match csv with
-  | Some path ->
-      Lion_harness.Export.result_csv ~path results;
-      Printf.printf "summary written to %s\n" path
-  | None -> ());
-  0
+  write_summary csv results
 
 let compare_cmd =
   let names =
-    Arg.(value & pos_all string [] & info [] ~docv:"PROTOCOL" ~doc:"Protocols (default: all).")
-  in
-  let workload =
-    Arg.(value & opt string "ycsb" & info [ "w"; "workload" ] ~doc:"ycsb | tpcc | dynamic.")
-  in
-  let nodes = Arg.(value & opt int 4 & info [ "n"; "nodes" ] ~doc:"Executor node count.") in
-  let skew = Arg.(value & opt float 0.0 & info [ "skew" ] ~doc:"Skew factor (0..1).") in
-  let cross =
-    Arg.(value & opt float 0.5 & info [ "cross" ] ~doc:"Cross-partition transaction ratio.")
-  in
-  let duration =
-    Arg.(value & opt float 5.0 & info [ "duration" ] ~doc:"Measured simulated seconds.")
-  in
-  let warmup = Arg.(value & opt float 4.0 & info [ "warmup" ] ~doc:"Warm-up seconds.") in
-  let remaster =
-    Arg.(value & opt float 300.0 & info [ "remaster-delay" ] ~doc:"Remaster delay in us.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed.") in
-  let csv =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~doc:"Write a summary CSV.")
+    Arg.(
+      value & pos_all protocol_conv [] & info [] ~docv:"PROTOCOL" ~doc:"Protocols (default: all).")
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Run several protocols on one workload, side by side")
-    Term.(
-      const do_compare $ names $ workload $ nodes $ skew $ cross $ duration $ warmup
-      $ remaster $ seed $ csv)
+    (with_run_options ~duration:5.0 Term.(const do_compare $ names))
 
 (* --- list --- *)
 
 let do_list () =
   print_endline "protocols:";
-  List.iter (fun (name, (batch, _)) ->
-      Printf.printf "  %-10s %s\n" name (if batch then "(batch)" else "(standard)"))
-    protocols;
+  List.iter
+    (fun (p : Protocols.entry) ->
+      Printf.printf "  %-10s %s\n" p.id (if p.batch then "(batch)" else "(standard)"))
+    Protocols.all;
   print_endline "experiments:";
   List.iter
     (fun (id, desc, _) -> Printf.printf "  %-8s %s\n" id desc)

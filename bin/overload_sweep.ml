@@ -6,7 +6,7 @@
      dune exec bin/overload_sweep.exe -- --smoke --assert-budget-wins
 
    Writes overload/sweep.csv (throughput/goodput/p99 vs offered load,
-   for lion/star/twopc, protected and unprotected) and
+   for lion/star/2pc, protected and unprotected) and
    overload/metastable.csv (per-second commit series for the
    unprotected vs protected metastable runs).
 
@@ -52,15 +52,15 @@ let () =
   let ratios =
     if !smoke then [ 0.75; 1.0; 1.5 ] else Overload.default_ratios
   in
-  let specs =
-    if !smoke then [ Overload.twopc_spec ] else Overload.specs
+  let protocols =
+    if !smoke then [ Lion_harness.Protocols.get "2pc" ] else Overload.protocols
   in
   let sweeps =
     List.concat_map
       (fun protect ->
         List.map
-          (fun spec -> Overload.sweep_one ~seed ~scale ~protect ~ratios spec)
-          specs)
+          (Overload.sweep_one ~seed ~scale ~protect ~ratios)
+          protocols)
       [ false; true ]
   in
   Overload.print_sweeps sweeps;

@@ -12,30 +12,7 @@ module Runner = Lion_harness.Runner
 module Workloads = Lion_harness.Workloads
 module Trace = Lion_trace.Trace
 
-let protocols :
-    (string * bool * (Lion_store.Cluster.t -> Lion_protocols.Proto.t)) list =
-  [
-    ("2pc", false, fun cl -> Lion_protocols.Twopc.create cl);
-    ("leap", false, fun cl -> Lion_protocols.Leap.create cl);
-    ("clay", false, fun cl -> Lion_protocols.Clay.create cl);
-    ( "lion",
-      false,
-      fun cl ->
-        Lion_core.Standard.create ~name:"Lion"
-          ~config:{ Lion_core.Planner.default_config with predict = true }
-          cl );
-    ("star", true, fun cl -> Lion_protocols.Star.create cl);
-    ("calvin", true, fun cl -> Lion_protocols.Calvin.create cl);
-    ("hermes", true, fun cl -> Lion_protocols.Hermes.create cl);
-    ("aria", true, fun cl -> Lion_protocols.Aria.create cl);
-    ("lotus", true, fun cl -> Lion_protocols.Lotus.create cl);
-    ( "lion-batch",
-      true,
-      fun cl ->
-        Lion_core.Batch_mode.create ~name:"Lion"
-          ~config:{ Lion_core.Planner.default_config with predict = true }
-          cl );
-  ]
+module Protocols = Lion_harness.Protocols
 
 let parse_policy s =
   match String.split_on_char ':' s with
@@ -54,7 +31,7 @@ let usage () =
     \                 [--seconds F] [--top N] [--policy P] [--out PATH]\n\
      protocols: %s\n\
      policy: all | abort | every:N | slowest:K (default slowest:10)\n"
-    (String.concat ", " (List.map (fun (n, _, _) -> n) protocols));
+    (String.concat ", " Protocols.ids);
   exit 1
 
 let () =
@@ -95,13 +72,7 @@ let () =
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let name, batch, make =
-    match
-      List.find_opt (fun (n, _, _) -> n = !proto) protocols
-    with
-    | Some p -> p
-    | None -> usage ()
-  in
+  let p = Protocols.resolve !proto in
   let cfg =
     {
       Config.default with
@@ -112,16 +83,16 @@ let () =
   let tracer = Trace.create ~policy:!policy () in
   let rc = { Runner.quick with warmup = 1.0; duration = !seconds } in
   let r =
-    Runner.run ~seed:!seed ~batch ~tracer ~cfg ~make
+    Runner.run ~seed:!seed ~batch:p.batch ~tracer ~cfg ~make:p.make
       ~gen:(Workloads.ycsb ~seed:!seed ~skew:!skew ~cross:!cross cfg)
       rc
   in
   Printf.printf
     "%s cross=%.2f skew=%.2f seed=%d: %.0f txn/s, p95 %.0f us, %d aborts\n"
-    name !cross !skew !seed r.Runner.throughput r.Runner.p95 r.Runner.aborts;
-  Lion_trace.Report.print ~top:!top ~label:name tracer;
+    p.id !cross !skew !seed r.Runner.throughput r.Runner.p95 r.Runner.aborts;
+  Lion_trace.Report.print ~top:!top ~label:p.id tracer;
   if !out <> "" then (
-    Lion_trace.Chrome.write ~path:!out ~label:name
+    Lion_trace.Chrome.write ~path:!out ~label:p.id
       ~instants:(Trace.instants tracer) (Trace.retained tracer);
     Printf.printf "wrote %s (load in ui.perfetto.dev or chrome://tracing)\n"
       !out)

@@ -11,6 +11,8 @@ let name = function
   | V_rb -> "Lion(RB)"
   | V_full -> "Lion"
 
+let is_batch = function V_rb | V_full -> true | _ -> false
+
 let config ~strategy ~predict ~use_lstm =
   { Planner.default_config with Planner.strategy; predict; use_lstm }
 

@@ -12,5 +12,8 @@ type variant =
 val all : variant list
 val name : variant -> string
 
+val is_batch : variant -> bool
+(** [V_rb] and [V_full] run on {!Batch_mode}; the rest are standard. *)
+
 val create :
   ?seed:int -> ?use_lstm:bool -> variant -> Lion_store.Cluster.t -> Lion_protocols.Proto.t

@@ -14,33 +14,12 @@ let slow_remaster cfg =
 let lion_std_config ~predict ~use_lstm =
   { Planner.default_config with Planner.predict; use_lstm }
 
-let standard_protocols ~use_lstm =
-  [
-    ("2PC", false, fun cl -> Lion_protocols.Twopc.create cl);
-    ("Leap", false, fun cl -> Lion_protocols.Leap.create cl);
-    ("Clay", false, fun cl -> Lion_protocols.Clay.create cl);
-    ( "Lion",
-      false,
-      fun cl ->
-        Lion_core.Standard.create ~name:"Lion"
-          ~config:(lion_std_config ~predict:true ~use_lstm)
-          cl );
-  ]
+(* The paper's two line-ups (§VI), in its plotting order. *)
+let standard_ids = [ "2pc"; "leap"; "clay"; "lion" ]
+let batch_ids = [ "star"; "calvin"; "hermes"; "aria"; "lotus"; "lion-batch" ]
 
-let batch_protocols ~use_lstm =
-  [
-    ("Star", true, fun cl -> Lion_protocols.Star.create cl);
-    ("Calvin", true, fun cl -> Lion_protocols.Calvin.create cl);
-    ("Hermes", true, fun cl -> Lion_protocols.Hermes.create cl);
-    ("Aria", true, fun cl -> Lion_protocols.Aria.create cl);
-    ("Lotus", true, fun cl -> Lion_protocols.Lotus.create cl);
-    ( "Lion",
-      true,
-      fun cl ->
-        Lion_core.Batch_mode.create ~name:"Lion"
-          ~config:(lion_std_config ~predict:true ~use_lstm)
-          cl );
-  ]
+let lineup ~use_lstm ids =
+  Protocols.lineup ~config:{ Planner.default_config with Planner.use_lstm } ids
 
 (* ------------------------------------------------------------------ *)
 
@@ -79,13 +58,8 @@ let fig6_ablation ?(scale = 1.0) () =
   let base = ref 0.0 in
   List.iter
     (fun variant ->
-      let is_batch =
-        match variant with
-        | Lion_core.Ablation.V_rb | Lion_core.Ablation.V_full -> true
-        | _ -> false
-      in
       let r =
-        Runner.run ~batch:is_batch ~cfg
+        Runner.run ~batch:(Lion_core.Ablation.is_batch variant) ~cfg
           ~make:(fun cl -> Lion_core.Ablation.create ~use_lstm:false variant cl)
           ~gen:(Workloads.ycsb ~cross:1.0 cfg)
           rc
@@ -141,12 +115,12 @@ let fig7_crossratio_nonbatch ?(scale = 1.0) () =
     ~title:
       "Fig 7a: skewed YCSB (skew 0.8), standard execution, remaster delay 3000us \
        (throughput, k txn/s)"
-    ~protocols:(standard_protocols ~use_lstm:false)
+    ~protocols:(lineup ~use_lstm:false standard_ids)
     ~gen_of:(fun ratio -> Workloads.ycsb ~skew:0.8 ~cross:ratio cfg)
     ~cfg ~scale ();
   crossratio_sweep
     ~title:"Fig 7b: skewed TPC-C (skew 0.8), standard execution (throughput, k txn/s)"
-    ~protocols:(standard_protocols ~use_lstm:false)
+    ~protocols:(lineup ~use_lstm:false standard_ids)
     ~gen_of:(fun ratio -> Workloads.tpcc ~skew:0.8 ~cross:ratio cfg)
     ~cfg ~scale ()
 
@@ -154,12 +128,12 @@ let fig9_crossratio_batch ?(scale = 1.0) () =
   let cfg = slow_remaster Config.default in
   crossratio_sweep
     ~title:"Fig 9a: skewed YCSB (skew 0.8), batch execution (throughput, k txn/s)"
-    ~protocols:(batch_protocols ~use_lstm:false)
+    ~protocols:(lineup ~use_lstm:false batch_ids)
     ~gen_of:(fun ratio -> Workloads.ycsb ~skew:0.8 ~cross:ratio cfg)
     ~cfg ~scale ();
   crossratio_sweep
     ~title:"Fig 9b: skewed TPC-C (skew 0.8), batch execution (throughput, k txn/s)"
-    ~protocols:(batch_protocols ~use_lstm:false)
+    ~protocols:(lineup ~use_lstm:false batch_ids)
     ~gen_of:(fun ratio -> Workloads.tpcc ~skew:0.8 ~cross:ratio cfg)
     ~cfg ~scale ()
 
@@ -203,7 +177,7 @@ let fig8_dynamic_nonbatch ?(scale = 1.0) () =
   let period = 10.0 *. scale in
   dynamic_sweep
     ~title:"Fig 8a: dynamic hotspot-interval scenario, standard execution"
-    ~protocols:(standard_protocols ~use_lstm:true)
+    ~protocols:(lineup ~use_lstm:true standard_ids)
     ~gen:(Workloads.dynamic_interval ~period cfg)
     ~total:(3.0 *. period) ~cfg
     ~phases:
@@ -211,7 +185,7 @@ let fig8_dynamic_nonbatch ?(scale = 1.0) () =
     ();
   dynamic_sweep
     ~title:"Fig 8b: dynamic hotspot-position scenario (A/B/C/D), standard execution"
-    ~protocols:(standard_protocols ~use_lstm:true)
+    ~protocols:(lineup ~use_lstm:true standard_ids)
     ~gen:(Workloads.dynamic_position ~period cfg)
     ~total:(4.0 *. period) ~cfg
     ~phases:(Workloads.position_phases cfg ~period)
@@ -222,7 +196,7 @@ let fig10_dynamic_batch ?(scale = 1.0) () =
   let period = 10.0 *. scale in
   dynamic_sweep
     ~title:"Fig 10a: dynamic hotspot-interval scenario, batch execution"
-    ~protocols:(batch_protocols ~use_lstm:true)
+    ~protocols:(lineup ~use_lstm:true batch_ids)
     ~gen:(Workloads.dynamic_interval ~period cfg)
     ~total:(3.0 *. period) ~cfg
     ~phases:
@@ -230,7 +204,7 @@ let fig10_dynamic_batch ?(scale = 1.0) () =
     ();
   dynamic_sweep
     ~title:"Fig 10b: dynamic hotspot-position scenario (A/B/C/D), batch execution"
-    ~protocols:(batch_protocols ~use_lstm:true)
+    ~protocols:(lineup ~use_lstm:true batch_ids)
     ~gen:(Workloads.dynamic_position ~period cfg)
     ~total:(4.0 *. period) ~cfg
     ~phases:(Workloads.position_phases cfg ~period)
@@ -247,7 +221,7 @@ let fig11_scalability ?(scale = 1.0) () =
       ~columns:("protocol" :: List.map (fun n -> Printf.sprintf "%d nodes" n) node_counts)
   in
   let all_protocols =
-    standard_protocols ~use_lstm:false @ batch_protocols ~use_lstm:false
+    lineup ~use_lstm:false (standard_ids @ batch_ids)
   in
   List.iter
     (fun (name, is_batch, make) ->
@@ -480,7 +454,7 @@ let fig14_latency ?(scale = 1.0) () =
           Runner.run ~batch:is_batch ~cfg ~make
             ~gen:(Workloads.ycsb ~skew:0.8 ~cross:0.5 cfg)
             rc ))
-      (batch_protocols ~use_lstm:false)
+      (lineup ~use_lstm:false batch_ids)
   in
   let t =
     Table.create ~title:"Fig 14a: latency percentiles, batch protocols (ms)"
@@ -873,9 +847,9 @@ let fault_partition ?(scale = 1.0) () =
         [ "protocol"; "k txn/s"; "aborts"; "timeouts"; "retries"; "drops" ]
   in
   List.iter
-    (fun (name, make) ->
+    (fun (name, batch, make) ->
       let r =
-        Runner.run ~cfg ~make
+        Runner.run ~batch ~cfg ~make
           ~gen:(Workloads.ycsb ~cross:0.5 cfg)
           { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 }
       in
@@ -888,10 +862,9 @@ let fault_partition ?(scale = 1.0) () =
           Table.cell_int r.Runner.retries;
           Table.cell_int r.Runner.drops;
         ])
-    [
-      ("2PC", fun cl -> Lion_protocols.Twopc.create cl);
-      ("Lion", lion_std_make);
-    ];
+    (Protocols.lineup
+       ~config:(lion_std_config ~predict:false ~use_lstm:false)
+       [ "2pc"; "lion" ]);
   Table.print t
 
 let fault_straggler ?(scale = 1.0) () =

@@ -77,7 +77,7 @@ val abl_read_secondary : ?scale:float -> unit -> unit
     where only primaries serve operations). *)
 
 val overload_sweep : ?scale:float -> unit -> unit
-(** Overload: open-loop offered-load sweep for lion/star/twopc, with
+(** Overload: open-loop offered-load sweep for lion/star/2pc, with
     and without the protection knobs — see {!Overload}. *)
 
 val metastable : ?scale:float -> unit -> unit

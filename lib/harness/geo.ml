@@ -49,18 +49,11 @@ let gen ?(seed = 7) ?(cross = 0.0) cfg =
     Txn.make ~id:!next_id
       [ Txn.Read (key p1); Txn.Write (key p1); Txn.Read (key p2); Txn.Write (key p2) ]
 
-let protocols =
-  [
-    ( "Lion",
-      false,
-      fun cl ->
-        Lion_core.Standard.create ~name:"Lion"
-          ~config:{ Planner.default_config with Planner.predict = false; use_lstm = false }
-          cl );
-    ("Star", true, fun cl -> Lion_protocols.Star.create cl);
-    ("2PC", false, fun cl -> Lion_protocols.Twopc.create cl);
-    ("EpochOCC", false, fun cl -> Lion_protocols.Epoch.create cl);
-  ]
+(* The crossover's four protocols; Lion runs without prediction. *)
+let lineup =
+  Protocols.lineup
+    ~config:{ Planner.default_config with Planner.predict = false; use_lstm = false }
+    [ "lion"; "star"; "2pc"; "epoch" ]
 
 type cell = {
   ratio : float;
@@ -102,7 +95,7 @@ let sweep ?(seed = 7) ?(scale = 1.0) ?(regions = 2) () =
   List.map
     (fun (name, batch, make) ->
       (name, List.map (fun cross -> run_one ~seed ~scale ~batch ~cfg ~make ~cross ()) ratios))
-    protocols
+    lineup
 
 let fmt_k v = Table.cell_float ~decimals:1 (v /. 1000.0)
 
@@ -172,7 +165,7 @@ let wan_partition ?(seed = 7) ?(scale = 1.0) () =
           { Runner.quick with Runner.warmup = 0.0; duration = total; tick_every = 1.0 }
       in
       (name, r))
-    protocols
+    lineup
 
 (* Mean of a per-second series over [from_s, until_s). No node dies in
    a pure link partition, so the availability-based goodput_under_fault

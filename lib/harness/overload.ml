@@ -10,50 +10,29 @@ module Fault = Lion_sim.Fault
 module Table = Lion_kernel.Table
 module Planner = Lion_core.Planner
 
-type proto_spec = {
-  proto : string;
-  batch : bool;
-  make : Lion_store.Cluster.t -> Lion_protocols.Proto.t;
-}
+let protocols = List.map Protocols.get [ "lion"; "star"; "2pc" ]
 
-let lion_spec =
-  {
-    proto = "lion";
-    batch = false;
-    make =
-      (fun cl ->
-        Lion_core.Standard.create ~name:"Lion"
-          ~config:
-            { Planner.default_config with Planner.predict = true; use_lstm = false }
-          cl);
-  }
-
-let star_spec =
-  { proto = "star"; batch = true; make = (fun cl -> Lion_protocols.Star.create cl) }
-
-let twopc_spec =
-  { proto = "twopc"; batch = false; make = (fun cl -> Lion_protocols.Twopc.create cl) }
-
-let specs = [ lion_spec; star_spec; twopc_spec ]
+(* Lion runs with prediction but without the LSTM forecaster. *)
+let make (p : Protocols.entry) =
+  p.make ~config:{ Planner.default_config with Planner.use_lstm = false }
 
 (* The workload shared by every overload run: moderately skewed, half
    the transactions cross partitions — enough RPC traffic for remote
    queues to matter. *)
 let gen_for ~seed cfg = Workloads.ycsb ~seed ~skew:0.8 ~cross:0.5 cfg
 
-let probe_capacity ?(seed = 1) ?(scale = 1.0) spec =
+let probe_capacity ?(seed = 1) ?(scale = 1.0) (p : Protocols.entry) =
   let cfg = Config.default in
   let rc = { Runner.quick with warmup = 2.0 *. scale; duration = 4.0 *. scale } in
   let r =
-    Runner.run ~seed ~batch:spec.batch ~cfg ~make:spec.make ~gen:(gen_for ~seed cfg)
-      rc
+    Runner.run ~seed ~batch:p.batch ~cfg ~make:(make p) ~gen:(gen_for ~seed cfg) rc
   in
   r.Runner.throughput
 
 type point = { ratio : float; result : Runner.result }
 
 type sweep = {
-  spec : proto_spec;
+  proto : Protocols.entry;
   protected_ : bool;
   capacity : float;
   points : point list;
@@ -74,8 +53,8 @@ let measured_baseline =
   }
 
 let sweep_one ?(seed = 1) ?(scale = 1.0) ?(protect = false)
-    ?(ratios = default_ratios) spec =
-  let capacity = probe_capacity ~seed ~scale spec in
+    ?(ratios = default_ratios) proto =
+  let capacity = probe_capacity ~seed ~scale proto in
   let cfg =
     if protect then Config.with_overload_defaults Config.default
     else measured_baseline
@@ -92,16 +71,16 @@ let sweep_one ?(seed = 1) ?(scale = 1.0) ?(protect = false)
           }
         in
         let result =
-          Runner.run ~seed ~batch:spec.batch ~cfg ~make:spec.make
+          Runner.run ~seed ~batch:proto.batch ~cfg ~make:(make proto)
             ~gen:(gen_for ~seed cfg) rc
         in
         { ratio; result })
       ratios
   in
-  { spec; protected_ = protect; capacity; points }
+  { proto; protected_ = protect; capacity; points }
 
 let sweep ?seed ?scale ?protect ?ratios () =
-  List.map (fun spec -> sweep_one ?seed ?scale ?protect ?ratios spec) specs
+  List.map (sweep_one ?seed ?scale ?protect ?ratios) protocols
 
 let sweep_rows sweeps =
   let header =
@@ -119,7 +98,7 @@ let sweep_rows sweeps =
           (fun p ->
             let r = p.result in
             [
-              s.spec.proto;
+              s.proto.id;
               (if s.protected_ then "1" else "0");
               Printf.sprintf "%.2f" p.ratio;
               Printf.sprintf "%.1f" s.capacity;
@@ -149,7 +128,7 @@ let print_sweeps sweeps =
           ~title:
             (Printf.sprintf
                "Offered-load sweep: %s%s (closed-loop capacity %.0f txn/s)"
-               s.spec.proto
+               s.proto.id
                (if s.protected_ then " with overload protection" else "")
                s.capacity)
           ~columns:
@@ -219,8 +198,8 @@ let mean_range series ~from_ ~until =
    measure the same 200 ms client patience; only the protected one acts
    on it. *)
 let metastable ?(seed = 1) ?(scale = 1.0) ?(load = 1.0) ~protect () =
-  let spec = twopc_spec in
-  let capacity = probe_capacity ~seed ~scale spec in
+  let twopc = Protocols.get "2pc" in
+  let capacity = probe_capacity ~seed ~scale twopc in
   let protected_cfg = Config.with_overload_defaults Config.default in
   let cfg =
     if protect then protected_cfg
@@ -248,8 +227,7 @@ let metastable ?(seed = 1) ?(scale = 1.0) ?(load = 1.0) ~protect () =
     }
   in
   let result =
-    Runner.run ~seed ~batch:spec.batch ~cfg ~make:spec.make ~gen:(gen_for ~seed cfg)
-      rc
+    Runner.run ~seed ~batch:twopc.batch ~cfg ~make:(make twopc) ~gen:(gen_for ~seed cfg) rc
   in
   let series = result.Runner.goodput_series in
   let sec x = int_of_float (Float.round (s x)) in

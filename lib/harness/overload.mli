@@ -13,27 +13,18 @@
       gave up) and once with retry budgets + breakers + enforced
       deadlines (the zombie backlog is shed and goodput recovers). *)
 
-type proto_spec = {
-  proto : string;
-  batch : bool;
-  make : Lion_store.Cluster.t -> Lion_protocols.Proto.t;
-}
+val protocols : Protocols.entry list
+(** The protocols the sweep covers: lion, star, 2pc. Lion runs with
+    prediction but without the LSTM forecaster. *)
 
-val lion_spec : proto_spec
-val star_spec : proto_spec
-val twopc_spec : proto_spec
-
-val specs : proto_spec list
-(** The protocols the sweep covers: lion, star, twopc. *)
-
-val probe_capacity : ?seed:int -> ?scale:float -> proto_spec -> float
+val probe_capacity : ?seed:int -> ?scale:float -> Protocols.entry -> float
 (** Closed-loop throughput (txn/s) on the shared overload workload —
     the saturation point the sweep ratios are relative to. *)
 
 type point = { ratio : float;  (** offered / capacity *) result : Runner.result }
 
 type sweep = {
-  spec : proto_spec;
+  proto : Protocols.entry;
   protected_ : bool;  (** ran with [Config.with_overload_defaults] *)
   capacity : float;
   points : point list;
@@ -47,14 +38,14 @@ val sweep_one :
   ?scale:float ->
   ?protect:bool ->
   ?ratios:float list ->
-  proto_spec ->
+  Protocols.entry ->
   sweep
 (** Probe capacity, then one open-loop Poisson run per ratio.
     [protect] (default false) turns every overload knob on. *)
 
 val sweep :
   ?seed:int -> ?scale:float -> ?protect:bool -> ?ratios:float list -> unit -> sweep list
-(** [sweep_one] over every protocol in [specs]. *)
+(** [sweep_one] over every protocol in {!protocols}. *)
 
 val sweep_rows : sweep list -> string list * string list list
 (** CSV header + rows (one row per protocol x ratio). *)

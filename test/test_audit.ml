@@ -335,47 +335,29 @@ let prop_recording_off_bit_identical =
       in
       run None = run (Some (History.create ())))
 
-let protocols : (string * (Lion_store.Cluster.t -> Lion_protocols.Proto.t)) list =
-  [
-    ("2pc", fun cl -> Lion_protocols.Twopc.create cl);
-    ("leap", fun cl -> Lion_protocols.Leap.create cl);
-    ("clay", fun cl -> Lion_protocols.Clay.create cl);
-    ( "lion",
-      fun cl ->
-        Lion_core.Standard.create ~name:"Lion"
-          ~config:{ Lion_core.Planner.default_config with predict = true }
-          cl );
-    ("star", fun cl -> Lion_protocols.Star.create cl);
-    ("calvin", fun cl -> Lion_protocols.Calvin.create cl);
-    ("hermes", fun cl -> Lion_protocols.Hermes.create cl);
-    ("aria", fun cl -> Lion_protocols.Aria.create cl);
-    ("lotus", fun cl -> Lion_protocols.Lotus.create cl);
-    ( "lion-batch",
-      fun cl ->
-        Lion_core.Batch_mode.create ~name:"Lion"
-          ~config:{ Lion_core.Planner.default_config with predict = true }
-          cl );
-  ]
+module Protocols = Lion_harness.Protocols
 
 let prop_every_protocol_audits_clean =
-  (* Every built-in protocol, audited under a crash nemesis: zero
-     serializability anomalies, zero diverged replicas. One qcheck
-     case per protocol, seed varied with the index. *)
-  QCheck.Test.make ~name:"every built-in protocol audits clean under a crash"
-    ~count:(List.length protocols)
-    QCheck.(int_range 0 (List.length protocols - 1))
-    (fun i ->
-      let name, make = List.nth protocols i in
-      let o =
-        Drive.run ~seed:(41 + i) ~clients:4 ~duration:1.0 ~nemesis_at:0.3
-          ~cfg:Config.default ~make
-          ~gen:(Workloads.ycsb ~cross:0.4 Config.default)
-          ~nemesis:(Nemesis.crash ~node:1 ~downtime:300_000.0 ())
-          ()
-      in
-      if not (Drive.passed o) then
-        QCheck.Test.fail_reportf "%s failed the audit:@ %a" name Drive.pp_outcome o;
-      o.Drive.commits > 0)
+  (* Every registry protocol, audited under a crash nemesis: zero
+     serializability anomalies, zero diverged replicas, some commits.
+     The single case walks the whole registry, seed varied with the
+     index, so no protocol is left to chance. *)
+  QCheck.Test.make ~name:"every built-in protocol audits clean under a crash" ~count:1
+    QCheck.unit
+    (fun () ->
+      List.iteri
+        (fun i (p : Protocols.entry) ->
+          let o =
+            Drive.run ~seed:(41 + i) ~clients:4 ~duration:1.0 ~nemesis_at:0.3
+              ~cfg:Config.default ~make:p.make
+              ~gen:(Workloads.ycsb ~cross:0.4 Config.default)
+              ~nemesis:(Nemesis.crash ~node:1 ~downtime:300_000.0 ())
+              ()
+          in
+          if not (Drive.passed o && o.Drive.commits > 0) then
+            QCheck.Test.fail_reportf "%s failed the audit:@ %a" p.id Drive.pp_outcome o)
+        Protocols.all;
+      true)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 

@@ -15,21 +15,10 @@ module Drive = Lion_audit.Drive
 module Nemesis = Lion_audit.Nemesis
 module Workloads = Lion_harness.Workloads
 
-let protocols : (string * (Lion_store.Cluster.t -> Lion_protocols.Proto.t)) list
-    =
-  [
-    ("2pc", fun cl -> Lion_protocols.Twopc.create cl);
-    ( "lion",
-      fun cl ->
-        Lion_core.Standard.create ~name:"Lion"
-          ~config:{ Lion_core.Planner.default_config with predict = true }
-          cl );
-    ( "lion-batch",
-      fun cl ->
-        Lion_core.Batch_mode.create ~name:"Lion"
-          ~config:{ Lion_core.Planner.default_config with predict = true }
-          cl );
-  ]
+let protocols =
+  List.map
+    (fun id -> (id, fun cl -> (Option.get (Lion_harness.Protocols.find id)).make cl))
+    [ "2pc"; "lion"; "lion-batch" ]
 
 let target : Fuzz.target =
   {

@@ -1,10 +1,14 @@
-(* Tests for the harness utilities: workload builders and CSV export.
-   (Runner behaviour is covered by test_integration.) *)
+(* Tests for the harness utilities: workload builders, CSV export and
+   the protocol registry. (Runner behaviour is covered by
+   test_integration.) *)
 
 module Config = Lion_store.Config
 module Workloads = Lion_harness.Workloads
 module Export = Lion_harness.Export
 module Txn = Lion_workload.Txn
+module Runner = Lion_harness.Runner
+module Protocols = Lion_harness.Protocols
+module Planner = Lion_core.Planner
 
 let cfg = Config.default
 
@@ -130,6 +134,71 @@ let test_result_rows_width () =
       Alcotest.(check bool) "inf cell" true (List.mem "inf" row)
   | _ -> Alcotest.fail "expected one row"
 
+(* --- protocol registry --- *)
+
+(* The id/label/batch columns, as the hand-kept tables they replace
+   had them (labels from the experiment tables, [Unified] and
+   [EpochOCC] from the protocols' own names). *)
+let test_registry_table () =
+  Alcotest.(check (list (triple string string bool)))
+    "id, label, batch"
+    [
+      ("2pc", "2PC", false);
+      ("leap", "Leap", false);
+      ("clay", "Clay", false);
+      ("unified", "Unified", false);
+      ("star", "Star", true);
+      ("calvin", "Calvin", true);
+      ("hermes", "Hermes", true);
+      ("aria", "Aria", true);
+      ("lotus", "Lotus", true);
+      ("lion", "Lion", false);
+      ("lion-batch", "Lion", true);
+      ("epoch", "EpochOCC", false);
+    ]
+    (List.map (fun (p : Protocols.entry) -> (p.id, p.label, p.batch)) Protocols.all)
+
+(* A 0.3 s skewed run with three planner ticks, so Lion's planner
+   acts. *)
+let same_run ~batch make_a make_b =
+  let run make =
+    Runner.run ~seed:3 ~batch ~cfg ~make
+      ~gen:(Workloads.ycsb ~seed:4 ~skew:0.8 ~cross:0.5 cfg)
+      { Runner.quick with Runner.warmup = 0.1; duration = 0.2; tick_every = 0.1 }
+  in
+  run make_a = run make_b
+
+(* Each registry constructor against the constructor expression the
+   replaced tables used; the last case is the experiments' LSTM-off
+   Lion, formerly [lion_std_config ~predict:true ~use_lstm:false]. *)
+let test_registry_matches_direct () =
+  List.iter
+    (fun (id, config, direct) ->
+      let p = Protocols.get id in
+      Alcotest.(check bool) id true (same_run ~batch:p.batch (p.make ?config) direct))
+    [
+      ("lion", None, fun cl -> Lion_core.Standard.create ~name:"Lion" cl);
+      ("lion-batch", None, fun cl -> Lion_core.Batch_mode.create ~name:"Lion" cl);
+      ("2pc", None, Lion_protocols.Twopc.create);
+      ("star", None, Lion_protocols.Star.create);
+      ("epoch", None, fun cl -> Lion_protocols.Epoch.create cl);
+      ( "lion",
+        Some { Planner.default_config with Planner.use_lstm = false },
+        fun cl ->
+          Lion_core.Standard.create ~name:"Lion"
+            ~config:{ Planner.default_config with Planner.predict = true; use_lstm = false }
+            cl );
+    ];
+  (* The LSTM needs more history than 0.3 s, so check with a planner
+     strategy that acts at once that [config] reaches the planner. *)
+  let schism = { Planner.default_config with Planner.strategy = Schism_strategy } in
+  List.iter
+    (fun id ->
+      let p = Protocols.get id in
+      Alcotest.(check bool) (id ^ " config reaches the planner") false
+        (same_run ~batch:p.batch p.make (p.make ~config:schism)))
+    [ "lion"; "lion-batch" ]
+
 let () =
   Alcotest.run "lion_harness"
     [
@@ -146,5 +215,11 @@ let () =
           Alcotest.test_case "series shape" `Quick test_series_csv_shape;
           Alcotest.test_case "result rows" `Quick test_result_rows_header_matches_rows;
           Alcotest.test_case "result row width" `Quick test_result_rows_width;
+        ] );
+      ( "protocols",
+        [
+          Alcotest.test_case "id label batch" `Quick test_registry_table;
+          Alcotest.test_case "matches direct constructors" `Quick
+            test_registry_matches_direct;
         ] );
     ]

@@ -90,7 +90,7 @@ let test_budget_wins_past_saturation () =
   let goodput protect =
     match
       (Overload.sweep_one ~seed:1 ~scale:0.25 ~protect ~ratios:[ 1.5 ]
-         Overload.twopc_spec)
+         (Lion_harness.Protocols.get "2pc"))
         .Overload.points
     with
     | [ p ] -> p.Overload.result.Runner.goodput
