@@ -171,7 +171,7 @@ let () =
     if !overload then Config.with_overload_defaults Config.default
     else Config.default
   in
-  let cfg = { cfg with Config.session_tagging = cfg.Config.session_tagging || !rejoin_safe } in
+  let cfg = { cfg with Config.session_tagging = !rejoin_safe } in
   let pick all sel =
     if sel = "all" then all
     else

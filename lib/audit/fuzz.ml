@@ -66,12 +66,8 @@ type target = {
    tidy give-up, and the liveness audit exists to see wedges. *)
 let cfg_of_case c =
   let cfg = Config.with_elastic_defaults Config.default in
-  let cfg =
-    if c.overload then
-      { (Config.with_overload_defaults cfg) with Config.txn_deadline = 0.0 }
-    else cfg
-  in
-  { cfg with Config.reintroduce_phantom_secondary = c.phantom }
+  if c.overload then { (Config.with_overload_defaults cfg) with Config.deadline = None }
+  else cfg
 
 let us = float_of_int
 
@@ -207,6 +203,12 @@ let run_case ?(max_events = 2_000_000) ~target c =
     match List.assoc_opt c.proto target.protos with
     | Some m -> m
     | None -> invalid_arg ("Fuzz.run_case: unknown protocol " ^ c.proto)
+  in
+  (* [Drive.run] builds the protocol right after the cluster, before
+     the first event: the place to re-plant the bug. *)
+  let make cl =
+    cl.Cluster.reintroduce_phantom_secondary <- c.phantom;
+    make cl
   in
   let cfg = cfg_of_case c in
   let cfg = { cfg with Config.fault_plan = plan_of_case c } in

@@ -48,7 +48,7 @@ type case = {
   proto : string;  (** protocol name, resolved through {!target} *)
   seconds : int;  (** client horizon, simulated seconds *)
   clients : int;
-  phantom : bool;  (** [Config.reintroduce_phantom_secondary] *)
+  phantom : bool;  (** [Cluster.reintroduce_phantom_secondary] *)
   overload : bool;  (** overload-control knobs on (minus the deadline) *)
   skew_pct : int;  (** YCSB skew × 100 *)
   cross_pct : int;  (** cross-partition fraction × 100 *)
@@ -88,8 +88,9 @@ type target = {
 
 val cfg_of_case : case -> Lion_store.Config.t
 (** Elastic defaults (standbys, rebalancing, session tagging) plus the
-    case's [overload] and [phantom] flags. No transaction deadline:
-    wedges must wedge, not time out. *)
+    case's [overload] flag. No transaction deadline: wedges must wedge,
+    not time out. The [phantom] flag is not configuration: [run_case]
+    sets the cluster's test-only hook. *)
 
 val run_case : ?max_events:int -> target:target -> case -> result
 (** Run one schedule to quiescence and audit it. [max_events] (default

@@ -60,17 +60,17 @@ let create ?(seed = 23) cfg cl =
      moves literally unthinkable. *)
   let wan =
     let c = cl.Cluster.cfg in
-    if c.Lion_store.Config.regions >= 2 then
-      Some
+    Option.map
+      (fun g ->
         {
           Costmodel.region_of = Cluster.region_of cl;
           factor =
             Float.min 64.0
               (Float.max 1.0
-                 (c.Lion_store.Config.wan_latency
+                 (g.Lion_store.Config.wan_latency
                  /. Float.max 1.0 c.Lion_store.Config.net_latency));
-        }
-    else None
+        })
+      c.Lion_store.Config.geo
   in
   let cost =
     Costmodel.make ~w_r:cfg.w_r ~w_m:cfg.w_m ?wan
@@ -137,9 +137,9 @@ let tick t =
            knob is set, so default runs evaluate the exact same code
            path as before. *)
         let eligible =
-          if t.cl.Cluster.cfg.Lion_store.Config.rebalance_rate > 0.0 then
-            Some (Cluster.plan_target_ok t.cl)
-          else None
+          Option.map
+            (fun _ -> Cluster.plan_target_ok t.cl)
+            t.cl.Cluster.cfg.Lion_store.Config.elastic
         in
         let result =
           Rearrange.rearrange ?eligible t.cost placement clumps

@@ -13,13 +13,13 @@ module Planner = Lion_core.Planner
    three orders of magnitude above the LAN: the regime where one
    cross-region round trip dominates a transaction's budget. *)
 let geo_config ?(regions = 2) () =
-  { (Config.with_geo_defaults Config.default) with Config.regions }
+  { Config.default with Config.geo = Some { Config.default_geo with regions } }
 
 (* Partition → region through the seed placement (primary of partition
    p is node [p mod nodes]); the generator needs a static notion of
    "where a partition lives" that does not chase remastering. *)
 let partitions_by_region cfg =
-  let nreg = Stdlib.max 1 cfg.Config.regions in
+  let nreg = match cfg.Config.geo with Some g -> g.Config.regions | None -> 1 in
   let by = Array.make nreg [] in
   for p = Config.total_partitions cfg - 1 downto 0 do
     let r = Config.region_of_node cfg (p mod cfg.Config.nodes) in

@@ -1,6 +1,6 @@
 (** Geo-replication experiments (docs/GEO.md).
 
-    Everything here runs on the GEO preset ({!Config.with_geo_defaults}:
+    Everything here runs on the GEO preset ({!Config.default_geo}:
     2 regions, [min_regions] 2) with the region-aware two-partition
     workload of {!gen}. The headline sweep varies the fraction of
     transactions whose second partition is homed in another region and

@@ -42,15 +42,11 @@ let default_ratios = [ 0.25; 0.5; 0.75; 1.0; 1.25; 1.5 ]
 
 (* Unprotected baseline for goodput comparisons: every robustness knob
    stays off, but the client's 200 ms patience is still *measured*
-   ([deadline_enforce = false]) so goodput means the same thing on both
-   sides of the sweep. Commits the client stopped waiting for are not
-   goodput, whether or not the system knows it. *)
-let measured_baseline =
-  {
-    Config.default with
-    Config.txn_deadline = 200_000.0;
-    deadline_enforce = false;
-  }
+   ([enforce = false]) so goodput means the same thing on both sides of
+   the sweep. Commits the client stopped waiting for are not goodput,
+   whether or not the system knows it. *)
+let measured_deadline = Some { Config.default_deadline with enforce = false }
+let measured_baseline = { Config.default with Config.deadline = measured_deadline }
 
 let sweep_one ?(seed = 1) ?(scale = 1.0) ?(protect = false)
     ?(ratios = default_ratios) proto =
@@ -206,9 +202,9 @@ let metastable ?(seed = 1) ?(scale = 1.0) ?(load = 1.0) ~protect () =
     else
       {
         protected_cfg with
-        Config.retry_budget_rate = 0.0;
-        breaker_threshold = 0;
-        deadline_enforce = false;
+        Config.retry_budget = None;
+        breaker = None;
+        deadline = measured_deadline;
       }
   in
   let s x = x *. scale in

@@ -74,7 +74,7 @@ val metastable :
     all times x [scale]). Both variants measure the same 200 ms client
     patience; [protect = false] keeps bounded queues but strips
     budgets and breakers and leaves the deadline unenforced
-    ([Config.deadline_enforce = false]), so its goodput counts the
+    ([enforce = false] in [Config.deadline]), so its goodput counts the
     stale commits it keeps producing against it. *)
 
 val metastable_pair :

@@ -34,7 +34,7 @@ val quick : config
 type result = {
   throughput : float;  (** commits per measured second *)
   goodput : float;
-      (** commits that beat [Config.txn_deadline], per measured second
+      (** commits that beat [Config.deadline], per measured second
           (= [throughput] when no deadline is configured) *)
   offered : float;
       (** arrivals per measured second under open-loop driving; equals

@@ -179,10 +179,7 @@ let rec start_epoch st =
                  already bounded by [max_retries]) but the goodput
                  accounting matches the standard path: a commit past
                  the client's patience counts out of goodput. *)
-              let late =
-                cfg.Config.txn_deadline > 0.0
-                && latency > cfg.Config.txn_deadline
-              in
+              let late = Config.misses_deadline cfg latency in
               if late then Metrics.record_deadline_miss st.cl.Cluster.metrics;
               Metrics.record_commit ~late st.cl.Cluster.metrics ~latency
                 ~single_node:v.single_node ~remastered:v.remastered

@@ -155,10 +155,7 @@ and close_epoch t =
             record_outcome t p History.Committed;
             Cluster.replicate_commit cl ?ctx:p.octx p.txn.Txn.parts;
             let latency = Engine.now engine -. p.start in
-            let late =
-              cfg.Config.txn_deadline > 0.0
-              && latency > cfg.Config.txn_deadline
-            in
+            let late = Config.misses_deadline cfg latency in
             if late then Metrics.record_deadline_miss cl.Cluster.metrics;
             let single_node =
               peers = []
@@ -220,8 +217,9 @@ and abort_retry t (p : pending) =
     Trace.finish_txn ~ts:(Engine.now engine) ~ok:false p.octx
   in
   let past_deadline =
-    cfg.Config.txn_deadline > 0.0 && cfg.Config.deadline_enforce
-    && Engine.now engine >= p.start +. cfg.Config.txn_deadline
+    match cfg.Config.deadline with
+    | Some { Config.after; enforce = true } -> Engine.now engine >= p.start +. after
+    | _ -> false
   in
   if past_deadline then give_up "deadline-giveup"
   else if p.attempt >= max_attempts then give_up "attempts-exhausted"
@@ -320,12 +318,7 @@ let submit t txn ~on_done =
   execute t ~txn ~start:(Engine.now engine) ~attempt:1 ~octx
     ~on_parked:on_done
 
-let create ?interval cl =
-  let interval =
-    match interval with
-    | Some i -> i
-    | None -> cl.Cluster.cfg.Config.epoch_interval
-  in
+let create ?(interval = 20_000.0) cl =
   let t =
     { cl; interval; parked = []; timer_armed = false; epochs = 0 }
   in

@@ -23,4 +23,6 @@
     re-execute in a later epoch. *)
 
 val create : ?interval:float -> Lion_store.Cluster.t -> Proto.t
-(** [interval] (µs) overrides [Config.epoch_interval]. *)
+(** [interval] is the epoch length, µs (default 20 ms): optimistic
+    execution parks until the next boundary, where validation and one
+    cross-region replication round happen for the whole epoch. *)

@@ -496,16 +496,16 @@ let run cl ~route ~flavor txn ~on_done =
     | None -> None
     | Some tracer -> Trace.start_txn tracer ~ts:start ~txn_id:txn.Txn.id
   in
-  (* [deadline] is the client's patience — always measured when set.
+  (* The deadline is the client's patience — always measured when set.
      [enforced] is the protection: only then do RPCs stop retransmitting
      and aborted attempts stop retrying past it. Keeping the two apart
      lets the metastable repro measure goodput identically on the
      unprotected baseline. *)
-  let deadline =
-    if cfg.Config.txn_deadline > 0.0 then Some (start +. cfg.Config.txn_deadline)
-    else None
+  let enforced =
+    match cfg.Config.deadline with
+    | Some { Config.after; enforce = true } -> Some (start +. after)
+    | _ -> None
   in
-  let enforced = if cfg.Config.deadline_enforce then deadline else None in
   let attempts = ref 0 in
   let rec go () =
     incr attempts;
@@ -529,7 +529,7 @@ let run cl ~route ~flavor txn ~on_done =
           let phases = r.phases @ [ (Metrics.Replication, wait) ] in
           (* Committed but late: it still counts as a commit (throughput)
              while goodput discounts it — the client gave up waiting. *)
-          let late = deadline <> None && latency > cfg.Config.txn_deadline in
+          let late = Config.misses_deadline cfg latency in
           if late then Metrics.record_deadline_miss cl.Cluster.metrics;
           let gctx =
             Trace.child ~phase:"replication" ~name:"group-commit-wait"

@@ -95,13 +95,13 @@ val run :
     full latency since first submission; [on_done] fires at coordinator
     worker release so the closed loop stays worker-bound.
 
-    When [Config.txn_deadline] is set (> 0), a transaction that aborts
-    after [start + txn_deadline] is given up rather than retried
-    (recorded as a deadline give-up; [on_done] still fires), and one
-    that commits later than the deadline is recorded as a deadline miss
-    — committed for throughput, discounted from goodput. The deadline
-    also propagates into every RPC so past-deadline retransmissions
-    stop. With the default [txn_deadline = 0] behaviour is unchanged:
+    When [Config.deadline] is set, a commit later than [after] is
+    recorded as a deadline miss — committed for throughput, discounted
+    from goodput. If the deadline is also enforced, a transaction that
+    aborts after [start + after] is given up rather than retried
+    (recorded as a deadline give-up; [on_done] still fires), and the
+    deadline propagates into every RPC so past-deadline
+    retransmissions stop. Without a deadline behaviour is unchanged:
     retry forever.
 
     When the cluster carries a tracer ([Cluster.tracer]), each

@@ -30,7 +30,6 @@ type t = {
   mutable remastered : int;
   latency : Stats.Reservoir.t;
   phase_time : float array;
-  mutable total_latency : float;
   series : Timeseries.t;
   good_series : Timeseries.t;
   mutable timeouts : int;
@@ -74,7 +73,6 @@ let create ?(seed = 42) engine =
     remastered = 0;
     latency = Stats.Reservoir.create (Rng.create seed);
     phase_time = Array.make 6 0.0;
-    total_latency = 0.0;
     series = Timeseries.create ~interval:(Engine.seconds 1.0);
     good_series = Timeseries.create ~interval:(Engine.seconds 1.0);
     timeouts = 0;
@@ -113,7 +111,6 @@ let record_commit ?(late = false) t ~latency ~single_node ~remastered ~phases =
   if single_node then t.single_node <- t.single_node + 1;
   if remastered then t.remastered <- t.remastered + 1;
   Stats.Reservoir.add t.latency latency;
-  t.total_latency <- t.total_latency +. latency;
   add_phases t phases;
   Timeseries.incr t.series ~time:(Engine.now t.engine);
   if not late then Timeseries.incr t.good_series ~time:(Engine.now t.engine)
@@ -220,7 +217,6 @@ let reset_window t =
   t.aborts <- 0;
   t.single_node <- 0;
   t.remastered <- 0;
-  t.total_latency <- 0.0;
   t.timeouts <- 0;
   t.retries <- 0;
   t.drops <- 0;

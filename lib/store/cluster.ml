@@ -65,6 +65,7 @@ type t = {
   remaster_prev : float array;
   remaster_started_at : float array;
   remaster_gen : int array;
+  mutable reintroduce_phantom_secondary : bool;
 }
 
 let now t = Engine.now t.engine
@@ -293,14 +294,15 @@ let remaster_sync t ~part ~node =
   if not (Placement.has_primary t.placement ~part ~node) then
     ignore (try_begin_remaster t ~part ~node)
 
-(* Geo helpers (docs/GEO.md): both read pure config, no state. The
-   spread constraint is active only when a topology exists AND
-   [min_regions] asks for one — every other configuration keeps the
-   historical decisions bit for bit. *)
+(* Geo helpers (docs/GEO.md): all read pure config, no state. The
+   spread constraint is active only when [geo] asks for one — every
+   other configuration keeps the historical decisions bit for bit. *)
 let region_of t n = Config.region_of_node t.cfg n
 
-let geo_spread_on t =
-  t.cfg.Config.regions >= 2 && t.cfg.Config.min_regions >= 2
+let min_regions t =
+  match t.cfg.Config.geo with Some g -> g.Config.min_regions | None -> 0
+
+let geo_spread_on t = min_regions t >= 2
 
 (* Evict the coldest secondary: every secondary serves no reads in this
    model, so "coldest" is decided by hosting-node pressure — shed from
@@ -325,7 +327,7 @@ let evict_one_secondary t ~part ~keep =
       in
       let safe =
         List.filter
-          (fun n -> spanned_without n >= t.cfg.Config.min_regions)
+          (fun n -> spanned_without n >= min_regions t)
           candidates
       in
       if safe = [] then candidates else safe)
@@ -370,8 +372,7 @@ let spanned_without_plus t ~part ~without ~plus =
    without the spread constraint. *)
 let removal_keeps_spread t ~part ~node ?dst () =
   (not (geo_spread_on t))
-  || spanned_without_plus t ~part ~without:node ~plus:dst
-     >= t.cfg.Config.min_regions
+  || spanned_without_plus t ~part ~without:node ~plus:dst >= min_regions t
 
 (* A copy source for [part]: the primary if it is live, else a live
    secondary. [None] when every replica sits on a dead node — the data
@@ -474,7 +475,7 @@ let availability t =
 (* ---- Elastic membership: join / decommission and the bounded
    background rebalancer (docs/MEMBERSHIP.md). The rebalancer is a
    self-terminating loop: each tick performs at most one migration step
-   (so [Config.rebalance_rate] bounds the step rate), keeps ticking
+   (so the elastic [rebalance_rate] bounds the step rate), keeps ticking
    while it is making progress or moves are in flight, and otherwise
    stops — every membership or liveness event re-kicks it, so the event
    queue always drains and [Engine.run_all] terminates. ---- *)
@@ -530,7 +531,19 @@ let live_replica_holders t part =
   in
   if t.node_alive.(prim) then prim :: secs else secs
 
-let rebalance_period t = 1e6 /. t.cfg.Config.rebalance_rate
+let rebalance_period t =
+  match t.cfg.Config.elastic with Some e -> 1e6 /. e.Config.rebalance_rate | None -> infinity
+
+(* Drop the guards of rebalance moves headed for [node]: a dead or
+   departed target never fires their [on_ready], so the guards would
+   keep the rebalancer ticking forever. *)
+let drop_moves_to t node =
+  let moves =
+    Hashtbl.fold
+      (fun (p, d) () acc -> if d = node then (p, d) :: acc else acc)
+      t.move_inflight []
+  in
+  List.iter (Hashtbl.remove t.move_inflight) moves
 
 let rec rebalance_tick t =
   let stepped =
@@ -550,7 +563,7 @@ let rec rebalance_tick t =
   end
 
 and kick_rebalancer t =
-  if t.cfg.Config.rebalance_rate > 0.0 && not t.rebalance_running then begin
+  if t.cfg.Config.elastic <> None && not t.rebalance_running then begin
     t.rebalance_running <- true;
     Engine.schedule t.engine ~delay:(rebalance_period t) (fun () -> rebalance_tick t)
   end
@@ -647,6 +660,7 @@ and drain_node_step t node =
             t.draining.(node) <- false;
             t.member.(node) <- false;
             t.node_alive.(node) <- false;
+            drop_moves_to t node;
             Fault.mark_down t.fault node;
             Server.kill t.workers.(node);
             Server.kill t.services.(node);
@@ -699,7 +713,7 @@ and repair_step t =
 and spread_step t =
   if (not (geo_spread_on t)) || Hashtbl.length t.move_inflight > 0 then false
   else
-    let min_r = t.cfg.Config.min_regions in
+    let min_r = min_regions t in
     let parts = Placement.partitions t.placement in
     let rec go p =
       if p >= parts then false
@@ -871,14 +885,7 @@ let fail_node t node =
         t.remaster_target.(part) <- -1
       end
     done;
-    (* Rebalance moves headed for the dead node will never fire their
-       [on_ready]: drop their guards so the slot can be retried. *)
-    let dead_moves =
-      Hashtbl.fold
-        (fun (p, d) () acc -> if d = node then (p, d) :: acc else acc)
-        t.move_inflight []
-    in
-    List.iter (Hashtbl.remove t.move_inflight) dead_moves;
+    drop_moves_to t node;
     if t.member.(node) then t.membership_version <- t.membership_version + 1;
     for part = 0 to parts - 1 do
       if Placement.has_secondary t.placement ~part ~node then (
@@ -941,7 +948,7 @@ let fail_node t node =
                    cleans up after itself, so a planner remaster racing
                    the timer leaves the phantom in place. *)
                 if
-                  (promoted || not t.cfg.Config.reintroduce_phantom_secondary)
+                  (promoted || not t.reintroduce_phantom_secondary)
                   && (not t.node_alive.(node))
                   && Placement.has_secondary t.placement ~part ~node
                 then (
@@ -973,7 +980,7 @@ let recover_node t node =
        the node was down, demoting its dead primary in place. The copy
        is stale — it missed every append since the crash — and must not
        rejoin as a live replica. *)
-    if not t.cfg.Config.reintroduce_phantom_secondary then
+    if not t.reintroduce_phantom_secondary then
       for part = 0 to parts - 1 do
         if Placement.has_secondary t.placement ~part ~node then begin
           Metrics.beacon t.metrics "rejoin-purge";
@@ -1307,19 +1314,19 @@ let create ?(seed = 1) ?tracer ?history cfg =
      standby slots ([Config.default]) this equals [cfg.nodes]. *)
   let slots = Config.total_slots cfg in
   let fault = Fault.create ~seed ~nodes:slots cfg.Config.fault_plan in
-  (* A region topology exists only when asked for; [None] (the default)
-     leaves the network on the historical single-latency-class path,
-     bit for bit (docs/GEO.md). *)
+  (* A region topology exists only when asked for; without [geo] the
+     network stays on the historical single-latency-class path, bit for
+     bit (docs/GEO.md). *)
   let topology =
-    if cfg.Config.regions >= 2 then
-      Some
+    Option.map
+      (fun g ->
         {
-          Network.regions = cfg.Config.regions;
+          Network.regions = g.Config.regions;
           region_of = Array.init slots (Config.region_of_node cfg);
-          wan_latency = cfg.Config.wan_latency;
-          wan_per_byte = cfg.Config.wan_per_byte;
-        }
-    else None
+          wan_latency = g.Config.wan_latency;
+          wan_per_byte = g.Config.wan_per_byte;
+        })
+      cfg.Config.geo
   in
   let network =
     Network.create ~latency:cfg.Config.net_latency ~per_byte:cfg.Config.net_per_byte
@@ -1327,18 +1334,27 @@ let create ?(seed = 1) ?tracer ?history cfg =
   in
   let parts = Config.total_partitions cfg in
   let placement =
-    Placement.create ~standby:cfg.Config.standby_nodes ~nodes:cfg.Config.nodes
+    Placement.create ~standby:(slots - cfg.Config.nodes) ~nodes:cfg.Config.nodes
       ~partitions:parts ~replicas:cfg.Config.replicas
       ~max_replicas:cfg.Config.max_replicas ()
   in
   (* Region-spread constraint: repair the round-robin seed layout so
      every partition spans [min_regions] regions before any replication
      state is seeded. Standby slots are not eligible targets. *)
-  if cfg.Config.regions >= 2 && cfg.Config.min_regions >= 2 then
-    Placement.spread_regions placement
-      ~region_of:(Config.region_of_node cfg)
-      ~eligible:(fun n -> n < cfg.Config.nodes)
-      ~min_regions:cfg.Config.min_regions;
+  (match cfg.Config.geo with
+  | Some { Config.min_regions; _ } when min_regions >= 2 ->
+      Placement.spread_regions placement
+        ~region_of:(Config.region_of_node cfg)
+        ~eligible:(fun n -> n < cfg.Config.nodes)
+        ~min_regions
+  | _ -> ());
+  let server capacity =
+    Server.create
+      ?queue_cap:(Option.map (fun a -> a.Config.queue_cap) cfg.Config.admission)
+      ?policy:(Option.map (fun a -> a.Config.shed_policy) cfg.Config.admission)
+      ~on_shed:(fun () -> Metrics.record_shed metrics)
+      engine ~capacity
+  in
   let t =
     {
       cfg;
@@ -1351,18 +1367,8 @@ let create ?(seed = 1) ?tracer ?history cfg =
       replication =
         Replication.create ~interval:cfg.Config.group_commit_interval ~partitions:parts
           ~slots engine;
-      workers =
-        Array.init slots (fun _ ->
-            Server.create ~queue_cap:cfg.Config.queue_cap
-              ~policy:cfg.Config.shed_policy
-              ~on_shed:(fun () -> Metrics.record_shed metrics)
-              engine ~capacity:cfg.Config.workers_per_node);
-      services =
-        Array.init slots (fun _ ->
-            Server.create ~queue_cap:cfg.Config.queue_cap
-              ~policy:cfg.Config.shed_policy
-              ~on_shed:(fun () -> Metrics.record_shed metrics)
-              engine ~capacity:2);
+      workers = Array.init slots (fun _ -> server cfg.Config.workers_per_node);
+      services = Array.init slots (fun _ -> server 2);
       tracer;
       history;
       rng = Rng.create seed;
@@ -1378,17 +1384,15 @@ let create ?(seed = 1) ?tracer ?history cfg =
       resync_inflight = Hashtbl.create 64;
       resync_count = 0;
       retry_budget =
-        (if cfg.Config.retry_budget_rate > 0.0 then
-           Some
-             (Overload.Token_bucket.create ~rate_per_s:cfg.Config.retry_budget_rate
-                ~burst:cfg.Config.retry_budget_burst)
-         else None);
+        Option.map
+          (fun { Config.rate; burst } ->
+            Overload.Token_bucket.create ~rate_per_s:rate ~burst)
+          cfg.Config.retry_budget;
       breakers =
-        (if cfg.Config.breaker_threshold > 0 then
-           Array.init slots (fun _ ->
-               Overload.Breaker.create ~threshold:cfg.Config.breaker_threshold
-                 ~cooldown:cfg.Config.breaker_cooldown)
-         else [||]);
+        (match cfg.Config.breaker with
+        | Some { Config.threshold; cooldown } ->
+            Array.init slots (fun _ -> Overload.Breaker.create ~threshold ~cooldown)
+        | None -> [||]);
       member = Array.init slots (fun n -> n < cfg.Config.nodes);
       draining = Array.make slots false;
       node_epoch = Array.make slots 0;
@@ -1405,6 +1409,7 @@ let create ?(seed = 1) ?tracer ?history cfg =
       remaster_prev = Array.make parts neg_infinity;
       remaster_started_at = Array.make parts neg_infinity;
       remaster_gen = Array.make parts 0;
+      reintroduce_phantom_secondary = false;
     }
   in
   (* Standby slots are outside the membership until a join: the fault

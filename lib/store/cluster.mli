@@ -61,11 +61,11 @@ type t = {
       (** completed anti-entropy suffix ships (see [replicate_commit]) *)
   retry_budget : Lion_sim.Overload.Token_bucket.t option;
       (** global token bucket drawn on by every RPC / log-ship
-          retransmission; [None] (default, [Config.retry_budget_rate]
-          = 0) leaves retries unlimited *)
+          retransmission; [None] (default, no [Config.retry_budget])
+          leaves retries unlimited *)
   breakers : Lion_sim.Overload.Breaker.t array;
       (** per-destination circuit breakers indexed by node; [[||]]
-          (default, [Config.breaker_threshold] = 0) disables them *)
+          (default, no [Config.breaker]) disables them *)
   member : bool array;
       (** elastic membership (docs/MEMBERSHIP.md): slots currently in
           the cluster. The first [Config.nodes] slots start as members;
@@ -102,6 +102,11 @@ type t = {
   remaster_gen : int array;
       (** generation guard turning a cancelled remaster's completion
           timer into a no-op *)
+  mutable reintroduce_phantom_secondary : bool;
+      (** test-only hook, false after [create]: when set, a dead primary
+          demoted in place by a planner remaster racing the election
+          timer is {e not} purged, so the recovered node serves a
+          frozen copy — the fuzzer's planted bug (docs/FUZZING.md) *)
 }
 
 val create :
@@ -110,7 +115,7 @@ val create :
 val now : t -> float
 
 val node_count : t -> int
-(** Slot capacity: [Config.nodes + Config.standby_nodes]. Per-node
+(** Slot capacity: [Config.total_slots]. Per-node
     structures (worker pools, routing tables) span this; non-member
     slots are never [alive], so they are invisible to routing. Equals
     [Config.nodes] with the default configuration. *)
@@ -197,7 +202,7 @@ val alive_nodes : t -> int list
 (** {2 Elastic membership} (docs/MEMBERSHIP.md)
 
     Nodes can join and leave the cluster under traffic. Both operations
-    bump [membership_version] and, when [Config.rebalance_rate] > 0,
+    bump [membership_version] and, with [Config.elastic] set,
     kick a background rebalancer that performs at most one migration
     step per [1/rate] seconds: draining a decommissioned node's
     primaries (remaster away) and secondaries (copy, then drop),

@@ -1,3 +1,10 @@
+type admission = { queue_cap : int; shed_policy : Lion_sim.Server.shed_policy }
+type retry_budget = { rate : float; burst : float }
+type breaker = { threshold : int; cooldown : float }
+type deadline = { after : float; enforce : bool }
+type geo = { regions : int; wan_latency : float; wan_per_byte : float; min_regions : int }
+type elastic = { standby_nodes : int; rebalance_rate : float }
+
 type t = {
   nodes : int;
   partitions_per_node : int;
@@ -17,31 +24,20 @@ type t = {
   migration_cpu_cost : float;
   replica_add_duration : float;
   election_delay : float;
-  replication_factor_sync : bool;
   group_commit_interval : float;
   batch_size : int;
   rpc_timeout : float;
   rpc_retries : int;
   rpc_backoff : float;
   fault_plan : Lion_sim.Fault.plan;
-  queue_cap : int;
-  shed_policy : Lion_sim.Server.shed_policy;
+  admission : admission option;
   control_priority : bool;
-  retry_budget_rate : float;
-  retry_budget_burst : float;
-  breaker_threshold : int;
-  breaker_cooldown : float;
-  txn_deadline : float;
-  deadline_enforce : bool;
-  standby_nodes : int;
-  rebalance_rate : float;
+  retry_budget : retry_budget option;
+  breaker : breaker option;
+  deadline : deadline option;
+  geo : geo option;
+  elastic : elastic option;
   session_tagging : bool;
-  reintroduce_phantom_secondary : bool;
-  regions : int;
-  wan_latency : float;
-  wan_per_byte : float;
-  min_regions : int;
-  epoch_interval : float;
 }
 
 let default =
@@ -64,65 +60,51 @@ let default =
     migration_cpu_cost = 20_000.0;
     replica_add_duration = 200_000.0;
     election_delay = 10_000.0;
-    replication_factor_sync = false;
     group_commit_interval = 10_000.0;
     batch_size = 10_000;
     rpc_timeout = 5_000.0;
     rpc_retries = 3;
     rpc_backoff = 200.0;
     fault_plan = Lion_sim.Fault.none;
-    queue_cap = 0;
-    shed_policy = Lion_sim.Server.Reject_newest;
+    admission = None;
     control_priority = false;
-    retry_budget_rate = 0.0;
-    retry_budget_burst = 32.0;
-    breaker_threshold = 0;
-    breaker_cooldown = 50_000.0;
-    txn_deadline = 0.0;
-    deadline_enforce = true;
-    standby_nodes = 0;
-    rebalance_rate = 0.0;
+    retry_budget = None;
+    breaker = None;
+    deadline = None;
+    geo = None;
+    elastic = None;
     session_tagging = false;
-    reintroduce_phantom_secondary = false;
-    regions = 0;
-    wan_latency = 50_000.0;
-    wan_per_byte = 0.05;
-    min_regions = 0;
-    epoch_interval = 20_000.0;
   }
 
-(* The graceful-degradation preset (docs/OVERLOAD.md): bounded queues
-   with reject-newest shedding, control traffic ahead of user work, a
-   global retry budget, per-destination breakers and a transaction
-   deadline. Every value is a starting point — the overload experiments
-   sweep around them. *)
+(* Starting points for each optional subsystem; the experiments sweep
+   around them. *)
+let default_admission = { queue_cap = 64; shed_policy = Lion_sim.Server.Reject_newest }
+let default_retry_budget = { rate = 2_000.0; burst = 64.0 }
+let default_breaker = { threshold = 8; cooldown = 50_000.0 }
+let default_deadline = { after = 200_000.0; enforce = true }
+let default_geo = { regions = 2; wan_latency = 50_000.0; wan_per_byte = 0.05; min_regions = 2 }
+let default_elastic = { standby_nodes = 2; rebalance_rate = 50.0 }
+
 let with_overload_defaults t =
   {
     t with
-    queue_cap = 64;
-    shed_policy = Lion_sim.Server.Reject_newest;
+    admission = Some default_admission;
     control_priority = true;
-    retry_budget_rate = 2_000.0;
-    retry_budget_burst = 64.0;
-    breaker_threshold = 8;
-    breaker_cooldown = 50_000.0;
-    txn_deadline = 200_000.0;
+    retry_budget = Some default_retry_budget;
+    breaker = Some default_breaker;
+    deadline = Some default_deadline;
   }
 
-(* Elastic-membership preset (docs/MEMBERSHIP.md): two standby slots to
-   join into, a bounded background migration rate, and session tagging
-   so streams from before a crash/rejoin cannot corrupt watermarks. *)
 let with_elastic_defaults t =
-  { t with standby_nodes = 2; rebalance_rate = 50.0; session_tagging = true }
+  { t with elastic = Some default_elastic; session_tagging = true }
 
-(* Geo-replication preset (docs/GEO.md): two regions, every partition
-   forced to span at least two of them, and the WAN link class at its
-   documented starting point (50 ms one-way, ~160 Mbit/s). *)
-let with_geo_defaults t = { t with regions = 2; min_regions = 2 }
+let misses_deadline t latency =
+  match t.deadline with Some d -> latency > d.after | None -> false
 
 let total_partitions t = t.nodes * t.partitions_per_node
 let total_workers t = t.nodes * t.workers_per_node
-let total_slots t = t.nodes + t.standby_nodes
+let total_slots t =
+  match t.elastic with Some e -> t.nodes + e.standby_nodes | None -> t.nodes
 let with_nodes t nodes = { t with nodes }
 
 (* Contiguous block layout: a region is a datacenter of consecutive
@@ -132,7 +114,6 @@ let with_nodes t nodes = { t with nodes }
    every partition span regions for free and [min_regions] would never
    bite. *)
 let region_of_node t n =
-  if t.regions <= 1 then 0
-  else
-    let slots = total_slots t in
-    min (t.regions - 1) (n * t.regions / slots)
+  match t.geo with
+  | None -> 0
+  | Some g -> min (g.regions - 1) (n * g.regions / total_slots t)

@@ -2,8 +2,60 @@
 
     Defaults follow the paper's testbed (§VI-A): 8 worker threads per
     executor node, 2 initial replicas per partition, a maximum of 4,
-    remaster delay 3000 µs, ~1 GbE network. All costs are in simulated
+    remaster delay 300 µs, ~1 GbE network. All costs are in simulated
     microseconds, all sizes in bytes. *)
+
+(** Admission control: who waits, and who is turned away. *)
+type admission = {
+  queue_cap : int;
+      (** bound on each node's worker/service wait queue; 0 = unbounded
+          (a [Codel] policy still sheds by sojourn time) *)
+  shed_policy : Lion_sim.Server.shed_policy;  (** who is turned away *)
+}
+
+(** Global token bucket; each RPC/log-ship retransmission takes one
+    token and a dry bucket makes the caller give up. *)
+type retry_budget = {
+  rate : float;  (** refill, tokens per simulated second (> 0) *)
+  burst : float;  (** bucket capacity *)
+}
+
+type breaker = {
+  threshold : int;  (** consecutive terminal RPC failures that trip it (> 0) *)
+  cooldown : float;  (** µs a tripped breaker stays open before half-open probing *)
+}
+
+type deadline = {
+  after : float;
+      (** µs from first submission: a commit landing later counts as a
+          deadline miss, discounted from goodput (> 0) *)
+  enforce : bool;
+      (** if true, a transaction past the deadline is also {e shed}:
+          aborted attempts stop retrying and in-flight RPCs stop
+          retransmitting. false keeps it a pure measurement SLO — the
+          metastable repro's unprotected baseline *)
+}
+
+type geo = {
+  regions : int;
+      (** number of geographic regions (≥ 2) the node slots divide into,
+          as contiguous blocks of node ids — see [region_of_node] *)
+  wan_latency : float;  (** one-way µs between nodes of different regions *)
+  wan_per_byte : float;  (** µs per byte on a cross-region link *)
+  min_regions : int;
+      (** minimum distinct regions each partition's replica set must
+          span, kept at creation and by the rebalancer; below 2 = no
+          constraint *)
+}
+
+type elastic = {
+  standby_nodes : int;
+      (** pre-provisioned node slots beyond [nodes] that start outside
+          the membership; [Cluster.join_node] activates them *)
+  rebalance_rate : float;
+      (** background migration steps per simulated second (> 0): join
+          catch-up, decommission draining, under-replication repair *)
+}
 
 type t = {
   nodes : int;  (** executor node count (paper default 4) *)
@@ -34,8 +86,6 @@ type t = {
   election_delay : float;
       (** leader-election span after a node failure before an affected
           partition's surviving secondary is promoted, µs *)
-  replication_factor_sync : bool;
-      (** if true, commit waits for replication (no group commit) *)
   group_commit_interval : float;  (** epoch length for group commit, µs *)
   batch_size : int;  (** batch execution epoch size (paper: 10k) *)
   rpc_timeout : float;
@@ -50,49 +100,29 @@ type t = {
   fault_plan : Lion_sim.Fault.plan;
       (** scheduled crashes / partitions / drop / jitter / stragglers
           injected into this cluster (default: none) *)
-  queue_cap : int;
-      (** bound on each node's worker/service wait queue; 0 (default)
-          = unbounded, admission control off (docs/OVERLOAD.md) *)
-  shed_policy : Lion_sim.Server.shed_policy;
-      (** who is turned away when a bounded queue saturates (default
-          [Reject_newest]; irrelevant while [queue_cap] = 0) *)
+  admission : admission option;
+      (** bounded worker/service wait queues with a shed policy;
+          [None] (default) = unbounded queues (docs/OVERLOAD.md) *)
   control_priority : bool;
       (** if true, remaster/replication control work runs at
           [Server.High] priority, ahead of user transactions and exempt
           from shedding (default false) *)
-  retry_budget_rate : float;
-      (** global retry-budget refill, tokens per simulated second; each
-          RPC/log-ship retransmission takes one token. 0 (default) =
-          unlimited retries, as before *)
-  retry_budget_burst : float;  (** retry-budget bucket capacity *)
-  breaker_threshold : int;
-      (** consecutive terminal RPC failures to one destination that
-          trip its circuit breaker; 0 (default) = breakers off *)
-  breaker_cooldown : float;
-      (** µs a tripped breaker stays open before half-open probing *)
-  txn_deadline : float;
-      (** client patience, µs from first submission: a commit landing
-          later counts as a deadline miss (discounted from goodput);
-          0 (default) = no deadline, goodput = throughput *)
-  deadline_enforce : bool;
-      (** if true (default), a transaction past [txn_deadline] is also
-          {e shed} — aborted attempts stop retrying and in-flight RPCs
-          stop retransmitting. false keeps the deadline as a pure
-          measurement SLO: late commits are counted but the system
-          still burns capacity completing them — the configuration the
-          metastable-failure repro uses as its unprotected baseline
-          (docs/OVERLOAD.md). Irrelevant while [txn_deadline] = 0 *)
-  standby_nodes : int;
-      (** pre-provisioned node slots beyond [nodes] that start outside
-          the membership; [Cluster.join_node] activates them. 0
-          (default) freezes the membership at [nodes], exactly the
-          pre-elastic behaviour (docs/MEMBERSHIP.md) *)
-  rebalance_rate : float;
-      (** background migration-step rate (partitions per simulated
-          second) for elastic rebalancing: join catch-up, decommission
-          draining and under-replication repair. 0 (default) = elastic
-          rebalancing off; joins and decommissions then only change the
-          membership, never move data *)
+  retry_budget : retry_budget option;
+      (** global retry budget drawn on by every RPC/log-ship
+          retransmission; [None] (default) = unlimited retries *)
+  breaker : breaker option;
+      (** per-destination circuit breakers; [None] (default) = off *)
+  deadline : deadline option;
+      (** client patience; [None] (default) = no deadline, goodput =
+          throughput *)
+  geo : geo option;
+      (** region topology, WAN link class and placement spread;
+          [None] (default) = region-free: the network has a single
+          latency class (docs/GEO.md) *)
+  elastic : elastic option;
+      (** standby slots and the background rebalancer; [None]
+          (default) freezes the membership at [nodes]
+          (docs/MEMBERSHIP.md) *)
   session_tagging : bool;
       (** if true, every replication / remaster stream carries a
           session id ([Replication.session]) and deliveries from a
@@ -101,71 +131,51 @@ type t = {
           [Metrics.stale_ack_rejections]). false (default) reproduces
           the classic stale-replication-ack hazard — see
           docs/MEMBERSHIP.md for the openraft/Ra comparison *)
-  reintroduce_phantom_secondary : bool;
-      (** compat flag re-planting the phantom-secondary bug the
-          divergence auditor originally caught: when true, a dead
-          primary demoted in place by a planner remaster (racing the
-          election timer) is {e not} purged — neither by the election
-          callback nor at rejoin — so the recovered node serves a
-          frozen copy. Exists purely as a known-bug target for the
-          fault-schedule fuzzer (docs/FUZZING.md); false (default)
-          keeps both purge sites active *)
-  regions : int;
-      (** number of geographic regions the node slots divide into
-          (contiguous blocks of node ids — see [region_of_node]).
-          0 (default) = region-free: the network has a single latency
-          class and every geo knob below is inert (docs/GEO.md) *)
-  wan_latency : float;
-      (** one-way µs for a message between nodes of different regions
-          (default 50 ms); irrelevant while [regions] < 2 *)
-  wan_per_byte : float;
-      (** µs per byte on a cross-region link (default 0.05 ≈
-          160 Mbit/s); irrelevant while [regions] < 2 *)
-  min_regions : int;
-      (** minimum distinct regions each partition's replica set
-          (primary + secondaries) must span. The placement is spread at
-          cluster creation and the rebalancer keeps the invariant when
-          installing or evicting secondaries. 0 (default) = no
-          constraint *)
-  epoch_interval : float;
-      (** epoch length, µs, for the epoch-based OCC protocol
-          ([Lion_protocols.Epoch]): optimistic execution parks until
-          the next boundary, where validation and one cross-region
-          replication round happen for the whole epoch *)
 }
 
 val default : t
 (** The paper's default configuration: 4 nodes, 8 workers, 2 replicas,
-    max 4, remaster 3000 µs. *)
+    max 4, remaster 300 µs, and every optional subsystem [None]. *)
 
 val total_partitions : t -> int
 val total_workers : t -> int
 
 val total_slots : t -> int
-(** [nodes + standby_nodes]: the size of every per-node structure in an
-    elastic cluster. Equals [nodes] with the default configuration. *)
+(** [nodes] plus the elastic standby slots: the size of every per-node
+    structure. Equals [nodes] without [elastic]. *)
 
 val with_nodes : t -> int -> t
 (** Scale the cluster size keeping per-node density fixed (Fig. 11). *)
 
-val with_elastic_defaults : t -> t
-(** Turn elastic membership on at its documented starting point: two
-    standby slots, a 50 migrations/s rebalance bound and session-tagged
-    replication streams. See docs/MEMBERSHIP.md. *)
+(** Each optional subsystem's starting point; the experiments sweep
+    around them (docs/OVERLOAD.md, docs/GEO.md, docs/MEMBERSHIP.md). *)
+
+val default_admission : admission  (** cap 64, reject-newest *)
+
+val default_retry_budget : retry_budget  (** 2000 tokens/s, burst 64 *)
+
+val default_breaker : breaker  (** threshold 8, cooldown 50 ms *)
+
+val default_deadline : deadline  (** 200 ms, enforced *)
+
+val default_geo : geo
+(** 2 regions, [min_regions] 2, WAN 50 ms one-way at 0.05 µs/byte *)
+
+val default_elastic : elastic  (** 2 standby slots, 50 migrations/s *)
 
 val with_overload_defaults : t -> t
-(** Turn every overload-robustness knob on at its documented starting
-    point: bounded queues (cap 64, reject-newest), control-traffic
-    priority, a 2000 tokens/s retry budget, breakers (threshold 8,
-    cooldown 50 ms) and a 200 ms transaction deadline. See
-    docs/OVERLOAD.md. *)
+(** [admission], [retry_budget], [breaker] and [deadline] at their
+    starting points, plus [control_priority]. *)
 
-val with_geo_defaults : t -> t
-(** Turn geo-replication on at its documented starting point: two
-    regions, [min_regions] = 2, and the default WAN link class (50 ms
-    one-way, 0.05 µs/byte). See docs/GEO.md. *)
+val with_elastic_defaults : t -> t
+(** [elastic] at its starting point, plus [session_tagging], so streams
+    from before a crash/rejoin cannot corrupt watermarks. *)
+
+val misses_deadline : t -> float -> bool
+(** Whether a commit [latency] µs after first submission is past the
+    [deadline]; always false without one. *)
 
 val region_of_node : t -> int -> int
 (** Region of a node slot under the contiguous block layout: the
     [total_slots] ids divide into [regions] consecutive blocks (nodes
-    0..k-1 form region 0, and so on). Always 0 while [regions] < 2. *)
+    0..k-1 form region 0, and so on). Always 0 without [geo]. *)

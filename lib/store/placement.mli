@@ -86,7 +86,7 @@ val spread_regions :
     regions that exist): for each under-spread partition, the
     highest-id secondary in an over-represented region moves to the
     least-loaded [eligible] node of an uncovered region. Run once at
-    cluster creation when [Config.min_regions] ≥ 2; the rebalancer
+    cluster creation when the geo [min_regions] ≥ 2; the rebalancer
     maintains the invariant afterwards. *)
 
 val copy : t -> t

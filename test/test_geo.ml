@@ -30,7 +30,10 @@ let test_region_of_node_blocks () =
     (List.init 4 (Config.region_of_node Config.default));
   (* 3 regions over 6 slots (elastic): blocks of 2. *)
   let c =
-    { (Config.with_elastic_defaults Config.default) with Config.regions = 3 }
+    {
+      (Config.with_elastic_defaults Config.default) with
+      Config.geo = Some { Config.default_geo with regions = 3 };
+    }
   in
   Alcotest.(check (list int)) "3 regions over 6 slots" [ 0; 0; 1; 1; 2; 2 ]
     (List.init 6 (Config.region_of_node c))
@@ -94,8 +97,10 @@ let prop_geo_membership_interleaving =
     (fun ops ->
       let cfg =
         {
-          (Config.with_geo_defaults (Config.with_elastic_defaults Config.default)) with
-          Config.rebalance_rate = 200.0;
+          Config.default with
+          Config.geo = Some Config.default_geo;
+          elastic = Some { Config.default_elastic with rebalance_rate = 200.0 };
+          session_tagging = true;
         }
       in
       let cl = Cluster.create ~seed:5 cfg in

@@ -924,7 +924,11 @@ let prop_fault_sequence_placement_consistent =
 
 let mk_elastic ?(rate = 200.0) () =
   let cfg =
-    { (Config.with_elastic_defaults Config.default) with Config.rebalance_rate = rate }
+    {
+      Config.default with
+      Config.elastic = Some { Config.default_elastic with rebalance_rate = rate };
+      session_tagging = true;
+    }
   in
   (cfg, Cluster.create ~seed:5 cfg)
 
@@ -1093,6 +1097,69 @@ let prop_membership_interleaving =
       done;
       !ok)
 
+(* A decommission can finalise while a catch-up install is still
+   copying to the leaving node. The copy's completion skips a dead
+   target, so the leaver must drop that move's guard itself, or the
+   rebalancer keeps ticking for it forever. *)
+let test_decommission_drops_moves_to_leaver () =
+  let cfg =
+    {
+      Config.default with
+      Config.geo = Some Config.default_geo;
+      elastic = Some { Config.default_elastic with rebalance_rate = 200.0 };
+      session_tagging = true;
+    }
+  in
+  let cl = Cluster.create ~seed:5 cfg in
+  let e = cl.Cluster.engine in
+  Alcotest.(check bool) "join accepted" true (Cluster.join_node cl 4);
+  Engine.run_until e (Engine.now e +. 117_200.0);
+  Alcotest.(check bool) "decommission accepted" true (Cluster.decommission_node cl 4);
+  Engine.run_until e (Engine.now e +. 181_081.0);
+  Engine.run_all e ~max_events:1_000_000 ();
+  Alcotest.(check bool) "queue drained" false (Engine.last_run_exhausted e);
+  Alcotest.(check bool) "rebalancer stopped" false cl.Cluster.rebalance_running;
+  Alcotest.(check int) "no moves pending" 0 (Hashtbl.length cl.Cluster.move_inflight)
+
+(* --- configuration presets --- *)
+
+(* Every preset's documented values, as a literal table: a change to a
+   starting point must show up here, not only in a sweep's output. *)
+let test_overload_preset_values () =
+  let c = Config.with_overload_defaults Config.default in
+  Alcotest.(check bool) "admission" true
+    (c.Config.admission
+    = Some { Config.queue_cap = 64; shed_policy = Lion_sim.Server.Reject_newest });
+  Alcotest.(check bool) "control priority" true c.Config.control_priority;
+  Alcotest.(check bool) "retry budget" true
+    (c.Config.retry_budget = Some { Config.rate = 2_000.0; burst = 64.0 });
+  Alcotest.(check bool) "breaker" true
+    (c.Config.breaker = Some { Config.threshold = 8; cooldown = 50_000.0 });
+  Alcotest.(check bool) "deadline" true
+    (c.Config.deadline = Some { Config.after = 200_000.0; enforce = true })
+
+let test_geo_preset_values () =
+  Alcotest.(check bool) "geo" true
+    (Config.default_geo
+    = { Config.regions = 2; min_regions = 2; wan_latency = 50_000.0; wan_per_byte = 0.05 })
+
+let test_elastic_preset_values () =
+  let c = Config.with_elastic_defaults Config.default in
+  Alcotest.(check bool) "elastic" true
+    (c.Config.elastic = Some { Config.standby_nodes = 2; rebalance_rate = 50.0 });
+  Alcotest.(check bool) "session tagging" true c.Config.session_tagging
+
+let test_default_subsystems_off () =
+  let c = Config.default in
+  Alcotest.(check bool) "admission" true (c.Config.admission = None);
+  Alcotest.(check bool) "retry budget" true (c.Config.retry_budget = None);
+  Alcotest.(check bool) "breaker" true (c.Config.breaker = None);
+  Alcotest.(check bool) "deadline" true (c.Config.deadline = None);
+  Alcotest.(check bool) "geo" true (c.Config.geo = None);
+  Alcotest.(check bool) "elastic" true (c.Config.elastic = None);
+  Alcotest.(check bool) "control priority" false c.Config.control_priority;
+  Alcotest.(check bool) "session tagging" false c.Config.session_tagging
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1220,6 +1287,15 @@ let () =
             test_recover_purges_stale_secondary;
           Alcotest.test_case "remaster cancelled on target death" `Quick
             test_remaster_cancelled_when_target_dies;
+          Alcotest.test_case "decommission drops moves to leaver" `Quick
+            test_decommission_drops_moves_to_leaver;
+        ] );
+      ( "config",
+        [
+          Alcotest.test_case "overload preset values" `Quick test_overload_preset_values;
+          Alcotest.test_case "geo preset values" `Quick test_geo_preset_values;
+          Alcotest.test_case "elastic preset values" `Quick test_elastic_preset_values;
+          Alcotest.test_case "default subsystems off" `Quick test_default_subsystems_off;
         ] );
       qsuite "membership-props" [ prop_membership_interleaving ];
     ]
