@@ -1,65 +1,8 @@
-(* The full benchmark harness.
-
-   Part 1 regenerates every table and figure of the paper's evaluation
-   (§VI) on the simulated cluster — one experiment per figure, printing
-   the same series the paper plots (see EXPERIMENTS.md for the
-   paper-vs-measured comparison).
-
-   Part 2 runs bechamel microbenchmarks of the core building blocks
-   (heat-graph construction, clump generation, the cost model,
-   Algorithm 1, LSTM inference/training, OCC sessions, the event
-   engine), reporting ns/op.
-
-   Environment:
-     LION_BENCH_SCALE       multiply simulated durations (default 0.6 —
-                            a complete run in ~40 minutes of wall
-                            time; 1.0 reproduces the full windows)
-     LION_BENCH_ONLY        comma-separated experiment ids (default: all)
-     LION_BENCH_SKIP_MICRO  set to skip the bechamel section *)
-
-module Experiments = Lion_harness.Experiments
-
-let getenv name default = match Sys.getenv_opt name with Some v -> v | None -> default
-
-(* ------------------------------------------------------------------ *)
-(* Part 1: paper experiments                                           *)
-(* ------------------------------------------------------------------ *)
-
-let run_experiments () =
-  let scale = float_of_string (getenv "LION_BENCH_SCALE" "0.6") in
-  let only =
-    match Sys.getenv_opt "LION_BENCH_ONLY" with
-    | None -> None
-    | Some s -> Some (String.split_on_char ',' s)
-  in
-  let selected =
-    match only with
-    | None -> Experiments.registry
-    | Some ids ->
-        (* A typo'd id silently selecting nothing looks exactly like a
-           clean zero-experiment run — reject it loudly instead. *)
-        let known = List.map (fun (id, _, _) -> id) Experiments.registry in
-        (match List.filter (fun id -> not (List.mem id known)) ids with
-        | [] -> ()
-        | bad ->
-            Printf.eprintf
-              "LION_BENCH_ONLY: unknown experiment id%s %s\nvalid ids: %s\n"
-              (if List.length bad > 1 then "s" else "")
-              (String.concat ", " bad) (String.concat ", " known);
-            exit 2);
-        List.filter (fun (id, _, _) -> List.mem id ids) Experiments.registry
-  in
-  List.iter
-    (fun (id, desc, f) ->
-      Printf.printf ">>> %s - %s (scale %.2f)\n%!" id desc scale;
-      let t0 = Unix.gettimeofday () in
-      f scale;
-      Printf.printf "    [%s completed in %.1fs wall]\n\n%!" id (Unix.gettimeofday () -. t0))
-    selected
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: microbenchmarks                                             *)
-(* ------------------------------------------------------------------ *)
+(* Bechamel microbenchmarks of the core building blocks (heat-graph
+   construction, clump generation, the cost model, Algorithm 1, LSTM
+   inference/training, OCC sessions, the event engine), reporting
+   ns/op. The paper's experiments run under [lion experiment]; `make
+   bench` runs both. *)
 
 open Bechamel
 open Toolkit
@@ -161,12 +104,4 @@ let run_micro () =
     tests;
   Lion_kernel.Table.print table
 
-let () =
-  print_endline "==============================================================";
-  print_endline " Lion reproduction benchmark harness";
-  print_endline " (see DESIGN.md for the experiment index, EXPERIMENTS.md for";
-  print_endline "  the paper-vs-measured comparison)";
-  print_endline "==============================================================";
-  print_newline ();
-  run_experiments ();
-  if Sys.getenv_opt "LION_BENCH_SKIP_MICRO" = None then run_micro ()
+let () = run_micro ()

@@ -1,13 +1,10 @@
-(* Developer tool: run Lion standard under a crash fault plan and print
-   the per-second throughput and availability, plus the fault counters
-   — the fastest way to watch failover, timeout/retry behaviour and
-   recovery.
+(* lion debug chaos: run Lion standard under a crash fault plan and
+   print the per-second throughput and availability, plus the fault
+   counters — the fastest way to watch failover, timeout/retry
+   behaviour and recovery.
 
-   Usage: dune exec bin/debug_chaos.exe -- [crashed] [fail_s] [recover_s] [total_s]
-                                           [--min-availability F] [--max-anomalies N]
-                                           [--json]
-   where [crashed] is how many nodes (1, 2, ...) crash at [fail_s]
-   (nodes 1..crashed) and rejoin at [recover_s].
+   [crashed] nodes (1, 2, ...) crash at [fail_s] (nodes 1..crashed)
+   and rejoin at [recover_s].
 
    [--json] replaces the human-readable table with one JSON summary
    object on stdout — for scripts that diff or plot chaos runs. The
@@ -19,6 +16,7 @@
    (default: disabled) or any availability sample falls below
    [--min-availability] (default: disabled). *)
 
+open Cmdliner
 module Config = Lion_store.Config
 module Engine = Lion_sim.Engine
 module Fault = Lion_sim.Fault
@@ -27,35 +25,9 @@ module Checker = Lion_audit.Checker
 module Runner = Lion_harness.Runner
 module Workloads = Lion_harness.Workloads
 
-let () =
-  let min_avail = ref neg_infinity in
-  let max_anomalies = ref max_int in
-  let json = ref false in
-  let positional = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--min-availability" :: v :: rest ->
-        min_avail := float_of_string v;
-        parse rest
-    | "--max-anomalies" :: v :: rest ->
-        max_anomalies := int_of_string v;
-        parse rest
-    | "--json" :: rest ->
-        json := true;
-        parse rest
-    | v :: rest ->
-        positional := v :: !positional;
-        parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let positional = Array.of_list (List.rev !positional) in
-  let pos i = if i < Array.length positional then Some positional.(i) else None in
-  let crashed = try int_of_string (Option.get (pos 0)) with _ -> 1 in
+let run crashed fail_s recover_s total min_avail max_anomalies json =
   (* Node 0 stays up so the cluster always has a survivor. *)
   let crashed = min crashed (Config.default.Config.nodes - 1) in
-  let fail_s = try float_of_string (Option.get (pos 1)) with _ -> 6.0 in
-  let recover_s = try float_of_string (Option.get (pos 2)) with _ -> 16.0 in
-  let total = try float_of_string (Option.get (pos 3)) with _ -> 20.0 in
   let plan =
     List.concat_map
       (fun node ->
@@ -65,7 +37,7 @@ let () =
       (List.init crashed (fun i -> i + 1))
   in
   let cfg = { Config.default with Config.fault_plan = plan } in
-  let gate = !min_avail > neg_infinity || !max_anomalies < max_int in
+  let gate = min_avail <> None || max_anomalies <> None in
   (* Record a history only when a gate asked for it: recording off is
      the bit-for-bit-identical default. *)
   let history = if gate then Some (History.create ()) else None in
@@ -86,7 +58,7 @@ let () =
         (report, List.length report.Checker.anomalies))
       history
   in
-  if !json then begin
+  if json then begin
     (* One machine-readable summary object; 1e-9 rounding keeps the
        encoding of floats stable across identical runs. *)
     let fl v = Printf.sprintf "%.9g" v in
@@ -136,16 +108,49 @@ let () =
   (match anomalies with
   | None -> ()
   | Some (report, n) ->
-      if not !json then
+      if not json then
         Printf.printf "audit: %d events, %d anomalies\n" report.Checker.events n;
-      if n > !max_anomalies then (
-        if not !json then Format.printf "%a@." Checker.pp_report report;
-        Printf.printf "FAIL: %d anomalies > --max-anomalies %d\n" n !max_anomalies;
-        failed := true));
-  if !min_avail > neg_infinity then (
-    let lowest = Array.fold_left Stdlib.min 1.0 r.Runner.availability in
-    if lowest < !min_avail then (
-      Printf.printf "FAIL: availability %.4f < --min-availability %.4f\n" lowest
-        !min_avail;
-      failed := true));
-  if !failed then exit 1
+      Option.iter
+        (fun max ->
+          if n > max then (
+            if not json then Format.printf "%a@." Checker.pp_report report;
+            Printf.printf "FAIL: %d anomalies > --max-anomalies %d\n" n max;
+            failed := true))
+        max_anomalies);
+  Option.iter
+    (fun min_avail ->
+      let lowest = Array.fold_left Stdlib.min 1.0 r.Runner.availability in
+      if lowest < min_avail then (
+        Printf.printf "FAIL: availability %.4f < --min-availability %.4f\n" lowest min_avail;
+        failed := true))
+    min_avail;
+  if !failed then 1 else 0
+
+let cmd =
+  let open Arg in
+  let crashed =
+    value & pos 0 int 1 & info [] ~docv:"CRASHED" ~doc:"Nodes 1..CRASHED crash at FAIL_S."
+  in
+  let fail_s = value & pos 1 float 6.0 & info [] ~docv:"FAIL_S" ~doc:"Crash time (s)." in
+  let recover_s =
+    value & pos 2 float 16.0 & info [] ~docv:"RECOVER_S" ~doc:"Rejoin time (s)."
+  in
+  let total = value & pos 3 float 20.0 & info [] ~docv:"TOTAL_S" ~doc:"Run length (s)." in
+  let min_avail =
+    value
+    & opt (some float) None
+    & info [ "min-availability" ] ~docv:"F"
+        ~doc:"Exit 1 if any availability sample falls below $(docv)."
+  in
+  let max_anomalies =
+    value
+    & opt (some int) None
+    & info [ "max-anomalies" ] ~docv:"N"
+        ~doc:"Record an audit history; exit 1 if the checker reports more than $(docv) anomalies."
+  in
+  let json =
+    value & flag & info [ "json" ] ~doc:"Print one JSON summary object instead of the table."
+  in
+  Cmd.v
+    (Cmd.info "chaos" ~doc:"Watch Lion fail over and recover from node crashes, second by second")
+    Term.(const run $ crashed $ fail_s $ recover_s $ total $ min_avail $ max_anomalies $ json)

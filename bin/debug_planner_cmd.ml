@@ -1,7 +1,8 @@
-(* Developer tool: feed one synthetic YCSB batch through the analysis
+(* lion debug planner: feed one synthetic YCSB batch through the analysis
    pipeline (graph -> clumps -> Algorithm 1) outside the simulator and
    dump every intermediate artefact. *)
 
+open Cmdliner
 module Config = Lion_store.Config
 module Cluster = Lion_store.Cluster
 module Placement = Lion_store.Placement
@@ -12,7 +13,7 @@ module Rearrange = Lion_analysis.Rearrange
 module Ycsb = Lion_workload.Ycsb
 module Txn = Lion_workload.Txn
 
-let () =
+let run () =
   let cfg = Config.default in
   let parts = Config.total_partitions cfg in
   let cl = Cluster.create ~seed:1 cfg in
@@ -42,4 +43,10 @@ let () =
     r.Rearrange.fine_tune_moves r.Rearrange.balanced;
   let dest_count = Array.make 4 0 in
   List.iter (fun ((c:Clump.t), n) -> dest_count.(n) <- dest_count.(n) + List.length c.pids) r.Rearrange.assignments;
-  Printf.printf "parts per node: %s\n" (String.concat " " (Array.to_list (Array.map string_of_int dest_count)))
+  Printf.printf "parts per node: %s\n" (String.concat " " (Array.to_list (Array.map string_of_int dest_count)));
+  0
+
+let cmd =
+  Cmd.v
+    (Cmd.info "planner" ~doc:"Dump every stage of the planner on one synthetic YCSB batch")
+    Term.(const run $ const ())

@@ -1,15 +1,13 @@
-(* Developer tool: run one protocol for N simulated seconds, printing
+(* lion debug run: run one protocol for N simulated seconds, printing
    per-second commits, remaster/replica-add activity, aborts and
    per-node worker load — the fastest way to watch a protocol converge.
-
-   Usage: dune exec bin/debug_run.exe -- [variant] [skew] [cross] [secs]
-   (REMASTER_DELAY=<us> overrides the remaster delay/cooldown.)
 
    [variant] is a protocol id from Lion_harness.Protocols ([lion] is
    standard-mode Lion) or one of the Table II ablations lion-s, lion-r,
    lion-rw, lion-rb. Full batch Lion ([Ablation.V_full]: Batch_mode,
    default planner, seed 31) is exactly the registry's [lion-batch]. *)
 
+open Cmdliner
 module Config = Lion_store.Config
 module Cluster = Lion_store.Cluster
 module Placement = Lion_store.Placement
@@ -25,25 +23,15 @@ let ablations =
   [ ("lion-s", Ablation.V_s); ("lion-r", Ablation.V_r); ("lion-rw", Ablation.V_rw);
     ("lion-rb", Ablation.V_rb) ]
 
-let () =
-  let variant = try Sys.argv.(1) with _ -> "lion-rw" in
+let run variant skew cross secs remaster_delay =
   let is_batch, make =
     match List.assoc_opt variant ablations with
     | Some v -> (Ablation.is_batch v, Ablation.create v)
     | None ->
-        let p = Protocols.resolve ~also:(List.map fst ablations) variant in
+        let p = Protocols.get variant in
         (p.batch, fun cl -> p.make cl)
   in
-  let skew = try float_of_string Sys.argv.(2) with _ -> 0.8 in
-  let cross = try float_of_string Sys.argv.(3) with _ -> 0.5 in
-  let secs = try int_of_string Sys.argv.(4) with _ -> 8 in
-  let cfg =
-    match Sys.getenv_opt "REMASTER_DELAY" with
-    | Some d ->
-        let d = float_of_string d in
-        { Config.default with Config.remaster_delay = d; remaster_cooldown = 10.0 *. d }
-    | None -> Config.default
-  in
+  let cfg = Terms.with_remaster_delay remaster_delay Config.default in
   let params =
     { (Ycsb.default_params ~partitions:(Config.total_partitions cfg) ~nodes:cfg.Config.nodes)
       with Ycsb.skew_factor = skew; cross_ratio = cross } in
@@ -73,4 +61,20 @@ let () =
     last_commits := c; last_rem := r; last_adds := a; last_aborts := ab;
     Array.iter Server.reset_counters cl.Cluster.workers
   done;
-  Printf.printf "wall=%.1fs\n" (Unix.gettimeofday () -. t_wall)
+  Printf.printf "wall=%.1fs\n" (Unix.gettimeofday () -. t_wall);
+  0
+
+let cmd =
+  let open Arg in
+  let variant =
+    value
+    & pos 0 (Terms.protocol_id ~also:(List.map fst ablations)) "lion-rw"
+    & info [] ~docv:"VARIANT"
+        ~doc:"Protocol id or Table II ablation (lion-s, lion-r, lion-rw, lion-rb)."
+  in
+  let skew = value & pos 1 float 0.8 & info [] ~docv:"SKEW" ~doc:"Skew factor (0..1)." in
+  let cross = value & pos 2 float 0.5 & info [] ~docv:"CROSS" ~doc:"Cross-partition ratio." in
+  let secs = value & pos 3 int 8 & info [] ~docv:"SECS" ~doc:"Simulated seconds." in
+  Cmd.v
+    (Cmd.info "run" ~doc:"Print one protocol's per-second commits, remasters and load")
+    Term.(const run $ variant $ skew $ cross $ secs $ Terms.remaster_delay None)

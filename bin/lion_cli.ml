@@ -1,9 +1,7 @@
-(* Command-line interface to the Lion reproduction.
-
-   Subcommands:
-     run        run one protocol on one workload, print a summary
-     experiment run a named paper experiment (fig6, fig7, ...)
-     list       list protocols and experiments *)
+(* The lion command-line interface: one executable, one subcommand per
+   tool. [run], [compare] and [list] live here; every other subcommand
+   is a [<name>_cmd.ml] beside this file, and the flags several of them
+   share are defined once in [Terms]. *)
 
 open Cmdliner
 module Config = Lion_store.Config
@@ -11,12 +9,6 @@ module Runner = Lion_harness.Runner
 module Workloads = Lion_harness.Workloads
 module Table = Lion_kernel.Table
 module Protocols = Lion_harness.Protocols
-
-let protocol_conv =
-  let parse s =
-    match Protocols.find s with Some p -> Ok p | None -> Error (`Msg (Protocols.unknown s))
-  in
-  Arg.conv (parse, fun ppf (p : Protocols.entry) -> Format.pp_print_string ppf p.id)
 
 (* A fresh generator for [workload]; called once per protocol run so
    every protocol sees the same transaction stream. *)
@@ -28,13 +20,7 @@ let workload_gen workload ~seed ~skew ~cross cfg =
 
 let run_protocol (p : Protocols.entry) workload ~nodes ~skew ~cross ~warmup ~duration
     ~remaster_delay ~seed =
-  let cfg =
-    {
-      (Config.with_nodes Config.default nodes) with
-      Config.remaster_delay;
-      remaster_cooldown = 10.0 *. remaster_delay;
-    }
-  in
+  let cfg = Terms.with_remaster_delay remaster_delay (Config.with_nodes Config.default nodes) in
   Runner.run ~seed ~batch:p.batch ~cfg ~make:p.make
     ~gen:(workload_gen workload ~seed ~skew ~cross cfg)
     { Runner.quick with Runner.warmup; duration }
@@ -47,20 +33,15 @@ let with_run_options ~duration f =
     value & opt (enum workloads) "ycsb" & info [ "w"; "workload" ] ~doc:"ycsb | tpcc | dynamic."
   in
   let nodes = value & opt int 4 & info [ "n"; "nodes" ] ~doc:"Executor node count." in
-  let skew = value & opt float 0.0 & info [ "skew" ] ~doc:"Skew factor (0..1)." in
-  let cross =
-    value & opt float 0.5 & info [ "cross" ] ~doc:"Cross-partition transaction ratio."
-  in
   let duration =
     value & opt float duration & info [ "duration" ] ~doc:"Measured simulated seconds."
   in
   let warmup = value & opt float 4.0 & info [ "warmup" ] ~doc:"Warm-up seconds." in
-  let remaster =
-    value & opt float 300.0 & info [ "remaster-delay" ] ~doc:"Remaster delay in us."
-  in
-  let seed = value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed." in
   let csv = value & opt (some string) None & info [ "csv" ] ~doc:"Write a summary CSV." in
-  Term.(f $ workload $ nodes $ skew $ cross $ duration $ warmup $ remaster $ seed $ csv)
+  Term.(
+    f $ workload $ nodes $ Terms.skew 0.0 $ Terms.cross 0.5 $ duration $ warmup
+    $ Terms.remaster_delay (Some 300.0)
+    $ Terms.seed () $ csv)
 
 let write_summary csv results =
   Option.iter
@@ -101,33 +82,12 @@ let run_cmd =
   let protocol =
     Arg.(
       value
-      & opt protocol_conv (Protocols.get "lion")
+      & opt Terms.protocol_conv (Protocols.get "lion")
       & info [ "p"; "protocol" ] ~doc:"Protocol to run.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one protocol on one workload")
     (with_run_options ~duration:6.0 Term.(const do_run $ protocol))
-
-(* --- experiment --- *)
-
-let do_experiment (name, desc, f) scale =
-  Printf.printf ">>> %s - %s\n%!" name desc;
-  f scale;
-  0
-
-let experiment_cmd =
-  let exp_name =
-    let experiments =
-      List.map (fun ((id, _, _) as e) -> (id, e)) Lion_harness.Experiments.registry
-    in
-    Arg.(required & pos 0 (some (enum experiments)) None & info [] ~docv:"ID")
-  in
-  let scale =
-    Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Duration scale factor.")
-  in
-  Cmd.v
-    (Cmd.info "experiment" ~doc:"Run a named paper experiment (fig6 .. fig14, table1)")
-    Term.(const do_experiment $ exp_name $ scale)
 
 (* --- compare --- *)
 
@@ -165,7 +125,9 @@ let do_compare protocols workload nodes skew cross duration warmup remaster_dela
 let compare_cmd =
   let names =
     Arg.(
-      value & pos_all protocol_conv [] & info [] ~docv:"PROTOCOL" ~doc:"Protocols (default: all).")
+      value
+      & pos_all Terms.protocol_conv []
+      & info [] ~docv:"PROTOCOL" ~doc:"Protocols (default: all).")
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Run several protocols on one workload, side by side")
@@ -203,4 +165,15 @@ let setup_logging () =
 let () =
   setup_logging ();
   let doc = "Lion: adaptive replica provision on a simulated cluster" in
-  exit (Cmd.eval' (Cmd.group (Cmd.info "lion" ~doc) [ run_cmd; compare_cmd; experiment_cmd; list_cmd ]))
+  let debug =
+    Cmd.group
+      (Cmd.info "debug" ~doc:"Developer views of one run")
+      [ Debug_run_cmd.cmd; Debug_planner_cmd.cmd; Debug_chaos_cmd.cmd ]
+  in
+  exit
+    (Cmd.eval'
+       (Cmd.group (Cmd.info "lion" ~doc)
+          [
+            run_cmd; compare_cmd; Experiment_cmd.cmd; list_cmd; Audit_cmd.cmd; Fuzz_cmd.cmd;
+            Trace_cmd.cmd; Overload_cmd.cmd; Geo_cmd.cmd; Elastic_cmd.cmd; Perf_cmd.cmd; debug;
+          ]))

@@ -73,7 +73,7 @@ type result = {
 }
 
 (** What the fuzzer drives: a protocol registry and a workload
-    factory. Both live with the caller ([bin/fuzz_run], tests) so this
+    factory. Both live with the caller ([lion fuzz], tests) so this
     library needs no dependency on the experiment harness. *)
 type target = {
   protos : (string * (Lion_store.Cluster.t -> Lion_protocols.Proto.t)) list;

@@ -983,10 +983,3 @@ let registry =
         Geo.print_sweep ~regions:2 (Geo.sweep ~scale:s ());
         Geo.print_partition ~scale:s (Geo.wan_partition ~scale:s ()) );
   ]
-
-let run_all ?(scale = 1.0) () =
-  List.iter
-    (fun (id, desc, f) ->
-      Printf.printf ">>> %s — %s\n%!" id desc;
-      f scale)
-    registry

@@ -5,8 +5,7 @@
     observations the paper reports. [scale] multiplies all simulated
     durations (default 1.0; use < 1 for smoke runs).
 
-    The registry maps experiment ids to runners for the CLI and the
-    benchmark executable. *)
+    The registry maps experiment ids to runners for [lion experiment]. *)
 
 val table1_comparison : unit -> unit
 (** Table I: qualitative design-dimension comparison (printed as-is). *)
@@ -91,5 +90,3 @@ val elastic_scale : ?scale:float -> unit -> unit
 
 val registry : (string * string * (float -> unit)) list
 (** (id, description, run-with-scale) for every experiment above. *)
-
-val run_all : ?scale:float -> unit -> unit

@@ -1,6 +1,6 @@
 (** Overload and graceful-degradation experiments (docs/OVERLOAD.md).
 
-    Three building blocks, shared by the [overload_sweep] CLI, the
+    Three building blocks, shared by [lion overload], the
     experiment registry and the tests:
     - a closed-loop {e capacity probe} per protocol;
     - an open-loop {e offered-load sweep} through and past saturation

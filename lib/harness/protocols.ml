@@ -47,10 +47,3 @@ let lineup ?config ids =
 
 let unknown ?(also = []) id =
   Printf.sprintf "unknown protocol %S (known: %s)" id (String.concat ", " (ids @ also))
-
-let resolve ?also id =
-  match find id with
-  | Some p -> p
-  | None ->
-      prerr_endline (unknown ?also id);
-      exit 2

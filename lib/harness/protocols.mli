@@ -29,6 +29,3 @@ val lineup :
 
 val unknown : ?also:string list -> string -> string
 (** The message for an unknown id: lists [ids], then a tool's [also]. *)
-
-val resolve : ?also:string list -> string -> entry
-(** [find], or print [unknown] on stderr and exit 2. *)

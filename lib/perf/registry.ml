@@ -1,4 +1,4 @@
-(* The named perf scenarios behind [bin/perf_run.exe] / `make perf`.
+(* The named perf scenarios behind [lion perf] / `make perf`.
 
    Three layers, mirroring where the simulator spends its time:
 
