@@ -76,7 +76,7 @@ let create_with_planner ?name ?(seed = 31) ?(config = Planner.default_config) cl
        (double work), they do not re-queue. *)
     let window = 4 * Config.total_workers cfg in
     let ok =
-      Batch.conflict_verdicts ~window ~granule:(fun k -> (k.part, k.slot)) txns
+      Batch.conflict_verdicts ~window ~granule:(fun k -> (k :> int)) txns
     in
     let verdicts =
       Array.mapi

@@ -46,8 +46,13 @@ let gen ?(seed = 7) ?(cross = 0.0) cfg =
         Rng.choose rng by.((home + 1 + Rng.int rng (nreg - 1)) mod nreg)
       else Rng.choose rng by.(home)
     in
-    Txn.make ~id:!next_id
-      [ Txn.Read (key p1); Txn.Write (key p1); Txn.Read (key p2); Txn.Write (key p2) ]
+    (* Slots are drawn from the last operation to the first; the order
+       is part of the seeded stream. *)
+    let w2 = key p2 in
+    let r2 = key p2 in
+    let w1 = key p1 in
+    let r1 = key p1 in
+    Txn.make ~id:!next_id [| Txn.read r1; Txn.write w1; Txn.read r2; Txn.write w2 |]
 
 (* The crossover's four protocols; Lion runs without prediction. *)
 let lineup =

@@ -13,7 +13,8 @@
      ([ycsb_2pc], [ycsb_star], [ycsb_lion]), where simulated txns/sec
      is the headline number, plus [ycsb_lion_standard], Lion's
      standard-mode serving path (router, planner observe, store) on
-     skewed YCSB.
+     skewed YCSB, and [tpcc_lion_batch], Lion's batch epoch path on
+     skewed TPC-C.
 
    Scenario shapes are part of the BENCH_*.json contract: changing a
    shape (chain count, op size, cell scale) invalidates comparison
@@ -213,6 +214,22 @@ let ycsb_lion_standard () =
   in
   (r.Runner.engine_events, r.Runner.commits)
 
+(* Lion batch mode on skewed, half-cross TPC-C NewOrder: a whole epoch
+   of transactions stays alive until the epoch ends, and each epoch runs
+   the analytic path and the batch conflict pass instead of engine and
+   network work — the path [lionbench]'s [tpcc-lion-batch] cell
+   measures. Same 0.3 + 0.7 s shape as the cells above. *)
+let tpcc_lion_batch () =
+  let cfg = Config.default in
+  let rc = { Runner.quick with warmup = 0.3; duration = 0.7 } in
+  let r =
+    Runner.run ~batch:true ~cfg
+      ~make:(fun cl -> Lion_core.Batch_mode.create ~name:"Lion" cl)
+      ~gen:(Workloads.tpcc ~skew:0.8 ~cross:0.5 cfg)
+      rc
+  in
+  (r.Runner.engine_events, r.Runner.commits)
+
 (* ------------------------------------------------------------------ *)
 
 let all : Scenario.spec list =
@@ -277,6 +294,11 @@ let all : Scenario.spec list =
       name = "ycsb_lion_standard";
       descr = "small skewed-YCSB cell, Lion standard mode (router + default planner)";
       run = ycsb_lion_standard;
+    };
+    {
+      name = "tpcc_lion_batch";
+      descr = "small skewed TPC-C NewOrder cell, Lion batch mode (default planner)";
+      run = tpcc_lion_batch;
     };
   ]
 

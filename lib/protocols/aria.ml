@@ -13,7 +13,7 @@ let create cl =
     let window = 4 * Lion_store.Config.total_workers cfg in
     let ok =
       Batch.conflict_verdicts ~include_raw:true ~window
-        ~granule:(fun k -> (k.part, k.slot))
+        ~granule:(fun k -> (k :> int))
         txns
     in
     let verdicts =

@@ -18,33 +18,83 @@ type epoch_result = {
   phase_split : (Metrics.phase * float) list;
 }
 
+(* The granules reserved in the current window of a conflict pass, by
+   linear probing over one flat array of (granule, stamp) cell pairs. A
+   cell belongs to the window only while it carries the current stamp,
+   so starting a window is one increment instead of a clear, and a
+   reservation allocates nothing. Nothing is removed within a window,
+   so a probe may stop at the first cell of an older stamp. *)
+module Granule_set = struct
+  type t = { mutable cells : int array; mutable shift : int; mutable count : int; mutable stamp : int }
+
+  (* Fibonacci hashing, as in [Kvstore]'s table. *)
+  let multiplier = 0x1E3779B97F4A7C15
+  let log2_capacity = 10
+
+  let create () =
+    { cells = Array.make (2 lsl log2_capacity) 0; shift = 63 - log2_capacity; count = 0; stamp = 1 }
+
+  let next_window t =
+    t.stamp <- t.stamp + 1;
+    t.count <- 0
+
+  (* Cell index of [g], or of the first stale cell of its probe run. *)
+  let rec probe cells mask stamp g i =
+    if Array.unsafe_get cells ((2 * i) + 1) <> stamp || Array.unsafe_get cells (2 * i) = g then i
+    else probe cells mask stamp g ((i + 1) land mask)
+
+  let[@inline] find t g =
+    probe t.cells ((Array.length t.cells lsr 1) - 1) t.stamp g ((g * multiplier) lsr t.shift)
+
+  let mem t g = Array.unsafe_get t.cells ((2 * find t g) + 1) = t.stamp
+
+  let rec add t g =
+    let i = find t g in
+    if Array.unsafe_get t.cells ((2 * i) + 1) <> t.stamp then
+      if 4 * (t.count + 1) > 3 * (Array.length t.cells lsr 1) then (
+        grow t;
+        add t g)
+      else (
+        Array.unsafe_set t.cells (2 * i) g;
+        Array.unsafe_set t.cells ((2 * i) + 1) t.stamp;
+        t.count <- t.count + 1)
+
+  and grow t =
+    let old = t.cells in
+    t.cells <- Array.make (2 * Array.length old) 0;
+    t.shift <- t.shift - 1;
+    t.count <- 0;
+    for i = 0 to (Array.length old / 2) - 1 do
+      if old.((2 * i) + 1) = t.stamp then add t old.(2 * i)
+    done
+end
+
 let conflict_verdicts ?(include_raw = false) ?window ?footprint ~granule txns =
-  let window = match window with Some w -> Stdlib.max 1 w | None -> Array.length txns in
-  let footprint =
-    match footprint with
-    | Some f -> f
-    | None -> fun txn -> (Txn.write_keys txn, Txn.read_keys txn)
-  in
-  let reserved = Hashtbl.create 1024 in
-  let ok = Array.make (Array.length txns) true in
-  Array.iteri
-    (fun i txn ->
-      if i mod window = 0 then Hashtbl.reset reserved;
-      let write_keys, read_keys = footprint txn in
-      let writes = List.map granule write_keys in
-      let reads = List.map granule read_keys in
-      let conflict g =
-        match Hashtbl.find_opt reserved g with Some j -> j < i | None -> false
-      in
-      let doomed =
-        List.exists conflict writes || (include_raw && List.exists conflict reads)
-      in
-      if doomed then ok.(i) <- false
-      else
-        List.iter
-          (fun g -> if not (Hashtbl.mem reserved g) then Hashtbl.add reserved g i)
-          writes)
-    txns;
+  let n = Array.length txns in
+  let window = match window with Some w -> Stdlib.max 1 w | None -> n in
+  let reserved = Granule_set.create () in
+  let ok = Array.make n true in
+  for i = 0 to n - 1 do
+    if i mod window = 0 then Granule_set.next_window reserved;
+    let txn = txns.(i) in
+    let ops = txn.Txn.ops in
+    let counts = match footprint with None -> fun _ -> true | Some f -> f txn in
+    let doomed = ref false and j = ref 0 in
+    while (not !doomed) && !j < Array.length ops do
+      let op = ops.(!j) in
+      (if include_raw || Txn.is_write op then
+         let k = Txn.key_of op in
+         doomed := counts k && Granule_set.mem reserved (granule k));
+      incr j
+    done;
+    if !doomed then ok.(i) <- false
+    else
+      Array.iter
+        (fun op ->
+          let k = Txn.key_of op in
+          if Txn.is_write op && counts k then Granule_set.add reserved (granule k))
+        ops
+  done;
   ok
 
 type request = {
@@ -107,10 +157,11 @@ let record_history st ~now req (v : verdict) =
   | Some h ->
       let shadow = History.shadow h in
       let reads =
-        List.map (fun op ->
+        Array.fold_right
+          (fun op acc ->
             let k = Txn.key_of op in
-            (k, Kvstore.version shadow k))
-          req.txn.Txn.ops
+            (k, Kvstore.version shadow k) :: acc)
+          req.txn.Txn.ops []
       in
       let writes =
         if v.committed then (

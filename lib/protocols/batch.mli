@@ -32,10 +32,8 @@ type epoch_result = {
 val conflict_verdicts :
   ?include_raw:bool ->
   ?window:int ->
-  ?footprint:
-    (Lion_workload.Txn.t ->
-    Lion_store.Kvstore.key list * Lion_store.Kvstore.key list) ->
-  granule:(Lion_store.Kvstore.key -> int * int) ->
+  ?footprint:(Lion_workload.Txn.t -> Lion_store.Kvstore.key -> bool) ->
+  granule:(Lion_store.Kvstore.key -> int) ->
   Lion_workload.Txn.t array ->
   bool array
 (** First-reserver-wins conflict analysis within a batch: transaction i
@@ -43,7 +41,7 @@ val conflict_verdicts :
     write-reserved by an earlier transaction, or — when [include_raw]
     (Aria's read-after-write rule) — reads one. [granule] maps keys to
     the conflict unit (identity for key-level OCC, coarser for Lotus'
-    granule locks).
+    granule locks). Reserving allocates nothing per key.
 
     [window] (default: the whole batch) bounds the concurrency scope:
     reservations reset every [window] transactions, modelling that a
@@ -52,10 +50,10 @@ val conflict_verdicts :
     waves read the earlier waves' committed versions. Epoch-long lock
     holders (Lotus) keep the default.
 
-    [footprint] overrides which keys participate (default: the
-    transaction's write and read sets) — Lotus passes only the keys on
-    remote partitions, since home-partition operations serialize on the
-    partition's executor and never abort. *)
+    [footprint txn] selects which of [txn]'s keys participate (default:
+    all of them) — Lotus selects only the keys on remote partitions,
+    since home-partition operations serialize on the partition's
+    executor and never abort. *)
 
 val create :
   Lion_store.Cluster.t ->

@@ -7,12 +7,13 @@ module Txn = Lion_workload.Txn
 
 let ops_work cfg (txn : Txn.t) =
   cfg.Config.txn_setup_cost
-  +. (float_of_int (List.length txn.Txn.ops) *. cfg.Config.local_op_cost)
+  +. (float_of_int (Array.length txn.Txn.ops) *. cfg.Config.local_op_cost)
 
 let part_ops_work cfg (txn : Txn.t) ~part =
   let n =
-    List.length
-      (List.filter (fun op -> (Txn.key_of op).Kvstore.part = part) txn.Txn.ops)
+    Array.fold_left
+      (fun n op -> if Kvstore.part (Txn.key_of op) = part then n + 1 else n)
+      0 txn.Txn.ops
   in
   float_of_int n *. cfg.Config.local_op_cost
 

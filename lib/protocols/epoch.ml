@@ -272,7 +272,7 @@ and execute t ~txn ~start ~attempt ~octx ~on_parked =
   in
   Cluster.acquire_worker cl ~node:coordinator ~on_fail:requeue (fun lease ->
       let session = Kvstore.begin_session cl.Cluster.store in
-      let n_ops = List.length txn.Txn.ops in
+      let n_ops = Array.length txn.Txn.ops in
       let work =
         (cfg.Config.txn_setup_cost
         +. (float_of_int n_ops *. cfg.Config.local_op_cost))
@@ -285,11 +285,7 @@ and execute t ~txn ~start ~attempt ~octx ~on_parked =
             requeue ())
           else (
             List.iter (Cluster.touch_partition cl) txn.Txn.parts;
-            List.iter
-              (function
-                | Txn.Read k -> Kvstore.read session k
-                | Txn.Write k -> Kvstore.write session k)
-              txn.Txn.ops;
+            Array.iter (Exec.record_op session) txn.Txn.ops;
             Cluster.release_worker cl ~node:coordinator lease;
             Trace.finish ~ts:(Engine.now engine) actx;
             t.parked <-

@@ -34,9 +34,9 @@ let unified_flavor = { plain_2pc with unified_commit = true }
 let groups_of (txn : Txn.t) =
   let order = ref [] in
   let tbl = Hashtbl.create 8 in
-  List.iter
+  Array.iter
     (fun op ->
-      let part = (Txn.key_of op).Kvstore.part in
+      let part = Kvstore.part (Txn.key_of op) in
       (match Hashtbl.find_opt tbl part with
       | Some ops -> Hashtbl.replace tbl part (op :: ops)
       | None ->
@@ -75,12 +75,11 @@ type result = {
   phases : (Metrics.phase * float) list;
 }
 
-let record_ops session ops =
-  List.iter
-    (function
-      | Txn.Read k -> Kvstore.read session k
-      | Txn.Write k -> Kvstore.write session k)
-    ops
+let record_op session op =
+  if Txn.is_write op then Kvstore.write session (Txn.key_of op)
+  else Kvstore.read session (Txn.key_of op)
+
+let record_ops session ops = List.iter (record_op session) ops
 
 (* Leap-style aggressive mastership pull: ownership (and the accessed
    tuples) move to the coordinator before the operation executes. *)

@@ -42,6 +42,10 @@ val groups_of : Lion_workload.Txn.t -> (int * Lion_workload.Txn.op list) list
 (** Operations grouped by partition, first-appearance order of
     partitions, op order preserved within a group. *)
 
+val record_op : Lion_store.Kvstore.session -> Lion_workload.Txn.op -> unit
+(** Record one operation in an OCC session: [Kvstore.write] for a
+    write, [Kvstore.read] for a read. *)
+
 val route_most_primaries : Lion_store.Cluster.t -> Lion_workload.Txn.t -> int
 (** The node holding the most of the transaction's primary partitions
     (lowest id on ties) — the standard router. *)

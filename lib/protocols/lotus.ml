@@ -1,4 +1,6 @@
 module Cluster = Lion_store.Cluster
+module Kvstore = Lion_store.Kvstore
+module Placement = Lion_store.Placement
 module Metrics = Lion_sim.Metrics
 module Txn = Lion_workload.Txn
 
@@ -18,16 +20,13 @@ let create ?(granule_size = 16) cl =
     in
     let remote_footprint txn =
       let home = Batch_util.home_node cl txn in
-      let remote k =
-        Lion_store.Placement.primary cl.Cluster.placement k.Lion_store.Kvstore.part
-        <> home
-      in
-      (List.filter remote (Txn.write_keys txn), List.filter remote (Txn.read_keys txn))
+      fun k -> Placement.primary cl.Cluster.placement (Kvstore.part k) <> home
+    in
+    let granule k =
+      (Kvstore.key ~part:(Kvstore.part k) ~slot:(Kvstore.slot k / granule_size) :> int)
     in
     let cross_ok =
-      Batch.conflict_verdicts ~footprint:remote_footprint
-        ~granule:(fun k -> (k.part, k.slot / granule_size))
-        cross_txns
+      Batch.conflict_verdicts ~footprint:remote_footprint ~granule cross_txns
     in
     let cross_verdict = Hashtbl.create 64 in
     Array.iteri

@@ -14,7 +14,7 @@ let create cl =
     (* OCC conflicts among concurrently-executing transactions restart
        within the epoch: the loser pays a second execution. *)
     let window = 4 * Config.total_workers cfg in
-    let ok = Batch.conflict_verdicts ~window ~granule:(fun k -> (k.part, k.slot)) txns in
+    let ok = Batch.conflict_verdicts ~window ~granule:(fun k -> (k :> int)) txns in
     let any_cross = ref false in
     let verdicts =
       Array.mapi
@@ -31,7 +31,7 @@ let create cl =
           if cross then
             Network.charge cl.Cluster.network
               ~bytes:
-                (List.length (Txn.write_keys txn)
+                (Txn.write_count txn
                 * cfg.Config.record_bytes * (nodes - 1))
           else Batch_util.charge_replication cl txn;
           { Batch.committed = true; single_node = true; remastered = cross })

@@ -1,23 +1,30 @@
-type key = { part : int; slot : int }
-
-let key ~part ~slot = { part; slot }
-
-let key_compare a b =
-  let c = compare a.part b.part in
-  if c <> 0 then c else compare a.slot b.slot
-
-let pp_key fmt k = Format.fprintf fmt "P%d/%d" k.part k.slot
-
 (* Keys are packed into one non-negative immediate: the partition in
-   bits 32..61, the slot in bits 0..31. A key outside that range would
-   alias another key, so it is refused; [lsr] maps a negative field to
-   a large one, so one test per field covers both ends. *)
-let slot_bits = 32
+   bits 32..61, the slot in bits 0..31, so [Int.compare] orders keys by
+   (partition, slot). A key outside that range would alias another key,
+   so [key] turns it into [unpackable], which every store operation
+   refuses; [lsr] maps a negative field to a large one, so one test per
+   field covers both ends. *)
+type key = int
 
-let pack k =
-  if k.part lsr 30 <> 0 || k.slot lsr slot_bits <> 0 then
-    invalid_arg (Format.asprintf "Kvstore: key %a outside the packable range" pp_key k);
-  (k.part lsl slot_bits) lor k.slot
+let slot_bits = 32
+let slot_mask = (1 lsl slot_bits) - 1
+let unpackable = -1
+
+let key ~part ~slot =
+  if part lsr 30 <> 0 || slot lsr slot_bits <> 0 then unpackable
+  else (part lsl slot_bits) lor slot
+
+let key_of_int k = k
+let[@inline] part k = k lsr slot_bits
+let[@inline] slot k = k land slot_mask
+let key_compare = Int.compare
+
+let pp_key fmt k =
+  if k < 0 then Format.pp_print_string fmt "unpackable"
+  else Format.fprintf fmt "P%d/%d" (part k) (slot k)
+
+let[@inline] check k =
+  if k < 0 then invalid_arg "Kvstore: key outside the packable range"
 
 (* An open-addressing map from packed keys to non-negative ints, by
    linear probing over one flat array: [cells.(2i)] holds a key or
@@ -106,8 +113,14 @@ let create () =
     next_session = 0;
   }
 
-let version_packed t pk = Itbl.find t.versions pk ~default:0
-let version t k = version_packed t (pack k)
+(* [stored_version] skips the range check: its callers hold keys a
+   session already checked. *)
+let stored_version t k = Itbl.find t.versions k ~default:0
+
+let version t k =
+  check k;
+  stored_version t k
+
 let touched_keys t = Itbl.length t.versions
 
 type session = {
@@ -132,38 +145,34 @@ let read_set s = List.rev_map fst s.reads
 let observed_reads s = List.rev s.reads
 let write_set s = List.rev s.writes
 
-let validate s = List.for_all (fun (k, v) -> version s.store k = v) s.reads
+let validate s = List.for_all (fun (k, v) -> stored_version s.store k = v) s.reads
 
 let no_session = -1
 
 let rec reservable store sid = function
   | [] -> true
   | (k, v) :: rest ->
-      let pk = pack k in
-      version_packed store pk = v
-      && (let holder = Itbl.find store.pending pk ~default:no_session in
+      stored_version store k = v
+      && (let holder = Itbl.find store.pending k ~default:no_session in
           holder = no_session || holder = sid)
       && reservable store sid rest
 
 let try_reserve s =
   if reservable s.store s.sid s.reads then (
-    List.iter (fun k -> Itbl.replace s.store.pending (pack k) s.sid) s.writes;
+    List.iter (fun k -> Itbl.replace s.store.pending k s.sid) s.writes;
     true)
   else false
 
 let release_reservation s =
   List.iter
     (fun k ->
-      let pk = pack k in
-      if Itbl.find s.store.pending pk ~default:no_session = s.sid then
-        Itbl.remove s.store.pending pk)
+      if Itbl.find s.store.pending k ~default:no_session = s.sid then
+        Itbl.remove s.store.pending k)
     s.writes
 
 let install s =
   List.iter
-    (fun k ->
-      let pk = pack k in
-      Itbl.replace s.store.versions pk (version_packed s.store pk + 1))
+    (fun k -> Itbl.replace s.store.versions k (stored_version s.store k + 1))
     s.writes
 
 let finalize s =

@@ -15,13 +15,26 @@
     time order, reading the table at simulated read time and validating
     at simulated commit time is exactly serializable-history OCC. *)
 
-type key = { part : int; slot : int }
-(** Every operation below packs the key into one integer and raises
-    [Invalid_argument] for a key it cannot represent: a partition
-    outside [0, 2{^30}) or a slot outside [0, 2{^32}). *)
+type key = private int
+(** A (partition, slot) pair packed into one immediate: the partition
+    in bits 32..61, the slot in bits 0..31. *)
 
 val key : part:int -> slot:int -> key
+(** A partition outside [0, 2{^30}) or a slot outside [0, 2{^32})
+    cannot be packed without aliasing another key; [key] returns an
+    unpackable key for it, on which every store operation below raises
+    [Invalid_argument]. *)
+
+val key_of_int : int -> key
+(** The inverse of [(k :> int)]: every non-negative int packs some
+    key; a negative one is unpackable. *)
+
+val part : key -> int
+val slot : key -> int
+
 val key_compare : key -> key -> int
+(** [Int.compare]: the (partition, slot) order. *)
+
 val pp_key : Format.formatter -> key -> unit
 
 type t

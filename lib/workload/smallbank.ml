@@ -62,35 +62,27 @@ let savings (part, a) = Kvstore.key ~part ~slot:(Layout.savings_slot a)
 
 let balance t acct =
   ignore t;
-  [ Txn.Read (checking acct); Txn.Read (savings acct) ]
+  [| Txn.read (checking acct); Txn.read (savings acct) |]
 
 let deposit_checking t acct =
   ignore t;
-  [ Txn.Write (checking acct) ]
+  [| Txn.write (checking acct) |]
 
 let transact_savings t acct =
   ignore t;
-  [ Txn.Read (savings acct); Txn.Write (savings acct) ]
+  [| Txn.read (savings acct); Txn.write (savings acct) |]
 
 let write_check t acct =
   ignore t;
-  [ Txn.Read (savings acct); Txn.Read (checking acct); Txn.Write (checking acct) ]
+  [| Txn.read (savings acct); Txn.read (checking acct); Txn.write (checking acct) |]
 
 let amalgamate t src dst =
   ignore t;
-  [
-    Txn.Write (checking src);
-    Txn.Write (savings src);
-    Txn.Write (checking dst);
-  ]
+  [| Txn.write (checking src); Txn.write (savings src); Txn.write (checking dst) |]
 
 let send_payment t src dst =
   ignore t;
-  [
-    Txn.Read (checking src);
-    Txn.Write (checking src);
-    Txn.Write (checking dst);
-  ]
+  [| Txn.read (checking src); Txn.write (checking src); Txn.write (checking dst) |]
 
 let next t =
   let home = home_partition t in

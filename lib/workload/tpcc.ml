@@ -72,6 +72,8 @@ let remote_warehouse t home =
    shape since stock conflicts come from warehouse skew, not item skew. *)
 let pick_item t = Rng.int t.rng items
 
+(* Each transaction below fills its operation array in the order it
+   draws from the generator's RNG, so the stream is fixed by the seed. *)
 let new_order t =
   let p = t.p in
   let w = home_warehouse t in
@@ -81,21 +83,16 @@ let new_order t =
   let cross = p.cross_ratio > 0.0 && Rng.bernoulli t.rng p.cross_ratio in
   let order = t.next_order in
   t.next_order <- order + 1;
-  let header =
-    [
-      Txn.Read (Kvstore.key ~part:w ~slot:Layout.warehouse_slot);
-      Txn.Write (Kvstore.key ~part:w ~slot:(Layout.district_slot d));
-      Txn.Read (Kvstore.key ~part:w ~slot:(Layout.customer_slot c));
-      Txn.Write (Kvstore.key ~part:w ~slot:(Layout.order_slot order));
-    ]
-  in
+  let ops = Array.make (4 + ol_cnt) (Txn.read (Kvstore.key ~part:w ~slot:Layout.warehouse_slot)) in
+  ops.(1) <- Txn.write (Kvstore.key ~part:w ~slot:(Layout.district_slot d));
+  ops.(2) <- Txn.read (Kvstore.key ~part:w ~slot:(Layout.customer_slot c));
+  ops.(3) <- Txn.write (Kvstore.key ~part:w ~slot:(Layout.order_slot order));
   let remote_line = if cross then Rng.int t.rng ol_cnt else -1 in
-  let lines =
-    List.init ol_cnt (fun i ->
-        let supply = if i = remote_line then remote_warehouse t w else w in
-        Txn.Write (Kvstore.key ~part:supply ~slot:(Layout.stock_slot (pick_item t))))
-  in
-  header @ lines
+  for i = 0 to ol_cnt - 1 do
+    let supply = if i = remote_line then remote_warehouse t w else w in
+    ops.(4 + i) <- Txn.write (Kvstore.key ~part:supply ~slot:(Layout.stock_slot (pick_item t)))
+  done;
+  ops
 
 let payment t =
   let w = home_warehouse t in
@@ -103,41 +100,44 @@ let payment t =
   let remote_cust = Rng.bernoulli t.rng 0.15 in
   let cw = if remote_cust then remote_warehouse t w else w in
   let c = Rng.int t.rng customers_per_warehouse in
-  [
-    Txn.Write (Kvstore.key ~part:w ~slot:Layout.warehouse_slot);
-    Txn.Write (Kvstore.key ~part:w ~slot:(Layout.district_slot d));
-    Txn.Write (Kvstore.key ~part:cw ~slot:(Layout.customer_slot c));
-  ]
+  [|
+    Txn.write (Kvstore.key ~part:w ~slot:Layout.warehouse_slot);
+    Txn.write (Kvstore.key ~part:w ~slot:(Layout.district_slot d));
+    Txn.write (Kvstore.key ~part:cw ~slot:(Layout.customer_slot c));
+  |]
 
 (* OrderStatus: read-only lookup of a customer's latest order. *)
 let order_status t =
   let w = home_warehouse t in
   let c = Rng.int t.rng customers_per_warehouse in
   let recent = if t.next_order = 0 then 0 else Rng.int t.rng (max 1 t.next_order) in
-  [
-    Txn.Read (Kvstore.key ~part:w ~slot:(Layout.customer_slot c));
-    Txn.Read (Kvstore.key ~part:w ~slot:(Layout.order_slot recent));
-  ]
+  [|
+    Txn.read (Kvstore.key ~part:w ~slot:(Layout.customer_slot c));
+    Txn.read (Kvstore.key ~part:w ~slot:(Layout.order_slot recent));
+  |]
 
 (* Delivery: drain each district's oldest NEW-ORDER, updating order and
    customer rows — a 10-district write burst within one warehouse. *)
 let delivery t =
   let w = home_warehouse t in
-  List.concat
-    (List.init districts (fun d ->
-         let c = Rng.int t.rng customers_per_warehouse in
-         [
-           Txn.Write (Kvstore.key ~part:w ~slot:(Layout.new_order_queue_slot d));
-           Txn.Write (Kvstore.key ~part:w ~slot:(Layout.customer_slot c));
-         ]))
+  let queue d = Txn.write (Kvstore.key ~part:w ~slot:(Layout.new_order_queue_slot d)) in
+  let ops = Array.make (2 * districts) (queue 0) in
+  for d = 0 to districts - 1 do
+    let c = Rng.int t.rng customers_per_warehouse in
+    ops.(2 * d) <- queue d;
+    ops.((2 * d) + 1) <- Txn.write (Kvstore.key ~part:w ~slot:(Layout.customer_slot c))
+  done;
+  ops
 
 (* StockLevel: read-only scan of recently-sold items' stock rows. *)
 let stock_level t =
   let w = home_warehouse t in
   let d = Rng.int t.rng districts in
-  Txn.Read (Kvstore.key ~part:w ~slot:(Layout.district_slot d))
-  :: List.init 20 (fun _ ->
-         Txn.Read (Kvstore.key ~part:w ~slot:(Layout.stock_slot (pick_item t))))
+  let ops = Array.make 21 (Txn.read (Kvstore.key ~part:w ~slot:(Layout.district_slot d))) in
+  for i = 1 to 20 do
+    ops.(i) <- Txn.read (Kvstore.key ~part:w ~slot:(Layout.stock_slot (pick_item t)))
+  done;
+  ops
 
 let next t =
   let ops =

@@ -1,28 +1,49 @@
 module Kvstore = Lion_store.Kvstore
 
-type op = Read of Kvstore.key | Write of Kvstore.key
+type op = int
 
-type t = { id : int; ops : op list; parts : int list }
+let check k =
+  if (k : Kvstore.key :> int) < 0 then invalid_arg "Txn: unpackable key"
 
-let key_of = function Read k -> k | Write k -> k
-let is_write = function Write _ -> true | Read _ -> false
+let read k =
+  check k;
+  (k :> int)
+
+let write k =
+  check k;
+  lnot (k :> int)
+
+let[@inline] is_write op = op < 0
+
+(* [read] and [write] refuse unpackable keys and every other key is
+   non-negative, so a read and a write never share a representation. *)
+let[@inline] key_of op = Kvstore.key_of_int (if op < 0 then lnot op else op)
+
+type t = { id : int; ops : op array; parts : int list }
+
+(* Insert into an ascending list of distinct partitions; a transaction
+   touches few partitions, so this beats sorting. *)
+let rec insert_part p = function
+  | [] -> [ p ]
+  | q :: rest as l -> if p < q then p :: l else if p = q then l else q :: insert_part p rest
 
 let parts_of_ops ops =
-  List.sort_uniq compare (List.map (fun op -> (key_of op).Kvstore.part) ops)
+  Array.fold_left (fun acc op -> insert_part (Kvstore.part (key_of op)) acc) [] ops
 
 let make ~id ops = { id; ops; parts = parts_of_ops ops }
 let is_cross_partition t = match t.parts with [] | [ _ ] -> false | _ -> true
 
-let read_keys t =
-  List.filter_map (function Read k -> Some k | Write _ -> None) t.ops
+let keys_where pred t =
+  Array.fold_right (fun op acc -> if pred op then key_of op :: acc else acc) t.ops []
 
-let write_keys t =
-  List.filter_map (function Write k -> Some k | Read _ -> None) t.ops
+let read_keys = keys_where (fun op -> not (is_write op))
+let write_keys = keys_where is_write
+let write_count t = Array.fold_left (fun n op -> if is_write op then n + 1 else n) 0 t.ops
 
 let pp fmt t =
   Format.fprintf fmt "T%d{%a}" t.id
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f ",")
+    (Format.pp_print_seq ~pp_sep:(fun f () -> Format.pp_print_string f ",")
        (fun f op ->
          let tag = if is_write op then "W" else "R" in
          Format.fprintf f "%s(%a)" tag Kvstore.pp_key (key_of op)))
-    t.ops
+    (Array.to_seq t.ops)

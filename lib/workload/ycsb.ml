@@ -106,7 +106,7 @@ let raw_other t raw_home_part =
 let make_op t part =
   let slot = Zipf.sample t.key_dist t.rng in
   let k = Kvstore.key ~part ~slot in
-  if Rng.bernoulli t.rng t.p.write_ratio then Txn.Write k else Txn.Read k
+  if Rng.bernoulli t.rng t.p.write_ratio then Txn.write k else Txn.read k
 
 let next t =
   let p = t.p in
@@ -117,9 +117,9 @@ let next t =
     if cross then (
       let remote = rotate t (raw_other t raw) in
       let split = max 1 (p.ops_per_txn / 2) in
-      List.init p.ops_per_txn (fun i ->
+      Array.init p.ops_per_txn (fun i ->
           make_op t (if i < split then home else remote)))
-    else List.init p.ops_per_txn (fun _ -> make_op t home)
+    else Array.init p.ops_per_txn (fun _ -> make_op t home)
   in
   let id = t.next_id in
   t.next_id <- id + 1;

@@ -24,7 +24,7 @@ let small_cfg =
   }
 
 let key part slot = Kvstore.key ~part ~slot
-let txn ?(id = 0) ops = Txn.make ~id ops
+let txn ?(id = 0) ops = Txn.make ~id (Array.of_list ops)
 
 let no_predict =
   { Planner.default_config with Planner.predict = false; use_lstm = false }
@@ -36,7 +36,7 @@ let test_router_prefers_all_primaries () =
   let router = Router.create cl (Costmodel.make ~freq:(fun _ -> 0.0) ()) in
   (* Partitions 0 and 2 are both primary on node 0. *)
   Alcotest.(check int) "node with both primaries" 0
-    (Router.route router (txn [ Txn.Read (key 0 0); Txn.Read (key 2 0) ]))
+    (Router.route router (txn [ Txn.read (key 0 0); Txn.read (key 2 0) ]))
 
 let test_router_prefers_secondary_over_absent () =
   let cfg = { small_cfg with Config.nodes = 3; partitions_per_node = 1 } in
@@ -45,12 +45,12 @@ let test_router_prefers_secondary_over_absent () =
      secondary n2. Node 1 covers both; nodes 0 and 2 cover one each. *)
   let router = Router.create cl (Costmodel.make ~freq:(fun _ -> 0.0) ()) in
   Alcotest.(check int) "full-coverage node" 1
-    (Router.route router (txn [ Txn.Read (key 0 0); Txn.Read (key 1 0) ]))
+    (Router.route router (txn [ Txn.read (key 0 0); Txn.read (key 1 0) ]))
 
 let test_router_stable_for_same_parts () =
   let cl = Cluster.create ~seed:1 small_cfg in
   let router = Router.create cl (Costmodel.make ~freq:(fun _ -> 0.0) ()) in
-  let t = txn [ Txn.Read (key 0 0); Txn.Read (key 1 0) ] in
+  let t = txn [ Txn.read (key 0 0); Txn.read (key 1 0) ] in
   let first = Router.route router t in
   for _ = 1 to 10 do
     Alcotest.(check int) "same parts same node" first (Router.route router t)
@@ -59,7 +59,7 @@ let test_router_stable_for_same_parts () =
 let test_router_skips_dead_nodes () =
   let cl = Cluster.create ~seed:1 small_cfg in
   let router = Router.create cl (Costmodel.make ~freq:(fun _ -> 0.0) ()) in
-  let t = txn [ Txn.Read (key 0 0); Txn.Read (key 2 0) ] in
+  let t = txn [ Txn.read (key 0 0); Txn.read (key 2 0) ] in
   Alcotest.(check int) "prefers node 0" 0 (Router.route router t);
   Cluster.fail_node cl 0;
   Alcotest.(check int) "falls over to live node" 1 (Router.route router t)
@@ -165,7 +165,7 @@ let prop_router_matches_reference =
           &&
           match op with
           | Route ps ->
-              let t = txn (List.map (fun p -> Txn.Read (key p 0)) ps) in
+              let t = txn (List.map (fun p -> Txn.read (key p 0)) ps) in
               Router.route router t = reference_route cl reference t
           | _ -> true)
         ops)
@@ -173,7 +173,7 @@ let prop_router_matches_reference =
 let test_read_at_secondary_serves_locally () =
   let cl = Cluster.create ~seed:1 small_cfg in
   (* Read-only cross transaction; node 0 holds a secondary of 1. *)
-  let t = txn [ Txn.Read (key 0 1); Txn.Read (key 1 1) ] in
+  let t = txn [ Txn.read (key 0 1); Txn.read (key 1 1) ] in
   let proto = Lion_core.Standard.create ~read_at_secondary:true ~config:no_predict cl in
   let done_ = ref false in
   proto.Proto.submit t ~on_done:(fun () -> done_ := true);
@@ -185,7 +185,7 @@ let test_read_at_secondary_serves_locally () =
 
 let test_read_at_secondary_writes_still_promote () =
   let cl = Cluster.create ~seed:1 small_cfg in
-  let t = txn [ Txn.Write (key 0 1); Txn.Write (key 1 1) ] in
+  let t = txn [ Txn.write (key 0 1); Txn.write (key 1 1) ] in
   let proto = Lion_core.Standard.create ~read_at_secondary:true ~config:no_predict cl in
   let done_ = ref false in
   proto.Proto.submit t ~on_done:(fun () -> done_ := true);
@@ -199,7 +199,7 @@ let feed_pairs planner cl ~pairs ~count =
   for i = 1 to count do
     List.iter
       (fun (a, b) ->
-        let t = txn ~id:i [ Txn.Write (key a i); Txn.Write (key b i) ] in
+        let t = txn ~id:i [ Txn.write (key a i); Txn.write (key b i) ] in
         List.iter (fun p -> Cluster.touch_partition cl p) t.Txn.parts;
         Planner.observe planner t)
       pairs
@@ -280,7 +280,7 @@ let pair_gen () =
   let i = ref 0 in
   fun () ->
     incr i;
-    txn ~id:!i [ Txn.Write (key 0 !i); Txn.Write (key 1 !i) ]
+    txn ~id:!i [ Txn.write (key 0 !i); Txn.write (key 1 !i) ]
 
 let test_lion_standard_converts_to_single_node () =
   let cl =
@@ -326,7 +326,7 @@ let test_lion_batch_remaster_overlap_single_barrier () =
     (* Pairs (0,1) and (2,3): both need a remaster on their routed node. *)
     let parts = if i mod 2 = 0 then (0, 1) else (2, 3) in
     proto.Proto.submit
-      (txn ~id:i [ Txn.Write (key (fst parts) i); Txn.Write (key (snd parts) i) ])
+      (txn ~id:i [ Txn.write (key (fst parts) i); Txn.write (key (snd parts) i) ])
       ~on_done:(fun () -> commit_at := Engine.now cl.Cluster.engine :: !commit_at)
   done;
   Engine.run_until cl.Cluster.engine (Engine.seconds 1.0);

@@ -26,7 +26,7 @@ let test_ycsb_builder_reuses_generator () =
 let test_tpcc_builder () =
   let gen = Workloads.tpcc ~skew:0.5 ~cross:0.5 cfg in
   let t = gen ~time:0.0 in
-  Alcotest.(check bool) "has operations" true (t.Txn.ops <> [])
+  Alcotest.(check bool) "has operations" true (t.Txn.ops <> [||])
 
 let test_dynamic_builder_respects_time () =
   let gen = Workloads.dynamic_position ~period:2.0 cfg in

@@ -159,8 +159,8 @@ let drive predictor ~parts ~from_s ~to_s ~rate =
   for s = from_s to to_s - 1 do
     for i = 0 to rate - 1 do
       let time = sec (float_of_int s +. (float_of_int i /. float_of_int rate)) in
-      let ops = List.map (fun p -> Txn.Read (Kvstore.key ~part:p ~slot:0)) parts in
-      Predictor.observe predictor ~time (Txn.make ~id:0 ops)
+      let ops = List.map (fun p -> Txn.read (Kvstore.key ~part:p ~slot:0)) parts in
+      Predictor.observe predictor ~time (Txn.make ~id:0 (Array.of_list ops))
     done
   done
 

@@ -25,7 +25,12 @@ let small_cfg =
 let mk_cluster ?(cfg = small_cfg) () = Cluster.create ~seed:3 cfg
 
 let key part slot = Kvstore.key ~part ~slot
-let txn ?(id = 0) ops = Txn.make ~id ops
+let txn ?(id = 0) ops = Txn.make ~id (Array.of_list ops)
+
+(* Conflict granules: the key itself, or Lotus-style runs of [size]
+   slots of one partition. *)
+let fine (k : Kvstore.key) = (k :> int)
+let coarse size k = fine (Kvstore.key ~part:(Kvstore.part k) ~slot:(Kvstore.slot k / size))
 
 (* --- proto helpers --- *)
 
@@ -49,7 +54,7 @@ let test_join_now_zero () =
 
 let test_groups_preserve_order () =
   let t =
-    txn [ Txn.Read (key 1 0); Txn.Write (key 0 0); Txn.Read (key 1 1) ]
+    txn [ Txn.read (key 1 0); Txn.write (key 0 0); Txn.read (key 1 1) ]
   in
   let groups = Exec.groups_of t in
   Alcotest.(check (list int)) "first-appearance order" [ 1; 0 ] (List.map fst groups);
@@ -58,7 +63,7 @@ let test_groups_preserve_order () =
 let test_route_most_primaries () =
   let cl = mk_cluster () in
   (* Partitions 0 and 2 both have primaries on node 0. *)
-  let t = txn [ Txn.Read (key 0 0); Txn.Read (key 2 0) ] in
+  let t = txn [ Txn.read (key 0 0); Txn.read (key 2 0) ] in
   Alcotest.(check int) "routes to node 0" 0 (Exec.route_most_primaries cl t)
 
 (* --- exec: single-node and distributed commits --- *)
@@ -72,7 +77,7 @@ let run_txn ?(flavor = Exec.plain_2pc) cl t =
 
 let test_single_node_commit_skips_prepare () =
   let cl = mk_cluster () in
-  let t = txn [ Txn.Write (key 0 1); Txn.Read (key 0 2) ] in
+  let t = txn [ Txn.write (key 0 1); Txn.read (key 0 2) ] in
   Alcotest.(check bool) "committed" true (run_txn cl t);
   Alcotest.(check int) "recorded" 1 (Metrics.commits cl.Cluster.metrics);
   Alcotest.(check int) "single node" 1 (Metrics.single_node_commits cl.Cluster.metrics);
@@ -82,14 +87,14 @@ let test_single_node_commit_skips_prepare () =
 let test_distributed_commit_runs_2pc () =
   let cl = mk_cluster () in
   (* Partition 0 on node 0, partition 1 on node 1. *)
-  let t = txn [ Txn.Write (key 0 1); Txn.Write (key 1 1) ] in
+  let t = txn [ Txn.write (key 0 1); Txn.write (key 1 1) ] in
   Alcotest.(check bool) "committed" true (run_txn cl t);
   Alcotest.(check int) "not single node" 0 (Metrics.single_node_commits cl.Cluster.metrics);
   Alcotest.(check int) "both writes installed" 1 (Kvstore.version cl.Cluster.store (key 1 1))
 
 let test_conflicting_txns_serialize () =
   let cl = mk_cluster () in
-  let mk i = txn ~id:i [ Txn.Write (key 0 7) ] in
+  let mk i = txn ~id:i [ Txn.write (key 0 7) ] in
   let done_count = ref 0 in
   for i = 0 to 4 do
     Exec.run cl ~route:(Exec.route_most_primaries cl) ~flavor:Exec.plain_2pc (mk i)
@@ -103,7 +108,7 @@ let test_lion_flavor_remasters_secondary () =
   let cl = mk_cluster () in
   (* Node 0 holds the secondary of partition 1 (primary node 1). A
      transaction on partitions 0 and 1 routed to node 0 can convert. *)
-  let t = txn [ Txn.Write (key 0 1); Txn.Write (key 1 1) ] in
+  let t = txn [ Txn.write (key 0 1); Txn.write (key 1 1) ] in
   let committed = ref false in
   Exec.run cl ~route:(fun _ -> 0) ~flavor:Exec.lion_flavor t ~on_done:(fun () ->
       committed := true);
@@ -115,7 +120,7 @@ let test_lion_flavor_remasters_secondary () =
 
 let test_leap_flavor_migrates_everything () =
   let cl = mk_cluster () in
-  let t = txn [ Txn.Write (key 0 1); Txn.Write (key 1 1) ] in
+  let t = txn [ Txn.write (key 0 1); Txn.write (key 1 1) ] in
   let committed = ref false in
   Exec.run cl ~route:(fun _ -> 0) ~flavor:Exec.leap_flavor t ~on_done:(fun () ->
       committed := true);
@@ -133,7 +138,7 @@ let test_abort_retry_records_aborts () =
      one validation round must have conflicted when both target the
      same hot key through the remote path. Here we assert the abort
      counter is consistent (>= 0) and commits complete. *)
-  let mk i = txn ~id:i [ Txn.Write (key 1 3); Txn.Write (key 0 3) ] in
+  let mk i = txn ~id:i [ Txn.write (key 1 3); Txn.write (key 0 3) ] in
   let done_count = ref 0 in
   for i = 0 to 3 do
     Exec.run cl ~route:(fun _ -> i mod 2) ~flavor:Exec.plain_2pc (mk i)
@@ -162,7 +167,7 @@ let test_batch_epoch_commits_all () =
   let proto = Batch.create cl ~name:"test" ~process:all_commit_process () in
   let done_count = ref 0 in
   for i = 0 to 9 do
-    proto.Proto.submit (txn ~id:i [ Txn.Read (key 0 i) ]) ~on_done:(fun () ->
+    proto.Proto.submit (txn ~id:i [ Txn.read (key 0 i) ]) ~on_done:(fun () ->
         incr done_count)
   done;
   Engine.run_until cl.Cluster.engine (Engine.seconds 1.0);
@@ -188,7 +193,7 @@ let test_batch_aborted_retry_next_epoch () =
   in
   let proto = Batch.create cl ~name:"test" ~process () in
   let done_count = ref 0 in
-  proto.Proto.submit (txn [ Txn.Read (key 0 0) ]) ~on_done:(fun () -> incr done_count);
+  proto.Proto.submit (txn [ Txn.read (key 0 0) ]) ~on_done:(fun () -> incr done_count);
   Engine.run_until cl.Cluster.engine (Engine.seconds 1.0);
   Alcotest.(check int) "committed on retry" 1 !done_count;
   Alcotest.(check int) "abort recorded" 1 (Metrics.aborts cl.Cluster.metrics)
@@ -209,7 +214,7 @@ let test_batch_duration_scales_with_busy () =
     }
   in
   let proto = Batch.create cl ~name:"t" ~process:(process_busy 1000.0) () in
-  proto.Proto.submit (txn [ Txn.Read (key 0 0) ]) ~on_done:(fun () ->
+  proto.Proto.submit (txn [ Txn.read (key 0 0) ]) ~on_done:(fun () ->
       commit_times := Engine.now cl.Cluster.engine :: !commit_times);
   Engine.run_until cl.Cluster.engine (Engine.seconds 1.0);
   (* busy 1000 over 2 workers = 500 µs + epoch commit cost. *)
@@ -233,14 +238,14 @@ let test_batch_gives_up_after_max_retries () =
   in
   let proto = Batch.create cl ~name:"t" ~process:always_abort ~max_retries:3 () in
   let done_count = ref 0 in
-  proto.Proto.submit (txn [ Txn.Read (key 0 0) ]) ~on_done:(fun () -> incr done_count);
+  proto.Proto.submit (txn [ Txn.read (key 0 0) ]) ~on_done:(fun () -> incr done_count);
   Engine.run_until cl.Cluster.engine (Engine.seconds 2.0);
   Alcotest.(check int) "forced commit keeps the loop live" 1 !done_count;
   Alcotest.(check int) "three aborts recorded" 3 (Metrics.aborts cl.Cluster.metrics)
 
 let test_2pc_records_prepare_phase () =
   let cl = mk_cluster () in
-  let t = txn [ Txn.Write (key 0 1); Txn.Write (key 1 1) ] in
+  let t = txn [ Txn.write (key 0 1); Txn.write (key 1 1) ] in
   ignore (run_txn cl t);
   Alcotest.(check bool) "prepare time recorded" true
     (Metrics.phase_fraction cl.Cluster.metrics Metrics.Prepare > 0.0);
@@ -256,43 +261,43 @@ let test_blocked_partition_delays_execution () =
     (Cluster.try_begin_remaster cl ~part:0 ~node:target);
   let committed_at = ref 0.0 in
   Exec.run cl ~route:(fun _ -> 0) ~flavor:Exec.plain_2pc
-    (txn [ Txn.Write (key 0 5) ])
+    (txn [ Txn.write (key 0 5) ])
     ~on_done:(fun () -> committed_at := Engine.now cl.Cluster.engine);
   Engine.run_until cl.Cluster.engine (Engine.seconds 1.0);
   Alcotest.(check bool) "waited for the block" true
     (!committed_at >= Config.default.Config.remaster_delay)
 
 let test_conflict_verdicts_waw () =
-  let t0 = txn ~id:0 [ Txn.Write (key 0 5) ] in
-  let t1 = txn ~id:1 [ Txn.Write (key 0 5) ] in
-  let t2 = txn ~id:2 [ Txn.Write (key 0 6) ] in
-  let ok = Batch.conflict_verdicts ~granule:(fun k -> (k.Kvstore.part, k.Kvstore.slot)) [| t0; t1; t2 |] in
+  let t0 = txn ~id:0 [ Txn.write (key 0 5) ] in
+  let t1 = txn ~id:1 [ Txn.write (key 0 5) ] in
+  let t2 = txn ~id:2 [ Txn.write (key 0 6) ] in
+  let ok = Batch.conflict_verdicts ~granule:fine [| t0; t1; t2 |] in
   Alcotest.(check (array bool)) "first wins" [| true; false; true |] ok
 
 let test_conflict_verdicts_raw_only_for_aria () =
-  let writer = txn ~id:0 [ Txn.Write (key 0 5) ] in
-  let reader = txn ~id:1 [ Txn.Read (key 0 5) ] in
+  let writer = txn ~id:0 [ Txn.write (key 0 5) ] in
+  let reader = txn ~id:1 [ Txn.read (key 0 5) ] in
   let waw_only =
-    Batch.conflict_verdicts ~granule:(fun k -> (k.Kvstore.part, k.Kvstore.slot))
+    Batch.conflict_verdicts ~granule:fine
       [| writer; reader |]
   in
   Alcotest.(check (array bool)) "reader safe without raw" [| true; true |] waw_only;
   let with_raw =
     Batch.conflict_verdicts ~include_raw:true
-      ~granule:(fun k -> (k.Kvstore.part, k.Kvstore.slot))
+      ~granule:fine
       [| writer; reader |]
   in
   Alcotest.(check (array bool)) "raw aborts reader" [| true; false |] with_raw
 
 let test_conflict_granule_coarsening () =
-  let t0 = txn ~id:0 [ Txn.Write (key 0 1) ] in
-  let t1 = txn ~id:1 [ Txn.Write (key 0 2) ] in
+  let t0 = txn ~id:0 [ Txn.write (key 0 1) ] in
+  let t1 = txn ~id:1 [ Txn.write (key 0 2) ] in
   let fine =
-    Batch.conflict_verdicts ~granule:(fun k -> (k.Kvstore.part, k.Kvstore.slot)) [| t0; t1 |]
+    Batch.conflict_verdicts ~granule:fine [| t0; t1 |]
   in
   Alcotest.(check (array bool)) "distinct keys fine" [| true; true |] fine;
   let coarse =
-    Batch.conflict_verdicts ~granule:(fun k -> (k.Kvstore.part, k.Kvstore.slot / 16))
+    Batch.conflict_verdicts ~granule:(coarse 16)
       [| t0; t1 |]
   in
   Alcotest.(check (array bool)) "same granule conflicts" [| true; false |] coarse
@@ -323,7 +328,7 @@ let cross_pair_gen () =
   let i = ref 0 in
   fun () ->
     incr i;
-    txn ~id:!i [ Txn.Write (key 0 !i); Txn.Write (key 1 !i) ]
+    txn ~id:!i [ Txn.write (key 0 !i); Txn.write (key 1 !i) ]
 
 let test_star_routes_cross_to_super_node () =
   let cl =
@@ -357,20 +362,20 @@ let test_hermes_colocates_recurring_pair () =
 let test_aria_aborts_on_contention () =
   (* Everyone writes the same key: only one transaction per epoch can
      win its reservation. *)
-  let gen () = txn [ Txn.Write (key 0 0); Txn.Write (key 1 0) ] in
+  let gen () = txn [ Txn.write (key 0 0); Txn.write (key 1 0) ] in
   let cl = drive_protocol ~make:Lion_protocols.Aria.create ~gen ~seconds:1.0 () in
   Alcotest.(check bool) "aborts under contention" true (Metrics.aborts cl.Cluster.metrics > 0)
 
 let test_lotus_single_home_never_aborts () =
   (* Same-partition contention serializes on the partition executor. *)
-  let gen () = txn [ Txn.Write (key 0 0) ] in
+  let gen () = txn [ Txn.write (key 0 0) ] in
   let cl = drive_protocol ~make:Lion_protocols.Lotus.create ~gen ~seconds:1.0 () in
   Alcotest.(check int) "no aborts" 0 (Metrics.aborts cl.Cluster.metrics);
   Alcotest.(check bool) "commits" true (Metrics.commits cl.Cluster.metrics > 0)
 
 let test_unified_commits_in_one_round () =
   let cl = mk_cluster () in
-  let t = txn [ Txn.Write (key 0 1); Txn.Write (key 1 1) ] in
+  let t = txn [ Txn.write (key 0 1); Txn.write (key 1 1) ] in
   let done_at = ref 0.0 in
   Lion_protocols.Proto.(
     (Lion_protocols.Unified.create cl).submit t ~on_done:(fun () ->
@@ -412,10 +417,10 @@ let prop_first_writer_always_wins =
     (fun specs ->
       let txns =
         Array.of_list
-          (List.mapi (fun i (part, slot) -> txn ~id:i [ Txn.Write (key part slot) ]) specs)
+          (List.mapi (fun i (part, slot) -> txn ~id:i [ Txn.write (key part slot) ]) specs)
       in
       let ok =
-        Batch.conflict_verdicts ~granule:(fun k -> (k.Kvstore.part, k.Kvstore.slot)) txns
+        Batch.conflict_verdicts ~granule:fine txns
       in
       (* For every granule, the earliest writer must have ok = true. *)
       let seen = Hashtbl.create 16 in
@@ -424,7 +429,7 @@ let prop_first_writer_always_wins =
         (fun i t ->
           List.iter
             (fun k ->
-              let g = (k.Kvstore.part, k.Kvstore.slot) in
+              let g = fine k in
               if not (Hashtbl.mem seen g) then (
                 Hashtbl.add seen g ();
                 if not ok.(i) then good := false))
@@ -438,12 +443,12 @@ let prop_window_reset_allows_later_winners =
     (fun specs ->
       let txns =
         Array.of_list
-          (List.mapi (fun i (part, slot) -> txn ~id:i [ Txn.Write (key part slot) ]) specs)
+          (List.mapi (fun i (part, slot) -> txn ~id:i [ Txn.write (key part slot) ]) specs)
       in
       let window = 5 in
       let ok =
         Batch.conflict_verdicts ~window
-          ~granule:(fun k -> (k.Kvstore.part, k.Kvstore.slot))
+          ~granule:fine
           txns
       in
       (* Within each window chunk, committed writers of a granule <= 1. *)
@@ -455,7 +460,7 @@ let prop_window_reset_allows_later_winners =
           if ok.(i) then
             List.iter
               (fun k ->
-                let g = (k.Kvstore.part, k.Kvstore.slot) in
+                let g = fine k in
                 if Hashtbl.mem winners g then good := false else Hashtbl.add winners g ())
               (Txn.write_keys txns.(i))
         done
@@ -467,14 +472,77 @@ let prop_read_only_batches_never_abort =
     (fun specs ->
       let txns =
         Array.of_list
-          (List.mapi (fun i (part, slot) -> txn ~id:i [ Txn.Read (key part slot) ]) specs)
+          (List.mapi (fun i (part, slot) -> txn ~id:i [ Txn.read (key part slot) ]) specs)
       in
       let ok =
         Batch.conflict_verdicts ~include_raw:true
-          ~granule:(fun k -> (k.Kvstore.part, k.Kvstore.slot))
+          ~granule:fine
           txns
       in
       Array.for_all Fun.id ok)
+
+(* A naive model of [Batch.conflict_verdicts]: per window, a list of
+   reserved granules; a transaction aborts when one of its footprint
+   writes (or, with [include_raw], reads) hits the list, and otherwise
+   reserves its footprint writes. *)
+let model_verdicts ~include_raw ~window ~footprint ~granule txns =
+  let reserved = ref [] in
+  Array.mapi
+    (fun i txn ->
+      if i mod window = 0 then reserved := [];
+      let granules keys = List.map granule (List.filter (footprint txn) keys) in
+      let writes = granules (Txn.write_keys txn) and reads = granules (Txn.read_keys txn) in
+      let hit g = List.mem g !reserved in
+      let doomed = List.exists hit writes || (include_raw && List.exists hit reads) in
+      if not doomed then reserved := writes @ !reserved;
+      not doomed)
+    txns
+
+(* Batches of up to 300 transactions of up to 8 operations; the slot
+   range is either tiny (heavy contention) or wide enough that a window
+   reserves thousands of granules, which grows the stamped set. *)
+let conflict_case_gen =
+  QCheck.Gen.(
+    let* slots = oneofl [ 8; 100_000 ] in
+    let op = map3 (fun w part slot -> (w, part, slot)) bool (int_range 0 3) (int_range 0 (slots - 1)) in
+    let* txns = list_size (int_range 0 300) (list_size (int_range 1 8) op) in
+    let* window = opt (int_range 1 40) in
+    let* include_raw = bool in
+    let* granule_size = oneofl [ 1; 4; 16 ] in
+    let* remote_parity = opt (int_range 0 1) in
+    return (txns, window, include_raw, granule_size, remote_parity))
+
+let prop_conflict_verdicts_match_model =
+  QCheck.Test.make ~name:"conflict_verdicts equals the naive first-reserver model" ~count:300
+    (QCheck.make conflict_case_gen)
+    (fun (specs, window, include_raw, granule_size, remote_parity) ->
+      let txns =
+        Array.of_list
+          (List.mapi
+             (fun id ops ->
+               txn ~id
+                 (List.map
+                    (fun (w, part, slot) ->
+                      if w then Txn.write (key part slot) else Txn.read (key part slot))
+                    ops))
+             specs)
+      in
+      let granule = if granule_size = 1 then fine else coarse granule_size in
+      (* Lotus-style footprint: the keys on partitions of one parity,
+         shifted by the transaction id, count; the rest are home keys. *)
+      let footprint =
+        Option.map
+          (fun parity (t : Txn.t) k -> (Kvstore.part k + t.Txn.id) mod 2 = parity)
+          remote_parity
+      in
+      let got = Batch.conflict_verdicts ~include_raw ?window ?footprint ~granule txns in
+      let want =
+        model_verdicts ~include_raw
+          ~window:(Option.value window ~default:(Array.length txns))
+          ~footprint:(Option.value footprint ~default:(fun _ _ -> true))
+          ~granule txns
+      in
+      got = want)
 
 let () =
   Alcotest.run "lion_protocols"
@@ -531,5 +599,6 @@ let () =
             prop_first_writer_always_wins;
             prop_window_reset_allows_later_winners;
             prop_read_only_batches_never_abort;
+            prop_conflict_verdicts_match_model;
           ] );
     ]

@@ -326,7 +326,7 @@ let prop_kvstore_matches_model =
         | r when r < 77 ->
             let observed =
               List.map
-                (fun ((k : Kvstore.key), v) -> ((k.part, k.slot), v))
+                (fun (k, v) -> ((Kvstore.part k, Kvstore.slot k), v))
                 (Kvstore.observed_reads s.real)
             in
             if observed <> List.rev s.m_reads then
@@ -389,6 +389,43 @@ let test_kvstore_rejects_unpackable_keys () =
       refused (fun () -> Kvstore.write (Kvstore.begin_session s) k))
     [ (0, 1 lsl 32); (0, -1); (-1, 0); (1 lsl 30, 0); (0, max_int); (max_int, 0) ];
   Alcotest.(check int) "neighbour untouched" 1 (Kvstore.version s (Kvstore.key ~part:1 ~slot:0))
+
+(* The edges of the packable range: partition 2^30 - 1, slot 2^32 - 1. *)
+let max_part = (1 lsl 30) - 1
+let max_slot = (1 lsl 32) - 1
+
+(* A field value biased towards its range edges. *)
+let field_gen bound = QCheck.Gen.(oneof [ oneofl [ 0; 1; bound - 1; bound ]; int_range 0 bound ])
+
+let prop_key_roundtrip =
+  QCheck.Test.make ~name:"packed key round-trips (part, slot)" ~count:1000
+    QCheck.(make Gen.(pair (field_gen max_part) (field_gen max_slot)))
+    (fun (part, slot) ->
+      let k = Kvstore.key ~part ~slot in
+      (k :> int) >= 0 && Kvstore.part k = part && Kvstore.slot k = slot)
+
+let prop_key_order =
+  QCheck.Test.make ~name:"packed key order is (part, slot) order" ~count:1000
+    QCheck.(
+      make
+        Gen.(
+          pair
+            (pair (field_gen max_part) (field_gen max_slot))
+            (pair (field_gen max_part) (field_gen max_slot))))
+    (fun (((p1, s1) as a), ((p2, s2) as b)) ->
+      let sign c = Stdlib.compare c 0 in
+      sign (Kvstore.key_compare (Kvstore.key ~part:p1 ~slot:s1) (Kvstore.key ~part:p2 ~slot:s2))
+      = sign (Stdlib.compare a b))
+
+let test_kvstore_edge_key_usable () =
+  let k = Kvstore.key ~part:max_part ~slot:max_slot in
+  Alcotest.(check int) "packs to max_int" max_int (k :> int);
+  let s = Kvstore.create () in
+  let w = Kvstore.begin_session s in
+  Kvstore.write w k;
+  Kvstore.commit_session w;
+  Alcotest.(check int) "edge key versioned" 1 (Kvstore.version s k);
+  Alcotest.(check int) "origin untouched" 0 (Kvstore.version s (Kvstore.key ~part:0 ~slot:0))
 
 (* --- cluster --- *)
 
@@ -1202,7 +1239,9 @@ let () =
         [
           Alcotest.test_case "unpackable keys refused" `Quick
             test_kvstore_rejects_unpackable_keys;
+          Alcotest.test_case "edge key usable" `Quick test_kvstore_edge_key_usable;
         ] );
+      qsuite "key-packing" [ prop_key_roundtrip; prop_key_order ];
       qsuite "occ-props" [ test_occ_serializability_property; prop_kvstore_matches_model ];
       ( "cluster",
         [

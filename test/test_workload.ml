@@ -14,24 +14,43 @@ let base = Ycsb.default_params ~partitions:16 ~nodes:4
 let test_txn_parts_dedup_sorted () =
   let k part slot = Kvstore.key ~part ~slot in
   let t =
-    Txn.make ~id:0 [ Txn.Read (k 3 1); Txn.Write (k 1 2); Txn.Read (k 3 9) ]
+    Txn.make ~id:0 [| Txn.read (k 3 1); Txn.write (k 1 2); Txn.read (k 3 9) |]
   in
   Alcotest.(check (list int)) "sorted distinct" [ 1; 3 ] t.Txn.parts;
   Alcotest.(check bool) "cross" true (Txn.is_cross_partition t)
 
 let test_txn_single_partition () =
   let k slot = Kvstore.key ~part:2 ~slot in
-  let t = Txn.make ~id:1 [ Txn.Read (k 1); Txn.Write (k 2) ] in
+  let t = Txn.make ~id:1 [| Txn.read (k 1); Txn.write (k 2) |] in
   Alcotest.(check bool) "not cross" false (Txn.is_cross_partition t);
   Alcotest.(check (list int)) "one part" [ 2 ] t.Txn.parts
 
 let test_txn_key_partition () =
   let t =
     Txn.make ~id:2
-      [ Txn.Read (Kvstore.key ~part:5 ~slot:0); Txn.Write (Kvstore.key ~part:5 ~slot:1) ]
+      [| Txn.read (Kvstore.key ~part:5 ~slot:0); Txn.write (Kvstore.key ~part:5 ~slot:1) |]
   in
   Alcotest.(check int) "read keys" 1 (List.length (Txn.read_keys t));
   Alcotest.(check int) "write keys" 1 (List.length (Txn.write_keys t))
+
+(* Operations at the edges of the packable key range keep their key
+   and kind exactly, and a read never equals a write. *)
+let prop_op_roundtrip =
+  let field bound = QCheck.Gen.(oneof [ oneofl [ 0; 1; bound - 1; bound ]; int_range 0 bound ]) in
+  QCheck.Test.make ~name:"ops round-trip key and kind" ~count:1000
+    QCheck.(make Gen.(pair (field ((1 lsl 30) - 1)) (field ((1 lsl 32) - 1))))
+    (fun (part, slot) ->
+      let k = Kvstore.key ~part ~slot in
+      let r = Txn.read k and w = Txn.write k in
+      Txn.key_of r = k && Txn.key_of w = k && Txn.is_write w && (not (Txn.is_write r))
+      && (r :> int) <> (w :> int))
+
+let test_txn_unpackable_refused () =
+  let bad = Kvstore.key ~part:(1 lsl 30) ~slot:0 in
+  Alcotest.check_raises "read" (Invalid_argument "Txn: unpackable key") (fun () ->
+      ignore (Txn.read bad));
+  Alcotest.check_raises "write" (Invalid_argument "Txn: unpackable key") (fun () ->
+      ignore (Txn.write bad))
 
 (* --- ycsb --- *)
 
@@ -39,7 +58,7 @@ let test_ycsb_ops_count () =
   let gen = Ycsb.create base in
   for _ = 1 to 100 do
     let t = Ycsb.next gen in
-    Alcotest.(check int) "10 ops" 10 (List.length t.Txn.ops)
+    Alcotest.(check int) "10 ops" 10 (Array.length t.Txn.ops)
   done
 
 let test_ycsb_no_cross_when_zero () =
@@ -143,7 +162,7 @@ let test_tpcc_neworder_shape () =
   let gen = Tpcc.create { tpcc_base with Tpcc.cross_ratio = 0.0 } in
   for _ = 1 to 50 do
     let t = Tpcc.next gen in
-    let n = List.length t.Txn.ops in
+    let n = Array.length t.Txn.ops in
     (* 4 header ops + 5..15 order lines. *)
     Alcotest.(check bool) "op count in range" true (n >= 9 && n <= 19);
     Alcotest.(check int) "single warehouse" 1 (List.length t.Txn.parts)
@@ -162,11 +181,7 @@ let test_tpcc_district_hotspot () =
   let t = Tpcc.next gen in
   let district_slots = List.init 10 Tpcc.Layout.district_slot in
   let has_district_write =
-    List.exists
-      (function
-        | Txn.Write k -> List.mem k.Kvstore.slot district_slots
-        | Txn.Read _ -> false)
-      t.Txn.ops
+    List.exists (fun k -> List.mem (Kvstore.slot k) district_slots) (Txn.write_keys t)
   in
   Alcotest.(check bool) "district RMW present" true has_district_write
 
@@ -175,10 +190,8 @@ let test_tpcc_orders_unique () =
   let t1 = Tpcc.next gen and t2 = Tpcc.next gen in
   let order_slots txn =
     List.filter_map
-      (function
-        | Txn.Write k when k.Kvstore.slot >= 10_000_000 -> Some k.Kvstore.slot
-        | _ -> None)
-      txn.Txn.ops
+      (fun k -> if Kvstore.slot k >= 10_000_000 then Some (Kvstore.slot k) else None)
+      (Txn.write_keys txn)
   in
   let all = order_slots t1 @ order_slots t2 in
   Alcotest.(check int) "order rows never collide" (List.length all)
@@ -188,7 +201,7 @@ let test_tpcc_payment_mix () =
   let gen = Tpcc.create { tpcc_base with Tpcc.payment_ratio = 1.0 } in
   for _ = 1 to 50 do
     let t = Tpcc.next gen in
-    Alcotest.(check int) "payment has 3 ops" 3 (List.length t.Txn.ops)
+    Alcotest.(check int) "payment has 3 ops" 3 (Array.length t.Txn.ops)
   done
 
 let test_tpcc_skew_concentrates () =
@@ -219,11 +232,7 @@ let test_tpcc_full_mix_ratio () =
     let t = Tpcc.next gen in
     (* NewOrder inserts an order row. *)
     if
-      List.exists
-        (function
-          | Txn.Write k -> k.Kvstore.slot >= 10_000_000
-          | Txn.Read _ -> false)
-        t.Txn.ops
+      List.exists (fun k -> Kvstore.slot k >= 10_000_000) (Txn.write_keys t)
     then incr neworder
   done;
   let ratio = float_of_int !neworder /. float_of_int n in
@@ -264,7 +273,7 @@ let test_smallbank_single_account_local () =
     let t = Smallbank.next gen in
     Alcotest.(check int) "single partition" 1 (List.length t.Txn.parts);
     Alcotest.(check bool) "1-3 ops" true
-      (List.length t.Txn.ops >= 1 && List.length t.Txn.ops <= 3)
+      (Array.length t.Txn.ops >= 1 && Array.length t.Txn.ops <= 3)
   done
 
 let test_smallbank_two_account_crosses () =
@@ -365,11 +374,11 @@ let prop_ycsb_keys_in_bounds =
       List.for_all
         (fun _ ->
           let t = Ycsb.next gen in
-          List.for_all
+          Array.for_all
             (fun op ->
               let k = Txn.key_of op in
-              k.Kvstore.part >= 0 && k.Kvstore.part < partitions && k.Kvstore.slot >= 0
-              && k.Kvstore.slot < 1000)
+              Kvstore.part k >= 0 && Kvstore.part k < partitions && Kvstore.slot k >= 0
+              && Kvstore.slot k < 1000)
             t.Txn.ops)
         (List.init 20 Fun.id))
 
@@ -406,6 +415,7 @@ let () =
           Alcotest.test_case "parts dedup+sort" `Quick test_txn_parts_dedup_sorted;
           Alcotest.test_case "single partition" `Quick test_txn_single_partition;
           Alcotest.test_case "read/write key split" `Quick test_txn_key_partition;
+          Alcotest.test_case "unpackable key refused" `Quick test_txn_unpackable_refused;
         ] );
       ( "ycsb",
         [
@@ -458,5 +468,6 @@ let () =
             prop_ycsb_keys_in_bounds;
             prop_ycsb_parts_match_ops;
             prop_tpcc_within_warehouse_bounds;
+            prop_op_roundtrip;
           ] );
     ]
