@@ -78,13 +78,13 @@ let conflict_verdicts ?(include_raw = false) ?window ?footprint ~granule txns =
     if i mod window = 0 then Granule_set.next_window reserved;
     let txn = txns.(i) in
     let ops = txn.Txn.ops in
-    let counts = match footprint with None -> fun _ -> true | Some f -> f txn in
+    let in_footprint = match footprint with None -> fun _ -> true | Some f -> f txn in
     let doomed = ref false and j = ref 0 in
     while (not !doomed) && !j < Array.length ops do
       let op = ops.(!j) in
       (if include_raw || Txn.is_write op then
          let k = Txn.key_of op in
-         doomed := counts k && Granule_set.mem reserved (granule k));
+         doomed := in_footprint k && Granule_set.mem reserved (granule k));
       incr j
     done;
     if !doomed then ok.(i) <- false
@@ -92,7 +92,7 @@ let conflict_verdicts ?(include_raw = false) ?window ?footprint ~granule txns =
       Array.iter
         (fun op ->
           let k = Txn.key_of op in
-          if Txn.is_write op && counts k then Granule_set.add reserved (granule k))
+          if Txn.is_write op && in_footprint k then Granule_set.add reserved (granule k))
         ops
   done;
   ok
