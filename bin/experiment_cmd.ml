@@ -3,38 +3,37 @@
    Each experiment's wall time goes to stderr so stdout stays
    deterministic for a given (seed, scale).
 
-   [--trace] installs a trace sink: every Runner.run inside the
-   experiment gets a tracer retaining its 5 slowest transactions; at
-   each run's end a Chrome/Perfetto trace file lands in traces/ and a
+   [--trace] hands the experiment a trace sink: every Runner.run inside
+   it gets a tracer retaining its 5 slowest transactions; for each run,
+   in cell order, a Chrome/Perfetto trace file lands in traces/ and a
    critical-path summary prints to stdout. *)
 
 open Cmdliner
 module Experiments = Lion_harness.Experiments
 
-let install_trace_sink () =
+let trace_sink () =
   (try Unix.mkdir "traces" 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let counter = ref 0 in
-  Lion_harness.Runner.set_trace_sink
-    {
-      Lion_harness.Runner.fresh =
-        (fun () -> Lion_trace.Trace.create ~policy:(Lion_trace.Trace.Slowest 5) ());
-      emit =
-        (fun t ->
-          incr counter;
-          let path = Printf.sprintf "traces/run-%03d.json" !counter in
-          Lion_trace.Chrome.write ~path ~label:path
-            ~instants:(Lion_trace.Trace.instants t)
-            (Lion_trace.Trace.retained t);
-          Lion_trace.Report.print ~top:3 ~label:path t);
-    }
+  {
+    Lion_harness.Runner.fresh =
+      (fun () -> Lion_trace.Trace.create ~policy:(Lion_trace.Trace.Slowest 5) ());
+    emit =
+      (fun t ->
+        incr counter;
+        let path = Printf.sprintf "traces/run-%03d.json" !counter in
+        Lion_trace.Chrome.write ~path ~label:path
+          ~instants:(Lion_trace.Trace.instants t)
+          (Lion_trace.Trace.retained t);
+        Lion_trace.Report.print ~top:3 ~label:path t);
+  }
 
 let run selected scale trace =
-  if trace then install_trace_sink ();
+  let trace = if trace then Some (trace_sink ()) else None in
   List.iter
     (fun (id, desc, f) ->
       Printf.printf ">>> %s — %s\n%!" id desc;
       let t0 = Unix.gettimeofday () in
-      f scale;
+      f ?trace scale;
       Printf.eprintf "    [%s completed in %.1fs wall]\n%!" id (Unix.gettimeofday () -. t0))
     (List.concat selected);
   0

@@ -94,7 +94,7 @@ let run_cmd =
 let do_compare protocols workload nodes skew cross duration warmup remaster_delay seed csv =
   let protocols = match protocols with [] -> Protocols.all | ps -> ps in
   let results =
-    List.map
+    Lion_harness.Pool.map
       (fun (p : Protocols.entry) ->
         ( p.id,
           run_protocol p workload ~nodes ~skew ~cross ~warmup ~duration ~remaster_delay ~seed
@@ -149,13 +149,23 @@ let do_list () =
 
 let list_cmd = Cmd.v (Cmd.info "list" ~doc:"List protocols and experiments") Term.(const do_list $ const ())
 
+(* Sweep cells run on several domains; one lock around the reporter
+   keeps each log line whole. *)
+let locked_reporter (r : Logs.reporter) =
+  let lock = Mutex.create () in
+  {
+    Logs.report =
+      (fun src level ~over k msgf ->
+        Mutex.protect lock (fun () -> r.report src level ~over k msgf));
+  }
+
 let setup_logging () =
   (* LION_LOG=debug|info|warning enables the library's structured logs
      (lion.planner, lion.cluster). *)
   match Sys.getenv_opt "LION_LOG" with
   | None -> ()
   | Some level ->
-      Logs.set_reporter (Logs_fmt.reporter ());
+      Logs.set_reporter (locked_reporter (Logs_fmt.reporter ()));
       Logs.set_level
         (match String.lowercase_ascii level with
         | "debug" -> Some Logs.Debug

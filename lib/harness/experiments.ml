@@ -5,6 +5,9 @@ module Table = Lion_kernel.Table
 module Proto = Lion_protocols.Proto
 module Planner = Lion_core.Planner
 
+type sweep = ?domains:int -> ?trace:Runner.trace_sink -> ?scale:float -> unit -> unit
+type single = ?trace:Runner.trace_sink -> ?scale:float -> unit -> unit
+
 let fmt_k v = Table.cell_float ~decimals:1 (v /. 1000.0)
 
 (* Paper §VI-C1 stress setting for the non-batch comparisons. *)
@@ -20,6 +23,17 @@ let batch_ids = [ "star"; "calvin"; "hermes"; "aria"; "lotus"; "lion-batch" ]
 
 let lineup ~use_lstm ids =
   Protocols.lineup ~config:{ Planner.default_config with Planner.use_lstm } ids
+
+(* One cell per (row, column) pair, run on the pool; the results come
+   back as one list per row, in column order. *)
+let grid ?domains ?trace run rows cols =
+  let results =
+    Runner.cells ?domains ?trace
+      (fun ?trace (r, c) -> run ?trace r c)
+      (List.concat_map (fun r -> List.map (fun c -> (r, c)) cols) rows)
+  in
+  let width = List.length cols in
+  List.mapi (fun i row -> (row, List.filteri (fun j _ -> j / width = i) results)) rows
 
 (* ------------------------------------------------------------------ *)
 
@@ -43,7 +57,7 @@ let table1_comparison () =
 
 (* ------------------------------------------------------------------ *)
 
-let fig6_ablation ?(scale = 1.0) () =
+let fig6_ablation ?domains ?trace ?(scale = 1.0) () =
   let cfg = Config.default in
   let rc =
     { Runner.quick with warmup = 9.0 *. scale; duration = 6.0 *. scale }
@@ -55,15 +69,18 @@ let fig6_ablation ?(scale = 1.0) () =
          (throughput, k txn/s)"
       ~columns:[ "variant"; "throughput"; "single-node %"; "vs 2PC" ]
   in
-  let base = ref 0.0 in
-  List.iter
-    (fun variant ->
-      let r =
-        Runner.run ~batch:(Lion_core.Ablation.is_batch variant) ~cfg
+  let results =
+    Runner.cells ?domains ?trace
+      (fun ?trace variant ->
+        Runner.run ?trace ~batch:(Lion_core.Ablation.is_batch variant) ~cfg
           ~make:(fun cl -> Lion_core.Ablation.create ~use_lstm:false variant cl)
           ~gen:(Workloads.ycsb ~cross:1.0 cfg)
-          rc
-      in
+          rc)
+      Lion_core.Ablation.all
+  in
+  let base = ref 0.0 in
+  List.iter2
+    (fun variant (r : Runner.result) ->
       if variant = Lion_core.Ablation.V_2pc then base := r.Runner.throughput;
       Table.add_row t
         [
@@ -73,12 +90,13 @@ let fig6_ablation ?(scale = 1.0) () =
           Table.cell_float ~decimals:2
             (r.Runner.throughput /. Stdlib.max 1.0 !base);
         ])
-    Lion_core.Ablation.all;
+    Lion_core.Ablation.all results;
   Table.print t
 
 (* ------------------------------------------------------------------ *)
 
-let crossratio_sweep ~title ~protocols ~gen_of ?(cfg = Config.default) ~scale () =
+let crossratio_sweep ?domains ?trace ~title ~protocols ~gen_of ?(cfg = Config.default)
+    ~scale () =
   let ratios = [ 0.0; 0.25; 0.5; 0.75; 1.0 ] in
   let t =
     Table.create ~title
@@ -86,52 +104,40 @@ let crossratio_sweep ~title ~protocols ~gen_of ?(cfg = Config.default) ~scale ()
         ("protocol"
         :: List.map (fun r -> Printf.sprintf "%d%%" (int_of_float (100.0 *. r))) ratios)
   in
+  let rc = { Runner.quick with warmup = 4.0 *. scale; duration = 5.0 *. scale } in
   List.iter
-    (fun (name, is_batch, make) ->
-      let cells =
-        List.map
-          (fun ratio ->
-            let rc =
-              {
-                Runner.quick with
-                warmup = 4.0 *. scale;
-                duration = 5.0 *. scale;
-              }
-            in
-            let r =
-              Runner.run ~batch:is_batch ~cfg ~make
-                ~gen:(gen_of ratio) rc
-            in
-            fmt_k r.Runner.throughput)
-          ratios
-      in
-      Table.add_row t (name :: cells))
-    protocols;
+    (fun ((name, _, _), results) ->
+      Table.add_row t
+        (name :: List.map (fun (r : Runner.result) -> fmt_k r.Runner.throughput) results))
+    (grid ?domains ?trace
+       (fun ?trace (_, is_batch, make) ratio ->
+         Runner.run ?trace ~batch:is_batch ~cfg ~make ~gen:(gen_of ratio) rc)
+       protocols ratios);
   Table.print t
 
-let fig7_crossratio_nonbatch ?(scale = 1.0) () =
+let fig7_crossratio_nonbatch ?domains ?trace ?(scale = 1.0) () =
   let cfg = slow_remaster Config.default in
-  crossratio_sweep
+  crossratio_sweep ?domains ?trace
     ~title:
       "Fig 7a: skewed YCSB (skew 0.8), standard execution, remaster delay 3000us \
        (throughput, k txn/s)"
     ~protocols:(lineup ~use_lstm:false standard_ids)
     ~gen_of:(fun ratio -> Workloads.ycsb ~skew:0.8 ~cross:ratio cfg)
     ~cfg ~scale ();
-  crossratio_sweep
+  crossratio_sweep ?domains ?trace
     ~title:"Fig 7b: skewed TPC-C (skew 0.8), standard execution (throughput, k txn/s)"
     ~protocols:(lineup ~use_lstm:false standard_ids)
     ~gen_of:(fun ratio -> Workloads.tpcc ~skew:0.8 ~cross:ratio cfg)
     ~cfg ~scale ()
 
-let fig9_crossratio_batch ?(scale = 1.0) () =
+let fig9_crossratio_batch ?domains ?trace ?(scale = 1.0) () =
   let cfg = slow_remaster Config.default in
-  crossratio_sweep
+  crossratio_sweep ?domains ?trace
     ~title:"Fig 9a: skewed YCSB (skew 0.8), batch execution (throughput, k txn/s)"
     ~protocols:(lineup ~use_lstm:false batch_ids)
     ~gen_of:(fun ratio -> Workloads.ycsb ~skew:0.8 ~cross:ratio cfg)
     ~cfg ~scale ();
-  crossratio_sweep
+  crossratio_sweep ?domains ?trace
     ~title:"Fig 9b: skewed TPC-C (skew 0.8), batch execution (throughput, k txn/s)"
     ~protocols:(lineup ~use_lstm:false batch_ids)
     ~gen_of:(fun ratio -> Workloads.tpcc ~skew:0.8 ~cross:ratio cfg)
@@ -139,7 +145,9 @@ let fig9_crossratio_batch ?(scale = 1.0) () =
 
 (* ------------------------------------------------------------------ *)
 
-let dynamic_sweep ~title ~protocols ~gen ~total ~cfg ~phases () =
+(* [gen] builds a fresh generator per protocol, so every protocol sees
+   the same transaction stream. *)
+let dynamic_sweep ?domains ?trace ~title ~protocols ~gen ~total ~cfg ~phases () =
   let t =
     Table.create ~title
       ~columns:
@@ -152,67 +160,65 @@ let dynamic_sweep ~title ~protocols ~gen ~total ~cfg ~phases () =
            match List.find_opt (fun (_, start) -> int_of_float start = i) phases with
            | Some (name, _) -> name
            | None -> ""));
-  List.iter
-    (fun (name, is_batch, make) ->
-      let rc =
-        {
-          Runner.quick with
-          warmup = 0.0;
-          duration = total;
-          tick_every = 1.0;
-        }
-      in
-      let r = Runner.run ~batch:is_batch ~cfg ~make ~gen rc in
+  let rc = { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 } in
+  let results =
+    Runner.cells ?domains ?trace
+      (fun ?trace (_, is_batch, make) ->
+        Runner.run ?trace ~batch:is_batch ~cfg ~make ~gen:(gen ()) rc)
+      protocols
+  in
+  List.iter2
+    (fun (name, _, _) (r : Runner.result) ->
       let series = r.Runner.throughput_series in
       let cells =
         List.init (int_of_float total) (fun i ->
             if i < Array.length series then fmt_k series.(i) else "")
       in
       Table.add_row t (name :: cells))
-    protocols;
+    protocols results;
   Table.print t
 
-let fig8_dynamic_nonbatch ?(scale = 1.0) () =
+let fig8_dynamic_nonbatch ?domains ?trace ?(scale = 1.0) () =
   let cfg = slow_remaster Config.default in
   let period = 10.0 *. scale in
-  dynamic_sweep
+  dynamic_sweep ?domains ?trace
     ~title:"Fig 8a: dynamic hotspot-interval scenario, standard execution"
     ~protocols:(lineup ~use_lstm:true standard_ids)
-    ~gen:(Workloads.dynamic_interval ~period cfg)
+    ~gen:(fun () -> Workloads.dynamic_interval ~period cfg)
     ~total:(3.0 *. period) ~cfg
     ~phases:
       [ ("interval-0", 0.0); ("interval-1", period); ("interval-2", 2.0 *. period) ]
     ();
-  dynamic_sweep
+  dynamic_sweep ?domains ?trace
     ~title:"Fig 8b: dynamic hotspot-position scenario (A/B/C/D), standard execution"
     ~protocols:(lineup ~use_lstm:true standard_ids)
-    ~gen:(Workloads.dynamic_position ~period cfg)
+    ~gen:(fun () -> Workloads.dynamic_position ~period cfg)
     ~total:(4.0 *. period) ~cfg
     ~phases:(Workloads.position_phases cfg ~period)
     ()
 
-let fig10_dynamic_batch ?(scale = 1.0) () =
+let fig10_dynamic_batch ?domains ?trace ?(scale = 1.0) () =
   let cfg = slow_remaster Config.default in
   let period = 10.0 *. scale in
-  dynamic_sweep
+  dynamic_sweep ?domains ?trace
     ~title:"Fig 10a: dynamic hotspot-interval scenario, batch execution"
     ~protocols:(lineup ~use_lstm:true batch_ids)
-    ~gen:(Workloads.dynamic_interval ~period cfg)
+    ~gen:(fun () -> Workloads.dynamic_interval ~period cfg)
     ~total:(3.0 *. period) ~cfg
     ~phases:
       [ ("interval-0", 0.0); ("interval-1", period); ("interval-2", 2.0 *. period) ]
     ();
-  dynamic_sweep
+  dynamic_sweep ?domains ?trace
     ~title:"Fig 10b: dynamic hotspot-position scenario (A/B/C/D), batch execution"
     ~protocols:(lineup ~use_lstm:true batch_ids)
-    ~gen:(Workloads.dynamic_position ~period cfg)
+    ~gen:(fun () -> Workloads.dynamic_position ~period cfg)
     ~total:(4.0 *. period) ~cfg
     ~phases:(Workloads.position_phases cfg ~period)
     ()
 
 (* ------------------------------------------------------------------ *)
 
-let fig11_scalability ?(scale = 1.0) () =
+let fig11_scalability ?domains ?trace ?(scale = 1.0) () =
   let node_counts = [ 4; 6; 8; 10 ] in
   let t =
     Table.create
@@ -223,35 +229,22 @@ let fig11_scalability ?(scale = 1.0) () =
   let all_protocols =
     lineup ~use_lstm:false (standard_ids @ batch_ids)
   in
+  let rc = { Runner.quick with warmup = 4.0 *. scale; duration = 5.0 *. scale } in
   List.iter
-    (fun (name, is_batch, make) ->
+    (fun ((name, is_batch, _), results) ->
       let name = if is_batch && name = "Lion" then "Lion(batch)" else name in
-      let cells =
-        List.map
-          (fun nodes ->
-            let cfg = Config.with_nodes Config.default nodes in
-            let rc =
-              {
-                Runner.quick with
-                warmup = 4.0 *. scale;
-                duration = 5.0 *. scale;
-              }
-            in
-            let r =
-              Runner.run ~batch:is_batch ~cfg ~make
-                ~gen:(Workloads.ycsb ~cross:1.0 cfg)
-                rc
-            in
-            fmt_k r.Runner.throughput)
-          node_counts
-      in
-      Table.add_row t (name :: cells))
-    all_protocols;
+      Table.add_row t
+        (name :: List.map (fun (r : Runner.result) -> fmt_k r.Runner.throughput) results))
+    (grid ?domains ?trace
+       (fun ?trace (_, is_batch, make) nodes ->
+         let cfg = Config.with_nodes Config.default nodes in
+         Runner.run ?trace ~batch:is_batch ~cfg ~make ~gen:(Workloads.ycsb ~cross:1.0 cfg) rc)
+       all_protocols node_counts);
   Table.print t
 
 (* ------------------------------------------------------------------ *)
 
-let fig12_migration_analysis ?(scale = 1.0) () =
+let fig12_migration_analysis ?trace ?(scale = 1.0) () =
   let cfg = Config.default in
   let period = 8.0 *. scale in
   (* Two full cycles of the shifting-interval scenario: the predictor
@@ -262,7 +255,7 @@ let fig12_migration_analysis ?(scale = 1.0) () =
     { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 }
   in
   let r =
-    Runner.run ~cfg
+    Runner.run ?trace ~cfg
       ~make:(fun cl ->
         Lion_core.Standard.create ~name:"Lion"
           ~config:(lion_std_config ~predict:true ~use_lstm:true)
@@ -320,28 +313,27 @@ let recovery_time series ~switch_at ~phase_end =
     let rec find i = if i >= phase_end then phase_end - switch_at else if series.(i) >= target then i - switch_at else find (i + 1) in
     float_of_int (find switch_at))
 
-let fig13a_preplication ?(scale = 1.0) () =
+let fig13a_preplication ?domains ?trace ?(scale = 1.0) () =
   (* Costly remastering + a recurring shifting hotspot: the predictor,
      having seen cycle 1, pre-replicates before each cycle-2 shift; the
      prediction-less planner reacts only after the shift lands. *)
   let cfg = slow_remaster Config.default in
   let period = 8.0 *. scale in
   let total = 6.0 *. period in
-  let run predict =
-    let rc =
-      { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 }
-    in
-    Runner.run ~cfg
-      ~make:(fun cl ->
-        Lion_core.Standard.create
-          ~name:(if predict then "Lion(RW)" else "Lion(R)")
-          ~config:(lion_std_config ~predict ~use_lstm:predict)
-          cl)
-      ~gen:(Workloads.dynamic_interval ~period cfg)
-      rc
+  let rc = { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 } in
+  let results =
+    Runner.cells ?domains ?trace
+      (fun ?trace predict ->
+        Runner.run ?trace ~cfg
+          ~make:(fun cl ->
+            Lion_core.Standard.create
+              ~name:(if predict then "Lion(RW)" else "Lion(R)")
+              ~config:(lion_std_config ~predict ~use_lstm:predict)
+              cl)
+          ~gen:(Workloads.dynamic_interval ~period cfg)
+          rc)
+      [ true; false ]
   in
-  let with_pred = run true in
-  let without = run false in
   let t =
     Table.create
       ~title:"Fig 13a: adaptation after the cycle-2 hotspot shifts (pre-replication impact)"
@@ -378,11 +370,10 @@ let fig13a_preplication ?(scale = 1.0) () =
         fmt_k r.Runner.throughput;
       ]
   in
-  report "Lion with prediction" with_pred;
-  report "Lion without prediction" without;
+  List.iter2 report [ "Lion with prediction"; "Lion without prediction" ] results;
   Table.print t
 
-let fig13b_batch_opt ?(scale = 1.0) () =
+let fig13b_batch_opt ?domains ?trace ?(scale = 1.0) () =
   let delays = [ 300.0; 1000.0; 3000.0; 10000.0 ] in
   let t =
     Table.create
@@ -397,61 +388,39 @@ let fig13b_batch_opt ?(scale = 1.0) () =
      path; standard Lion pays each delay inline, batch Lion overlaps
      them behind one barrier per epoch. *)
   let period = 6.0 *. scale in
-  let run_variant name is_batch make =
-    let cells =
-      List.map
-        (fun delay ->
-          let cfg =
-            {
-              Config.default with
-              Config.remaster_delay = delay;
-              remaster_cooldown = 10.0 *. delay;
-            }
-          in
-          let rc =
-            {
-              Runner.quick with
-              warmup = 0.0;
-              duration = 3.0 *. period;
-              tick_every = 1.0;
-            }
-          in
-          let r =
-            Runner.run ~batch:is_batch ~cfg ~make
-              ~gen:(Workloads.dynamic_interval ~period cfg)
-              rc
-          in
-          fmt_k r.Runner.throughput)
-        delays
-    in
-    Table.add_row t (name :: cells)
+  let config = lion_std_config ~predict:false ~use_lstm:false in
+  let variants =
+    [
+      ("Lion standard", false, fun cl -> Lion_core.Standard.create ~name:"Lion-std" ~config cl);
+      ("Lion batch", true, fun cl -> Lion_core.Batch_mode.create ~name:"Lion-batch" ~config cl);
+    ]
   in
-  run_variant "Lion standard" false (fun cl ->
-      Lion_core.Standard.create ~name:"Lion-std"
-        ~config:(lion_std_config ~predict:false ~use_lstm:false)
-        cl);
-  run_variant "Lion batch" true (fun cl ->
-      Lion_core.Batch_mode.create ~name:"Lion-batch"
-        ~config:(lion_std_config ~predict:false ~use_lstm:false)
-        cl);
+  let rc = { Runner.quick with warmup = 0.0; duration = 3.0 *. period; tick_every = 1.0 } in
+  List.iter
+    (fun ((name, _, _), results) ->
+      Table.add_row t
+        (name :: List.map (fun (r : Runner.result) -> fmt_k r.Runner.throughput) results))
+    (grid ?domains ?trace
+       (fun ?trace (_, is_batch, make) delay ->
+         let cfg =
+           { Config.default with Config.remaster_delay = delay; remaster_cooldown = 10.0 *. delay }
+         in
+         Runner.run ?trace ~batch:is_batch ~cfg ~make
+           ~gen:(Workloads.dynamic_interval ~period cfg)
+           rc)
+       variants delays);
   Table.print t
 
 (* ------------------------------------------------------------------ *)
 
-let fig14_latency ?(scale = 1.0) () =
+let fig14_latency ?domains ?trace ?(scale = 1.0) () =
   let cfg = slow_remaster Config.default in
+  let rc = { Runner.quick with warmup = 4.0 *. scale; duration = 5.0 *. scale } in
   let results =
-    List.map
-      (fun (name, is_batch, make) ->
-        let rc =
-          {
-            Runner.quick with
-            warmup = 4.0 *. scale;
-            duration = 5.0 *. scale;
-          }
-        in
+    Runner.cells ?domains ?trace
+      (fun ?trace (name, is_batch, make) ->
         ( name,
-          Runner.run ~batch:is_batch ~cfg ~make
+          Runner.run ?trace ~batch:is_batch ~cfg ~make
             ~gen:(Workloads.ycsb ~skew:0.8 ~cross:0.5 cfg)
             rc ))
       (lineup ~use_lstm:false batch_ids)
@@ -493,7 +462,7 @@ let fig14_latency ?(scale = 1.0) () =
    prediction weight w_p (§IV-C's tunable).                            *)
 (* ------------------------------------------------------------------ *)
 
-let abl_cooldown ?(scale = 1.0) () =
+let abl_cooldown ?domains ?trace ?(scale = 1.0) () =
   let cooldowns = [ 3_000.0; 10_000.0; 30_000.0; 100_000.0 ] in
   let t =
     Table.create
@@ -503,8 +472,8 @@ let abl_cooldown ?(scale = 1.0) () =
       ~columns:("metric" :: List.map (fun c -> Printf.sprintf "%.0fms" (c /. 1000.0)) cooldowns)
   in
   let results =
-    List.map
-      (fun cooldown ->
+    Runner.cells ?domains ?trace
+      (fun ?trace cooldown ->
         let cfg =
           {
             Config.default with
@@ -513,7 +482,7 @@ let abl_cooldown ?(scale = 1.0) () =
           }
         in
         let rc = { Runner.quick with warmup = 5.0 *. scale; duration = 5.0 *. scale } in
-        Runner.run ~cfg
+        Runner.run ?trace ~cfg
           ~make:(fun cl ->
             Lion_core.Standard.create ~name:"Lion"
               ~config:(lion_std_config ~predict:false ~use_lstm:false)
@@ -532,7 +501,7 @@ let abl_cooldown ?(scale = 1.0) () =
          results);
   Table.print t
 
-let abl_replicas ?(scale = 1.0) () =
+let abl_replicas ?domains ?trace ?(scale = 1.0) () =
   let caps = [ 2; 3; 4 ] in
   let t =
     Table.create
@@ -542,11 +511,11 @@ let abl_replicas ?(scale = 1.0) () =
       ~columns:("metric" :: List.map (fun c -> Printf.sprintf "max %d" c) caps)
   in
   let results =
-    List.map
-      (fun cap ->
+    Runner.cells ?domains ?trace
+      (fun ?trace cap ->
         let cfg = { Config.default with Config.max_replicas = cap } in
         let rc = { Runner.quick with warmup = 6.0 *. scale; duration = 5.0 *. scale } in
-        Runner.run ~cfg
+        Runner.run ?trace ~cfg
           ~make:(fun cl ->
             Lion_core.Standard.create ~name:"Lion"
               ~config:(lion_std_config ~predict:false ~use_lstm:false)
@@ -565,7 +534,7 @@ let abl_replicas ?(scale = 1.0) () =
          results);
   Table.print t
 
-let abl_wp ?(scale = 1.0) () =
+let abl_wp ?domains ?trace ?(scale = 1.0) () =
   let weights = [ 0.0; 0.5; 1.0; 2.0 ] in
   let cfg = Config.default in
   let period = 8.0 *. scale in
@@ -577,8 +546,8 @@ let abl_wp ?(scale = 1.0) () =
       ~columns:("metric" :: List.map (fun w -> Printf.sprintf "w_p=%.1f" w) weights)
   in
   let results =
-    List.map
-      (fun w_p ->
+    Runner.cells ?domains ?trace
+      (fun ?trace w_p ->
         let config =
           {
             (lion_std_config ~predict:(w_p > 0.0) ~use_lstm:false) with
@@ -588,7 +557,7 @@ let abl_wp ?(scale = 1.0) () =
         let rc =
           { Runner.quick with warmup = 0.0; duration = 2.0 *. period; tick_every = 1.0 }
         in
-        Runner.run ~cfg
+        Runner.run ?trace ~cfg
           ~make:(fun cl -> Lion_core.Standard.create ~name:"Lion" ~config cl)
           ~gen:(Workloads.dynamic_interval ~period cfg)
           rc)
@@ -654,7 +623,7 @@ let abl_forecaster ?(scale = 1.0) () =
     series;
   Table.print t
 
-let abl_read_secondary ?(scale = 1.0) () =
+let abl_read_secondary ?domains ?trace ?(scale = 1.0) () =
   (* The bounded-staleness extension: on a read-mostly cross-partition
      workload, serving all-read groups at local secondaries removes the
      promotions/2PC those reads would otherwise need. *)
@@ -679,16 +648,18 @@ let abl_read_secondary ?(scale = 1.0) () =
     let g = Lion_workload.Ycsb.create ~seed:7 params in
     fun ~time:_ -> Lion_workload.Ycsb.next g
   in
-  let run read_at_secondary =
-    Runner.run ~cfg
-      ~make:(fun cl ->
-        Lion_core.Standard.create ~name:"Lion" ~read_at_secondary
-          ~config:(lion_std_config ~predict:false ~use_lstm:false)
-          cl)
-      ~gen:(gen ())
-      { Runner.quick with warmup = 6.0 *. scale; duration = 5.0 *. scale }
+  let results =
+    Runner.cells ?domains ?trace
+      (fun ?trace read_at_secondary ->
+        Runner.run ?trace ~cfg
+          ~make:(fun cl ->
+            Lion_core.Standard.create ~name:"Lion" ~read_at_secondary
+              ~config:(lion_std_config ~predict:false ~use_lstm:false)
+              cl)
+          ~gen:(gen ())
+          { Runner.quick with warmup = 6.0 *. scale; duration = 5.0 *. scale })
+      [ false; true ]
   in
-  let base = run false and rs = run true in
   let row name (r : Runner.result) =
     Table.add_row t
       [
@@ -697,11 +668,10 @@ let abl_read_secondary ?(scale = 1.0) () =
         Table.cell_float ~decimals:1 (100.0 *. r.Runner.single_node_ratio);
       ]
   in
-  row "Lion (primary-only reads, paper)" base;
-  row "Lion + read-at-secondary" rs;
+  List.iter2 row [ "Lion (primary-only reads, paper)"; "Lion + read-at-secondary" ] results;
   Table.print t
 
-let abl_failover ?(scale = 1.0) () =
+let abl_failover ?trace ?(scale = 1.0) () =
   (* High availability under the replication Lion builds on: crash a
      node mid-run, watch failover promote surviving secondaries within
      the election delay, then recover the node and let the planner
@@ -710,7 +680,7 @@ let abl_failover ?(scale = 1.0) () =
   let fail_at = 6.0 *. scale and recover_at = 12.0 *. scale in
   let total = 18.0 *. scale in
   let r =
-    Runner.run ~cfg
+    Runner.run ?trace ~cfg
       ~setup:(fun cl ->
         let engine = cl.Lion_store.Cluster.engine in
         Lion_sim.Engine.at engine ~time:(Lion_sim.Engine.seconds fail_at) (fun () ->
@@ -764,7 +734,7 @@ let lion_std_make cl =
 let fmt_ttr v =
   if v = infinity then "not yet" else Table.cell_float ~decimals:0 v
 
-let fault_crash_sweep ?(scale = 1.0) () =
+let fault_crash_sweep ?domains ?trace ?(scale = 1.0) () =
   (* 0, 1 or 2 simultaneous crashes at 6 s, recovery at 16 s. With the
      default round-robin placement and 2 replicas, losing nodes 1 and 2
      together orphans the partitions whose both copies lived there:
@@ -792,22 +762,26 @@ let fault_crash_sweep ?(scale = 1.0) () =
           "goodput under fault";
         ]
   in
-  List.iter
-    (fun k ->
-      let plan =
-        List.concat_map
-          (fun node ->
-            Fault.crash_recover ~node
-              ~at:(Engine.seconds crash_at)
-              ~downtime:(Engine.seconds downtime))
-          (List.init k (fun i -> i + 1))
-      in
-      let cfg = { Config.default with Config.fault_plan = plan } in
-      let r =
-        Runner.run ~cfg ~make:lion_std_make
+  let crashes = [ 0; 1; 2 ] in
+  let results =
+    Runner.cells ?domains ?trace
+      (fun ?trace k ->
+        let plan =
+          List.concat_map
+            (fun node ->
+              Fault.crash_recover ~node
+                ~at:(Engine.seconds crash_at)
+                ~downtime:(Engine.seconds downtime))
+            (List.init k (fun i -> i + 1))
+        in
+        let cfg = { Config.default with Config.fault_plan = plan } in
+        Runner.run ?trace ~cfg ~make:lion_std_make
           ~gen:(Workloads.ycsb ~cross:0.5 cfg)
-          { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 }
-      in
+          { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 })
+      crashes
+  in
+  List.iter2
+    (fun k (r : Runner.result) ->
       Table.add_row t
         [
           string_of_int k;
@@ -820,10 +794,10 @@ let fault_crash_sweep ?(scale = 1.0) () =
           fmt_ttr r.Runner.time_to_recover;
           fmt_k r.Runner.goodput_under_fault;
         ])
-    [ 0; 1; 2 ];
+    crashes results;
   Table.print t
 
-let fault_partition ?(scale = 1.0) () =
+let fault_partition ?domains ?trace ?(scale = 1.0) () =
   (* Split-brain: {0,1} | {2,3} for 5 s. No node dies, so availability
      stays nominal — the damage shows up as cross-group RPC timeouts
      (2PC keeps paying them; Lion's remastering pulls work local). *)
@@ -846,13 +820,19 @@ let fault_partition ?(scale = 1.0) () =
       ~columns:
         [ "protocol"; "k txn/s"; "aborts"; "timeouts"; "retries"; "drops" ]
   in
+  let results =
+    Runner.cells ?domains ?trace
+      (fun ?trace (name, batch, make) ->
+        ( name,
+          Runner.run ?trace ~batch ~cfg ~make
+            ~gen:(Workloads.ycsb ~cross:0.5 cfg)
+            { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 } ))
+      (Protocols.lineup
+         ~config:(lion_std_config ~predict:false ~use_lstm:false)
+         [ "2pc"; "lion" ])
+  in
   List.iter
-    (fun (name, batch, make) ->
-      let r =
-        Runner.run ~batch ~cfg ~make
-          ~gen:(Workloads.ycsb ~cross:0.5 cfg)
-          { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 }
-      in
+    (fun (name, (r : Runner.result)) ->
       Table.add_row t
         [
           name;
@@ -862,12 +842,10 @@ let fault_partition ?(scale = 1.0) () =
           Table.cell_int r.Runner.retries;
           Table.cell_int r.Runner.drops;
         ])
-    (Protocols.lineup
-       ~config:(lion_std_config ~predict:false ~use_lstm:false)
-       [ "2pc"; "lion" ]);
+    results;
   Table.print t
 
-let fault_straggler ?(scale = 1.0) () =
+let fault_straggler ?domains ?trace ?(scale = 1.0) () =
   (* One slow node: all CPU work on node 2 stretched by the factor from
      5 s to 15 s. No messages are lost, so this isolates the latency
      and throughput cost of a straggler from the failover machinery. *)
@@ -882,19 +860,23 @@ let fault_straggler ?(scale = 1.0) () =
            from_ until)
       ~columns:[ "slowdown"; "k txn/s"; "mean latency (ms)"; "p95 (ms)" ]
   in
-  List.iter
-    (fun factor ->
-      let plan =
-        Fault.slow_node ~node:2 ~factor
-          ~from_:(Engine.seconds from_)
-          ~until:(Engine.seconds until)
-      in
-      let cfg = { Config.default with Config.fault_plan = plan } in
-      let r =
-        Runner.run ~cfg ~make:lion_std_make
+  let factors = [ 1.0; 4.0; 16.0 ] in
+  let results =
+    Runner.cells ?domains ?trace
+      (fun ?trace factor ->
+        let plan =
+          Fault.slow_node ~node:2 ~factor
+            ~from_:(Engine.seconds from_)
+            ~until:(Engine.seconds until)
+        in
+        let cfg = { Config.default with Config.fault_plan = plan } in
+        Runner.run ?trace ~cfg ~make:lion_std_make
           ~gen:(Workloads.ycsb ~cross:0.5 cfg)
-          { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 }
-      in
+          { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 })
+      factors
+  in
+  List.iter2
+    (fun factor (r : Runner.result) ->
       Table.add_row t
         [
           Printf.sprintf "%.0fx" factor;
@@ -902,17 +884,17 @@ let fault_straggler ?(scale = 1.0) () =
           Table.cell_float ~decimals:1 (r.Runner.mean_latency /. 1000.0);
           Table.cell_float ~decimals:1 (r.Runner.p95 /. 1000.0);
         ])
-    [ 1.0; 4.0; 16.0 ];
+    factors results;
   Table.print t
 
 (* ------------------------------------------------------------------ *)
 
-let overload_sweep ?(scale = 1.0) () =
-  Overload.print_sweeps (Overload.sweep ~scale ());
-  Overload.print_sweeps (Overload.sweep ~scale ~protect:true ())
+let overload_sweep ?trace ?(scale = 1.0) () =
+  Overload.print_sweeps (Overload.sweep ?trace ~scale ());
+  Overload.print_sweeps (Overload.sweep ?trace ~scale ~protect:true ())
 
-let metastable ?(scale = 1.0) () =
-  Overload.print_metastable (Overload.metastable_pair ~scale ())
+let metastable ?trace ?(scale = 1.0) () =
+  Overload.print_metastable (Overload.metastable_pair ?trace ~scale ())
 
 let elastic_scale ?(scale = 1.0) () =
   (* The experiment has two fixed sizes (a 30 s diurnal cycle with the
@@ -924,62 +906,70 @@ let elastic_scale ?(scale = 1.0) () =
 
 let registry =
   [
-    ("table1", "Table I: qualitative comparison", fun _ -> table1_comparison ());
-    ("fig6", "Fig 6 / Table II: ablation study", fun s -> fig6_ablation ~scale:s ());
+    ("table1", "Table I: qualitative comparison", fun ?trace:_ _ -> table1_comparison ());
+    ("fig6", "Fig 6 / Table II: ablation study", fun ?trace s -> fig6_ablation ?trace ~scale:s ());
     ( "fig7",
       "Fig 7: cross-partition ratio sweep (standard)",
-      fun s -> fig7_crossratio_nonbatch ~scale:s () );
+      fun ?trace s -> fig7_crossratio_nonbatch ?trace ~scale:s () );
     ( "fig8",
       "Fig 8: dynamic workloads (standard)",
-      fun s -> fig8_dynamic_nonbatch ~scale:s () );
+      fun ?trace s -> fig8_dynamic_nonbatch ?trace ~scale:s () );
     ( "fig9",
       "Fig 9: cross-partition ratio sweep (batch)",
-      fun s -> fig9_crossratio_batch ~scale:s () );
-    ("fig10", "Fig 10: dynamic workloads (batch)", fun s -> fig10_dynamic_batch ~scale:s ());
-    ("fig11", "Fig 11: scalability 4-10 nodes", fun s -> fig11_scalability ~scale:s ());
+      fun ?trace s -> fig9_crossratio_batch ?trace ~scale:s () );
+    ( "fig10",
+      "Fig 10: dynamic workloads (batch)",
+      fun ?trace s -> fig10_dynamic_batch ?trace ~scale:s () );
+    ( "fig11",
+      "Fig 11: scalability 4-10 nodes",
+      fun ?trace s -> fig11_scalability ?trace ~scale:s () );
     ( "fig12",
       "Fig 12: migration/remastering analysis",
-      fun s -> fig12_migration_analysis ~scale:s () );
+      fun ?trace s -> fig12_migration_analysis ?trace ~scale:s () );
     ( "fig13a",
       "Fig 13a: pre-replication impact",
-      fun s -> fig13a_preplication ~scale:s () );
-    ("fig13b", "Fig 13b: batch optimization impact", fun s -> fig13b_batch_opt ~scale:s ());
-    ("fig14", "Fig 14: latency analysis", fun s -> fig14_latency ~scale:s ());
+      fun ?trace s -> fig13a_preplication ?trace ~scale:s () );
+    ( "fig13b",
+      "Fig 13b: batch optimization impact",
+      fun ?trace s -> fig13b_batch_opt ?trace ~scale:s () );
+    ("fig14", "Fig 14: latency analysis", fun ?trace s -> fig14_latency ?trace ~scale:s ());
     ( "abl_cooldown",
       "Ablation: remaster cooldown damping",
-      fun s -> abl_cooldown ~scale:s () );
-    ("abl_replicas", "Ablation: replica budget", fun s -> abl_replicas ~scale:s ());
-    ("abl_wp", "Ablation: prediction weight w_p", fun s -> abl_wp ~scale:s ());
+      fun ?trace s -> abl_cooldown ?trace ~scale:s () );
+    ( "abl_replicas",
+      "Ablation: replica budget",
+      fun ?trace s -> abl_replicas ?trace ~scale:s () );
+    ("abl_wp", "Ablation: prediction weight w_p", fun ?trace s -> abl_wp ?trace ~scale:s ());
     ( "abl_forecaster",
       "Ablation: LSTM vs RNN vs linear regression",
-      fun s -> abl_forecaster ~scale:s () );
+      fun ?trace:_ s -> abl_forecaster ~scale:s () );
     ( "abl_failover",
       "Ablation: node failure and recovery",
-      fun s -> abl_failover ~scale:s () );
+      fun ?trace s -> abl_failover ?trace ~scale:s () );
     ( "abl_read_secondary",
       "Ablation: bounded-staleness reads at secondaries",
-      fun s -> abl_read_secondary ~scale:s () );
+      fun ?trace s -> abl_read_secondary ?trace ~scale:s () );
     ( "fault_crash_sweep",
       "Chaos: 0/1/2 node crashes with recovery",
-      fun s -> fault_crash_sweep ~scale:s () );
+      fun ?trace s -> fault_crash_sweep ?trace ~scale:s () );
     ( "fault_partition",
       "Chaos: split-brain network partition",
-      fun s -> fault_partition ~scale:s () );
+      fun ?trace s -> fault_partition ?trace ~scale:s () );
     ( "fault_straggler",
       "Chaos: slow-node CPU straggler",
-      fun s -> fault_straggler ~scale:s () );
+      fun ?trace s -> fault_straggler ?trace ~scale:s () );
     ( "overload_sweep",
       "Overload: open-loop offered-load sweep past saturation",
-      fun s -> overload_sweep ~scale:s () );
+      fun ?trace s -> overload_sweep ?trace ~scale:s () );
     ( "metastable",
       "Overload: metastable-failure repro, with and without protection",
-      fun s -> metastable ~scale:s () );
+      fun ?trace s -> metastable ?trace ~scale:s () );
     ( "elastic_scale",
       "Membership: forecast-driven autoscale over a diurnal cycle",
-      fun s -> elastic_scale ~scale:s () );
+      fun ?trace:_ s -> elastic_scale ~scale:s () );
     ( "geo",
       "Geo: cross-region ratio sweep and WAN partition (docs/GEO.md)",
-      fun s ->
-        Geo.print_sweep ~regions:2 (Geo.sweep ~scale:s ());
-        Geo.print_partition ~scale:s (Geo.wan_partition ~scale:s ()) );
+      fun ?trace s ->
+        Geo.print_sweep ~regions:2 (Geo.sweep ?trace ~scale:s ());
+        Geo.print_partition ~scale:s (Geo.wan_partition ?trace ~scale:s ()) );
   ]

@@ -70,13 +70,13 @@ type cell = {
 
 let ratios = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]
 
-let run_one ?(seed = 7) ~scale ~batch ~cfg ~make ~cross () =
+let run_one ?(seed = 7) ?trace ~scale ~batch ~cfg ~make ~cross () =
   let rc =
     { Runner.quick with Runner.warmup = 2.0 *. scale; duration = 4.0 *. scale }
   in
   let captured = ref None in
   let r =
-    Runner.run ~seed ~batch ~cfg ~make
+    Runner.run ~seed ?trace ~batch ~cfg ~make
       ~setup:(fun cl -> captured := Some cl)
       ~gen:(gen ~seed ~cross cfg)
       rc
@@ -95,11 +95,12 @@ let run_one ?(seed = 7) ~scale ~batch ~cfg ~make ~cross () =
     wan_msgs;
   }
 
-let sweep ?(seed = 7) ?(scale = 1.0) ?(regions = 2) () =
+let sweep ?(seed = 7) ?(scale = 1.0) ?(regions = 2) ?trace () =
   let cfg = geo_config ~regions () in
   List.map
     (fun (name, batch, make) ->
-      (name, List.map (fun cross -> run_one ~seed ~scale ~batch ~cfg ~make ~cross ()) ratios))
+      ( name,
+        List.map (fun cross -> run_one ~seed ?trace ~scale ~batch ~cfg ~make ~cross ()) ratios ))
     lineup
 
 let fmt_k v = Table.cell_float ~decimals:1 (v /. 1000.0)
@@ -151,7 +152,7 @@ let region_nodes cfg r =
 (* Goodput while the WAN is down: split the two regions for a window
    mid-run. min_regions=2 keeps a replica of everything on both sides,
    so intra-region transactions should keep committing throughout. *)
-let wan_partition ?(seed = 7) ?(scale = 1.0) () =
+let wan_partition ?(seed = 7) ?(scale = 1.0) ?trace () =
   let at = 4.0 *. scale and duration = 4.0 *. scale in
   let total = 12.0 *. scale in
   let base = geo_config () in
@@ -165,7 +166,7 @@ let wan_partition ?(seed = 7) ?(scale = 1.0) () =
   List.map
     (fun (name, batch, make) ->
       let r =
-        Runner.run ~seed ~batch ~cfg ~make
+        Runner.run ~seed ?trace ~batch ~cfg ~make
           ~gen:(gen ~seed ~cross:0.1 cfg)
           { Runner.quick with Runner.warmup = 0.0; duration = total; tick_every = 1.0 }
       in

@@ -36,7 +36,12 @@ val ratios : float list
 (** The sweep's cross-region ratios: 0, 0.25, 0.5, 0.75, 1. *)
 
 val sweep :
-  ?seed:int -> ?scale:float -> ?regions:int -> unit -> (string * cell list) list
+  ?seed:int ->
+  ?scale:float ->
+  ?regions:int ->
+  ?trace:Runner.trace_sink ->
+  unit ->
+  (string * cell list) list
 (** One row per protocol (Lion, Star, 2PC, EpochOCC), one cell per
     ratio. [scale] multiplies simulated durations (default 1.0). *)
 
@@ -46,7 +51,7 @@ val crossover_ok : (string * cell list) list -> bool
 (** [Lion >= EpochOCC] at ratio 0 and [EpochOCC >= Lion] at ratio 1. *)
 
 val wan_partition :
-  ?seed:int -> ?scale:float -> unit -> (string * Runner.result) list
+  ?seed:int -> ?scale:float -> ?trace:Runner.trace_sink -> unit -> (string * Runner.result) list
 (** Goodput under a WAN partition: regions 0 and 1 are split for a
     window mid-run on a 10 % cross-region workload. [min_regions] = 2
     keeps both sides holding a replica of every partition. *)

@@ -21,11 +21,11 @@ let make (p : Protocols.entry) =
    queues to matter. *)
 let gen_for ~seed cfg = Workloads.ycsb ~seed ~skew:0.8 ~cross:0.5 cfg
 
-let probe_capacity ?(seed = 1) ?(scale = 1.0) (p : Protocols.entry) =
+let probe_capacity ?(seed = 1) ?(scale = 1.0) ?trace (p : Protocols.entry) =
   let cfg = Config.default in
   let rc = { Runner.quick with warmup = 2.0 *. scale; duration = 4.0 *. scale } in
   let r =
-    Runner.run ~seed ~batch:p.batch ~cfg ~make:(make p) ~gen:(gen_for ~seed cfg) rc
+    Runner.run ~seed ?trace ~batch:p.batch ~cfg ~make:(make p) ~gen:(gen_for ~seed cfg) rc
   in
   r.Runner.throughput
 
@@ -49,8 +49,8 @@ let measured_deadline = Some { Config.default_deadline with enforce = false }
 let measured_baseline = { Config.default with Config.deadline = measured_deadline }
 
 let sweep_one ?(seed = 1) ?(scale = 1.0) ?(protect = false)
-    ?(ratios = default_ratios) proto =
-  let capacity = probe_capacity ~seed ~scale proto in
+    ?(ratios = default_ratios) ?trace proto =
+  let capacity = probe_capacity ~seed ~scale ?trace proto in
   let cfg =
     if protect then Config.with_overload_defaults Config.default
     else measured_baseline
@@ -67,7 +67,7 @@ let sweep_one ?(seed = 1) ?(scale = 1.0) ?(protect = false)
           }
         in
         let result =
-          Runner.run ~seed ~batch:proto.batch ~cfg ~make:(make proto)
+          Runner.run ~seed ?trace ~batch:proto.batch ~cfg ~make:(make proto)
             ~gen:(gen_for ~seed cfg) rc
         in
         { ratio; result })
@@ -75,8 +75,8 @@ let sweep_one ?(seed = 1) ?(scale = 1.0) ?(protect = false)
   in
   { proto; protected_ = protect; capacity; points }
 
-let sweep ?seed ?scale ?protect ?ratios () =
-  List.map (sweep_one ?seed ?scale ?protect ?ratios) protocols
+let sweep ?seed ?scale ?protect ?ratios ?trace () =
+  List.map (sweep_one ?seed ?scale ?protect ?ratios ?trace) protocols
 
 let sweep_rows sweeps =
   let header =
@@ -193,9 +193,9 @@ let mean_range series ~from_ ~until =
    for a system that is going to recover to have done so. Both variants
    measure the same 200 ms client patience; only the protected one acts
    on it. *)
-let metastable ?(seed = 1) ?(scale = 1.0) ?(load = 1.0) ~protect () =
+let metastable ?(seed = 1) ?(scale = 1.0) ?(load = 1.0) ?trace ~protect () =
   let twopc = Protocols.get "2pc" in
-  let capacity = probe_capacity ~seed ~scale twopc in
+  let capacity = probe_capacity ~seed ~scale ?trace twopc in
   let protected_cfg = Config.with_overload_defaults Config.default in
   let cfg =
     if protect then protected_cfg
@@ -223,7 +223,8 @@ let metastable ?(seed = 1) ?(scale = 1.0) ?(load = 1.0) ~protect () =
     }
   in
   let result =
-    Runner.run ~seed ~batch:twopc.batch ~cfg ~make:(make twopc) ~gen:(gen_for ~seed cfg) rc
+    Runner.run ~seed ?trace ~batch:twopc.batch ~cfg ~make:(make twopc)
+      ~gen:(gen_for ~seed cfg) rc
   in
   let series = result.Runner.goodput_series in
   let sec x = int_of_float (Float.round (s x)) in
@@ -238,10 +239,10 @@ let metastable ?(seed = 1) ?(scale = 1.0) ?(load = 1.0) ~protect () =
     result;
   }
 
-let metastable_pair ?seed ?scale ?load () =
+let metastable_pair ?seed ?scale ?load ?trace () =
   [
-    metastable ?seed ?scale ?load ~protect:false ();
-    metastable ?seed ?scale ?load ~protect:true ();
+    metastable ?seed ?scale ?load ?trace ~protect:false ();
+    metastable ?seed ?scale ?load ?trace ~protect:true ();
   ]
 
 let metastable_rows metas =

@@ -17,7 +17,8 @@ val protocols : Protocols.entry list
 (** The protocols the sweep covers: lion, star, 2pc. Lion runs with
     prediction but without the LSTM forecaster. *)
 
-val probe_capacity : ?seed:int -> ?scale:float -> Protocols.entry -> float
+val probe_capacity :
+  ?seed:int -> ?scale:float -> ?trace:Runner.trace_sink -> Protocols.entry -> float
 (** Closed-loop throughput (txn/s) on the shared overload workload —
     the saturation point the sweep ratios are relative to. *)
 
@@ -38,13 +39,20 @@ val sweep_one :
   ?scale:float ->
   ?protect:bool ->
   ?ratios:float list ->
+  ?trace:Runner.trace_sink ->
   Protocols.entry ->
   sweep
 (** Probe capacity, then one open-loop Poisson run per ratio.
     [protect] (default false) turns every overload knob on. *)
 
 val sweep :
-  ?seed:int -> ?scale:float -> ?protect:bool -> ?ratios:float list -> unit -> sweep list
+  ?seed:int ->
+  ?scale:float ->
+  ?protect:bool ->
+  ?ratios:float list ->
+  ?trace:Runner.trace_sink ->
+  unit ->
+  sweep list
 (** [sweep_one] over every protocol in {!protocols}. *)
 
 val sweep_rows : sweep list -> string list * string list list
@@ -68,7 +76,13 @@ type meta = {
 }
 
 val metastable :
-  ?seed:int -> ?scale:float -> ?load:float -> protect:bool -> unit -> meta
+  ?seed:int ->
+  ?scale:float ->
+  ?load:float ->
+  ?trace:Runner.trace_sink ->
+  protect:bool ->
+  unit ->
+  meta
 (** One metastable run (2PC, open-loop Poisson at [load] (default 1.0)
     x probed capacity, node 0 slowed 12x from 6 s to 9 s, 20 s total,
     all times x [scale]). Both variants measure the same 200 ms client
@@ -78,7 +92,7 @@ val metastable :
     stale commits it keeps producing against it. *)
 
 val metastable_pair :
-  ?seed:int -> ?scale:float -> ?load:float -> unit -> meta list
+  ?seed:int -> ?scale:float -> ?load:float -> ?trace:Runner.trace_sink -> unit -> meta list
 (** The unprotected and protected runs, in that order. *)
 
 val metastable_rows : meta list -> string list * string list list

@@ -8,12 +8,6 @@ module Trace = Lion_trace.Trace
 
 type trace_sink = { fresh : unit -> Trace.t; emit : Trace.t -> unit }
 
-(* Global sink so `--trace` on the CLI reaches every experiment without
-   threading a tracer through each figure function. *)
-let sink : trace_sink option ref = ref None
-let set_trace_sink s = sink := Some s
-let clear_trace_sink () = sink := None
-
 type arrival =
   | Closed
   | Poisson of float
@@ -102,10 +96,10 @@ let fault_summary ~availability ~throughput_series =
   in
   (!unavail, time_to_recover, goodput)
 
-let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?tracer ?history
+let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?history
     ~cfg ~make ~gen rc =
   let sink_tracer =
-    match (tracer, !sink) with
+    match (tracer, trace) with
     | None, Some s -> Some (s.fresh ())
     | _ -> None
   in
@@ -191,7 +185,7 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?tracer ?history
   let unavail_seconds, time_to_recover, goodput_under_fault =
     fault_summary ~availability ~throughput_series
   in
-  (match (sink_tracer, !sink) with
+  (match (sink_tracer, trace) with
   | Some t, Some s -> s.emit t
   | _ -> ());
   let throughput = float_of_int commits /. rc.duration in
@@ -246,3 +240,20 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?tracer ?history
     goodput_under_fault;
     engine_events = Engine.events_processed engine;
   }
+
+(* Each cell's runs hand their tracers to a per-cell list instead of
+   [emit]; the calling domain emits them once the pool is done, so
+   trace files are numbered and reports printed in cell order. *)
+let cells ?domains ?trace (run : ?trace:trace_sink -> 'a -> 'b) xs =
+  match trace with
+  | None -> Pool.map ?domains (fun x -> run ?trace:None x) xs
+  | Some sink ->
+      Pool.map ?domains
+        (fun x ->
+          let tracers = ref [] in
+          let r = run ~trace:{ sink with emit = (fun t -> tracers := t :: !tracers) } x in
+          (r, List.rev !tracers))
+        xs
+      |> List.map (fun (r, tracers) ->
+             List.iter sink.emit tracers;
+             r)

@@ -97,22 +97,20 @@ type result = {
 }
 
 type trace_sink = {
-  fresh : unit -> Lion_trace.Trace.t;  (** one tracer per [run] call *)
+  fresh : unit -> Lion_trace.Trace.t;
+      (** one tracer per [run] call; may be called from any domain *)
   emit : Lion_trace.Trace.t -> unit;  (** called when that run finishes *)
 }
-(** Hook wiring the CLI's [--trace] flag to every experiment without
-    threading a tracer through each figure function: when a sink is
-    installed, each [run] (that was not handed an explicit [tracer])
-    builds its cluster with [fresh ()] and hands the tracer to [emit]
-    after collecting results. *)
-
-val set_trace_sink : trace_sink -> unit
-val clear_trace_sink : unit -> unit
+(** How the CLI's [--trace] flag reaches every run of an experiment:
+    each [run] handed a sink (and no explicit [tracer]) builds its
+    cluster with [fresh ()] and hands the tracer to [emit] after
+    collecting results. *)
 
 val run :
   ?seed:int ->
   ?batch:bool ->
   ?setup:(Lion_store.Cluster.t -> unit) ->
+  ?trace:trace_sink ->
   ?tracer:Lion_trace.Trace.t ->
   ?history:Lion_store.History.t ->
   cfg:Lion_store.Config.t ->
@@ -124,9 +122,18 @@ val run :
     for standard protocols, one per batch slot for batch protocols.
     [setup] runs after the cluster is built and before any client
     starts — fault-injection experiments use it to schedule node
-    failures on the cluster's engine. [tracer] (default: ask the trace
-    sink, else none) enables causal transaction tracing on the cluster;
-    the caller inspects or exports it afterwards. [history] (default
+    failures on the cluster's engine. [tracer] (default: [trace]'s
+    [fresh ()], else none) enables causal transaction tracing on the
+    cluster; the caller inspects or exports it afterwards. [history] (default
     none) attaches a consistency-audit sink that the protocol engines
     fill with one event per transaction attempt — see
     {!Lion_store.History} and the [Lion_audit] checker. *)
+
+val cells :
+  ?domains:int -> ?trace:trace_sink -> (?trace:trace_sink -> 'a -> 'b) -> 'a list -> 'b list
+(** [cells run xs] runs the independent sweep cells [xs] on
+    {!Pool.map} (same [domains]) and returns their results in order.
+    Each cell passes [trace] on to its [run] calls; their tracers are
+    held back and handed to [trace.emit] from the calling domain in
+    cell order once every cell is done, so trace numbering and report
+    order do not depend on the domain count. *)

@@ -14,7 +14,9 @@
      is the headline number, plus [ycsb_lion_standard], Lion's
      standard-mode serving path (router, planner observe, store) on
      skewed YCSB, and [tpcc_lion_batch], Lion's batch epoch path on
-     skewed TPC-C.
+     skewed TPC-C;
+   - sweep: [sweep_pool], short cells through the domain pool that
+     [lion compare] and the experiment sweeps use.
 
    Scenario shapes are part of the BENCH_*.json contract: changing a
    shape (chain count, op size, cell scale) invalidates comparison
@@ -230,6 +232,24 @@ let tpcc_lion_batch () =
   in
   (r.Runner.engine_events, r.Runner.commits)
 
+(* ---- sweep pool -------------------------------------------------- *)
+
+(* Four short uniform-YCSB cells (2PC and Star, two seeds each) through
+   [Pool.map] at the default domain count. Minor words of helper
+   domains count once they join, so words/event is the cells' own and
+   its gate pins that the pool adds nothing per event. *)
+let sweep_pool () =
+  let cfg = Config.default in
+  let rc = { Runner.quick with warmup = 0.1; duration = 0.2 } in
+  let cell (seed, batch, make) =
+    let r = Runner.run ~seed ~batch ~cfg ~make ~gen:(Workloads.ycsb ~seed ~cross:1.0 cfg) rc in
+    (r.Runner.engine_events, r.Runner.commits)
+  in
+  let twopc cl = Lion_protocols.Twopc.create cl and star cl = Lion_protocols.Star.create cl in
+  Lion_harness.Pool.map cell
+    [ (1, false, twopc); (1, true, star); (2, false, twopc); (2, true, star) ]
+  |> List.fold_left (fun (e, t) (e', t') -> (e + e', t + t')) (0, 0)
+
 (* ------------------------------------------------------------------ *)
 
 let all : Scenario.spec list =
@@ -299,6 +319,11 @@ let all : Scenario.spec list =
       name = "tpcc_lion_batch";
       descr = "small skewed TPC-C NewOrder cell, Lion batch mode (default planner)";
       run = tpcc_lion_batch;
+    };
+    {
+      name = "sweep_pool";
+      descr = "four short uniform-YCSB cells (2PC, Star) through the domain pool";
+      run = sweep_pool;
     };
   ]
 

@@ -1,6 +1,6 @@
-(* Tests for the harness utilities: workload builders, CSV export and
-   the protocol registry. (Runner behaviour is covered by
-   test_integration.) *)
+(* Tests for the harness utilities: workload builders, CSV export, the
+   protocol registry and the sweep-cell pool. (Runner behaviour is
+   covered by test_integration.) *)
 
 module Config = Lion_store.Config
 module Workloads = Lion_harness.Workloads
@@ -9,6 +9,7 @@ module Txn = Lion_workload.Txn
 module Runner = Lion_harness.Runner
 module Protocols = Lion_harness.Protocols
 module Planner = Lion_core.Planner
+module Pool = Lion_harness.Pool
 
 let cfg = Config.default
 
@@ -37,11 +38,7 @@ let test_dynamic_builder_respects_time () =
   done;
   Alcotest.(check int) "phase C all cross" 50 !crosses
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file = Golden.read_file
 
 let test_csv_escaping () =
   let path = Filename.temp_file "lion" ".csv" in
@@ -199,6 +196,100 @@ let test_registry_matches_direct () =
         (same_run ~batch:p.batch p.make (p.make ~config:schism)))
     [ "lion"; "lion-batch" ]
 
+(* --- the pool --------------------------------------------------- *)
+
+(* Deterministic busy work of about [cost] units, so cells finish out
+   of order on several domains. *)
+let spin cost =
+  let acc = ref cost in
+  for i = 1 to cost * 2000 do
+    acc := (!acc * 31) + i land 0xffff
+  done;
+  !acc
+
+let test_pool_order () =
+  let xs = List.init 100 Fun.id in
+  let want = List.map (fun x -> (x, spin ((x * 7) mod 13))) xs in
+  List.iter
+    (fun domains ->
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "%d domains" domains)
+        want
+        (Pool.map ~domains (fun x -> (x, spin ((x * 7) mod 13))) xs))
+    [ 1; 2; 4 ];
+  Alcotest.(check (list int)) "more domains than cells" [ 1; 2; 3 ]
+    (Pool.map ~domains:8 succ [ 0; 1; 2 ]);
+  Alcotest.(check (list int)) "no cells" [] (Pool.map ~domains:4 Fun.id [])
+
+let test_pool_one_domain_spawns_nothing () =
+  let self = (Domain.self () :> int) in
+  let seen = Pool.map ~domains:1 (fun _ -> (Domain.self () :> int)) (List.init 20 Fun.id) in
+  Alcotest.(check bool) "every cell on the calling domain" true
+    (List.for_all (( = ) self) seen)
+
+exception Cell of int
+
+let test_pool_lowest_exception () =
+  (* Cell 3 is slow, so with several domains cells 9 and 14 usually
+     raise first; the pool must still report cell 3. *)
+  let f i =
+    if i = 3 then (
+      ignore (spin 200);
+      raise (Cell 3));
+    if i = 9 || i = 14 then raise (Cell i);
+    spin 5
+  in
+  List.iter
+    (fun domains ->
+      match Pool.map ~domains f (List.init 20 Fun.id) with
+      | _ -> Alcotest.fail "no exception"
+      | exception Cell i ->
+          Alcotest.(check int) (Printf.sprintf "%d domains" domains) 3 i)
+    [ 1; 2; 4 ]
+
+let prop_pool_domain_count =
+  QCheck.Test.make ~name:"results equal at 1, 2 and 4 domains" ~count:30
+    QCheck.(list_of_size (Gen.int_range 0 40) (int_range 0 30))
+    (fun costs ->
+      let run domains = Pool.map ~domains spin costs in
+      let one = run 1 in
+      one = run 2 && one = run 4)
+
+(* [Runner.cells] hands each cell's tracers to [emit] from the calling
+   domain, in cell order. *)
+let test_cells_emit_in_order () =
+  let caller = Domain.self () in
+  let emitted = ref [] in
+  let trace =
+    {
+      Runner.fresh = (fun () -> Lion_trace.Trace.create ());
+      emit =
+        (fun t ->
+          Alcotest.(check bool) "emit on the calling domain" true (Domain.self () = caller);
+          emitted := t :: !emitted);
+    }
+  in
+  let cell ?trace i =
+    let s = Option.get trace in
+    let a = s.Runner.fresh () in
+    ignore (spin ((i * 5) mod 11));
+    let b = s.Runner.fresh () in
+    s.emit a;
+    s.emit b;
+    [ a; b ]
+  in
+  let got = List.concat (Runner.cells ~domains:3 ~trace cell (List.init 12 Fun.id)) in
+  Alcotest.(check int) "every tracer emitted" (List.length got) (List.length !emitted);
+  Alcotest.(check bool) "in cell order" true (List.for_all2 ( == ) got (List.rev !emitted))
+
+let test_fig6_pooled () =
+  let got =
+    Golden.capture_stdout (fun () ->
+        Lion_harness.Experiments.fig6_ablation ~domains:3 ~scale:0.05 ())
+  in
+  Alcotest.(check string) "fig6 at 3 domains matches the golden capture"
+    (Golden.read_file Golden.fig6_path) got
+
 let () =
   Alcotest.run "lion_harness"
     [
@@ -221,5 +312,15 @@ let () =
           Alcotest.test_case "id label batch" `Quick test_registry_table;
           Alcotest.test_case "matches direct constructors" `Quick
             test_registry_matches_direct;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "preserves order" `Quick test_pool_order;
+          Alcotest.test_case "one domain spawns nothing" `Quick
+            test_pool_one_domain_spawns_nothing;
+          Alcotest.test_case "lowest-index exception wins" `Quick test_pool_lowest_exception;
+          QCheck_alcotest.to_alcotest prop_pool_domain_count;
+          Alcotest.test_case "traces emitted in cell order" `Quick test_cells_emit_in_order;
+          Alcotest.test_case "fig6 at 3 domains matches golden" `Slow test_fig6_pooled;
         ] );
     ]

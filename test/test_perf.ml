@@ -16,45 +16,11 @@ module Engine = Lion_sim.Engine
    time<->key cast, a reordered network callback — shows up here as a
    diff. This is what licenses the optimization to claim "bit-for-bit
    compatible". *)
-(* dune runtest runs this binary from test/; dune exec from the
-   workspace root. Accept both. *)
-let golden_path =
-  let name = "golden_fig6_scale005.txt" in
-  if Sys.file_exists name then name else Filename.concat "test" name
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let capture_stdout f =
-  let tmp = Filename.temp_file "lion_golden" ".out" in
-  flush stdout;
-  let saved = Unix.dup Unix.stdout in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  Unix.dup2 fd Unix.stdout;
-  Unix.close fd;
-  let restore () =
-    flush stdout;
-    Unix.dup2 saved Unix.stdout;
-    Unix.close saved
-  in
-  (try f ()
-   with e ->
-     restore ();
-     Sys.remove tmp;
-     raise e);
-  restore ();
-  let out = read_file tmp in
-  Sys.remove tmp;
-  out
-
 let test_fig6_byte_identical () =
   let got =
-    capture_stdout (fun () -> Lion_harness.Experiments.fig6_ablation ~scale:0.05 ())
+    Golden.capture_stdout (fun () -> Lion_harness.Experiments.fig6_ablation ~scale:0.05 ())
   in
-  let want = read_file golden_path in
+  let want = Golden.read_file Golden.fig6_path in
   Alcotest.(check string) "fig6 output byte-identical to seed engine" want got
 
 (* --- counters ------------------------------------------------------ *)
