@@ -5,8 +5,7 @@ module Table = Lion_kernel.Table
 module Proto = Lion_protocols.Proto
 module Planner = Lion_core.Planner
 
-type sweep = ?domains:int -> ?trace:Runner.trace_sink -> ?scale:float -> unit -> unit
-type single = ?trace:Runner.trace_sink -> ?scale:float -> unit -> unit
+type experiment = ?trace:Runner.trace_sink -> ?scale:float -> unit -> unit
 
 let fmt_k v = Table.cell_float ~decimals:1 (v /. 1000.0)
 
@@ -26,9 +25,9 @@ let lineup ~use_lstm ids =
 
 (* One cell per (row, column) pair, run on the pool; the results come
    back as one list per row, in column order. *)
-let grid ?domains ?trace run rows cols =
+let grid ?trace run rows cols =
   let results =
-    Runner.cells ?domains ?trace
+    Runner.cells ?trace
       (fun ?trace (r, c) -> run ?trace r c)
       (List.concat_map (fun r -> List.map (fun c -> (r, c)) cols) rows)
   in
@@ -95,7 +94,7 @@ let fig6_ablation ?domains ?trace ?(scale = 1.0) () =
 
 (* ------------------------------------------------------------------ *)
 
-let crossratio_sweep ?domains ?trace ~title ~protocols ~gen_of ?(cfg = Config.default)
+let crossratio_sweep ?trace ~title ~protocols ~gen_of ?(cfg = Config.default)
     ~scale () =
   let ratios = [ 0.0; 0.25; 0.5; 0.75; 1.0 ] in
   let t =
@@ -109,35 +108,35 @@ let crossratio_sweep ?domains ?trace ~title ~protocols ~gen_of ?(cfg = Config.de
     (fun ((name, _, _), results) ->
       Table.add_row t
         (name :: List.map (fun (r : Runner.result) -> fmt_k r.Runner.throughput) results))
-    (grid ?domains ?trace
+    (grid ?trace
        (fun ?trace (_, is_batch, make) ratio ->
          Runner.run ?trace ~batch:is_batch ~cfg ~make ~gen:(gen_of ratio) rc)
        protocols ratios);
   Table.print t
 
-let fig7_crossratio_nonbatch ?domains ?trace ?(scale = 1.0) () =
+let fig7_crossratio_nonbatch ?trace ?(scale = 1.0) () =
   let cfg = slow_remaster Config.default in
-  crossratio_sweep ?domains ?trace
+  crossratio_sweep ?trace
     ~title:
       "Fig 7a: skewed YCSB (skew 0.8), standard execution, remaster delay 3000us \
        (throughput, k txn/s)"
     ~protocols:(lineup ~use_lstm:false standard_ids)
     ~gen_of:(fun ratio -> Workloads.ycsb ~skew:0.8 ~cross:ratio cfg)
     ~cfg ~scale ();
-  crossratio_sweep ?domains ?trace
+  crossratio_sweep ?trace
     ~title:"Fig 7b: skewed TPC-C (skew 0.8), standard execution (throughput, k txn/s)"
     ~protocols:(lineup ~use_lstm:false standard_ids)
     ~gen_of:(fun ratio -> Workloads.tpcc ~skew:0.8 ~cross:ratio cfg)
     ~cfg ~scale ()
 
-let fig9_crossratio_batch ?domains ?trace ?(scale = 1.0) () =
+let fig9_crossratio_batch ?trace ?(scale = 1.0) () =
   let cfg = slow_remaster Config.default in
-  crossratio_sweep ?domains ?trace
+  crossratio_sweep ?trace
     ~title:"Fig 9a: skewed YCSB (skew 0.8), batch execution (throughput, k txn/s)"
     ~protocols:(lineup ~use_lstm:false batch_ids)
     ~gen_of:(fun ratio -> Workloads.ycsb ~skew:0.8 ~cross:ratio cfg)
     ~cfg ~scale ();
-  crossratio_sweep ?domains ?trace
+  crossratio_sweep ?trace
     ~title:"Fig 9b: skewed TPC-C (skew 0.8), batch execution (throughput, k txn/s)"
     ~protocols:(lineup ~use_lstm:false batch_ids)
     ~gen_of:(fun ratio -> Workloads.tpcc ~skew:0.8 ~cross:ratio cfg)
@@ -147,7 +146,7 @@ let fig9_crossratio_batch ?domains ?trace ?(scale = 1.0) () =
 
 (* [gen] builds a fresh generator per protocol, so every protocol sees
    the same transaction stream. *)
-let dynamic_sweep ?domains ?trace ~title ~protocols ~gen ~total ~cfg ~phases () =
+let dynamic_sweep ?trace ~title ~protocols ~gen ~total ~cfg ~phases () =
   let t =
     Table.create ~title
       ~columns:
@@ -162,7 +161,7 @@ let dynamic_sweep ?domains ?trace ~title ~protocols ~gen ~total ~cfg ~phases () 
            | None -> ""));
   let rc = { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 } in
   let results =
-    Runner.cells ?domains ?trace
+    Runner.cells ?trace
       (fun ?trace (_, is_batch, make) ->
         Runner.run ?trace ~batch:is_batch ~cfg ~make ~gen:(gen ()) rc)
       protocols
@@ -178,10 +177,10 @@ let dynamic_sweep ?domains ?trace ~title ~protocols ~gen ~total ~cfg ~phases () 
     protocols results;
   Table.print t
 
-let fig8_dynamic_nonbatch ?domains ?trace ?(scale = 1.0) () =
+let fig8_dynamic_nonbatch ?trace ?(scale = 1.0) () =
   let cfg = slow_remaster Config.default in
   let period = 10.0 *. scale in
-  dynamic_sweep ?domains ?trace
+  dynamic_sweep ?trace
     ~title:"Fig 8a: dynamic hotspot-interval scenario, standard execution"
     ~protocols:(lineup ~use_lstm:true standard_ids)
     ~gen:(fun () -> Workloads.dynamic_interval ~period cfg)
@@ -189,7 +188,7 @@ let fig8_dynamic_nonbatch ?domains ?trace ?(scale = 1.0) () =
     ~phases:
       [ ("interval-0", 0.0); ("interval-1", period); ("interval-2", 2.0 *. period) ]
     ();
-  dynamic_sweep ?domains ?trace
+  dynamic_sweep ?trace
     ~title:"Fig 8b: dynamic hotspot-position scenario (A/B/C/D), standard execution"
     ~protocols:(lineup ~use_lstm:true standard_ids)
     ~gen:(fun () -> Workloads.dynamic_position ~period cfg)
@@ -197,10 +196,10 @@ let fig8_dynamic_nonbatch ?domains ?trace ?(scale = 1.0) () =
     ~phases:(Workloads.position_phases cfg ~period)
     ()
 
-let fig10_dynamic_batch ?domains ?trace ?(scale = 1.0) () =
+let fig10_dynamic_batch ?trace ?(scale = 1.0) () =
   let cfg = slow_remaster Config.default in
   let period = 10.0 *. scale in
-  dynamic_sweep ?domains ?trace
+  dynamic_sweep ?trace
     ~title:"Fig 10a: dynamic hotspot-interval scenario, batch execution"
     ~protocols:(lineup ~use_lstm:true batch_ids)
     ~gen:(fun () -> Workloads.dynamic_interval ~period cfg)
@@ -208,7 +207,7 @@ let fig10_dynamic_batch ?domains ?trace ?(scale = 1.0) () =
     ~phases:
       [ ("interval-0", 0.0); ("interval-1", period); ("interval-2", 2.0 *. period) ]
     ();
-  dynamic_sweep ?domains ?trace
+  dynamic_sweep ?trace
     ~title:"Fig 10b: dynamic hotspot-position scenario (A/B/C/D), batch execution"
     ~protocols:(lineup ~use_lstm:true batch_ids)
     ~gen:(fun () -> Workloads.dynamic_position ~period cfg)
@@ -218,7 +217,7 @@ let fig10_dynamic_batch ?domains ?trace ?(scale = 1.0) () =
 
 (* ------------------------------------------------------------------ *)
 
-let fig11_scalability ?domains ?trace ?(scale = 1.0) () =
+let fig11_scalability ?trace ?(scale = 1.0) () =
   let node_counts = [ 4; 6; 8; 10 ] in
   let t =
     Table.create
@@ -235,7 +234,7 @@ let fig11_scalability ?domains ?trace ?(scale = 1.0) () =
       let name = if is_batch && name = "Lion" then "Lion(batch)" else name in
       Table.add_row t
         (name :: List.map (fun (r : Runner.result) -> fmt_k r.Runner.throughput) results))
-    (grid ?domains ?trace
+    (grid ?trace
        (fun ?trace (_, is_batch, make) nodes ->
          let cfg = Config.with_nodes Config.default nodes in
          Runner.run ?trace ~batch:is_batch ~cfg ~make ~gen:(Workloads.ycsb ~cross:1.0 cfg) rc)
@@ -313,7 +312,7 @@ let recovery_time series ~switch_at ~phase_end =
     let rec find i = if i >= phase_end then phase_end - switch_at else if series.(i) >= target then i - switch_at else find (i + 1) in
     float_of_int (find switch_at))
 
-let fig13a_preplication ?domains ?trace ?(scale = 1.0) () =
+let fig13a_preplication ?trace ?(scale = 1.0) () =
   (* Costly remastering + a recurring shifting hotspot: the predictor,
      having seen cycle 1, pre-replicates before each cycle-2 shift; the
      prediction-less planner reacts only after the shift lands. *)
@@ -322,7 +321,7 @@ let fig13a_preplication ?domains ?trace ?(scale = 1.0) () =
   let total = 6.0 *. period in
   let rc = { Runner.quick with warmup = 0.0; duration = total; tick_every = 1.0 } in
   let results =
-    Runner.cells ?domains ?trace
+    Runner.cells ?trace
       (fun ?trace predict ->
         Runner.run ?trace ~cfg
           ~make:(fun cl ->
@@ -373,7 +372,7 @@ let fig13a_preplication ?domains ?trace ?(scale = 1.0) () =
   List.iter2 report [ "Lion with prediction"; "Lion without prediction" ] results;
   Table.print t
 
-let fig13b_batch_opt ?domains ?trace ?(scale = 1.0) () =
+let fig13b_batch_opt ?trace ?(scale = 1.0) () =
   let delays = [ 300.0; 1000.0; 3000.0; 10000.0 ] in
   let t =
     Table.create
@@ -400,7 +399,7 @@ let fig13b_batch_opt ?domains ?trace ?(scale = 1.0) () =
     (fun ((name, _, _), results) ->
       Table.add_row t
         (name :: List.map (fun (r : Runner.result) -> fmt_k r.Runner.throughput) results))
-    (grid ?domains ?trace
+    (grid ?trace
        (fun ?trace (_, is_batch, make) delay ->
          let cfg =
            { Config.default with Config.remaster_delay = delay; remaster_cooldown = 10.0 *. delay }
@@ -413,11 +412,11 @@ let fig13b_batch_opt ?domains ?trace ?(scale = 1.0) () =
 
 (* ------------------------------------------------------------------ *)
 
-let fig14_latency ?domains ?trace ?(scale = 1.0) () =
+let fig14_latency ?trace ?(scale = 1.0) () =
   let cfg = slow_remaster Config.default in
   let rc = { Runner.quick with warmup = 4.0 *. scale; duration = 5.0 *. scale } in
   let results =
-    Runner.cells ?domains ?trace
+    Runner.cells ?trace
       (fun ?trace (name, is_batch, make) ->
         ( name,
           Runner.run ?trace ~batch:is_batch ~cfg ~make
@@ -462,7 +461,7 @@ let fig14_latency ?domains ?trace ?(scale = 1.0) () =
    prediction weight w_p (§IV-C's tunable).                            *)
 (* ------------------------------------------------------------------ *)
 
-let abl_cooldown ?domains ?trace ?(scale = 1.0) () =
+let abl_cooldown ?trace ?(scale = 1.0) () =
   let cooldowns = [ 3_000.0; 10_000.0; 30_000.0; 100_000.0 ] in
   let t =
     Table.create
@@ -472,7 +471,7 @@ let abl_cooldown ?domains ?trace ?(scale = 1.0) () =
       ~columns:("metric" :: List.map (fun c -> Printf.sprintf "%.0fms" (c /. 1000.0)) cooldowns)
   in
   let results =
-    Runner.cells ?domains ?trace
+    Runner.cells ?trace
       (fun ?trace cooldown ->
         let cfg =
           {
@@ -501,7 +500,7 @@ let abl_cooldown ?domains ?trace ?(scale = 1.0) () =
          results);
   Table.print t
 
-let abl_replicas ?domains ?trace ?(scale = 1.0) () =
+let abl_replicas ?trace ?(scale = 1.0) () =
   let caps = [ 2; 3; 4 ] in
   let t =
     Table.create
@@ -511,7 +510,7 @@ let abl_replicas ?domains ?trace ?(scale = 1.0) () =
       ~columns:("metric" :: List.map (fun c -> Printf.sprintf "max %d" c) caps)
   in
   let results =
-    Runner.cells ?domains ?trace
+    Runner.cells ?trace
       (fun ?trace cap ->
         let cfg = { Config.default with Config.max_replicas = cap } in
         let rc = { Runner.quick with warmup = 6.0 *. scale; duration = 5.0 *. scale } in
@@ -534,7 +533,7 @@ let abl_replicas ?domains ?trace ?(scale = 1.0) () =
          results);
   Table.print t
 
-let abl_wp ?domains ?trace ?(scale = 1.0) () =
+let abl_wp ?trace ?(scale = 1.0) () =
   let weights = [ 0.0; 0.5; 1.0; 2.0 ] in
   let cfg = Config.default in
   let period = 8.0 *. scale in
@@ -546,7 +545,7 @@ let abl_wp ?domains ?trace ?(scale = 1.0) () =
       ~columns:("metric" :: List.map (fun w -> Printf.sprintf "w_p=%.1f" w) weights)
   in
   let results =
-    Runner.cells ?domains ?trace
+    Runner.cells ?trace
       (fun ?trace w_p ->
         let config =
           {
@@ -623,7 +622,7 @@ let abl_forecaster ?(scale = 1.0) () =
     series;
   Table.print t
 
-let abl_read_secondary ?domains ?trace ?(scale = 1.0) () =
+let abl_read_secondary ?trace ?(scale = 1.0) () =
   (* The bounded-staleness extension: on a read-mostly cross-partition
      workload, serving all-read groups at local secondaries removes the
      promotions/2PC those reads would otherwise need. *)
@@ -649,7 +648,7 @@ let abl_read_secondary ?domains ?trace ?(scale = 1.0) () =
     fun ~time:_ -> Lion_workload.Ycsb.next g
   in
   let results =
-    Runner.cells ?domains ?trace
+    Runner.cells ?trace
       (fun ?trace read_at_secondary ->
         Runner.run ?trace ~cfg
           ~make:(fun cl ->
@@ -734,7 +733,7 @@ let lion_std_make cl =
 let fmt_ttr v =
   if v = infinity then "not yet" else Table.cell_float ~decimals:0 v
 
-let fault_crash_sweep ?domains ?trace ?(scale = 1.0) () =
+let fault_crash_sweep ?trace ?(scale = 1.0) () =
   (* 0, 1 or 2 simultaneous crashes at 6 s, recovery at 16 s. With the
      default round-robin placement and 2 replicas, losing nodes 1 and 2
      together orphans the partitions whose both copies lived there:
@@ -764,7 +763,7 @@ let fault_crash_sweep ?domains ?trace ?(scale = 1.0) () =
   in
   let crashes = [ 0; 1; 2 ] in
   let results =
-    Runner.cells ?domains ?trace
+    Runner.cells ?trace
       (fun ?trace k ->
         let plan =
           List.concat_map
@@ -797,7 +796,7 @@ let fault_crash_sweep ?domains ?trace ?(scale = 1.0) () =
     crashes results;
   Table.print t
 
-let fault_partition ?domains ?trace ?(scale = 1.0) () =
+let fault_partition ?trace ?(scale = 1.0) () =
   (* Split-brain: {0,1} | {2,3} for 5 s. No node dies, so availability
      stays nominal — the damage shows up as cross-group RPC timeouts
      (2PC keeps paying them; Lion's remastering pulls work local). *)
@@ -821,7 +820,7 @@ let fault_partition ?domains ?trace ?(scale = 1.0) () =
         [ "protocol"; "k txn/s"; "aborts"; "timeouts"; "retries"; "drops" ]
   in
   let results =
-    Runner.cells ?domains ?trace
+    Runner.cells ?trace
       (fun ?trace (name, batch, make) ->
         ( name,
           Runner.run ?trace ~batch ~cfg ~make
@@ -845,7 +844,7 @@ let fault_partition ?domains ?trace ?(scale = 1.0) () =
     results;
   Table.print t
 
-let fault_straggler ?domains ?trace ?(scale = 1.0) () =
+let fault_straggler ?trace ?(scale = 1.0) () =
   (* One slow node: all CPU work on node 2 stretched by the factor from
      5 s to 15 s. No messages are lost, so this isolates the latency
      and throughput cost of a straggler from the failover machinery. *)
@@ -862,7 +861,7 @@ let fault_straggler ?domains ?trace ?(scale = 1.0) () =
   in
   let factors = [ 1.0; 4.0; 16.0 ] in
   let results =
-    Runner.cells ?domains ?trace
+    Runner.cells ?trace
       (fun ?trace factor ->
         let plan =
           Fault.slow_node ~node:2 ~factor

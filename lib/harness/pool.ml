@@ -3,12 +3,12 @@
    starts, but every cell before it has already been taken and runs to
    the end. The lowest failing index is therefore always recorded. *)
 
-(* Several cells are live at once, so the heap is kept tight while the
-   pool runs: a lower [space_overhead] (OCaml's default is 120), and a
-   full major collection after every cell, which frees that cell's
-   garbage before the worker grows its heap for the next one. The last
-   collection, after the join, also hands the helpers' orphaned heap
-   back to the caller for whatever runs next. *)
+(* Several cells are live at once, so the heap is trimmed while the
+   pool runs (tuned on two cores): a lower [space_overhead] (OCaml's
+   default is 120), and a full major collection after every cell,
+   which frees that cell's garbage before the worker grows its heap for
+   the next one. The last collection, after the join, also hands the
+   helpers' orphaned heap back to the caller for whatever runs next. *)
 let pool_space_overhead = 40
 
 let with_space_overhead f =

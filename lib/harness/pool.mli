@@ -14,8 +14,9 @@ val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
     and no domain is spawned. Otherwise workers take the next cell
     from a shared atomic index. While they run the GC's
     [space_overhead] is lowered to 40 (if higher), and every cell ends
-    with a full major collection, as does the join; this keeps the
-    heap tight although several cells are live at once. If cells
+    with a full major collection, as does the join; this trims the
+    heap, though peak memory still grows with the number of live
+    cells (tuned on two cores; see docs/PERF.md). If cells
     raise, the pool stops handing out cells, waits for every worker,
     and re-raises the exception of the lowest-index failing cell with
     its backtrace, the one [List.map] would have raised. *)
