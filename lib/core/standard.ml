@@ -15,14 +15,13 @@ let create_with_planner ?name ?(read_at_secondary = false) ?(seed = 29)
         | Schism_strategy, true -> "Lion(SW)"
         | Schism_strategy, false -> "Lion(S)")
   in
+  let route t = Router.route router t in
+  let flavor = { Exec.lion_flavor with Exec.read_at_secondary } in
   let proto =
     Proto.make ~name
       ~submit:(fun txn ~on_done ->
         Planner.observe planner txn;
-        Exec.run cl
-          ~route:(fun t -> Router.route router t)
-          ~flavor:{ Exec.lion_flavor with Exec.read_at_secondary }
-          txn ~on_done)
+        Exec.run cl ~route ~flavor txn ~on_done)
       ~tick:(fun () -> Planner.tick planner)
       ()
   in

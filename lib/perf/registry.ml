@@ -165,9 +165,7 @@ let metrics_commits = 200_000
 let metrics_record () =
   let e = Engine.create () in
   let m = Metrics.create e in
-  let phases =
-    [ (Metrics.Execution, 120.0); (Metrics.Prepare, 60.0); (Metrics.Commit, 45.0) ]
-  in
+  let phases = Metrics.phase_times ~execution:120.0 ~prepare:60.0 ~commit:45.0 () in
   for i = 1 to metrics_commits do
     Metrics.record_commit m
       ~latency:(200.0 +. float_of_int (i land 1023))

@@ -179,8 +179,21 @@ let record_history st ~now req (v : verdict) =
 
 let scale_phases phase_split latency =
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 phase_split in
-  if total <= 0.0 then [ (Metrics.Execution, latency) ]
-  else List.map (fun (p, w) -> (p, latency *. w /. total)) phase_split
+  if total <= 0.0 then Metrics.phase_times ~execution:latency ()
+  else
+    let times = Metrics.phase_times () in
+    List.iter
+      (fun (p, w) ->
+        let d = latency *. w /. total in
+        match (p : Metrics.phase) with
+        | Execution -> times.execution <- d
+        | Prepare -> times.prepare <- d
+        | Commit -> times.commit <- d
+        | Remaster -> times.remaster <- d
+        | Scheduling -> times.scheduling <- d
+        | Replication -> times.replication <- d)
+      phase_split;
+    times
 
 let rec start_epoch st =
   let cfg = st.cl.Cluster.cfg in

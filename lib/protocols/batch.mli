@@ -26,7 +26,7 @@ type epoch_result = {
   barrier_time : float;  (** non-overlapped pauses (migrations, remasters) *)
   phase_split : (Lion_sim.Metrics.phase * float) list;
       (** relative weights used to attribute each transaction's latency
-          to phases for the Fig. 14 breakdown *)
+          to phases for the Fig. 14 breakdown; each phase at most once *)
 }
 
 val conflict_verdicts :

@@ -79,10 +79,9 @@ let create ?(imbalance_threshold = 0.25) cl =
     Heatgraph.clear graph;
     Cluster.reset_load_counters cl
   in
+  let route = Exec.route_most_primaries cl in
   Proto.make ~name:"Clay"
     ~submit:(fun txn ~on_done ->
       Heatgraph.add_txn graph ~parts:txn.Txn.parts;
-      Exec.run cl
-        ~route:(Exec.route_most_primaries cl)
-        ~flavor:Exec.plain_2pc txn ~on_done)
+      Exec.run cl ~route ~flavor:Exec.plain_2pc txn ~on_done)
     ~tick:rebalance ()

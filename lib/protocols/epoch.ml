@@ -126,7 +126,7 @@ and close_epoch t =
       let peers = replication_peers t ~leader in
       let total_writes =
         List.fold_left
-          (fun acc p -> acc + List.length (Kvstore.write_set p.session))
+          (fun acc p -> acc + Kvstore.write_count p.session)
           0 winners
       in
       let bytes =
@@ -168,11 +168,8 @@ and close_epoch t =
             Metrics.record_commit ~late cl.Cluster.metrics ~latency
               ~single_node ~remastered:false
               ~phases:
-                [
-                  (Metrics.Execution, p.exec_time);
-                  (Metrics.Scheduling, boundary -. p.parked_at);
-                  (Metrics.Replication, commit_time);
-                ];
+                (Metrics.phase_times ~execution:p.exec_time
+                   ~scheduling:(boundary -. p.parked_at) ~replication:commit_time ());
             Trace.finish_txn ~ts:(Engine.now engine) ~ok:true p.octx)
           winners
       in

@@ -29,538 +29,728 @@ let leap_flavor = { plain_2pc with migrate_on_access = true }
 let lion_flavor = { plain_2pc with remaster_secondary = true }
 let unified_flavor = { plain_2pc with unified_commit = true }
 
-(* Group a transaction's operations by partition, preserving first-
-   appearance order of partitions and op order within each group. *)
+(* Grouping without a table. A transaction's partition groups are
+   visited in first-appearance order: operation [i] opens a group iff no
+   earlier operation shares its partition, and the group is every
+   operation from [i] on in that partition, in op order. [parts] (each
+   operation's partition) and [links] (the chain of group-opening
+   operations) are computed once per transaction, so an attempt moves
+   from group to group by one array read. Transactions carry a few dozen
+   operations over a handful of partitions, so scanning the groups
+   opened so far is cheaper than a table, and it allocates nothing. *)
+let parts_of_ops (ops : Txn.op array) =
+  let parts = Array.make (Array.length ops) 0 in
+  for i = 0 to Array.length ops - 1 do
+    parts.(i) <- Kvstore.part (Txn.key_of ops.(i))
+  done;
+  parts
+
+(* Whether a group opened at [o] or at a later opener in the chain
+   already holds partition [p]. *)
+let rec opened (parts : int array) links p o =
+  o < Array.length parts && (parts.(o) = p || opened parts links p links.(o))
+
+(* For an operation [i] that opens a group, [links.(i)] is the operation
+   opening the next one, or [Array.length parts] after the last. Other
+   entries are -1. The first group, if any, opens at 0. Each operation
+   is checked against the groups opened before it only. *)
+let group_links parts =
+  let n = Array.length parts in
+  let links = Array.make n (-1) in
+  if n > 0 then links.(0) <- n;
+  let last = ref 0 in
+  for i = 1 to n - 1 do
+    if not (opened parts links parts.(i) 0) then (
+      links.(!last) <- i;
+      links.(i) <- n;
+      last := i)
+  done;
+  links
+
+let rec group_size (parts : int array) p i n =
+  if i >= Array.length parts then n
+  else group_size parts p (i + 1) (if parts.(i) = p then n + 1 else n)
+
+let rec group_all_reads (parts : int array) (ops : Txn.op array) p i =
+  i >= Array.length parts
+  || ((parts.(i) <> p || not (Txn.is_write ops.(i))) && group_all_reads parts ops p (i + 1))
+
 let groups_of (txn : Txn.t) =
-  let order = ref [] in
-  let tbl = Hashtbl.create 8 in
-  Array.iter
-    (fun op ->
-      let part = Kvstore.part (Txn.key_of op) in
-      (match Hashtbl.find_opt tbl part with
-      | Some ops -> Hashtbl.replace tbl part (op :: ops)
-      | None ->
-          Hashtbl.replace tbl part [ op ];
-          order := part :: !order))
-    txn.Txn.ops;
-  List.rev_map (fun part -> (part, List.rev (Hashtbl.find tbl part))) !order
+  let ops = txn.Txn.ops in
+  let parts = parts_of_ops ops in
+  let links = group_links parts in
+  let rec from g =
+    if g >= Array.length ops then []
+    else
+      let p = parts.(g) in
+      let members = ref [] in
+      for i = Array.length ops - 1 downto g do
+        if parts.(i) = p then members := ops.(i) :: !members
+      done;
+      (p, !members) :: from links.(g)
+  in
+  from 0
 
 (* Ties break on a hash of the partition set so coordinators spread
    across the tied nodes instead of piling onto one id. *)
 let route_most_primaries cl (txn : Txn.t) =
   let placement = cl.Cluster.placement in
   let nodes = Placement.nodes placement in
-  let best_count = ref (-1) in
-  for node = 0 to nodes - 1 do
+  (* One pass, highest id first, so the tie list comes out ascending. *)
+  let best_count = ref (-1) and tied = ref [] in
+  for node = nodes - 1 downto 0 do
     if Cluster.alive cl node then (
       let count = Placement.count_primaries_at placement txn.Txn.parts ~node in
-      if count > !best_count then best_count := count)
-  done;
-  let tied = ref [] in
-  for node = nodes - 1 downto 0 do
-    if
-      Cluster.alive cl node
-      && Placement.count_primaries_at placement txn.Txn.parts ~node = !best_count
-    then tied := node :: !tied
+      if count > !best_count then (
+        best_count := count;
+        tied := [ node ])
+      else if count = !best_count then tied := node :: !tied)
   done;
   match !tied with
   | [] -> invalid_arg "route_most_primaries: no live node"
   | [ n ] -> n
   | candidates -> List.nth candidates (Hashtbl.hash txn.Txn.parts mod List.length candidates)
 
-type result = {
-  committed : bool;
-  single_node : bool;
-  remastered : bool;
-  phases : (Metrics.phase * float) list;
-}
-
 let record_op session op =
   if Txn.is_write op then Kvstore.write session (Txn.key_of op)
   else Kvstore.read session (Txn.key_of op)
-
-let record_ops session ops = List.iter (record_op session) ops
 
 (* Leap-style aggressive mastership pull: ownership (and the accessed
    tuples) move to the coordinator before the operation executes. *)
 let leap_migration_overhead = 200.0
 
-let attempt ?ctx ?(attempt_no = 1) ?deadline cl ~coordinator ~txn ~flavor ~k =
-  let cfg = cl.Cluster.cfg in
+let nop () = ()
+
+(* ---- Transaction and attempt state ----
+
+   A transaction is one [txn_run]; each execution attempt is one
+   [attempt] record that the step functions below advance from event to
+   event, so a hop costs an engine cell rather than a fresh closure.
+   Attempts of one transaction never overlap, but an attempt's record
+   outlives it while stragglers of a failed prepare round still answer,
+   which is why each attempt gets a fresh one. *)
+
+type txn_run = {
+  cl : Cluster.t;
+  route : Txn.t -> int;
+  flavor : flavor;
+  txn : Txn.t;
+  parts : int array;  (** each operation's partition *)
+  links : int array;  (** see [group_links] *)
+  on_done : unit -> unit;
+  start : float;
+  octx : Trace.ctx option;  (** the transaction's root span *)
+  enforced : float option;  (** absolute deadline, when enforced *)
+  mutable attempts : int;
+}
+
+(* All floats, so stored flat: setting a mark allocates nothing. *)
+type marks = {
+  mutable exec_start : float;
+  mutable step_start : float;  (** start of the current remaster, migration or wait *)
+  mutable round_start : float;  (** start of the current 2PC round *)
+}
+
+type attempt = {
+  run : txn_run;
+  coordinator : int;
+  attempt_no : int;
+  actx : Trace.ctx option;  (** this attempt's span *)
+  session : Kvstore.session;
+  phases : Metrics.phase_times;
+  marks : marks;
+  mutable lease : Lion_sim.Server.lease;
+  mutable span : Trace.ctx option;
+      (** the open step span: setup, a group's execution, remaster or
+          wait, or a 2PC round *)
+  mutable group : int;  (** index of the op opening the current group *)
+  mutable part : int;  (** the current group's partition *)
+  mutable n_ops : int;  (** operations in the current group *)
+  mutable remastered : bool;
+  mutable remote_parts : int list;
+  mutable participants : int list;
+  mutable votes : int;  (** prepare votes still missing *)
+  mutable vote_failed : bool;
+  mutable acks : int;  (** commit acknowledgements still missing *)
+  mutable committed : bool;
+  mutable single_node : bool;
+  mutable awaiting : awaiting;  (** what the attempt's RPCs answer *)
+}
+
+(* The attempt's RPCs are issued with [Cluster.call] and two top-level
+   handlers that dispatch on this, so they build no closure. Once a
+   prepare round fails the attempt never moves on, so straggling votes
+   still reach the vote handlers, which ignore them. *)
+and awaiting = Exec_reply | Votes | Acks
+
+(* What a commit still needs while it waits for its group-commit epoch:
+   the attempt, its session and its transaction are garbage by then, so
+   the wait holds this instead of them. *)
+type commit_wait = {
+  cw_cluster : Cluster.t;
+  cw_root : Trace.ctx option;
+  cw_span : Trace.ctx option;
+  cw_phases : Metrics.phase_times;
+  cw_latency : float;
+  cw_late : bool;
+  cw_single_node : bool;
+  cw_remastered : bool;
+}
+
+let engine a = a.run.cl.Cluster.engine
+let cfg a = a.run.cl.Cluster.cfg
+let now a = Engine.now (engine a)
+
+(* Span helpers: with no trace context they read no clock and box
+   nothing. A negative [node] or [part] inherits the parent's. *)
+let open_span engine ~node ~part ~phase ~name ctx =
+  match ctx with
+  | None -> None
+  | Some _ ->
+      Trace.child
+        ?node:(if node < 0 then None else Some node)
+        ?part:(if part < 0 then None else Some part)
+        ~phase ~name ~ts:(Engine.now engine) ctx
+
+let close_span a =
+  match a.span with
+  | None -> ()
+  | Some _ -> Trace.finish ~ts:(now a) a.span
+
+(* Consistency-audit hook: one history event per attempt, with the
+   versions the session observed and (for commits) the versions
+   [finalize] installed. [None] records nothing and costs one match —
+   runs without a sink are untouched. *)
+let record_outcome a outcome =
+  let cl = a.run.cl in
+  match cl.Cluster.history with
+  | None -> ()
+  | Some h ->
+      let writes =
+        match outcome with
+        | History.Committed ->
+            List.sort_uniq Kvstore.key_compare (Kvstore.write_set a.session)
+            |> List.map (fun key -> (key, Kvstore.version cl.Cluster.store key))
+        | History.Aborted | History.Indeterminate -> []
+      in
+      History.record h ~txn_id:a.run.txn.Txn.id ~attempt:a.attempt_no
+        ~reads:(Kvstore.observed_reads a.session) ~writes ~outcome ~ts:(now a)
+
+(* The current group's operations, in op order, into the session. *)
+let record_group a =
+  let ops = a.run.txn.Txn.ops and parts = a.run.parts in
+  for i = a.group to Array.length ops - 1 do
+    if parts.(i) = a.part then record_op a.session ops.(i)
+  done
+
+let local_work a = float_of_int a.n_ops *. (cfg a).Config.local_op_cost
+
+let rec send_oneway a = function
+  | [] -> ()
+  | node :: rest ->
+      Network.send a.run.cl.Cluster.network ~src:a.coordinator ~dst:node
+        ~bytes:(cfg a).Config.op_msg_bytes nop;
+      send_oneway a rest
+
+(* An attempt that ends without a commit: the coordinator was dead,
+   admission shed it, or it aborted. Retry after a backoff, or give the
+   transaction up past an enforced deadline. *)
+let rec attempt_failed r actx =
+  let cl = r.cl in
   let engine = cl.Cluster.engine in
-  let placement = cl.Cluster.placement in
+  (match actx with None -> () | Some _ -> Trace.finish ~ts:(Engine.now engine) actx);
+  (match (actx, r.octx) with
+  | None, None -> ()
+  | Some _, _ -> Trace.note_abort ~ts:(Engine.now engine) actx
+  | None, Some _ -> Trace.note_abort ~ts:(Engine.now engine) r.octx);
+  Metrics.record_abort cl.Cluster.metrics;
+  match r.enforced with
+  | Some d when Engine.now engine >= d ->
+      (* Deadline propagation, load-shedding half: a transaction already
+         older than any client would wait for stops consuming retries —
+         the metastable sustaining loop (ever-growing population of
+         retrying zombies) is cut here. *)
+      Metrics.record_deadline_giveup cl.Cluster.metrics;
+      (match r.octx with
+      | None -> ()
+      | Some _ ->
+          Trace.note ~ts:(Engine.now engine) "deadline-giveup" r.octx;
+          Trace.finish_txn ~ts:(Engine.now engine) ~ok:false r.octx);
+      r.on_done ()
+  | _ ->
+      let cap = Stdlib.min 8 r.attempts in
+      let backoff = (50.0 *. float_of_int (1 lsl cap)) +. Rng.float cl.Cluster.rng 50.0 in
+      Engine.schedule_apply engine ~delay:(Stdlib.min 2000.0 backoff) start_attempt r
+
+and start_attempt r =
+  let cl = r.cl in
+  r.attempts <- r.attempts + 1;
+  let coordinator = r.route r.txn in
+  let actx =
+    match r.octx with
+    | None -> None
+    | Some _ ->
+        Trace.child ~node:coordinator ~phase:"execution"
+          ~name:(Printf.sprintf "attempt %d" r.attempts)
+          ~ts:(Engine.now cl.Cluster.engine) r.octx
+  in
   if not (Cluster.alive cl coordinator) then
     (* The router's liveness view lagged the crash: abort immediately;
        the retry loop re-routes to a live coordinator. *)
-    k { committed = false; single_node = false; remastered = false; phases = [] }
+    attempt_failed r actx
   else
-  (* Admission wait gets its own span phase, opened only when the grant
-     cannot be immediate (every worker leased right now) — an unloaded
-     run allocates nothing and traces identically. *)
-  let qctx =
-    if Cluster.worker_saturated cl ~node:coordinator then
-      Trace.child ~node:coordinator ~phase:"queue" ~name:"worker-wait"
-        ~ts:(Engine.now engine) ctx
-    else None
-  in
-  Cluster.acquire_worker cl ~node:coordinator
-    ~on_fail:(fun () ->
-      (* Shed at admission (bounded worker queue, or the coordinator
-         died with this request parked): no lease was granted, so there
-         is nothing to release — report the attempt failed. *)
-      Trace.note ~ts:(Engine.now engine) "shed" qctx;
-      Trace.finish ~ts:(Engine.now engine) qctx;
-      k { committed = false; single_node = false; remastered = false; phases = [] })
-    (fun lease ->
-      Trace.finish ~ts:(Engine.now engine) qctx;
-      let session = Kvstore.begin_session cl.Cluster.store in
-      (* Consistency-audit hook: one history event per attempt, with the
-         versions the session observed and (for commits) the versions
-         [finalize] installed. [None] records nothing and costs one
-         match — runs without a sink are untouched. *)
-      let record_outcome outcome =
-        match cl.Cluster.history with
+    (* Admission wait gets its own span phase, opened only when the
+       grant cannot be immediate (every worker leased right now) — an
+       unloaded run allocates nothing and traces identically. *)
+    let wait_span =
+      match actx with
+      | Some _ when Cluster.worker_saturated cl ~node:coordinator ->
+          open_span cl.Cluster.engine ~node:coordinator ~part:(-1) ~phase:"queue"
+            ~name:"worker-wait" actx
+      | _ -> None
+    in
+    (* The attempt record and its session are built at the grant, so a
+       request parked in the worker queue holds neither. *)
+    Cluster.acquire_worker cl ~node:coordinator
+      ~on_fail:(fun () ->
+        (* Shed at admission (bounded worker queue, or the coordinator
+           died with this request parked): no lease was granted, so
+           there is nothing to release — report the attempt failed. *)
+        (match wait_span with
         | None -> ()
-        | Some h ->
-            let writes =
-              match outcome with
-              | History.Committed ->
-                  List.sort_uniq Kvstore.key_compare (Kvstore.write_set session)
-                  |> List.map (fun key -> (key, Kvstore.version cl.Cluster.store key))
-              | History.Aborted | History.Indeterminate -> []
-            in
-            History.record h ~txn_id:txn.Txn.id ~attempt:attempt_no
-              ~reads:(Kvstore.observed_reads session) ~writes ~outcome
-              ~ts:(Engine.now engine)
+        | Some _ ->
+            let ts = Engine.now cl.Cluster.engine in
+            Trace.note ~ts "shed" wait_span;
+            Trace.finish ~ts wait_span);
+        attempt_failed r actx)
+      (fun lease -> granted r ~coordinator ~actx ~wait_span lease)
+
+and granted r ~coordinator ~actx ~wait_span lease =
+  let cl = r.cl in
+  (match wait_span with
+  | None -> ()
+  | Some _ -> Trace.finish ~ts:(Engine.now cl.Cluster.engine) wait_span);
+  let a =
+    {
+      run = r;
+      coordinator;
+      attempt_no = r.attempts;
+      actx;
+      session = Kvstore.begin_session ~ops:(Array.length r.parts) cl.Cluster.store;
+      phases = Metrics.phase_times ();
+      marks = { exec_start = Engine.now cl.Cluster.engine; step_start = 0.0; round_start = 0.0 };
+      lease;
+      span = None;
+      group = 0;
+      part = 0;
+      n_ops = 0;
+      remastered = false;
+      remote_parts = [];
+      participants = [];
+      votes = 0;
+      vote_failed = false;
+      acks = 0;
+      committed = false;
+      single_node = false;
+      awaiting = Exec_reply;
+    }
+  in
+  a.span <-
+    open_span (engine a) ~node:coordinator ~part:(-1) ~phase:"scheduling" ~name:"setup" actx;
+  Engine.schedule_apply (engine a)
+    ~delay:((cfg a).Config.txn_setup_cost *. Cluster.work_scale cl coordinator)
+    setup_done a
+
+and setup_done a =
+  close_span a;
+  step a 0
+
+(* Execute the group opened by operation [g] (or, past the last group,
+   validate and commit). *)
+and step a g =
+  let cl = a.run.cl in
+  let parts = a.run.parts in
+  if g >= Array.length parts then groups_done a
+  else begin
+    let part = parts.(g) in
+    a.group <- g;
+    a.part <- part;
+    Cluster.touch_partition cl part;
+    a.n_ops <- group_size parts part g 0;
+    let wait = Cluster.partition_wait cl part in
+    if wait > 0.0 then
+      if wait = infinity then
+        (* Partition lost its quorum (no surviving replica): don't park
+           the transaction on a never-firing event — time out and
+           abort, the retry loop keeps probing until the partition's
+           node recovers. *)
+        Engine.schedule_apply (engine a) ~delay:(cfg a).Config.rpc_timeout part_lost a
+      else (
+        a.marks.step_start <- now a;
+        a.span <- open_span (engine a) ~node:(-1) ~part ~phase:"remaster" ~name:"part-wait" a.actx;
+        Engine.schedule_apply (engine a) ~delay:wait part_ready a)
+    else proceed a
+  end
+
+and part_lost a =
+  Metrics.record_timeout a.run.cl.Cluster.metrics;
+  (match a.actx with None -> () | Some _ -> Trace.note ~ts:(now a) "timeout" a.actx);
+  fail_txn a
+
+and part_ready a =
+  close_span a;
+  a.phases.remaster <- a.phases.remaster +. (now a -. a.marks.step_start);
+  proceed a
+
+and proceed a =
+  let cl = a.run.cl and flavor = a.run.flavor in
+  let placement = cl.Cluster.placement in
+  let part = a.part and coordinator = a.coordinator in
+  if Placement.has_primary placement ~part ~node:coordinator then exec_local a
+  else if
+    flavor.read_at_secondary
+    && group_all_reads a.run.parts a.run.txn.Txn.ops part a.group
+    && Placement.has_secondary placement ~part ~node:coordinator
+  then
+    (* Bounded-staleness read served by the local secondary: no
+       promotion, no round trip. *)
+    exec_local a
+  else if
+    flavor.remaster_secondary && Placement.has_secondary placement ~part ~node:coordinator
+  then
+    if Cluster.try_begin_remaster cl ~part ~node:coordinator then (
+      a.remastered <- true;
+      a.marks.step_start <- now a;
+      a.span <-
+        open_span (engine a) ~node:coordinator ~part ~phase:"remaster" ~name:"remaster" a.actx;
+      Engine.schedule_apply (engine a) ~delay:(cfg a).Config.remaster_delay remaster_done a)
+    else
+      (* Remastering conflict: another transaction is promoting this
+         partition — fall back to 2PC. *)
+      exec_remote a
+  else if flavor.migrate_on_access then migrate a
+  else exec_remote a
+
+and remaster_done a =
+  close_span a;
+  a.phases.remaster <- a.phases.remaster +. (now a -. a.marks.step_start);
+  (* The transfer may not have landed (this node crashed mid-flight and
+     the cluster rolled the remaster back): re-check who is primary. *)
+  let cl = a.run.cl in
+  if not (Cluster.alive cl a.coordinator) then fail_txn a
+  else if Placement.has_primary cl.Cluster.placement ~part:a.part ~node:a.coordinator then
+    exec_local a
+  else exec_remote a
+
+and migrate a =
+  let cl = a.run.cl in
+  a.remastered <- true;
+  let prim = Placement.primary cl.Cluster.placement a.part in
+  let bytes = a.n_ops * (cfg a).Config.record_bytes in
+  let delay = Network.roundtrip cl.Cluster.network ~bytes +. leap_migration_overhead in
+  (* Migration blocks concurrent transactions on the partition for the
+     transfer (§II-B). *)
+  Cluster.block_partition_for cl ~part:a.part ~duration:delay;
+  Network.send cl.Cluster.network ~src:prim ~dst:a.coordinator ~bytes nop;
+  a.marks.step_start <- now a;
+  a.span <-
+    open_span (engine a) ~node:a.coordinator ~part:a.part
+      ~phase:"remaster" ~name:"migrate" a.actx;
+  Engine.schedule_apply (engine a) ~delay migrate_done a
+
+and migrate_done a =
+  close_span a;
+  a.phases.remaster <- a.phases.remaster +. (now a -. a.marks.step_start);
+  let cl = a.run.cl in
+  let placement = cl.Cluster.placement and part = a.part and coordinator = a.coordinator in
+  if not (Cluster.alive cl coordinator) then fail_txn a
+  else begin
+    if not (Placement.has_replica placement ~part ~node:coordinator) then (
+      if Placement.replica_count placement part >= Placement.max_replicas placement then
+        (* Shed a secondary to make room for the pulled mastership; pick
+           deterministically. *)
+        (match Placement.secondaries placement part with
+        | victim :: _ ->
+            Placement.remove_secondary placement ~part ~node:victim;
+            Cluster.note_replica_dropped cl ~part ~node:victim
+        | [] -> ());
+      Placement.add_secondary placement ~part ~node:coordinator);
+    let old_prim = Placement.primary placement part in
+    Placement.remaster placement ~part ~node:coordinator;
+    (* The pulled tuples are current as of the pull. *)
+    Cluster.note_replica_synced cl ~part ~node:coordinator;
+    (* [remaster] demoted the old primary to secondary; if it died while
+       the tuples were in flight, purge the phantom copy it would
+       otherwise keep. *)
+    if old_prim <> coordinator && not (Cluster.alive cl old_prim) then (
+      Placement.remove_secondary placement ~part ~node:old_prim;
+      Cluster.note_replica_dropped cl ~part ~node:old_prim);
+    exec_local a
+  end
+
+and exec_local a =
+  record_group a;
+  a.span <-
+    open_span (engine a) ~node:a.coordinator ~part:a.part ~phase:"execution" ~name:"exec-local" a.actx;
+  Engine.schedule_apply (engine a)
+    ~delay:(local_work a *. Cluster.work_scale a.run.cl a.coordinator)
+    local_done a
+
+and local_done a =
+  close_span a;
+  step a a.run.links.(a.group)
+
+and exec_remote a =
+  let cl = a.run.cl in
+  a.remote_parts <- a.part :: a.remote_parts;
+  let prim = Placement.primary cl.Cluster.placement a.part in
+  a.span <-
+    open_span (engine a) ~node:prim ~part:a.part
+      ~phase:"execution" ~name:"exec-remote" a.actx;
+  a.awaiting <- Exec_reply;
+  Cluster.call cl ?deadline:a.run.enforced ~src:a.coordinator ~dst:prim
+    ~bytes:((cfg a).Config.op_msg_bytes * a.n_ops)
+    ~work:(local_work a +. (cfg a).Config.msg_handle_cost)
+    ~on_fail:rpc_failed ?ctx:a.span rpc_answered a
+
+and rpc_answered a =
+  match a.awaiting with
+  | Exec_reply -> exec_reply a
+  | Votes -> vote_ok a
+  | Acks -> commit_ack a
+
+and rpc_failed a =
+  match a.awaiting with
+  | Exec_reply -> exec_fail a
+  | Votes -> vote_fail a
+  | Acks -> commit_ack a
+
+and exec_reply a =
+  close_span a;
+  record_group a;
+  step a a.run.links.(a.group)
+
+and exec_fail a =
+  close_span a;
+  fail_txn a
+
+(* Abort path for unreachable participants / unavailable partitions:
+   give the worker back and let the caller retry. *)
+and fail_txn a =
+  record_outcome a History.Aborted;
+  finish a
+
+and groups_done a =
+  let cl = a.run.cl and flavor = a.run.flavor in
+  let placement = cl.Cluster.placement in
+  (* [Stdlib.max 0.0], compared as floats. *)
+  let exec_time = now a -. a.marks.exec_start -. a.phases.remaster in
+  a.phases.execution <- (if 0.0 >= exec_time then 0.0 else exec_time);
+  match List.sort_uniq Int.compare a.remote_parts with
+  | [] ->
+      a.single_node <- true;
+      if Kvstore.try_reserve a.session then (
+        Kvstore.finalize a.session;
+        record_outcome a History.Committed;
+        Cluster.replicate_commit cl ?ctx:a.actx a.run.txn.Txn.parts;
+        a.committed <- true)
+      else record_outcome a History.Aborted;
+      finish a
+  | remote ->
+      a.remote_parts <- remote;
+      (* 2PC. Participants are the current primary nodes of the remote
+         partitions. *)
+      let participants =
+        if flavor.unified_commit then
+          (* One unified round engages every replica holder of every
+             remote partition. *)
+          List.concat_map
+            (fun part ->
+              Placement.primary placement part :: Placement.secondaries placement part)
+            remote
+          |> List.sort_uniq Int.compare
+          |> List.filter (fun n -> n <> a.coordinator)
+        else
+          List.sort_uniq Int.compare (List.map (Placement.primary placement) remote)
+          |> List.filter (fun n -> n <> a.coordinator)
       in
-      let exec_start = Engine.now engine in
-      let remaster_time = ref 0.0 in
-      let used_remaster = ref false in
-      let remote_parts = ref [] in
-      (* Abort path for unreachable participants / unavailable
-         partitions: give the worker back and let the caller retry. *)
-      let fail_txn () =
-        record_outcome History.Aborted;
-        Cluster.release_worker cl ~node:coordinator lease;
-        k
-          {
-            committed = false;
-            single_node = false;
-            remastered = !used_remaster;
-            phases = [];
-          }
-      in
-      let rec step groups k_done =
-        match groups with
-        | [] -> k_done ()
-        | (part, ops) :: rest ->
-            Cluster.touch_partition cl part;
-            let n_ops = List.length ops in
-            let local_work = float_of_int n_ops *. cfg.Config.local_op_cost in
-            let after_exec () = step rest k_done in
-            let execute_locally () =
-              record_ops session ops;
-              let lctx =
-                Trace.child ~node:coordinator ~part ~phase:"execution"
-                  ~name:"exec-local" ~ts:(Engine.now engine) ctx
-              in
-              Engine.schedule engine
-                ~delay:(local_work *. Cluster.work_scale cl coordinator)
-                (fun () ->
-                  Trace.finish ~ts:(Engine.now engine) lctx;
-                  after_exec ())
-            in
-            let execute_remote () =
-              remote_parts := part :: !remote_parts;
-              let prim = Placement.primary placement part in
-              let rctx =
-                Trace.child ~node:prim ~part ~phase:"execution"
-                  ~name:"exec-remote" ~ts:(Engine.now engine) ctx
-              in
-              Cluster.rpc cl ?deadline ~src:coordinator ~dst:prim
-                ~bytes:(cfg.Config.op_msg_bytes * n_ops)
-                ~work:(local_work +. cfg.Config.msg_handle_cost)
-                ~on_fail:(fun () ->
-                  Trace.finish ~ts:(Engine.now engine) rctx;
-                  fail_txn ())
-                ?ctx:rctx
-                (fun () ->
-                  Trace.finish ~ts:(Engine.now engine) rctx;
-                  record_ops session ops;
-                  after_exec ())
-            in
-            let all_reads = List.for_all (fun op -> not (Txn.is_write op)) ops in
-            let proceed () =
-              if Placement.has_primary placement ~part ~node:coordinator then
-                execute_locally ()
-              else if
-                flavor.read_at_secondary && all_reads
-                && Placement.has_secondary placement ~part ~node:coordinator
-              then
-                (* Bounded-staleness read served by the local secondary:
-                   no promotion, no round trip. *)
-                execute_locally ()
-              else if
-                flavor.remaster_secondary
-                && Placement.has_secondary placement ~part ~node:coordinator
-              then
-                if Cluster.try_begin_remaster cl ~part ~node:coordinator then (
-                  used_remaster := true;
-                  let t0 = Engine.now engine in
-                  let rctx =
-                    Trace.child ~node:coordinator ~part ~phase:"remaster"
-                      ~name:"remaster" ~ts:t0 ctx
-                  in
-                  Engine.schedule engine ~delay:cfg.Config.remaster_delay (fun () ->
-                      Trace.finish ~ts:(Engine.now engine) rctx;
-                      remaster_time := !remaster_time +. (Engine.now engine -. t0);
-                      (* The transfer may not have landed (this node
-                         crashed mid-flight and the cluster rolled the
-                         remaster back): re-check who is primary. *)
-                      if not (Cluster.alive cl coordinator) then fail_txn ()
-                      else if Placement.has_primary placement ~part ~node:coordinator
-                      then execute_locally ()
-                      else execute_remote ()))
-                else
-                  (* Remastering conflict: another transaction is
-                     promoting this partition — fall back to 2PC. *)
-                  execute_remote ()
-              else if flavor.migrate_on_access then (
-                used_remaster := true;
-                let prim = Placement.primary placement part in
-                let bytes = n_ops * cfg.Config.record_bytes in
-                let delay =
-                  Network.roundtrip cl.Cluster.network ~bytes +. leap_migration_overhead
-                in
-                (* Migration blocks concurrent transactions on the
-                   partition for the transfer (§II-B). *)
-                Cluster.block_partition_for cl ~part ~duration:delay;
-                Network.send cl.Cluster.network ~src:prim ~dst:coordinator ~bytes
-                  (fun () -> ());
-                let t0 = Engine.now engine in
-                let mctx =
-                  Trace.child ~node:coordinator ~part ~phase:"remaster"
-                    ~name:"migrate" ~ts:t0 ctx
-                in
-                Engine.schedule engine ~delay (fun () ->
-                    Trace.finish ~ts:(Engine.now engine) mctx;
-                    remaster_time := !remaster_time +. (Engine.now engine -. t0);
-                    if not (Cluster.alive cl coordinator) then fail_txn ()
-                    else begin
-                      if not (Placement.has_replica placement ~part ~node:coordinator)
-                      then (
-                        if
-                          Placement.replica_count placement part
-                          >= Placement.max_replicas placement
-                        then
-                          (* Shed a secondary to make room for the pulled
-                             mastership; pick deterministically. *)
-                          (match Placement.secondaries placement part with
-                          | victim :: _ ->
-                              Placement.remove_secondary placement ~part ~node:victim;
-                              Cluster.note_replica_dropped cl ~part ~node:victim
-                          | [] -> ());
-                        Placement.add_secondary placement ~part ~node:coordinator);
-                      let old_prim = Placement.primary placement part in
-                      Placement.remaster placement ~part ~node:coordinator;
-                      (* The pulled tuples are current as of the pull. *)
-                      Cluster.note_replica_synced cl ~part ~node:coordinator;
-                      (* [remaster] demoted the old primary to secondary;
-                         if it died while the tuples were in flight, purge
-                         the phantom copy it would otherwise keep. *)
-                      if old_prim <> coordinator && not (Cluster.alive cl old_prim)
-                      then (
-                        Placement.remove_secondary placement ~part ~node:old_prim;
-                        Cluster.note_replica_dropped cl ~part ~node:old_prim);
-                      execute_locally ()
-                    end))
-              else execute_remote ()
-            in
-            let wait = Cluster.partition_wait cl part in
-            if wait > 0.0 then
-              if wait = infinity then
-                (* Partition lost its quorum (no surviving replica):
-                   don't park the transaction on a never-firing event —
-                   time out and abort, the retry loop keeps probing
-                   until the partition's node recovers. *)
-                Engine.schedule engine ~delay:cfg.Config.rpc_timeout (fun () ->
-                    Metrics.record_timeout cl.Cluster.metrics;
-                    Trace.note ~ts:(Engine.now engine) "timeout" ctx;
-                    fail_txn ())
-              else (
-                let t0 = Engine.now engine in
-                let wctx =
-                  Trace.child ~part ~phase:"remaster" ~name:"part-wait" ~ts:t0
-                    ctx
-                in
-                Engine.schedule engine ~delay:wait (fun () ->
-                    Trace.finish ~ts:(Engine.now engine) wctx;
-                    remaster_time := !remaster_time +. (Engine.now engine -. t0);
-                    proceed ()))
-            else proceed ()
-      in
-      let begin_groups () =
-        step (groups_of txn) (fun () ->
-          let exec_time =
-            Stdlib.max 0.0 (Engine.now engine -. exec_start -. !remaster_time)
-          in
-          let finish result =
-            Cluster.release_worker cl ~node:coordinator lease;
-            k result
-          in
-          let base_phases =
-            [ (Metrics.Execution, exec_time); (Metrics.Remaster, !remaster_time) ]
-          in
-          let remote = List.sort_uniq compare !remote_parts in
-          if remote = [] then
-            if Kvstore.try_reserve session then (
-              Kvstore.finalize session;
-              record_outcome History.Committed;
-              Cluster.replicate_commit cl ?ctx txn.Txn.parts;
-              finish
-                {
-                  committed = true;
-                  single_node = true;
-                  remastered = !used_remaster;
-                  phases = base_phases;
-                })
-            else (
-              record_outcome History.Aborted;
-              finish
-                {
-                  committed = false;
-                  single_node = true;
-                  remastered = !used_remaster;
-                  phases = base_phases;
-                })
-          else (
-            (* 2PC. Participants are the current primary nodes of the
-               remote partitions. *)
-            let participants =
-              if flavor.unified_commit then
-                (* One unified round engages every replica holder of
-                   every remote partition. *)
-                List.concat_map
-                  (fun part ->
-                    Placement.primary placement part
-                    :: Placement.secondaries placement part)
-                  remote
-                |> List.sort_uniq compare
-                |> List.filter (fun n -> n <> coordinator)
-              else
-                List.sort_uniq compare (List.map (Placement.primary placement) remote)
-                |> List.filter (fun n -> n <> coordinator)
-            in
-            let prepare_start = Engine.now engine in
-            let pctx =
-              Trace.child ~node:coordinator ~phase:"prepare" ~name:"2pc-prepare"
-                ~ts:prepare_start ctx
-            in
-            let prepare_bytes = cfg.Config.op_msg_bytes + cfg.Config.record_bytes in
-            let after_prepare () =
-              Trace.finish ~ts:(Engine.now engine) pctx;
-              let prepare_time = Engine.now engine -. prepare_start in
-              (* Participants replicate their prepare logs. *)
-              Cluster.replicate_commit cl ?ctx remote;
-              if Kvstore.try_reserve session then (
-                if flavor.unified_commit then (
-                  (* The unified round already carried the writes and
-                     collected every replica's vote: commit now, send
-                     the decision one-way. *)
-                  Kvstore.finalize session;
-                  record_outcome History.Committed;
-                  List.iter
-                    (fun node ->
-                      Network.send cl.Cluster.network ~src:coordinator ~dst:node
-                        ~bytes:cfg.Config.op_msg_bytes (fun () -> ()))
-                    participants;
-                  finish
-                    {
-                      committed = true;
-                      single_node = false;
-                      remastered = !used_remaster;
-                      phases =
-                        base_phases @ [ (Metrics.Prepare, prepare_time) ];
-                    })
-                else
-                let commit_start = Engine.now engine in
-                let cctx =
-                  Trace.child ~node:coordinator ~phase:"commit"
-                    ~name:"2pc-commit" ~ts:commit_start ctx
-                in
-                let after_commit () =
-                  Trace.finish ~ts:(Engine.now engine) cctx;
-                  let commit_time = Engine.now engine -. commit_start in
-                  Kvstore.finalize session;
-                  record_outcome History.Committed;
-                  Cluster.replicate_commit cl ?ctx txn.Txn.parts;
-                  finish
-                    {
-                      committed = true;
-                      single_node = false;
-                      remastered = !used_remaster;
-                      phases =
-                        base_phases
-                        @ [
-                            (Metrics.Prepare, prepare_time);
-                            (Metrics.Commit, commit_time);
-                          ];
-                    }
-                in
-                match
-                  Proto.join_now (List.length participants) after_commit
-                with
-                | None -> ()
-                | Some cb ->
-                    List.iter
-                      (fun node ->
-                        (* The decision is already durable: a participant
-                           that never acknowledges (crashed, partitioned
-                           away) learns the outcome on recovery, so an
-                           exhausted commit RPC counts as delivered. *)
-                        Cluster.rpc cl ?deadline ~src:coordinator ~dst:node
-                          ~bytes:cfg.Config.op_msg_bytes
-                          ~work:cfg.Config.msg_handle_cost ~on_fail:cb
-                          ?ctx:cctx cb)
-                      participants)
-              else (
-                (* Validation failed: one-way aborts, no waiting. *)
-                record_outcome History.Aborted;
-                List.iter
-                  (fun node ->
-                    Network.send cl.Cluster.network ~src:coordinator ~dst:node
-                      ~bytes:cfg.Config.op_msg_bytes (fun () -> ()))
-                  participants;
-                finish
-                  {
-                    committed = false;
-                    single_node = false;
-                    remastered = !used_remaster;
-                    phases =
-                      base_phases @ [ (Metrics.Prepare, Engine.now engine -. prepare_start) ];
-                  })
-            in
-            (* Presumed abort (§2PC under faults): if any participant
-               stays unreachable through the RPC retry schedule, the
-               coordinator aborts, tells the reachable participants
-               one-way, and gives the attempt up. *)
-            (* The coordinator never learned every vote: presumed abort
-               resolves it internally, but an external auditor must
-               treat the outcome as indeterminate. *)
-            let on_prepare_fail () =
-              record_outcome History.Indeterminate;
-              Trace.finish ~ts:(Engine.now engine) pctx;
-              List.iter
-                (fun node ->
-                  Network.send cl.Cluster.network ~src:coordinator ~dst:node
-                    ~bytes:cfg.Config.op_msg_bytes (fun () -> ()))
-                participants;
-              finish
-                {
-                  committed = false;
-                  single_node = false;
-                  remastered = !used_remaster;
-                  phases =
-                    base_phases
-                    @ [ (Metrics.Prepare, Engine.now engine -. prepare_start) ];
-                }
-            in
-            let ok, fail =
-              Proto.join_or_fail (List.length participants) ~on_ok:after_prepare
-                ~on_fail:on_prepare_fail
-            in
-            List.iter
-              (fun node ->
-                Cluster.rpc cl ?deadline ~src:coordinator ~dst:node
-                  ~bytes:prepare_bytes ~work:cfg.Config.msg_handle_cost
-                  ~on_fail:fail ?ctx:pctx ok)
-              participants))
-      in
-      let sctx =
-        Trace.child ~node:coordinator ~phase:"scheduling" ~name:"setup"
-          ~ts:(Engine.now engine) ctx
-      in
-      Engine.schedule engine
-        ~delay:(cfg.Config.txn_setup_cost *. Cluster.work_scale cl coordinator)
-        (fun () ->
-          Trace.finish ~ts:(Engine.now engine) sctx;
-          begin_groups ()))
+      a.participants <- participants;
+      a.marks.round_start <- now a;
+      a.span <-
+        open_span (engine a) ~node:a.coordinator ~part:(-1)
+          ~phase:"prepare" ~name:"2pc-prepare" a.actx;
+      (* Presumed abort (§2PC under faults): if any participant stays
+         unreachable through the RPC retry schedule, the coordinator
+         aborts, tells the reachable participants one-way, and gives the
+         attempt up. *)
+      match participants with
+      | [] -> after_prepare a
+      | _ ->
+          a.votes <- List.length participants;
+          a.awaiting <- Votes;
+          let cfg = cfg a in
+          send_prepares a ~pctx:a.span
+            ~bytes:(cfg.Config.op_msg_bytes + cfg.Config.record_bytes)
+            participants
+
+and send_prepares a ~pctx ~bytes = function
+  | [] -> ()
+  | node :: rest ->
+      Cluster.call a.run.cl ?deadline:a.run.enforced ~src:a.coordinator ~dst:node ~bytes
+        ~work:(cfg a).Config.msg_handle_cost ~on_fail:rpc_failed ?ctx:pctx rpc_answered a;
+      send_prepares a ~pctx ~bytes rest
+
+(* Votes arriving after the round failed are stragglers and ignored. *)
+and vote_ok a =
+  if not a.vote_failed then (
+    a.votes <- a.votes - 1;
+    if a.votes = 0 then after_prepare a)
+
+and vote_fail a =
+  if (not a.vote_failed) && a.votes > 0 then (
+    a.vote_failed <- true;
+    prepare_failed a)
+
+(* The coordinator never learned every vote: presumed abort resolves it
+   internally, but an external auditor must treat the outcome as
+   indeterminate. *)
+and prepare_failed a =
+  record_outcome a History.Indeterminate;
+  close_span a;
+  send_oneway a a.participants;
+  finish a
+
+and after_prepare a =
+  let cl = a.run.cl in
+  close_span a;
+  a.phases.prepare <- now a -. a.marks.round_start;
+  (* Participants replicate their prepare logs. *)
+  Cluster.replicate_commit cl ?ctx:a.actx a.remote_parts;
+  if Kvstore.try_reserve a.session then
+    if a.run.flavor.unified_commit then (
+      (* The unified round already carried the writes and collected
+         every replica's vote: commit now, send the decision one-way. *)
+      Kvstore.finalize a.session;
+      record_outcome a History.Committed;
+      send_oneway a a.participants;
+      a.committed <- true;
+      finish a)
+    else (
+      a.marks.round_start <- now a;
+      a.span <-
+        open_span (engine a) ~node:a.coordinator ~part:(-1)
+          ~phase:"commit" ~name:"2pc-commit" a.actx;
+      match a.participants with
+      | [] -> after_commit a
+      | participants ->
+          a.acks <- List.length participants;
+          a.awaiting <- Acks;
+          send_commits a ~cctx:a.span participants)
+  else (
+    (* Validation failed: one-way aborts, no waiting. *)
+    record_outcome a History.Aborted;
+    send_oneway a a.participants;
+    finish a)
+
+(* The decision is already durable: a participant that never
+   acknowledges (crashed, partitioned away) learns the outcome on
+   recovery, so an exhausted commit RPC counts as delivered. *)
+and send_commits a ~cctx = function
+  | [] -> ()
+  | node :: rest ->
+      Cluster.call a.run.cl ?deadline:a.run.enforced ~src:a.coordinator ~dst:node
+        ~bytes:(cfg a).Config.op_msg_bytes ~work:(cfg a).Config.msg_handle_cost
+        ~on_fail:rpc_failed ?ctx:cctx rpc_answered a;
+      send_commits a ~cctx rest
+
+and commit_ack a =
+  a.acks <- a.acks - 1;
+  if a.acks = 0 then after_commit a
+
+and after_commit a =
+  close_span a;
+  a.phases.commit <- now a -. a.marks.round_start;
+  Kvstore.finalize a.session;
+  record_outcome a History.Committed;
+  Cluster.replicate_commit a.run.cl ?ctx:a.actx a.run.txn.Txn.parts;
+  a.committed <- true;
+  finish a
+
+and finish a =
+  Cluster.release_worker a.run.cl ~node:a.coordinator a.lease;
+  attempt_over a
+
+(* The attempt is over and its worker released (or never granted). *)
+(* The attempt is over and its worker released. *)
+and attempt_over a =
+  let r = a.run in
+  let cl = r.cl in
+  let cfg = cl.Cluster.cfg in
+  if a.committed then (
+    (match a.actx with None -> () | Some _ -> Trace.finish ~ts:(now a) a.actx);
+    let interval = cfg.Config.group_commit_interval in
+    let now = now a in
+    let wait = interval -. Float.rem now interval in
+    let latency = now -. r.start +. wait in
+    a.phases.replication <- wait;
+    (* Committed but late: it still counts as a commit (throughput)
+       while goodput discounts it — the client gave up waiting. *)
+    let late = Config.misses_deadline cfg latency in
+    if late then Metrics.record_deadline_miss cl.Cluster.metrics;
+    let span =
+      open_span cl.Cluster.engine ~node:(-1) ~part:(-1) ~phase:"replication"
+        ~name:"group-commit-wait" r.octx
+    in
+    Engine.schedule_apply (engine a) ~delay:wait commit_visible
+      {
+        cw_cluster = cl;
+        cw_root = r.octx;
+        cw_span = span;
+        cw_phases = a.phases;
+        cw_latency = latency;
+        cw_late = late;
+        cw_single_node = a.single_node;
+        cw_remastered = a.remastered;
+      };
+    r.on_done ())
+  else attempt_failed r a.actx
+
+and commit_visible w =
+  let cl = w.cw_cluster in
+  (match w.cw_span with
+  | None -> ()
+  | Some _ -> Trace.finish ~ts:(Engine.now cl.Cluster.engine) w.cw_span);
+  Metrics.record_commit ~late:w.cw_late cl.Cluster.metrics ~latency:w.cw_latency
+    ~single_node:w.cw_single_node ~remastered:w.cw_remastered ~phases:w.cw_phases;
+  match w.cw_root with
+  | None -> ()
+  | Some _ -> Trace.finish_txn ~ts:(Engine.now cl.Cluster.engine) ~ok:true w.cw_root
 
 let run cl ~route ~flavor txn ~on_done =
-  let cfg = cl.Cluster.cfg in
-  let engine = cl.Cluster.engine in
-  let start = Engine.now engine in
-  let octx =
-    match cl.Cluster.tracer with
-    | None -> None
-    | Some tracer -> Trace.start_txn tracer ~ts:start ~txn_id:txn.Txn.id
-  in
-  (* The deadline is the client's patience — always measured when set.
-     [enforced] is the protection: only then do RPCs stop retransmitting
-     and aborted attempts stop retrying past it. Keeping the two apart
-     lets the metastable repro measure goodput identically on the
-     unprotected baseline. *)
-  let enforced =
-    match cfg.Config.deadline with
-    | Some { Config.after; enforce = true } -> Some (start +. after)
-    | _ -> None
-  in
-  let attempts = ref 0 in
-  let rec go () =
-    incr attempts;
-    let coordinator = route txn in
-    let actx =
-      match octx with
-      | None -> None
-      | Some _ ->
-          Trace.child ~node:coordinator ~phase:"execution"
-            ~name:(Printf.sprintf "attempt %d" !attempts)
-            ~ts:(Engine.now engine) octx
-    in
-    attempt ?ctx:actx ~attempt_no:!attempts ?deadline:enforced cl ~coordinator
-      ~txn ~flavor
-      ~k:(fun r ->
-        Trace.finish ~ts:(Engine.now engine) actx;
-        if r.committed then (
-          let interval = cfg.Config.group_commit_interval in
-          let wait = interval -. Float.rem (Engine.now engine) interval in
-          let latency = Engine.now engine -. start +. wait in
-          let phases = r.phases @ [ (Metrics.Replication, wait) ] in
-          (* Committed but late: it still counts as a commit (throughput)
-             while goodput discounts it — the client gave up waiting. *)
-          let late = Config.misses_deadline cfg latency in
-          if late then Metrics.record_deadline_miss cl.Cluster.metrics;
-          let gctx =
-            Trace.child ~phase:"replication" ~name:"group-commit-wait"
-              ~ts:(Engine.now engine) octx
-          in
-          Engine.schedule engine ~delay:wait (fun () ->
-              Trace.finish ~ts:(Engine.now engine) gctx;
-              Metrics.record_commit ~late cl.Cluster.metrics ~latency
-                ~single_node:r.single_node ~remastered:r.remastered ~phases;
-              Trace.finish_txn ~ts:(Engine.now engine) ~ok:true octx);
-          on_done ())
-        else (
-          Trace.note_abort ~ts:(Engine.now engine)
-            (match actx with Some _ -> actx | None -> octx);
-          Metrics.record_abort cl.Cluster.metrics;
-          match enforced with
-          | Some d when Engine.now engine >= d ->
-              (* Deadline propagation, load-shedding half: a transaction
-                 already older than any client would wait for stops
-                 consuming retries — the metastable sustaining loop
-                 (ever-growing population of retrying zombies) is cut
-                 here. *)
-              Metrics.record_deadline_giveup cl.Cluster.metrics;
-              Trace.note ~ts:(Engine.now engine) "deadline-giveup" octx;
-              Trace.finish_txn ~ts:(Engine.now engine) ~ok:false octx;
-              on_done ()
-          | _ ->
-              let cap = Stdlib.min 8 !attempts in
-              let backoff =
-                (50.0 *. float_of_int (1 lsl cap))
-                +. Rng.float cl.Cluster.rng 50.0
-              in
-              Engine.schedule engine ~delay:(Stdlib.min 2000.0 backoff) go))
-  in
-  go ()
+  let start = Engine.now cl.Cluster.engine in
+  let parts = parts_of_ops txn.Txn.ops in
+  start_attempt
+    {
+      cl;
+      route;
+      flavor;
+      txn;
+      parts;
+      links = group_links parts;
+      on_done;
+      start;
+      octx =
+        (match cl.Cluster.tracer with
+        | None -> None
+        | Some tracer -> Trace.start_txn tracer ~ts:start ~txn_id:txn.Txn.id);
+      (* The deadline is the client's patience — always measured when
+         set. [enforced] is the protection: only then do RPCs stop
+         retransmitting and aborted attempts stop retrying past it.
+         Keeping the two apart lets the metastable repro measure goodput
+         identically on the unprotected baseline. *)
+      enforced =
+        (match cl.Cluster.cfg.Config.deadline with
+        | Some { Config.after; enforce = true } -> Some (start +. after)
+        | _ -> None);
+      attempts = 0;
+    }

@@ -40,7 +40,9 @@ val unified_flavor : flavor
 
 val groups_of : Lion_workload.Txn.t -> (int * Lion_workload.Txn.op list) list
 (** Operations grouped by partition, first-appearance order of
-    partitions, op order preserved within a group. *)
+    partitions, op order preserved within a group — the order in which
+    an attempt executes them. Built by scanning the operation array, no
+    table. *)
 
 val record_op : Lion_store.Kvstore.session -> Lion_workload.Txn.op -> unit
 (** Record one operation in an OCC session: [Kvstore.write] for a
@@ -50,42 +52,6 @@ val route_most_primaries : Lion_store.Cluster.t -> Lion_workload.Txn.t -> int
 (** The node holding the most of the transaction's primary partitions
     (lowest id on ties) — the standard router. *)
 
-type result = {
-  committed : bool;
-  single_node : bool;  (** every operation executed on the coordinator *)
-  remastered : bool;  (** at least one remaster/migration was used *)
-  phases : (Lion_sim.Metrics.phase * float) list;
-}
-
-val attempt :
-  ?ctx:Lion_trace.Trace.ctx ->
-  ?attempt_no:int ->
-  ?deadline:float ->
-  Lion_store.Cluster.t ->
-  coordinator:int ->
-  txn:Lion_workload.Txn.t ->
-  flavor:flavor ->
-  k:(result -> unit) ->
-  unit
-(** One execution attempt. Acquires (and always releases) a coordinator
-    worker; [k] fires at worker release — or immediately with a failed
-    result if the bounded worker queue sheds the admission request
-    (docs/OVERLOAD.md; never happens with the default unbounded queue).
-    When the grant cannot be immediate, the wait is traced as a
-    "queue"-phase [worker-wait] span. [deadline] (absolute simulated
-    time) is propagated into every RPC the attempt issues: once past
-    it, lost RPCs stop retransmitting. On commit, the group-commit
-    visibility delay is {e not} included here — see [run]. [ctx] (one
-    attempt's span of a traced transaction) nests setup, per-group
-    execution, remaster transfers and the 2PC rounds under it.
-
-    When the cluster carries a history sink ([Cluster.history]), the
-    attempt records one {!Lion_store.History} event — observed read
-    versions, installed write versions on commit, and the outcome
-    (committed / aborted / indeterminate when a 2PC prepare round
-    exhausted its retries). [attempt_no] (default 1) labels the event
-    with the retry ordinal. *)
-
 val run :
   Lion_store.Cluster.t ->
   route:(Lion_workload.Txn.t -> int) ->
@@ -94,7 +60,23 @@ val run :
   on_done:(unit -> unit) ->
   unit
 (** Attempt with retry-on-abort (exponential-ish backoff, capped),
-    recording aborts and the final commit in the cluster metrics. The
+    recording aborts and the final commit in the cluster metrics.
+
+    Each attempt acquires (and always releases) a coordinator worker;
+    the bounded worker queue may shed the admission request
+    (docs/OVERLOAD.md; never happens with the default unbounded
+    queue), which fails the attempt. When the grant cannot be
+    immediate, the wait is traced as a "queue"-phase [worker-wait]
+    span. An enforced deadline (absolute simulated time) is propagated
+    into every RPC the attempt issues: once past it, lost RPCs stop
+    retransmitting. Each attempt is one mutable record advanced by
+    engine events, not a chain of per-hop closures.
+
+    When the cluster carries a history sink ([Cluster.history]), each
+    attempt that got a worker records one {!Lion_store.History} event —
+    observed read versions, installed write versions on commit, and the
+    outcome (committed / aborted / indeterminate when a 2PC prepare
+    round exhausted its retries), labelled with the attempt's ordinal. The
     commit is recorded at the next group-commit epoch boundary with the
     full latency since first submission; [on_done] fires at coordinator
     worker release so the closed loop stays worker-bound.

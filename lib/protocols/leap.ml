@@ -1,7 +1,6 @@
 let create cl =
+  let route = Exec.route_most_primaries cl in
   Proto.make ~name:"Leap"
     ~submit:(fun txn ~on_done ->
-      Exec.run cl
-        ~route:(Exec.route_most_primaries cl)
-        ~flavor:Exec.leap_flavor txn ~on_done)
+      Exec.run cl ~route ~flavor:Exec.leap_flavor txn ~on_done)
     ()

@@ -8,18 +8,6 @@ type t = {
 let make ~name ~submit ?(tick = fun () -> ()) ?(drain = fun () -> ()) () =
   { name; submit; tick; drain }
 
-let join n k =
-  let remaining = ref n in
-  fun () ->
-    decr remaining;
-    if !remaining = 0 then k ()
-
-let join_now n k =
-  if n = 0 then (
-    k ();
-    None)
-  else Some (join n k)
-
 let join_or_fail n ~on_ok ~on_fail =
   if n = 0 then (
     on_ok ();

@@ -23,17 +23,6 @@ val make :
   unit ->
   t
 
-val join : int -> (unit -> unit) -> unit -> unit
-(** [join n k] returns a callback that invokes [k] after being called
-    [n] times ([n = 0] means [k] runs on the first call — callers
-    should invoke the result once unconditionally in that case via
-    [join_now]). *)
-
-val join_now : int -> (unit -> unit) -> (unit -> unit) option
-(** [join_now n k]: if [n = 0], runs [k] immediately and returns
-    [None]; otherwise returns [Some cb] where [cb] must be called
-    exactly [n] times. *)
-
 val join_or_fail :
   int ->
   on_ok:(unit -> unit) ->

@@ -40,9 +40,14 @@ let split_brain ~groups ~at ~duration =
 let lossy ?src ?dst ~prob ~from_ ~until () = [ drop ?src ?dst ~prob ~from_ ~until () ]
 let slow_node ~node ~factor ~from_ ~until = [ straggler ~node ~factor ~from_ ~until ]
 
+(* [link_specs] and [stragglers] split [plan] by what consults each
+   spec, keeping plan order, so a message never walks crash or
+   straggler specs and a CPU charge never walks link specs. *)
 type t = {
   rng : Rng.t;
   plan : plan;
+  link_specs : spec list;
+  stragglers : spec list;
   down : bool array;
   mutable drops : int;
   mutable dead_drops : int;
@@ -54,6 +59,13 @@ let create ?(seed = 17) ~nodes plan =
        other per-seed generators. *)
     rng = Rng.create ((seed * 1_000_003) + 7);
     plan;
+    link_specs =
+      List.filter
+        (function
+          | Partition _ | Drop _ | Jitter _ | Delay _ -> true
+          | Crash _ | Straggler _ -> false)
+        plan;
+    stragglers = List.filter (function Straggler _ -> true | _ -> false) plan;
     down = Array.make (Stdlib.max 1 nodes) false;
     drops = 0;
     dead_drops = 0;
@@ -64,7 +76,7 @@ let up t node = not t.down.(node)
 let mark_down t node = t.down.(node) <- true
 let mark_up t node = t.down.(node) <- false
 
-let active ~now ~from_ ~until = now >= from_ && now < until
+let active ~(now : float) ~from_ ~until = now >= from_ && now < until
 
 type verdict = Deliver of float | Blocked | Dropped
 
@@ -75,6 +87,12 @@ let group_of groups node =
   in
   go 0 groups
 
+(* Shared, so a delivery with no added latency allocates nothing. *)
+let deliver_now = Deliver 0.0
+
+let link_inert t = match t.link_specs with [] -> true | _ :: _ -> false
+let endpoints t ~src ~dst = if up t src && up t dst then deliver_now else Dropped
+
 (* The RNG is consulted only when an active probabilistic spec matches
    this message, so an empty (or inactive) plan perturbs nothing — the
    no-fault event schedule stays bit-for-bit identical. *)
@@ -82,7 +100,7 @@ let link t ~now ~src ~dst =
   if not (up t src && up t dst) then Dropped
   else (
     let rec go extra = function
-      | [] -> Deliver extra
+      | [] -> if extra = 0.0 then deliver_now else Deliver extra
       | spec :: rest -> (
           match spec with
           | Partition { groups; from_; until } when active ~now ~from_ ~until ->
@@ -109,17 +127,22 @@ let link t ~now ~src ~dst =
               go (extra +. e) rest
           | _ -> go extra rest)
     in
-    go 0.0 t.plan)
+    match t.link_specs with [] -> deliver_now | specs -> go 0.0 specs)
+
+let slow_inert t = match t.stragglers with [] -> true | _ :: _ -> false
 
 let slow_factor t ~now node =
-  List.fold_left
-    (fun acc spec ->
-      match spec with
-      | Straggler { node = n; factor; from_; until }
-        when n = node && active ~now ~from_ ~until ->
-          acc *. factor
-      | _ -> acc)
-    1.0 t.plan
+  match t.stragglers with
+  | [] -> 1.0
+  | specs ->
+      List.fold_left
+        (fun acc spec ->
+          match spec with
+          | Straggler { node = n; factor; from_; until }
+            when n = node && active ~now ~from_ ~until ->
+              acc *. factor
+          | _ -> acc)
+        1.0 specs
 
 let count_drop t = t.drops <- t.drops + 1
 let count_dead_drop t = t.dead_drops <- t.dead_drops + 1

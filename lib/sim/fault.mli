@@ -88,11 +88,25 @@ type verdict =
 
 val link : t -> now:float -> src:int -> dst:int -> verdict
 (** Fate of one message sent now. Draws the PRNG only when an active
-    probabilistic spec matches, preserving determinism otherwise. *)
+    probabilistic spec matches, preserving determinism otherwise. A
+    delivery with no added delay returns one shared [Deliver 0.0]. *)
+
+val link_inert : t -> bool
+(** The plan has no partition, drop, jitter or delay spec: [link] then
+    equals [endpoints] at any time. *)
+
+val endpoints : t -> src:int -> dst:int -> verdict
+(** [link] under a plan with no link spec: [Dropped] if either endpoint
+    is down, else the shared [Deliver 0.0]. Takes no clock, so it boxes
+    nothing. *)
 
 val slow_factor : t -> now:float -> int -> float
 (** Product of the factors of all stragglers active on [node] (1.0 when
     none). *)
+
+val slow_inert : t -> bool
+(** The plan has no straggler spec: [slow_factor] is 1.0 at any time,
+    so a caller need not read its clock. *)
 
 val count_drop : t -> unit
 val count_dead_drop : t -> unit

@@ -97,14 +97,33 @@ let create ?(seed = 42) engine =
     avail_series = Timeseries.create ~interval:(Engine.seconds 1.0);
   }
 
-(* Recursive rather than [List.iter f]: the commit path runs once per
-   transaction, and the iterator closure capturing [t] was a per-commit
-   allocation for nothing. *)
-let rec add_phases t = function
-  | [] -> ()
-  | (p, d) :: rest ->
-      t.phase_time.(phase_index p) <- t.phase_time.(phase_index p) +. d;
-      add_phases t rest
+(* All floats, so the record is stored flat: an attempt fills one in
+   place without boxing a duration per phase. *)
+type phase_times = {
+  mutable execution : float;
+  mutable prepare : float;
+  mutable commit : float;
+  mutable remaster : float;
+  mutable scheduling : float;
+  mutable replication : float;
+}
+
+let phase_times ?(execution = 0.0) ?(prepare = 0.0) ?(commit = 0.0) ?(remaster = 0.0)
+    ?(scheduling = 0.0) ?(replication = 0.0) () =
+  { execution; prepare; commit; remaster; scheduling; replication }
+
+(* Each phase adds its own slot exactly once per commit. A phase a
+   protocol does not report adds 0.0, which leaves a sum that started
+   at 0.0 unchanged, so the totals match adding only the reported
+   phases. *)
+let add_phases t p =
+  let a = t.phase_time in
+  a.(0) <- a.(0) +. p.execution;
+  a.(1) <- a.(1) +. p.prepare;
+  a.(2) <- a.(2) +. p.commit;
+  a.(3) <- a.(3) +. p.remaster;
+  a.(4) <- a.(4) +. p.scheduling;
+  a.(5) <- a.(5) +. p.replication
 
 let record_commit ?(late = false) t ~latency ~single_node ~remastered ~phases =
   t.commits <- t.commits + 1;

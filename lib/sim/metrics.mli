@@ -20,13 +20,36 @@ type t
 
 val create : ?seed:int -> Engine.t -> t
 
+(** One committed transaction's time per phase, µs. An all-float
+    record, so its fields are stored unboxed and can be filled in
+    place. *)
+type phase_times = {
+  mutable execution : float;
+  mutable prepare : float;
+  mutable commit : float;
+  mutable remaster : float;
+  mutable scheduling : float;
+  mutable replication : float;
+}
+
+val phase_times :
+  ?execution:float ->
+  ?prepare:float ->
+  ?commit:float ->
+  ?remaster:float ->
+  ?scheduling:float ->
+  ?replication:float ->
+  unit ->
+  phase_times
+(** A fresh record; every phase not given is 0. *)
+
 val record_commit :
   ?late:bool ->
   t ->
   latency:float ->
   single_node:bool ->
   remastered:bool ->
-  phases:(phase * float) list ->
+  phases:phase_times ->
   unit
 (** Record a committed transaction. [latency] in µs from first submit
     (including retries) to commit. [late] (default false) marks a

@@ -141,6 +141,28 @@ let charge t ~bytes = account t ~bytes
 
 module Trace = Lion_trace.Trace
 
+(* The fate of one message whose span (if any) is already open: lost
+   now, or scheduled for delivery through a pooled record. *)
+let dispatch t ~src ~dst ~bytes k on_drop =
+  match t.fault with
+  | None -> Engine.schedule t.engine ~delay:(link_delay t ~src ~dst ~bytes) k
+  | Some f -> (
+      let verdict =
+        if Fault.link_inert f then Fault.endpoints f ~src ~dst
+        else Fault.link f ~now:(Engine.now t.engine) ~src ~dst
+      in
+      match verdict with
+      | Fault.Blocked | Fault.Dropped ->
+          Fault.count_drop f;
+          if not (Fault.up f src && Fault.up f dst) then Fault.count_dead_drop f;
+          record_drop t;
+          on_drop ()
+      | Fault.Deliver extra ->
+          Engine.schedule_apply t.engine
+            ~delay:(link_delay t ~src ~dst ~bytes +. extra)
+            t.deliver
+            (alloc_msg t ~dst ~k ~on_drop))
+
 let send t ~src ~dst ~bytes ?(on_drop = nop) ?ctx k =
   if src = dst then Engine.schedule t.engine ~delay:0.0 k
   else (
@@ -164,39 +186,24 @@ let send t ~src ~dst ~bytes ?(on_drop = nop) ?ctx k =
        distinct "wan" span phase so critical-path reports and Perfetto
        exports show WAN time; intra-region hops inherit the parent
        phase as before. *)
-    let k, on_drop =
-      match ctx with
-      | None -> (k, on_drop)
-      | Some _ ->
-          let mctx =
-            Trace.child ~node:dst
-              ?phase:(if cross then Some "wan" else None)
-              ~name:(Printf.sprintf "msg %d->%d" src dst)
-              ~ts:(Engine.now t.engine) ctx
-          in
-          ( (fun () ->
-              Trace.finish ~ts:(Engine.now t.engine) mctx;
-              k ()),
-            fun () ->
-              let now = Engine.now t.engine in
-              Trace.note ~ts:now "drop" mctx;
-              Trace.finish ~ts:now mctx;
-              on_drop () )
-    in
-    match t.fault with
-    | None -> Engine.schedule t.engine ~delay:(link_delay t ~src ~dst ~bytes) k
-    | Some f -> (
-        match Fault.link f ~now:(Engine.now t.engine) ~src ~dst with
-        | Fault.Blocked | Fault.Dropped ->
-            Fault.count_drop f;
-            if not (Fault.up f src && Fault.up f dst) then Fault.count_dead_drop f;
-            record_drop t;
-            on_drop ()
-        | Fault.Deliver extra ->
-            Engine.schedule_apply t.engine
-              ~delay:(link_delay t ~src ~dst ~bytes +. extra)
-              t.deliver
-              (alloc_msg t ~dst ~k ~on_drop)))
+    match ctx with
+    | None -> dispatch t ~src ~dst ~bytes k on_drop
+    | Some _ ->
+        let mctx =
+          Trace.child ~node:dst
+            ?phase:(if cross then Some "wan" else None)
+            ~name:(Printf.sprintf "msg %d->%d" src dst)
+            ~ts:(Engine.now t.engine) ctx
+        in
+        dispatch t ~src ~dst ~bytes
+          (fun () ->
+            Trace.finish ~ts:(Engine.now t.engine) mctx;
+            k ())
+          (fun () ->
+            let now = Engine.now t.engine in
+            Trace.note ~ts:now "drop" mctx;
+            Trace.finish ~ts:now mctx;
+            on_drop ()))
 
 let total_bytes t = t.total_bytes
 let bytes_series t = t.bytes_series

@@ -60,6 +60,12 @@ let grant t w =
   let lease = { acquired_at = now; released = false } in
   w.k lease
 
+(* [grant] of a request that never queued: its wait is exactly 0, and
+   adding 0 leaves [queue_wait] unchanged, so no waiter is built. *)
+let grant_idle t =
+  t.busy <- t.busy + 1;
+  { acquired_at = Engine.now t.engine; released = false }
+
 (* Next waiter to grant: control traffic first, then the normal queue
    filtered through the shed policy. The CoDel-style rule sheds the
    head once the queue has been continuously above the target sojourn
@@ -91,22 +97,27 @@ let rec next_waiter t =
               Queue.take_opt t.waiting))
 
 let acquire t ?(prio = Normal) ?on_shed k =
-  let w = { k; on_shed; enq_at = Engine.now t.engine } in
-  if not t.alive then shed t w
-  else if t.busy < t.cap then grant t w
+  if t.alive && t.busy < t.cap then k (grant_idle t)
   else
-    match prio with
-    | High ->
-        (* Control traffic (remaster, replication repair) outranks user
-           transactions and is never turned away by the queue bound. *)
-        Queue.push w t.waiting_hi
-    | Normal ->
-        if t.queue_cap > 0 && Queue.length t.waiting >= t.queue_cap then
-          shed t w
-        else (
-          Queue.push w t.waiting;
-          let len = Queue.length t.waiting + Queue.length t.waiting_hi in
-          if len > t.max_queue then t.max_queue <- len)
+    let w = { k; on_shed; enq_at = Engine.now t.engine } in
+    if not t.alive then shed t w
+    else
+      match prio with
+      | High ->
+          (* Control traffic (remaster, replication repair) outranks user
+             transactions and is never turned away by the queue bound. *)
+          Queue.push w t.waiting_hi
+      | Normal ->
+          if t.queue_cap > 0 && Queue.length t.waiting >= t.queue_cap then
+            shed t w
+          else (
+            Queue.push w t.waiting;
+            let len = Queue.length t.waiting + Queue.length t.waiting_hi in
+            if len > t.max_queue then t.max_queue <- len)
+
+(* [Stdlib.max] on floats, compared as floats: the polymorphic one
+   calls the runtime's generic comparison. *)
+let fmax (a : float) b = if a >= b then a else b
 
 let release t lease =
   if lease.released then invalid_arg "Server.release: lease already released";
@@ -114,7 +125,7 @@ let release t lease =
   t.busy <- t.busy - 1;
   t.busy_time <-
     t.busy_time
-    +. (Engine.now t.engine -. Stdlib.max lease.acquired_at t.window_start);
+    +. (Engine.now t.engine -. fmax lease.acquired_at t.window_start);
   t.completed <- t.completed + 1;
   (* A dead node grants nothing: queued work was drained at [kill],
      and anything that raced in since is shed on arrival. *)
@@ -169,8 +180,12 @@ let create ?(queue_cap = 0) ?(policy = Reject_newest)
 
 let submit t ?prio ?on_shed ~work k =
   let work = if work < 0.0 then 0.0 else work in
-  acquire t ?prio ?on_shed (fun lease ->
-      Engine.schedule_apply t.engine ~delay:work t.finish (alloc_job t ~lease ~k))
+  if t.alive && t.busy < t.cap then
+    Engine.schedule_apply t.engine ~delay:work t.finish
+      (alloc_job t ~lease:(grant_idle t) ~k)
+  else
+    acquire t ?prio ?on_shed (fun lease ->
+        Engine.schedule_apply t.engine ~delay:work t.finish (alloc_job t ~lease ~k))
 
 let kill t =
   if t.alive then (

@@ -116,7 +116,9 @@ let normalized_freq t p =
   let hottest = t.access_peak.hottest in
   if hottest <= 0.0 then 0.0 else t.part_access.(p) /. hottest
 
-let partition_wait t p = Stdlib.max 0.0 (t.part_available.(p) -. now t)
+let partition_wait t p =
+  let wait = t.part_available.(p) -. now t in
+  if 0.0 >= wait then 0.0 else wait
 
 
 let block_partition t p until =
@@ -456,7 +458,8 @@ let alive_nodes t =
     (fun n -> t.member.(n) && t.node_alive.(n))
     (List.init (Placement.nodes t.placement) Fun.id)
 
-let work_scale t node = Fault.slow_factor t.fault ~now:(now t) node
+let work_scale t node =
+  if Fault.slow_inert t.fault then 1.0 else Fault.slow_factor t.fault ~now:(now t) node
 
 let availability t =
   let members = member_count t in
@@ -1029,90 +1032,166 @@ let submit_local t ?(on_fail = fun () -> ()) ?prio ~node ~work k =
       ~work:(work *. work_scale t node) k
   else on_fail ()
 
-let rpc t ?(on_fail = fun () -> ()) ?ctx ?deadline ?prio ~src ~dst ~bytes ~work k =
+let nop () = ()
+
+(* Close a span with a note; with no span it reads no clock. *)
+let close_span t note ctx =
+  match ctx with
+  | None -> ()
+  | Some _ ->
+      Trace.note ~ts:(now t) note ctx;
+      Trace.finish ~ts:(now t) ctx
+
+let finish_span t ctx =
+  match ctx with None -> () | Some _ -> Trace.finish ~ts:(now t) ctx
+
+(* One record per remote call. The attempt number, the attempt's start
+   time and its spans are fields, and the continuation the network and
+   the service queue call back into is built once per call; [stage]
+   says which leg it resumes. A call has at most one live message chain:
+   a retransmission starts only after the previous attempt's loss fired
+   its timer, so the fields always describe the attempt in flight. *)
+type stage = Request | Service | Reply
+
+type 'a call = {
+  cl : t;
+  src : int;
+  dst : int;
+  bytes : int;
+  work : float;
+  prio : Server.prio option;
+  deadline : float option;
+  ctx : Trace.ctx option;
+  k : 'a -> unit;
+  on_fail : 'a -> unit;
+  arg : 'a;
+  mutable attempt : int;
+  mutable t0 : float;
+  mutable actx : Trace.ctx option;
+  mutable sctx : Trace.ctx option;  (** the service span, open while queued or served *)
+  mutable stage : stage;  (** the leg in flight *)
+  mutable resume : unit -> unit;  (** runs the leg in flight when it lands *)
+  mutable lost : (unit -> unit) option;
+      (** [Some], so it is passed as [?on_drop]/[?on_shed] without a
+          fresh option per message *)
+}
+
+(* One span per attempt; retransmissions show up as sibling spans with
+   a "retry" annotation on the one that timed out. *)
+let rec call_attempt c =
+  let t = c.cl in
+  c.t0 <- now t;
+  (match c.ctx with
+  | None -> ()
+  | Some _ ->
+      c.actx <-
+        Trace.child ~node:c.dst ~name:(Printf.sprintf "rpc %d->%d" c.src c.dst) ~ts:c.t0
+          c.ctx);
+  c.stage <- Request;
+  Network.send t.network ~src:c.src ~dst:c.dst ~bytes:c.bytes ?on_drop:c.lost ?ctx:c.actx
+    c.resume
+
+and call_timer c =
+  let t = c.cl in
+  let give_up note =
+    close_span t note c.actx;
+    breaker_failure t c.dst;
+    c.on_fail c.arg
+  in
+  if c.attempt >= t.cfg.Config.rpc_retries then (
+    Metrics.record_timeout t.metrics;
+    give_up "timeout")
+  else if match c.deadline with Some d -> now t >= d | None -> false then (
+    (* Deadline propagation: a transaction already past its deadline
+       sheds instead of retrying. *)
+    Metrics.record_timeout t.metrics;
+    give_up "deadline")
+  else if not (budget_allows t) then give_up "budget-denied"
+  else (
+    Metrics.record_retry t.metrics;
+    close_span t "retry" c.actx;
+    let backoff = t.cfg.Config.rpc_backoff *. float_of_int (1 lsl c.attempt) in
+    c.attempt <- c.attempt + 1;
+    Engine.schedule_apply t.engine ~delay:backoff call_attempt c)
+
+(* The simulator is omniscient: a timeout only ever matters when the
+   request or reply is actually lost (or shed by the remote admission
+   queue), so the timer is created lazily at the moment of loss (healthy
+   runs schedule no extra events — determinism is preserved
+   bit-for-bit). A shed request still has its service span open; a
+   dropped message has none. *)
+let call_lost c =
+  let t = c.cl in
+  (* The overloaded (or dead) receiver shed the request: the sender can
+     only find out by timing out. *)
+  close_span t "shed" c.sctx;
+  c.sctx <- None;
+  let remaining = Stdlib.max 0.0 (c.t0 +. t.cfg.Config.rpc_timeout -. now t) in
+  Engine.schedule_apply t.engine ~delay:remaining call_timer c
+
+let call_resume c =
+  let t = c.cl in
+  match c.stage with
+  | Request ->
+      (* The request landed: queue it for [dst]'s messenger pool. *)
+      (match c.actx with
+      | None -> ()
+      | Some _ -> c.sctx <- Trace.child ~name:"service" ~ts:(now t) c.actx);
+      c.stage <- Service;
+      Server.submit t.services.(c.dst) ?prio:c.prio ?on_shed:c.lost
+        ~work:(c.work *. work_scale t c.dst) c.resume
+  | Service ->
+      finish_span t c.sctx;
+      c.sctx <- None;
+      c.stage <- Reply;
+      Network.send t.network ~src:c.dst ~dst:c.src ~bytes:c.bytes ?on_drop:c.lost
+        ?ctx:c.actx c.resume
+  | Reply ->
+      finish_span t c.actx;
+      breaker_success t c.dst;
+      c.k c.arg
+
+let call t ?(on_fail = ignore) ?ctx ?deadline ?prio ~src ~dst ~bytes ~work k arg =
   if src = dst then
     if t.node_alive.(dst) then
-      Server.submit t.services.(dst) ?prio ~on_shed:on_fail
-        ~work:(work *. work_scale t dst) k
-    else on_fail ()
+      Server.submit t.services.(dst) ?prio
+        ~on_shed:(fun () -> on_fail arg)
+        ~work:(work *. work_scale t dst)
+        (fun () -> k arg)
+    else on_fail arg
   else if not (breaker_allows t dst) then
     (* Open breaker: shed the call immediately — no wire traffic, no
        worker-hold through a doomed timeout. *)
-    on_fail ()
+    on_fail arg
   else
-    let retries = t.cfg.Config.rpc_retries in
-    let past_deadline at =
-      match deadline with Some d -> at >= d | None -> false
+    let c =
+      {
+        cl = t;
+        src;
+        dst;
+        bytes;
+        work;
+        prio;
+        deadline;
+        ctx;
+        k;
+        on_fail;
+        arg;
+        attempt = 0;
+        t0 = 0.0;
+        actx = None;
+        sctx = None;
+        stage = Request;
+        resume = nop;
+        lost = None;
+      }
     in
-    let rec go attempt =
-      let t0 = now t in
-      (* One span per attempt; retransmissions show up as sibling spans
-         with a "retry" annotation on the one that timed out. The
-         [None] path builds no strings and allocates nothing. *)
-      let actx =
-        match ctx with
-        | None -> None
-        | Some _ ->
-            Trace.child ~node:dst
-              ~name:(Printf.sprintf "rpc %d->%d" src dst)
-              ~ts:t0 ctx
-      in
-      (* The simulator is omniscient: a timeout only ever matters when
-         the request or reply is actually lost (or shed by the remote
-         admission queue), so the timer is created lazily at the moment
-         of loss (healthy runs schedule no extra events — determinism
-         is preserved bit-for-bit). *)
-      let fail_after_timeout () =
-        let remaining = Stdlib.max 0.0 (t0 +. t.cfg.Config.rpc_timeout -. now t) in
-        Engine.schedule t.engine ~delay:remaining (fun () ->
-            let give_up note =
-              Trace.note ~ts:(now t) note actx;
-              Trace.finish ~ts:(now t) actx;
-              breaker_failure t dst;
-              on_fail ()
-            in
-            if attempt >= retries then (
-              Metrics.record_timeout t.metrics;
-              give_up "timeout")
-            else if past_deadline (now t) then (
-              (* Deadline propagation: a transaction already past its
-                 deadline sheds instead of retrying. *)
-              Metrics.record_timeout t.metrics;
-              give_up "deadline")
-            else if not (budget_allows t) then give_up "budget-denied"
-            else (
-              Metrics.record_retry t.metrics;
-              Trace.note ~ts:(now t) "retry" actx;
-              Trace.finish ~ts:(now t) actx;
-              let backoff =
-                t.cfg.Config.rpc_backoff *. float_of_int (1 lsl attempt)
-              in
-              Engine.schedule t.engine ~delay:backoff (fun () -> go (attempt + 1))))
-      in
-      Network.send t.network ~src ~dst ~bytes ~on_drop:fail_after_timeout
-        ?ctx:actx (fun () ->
-          let sctx =
-            match actx with
-            | None -> None
-            | Some _ -> Trace.child ~name:"service" ~ts:(now t) actx
-          in
-          Server.submit t.services.(dst) ?prio
-            ~on_shed:(fun () ->
-              (* The overloaded (or dead) receiver shed the request:
-                 the sender can only find out by timing out. *)
-              Trace.note ~ts:(now t) "shed" sctx;
-              Trace.finish ~ts:(now t) sctx;
-              fail_after_timeout ())
-            ~work:(work *. work_scale t dst)
-            (fun () ->
-              Trace.finish ~ts:(now t) sctx;
-              Network.send t.network ~src:dst ~dst:src ~bytes
-                ~on_drop:fail_after_timeout ?ctx:actx (fun () ->
-                  Trace.finish ~ts:(now t) actx;
-                  breaker_success t dst;
-                  k ())))
-    in
-    go 0
+    c.resume <- (fun () -> call_resume c);
+    c.lost <- Some (fun () -> call_lost c);
+    call_attempt c
+
+let rpc t ?(on_fail = nop) ?ctx ?deadline ?prio ~src ~dst ~bytes ~work k =
+  call t ~on_fail ?ctx ?deadline ?prio ~src ~dst ~bytes ~work k ()
 
 let acquire_worker t ?on_fail ~node k =
   Server.acquire t.workers.(node) ?on_shed:on_fail k
@@ -1192,9 +1271,112 @@ let start_resync t ~part ~node =
         resync_replica t ~part ~node ~tries:64
           ~backoff:(2.0 *. t.cfg.Config.rpc_timeout)))
 
-let replicate_commit t ?ctx parts =
-  List.iter
-    (fun p ->
+(* One record per log ship (one record to one secondary), built like
+   an RPC [call]: the attempt number and the span are fields, the two
+   network continuations are built once per ship, and the chain has at
+   most one message in flight. *)
+type ship = {
+  owner : t;
+  part : int;
+  from_node : int;
+  to_node : int;
+  upto : int;  (** log index the record carries *)
+  session : Replication.session;
+      (** fixed when the ship starts; retransmissions reuse it, exactly
+          like a real replication session that outlives a destination
+          restart *)
+  rctx : Trace.ctx option;
+  mutable tries : int;
+  mutable arrived : unit -> unit;
+  mutable dropped : (unit -> unit) option;
+}
+
+let ship_send (s : ship) =
+  Network.send s.owner.network ~src:s.from_node ~dst:s.to_node
+    ~bytes:s.owner.cfg.Config.record_bytes ?on_drop:s.dropped s.arrived
+
+let ship_arrived (s : ship) =
+  let t = s.owner and dst = s.to_node in
+  let stale = session_stale t ~dst s.session in
+  if stale && t.cfg.Config.session_tagging then begin
+    (* Delivered to a node that left and rejoined while the record was
+       in flight: the ack would stamp a watermark the node's storage no
+       longer backs. *)
+    Metrics.record_stale_ack t.metrics;
+    close_span t "stale-session" s.rctx
+  end
+  else begin
+    (* The stream is cumulative: delivering the record at index [upto]
+       implies everything before it arrived (or was re-shipped) too —
+       for the believed watermark always, for the durable one only where
+       durable state exists and the session is fresh. *)
+    Replication.ack_stream t.replication ~part:s.part ~node:dst ~upto:s.upto ~stale
+      ~reject:false;
+    finish_span t s.rctx;
+    breaker_success t dst
+  end
+
+(* Log shipping retries on loss like an RPC, but needs no reply: the
+   group-commit stream is idempotent, so the only cost of a loss is the
+   retransmission. Retransmissions draw on the same retry budget as
+   RPCs. *)
+let ship_dropped (s : ship) =
+  let t = s.owner in
+  let give_up note =
+    Metrics.record_timeout t.metrics;
+    close_span t note s.rctx;
+    breaker_failure t s.to_node;
+    start_resync t ~part:s.part ~node:s.to_node
+  in
+  if s.tries >= t.cfg.Config.rpc_retries then give_up "timeout"
+  else if not (budget_allows t) then give_up "budget-denied"
+  else (
+    Metrics.record_retry t.metrics;
+    (match s.rctx with None -> () | Some _ -> Trace.note ~ts:(now t) "retry" s.rctx);
+    let backoff = t.cfg.Config.rpc_backoff *. float_of_int (1 lsl s.tries) in
+    s.tries <- s.tries + 1;
+    Engine.schedule_apply t.engine ~delay:backoff ship_send s)
+
+let start_ship t ctx ~part ~src ~upto ~dst =
+  (* The asynchronous log ship gets its own span (phase "replication"):
+     it usually outlives the transaction, so it shows up in the exported
+     trace as the async tail but is never blamed on the critical path. *)
+  let rctx =
+    match ctx with
+    | None -> None
+    | Some _ ->
+        Trace.child ~node:dst ~part ~phase:"replication" ~name:"log-ship" ~ts:(now t) ctx
+  in
+  let session = session_for t ~part ~dst in
+  (* A destination whose breaker is open is handed straight to
+     anti-entropy — the resync loop ships the whole missing suffix
+     later, which is cheaper than feeding a black hole one record at a
+     time. *)
+  if breaker_allows t dst then (
+    let s =
+      {
+        owner = t;
+        part;
+        from_node = src;
+        to_node = dst;
+        upto;
+        session;
+        rctx;
+        tries = 0;
+        arrived = nop;
+        dropped = None;
+      }
+    in
+    s.arrived <- (fun () -> ship_arrived s);
+    s.dropped <- Some (fun () -> ship_dropped s);
+    ship_send s)
+  else (
+    close_span t "breaker-open" rctx;
+    start_resync t ~part ~node:dst)
+
+let rec replicate_parts t ctx = function
+  | [] -> ()
+  | p :: rest ->
       Replication.append t.replication ~part:p;
       let len = Replication.appends t.replication ~part:p in
       let src = Placement.primary t.placement p in
@@ -1204,81 +1386,17 @@ let replicate_commit t ?ctx parts =
          promoted from a stale-session install has none: its commits
          stamp bookkeeping over state its storage never received, which
          is exactly what the divergence audit must still see.) *)
-      Replication.ack_stream t.replication ~part:p ~node:src ~upto:len
-        ~stale:false ~reject:false;
-      List.iter
-        (fun dst ->
-          (* The asynchronous log ship gets its own span (phase
-             "replication"): it usually outlives the transaction, so it
-             shows up in the exported trace as the async tail but is
-             never blamed on the critical path. *)
-          let rctx =
-            match ctx with
-            | None -> None
-            | Some _ ->
-                Trace.child ~node:dst ~part:p ~phase:"replication"
-                  ~name:"log-ship" ~ts:(now t) ctx
-          in
-          (* Log shipping retries on loss like an RPC, but needs no
-             reply: the group-commit stream is idempotent, so the only
-             cost of a loss is the retransmission. Retransmissions draw
-             on the same retry budget as RPCs, and a destination whose
-             breaker is open is handed straight to anti-entropy — the
-             resync loop ships the whole missing suffix later, which is
-             cheaper than feeding a black hole one record at a time. *)
-          let give_up note =
-            Metrics.record_timeout t.metrics;
-            Trace.note ~ts:(now t) note rctx;
-            Trace.finish ~ts:(now t) rctx;
-            breaker_failure t dst;
-            start_resync t ~part:p ~node:dst
-          in
-          (* The stream's session is fixed when the ship starts;
-             retransmissions reuse it, exactly like a real replication
-             session that outlives a destination restart. *)
-          let session = session_for t ~part:p ~dst in
-          let rec ship attempt =
-            Network.send t.network ~src ~dst ~bytes:t.cfg.Config.record_bytes
-              ~on_drop:(fun () ->
-                if attempt >= t.cfg.Config.rpc_retries then give_up "timeout"
-                else if not (budget_allows t) then give_up "budget-denied"
-                else (
-                  Metrics.record_retry t.metrics;
-                  Trace.note ~ts:(now t) "retry" rctx;
-                  let backoff =
-                    t.cfg.Config.rpc_backoff *. float_of_int (1 lsl attempt)
-                  in
-                  Engine.schedule t.engine ~delay:backoff (fun () ->
-                      ship (attempt + 1))))
-              (fun () ->
-                let stale = session_stale t ~dst session in
-                if stale && t.cfg.Config.session_tagging then begin
-                  (* Delivered to a node that left and rejoined while
-                     the record was in flight: the ack would stamp a
-                     watermark the node's storage no longer backs. *)
-                  Metrics.record_stale_ack t.metrics;
-                  Trace.note ~ts:(now t) "stale-session" rctx;
-                  Trace.finish ~ts:(now t) rctx
-                end
-                else begin
-                  (* The stream is cumulative: delivering the record at
-                     index [len] implies everything before it arrived
-                     (or was re-shipped) too — for the believed
-                     watermark always, for the durable one only where
-                     durable state exists and the session is fresh. *)
-                  Replication.ack_stream t.replication ~part:p ~node:dst ~upto:len
-                    ~stale ~reject:false;
-                  Trace.finish ~ts:(now t) rctx;
-                  breaker_success t dst
-                end)
-          in
-          if breaker_allows t dst then ship 0
-          else (
-            Trace.note ~ts:(now t) "breaker-open" rctx;
-            Trace.finish ~ts:(now t) rctx;
-            start_resync t ~part:p ~node:dst))
-        (Placement.secondaries t.placement p))
-    parts
+      Replication.ack_stream t.replication ~part:p ~node:src ~upto:len ~stale:false
+        ~reject:false;
+      (* Secondaries in ascending node order, as [Placement.secondaries]
+         lists them, without building the list. *)
+      for dst = 0 to Placement.nodes t.placement - 1 do
+        if Placement.has_secondary t.placement ~part:p ~node:dst then
+          start_ship t ctx ~part:p ~src ~upto:len ~dst
+      done;
+      replicate_parts t ctx rest
+
+let replicate_commit t ?ctx parts = replicate_parts t ctx parts
 
 (* Applied-watermark bookkeeping for layers that move replicas through
    [Placement] directly (the Leap migrate path, batch-mode remasters):

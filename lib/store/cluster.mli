@@ -324,7 +324,8 @@ val rpc :
     retransmission may re-execute [work] on [dst] — modelled services
     are idempotent. Timers are created lazily at the moment of loss, so
     healthy runs schedule no extra events and stay bit-for-bit
-    deterministic.
+    deterministic. A remote call is one record, built once: its
+    retransmissions reuse it and its continuations.
 
     Overload controls (each off by default — docs/OVERLOAD.md):
     a retransmission is abandoned (and [on_fail] fires) once [deadline]
@@ -338,6 +339,18 @@ val rpc :
     service time and reply each nested under it), with "retry" /
     "timeout" / "deadline" / "budget-denied" / "shed" annotations — see
     {!Lion_trace.Trace}. *)
+
+val call :
+  t ->
+  ?on_fail:('a -> unit) ->
+  ?ctx:Lion_trace.Trace.ctx ->
+  ?deadline:float ->
+  ?prio:Lion_sim.Server.prio ->
+  src:int -> dst:int -> bytes:int -> work:float -> ('a -> unit) -> 'a -> unit
+(** [call t ... k x] is [rpc] with continuations applied to [x]: on a
+    hot path, [k] and [on_fail] can be preallocated functions and [x]
+    the caller's state record, so issuing a call builds no closure for
+    them. [rpc] is [call] with [x = ()]. *)
 
 val acquire_worker :
   t -> ?on_fail:(unit -> unit) -> node:int -> (Lion_sim.Server.lease -> unit) -> unit

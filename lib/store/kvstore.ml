@@ -82,6 +82,20 @@ module Itbl = struct
         t.count <- t.count + 1)
     else Array.unsafe_set cells ((2 * i) + 1) v
 
+  (* [replace t k (find t k ~default:0 + 1)] in one probe. *)
+  let rec incr t k =
+    let cells = t.cells in
+    let i = probe cells (mask t) k (home t k) in
+    if Array.unsafe_get cells (2 * i) = empty then
+      if 4 * (t.count + 1) > 3 * (Array.length cells lsr 1) then (
+        grow t;
+        incr t k)
+      else (
+        Array.unsafe_set cells (2 * i) k;
+        Array.unsafe_set cells ((2 * i) + 1) 1;
+        t.count <- t.count + 1)
+    else Array.unsafe_set cells ((2 * i) + 1) (Array.unsafe_get cells ((2 * i) + 1) + 1)
+
   let remove t k =
     let cells = t.cells and mask = mask t in
     let hole = ref (probe cells mask k (home t k)) in
@@ -123,57 +137,96 @@ let version t k =
 
 let touched_keys t = Itbl.length t.versions
 
+(* A session's footprint in two flat int arrays: [reads] holds
+   (key, observed version) pairs at [2i], [2i+1], [writes] one key per
+   cell, both in access order and both doubling when full. Recording an
+   operation writes cells instead of consing a tuple and a list cell. *)
 type session = {
   store : t;
   sid : int;
-  mutable reads : (key * int) list; (* key, observed version *)
-  mutable writes : key list;
+  mutable reads : int array;
+  mutable n_reads : int;
+  mutable writes : int array;
+  mutable n_writes : int;
 }
 
-let begin_session store =
+let begin_session ?(ops = 16) store =
   let sid = store.next_session in
   store.next_session <- sid + 1;
-  { store; sid; reads = []; writes = [] }
+  let ops = if ops < 1 then 1 else ops in
+  {
+    store;
+    sid;
+    reads = Array.make (2 * ops) 0;
+    n_reads = 0;
+    writes = Array.make ops 0;
+    n_writes = 0;
+  }
 
-let read s k = s.reads <- (k, version s.store k) :: s.reads
+let grown a = Array.append a (Array.make (Array.length a) 0)
+
+let read s k =
+  let v = version s.store k in
+  if 2 * s.n_reads = Array.length s.reads then s.reads <- grown s.reads;
+  s.reads.(2 * s.n_reads) <- k;
+  s.reads.((2 * s.n_reads) + 1) <- v;
+  s.n_reads <- s.n_reads + 1
 
 let write s k =
-  s.reads <- (k, version s.store k) :: s.reads;
-  s.writes <- k :: s.writes
+  read s k;
+  if s.n_writes = Array.length s.writes then s.writes <- grown s.writes;
+  s.writes.(s.n_writes) <- k;
+  s.n_writes <- s.n_writes + 1
 
-let read_set s = List.rev_map fst s.reads
-let observed_reads s = List.rev s.reads
-let write_set s = List.rev s.writes
+let read_set s = List.init s.n_reads (fun i -> s.reads.(2 * i))
+let observed_reads s = List.init s.n_reads (fun i -> (s.reads.(2 * i), s.reads.((2 * i) + 1)))
+let write_set s = Array.to_list (Array.sub s.writes 0 s.n_writes)
+let write_count s = s.n_writes
 
-let validate s = List.for_all (fun (k, v) -> stored_version s.store k = v) s.reads
+(* The read checks are pure, so their order does not matter; the write
+   loops below run newest first, the order the list representation
+   visited them in, so the tables are filled in the same order. *)
+let validate s =
+  let rec go i =
+    i >= s.n_reads
+    || (stored_version s.store s.reads.(2 * i) = s.reads.((2 * i) + 1) && go (i + 1))
+  in
+  go 0
 
 let no_session = -1
 
-let rec reservable store sid = function
-  | [] -> true
-  | (k, v) :: rest ->
-      stored_version store k = v
-      && (let holder = Itbl.find store.pending k ~default:no_session in
-          holder = no_session || holder = sid)
-      && reservable store sid rest
+let reservable s =
+  let store = s.store and sid = s.sid and reads = s.reads in
+  let rec go i =
+    i >= s.n_reads
+    ||
+    let k = reads.(2 * i) in
+    stored_version store k = reads.((2 * i) + 1)
+    && (let holder = Itbl.find store.pending k ~default:no_session in
+        holder = no_session || holder = sid)
+    && go (i + 1)
+  in
+  go 0
 
 let try_reserve s =
-  if reservable s.store s.sid s.reads then (
-    List.iter (fun k -> Itbl.replace s.store.pending k s.sid) s.writes;
+  if reservable s then (
+    for i = s.n_writes - 1 downto 0 do
+      Itbl.replace s.store.pending s.writes.(i) s.sid
+    done;
     true)
   else false
 
 let release_reservation s =
-  List.iter
-    (fun k ->
-      if Itbl.find s.store.pending k ~default:no_session = s.sid then
-        Itbl.remove s.store.pending k)
-    s.writes
+  let pending = s.store.pending in
+  for i = s.n_writes - 1 downto 0 do
+    let k = s.writes.(i) in
+    if Itbl.find pending k ~default:no_session = s.sid then Itbl.remove pending k
+  done
 
 let install s =
-  List.iter
-    (fun k -> Itbl.replace s.store.versions k (stored_version s.store k + 1))
-    s.writes
+  for i = s.n_writes - 1 downto 0 do
+    Itbl.incr s.store.versions s.writes.(i)
+  done
 
 let finalize s =
   install s;
@@ -182,5 +235,5 @@ let finalize s =
 let commit_session = install
 
 let abort_session s =
-  s.reads <- [];
-  s.writes <- []
+  s.n_reads <- 0;
+  s.n_writes <- 0

@@ -47,10 +47,14 @@ val version : t -> key -> int
 val touched_keys : t -> int
 (** Number of distinct keys ever written. *)
 
-(** An in-flight transaction's footprint. *)
+(** An in-flight transaction's footprint, kept in flat int arrays that
+    grow as needed; the list accessors below build their lists on
+    demand. *)
 type session
 
-val begin_session : t -> session
+val begin_session : ?ops:int -> t -> session
+(** [ops] (default 16), the number of operations the session is
+    expected to record, sizes its arrays; they grow past it. *)
 
 val read : session -> key -> unit
 (** Record a read of [key] at its current version. *)
@@ -59,12 +63,17 @@ val write : session -> key -> unit
 (** Record a read-modify-write of [key]. *)
 
 val read_set : session -> key list
+(** Every recorded key in access order (writes included). *)
 
 val observed_reads : session -> (key * int) list
 (** Every recorded read with the version it observed, in access order
     (writes appear too — they are read-modify-writes). *)
 
 val write_set : session -> key list
+(** Written keys in access order, repeats included. *)
+
+val write_count : session -> int
+(** [List.length (write_set s)], without building the list. *)
 
 val validate : session -> bool
 (** True iff every recorded version is still current. *)

@@ -78,8 +78,11 @@ let replicas_on t node =
   done;
   !count
 
-let count_primaries_at t parts ~node =
-  List.fold_left (fun acc p -> if t.primary.(p) = node then acc + 1 else acc) 0 parts
+let rec count_primaries primary node acc = function
+  | [] -> acc
+  | p :: rest -> count_primaries primary node (if primary.(p) = node then acc + 1 else acc) rest
+
+let count_primaries_at t parts ~node = count_primaries t.primary node 0 parts
 
 let count_replicas_at t parts ~node =
   List.fold_left (fun acc p -> if has_replica t ~part:p ~node then acc + 1 else acc) 0 parts

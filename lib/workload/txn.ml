@@ -23,12 +23,16 @@ type t = { id : int; ops : op array; parts : int list }
 
 (* Insert into an ascending list of distinct partitions; a transaction
    touches few partitions, so this beats sorting. *)
-let rec insert_part p = function
+let rec insert_part (p : int) = function
   | [] -> [ p ]
   | q :: rest as l -> if p < q then p :: l else if p = q then l else q :: insert_part p rest
 
 let parts_of_ops ops =
-  Array.fold_left (fun acc op -> insert_part (Kvstore.part (key_of op)) acc) [] ops
+  let parts = ref [] in
+  for i = 0 to Array.length ops - 1 do
+    parts := insert_part (Kvstore.part (key_of ops.(i))) !parts
+  done;
+  !parts
 
 let make ~id ops = { id; ops; parts = parts_of_ops ops }
 let is_cross_partition t = match t.parts with [] | [ _ ] -> false | _ -> true

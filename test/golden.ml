@@ -1,11 +1,10 @@
-(* Shared by the tests that byte-compare experiment output against the
-   fig6 capture. *)
+(* Shared by the tests that byte-compare experiment output against a
+   golden capture. *)
 
 (* dune runtest runs the test binaries from test/; dune exec from the
    workspace root. Accept both. *)
-let fig6_path =
-  let name = "golden_fig6_scale005.txt" in
-  if Sys.file_exists name then name else Filename.concat "test" name
+let path name = if Sys.file_exists name then name else Filename.concat "test" name
+let fig6_path = path "golden_fig6_scale005.txt"
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 

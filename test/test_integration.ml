@@ -172,6 +172,43 @@ let test_empty_fault_plan_is_free () =
     (Array.for_all (fun a -> a = 1.0) base.Runner.availability);
   Alcotest.(check (float 0.0)) "never degraded" 0.0 base.Runner.time_to_recover
 
+(* Short 2PC, Lion and Unified cells (all-distributed YCSB) under one
+   plan that loses messages, splits the cluster and crashes a node, so
+   every fault leg of the RPC, log-ship and retry paths runs. Each
+   counter and float is pinned exactly against a capture. *)
+let fault_golden_plan =
+  let ms = Lion_sim.Engine.ms in
+  Lion_sim.Fault.lossy ~prob:0.05 ~from_:(ms 100.0) ~until:(ms 180.0) ()
+  @ Lion_sim.Fault.split_brain ~groups:[ [ 0; 1 ]; [ 2; 3 ] ] ~at:(ms 200.0)
+      ~duration:(ms 80.0)
+  @ Lion_sim.Fault.crash_recover ~node:3 ~at:(ms 300.0) ~downtime:(ms 100.0)
+
+let fault_golden_lines () =
+  let cfg =
+    { cfg with Config.fault_plan = fault_golden_plan; session_tagging = true }
+  in
+  let rc = { Runner.quick with Runner.warmup = 0.0; duration = 0.5; tick_every = 0.1 } in
+  List.map
+    (fun id ->
+      let e = Lion_harness.Protocols.get id in
+      let r =
+        Runner.run ~seed:3 ~batch:e.batch ~cfg ~make:(fun cl -> e.make cl)
+          ~gen:(Workloads.ycsb ~seed:4 ~cross:1.0 cfg) rc
+      in
+      Printf.sprintf
+        "%s commits=%d aborts=%d timeouts=%d retries=%d drops=%d stale_acks=%d \
+         bytes=%.17g bytes_per_txn=%.17g p50=%.17g p99=%.17g\n"
+        id r.Runner.commits r.aborts r.timeouts r.retries r.drops r.stale_ack_rejections
+        (Array.fold_left ( +. ) 0.0 r.bytes_series)
+        r.bytes_per_txn r.p50 r.p99)
+    [ "2pc"; "lion"; "unified" ]
+  |> String.concat ""
+
+let test_fault_cells_match_golden () =
+  Alcotest.(check string) "fault cells match the golden capture"
+    (Golden.read_file (Golden.path "golden_fault_cells.txt"))
+    (fault_golden_lines ())
+
 let test_experiments_registry_complete () =
   let ids = List.map (fun (id, _, _) -> id) Lion_harness.Experiments.registry in
   List.iter
@@ -207,6 +244,8 @@ let () =
             test_crash_plan_degrades_and_recovers;
           Alcotest.test_case "empty fault plan is free" `Quick
             test_empty_fault_plan_is_free;
+          Alcotest.test_case "fault cells match golden" `Quick
+            test_fault_cells_match_golden;
         ] );
       ( "experiments",
         [ Alcotest.test_case "registry complete" `Quick test_experiments_registry_complete ] );

@@ -32,24 +32,6 @@ let txn ?(id = 0) ops = Txn.make ~id (Array.of_list ops)
 let fine (k : Kvstore.key) = (k :> int)
 let coarse size k = fine (Kvstore.key ~part:(Kvstore.part k) ~slot:(Kvstore.slot k / size))
 
-(* --- proto helpers --- *)
-
-let test_join_counts () =
-  let hits = ref 0 in
-  let cb = Proto.join 3 (fun () -> incr hits) in
-  cb ();
-  cb ();
-  Alcotest.(check int) "not yet" 0 !hits;
-  cb ();
-  Alcotest.(check int) "fires once" 1 !hits
-
-let test_join_now_zero () =
-  let hits = ref 0 in
-  (match Proto.join_now 0 (fun () -> incr hits) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "expected immediate");
-  Alcotest.(check int) "immediate" 1 !hits
-
 (* --- exec: grouping and routing --- *)
 
 let test_groups_preserve_order () =
@@ -59,6 +41,39 @@ let test_groups_preserve_order () =
   let groups = Exec.groups_of t in
   Alcotest.(check (list int)) "first-appearance order" [ 1; 0 ] (List.map fst groups);
   Alcotest.(check int) "ops regrouped" 2 (List.length (List.assoc 1 groups))
+
+(* The grouping [Exec.groups_of] replaced: a per-attempt table, kept
+   here verbatim as the reference the table-free scan must reproduce. *)
+let hashtbl_groups_of (txn : Txn.t) =
+  let order = ref [] in
+  let tbl = Hashtbl.create 8 in
+  Array.iter
+    (fun op ->
+      let part = Kvstore.part (Txn.key_of op) in
+      (match Hashtbl.find_opt tbl part with
+      | Some ops -> Hashtbl.replace tbl part (op :: ops)
+      | None ->
+          Hashtbl.replace tbl part [ op ];
+          order := part :: !order))
+    txn.Txn.ops;
+  List.rev_map (fun part -> (part, List.rev (Hashtbl.find tbl part))) !order
+
+let prop_groups_match_hashtbl_reference =
+  QCheck.Test.make ~name:"groups_of equals the Hashtbl grouping" ~count:500
+    QCheck.(
+      pair (int_range 1 6)
+        (list_of_size (Gen.int_range 1 40)
+           (triple (int_range 0 1000) (int_range 0 20) bool)))
+    (fun (parts, ops) ->
+      let t =
+        txn
+          (List.map
+             (fun (p, slot, w) ->
+               let k = key (p mod parts) slot in
+               if w then Txn.write k else Txn.read k)
+             ops)
+      in
+      Exec.groups_of t = hashtbl_groups_of t)
 
 let test_route_most_primaries () =
   let cl = mk_cluster () in
@@ -547,11 +562,6 @@ let prop_conflict_verdicts_match_model =
 let () =
   Alcotest.run "lion_protocols"
     [
-      ( "proto",
-        [
-          Alcotest.test_case "join counts" `Quick test_join_counts;
-          Alcotest.test_case "join_now zero" `Quick test_join_now_zero;
-        ] );
       ( "exec",
         [
           Alcotest.test_case "grouping order" `Quick test_groups_preserve_order;
@@ -600,5 +610,6 @@ let () =
             prop_window_reset_allows_later_winners;
             prop_read_only_batches_never_abort;
             prop_conflict_verdicts_match_model;
+            prop_groups_match_hashtbl_reference;
           ] );
     ]

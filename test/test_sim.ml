@@ -540,8 +540,10 @@ let test_fault_crash_events_sorted () =
 let test_metrics_counts () =
   let e = Engine.create () in
   let m = Metrics.create e in
-  Metrics.record_commit m ~latency:100.0 ~single_node:true ~remastered:false ~phases:[];
-  Metrics.record_commit m ~latency:200.0 ~single_node:false ~remastered:true ~phases:[];
+  Metrics.record_commit m ~latency:100.0 ~single_node:true ~remastered:false
+    ~phases:(Metrics.phase_times ());
+  Metrics.record_commit m ~latency:200.0 ~single_node:false ~remastered:true
+    ~phases:(Metrics.phase_times ());
   Metrics.record_abort m;
   Alcotest.(check int) "commits" 2 (Metrics.commits m);
   Alcotest.(check int) "aborts" 1 (Metrics.aborts m);
@@ -552,7 +554,8 @@ let test_metrics_throughput () =
   let e = Engine.create () in
   let m = Metrics.create e in
   for _ = 1 to 500 do
-    Metrics.record_commit m ~latency:1.0 ~single_node:true ~remastered:false ~phases:[]
+    Metrics.record_commit m ~latency:1.0 ~single_node:true ~remastered:false
+      ~phases:(Metrics.phase_times ())
   done;
   Alcotest.(check (float 1e-6)) "per second" 500.0
     (Metrics.throughput m ~duration:(Engine.seconds 1.0))
@@ -561,7 +564,7 @@ let test_metrics_phase_fractions () =
   let e = Engine.create () in
   let m = Metrics.create e in
   Metrics.record_commit m ~latency:10.0 ~single_node:true ~remastered:false
-    ~phases:[ (Metrics.Execution, 3.0); (Metrics.Commit, 1.0) ];
+    ~phases:(Metrics.phase_times ~execution:3.0 ~commit:1.0 ());
   Alcotest.(check (float 1e-9)) "execution fraction" 0.75
     (Metrics.phase_fraction m Metrics.Execution);
   Alcotest.(check (float 1e-9)) "commit fraction" 0.25
@@ -572,9 +575,11 @@ let test_metrics_phase_fractions () =
 let test_metrics_series_buckets_by_time () =
   let e = Engine.create () in
   let m = Metrics.create e in
-  Metrics.record_commit m ~latency:1.0 ~single_node:true ~remastered:false ~phases:[];
+  Metrics.record_commit m ~latency:1.0 ~single_node:true ~remastered:false
+    ~phases:(Metrics.phase_times ());
   Engine.schedule e ~delay:(Engine.seconds 2.5) (fun () ->
-      Metrics.record_commit m ~latency:1.0 ~single_node:true ~remastered:false ~phases:[]);
+      Metrics.record_commit m ~latency:1.0 ~single_node:true ~remastered:false
+        ~phases:(Metrics.phase_times ()));
   Engine.run_all e ();
   let series = Metrics.throughput_series m in
   Alcotest.(check (float 1e-9)) "t0 bucket" 1.0 series.(0);
@@ -583,7 +588,8 @@ let test_metrics_series_buckets_by_time () =
 let test_metrics_reset_window () =
   let e = Engine.create () in
   let m = Metrics.create e in
-  Metrics.record_commit m ~latency:50.0 ~single_node:true ~remastered:false ~phases:[];
+  Metrics.record_commit m ~latency:50.0 ~single_node:true ~remastered:false
+    ~phases:(Metrics.phase_times ());
   Metrics.record_timeout m;
   Metrics.record_retry m;
   Metrics.record_drop m;
@@ -603,7 +609,7 @@ let test_metrics_empty_window_no_nan () =
   Alcotest.(check (float 0.0)) "p50 fresh" 0.0 (Metrics.latency_percentile m 50.0);
   Alcotest.(check (float 0.0)) "mean fresh" 0.0 (Metrics.mean_latency m);
   Metrics.record_commit m ~latency:42.0 ~single_node:true ~remastered:false
-    ~phases:[];
+    ~phases:(Metrics.phase_times ());
   Metrics.reset_window m;
   let p99 = Metrics.latency_percentile m 99.0 in
   let mean = Metrics.mean_latency m in
@@ -641,7 +647,7 @@ let test_metrics_percentiles () =
   let m = Metrics.create e in
   for i = 1 to 100 do
     Metrics.record_commit m ~latency:(float_of_int i) ~single_node:true ~remastered:false
-      ~phases:[]
+      ~phases:(Metrics.phase_times ())
   done;
   let p50 = Metrics.latency_percentile m 50.0 in
   Alcotest.(check bool) "p50 near middle" true (p50 > 45.0 && p50 < 56.0);
@@ -712,6 +718,75 @@ let prop_bounded_queue_accounting =
       && !completed + !shed = List.length arrivals
       && !completed = Server.completed s
       && !shed = Server.sheds s)
+
+(* [Network.send] skips the spec walk when the plan has no link spec.
+   A plan whose only spec is a drop window that never opens walks every
+   message through [Fault.link] and must deliver exactly the same
+   messages at exactly the same times, in the same order, with the
+   same drops (one endpoint may be down for the whole run). *)
+let prop_send_inert_plan_matches_walk =
+  QCheck.Test.make ~name:"send under an inactive spec matches an empty plan" ~count:200
+    QCheck.(
+      pair (int_range (-1) 3)
+        (list_of_size (Gen.int_range 0 40)
+           (quad (float_range 0.0 500.0) (int_range 0 3) (int_range 0 3)
+              (int_range 0 4096))))
+    (fun (down, sends) ->
+      let run plan =
+        let e = Engine.create () in
+        let f = Fault.create ~nodes:4 plan in
+        if down >= 0 then Fault.mark_down f down;
+        let n = Network.create ~fault:f e in
+        let log = ref [] in
+        List.iteri
+          (fun i (at, src, dst, bytes) ->
+            Engine.schedule e ~delay:at (fun () ->
+                Network.send n ~src ~dst ~bytes
+                  ~on_drop:(fun () -> log := (`Drop, i, Engine.now e) :: !log)
+                  (fun () -> log := (`Deliver, i, Engine.now e) :: !log)))
+          sends;
+        Engine.run_all e ();
+        (List.rev !log, Network.drops n, Fault.drops f)
+      in
+      run Fault.none
+      = run [ Fault.drop ~prob:0.5 ~from_:1e12 ~until:2e12 () ])
+
+(* [Server.submit] grants an idle slot directly; it must behave exactly
+   like [acquire], then an [Engine.schedule] of the work, then
+   [release] and the continuation — completions, sheds, [queue_wait]
+   and [busy_time] — whether or not the bounded queue fills. *)
+let prop_submit_matches_acquire_model =
+  QCheck.Test.make ~name:"submit matches acquire + schedule + release" ~count:300
+    QCheck.(
+      triple (int_range 1 3) (int_range 0 3)
+        (list_of_size (Gen.int_range 0 40)
+           (pair (float_range 0.0 60.0) (float_range 0.0 30.0))))
+    (fun (capacity, queue_cap, jobs) ->
+      let run submit =
+        let e = Engine.create () in
+        let s = Server.create ~queue_cap e ~capacity in
+        let log = ref [] in
+        List.iteri
+          (fun i (at, work) ->
+            Engine.schedule e ~delay:at (fun () ->
+                submit e s ~work
+                  ~on_shed:(fun () -> log := (`Shed, i, Engine.now e) :: !log)
+                  (fun () -> log := (`Done, i, Engine.now e) :: !log)))
+          jobs;
+        Engine.run_all e ();
+        ( List.rev !log,
+          Server.queue_wait s,
+          Server.busy_time s,
+          Server.sheds s,
+          Server.completed s,
+          Server.max_queue s )
+      in
+      run (fun _ s ~work ~on_shed k -> Server.submit s ~on_shed ~work k)
+      = run (fun e s ~work ~on_shed k ->
+            Server.acquire s ~on_shed (fun lease ->
+                Engine.schedule e ~delay:work (fun () ->
+                    Server.release s lease;
+                    k ()))))
 
 let () =
   Alcotest.run "lion_sim"
@@ -802,5 +877,7 @@ let () =
             prop_engine_delivers_in_order;
             prop_timeseries_conserves_mass;
             prop_bounded_queue_accounting;
+            prop_send_inert_plan_matches_walk;
+            prop_submit_matches_acquire_model;
           ] );
     ]

@@ -331,6 +331,11 @@ let prop_kvstore_matches_model =
             in
             if observed <> List.rev s.m_reads then
               QCheck.Test.fail_report "observed reads differ from the model";
+            let unpack k = (Kvstore.part k, Kvstore.slot k) in
+            if List.map unpack (Kvstore.read_set s.real) <> List.rev_map fst s.m_reads then
+              QCheck.Test.fail_report "read set differs from the model";
+            if List.map unpack (Kvstore.write_set s.real) <> List.rev s.m_writes then
+              QCheck.Test.fail_report "write set differs from the model";
             let ok =
               List.for_all
                 (fun (k, v) ->
@@ -367,6 +372,51 @@ let prop_kvstore_matches_model =
       if Hashtbl.length versions < 50_000 then
         QCheck.Test.fail_reportf "only %d distinct keys" (Hashtbl.length versions);
       true)
+
+(* Sessions far longer than the flat arrays' initial capacity (16
+   operations by default) must grow without losing or reordering anything:
+   every accessor returns what the list representation did, in access
+   order, and committing installs one version bump per recorded
+   write. *)
+let prop_long_sessions_keep_access_order =
+  QCheck.Test.make ~name:"long sessions keep access order" ~count:200
+    QCheck.(list_of_size (Gen.int_range 0 120) (triple (int_range 0 5) (int_range 0 30) bool))
+    (fun ops ->
+      let store = Kvstore.create () in
+      (* Prior commits give the keys distinct versions to observe. *)
+      let warm = Kvstore.begin_session store in
+      List.iteri
+        (fun i (part, slot, _) ->
+          if i mod 3 = 0 then Kvstore.write warm (Kvstore.key ~part ~slot))
+        ops;
+      Kvstore.commit_session warm;
+      let s = Kvstore.begin_session store in
+      let reads = ref [] and writes = ref [] in
+      List.iter
+        (fun (part, slot, w) ->
+          let k = Kvstore.key ~part ~slot in
+          reads := (k, Kvstore.version store k) :: !reads;
+          if w then (
+            writes := k :: !writes;
+            Kvstore.write s k)
+          else Kvstore.read s k)
+        ops;
+      let reads = List.rev !reads and writes = List.rev !writes in
+      let before = List.map (fun k -> Kvstore.version store k) writes in
+      let ok =
+        Kvstore.observed_reads s = reads
+        && Kvstore.read_set s = List.map fst reads
+        && Kvstore.write_set s = writes
+        && Kvstore.write_count s = List.length writes
+        && Kvstore.validate s
+        && Kvstore.try_reserve s
+      in
+      Kvstore.finalize s;
+      let bumps k = List.length (List.filter (fun k' -> k' = k) writes) in
+      ok
+      && List.for_all2
+           (fun k v -> Kvstore.version store k = v + bumps k)
+           writes before)
 
 (* A key the packed representation cannot hold must be refused, not
    folded onto a neighbour: slot 2^32 of partition 0 would otherwise
@@ -794,6 +844,85 @@ let test_rpc_retry_succeeds_after_recovery () =
   Alcotest.(check (float 1e-6)) "retry delivered" 5_320.0 !delivered_at;
   Alcotest.(check int) "one retry" 1 (Lion_sim.Metrics.retries cl.Cluster.metrics);
   Alcotest.(check int) "no timeout" 0 (Lion_sim.Metrics.timeouts cl.Cluster.metrics)
+
+(* The request reaches node 1 and is served, but every reply on the
+   1->0 link is lost while the drop window lasts. One-way delay for 64
+   bytes is 60 + 64 * 0.0085 = 60.544 µs and service takes 5 µs. *)
+let reply_drop_cluster ~until =
+  mk_cluster
+    ~cfg:
+      {
+        Config.default with
+        Config.fault_plan =
+          Lion_sim.Fault.lossy ~src:1 ~dst:0 ~prob:1.0 ~from_:0.0 ~until ();
+      }
+    ()
+
+let test_rpc_reply_dropped_then_retried () =
+  let cl = reply_drop_cluster ~until:1_000.0 in
+  let delivered_at = ref (-1.0) and failed = ref false in
+  Cluster.rpc cl ~src:0 ~dst:1 ~bytes:64 ~work:5.0
+    ~on_fail:(fun () -> failed := true)
+    (fun () -> delivered_at := Engine.now cl.Cluster.engine);
+  Engine.run_all cl.Cluster.engine ();
+  Alcotest.(check bool) "no failure surfaced" false !failed;
+  (* The reply sent at 65.544 is lost; the timer fires at 5000, the
+     retry leaves after a 200 µs backoff, and its reply (sent after the
+     window closed) lands two one-way trips and the work later. *)
+  Alcotest.(check (float 1e-6)) "retry delivered" 5_326.088 !delivered_at;
+  Alcotest.(check (float 1e-6)) "both requests served" 10.0
+    (Lion_sim.Server.busy_time cl.Cluster.services.(1));
+  Alcotest.(check int) "one retry" 1 (Lion_sim.Metrics.retries cl.Cluster.metrics);
+  Alcotest.(check int) "no timeout" 0 (Lion_sim.Metrics.timeouts cl.Cluster.metrics);
+  Alcotest.(check int) "one reply dropped" 1 (Lion_sim.Metrics.drops cl.Cluster.metrics)
+
+let test_rpc_reply_always_dropped_exhausts () =
+  let cl = reply_drop_cluster ~until:1e9 in
+  let failed_at = ref (-1.0) and delivered = ref false in
+  Cluster.rpc cl ~src:0 ~dst:1 ~bytes:64 ~work:5.0
+    ~on_fail:(fun () -> failed_at := Engine.now cl.Cluster.engine)
+    (fun () -> delivered := true);
+  Engine.run_all cl.Cluster.engine ();
+  Alcotest.(check bool) "success continuation never ran" false !delivered;
+  (* Same schedule as a dead destination (attempts at 0, 5200, 10600,
+     16400), but every request was served before its reply was lost. *)
+  Alcotest.(check (float 1e-6)) "gave up after the retry budget" 21_400.0 !failed_at;
+  Alcotest.(check (float 1e-6)) "every request served" 20.0
+    (Lion_sim.Server.busy_time cl.Cluster.services.(1));
+  Alcotest.(check int) "three retries" 3 (Lion_sim.Metrics.retries cl.Cluster.metrics);
+  Alcotest.(check int) "one timeout" 1 (Lion_sim.Metrics.timeouts cl.Cluster.metrics);
+  Alcotest.(check int) "every reply dropped" 4 (Lion_sim.Metrics.drops cl.Cluster.metrics)
+
+(* Node 1's two service slots are held until 10000 µs and its one queue
+   place is taken, so the first two requests are shed on arrival; the
+   sender only learns by timing out. The third attempt (sent at 10600)
+   finds a free slot. *)
+let test_rpc_shed_by_full_service_queue () =
+  let cl =
+    mk_cluster
+      ~cfg:
+        {
+          Config.default with
+          Config.admission =
+            Some { Config.queue_cap = 1; shed_policy = Lion_sim.Server.Reject_newest };
+        }
+      ()
+  in
+  let svc = cl.Cluster.services.(1) in
+  for _ = 1 to 3 do
+    Lion_sim.Server.submit svc ~work:10_000.0 (fun () -> ())
+  done;
+  let delivered_at = ref (-1.0) and failed = ref false in
+  Cluster.rpc cl ~src:0 ~dst:1 ~bytes:64 ~work:5.0
+    ~on_fail:(fun () -> failed := true)
+    (fun () -> delivered_at := Engine.now cl.Cluster.engine);
+  Engine.run_all cl.Cluster.engine ();
+  Alcotest.(check bool) "no failure surfaced" false !failed;
+  Alcotest.(check (float 1e-6)) "third attempt delivered" 10_726.088 !delivered_at;
+  Alcotest.(check int) "two sheds" 2 (Lion_sim.Server.sheds svc);
+  Alcotest.(check int) "two retries" 2 (Lion_sim.Metrics.retries cl.Cluster.metrics);
+  Alcotest.(check int) "no timeout" 0 (Lion_sim.Metrics.timeouts cl.Cluster.metrics);
+  Alcotest.(check int) "nothing dropped" 0 (Lion_sim.Metrics.drops cl.Cluster.metrics)
 
 let test_submit_local_dead_node_fails () =
   let cl = mk_cluster () in
@@ -1242,7 +1371,12 @@ let () =
           Alcotest.test_case "edge key usable" `Quick test_kvstore_edge_key_usable;
         ] );
       qsuite "key-packing" [ prop_key_roundtrip; prop_key_order ];
-      qsuite "occ-props" [ test_occ_serializability_property; prop_kvstore_matches_model ];
+      qsuite "occ-props"
+        [
+          test_occ_serializability_property;
+          prop_kvstore_matches_model;
+          prop_long_sessions_keep_access_order;
+        ];
       ( "cluster",
         [
           Alcotest.test_case "shape" `Quick test_cluster_shape;
@@ -1293,6 +1427,12 @@ let () =
             test_rpc_dead_node_times_out;
           Alcotest.test_case "rpc retry succeeds after recovery" `Quick
             test_rpc_retry_succeeds_after_recovery;
+          Alcotest.test_case "rpc reply dropped then retried" `Quick
+            test_rpc_reply_dropped_then_retried;
+          Alcotest.test_case "rpc reply always dropped exhausts" `Quick
+            test_rpc_reply_always_dropped_exhausts;
+          Alcotest.test_case "rpc shed by full service queue" `Quick
+            test_rpc_shed_by_full_service_queue;
           Alcotest.test_case "submit_local refuses dead node" `Quick
             test_submit_local_dead_node_fails;
           Alcotest.test_case "crash fails queued worker requests" `Quick
