@@ -159,7 +159,7 @@ type attempt = {
   session : Kvstore.session;
   phases : Metrics.phase_times;
   marks : marks;
-  mutable lease : Lion_sim.Server.lease;
+  lease : Lion_sim.Server.lease;
   mutable span : Trace.ctx option;
       (** the open step span: setup, a group's execution, remaster or
           wait, or a 2PC round *)
@@ -338,7 +338,8 @@ and granted r ~coordinator ~actx ~wait_span lease =
       actx;
       session = Kvstore.begin_session ~ops:(Array.length r.parts) cl.Cluster.store;
       phases = Metrics.phase_times ();
-      marks = { exec_start = Engine.now cl.Cluster.engine; step_start = 0.0; round_start = 0.0 };
+      marks =
+        { exec_start = Engine.now cl.Cluster.engine; step_start = 0.0; round_start = 0.0 };
       lease;
       span = None;
       group = 0;
@@ -356,7 +357,8 @@ and granted r ~coordinator ~actx ~wait_span lease =
     }
   in
   a.span <-
-    open_span (engine a) ~node:coordinator ~part:(-1) ~phase:"scheduling" ~name:"setup" actx;
+    open_span (engine a) ~node:coordinator ~part:(-1) ~phase:"scheduling" ~name:"setup"
+      actx;
   Engine.schedule_apply (engine a)
     ~delay:((cfg a).Config.txn_setup_cost *. Cluster.work_scale cl coordinator)
     setup_done a
@@ -387,7 +389,8 @@ and step a g =
         Engine.schedule_apply (engine a) ~delay:(cfg a).Config.rpc_timeout part_lost a
       else (
         a.marks.step_start <- now a;
-        a.span <- open_span (engine a) ~node:(-1) ~part ~phase:"remaster" ~name:"part-wait" a.actx;
+        a.span <-
+          open_span (engine a) ~node:(-1) ~part ~phase:"remaster" ~name:"part-wait" a.actx;
         Engine.schedule_apply (engine a) ~delay:wait part_ready a)
     else proceed a
   end
@@ -422,7 +425,8 @@ and proceed a =
       a.remastered <- true;
       a.marks.step_start <- now a;
       a.span <-
-        open_span (engine a) ~node:coordinator ~part ~phase:"remaster" ~name:"remaster" a.actx;
+        open_span (engine a) ~node:coordinator ~part ~phase:"remaster" ~name:"remaster"
+          a.actx;
       Engine.schedule_apply (engine a) ~delay:(cfg a).Config.remaster_delay remaster_done a)
     else
       (* Remastering conflict: another transaction is promoting this
@@ -491,7 +495,8 @@ and migrate_done a =
 and exec_local a =
   record_group a;
   a.span <-
-    open_span (engine a) ~node:a.coordinator ~part:a.part ~phase:"execution" ~name:"exec-local" a.actx;
+    open_span (engine a) ~node:a.coordinator ~part:a.part ~phase:"execution"
+      ~name:"exec-local" a.actx;
   Engine.schedule_apply (engine a)
     ~delay:(local_work a *. Cluster.work_scale a.run.cl a.coordinator)
     local_done a

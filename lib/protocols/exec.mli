@@ -60,7 +60,10 @@ val run :
   on_done:(unit -> unit) ->
   unit
 (** Attempt with retry-on-abort (exponential-ish backoff, capped),
-    recording aborts and the final commit in the cluster metrics.
+    recording aborts and the final commit in the cluster metrics. The
+    commit is recorded at the next group-commit epoch boundary with the
+    full latency since first submission; [on_done] fires at coordinator
+    worker release so the closed loop stays worker-bound.
 
     Each attempt acquires (and always releases) a coordinator worker;
     the bounded worker queue may shed the admission request
@@ -76,10 +79,7 @@ val run :
     attempt that got a worker records one {!Lion_store.History} event —
     observed read versions, installed write versions on commit, and the
     outcome (committed / aborted / indeterminate when a 2PC prepare
-    round exhausted its retries), labelled with the attempt's ordinal. The
-    commit is recorded at the next group-commit epoch boundary with the
-    full latency since first submission; [on_done] fires at coordinator
-    worker release so the closed loop stays worker-bound.
+    round exhausted its retries), labelled with the attempt's ordinal.
 
     When [Config.deadline] is set, a commit later than [after] is
     recorded as a deadline miss — committed for throughput, discounted

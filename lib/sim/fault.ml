@@ -127,22 +127,19 @@ let link t ~now ~src ~dst =
               go (extra +. e) rest
           | _ -> go extra rest)
     in
-    match t.link_specs with [] -> deliver_now | specs -> go 0.0 specs)
+    go 0.0 t.link_specs)
 
 let slow_inert t = match t.stragglers with [] -> true | _ :: _ -> false
 
 let slow_factor t ~now node =
-  match t.stragglers with
-  | [] -> 1.0
-  | specs ->
-      List.fold_left
-        (fun acc spec ->
-          match spec with
-          | Straggler { node = n; factor; from_; until }
-            when n = node && active ~now ~from_ ~until ->
-              acc *. factor
-          | _ -> acc)
-        1.0 specs
+  List.fold_left
+    (fun acc spec ->
+      match spec with
+      | Straggler { node = n; factor; from_; until }
+        when n = node && active ~now ~from_ ~until ->
+          acc *. factor
+      | _ -> acc)
+    1.0 t.stragglers
 
 let count_drop t = t.drops <- t.drops + 1
 let count_dead_drop t = t.dead_drops <- t.dead_drops + 1

@@ -23,10 +23,6 @@
 type t
 type lease
 
-val nil_lease : lease
-(** A placeholder for a lease field not granted yet; releasing it
-    raises [Invalid_argument]. *)
-
 type shed_policy =
   | Reject_newest
       (** a full queue turns the {e arriving} request away — the

@@ -1374,7 +1374,7 @@ let start_ship t ctx ~part ~src ~upto ~dst =
     close_span t "breaker-open" rctx;
     start_resync t ~part ~node:dst)
 
-let rec replicate_parts t ctx = function
+let rec replicate_commit t ?ctx = function
   | [] -> ()
   | p :: rest ->
       Replication.append t.replication ~part:p;
@@ -1394,9 +1394,7 @@ let rec replicate_parts t ctx = function
         if Placement.has_secondary t.placement ~part:p ~node:dst then
           start_ship t ctx ~part:p ~src ~upto:len ~dst
       done;
-      replicate_parts t ctx rest
-
-let replicate_commit t ?ctx parts = replicate_parts t ctx parts
+      replicate_commit t ?ctx rest
 
 (* Applied-watermark bookkeeping for layers that move replicas through
    [Placement] directly (the Leap migrate path, batch-mode remasters):

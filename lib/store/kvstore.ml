@@ -69,32 +69,28 @@ module Itbl = struct
       if k <> empty then replace t k old.((2 * i) + 1)
     done
 
-  and replace t k v =
+  (* Cell index of [k], inserting it with value 0 first if absent. *)
+  and slot t k =
     let cells = t.cells in
     let i = probe cells (mask t) k (home t k) in
-    if Array.unsafe_get cells (2 * i) = empty then
-      if 4 * (t.count + 1) > 3 * (Array.length cells lsr 1) then (
-        grow t;
-        replace t k v)
-      else (
-        Array.unsafe_set cells (2 * i) k;
-        Array.unsafe_set cells ((2 * i) + 1) v;
-        t.count <- t.count + 1)
-    else Array.unsafe_set cells ((2 * i) + 1) v
+    if Array.unsafe_get cells (2 * i) <> empty then i
+    else if 4 * (t.count + 1) > 3 * (Array.length cells lsr 1) then (
+      grow t;
+      slot t k)
+    else (
+      Array.unsafe_set cells (2 * i) k;
+      Array.unsafe_set cells ((2 * i) + 1) 0;
+      t.count <- t.count + 1;
+      i)
+
+  and replace t k v =
+    let i = slot t k in
+    Array.unsafe_set t.cells ((2 * i) + 1) v
 
   (* [replace t k (find t k ~default:0 + 1)] in one probe. *)
-  let rec incr t k =
-    let cells = t.cells in
-    let i = probe cells (mask t) k (home t k) in
-    if Array.unsafe_get cells (2 * i) = empty then
-      if 4 * (t.count + 1) > 3 * (Array.length cells lsr 1) then (
-        grow t;
-        incr t k)
-      else (
-        Array.unsafe_set cells (2 * i) k;
-        Array.unsafe_set cells ((2 * i) + 1) 1;
-        t.count <- t.count + 1)
-    else Array.unsafe_set cells ((2 * i) + 1) (Array.unsafe_get cells ((2 * i) + 1) + 1)
+  let incr t k =
+    let i = slot t k in
+    Array.unsafe_set t.cells ((2 * i) + 1) (Array.unsafe_get t.cells ((2 * i) + 1) + 1)
 
   let remove t k =
     let cells = t.cells and mask = mask t in
@@ -179,7 +175,8 @@ let write s k =
   s.n_writes <- s.n_writes + 1
 
 let read_set s = List.init s.n_reads (fun i -> s.reads.(2 * i))
-let observed_reads s = List.init s.n_reads (fun i -> (s.reads.(2 * i), s.reads.((2 * i) + 1)))
+let observed_reads s =
+  List.init s.n_reads (fun i -> (s.reads.(2 * i), s.reads.((2 * i) + 1)))
 let write_set s = Array.to_list (Array.sub s.writes 0 s.n_writes)
 let write_count s = s.n_writes
 

@@ -175,7 +175,9 @@ let test_empty_fault_plan_is_free () =
 (* Short 2PC, Lion and Unified cells (all-distributed YCSB) under one
    plan that loses messages, splits the cluster and crashes a node, so
    every fault leg of the RPC, log-ship and retry paths runs. Each
-   counter and float is pinned exactly against a capture. *)
+   counter and float is pinned exactly against a capture; after an
+   intended behaviour change, write the received text (the failure
+   prints it) to test/golden_fault_cells.txt. *)
 let fault_golden_plan =
   let ms = Lion_sim.Engine.ms in
   Lion_sim.Fault.lossy ~prob:0.05 ~from_:(ms 100.0) ~until:(ms 180.0) ()
