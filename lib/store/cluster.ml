@@ -116,6 +116,8 @@ let normalized_freq t p =
   let hottest = t.access_peak.hottest in
   if hottest <= 0.0 then 0.0 else t.part_access.(p) /. hottest
 
+(* [Stdlib.max 0.0], compared as floats: the polymorphic one calls the
+   runtime's generic comparison. *)
 let partition_wait t p =
   let wait = t.part_available.(p) -. now t in
   if 0.0 >= wait then 0.0 else wait
