@@ -174,10 +174,13 @@ let test_empty_fault_plan_is_free () =
 
 (* Short 2PC, Lion and Unified cells (all-distributed YCSB) under one
    plan that loses messages, splits the cluster and crashes a node, so
-   every fault leg of the RPC, log-ship and retry paths runs. Each
-   counter and float is pinned exactly against a capture; after an
-   intended behaviour change, write the received text (the failure
-   prints it) to test/golden_fault_cells.txt. *)
+   every fault leg of the RPC, log-ship and retry paths runs. Two more
+   rows cover the overload controls (Lion with breakers, retry budget,
+   admission and deadlines on) and Epoch's cross-region replication
+   round (a two-region geo layout). Each counter and float is pinned
+   exactly against a capture; after an intended behaviour change, write
+   the received text (the failure prints it) to
+   test/golden_fault_cells.txt. *)
 let fault_golden_plan =
   let ms = Lion_sim.Engine.ms in
   Lion_sim.Fault.lossy ~prob:0.05 ~from_:(ms 100.0) ~until:(ms 180.0) ()
@@ -191,7 +194,7 @@ let fault_golden_lines () =
   in
   let rc = { Runner.quick with Runner.warmup = 0.0; duration = 0.5; tick_every = 0.1 } in
   List.map
-    (fun id ->
+    (fun (label, id, cfg) ->
       let e = Lion_harness.Protocols.get id in
       let r =
         Runner.run ~seed:3 ~batch:e.batch ~cfg ~make:(fun cl -> e.make cl)
@@ -199,11 +202,20 @@ let fault_golden_lines () =
       in
       Printf.sprintf
         "%s commits=%d aborts=%d timeouts=%d retries=%d drops=%d stale_acks=%d \
+         sheds=%d breaker_rejects=%d breaker_opens=%d budget_denials=%d \
          bytes=%.17g bytes_per_txn=%.17g p50=%.17g p99=%.17g\n"
-        id r.Runner.commits r.aborts r.timeouts r.retries r.drops r.stale_ack_rejections
+        label r.Runner.commits r.aborts r.timeouts r.retries r.drops
+        r.stale_ack_rejections r.sheds r.breaker_rejects r.breaker_opens
+        r.budget_denials
         (Array.fold_left ( +. ) 0.0 r.bytes_series)
         r.bytes_per_txn r.p50 r.p99)
-    [ "2pc"; "lion"; "unified" ]
+    [
+      ("2pc", "2pc", cfg);
+      ("lion", "lion", cfg);
+      ("unified", "unified", cfg);
+      ("lion+overload", "lion", Config.with_overload_defaults cfg);
+      ("epoch+geo", "epoch", { cfg with Config.geo = Some Config.default_geo });
+    ]
   |> String.concat ""
 
 let test_fault_cells_match_golden () =
