@@ -430,22 +430,12 @@ let shrink ?(budget = 150) ~target case verdict =
 
 (* {2 Corpus serialization}
 
-   Hand-rolled JSON: the corpus schema is flat — objects, arrays,
-   integers, booleans and [a-z0-9-] strings — and lives in this module
-   so the audit library stays free of heavier dependencies. All
-   numeric fields are integers, making write-then-read byte-exact. *)
+   The corpus schema is flat — objects, arrays, integers, booleans and
+   [a-z0-9-] strings — written by hand below and read back with
+   [Lion_kernel.Json]. All numeric fields are integers, making
+   write-then-read byte-exact. *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Lion_kernel.Json
 
 let op_to_json op =
   let p = Printf.sprintf in
@@ -476,9 +466,9 @@ let to_json ~expect c =
   let b = Buffer.create 512 in
   Printf.bprintf b "{\n";
   Printf.bprintf b "  \"version\": 1,\n";
-  Printf.bprintf b "  \"name\": \"%s\",\n" (escape c.name);
+  Printf.bprintf b "  \"name\": \"%s\",\n" (Json.escape c.name);
   Printf.bprintf b "  \"seed\": %d,\n" c.seed;
-  Printf.bprintf b "  \"proto\": \"%s\",\n" (escape c.proto);
+  Printf.bprintf b "  \"proto\": \"%s\",\n" (Json.escape c.proto);
   Printf.bprintf b "  \"seconds\": %d,\n" c.seconds;
   Printf.bprintf b "  \"clients\": %d,\n" c.clients;
   Printf.bprintf b "  \"phantom\": %b,\n" c.phantom;
@@ -496,132 +486,9 @@ let to_json ~expect c =
   Buffer.add_string b "]\n}\n";
   Buffer.contents b
 
-type jv =
-  | Jobj of (string * jv) list
-  | Jarr of jv list
-  | Jstr of string
-  | Jint of int
-  | Jbool of bool
-
-exception Bad of string
-
-let parse_json s =
-  let pos = ref 0 in
-  let len = String.length s in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let next () =
-    if !pos >= len then raise (Bad "unexpected end of input")
-    else (
-      incr pos;
-      s.[!pos - 1])
-  in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        incr pos;
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect ch =
-    if next () <> ch then raise (Bad (Printf.sprintf "expected '%c'" ch))
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents b
-      | '\\' -> (
-          match next () with
-          | 'n' ->
-              Buffer.add_char b '\n';
-              go ()
-          | c ->
-              Buffer.add_char b c;
-              go ())
-      | c ->
-          Buffer.add_char b c;
-          go ()
-    in
-    go ()
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        expect '{';
-        skip_ws ();
-        if peek () = Some '}' then (
-          expect '}';
-          Jobj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match next () with
-            | ',' -> members ((k, v) :: acc)
-            | '}' -> Jobj (List.rev ((k, v) :: acc))
-            | _ -> raise (Bad "expected ',' or '}'")
-          in
-          members []
-    | Some '[' ->
-        expect '[';
-        skip_ws ();
-        if peek () = Some ']' then (
-          expect ']';
-          Jarr [])
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match next () with
-            | ',' -> elems (v :: acc)
-            | ']' -> Jarr (List.rev (v :: acc))
-            | _ -> raise (Bad "expected ',' or ']'")
-          in
-          elems []
-    | Some '"' -> Jstr (parse_string ())
-    | Some 't' ->
-        pos := !pos + 4;
-        Jbool true
-    | Some 'f' ->
-        pos := !pos + 5;
-        Jbool false
-    | Some ('-' | '0' .. '9') ->
-        let start = !pos in
-        if peek () = Some '-' then incr pos;
-        while
-          match peek () with Some '0' .. '9' -> true | _ -> false
-        do
-          incr pos
-        done;
-        Jint (int_of_string (String.sub s start (!pos - start)))
-    | _ -> raise (Bad "unexpected character")
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then raise (Bad "trailing garbage");
-  v
-
-let field name = function
-  | Jobj kvs -> (
-      match List.assoc_opt name kvs with
-      | Some v -> v
-      | None -> raise (Bad ("missing field " ^ name)))
-  | _ -> raise (Bad "expected an object")
-
-let jint = function Jint i -> i | _ -> raise (Bad "expected an integer")
-let jstr = function Jstr s -> s | _ -> raise (Bad "expected a string")
-let jbool = function Jbool b -> b | _ -> raise (Bad "expected a boolean")
-let jarr = function Jarr l -> l | _ -> raise (Bad "expected an array")
-
-let op_of_jv v =
-  let i name = jint (field name v) in
-  match jstr (field "op" v) with
+let op_of_json v =
+  let i name = Json.get_int name v in
+  match Json.get_str "op" v with
   | "crash" ->
       Crash { node = i "node"; at_us = i "at_us"; downtime_us = i "downtime_us" }
   | "isolate" -> Isolate { node = i "node"; at_us = i "at_us"; dur_us = i "dur_us" }
@@ -637,36 +504,34 @@ let op_of_jv v =
   | "decommission" -> Decommission { node = i "node"; at_us = i "at_us" }
   | "crash_rejoin" ->
       Crash_rejoin { node = i "node"; at_us = i "at_us"; cycles = i "cycles" }
-  | other -> raise (Bad ("unknown op " ^ other))
+  | other -> raise (Json.Parse_error ("unknown op " ^ other))
 
 let verdict_of_string = function
   | "clean" -> Clean
   | "safety" -> Safety
   | "liveness" -> Liveness
-  | other -> raise (Bad ("unknown verdict " ^ other))
+  | other -> raise (Json.Parse_error ("unknown verdict " ^ other))
 
 let of_json text =
-  match parse_json text with
-  | exception Bad msg -> Error msg
-  | v -> (
-      try
-        if jint (field "version" v) <> 1 then Error "unsupported corpus version"
-        else
-          Ok
-            ( {
-                name = jstr (field "name" v);
-                seed = jint (field "seed" v);
-                proto = jstr (field "proto" v);
-                seconds = jint (field "seconds" v);
-                clients = jint (field "clients" v);
-                phantom = jbool (field "phantom" v);
-                overload = jbool (field "overload" v);
-                skew_pct = jint (field "skew_pct" v);
-                cross_pct = jint (field "cross_pct" v);
-                ops = List.map op_of_jv (jarr (field "ops" v));
-              },
-              verdict_of_string (jstr (field "expect" v)) )
-      with Bad msg -> Error msg)
+  try
+    let v = Json.parse text in
+    if Json.get_int "version" v <> 1 then Error "unsupported corpus version"
+    else
+      Ok
+        ( {
+            name = Json.get_str "name" v;
+            seed = Json.get_int "seed" v;
+            proto = Json.get_str "proto" v;
+            seconds = Json.get_int "seconds" v;
+            clients = Json.get_int "clients" v;
+            phantom = Json.get_bool "phantom" v;
+            overload = Json.get_bool "overload" v;
+            skew_pct = Json.get_int "skew_pct" v;
+            cross_pct = Json.get_int "cross_pct" v;
+            ops = List.map op_of_json (Json.get_arr "ops" v);
+          },
+          verdict_of_string (Json.get_str "expect" v) )
+  with Json.Parse_error msg -> Error msg
 
 let save ~dir ~expect c =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;

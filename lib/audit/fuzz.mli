@@ -125,6 +125,9 @@ val to_json : expect:verdict -> case -> string
     identity on files this function wrote. *)
 
 val of_json : string -> (case * verdict, string) Stdlib.result
+(** [Error] for text that is not JSON (a misspelt literal included), a
+    missing or mistyped field, a non-integer number in an integer field,
+    an unknown op or verdict, or a corpus version other than 1. *)
 
 val save : dir:string -> expect:verdict -> case -> string
 (** Write [to_json] under [dir] as ["<name>.json"], creating [dir] if

@@ -1,4 +1,5 @@
 module Cluster = Lion_store.Cluster
+module Transport = Lion_store.Transport
 module Engine = Lion_sim.Engine
 module Fault = Lion_sim.Fault
 module Overload = Lion_sim.Overload
@@ -85,7 +86,7 @@ let audit ?quiesce_bound ~cluster:cl ~submitted ~completed () =
      probe the moment traffic returned. *)
   List.iter
     (fun node ->
-      if Cluster.breaker_state cl node = Overload.Breaker.Open then
+      if Transport.breaker_state cl node = Overload.Breaker.Open then
         add (Breaker_pinned { node }))
     (Cluster.alive_nodes cl);
   let inflight = Cluster.remasters_inflight cl in

@@ -31,21 +31,15 @@ let drain_speedup_floor = 3.0
 (* Scenarios whose op runs cells on two domains at once. *)
 let two_domain_scenarios = [ "sweep_pool" ]
 
-(* ---- emission ---------------------------------------------------- *)
+(* The JSON reader and escape live in [Lion_kernel.Json]; they are
+   re-exported here under the names the benchmark harness reads them
+   by. *)
+include Lion_kernel.Json
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let parse_json = parse
+let json_escape = escape
+
+(* ---- emission ---------------------------------------------------- *)
 
 let num f =
   (* %.17g round-trips any float; trim the common integral case. *)
@@ -82,149 +76,7 @@ let write ~path ~date ~quick results =
     (String.concat ",\n" (List.map scenario_json results));
   close_out oc
 
-(* ---- minimal JSON reader ----------------------------------------- *)
-
-(* Just enough JSON to read files this module wrote (plus whitespace
-   and field-order tolerance): objects, arrays, strings, numbers,
-   true/false/null. No dependency on a JSON package. *)
-
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Num of float
-  | Bool of bool
-  | Null
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws () | _ -> ()
-  in
-  let expect c =
-    if peek () = c then advance () else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char b '"'; advance ()
-          | '\\' -> Buffer.add_char b '\\'; advance ()
-          | '/' -> Buffer.add_char b '/'; advance ()
-          | 'n' -> Buffer.add_char b '\n'; advance ()
-          | 't' -> Buffer.add_char b '\t'; advance ()
-          | 'r' -> Buffer.add_char b '\r'; advance ()
-          | 'b' -> Buffer.add_char b '\b'; advance ()
-          | 'f' -> Buffer.add_char b '\012'; advance ()
-          | 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "bad \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-              pos := !pos + 4;
-              (* ASCII range only — all this module ever emits. *)
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
-              else Buffer.add_char b '?'
-          | _ -> fail "bad escape");
-          go ()
-      | c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then (advance (); Obj [])
-        else (
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' -> advance (); fields ((k, v) :: acc)
-            | '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          fields [])
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then (advance (); Arr [])
-        else (
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' -> advance (); items (v :: acc)
-            | ']' -> advance (); Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          items [])
-    | '"' -> Str (parse_string ())
-    | 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then (pos := !pos + 4; Bool true)
-        else fail "bad literal"
-    | 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then (pos := !pos + 5; Bool false)
-        else fail "bad literal"
-    | 'n' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "null" then (pos := !pos + 4; Null)
-        else fail "bad literal"
-    | _ ->
-        let start = !pos in
-        let is_num_char c =
-          (c >= '0' && c <= '9')
-          || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-        in
-        while !pos < n && is_num_char s.[!pos] do advance () done;
-        if !pos = start then fail "unexpected character";
-        Num (float_of_string (String.sub s start (!pos - start)))
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  parse_json s
-
 (* ---- loading a bench file back into Scenario.results ------------- *)
-
-let field name = function
-  | Obj kvs -> List.assoc_opt name kvs
-  | _ -> None
-
-let get_num name j =
-  match field name j with
-  | Some (Num f) -> f
-  | _ -> raise (Parse_error (Printf.sprintf "missing numeric field %S" name))
-
-let get_str name j =
-  match field name j with
-  | Some (Str s) -> s
-  | _ -> raise (Parse_error (Printf.sprintf "missing string field %S" name))
 
 let scenario_of_json j : Scenario.result =
   {

@@ -1,4 +1,5 @@
 module Cluster = Lion_store.Cluster
+module Transport = Lion_store.Transport
 module Placement = Lion_store.Placement
 module Kvstore = Lion_store.Kvstore
 module Config = Lion_store.Config
@@ -153,7 +154,7 @@ and close_epoch t =
           (fun p ->
             Kvstore.finalize p.session;
             record_outcome t p History.Committed;
-            Cluster.replicate_commit cl ?ctx:p.octx p.txn.Txn.parts;
+            Transport.replicate_commit cl ?ctx:p.octx p.txn.Txn.parts;
             let latency = Engine.now engine -. p.start in
             let late = Config.misses_deadline cfg latency in
             if late then Metrics.record_deadline_miss cl.Cluster.metrics;
@@ -196,8 +197,8 @@ and close_epoch t =
           in
           List.iter
             (fun peer ->
-              Cluster.rpc cl ~src:leader ~dst:peer ~bytes
-                ~work:cfg.Config.msg_handle_cost ~on_fail:fail ok)
+              Transport.call cl ~src:leader ~dst:peer ~bytes
+                ~work:cfg.Config.msg_handle_cost ~on_fail:fail ok ())
             peers));
   if t.parked <> [] then arm_timer t
 

@@ -1,4 +1,5 @@
 module Cluster = Lion_store.Cluster
+module Transport = Lion_store.Transport
 module Placement = Lion_store.Placement
 module Kvstore = Lion_store.Kvstore
 module Config = Lion_store.Config
@@ -177,7 +178,7 @@ type attempt = {
   mutable awaiting : awaiting;  (** what the attempt's RPCs answer *)
 }
 
-(* The attempt's RPCs are issued with [Cluster.call] and two top-level
+(* The attempt's RPCs are issued with [Transport.call] and two top-level
    handlers that dispatch on this, so they build no closure. Once a
    prepare round fails the attempt never moves on, so straggling votes
    still reach the vote handlers, which ignore them. *)
@@ -474,9 +475,7 @@ and migrate_done a =
         (* Shed a secondary to make room for the pulled mastership; pick
            deterministically. *)
         (match Placement.secondaries placement part with
-        | victim :: _ ->
-            Placement.remove_secondary placement ~part ~node:victim;
-            Cluster.note_replica_dropped cl ~part ~node:victim
+        | victim :: _ -> Cluster.drop_secondary cl ~part ~node:victim
         | [] -> ());
       Placement.add_secondary placement ~part ~node:coordinator);
     let old_prim = Placement.primary placement part in
@@ -486,9 +485,8 @@ and migrate_done a =
     (* [remaster] demoted the old primary to secondary; if it died while
        the tuples were in flight, purge the phantom copy it would
        otherwise keep. *)
-    if old_prim <> coordinator && not (Cluster.alive cl old_prim) then (
-      Placement.remove_secondary placement ~part ~node:old_prim;
-      Cluster.note_replica_dropped cl ~part ~node:old_prim);
+    if old_prim <> coordinator && not (Cluster.alive cl old_prim) then
+      Cluster.drop_secondary cl ~part ~node:old_prim;
     exec_local a
   end
 
@@ -513,7 +511,7 @@ and exec_remote a =
     open_span (engine a) ~node:prim ~part:a.part
       ~phase:"execution" ~name:"exec-remote" a.actx;
   a.awaiting <- Exec_reply;
-  Cluster.call cl ?deadline:a.run.enforced ~src:a.coordinator ~dst:prim
+  Transport.call cl ?deadline:a.run.enforced ~src:a.coordinator ~dst:prim
     ~bytes:((cfg a).Config.op_msg_bytes * a.n_ops)
     ~work:(local_work a +. (cfg a).Config.msg_handle_cost)
     ~on_fail:rpc_failed ?ctx:a.span rpc_answered a
@@ -557,7 +555,7 @@ and groups_done a =
       if Kvstore.try_reserve a.session then (
         Kvstore.finalize a.session;
         record_outcome a History.Committed;
-        Cluster.replicate_commit cl ?ctx:a.actx a.run.txn.Txn.parts;
+        Transport.replicate_commit cl ?ctx:a.actx a.run.txn.Txn.parts;
         a.committed <- true)
       else record_outcome a History.Aborted;
       finish a
@@ -601,7 +599,7 @@ and groups_done a =
 and send_prepares a ~pctx ~bytes = function
   | [] -> ()
   | node :: rest ->
-      Cluster.call a.run.cl ?deadline:a.run.enforced ~src:a.coordinator ~dst:node ~bytes
+      Transport.call a.run.cl ?deadline:a.run.enforced ~src:a.coordinator ~dst:node ~bytes
         ~work:(cfg a).Config.msg_handle_cost ~on_fail:rpc_failed ?ctx:pctx rpc_answered a;
       send_prepares a ~pctx ~bytes rest
 
@@ -630,7 +628,7 @@ and after_prepare a =
   close_span a;
   a.phases.prepare <- now a -. a.marks.round_start;
   (* Participants replicate their prepare logs. *)
-  Cluster.replicate_commit cl ?ctx:a.actx a.remote_parts;
+  Transport.replicate_commit cl ?ctx:a.actx a.remote_parts;
   if Kvstore.try_reserve a.session then
     if a.run.flavor.unified_commit then (
       (* The unified round already carried the writes and collected
@@ -663,7 +661,7 @@ and after_prepare a =
 and send_commits a ~cctx = function
   | [] -> ()
   | node :: rest ->
-      Cluster.call a.run.cl ?deadline:a.run.enforced ~src:a.coordinator ~dst:node
+      Transport.call a.run.cl ?deadline:a.run.enforced ~src:a.coordinator ~dst:node
         ~bytes:(cfg a).Config.op_msg_bytes ~work:(cfg a).Config.msg_handle_cost
         ~on_fail:rpc_failed ?ctx:cctx rpc_answered a;
       send_commits a ~cctx rest
@@ -677,7 +675,7 @@ and after_commit a =
   a.phases.commit <- now a -. a.marks.round_start;
   Kvstore.finalize a.session;
   record_outcome a History.Committed;
-  Cluster.replicate_commit a.run.cl ?ctx:a.actx a.run.txn.Txn.parts;
+  Transport.replicate_commit a.run.cl ?ctx:a.actx a.run.txn.Txn.parts;
   a.committed <- true;
   finish a
 

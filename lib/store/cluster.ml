@@ -128,74 +128,22 @@ let block_partition t p until =
 
 let block_partition_for t ~part ~duration = block_partition t part (now t +. duration)
 
-(* ---- Overload controls (docs/OVERLOAD.md). Every helper collapses to
-   a constant when its knob is off, so default runs stay bit-for-bit
-   identical to a build without them. ---- *)
+let drop_secondary t ~part ~node =
+  Placement.remove_secondary t.placement ~part ~node;
+  Replication.forget_applied t.replication ~part ~node
 
+(* Bytes of the unacknowledged log suffix of [part] — what a leader
+   transfer or an orphaned primary's resync ships (§III). *)
+let lag_bytes t ~part =
+  Stdlib.max 256 (Replication.lag t.replication ~part * t.cfg.Config.record_bytes)
+
+(* Replica installs run at high priority when [control_priority] asks
+   for it (docs/OVERLOAD.md); the retry budget and the breakers live in
+   [Transport]. *)
 let ctl_prio t = if t.cfg.Config.control_priority then Server.High else Server.Normal
-
-(* One retransmission = one token. Dry bucket: the caller gives up. *)
-let budget_allows t =
-  match t.retry_budget with
-  | None -> true
-  | Some b ->
-      Overload.Token_bucket.try_take b ~now:(now t)
-      ||
-      (Metrics.record_budget_denial t.metrics;
-       false)
-
-let breaker_for t dst =
-  if Array.length t.breakers = 0 then None else Some t.breakers.(dst)
-
-(* Any breaker call may promote Open -> Half_open inside its clock
-   tick; the delta on the breaker's own counter is the only way to
-   observe that from outside, so every wrapper funnels through here. *)
-let note_half_opens t b before =
-  if Overload.Breaker.half_opens b > before then
-    Metrics.record_breaker_half_open t.metrics
-
-let breaker_allows t dst =
-  match breaker_for t dst with
-  | None -> true
-  | Some b ->
-      let ho = Overload.Breaker.half_opens b in
-      let ok = Overload.Breaker.allow b ~now:(now t) in
-      note_half_opens t b ho;
-      ok
-      ||
-      (Metrics.record_breaker_reject t.metrics;
-       false)
-
-let breaker_success t dst =
-  match breaker_for t dst with
-  | None -> ()
-  | Some b -> Overload.Breaker.record_success b
-
-let breaker_failure t dst =
-  match breaker_for t dst with
-  | None -> ()
-  | Some b ->
-      let opens = Overload.Breaker.opens b in
-      let ho = Overload.Breaker.half_opens b in
-      Overload.Breaker.record_failure b ~now:(now t);
-      note_half_opens t b ho;
-      if Overload.Breaker.opens b > opens then Metrics.record_breaker_open t.metrics
-
-let breaker_state t dst =
-  match breaker_for t dst with
-  | None -> Overload.Breaker.Closed
-  | Some b ->
-      let ho = Overload.Breaker.half_opens b in
-      let st = Overload.Breaker.state b ~now:(now t) in
-      note_half_opens t b ho;
-      st
 
 let worker_saturated t ~node =
   Server.busy t.workers.(node) >= Server.capacity t.workers.(node)
-
-let total_sheds t =
-  let sum = Array.fold_left (fun acc s -> acc + Server.sheds s) in
-  sum (sum 0 t.workers) t.services
 
 let try_begin_remaster t ~part ~node =
   if not t.node_alive.(node) then false
@@ -226,9 +174,7 @@ let try_begin_remaster t ~part ~node =
        mid-handover), the promotion must not happen: a primary whose
        log suffix never arrived would serve stale state. *)
     let src = Placement.primary t.placement part in
-    let lag_bytes =
-      Stdlib.max 256 (Replication.lag t.replication ~part * t.cfg.Config.record_bytes)
-    in
+    let lag_bytes = lag_bytes t ~part in
     (* The WAN latency cliff (docs/GEO.md): a leader transfer whose lag
        ship crosses a region boundary cannot complete before the ship
        lands, so the handover blocks for at least the cross-region link
@@ -308,55 +254,6 @@ let min_regions t =
 
 let geo_spread_on t = min_regions t >= 2
 
-(* Evict the coldest secondary: every secondary serves no reads in this
-   model, so "coldest" is decided by hosting-node pressure — shed from
-   the node hosting the most replicas, deterministically. *)
-let evict_one_secondary t ~part ~keep =
-  let secs = Placement.secondaries t.placement part in
-  let candidates = List.filter (fun n -> n <> keep) secs in
-  (* Under the spread constraint, never evict the last replica of a
-     region when that would drop the partition below [min_regions] —
-     unless every candidate would (then fall through unchanged). *)
-  let candidates =
-    if geo_spread_on t then (
-      let prim = Placement.primary t.placement part in
-      let spanned_without v =
-        let rs =
-          region_of t prim
-          :: List.filter_map
-               (fun s -> if s = v then None else Some (region_of t s))
-               secs
-        in
-        List.length (List.sort_uniq compare rs)
-      in
-      let safe =
-        List.filter
-          (fun n -> spanned_without n >= min_regions t)
-          candidates
-      in
-      if safe = [] then candidates else safe)
-    else candidates
-  in
-  match candidates with
-  | [] -> ()
-  | _ ->
-      let victim =
-        List.fold_left
-          (fun best n ->
-            match best with
-            | None -> Some n
-            | Some b ->
-                let load_n = Placement.replicas_on t.placement n
-                and load_b = Placement.replicas_on t.placement b in
-                if load_n > load_b || (load_n = load_b && n < b) then Some n else Some b)
-          None candidates
-      in
-      Option.iter
-        (fun n ->
-          Placement.remove_secondary t.placement ~part ~node:n;
-          Replication.forget_applied t.replication ~part ~node:n)
-        victim
-
 (* Region spread of [part] after dropping [without]'s copy and, when
    [plus] is given, adding one there instead. Callers gate on
    [geo_spread_on]. *)
@@ -377,6 +274,35 @@ let spanned_without_plus t ~part ~without ~plus =
 let removal_keeps_spread t ~part ~node ?dst () =
   (not (geo_spread_on t))
   || spanned_without_plus t ~part ~without:node ~plus:dst >= min_regions t
+
+(* Evict the coldest secondary: every secondary serves no reads in this
+   model, so "coldest" is decided by hosting-node pressure — shed from
+   the node hosting the most replicas, deterministically. *)
+let evict_one_secondary t ~part ~keep =
+  let candidates = List.filter (fun n -> n <> keep) (Placement.secondaries t.placement part) in
+  (* Under the spread constraint, never evict the last replica of a
+     region when that would drop the partition below [min_regions] —
+     unless every candidate would (then fall through unchanged). *)
+  let candidates =
+    match List.filter (fun n -> removal_keeps_spread t ~part ~node:n ()) candidates with
+    | [] -> candidates
+    | safe -> safe
+  in
+  match candidates with
+  | [] -> ()
+  | _ ->
+      let victim =
+        List.fold_left
+          (fun best n ->
+            match best with
+            | None -> Some n
+            | Some b ->
+                let load_n = Placement.replicas_on t.placement n
+                and load_b = Placement.replicas_on t.placement b in
+                if load_n > load_b || (load_n = load_b && n < b) then Some n else Some b)
+          None candidates
+      in
+      Option.iter (fun n -> drop_secondary t ~part ~node:n) victim
 
 (* A copy source for [part]: the primary if it is live, else a live
    secondary. [None] when every replica sits on a dead node — the data
@@ -446,9 +372,7 @@ let add_replica t ~part ~node ~on_ready =
                 on_ready ())))
 
 let remove_replica t ~part ~node =
-  if Placement.has_secondary t.placement ~part ~node then (
-    Placement.remove_secondary t.placement ~part ~node;
-    Replication.forget_applied t.replication ~part ~node)
+  if Placement.has_secondary t.placement ~part ~node then drop_secondary t ~part ~node
 
 (* Routing liveness: a node must be both up and a current member —
    standby slots and decommissioned nodes are invisible to the router
@@ -491,28 +415,27 @@ let eligible_targets t =
   List.filter (fun n -> plan_target_ok t n)
     (List.init (Placement.nodes t.placement) Fun.id)
 
-(* Least-loaded eligible node not yet holding [part]; first-lowest id on
-   ties, so rebalancing stays deterministic. Under the region-spread
-   constraint, targets in a region with no replica of [part] are
-   preferred — installs then restore (or widen) the spread — with the
-   unconstrained choice as fallback. *)
+(* Least-loaded eligible node not yet holding [part] among those
+   passing [pred]; first-lowest id on ties, so rebalancing stays
+   deterministic. *)
+let least_loaded t ~part pred =
+  List.fold_left
+    (fun best n ->
+      if Placement.has_replica t.placement ~part ~node:n || not (pred n) then best
+      else
+        match best with
+        | None -> Some n
+        | Some b ->
+            if Placement.replicas_on t.placement n < Placement.replicas_on t.placement b
+            then Some n
+            else best)
+    None (eligible_targets t)
+
+(* Under the region-spread constraint, targets in a region with no
+   replica of [part] are preferred — installs then restore (or widen)
+   the spread — with the unconstrained choice as fallback. *)
 let best_install_target t ~part =
-  let least_loaded pred =
-    List.fold_left
-      (fun best n ->
-        if Placement.has_replica t.placement ~part ~node:n || not (pred n) then
-          best
-        else
-          match best with
-          | None -> Some n
-          | Some b ->
-              if
-                Placement.replicas_on t.placement n
-                < Placement.replicas_on t.placement b
-              then Some n
-              else best)
-      None (eligible_targets t)
-  in
+  let least_loaded = least_loaded t ~part in
   if geo_spread_on t then (
     let prim = Placement.primary t.placement part in
     (* A draining node's copies don't count as coverage: they are on
@@ -601,13 +524,10 @@ and start_move t ~part ~dst ~after =
            let old = Placement.primary t.placement part in
            Placement.remaster t.placement ~part ~node:dst;
            t.primary_term.(part) <- t.primary_term.(part) + 1;
-           (if
-              (not t.node_alive.(old))
-              && Placement.has_secondary t.placement ~part ~node:old
-            then begin
-              Placement.remove_secondary t.placement ~part ~node:old;
-              Replication.forget_applied t.replication ~part ~node:old
-            end);
+           if
+             (not t.node_alive.(old))
+             && Placement.has_secondary t.placement ~part ~node:old
+           then drop_secondary t ~part ~node:old;
            t.part_available.(part) <- now t +. t.cfg.Config.election_delay
          end);
         after ();
@@ -734,25 +654,7 @@ and spread_step t =
                (fun s -> region_of t s = r)
                (Placement.secondaries t.placement p)
         in
-        let target =
-          List.fold_left
-            (fun best n ->
-              if
-                Placement.has_replica t.placement ~part:p ~node:n
-                || covered (region_of t n)
-              then best
-              else
-                match best with
-                | None -> Some n
-                | Some b ->
-                    if
-                      Placement.replicas_on t.placement n
-                      < Placement.replicas_on t.placement b
-                    then Some n
-                    else best)
-            None (eligible_targets t)
-        in
-        match target with
+        match least_loaded t ~part:p (fun n -> not (covered (region_of t n))) with
         | Some dst ->
             if
               start_move t ~part:p ~dst ~after:(fun () ->
@@ -894,8 +796,7 @@ let fail_node t node =
     if t.member.(node) then t.membership_version <- t.membership_version + 1;
     for part = 0 to parts - 1 do
       if Placement.has_secondary t.placement ~part ~node then (
-        Placement.remove_secondary t.placement ~part ~node;
-        Replication.forget_applied t.replication ~part ~node;
+        drop_secondary t ~part ~node;
         (* This may have been the last live copy of a partition whose
            primary died earlier (cascading failure): park it until a
            replica holder recovers. *)
@@ -958,8 +859,7 @@ let fail_node t node =
                   && Placement.has_secondary t.placement ~part ~node
                 then (
                   Metrics.beacon t.metrics "phantom-purge";
-                  Placement.remove_secondary t.placement ~part ~node;
-                  Replication.forget_applied t.replication ~part ~node)))
+                  drop_secondary t ~part ~node)))
     done;
     (* A failure consumed replicas: the elastic rebalancer (when
        enabled) restores the replication factor in the background. *)
@@ -989,8 +889,7 @@ let recover_node t node =
       for part = 0 to parts - 1 do
         if Placement.has_secondary t.placement ~part ~node then begin
           Metrics.beacon t.metrics "rejoin-purge";
-          Placement.remove_secondary t.placement ~part ~node;
-          Replication.forget_applied t.replication ~part ~node;
+          drop_secondary t ~part ~node;
           Metrics.record_replica_purge t.metrics
         end
       done;
@@ -1008,10 +907,7 @@ let recover_node t node =
            unacknowledged log suffix through the replication model —
            the same lagging-log rule [try_begin_remaster] applies —
            and charge it to the network before serving again. *)
-        let lag_bytes =
-          Stdlib.max 256
-            (Replication.lag t.replication ~part * t.cfg.Config.record_bytes)
-        in
+        let lag_bytes = lag_bytes t ~part in
         (match peer with
         | Some src -> Network.send t.network ~src ~dst:node ~bytes:lag_bytes (fun () -> ())
         | None -> Network.charge t.network ~bytes:lag_bytes);
@@ -1025,7 +921,6 @@ let recover_node t node =
     done;
     kick_rebalancer t)
 
-let node_load t n = Server.busy_time t.workers.(n)
 let reset_load_counters t = Array.iter Server.reset_counters t.workers
 
 let submit_local t ?(on_fail = fun () -> ()) ?prio ~node ~work k =
@@ -1034,369 +929,9 @@ let submit_local t ?(on_fail = fun () -> ()) ?prio ~node ~work k =
       ~work:(work *. work_scale t node) k
   else on_fail ()
 
-let nop () = ()
-
-(* Close a span with a note; with no span it reads no clock. *)
-let close_span t note ctx =
-  match ctx with
-  | None -> ()
-  | Some _ ->
-      Trace.note ~ts:(now t) note ctx;
-      Trace.finish ~ts:(now t) ctx
-
-let finish_span t ctx =
-  match ctx with None -> () | Some _ -> Trace.finish ~ts:(now t) ctx
-
-(* One record per remote call. The attempt number, the attempt's start
-   time and its spans are fields, and the continuation the network and
-   the service queue call back into is built once per call; [stage]
-   says which leg it resumes. A call has at most one live message chain:
-   a retransmission starts only after the previous attempt's loss fired
-   its timer, so the fields always describe the attempt in flight. *)
-type stage = Request | Service | Reply
-
-type 'a call = {
-  cl : t;
-  src : int;
-  dst : int;
-  bytes : int;
-  work : float;
-  prio : Server.prio option;
-  deadline : float option;
-  ctx : Trace.ctx option;
-  k : 'a -> unit;
-  on_fail : 'a -> unit;
-  arg : 'a;
-  mutable attempt : int;
-  mutable t0 : float;
-  mutable actx : Trace.ctx option;
-  mutable sctx : Trace.ctx option;  (** the service span, open while queued or served *)
-  mutable stage : stage;  (** the leg in flight *)
-  mutable resume : unit -> unit;  (** runs the leg in flight when it lands *)
-  mutable lost : (unit -> unit) option;
-      (** [Some], so it is passed as [?on_drop]/[?on_shed] without a
-          fresh option per message *)
-}
-
-(* One span per attempt; retransmissions show up as sibling spans with
-   a "retry" annotation on the one that timed out. *)
-let rec call_attempt c =
-  let t = c.cl in
-  c.t0 <- now t;
-  (match c.ctx with
-  | None -> ()
-  | Some _ ->
-      c.actx <-
-        Trace.child ~node:c.dst ~name:(Printf.sprintf "rpc %d->%d" c.src c.dst) ~ts:c.t0
-          c.ctx);
-  c.stage <- Request;
-  Network.send t.network ~src:c.src ~dst:c.dst ~bytes:c.bytes ?on_drop:c.lost ?ctx:c.actx
-    c.resume
-
-and call_timer c =
-  let t = c.cl in
-  let give_up note =
-    close_span t note c.actx;
-    breaker_failure t c.dst;
-    c.on_fail c.arg
-  in
-  if c.attempt >= t.cfg.Config.rpc_retries then (
-    Metrics.record_timeout t.metrics;
-    give_up "timeout")
-  else if match c.deadline with Some d -> now t >= d | None -> false then (
-    (* Deadline propagation: a transaction already past its deadline
-       sheds instead of retrying. *)
-    Metrics.record_timeout t.metrics;
-    give_up "deadline")
-  else if not (budget_allows t) then give_up "budget-denied"
-  else (
-    Metrics.record_retry t.metrics;
-    close_span t "retry" c.actx;
-    let backoff = t.cfg.Config.rpc_backoff *. float_of_int (1 lsl c.attempt) in
-    c.attempt <- c.attempt + 1;
-    Engine.schedule_apply t.engine ~delay:backoff call_attempt c)
-
-(* The simulator is omniscient: a timeout only ever matters when the
-   request or reply is actually lost (or shed by the remote admission
-   queue), so the timer is created lazily at the moment of loss (healthy
-   runs schedule no extra events — determinism is preserved
-   bit-for-bit). A shed request still has its service span open; a
-   dropped message has none. *)
-let call_lost c =
-  let t = c.cl in
-  (* The overloaded (or dead) receiver shed the request: the sender can
-     only find out by timing out. *)
-  close_span t "shed" c.sctx;
-  c.sctx <- None;
-  let remaining = Stdlib.max 0.0 (c.t0 +. t.cfg.Config.rpc_timeout -. now t) in
-  Engine.schedule_apply t.engine ~delay:remaining call_timer c
-
-let call_resume c =
-  let t = c.cl in
-  match c.stage with
-  | Request ->
-      (* The request landed: queue it for [dst]'s messenger pool. *)
-      (match c.actx with
-      | None -> ()
-      | Some _ -> c.sctx <- Trace.child ~name:"service" ~ts:(now t) c.actx);
-      c.stage <- Service;
-      Server.submit t.services.(c.dst) ?prio:c.prio ?on_shed:c.lost
-        ~work:(c.work *. work_scale t c.dst) c.resume
-  | Service ->
-      finish_span t c.sctx;
-      c.sctx <- None;
-      c.stage <- Reply;
-      Network.send t.network ~src:c.dst ~dst:c.src ~bytes:c.bytes ?on_drop:c.lost
-        ?ctx:c.actx c.resume
-  | Reply ->
-      finish_span t c.actx;
-      breaker_success t c.dst;
-      c.k c.arg
-
-let call t ?(on_fail = ignore) ?ctx ?deadline ?prio ~src ~dst ~bytes ~work k arg =
-  if src = dst then
-    if t.node_alive.(dst) then
-      Server.submit t.services.(dst) ?prio
-        ~on_shed:(fun () -> on_fail arg)
-        ~work:(work *. work_scale t dst)
-        (fun () -> k arg)
-    else on_fail arg
-  else if not (breaker_allows t dst) then
-    (* Open breaker: shed the call immediately — no wire traffic, no
-       worker-hold through a doomed timeout. *)
-    on_fail arg
-  else
-    let c =
-      {
-        cl = t;
-        src;
-        dst;
-        bytes;
-        work;
-        prio;
-        deadline;
-        ctx;
-        k;
-        on_fail;
-        arg;
-        attempt = 0;
-        t0 = 0.0;
-        actx = None;
-        sctx = None;
-        stage = Request;
-        resume = nop;
-        lost = None;
-      }
-    in
-    c.resume <- (fun () -> call_resume c);
-    c.lost <- Some (fun () -> call_lost c);
-    call_attempt c
-
-let rpc t ?(on_fail = nop) ?ctx ?deadline ?prio ~src ~dst ~bytes ~work k =
-  call t ~on_fail ?ctx ?deadline ?prio ~src ~dst ~bytes ~work k ()
-
 let acquire_worker t ?on_fail ~node k =
   Server.acquire t.workers.(node) ?on_shed:on_fail k
 let release_worker t ~node lease = Server.release t.workers.(node) lease
-
-(* Anti-entropy repair: a log ship that exhausted its retries (long
-   partition, dead link) leaves the replica's applied watermark behind
-   the authoritative log. The loop re-ships the missing suffix from a
-   live replica until the target catches up, loses the replica, or
-   dies; each failed round backs off exponentially from two RPC
-   timeouts up to [resync_backoff_cap], bounded by [tries] so a
-   permanently unreachable replica cannot keep the event queue alive
-   forever. The cap matters: at a fixed two-timeout interval the whole
-   budget burns in under a second, so any partition outliving it left
-   the replica permanently behind — a real divergence the fault-schedule
-   fuzzer found. With the capped doubling the same budget spans ~30
-   simulated seconds, past any plan's heal time. It is only ever
-   started after a ship actually failed, so healthy runs schedule
-   nothing and stay bit-for-bit identical. *)
-let resync_backoff_cap = 500_000.0
-
-let rec resync_replica t ~part ~node ~tries ~backoff =
-  let stop () = Hashtbl.remove t.resync_inflight (part, node) in
-  let goal = Replication.appends t.replication ~part in
-  if
-    (not t.node_alive.(node))
-    || (not (Placement.has_replica t.placement ~part ~node))
-    || Replication.applied t.replication ~part ~node >= goal
-    || tries <= 0
-  then stop ()
-  else
-    let retry () =
-      Engine.schedule t.engine ~delay:backoff (fun () ->
-          resync_replica t ~part ~node ~tries:(tries - 1)
-            ~backoff:(Float.min (2.0 *. backoff) resync_backoff_cap))
-    in
-    let live_source =
-      List.find_opt
-        (fun n -> n <> node && t.node_alive.(n))
-        (Placement.primary t.placement part :: Placement.secondaries t.placement part)
-    in
-    match live_source with
-    | None -> retry () (* every other replica is down: wait for a recovery *)
-    | Some src ->
-        let cur = Replication.applied t.replication ~part ~node in
-        let bytes = Stdlib.max 256 ((goal - cur) * t.cfg.Config.record_bytes) in
-        let session = session_for t ~part ~dst:node in
-        Network.send t.network ~src ~dst:node ~bytes ~on_drop:retry (fun () ->
-            let stale = session_stale t ~dst:node session in
-            if stale && t.cfg.Config.session_tagging then begin
-              (* The node rejoined while the suffix was in flight: the
-                 shipped range was computed against its previous
-                 incarnation. Reject and restart with a fresh session. *)
-              Metrics.record_stale_ack t.metrics;
-              Metrics.beacon t.metrics "resync-stale";
-              resync_replica t ~part ~node ~tries:(tries - 1) ~backoff
-            end
-            else begin
-              (* The suffix extends state from [cur]: incremental, so
-                 the durable watermark moves only where durable state
-                 exists — and not at all on an untagged stale ship. *)
-              Replication.ack_stream t.replication ~part ~node ~upto:goal ~stale
-                ~reject:false;
-              Metrics.beacon t.metrics "resync-apply";
-              t.resync_count <- t.resync_count + 1;
-              (* More records may have landed while the suffix was in
-                 flight: chase the tail before declaring victory. A
-                 successful round resets the backoff: the link works. *)
-              resync_replica t ~part ~node ~tries
-                ~backoff:(2.0 *. t.cfg.Config.rpc_timeout)
-            end)
-
-let start_resync t ~part ~node =
-  if not (Hashtbl.mem t.resync_inflight (part, node)) then (
-    Hashtbl.add t.resync_inflight (part, node) ();
-    Engine.schedule t.engine ~delay:(2.0 *. t.cfg.Config.rpc_timeout) (fun () ->
-        resync_replica t ~part ~node ~tries:64
-          ~backoff:(2.0 *. t.cfg.Config.rpc_timeout)))
-
-(* One record per log ship (one record to one secondary), built like
-   an RPC [call]: the attempt number and the span are fields, the two
-   network continuations are built once per ship, and the chain has at
-   most one message in flight. *)
-type ship = {
-  owner : t;
-  part : int;
-  from_node : int;
-  to_node : int;
-  upto : int;  (** log index the record carries *)
-  session : Replication.session;
-      (** fixed when the ship starts; retransmissions reuse it, exactly
-          like a real replication session that outlives a destination
-          restart *)
-  rctx : Trace.ctx option;
-  mutable tries : int;
-  mutable arrived : unit -> unit;
-  mutable dropped : (unit -> unit) option;
-}
-
-let ship_send (s : ship) =
-  Network.send s.owner.network ~src:s.from_node ~dst:s.to_node
-    ~bytes:s.owner.cfg.Config.record_bytes ?on_drop:s.dropped s.arrived
-
-let ship_arrived (s : ship) =
-  let t = s.owner and dst = s.to_node in
-  let stale = session_stale t ~dst s.session in
-  if stale && t.cfg.Config.session_tagging then begin
-    (* Delivered to a node that left and rejoined while the record was
-       in flight: the ack would stamp a watermark the node's storage no
-       longer backs. *)
-    Metrics.record_stale_ack t.metrics;
-    close_span t "stale-session" s.rctx
-  end
-  else begin
-    (* The stream is cumulative: delivering the record at index [upto]
-       implies everything before it arrived (or was re-shipped) too —
-       for the believed watermark always, for the durable one only where
-       durable state exists and the session is fresh. *)
-    Replication.ack_stream t.replication ~part:s.part ~node:dst ~upto:s.upto ~stale
-      ~reject:false;
-    finish_span t s.rctx;
-    breaker_success t dst
-  end
-
-(* Log shipping retries on loss like an RPC, but needs no reply: the
-   group-commit stream is idempotent, so the only cost of a loss is the
-   retransmission. Retransmissions draw on the same retry budget as
-   RPCs. *)
-let ship_dropped (s : ship) =
-  let t = s.owner in
-  let give_up note =
-    Metrics.record_timeout t.metrics;
-    close_span t note s.rctx;
-    breaker_failure t s.to_node;
-    start_resync t ~part:s.part ~node:s.to_node
-  in
-  if s.tries >= t.cfg.Config.rpc_retries then give_up "timeout"
-  else if not (budget_allows t) then give_up "budget-denied"
-  else (
-    Metrics.record_retry t.metrics;
-    (match s.rctx with None -> () | Some _ -> Trace.note ~ts:(now t) "retry" s.rctx);
-    let backoff = t.cfg.Config.rpc_backoff *. float_of_int (1 lsl s.tries) in
-    s.tries <- s.tries + 1;
-    Engine.schedule_apply t.engine ~delay:backoff ship_send s)
-
-let start_ship t ctx ~part ~src ~upto ~dst =
-  (* The asynchronous log ship gets its own span (phase "replication"):
-     it usually outlives the transaction, so it shows up in the exported
-     trace as the async tail but is never blamed on the critical path. *)
-  let rctx =
-    match ctx with
-    | None -> None
-    | Some _ ->
-        Trace.child ~node:dst ~part ~phase:"replication" ~name:"log-ship" ~ts:(now t) ctx
-  in
-  let session = session_for t ~part ~dst in
-  (* A destination whose breaker is open is handed straight to
-     anti-entropy — the resync loop ships the whole missing suffix
-     later, which is cheaper than feeding a black hole one record at a
-     time. *)
-  if breaker_allows t dst then (
-    let s =
-      {
-        owner = t;
-        part;
-        from_node = src;
-        to_node = dst;
-        upto;
-        session;
-        rctx;
-        tries = 0;
-        arrived = nop;
-        dropped = None;
-      }
-    in
-    s.arrived <- (fun () -> ship_arrived s);
-    s.dropped <- Some (fun () -> ship_dropped s);
-    ship_send s)
-  else (
-    close_span t "breaker-open" rctx;
-    start_resync t ~part ~node:dst)
-
-let rec replicate_commit t ?ctx = function
-  | [] -> ()
-  | p :: rest ->
-      Replication.append t.replication ~part:p;
-      let len = Replication.appends t.replication ~part:p in
-      let src = Placement.primary t.placement p in
-      (* The primary's own copy applies the record at commit time — an
-         incremental extension of its local log, so it advances the
-         durable watermark only where durable state exists. (A primary
-         promoted from a stale-session install has none: its commits
-         stamp bookkeeping over state its storage never received, which
-         is exactly what the divergence audit must still see.) *)
-      Replication.ack_stream t.replication ~part:p ~node:src ~upto:len ~stale:false
-        ~reject:false;
-      (* Secondaries in ascending node order, as [Placement.secondaries]
-         lists them, without building the list. *)
-      for dst = 0 to Placement.nodes t.placement - 1 do
-        if Placement.has_secondary t.placement ~part:p ~node:dst then
-          start_ship t ctx ~part:p ~src ~upto:len ~dst
-      done;
-      replicate_commit t ?ctx rest
 
 (* Applied-watermark bookkeeping for layers that move replicas through
    [Placement] directly (the Leap migrate path, batch-mode remasters):
@@ -1405,9 +940,6 @@ let note_replica_synced t ~part ~node =
   if Placement.has_replica t.placement ~part ~node then
     Replication.set_applied t.replication ~part ~node
       ~upto:(Replication.appends t.replication ~part)
-
-let note_replica_dropped t ~part ~node =
-  Replication.forget_applied t.replication ~part ~node
 
 (* Ground-truth liveness introspection (docs/FUZZING.md): after a run
    drains to quiescence, every leader transfer must have resolved and

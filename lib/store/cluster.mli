@@ -2,7 +2,9 @@
     replica-manipulation primitives (remaster / add / remove replica)
     that the paper's adaptor invokes (§III, §V MHandler functions).
 
-    All protocol implementations run against this one substrate. *)
+    All protocol implementations run against this one substrate; how a
+    message between its nodes survives loss (calls, log shipping,
+    anti-entropy) is {!Transport}. *)
 
 type access_peak
 (** The hottest [part_access] value, kept current by [touch_partition]
@@ -56,16 +58,19 @@ type t = {
           (the paper's remastering-conflict rule: one wins, others fall
           back to 2PC) *)
   resync_inflight : (int * int, unit) Hashtbl.t;
-      (** (part, node) pairs with an anti-entropy repair in progress *)
+      (** (part, node) pairs with an anti-entropy repair in progress;
+          owned by {!Transport} *)
   mutable resync_count : int;
-      (** completed anti-entropy suffix ships (see [replicate_commit]) *)
+      (** completed anti-entropy suffix ships (see
+          [Transport.replicate_commit]) *)
   retry_budget : Lion_sim.Overload.Token_bucket.t option;
-      (** global token bucket drawn on by every RPC / log-ship
-          retransmission; [None] (default, no [Config.retry_budget])
-          leaves retries unlimited *)
+      (** global token bucket drawn on by every call / log-ship
+          retransmission in {!Transport}; [None] (default, no
+          [Config.retry_budget]) leaves retries unlimited *)
   breakers : Lion_sim.Overload.Breaker.t array;
-      (** per-destination circuit breakers indexed by node; [[||]]
-          (default, no [Config.breaker]) disables them *)
+      (** per-destination circuit breakers indexed by node, read by
+          {!Transport}; [[||]] (default, no [Config.breaker]) disables
+          them *)
   member : bool array;
       (** elastic membership (docs/MEMBERSHIP.md): slots currently in
           the cluster. The first [Config.nodes] slots start as members;
@@ -130,6 +135,13 @@ val region_of : t -> int -> int
 (** Region of a node slot ([Config.region_of_node]); 0 for every node
     while the cluster is region-free (docs/GEO.md). *)
 
+val session_for : t -> part:int -> dst:int -> Replication.session
+(** The identity of a stream to [dst] opened now: membership version,
+    [part]'s leadership term and [dst]'s incarnation. *)
+
+val session_stale : t -> dst:int -> Replication.session -> bool
+(** Whether [dst] has left and rejoined since the session opened. *)
+
 val touch_partition : t -> int -> unit
 (** Bump the access counter used for f(v, n) in the cost model. *)
 
@@ -182,16 +194,20 @@ val add_replica : t -> part:int -> node:int -> on_ready:(unit -> unit) -> unit
     gains a replica whose durable watermark never moved. *)
 
 val remove_replica : t -> part:int -> node:int -> unit
+(** Drop [node]'s secondary copy of [part], if it holds one. *)
+
+val drop_secondary : t -> part:int -> node:int -> unit
+(** Drop [node]'s secondary copy of [part] and forget its applied
+    watermark — for callers that know the copy is a secondary,
+    including layers that reshape replicas through [Placement]
+    directly. Raises [Invalid_argument] as [Placement.remove_secondary]
+    does otherwise. *)
 
 val note_replica_synced : t -> part:int -> node:int -> unit
 (** Stamp a replica's applied watermark to the current log length — for
     layers that install or refresh copies through [Placement] directly
     (the migration path, batch-mode remasters) rather than via
     [add_replica]/[try_begin_remaster], which stamp it themselves. *)
-
-val note_replica_dropped : t -> part:int -> node:int -> unit
-(** Forget a replica's applied watermark after dropping the copy
-    through [Placement] directly. *)
 
 val alive : t -> int -> bool
 (** Routing liveness: the node is a current member and up. Standby
@@ -270,10 +286,6 @@ val worker_saturated : t -> node:int -> bool
     [acquire_worker] would queue. The executor uses this to decide
     whether a queue-wait span is worth opening. *)
 
-val breaker_state : t -> int -> Lion_sim.Overload.Breaker.state
-(** Current breaker state for RPCs to a node ([Closed] when breakers
-    are disabled). *)
-
 val remasters_inflight : t -> int
 (** Leader transfers currently in flight. At quiescence this must read
     0 — a non-zero value after a full drain means a transfer's
@@ -284,14 +296,6 @@ val parked_partitions : t -> int list
 (** Partitions currently parked as unavailable (no live primary and no
     surviving copy to promote), ascending. Non-empty after a full drain
     with every node recovered is a liveness finding. *)
-
-val total_sheds : t -> int
-(** Lifetime sum of requests shed by every worker and messenger queue
-    in the cluster (never reset). *)
-
-val node_load : t -> int -> float
-(** Busy-time of the node's worker pool since the last counter reset —
-    Clay's overload signal and our load-balance measurements. *)
 
 val reset_load_counters : t -> unit
 
@@ -305,53 +309,6 @@ val submit_local :
     does a full bounded worker queue: [on_fail] (default: ignore) fires
     immediately instead. [prio] sets the admission class. *)
 
-val rpc :
-  t ->
-  ?on_fail:(unit -> unit) ->
-  ?ctx:Lion_trace.Trace.ctx ->
-  ?deadline:float ->
-  ?prio:Lion_sim.Server.prio ->
-  src:int -> dst:int -> bytes:int -> work:float -> (unit -> unit) -> unit
-(** Round trip: request message, [work] µs of service on [dst]'s
-    messenger pool (stretched by [dst]'s [work_scale]), reply message;
-    continuation fires at reply arrival. Local calls skip the wire but
-    still consume [work]. If the request or reply is lost (fault layer:
-    drop, partition, dead endpoint) or shed by [dst]'s admission queue,
-    the sender times out [cfg.rpc_timeout] µs after the attempt began
-    and retransmits with exponential backoff ([cfg.rpc_backoff]
-    doubling per attempt), up to [cfg.rpc_retries] retries; exhausting
-    them records a timeout and fires [on_fail] (default: ignore). A
-    retransmission may re-execute [work] on [dst] — modelled services
-    are idempotent. Timers are created lazily at the moment of loss, so
-    healthy runs schedule no extra events and stay bit-for-bit
-    deterministic. A remote call is one record, built once: its
-    retransmissions reuse it and its continuations.
-
-    Overload controls (each off by default — docs/OVERLOAD.md):
-    a retransmission is abandoned (and [on_fail] fires) once [deadline]
-    — an absolute simulated time — has passed, or when the cluster
-    retry budget is dry. When breakers are configured, a remote call to
-    a destination whose breaker is open fails fast (no wire traffic);
-    terminal failures feed the breaker, delivered replies reset it.
-    [prio] sets the admission class on [dst]'s messenger queue.
-
-    [ctx] traces the call: one child span per attempt (wire, remote
-    service time and reply each nested under it), with "retry" /
-    "timeout" / "deadline" / "budget-denied" / "shed" annotations — see
-    {!Lion_trace.Trace}. *)
-
-val call :
-  t ->
-  ?on_fail:('a -> unit) ->
-  ?ctx:Lion_trace.Trace.ctx ->
-  ?deadline:float ->
-  ?prio:Lion_sim.Server.prio ->
-  src:int -> dst:int -> bytes:int -> work:float -> ('a -> unit) -> 'a -> unit
-(** [call t ... k x] is [rpc] with continuations applied to [x]: on a
-    hot path, [k] and [on_fail] can be preallocated functions and [x]
-    the caller's state record, so issuing a call builds no closure for
-    them. [rpc] is [call] with [x = ()]. *)
-
 val acquire_worker :
   t -> ?on_fail:(unit -> unit) -> node:int -> (Lion_sim.Server.lease -> unit) -> unit
 (** Hold one of [node]'s workers (a transaction coordinator's thread)
@@ -360,17 +317,3 @@ val acquire_worker :
     request is shed instead of granted. *)
 
 val release_worker : t -> node:int -> Lion_sim.Server.lease -> unit
-
-val replicate_commit : t -> ?ctx:Lion_trace.Trace.ctx -> int list -> unit
-(** [replicate_commit t parts] charges asynchronous replication traffic
-    for a commit touching [parts]: one log record per secondary replica. Group-commit batching
-    is modelled by the per-byte cost only (no blocking). Lost log
-    records are retransmitted with the RPC backoff schedule (the stream
-    is idempotent); exhausting the retries records a timeout and starts
-    an anti-entropy repair that re-ships the replica's missing log
-    suffix from a live peer (with backoff, bounded retries) until its
-    applied watermark catches the log — so a long partition cannot
-    leave a secondary permanently diverged. Retransmissions draw on the
-    cluster retry budget, and a destination with an open breaker skips
-    the per-record stream entirely in favour of anti-entropy. [ctx]
-    traces each log ship as an async "replication" span. *)

@@ -1,17 +1,4 @@
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Lion_kernel.Json
 
 let pid_of_node node = node + 1
 
@@ -29,7 +16,7 @@ let emit_trace buf ~first (data : Trace.trace) =
       let dur = Trace.span_duration s in
       add_event buf ~first
         {|{"name":"%s","cat":"%s","ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d,"args":{"txn":%d,"span":%d,"part":%d%s}}|}
-        (escape s.Trace.name) (escape s.Trace.phase) s.Trace.start_ts dur
+        (Json.escape s.Trace.name) (Json.escape s.Trace.phase) s.Trace.start_ts dur
         (pid_of_node s.Trace.node) tid data.Trace.txn_id s.Trace.id
         s.Trace.part
         (if Trace.is_open s then {|,"open":true|} else "");
@@ -37,7 +24,7 @@ let emit_trace buf ~first (data : Trace.trace) =
         (fun (ts, msg) ->
           add_event buf ~first
             {|{"name":"%s","cat":"%s","ph":"i","ts":%.3f,"pid":%d,"tid":%d,"s":"t"}|}
-            (escape msg) (escape s.Trace.phase) ts (pid_of_node s.Trace.node)
+            (Json.escape msg) (Json.escape s.Trace.phase) ts (pid_of_node s.Trace.node)
             tid)
         (List.rev s.Trace.notes))
     spans
@@ -74,7 +61,7 @@ let to_json ?(label = "lion") ?(instants = []) traces =
     (fun (ts, node, name) ->
       add_event buf ~first
         {|{"name":"%s","cat":"fault","ph":"i","ts":%.3f,"pid":%d,"tid":0,"s":"g"}|}
-        (escape name) ts (pid_of_node node))
+        (Json.escape name) ts (pid_of_node node))
     instants;
   List.iter
     (fun data ->
@@ -92,7 +79,7 @@ let to_json ?(label = "lion") ?(instants = []) traces =
   Buffer.add_string buf
     (Printf.sprintf
        "\n  ],\n\"displayTimeUnit\":\"ms\",\"otherData\":{\"label\":\"%s\",\"traces\":%d}}\n"
-       (escape label) (List.length traces));
+       (Json.escape label) (List.length traces));
   Buffer.contents buf
 
 let write ~path ?label ?instants traces =

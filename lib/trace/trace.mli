@@ -4,7 +4,7 @@
     of its life — execution groups, remaster transfers, 2PC rounds,
     individual network messages, retries and group-commit waits — as a
     tree of timed {!span}s. The instrumented layers ([Network.send],
-    [Cluster.rpc], the protocol engines) each open a child span under
+    [Transport.call], the protocol engines) each open a child span under
     the context they were handed and close it when their step
     completes, so a finished trace is a faithful causal record of where
     the transaction's latency went.

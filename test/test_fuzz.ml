@@ -204,6 +204,31 @@ let test_json_rejects_garbage () =
   in
   Alcotest.(check bool) "unknown op" true (bad meteor)
 
+(* A literal is read whole: the old reader took any token starting
+   with [t] or [f] as a boolean, so a corrupt flag silently flipped the
+   planted bug on. Integer fields take integers only. *)
+let test_json_rejects_malformed_literals () =
+  let text = Fuzz.to_json ~expect:Fuzz.Clean kitchen_sink in
+  let with_field key value =
+    let prefix = Printf.sprintf "\"%s\": " key in
+    let i =
+      let rec find i =
+        if String.sub text i (String.length prefix) = prefix then i else find (i + 1)
+      in
+      find 0
+    in
+    let j = String.index_from text i ',' in
+    String.sub text 0 (i + String.length prefix)
+    ^ value
+    ^ String.sub text j (String.length text - j)
+  in
+  let rejected s = match Fuzz.of_json s with Ok _ -> false | Error _ -> true in
+  Alcotest.(check bool) "well-formed flag reads" false
+    (rejected (with_field "phantom" "false"));
+  Alcotest.(check bool) "tXYZ" true (rejected (with_field "phantom" "tXYZ"));
+  Alcotest.(check bool) "fals9" true (rejected (with_field "phantom" "fals9"));
+  Alcotest.(check bool) "fractional seed" true (rejected (with_field "seed" "7.5"))
+
 (* --- liveness audit --- *)
 
 let test_plan_horizon () =
@@ -316,6 +341,8 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_json_round_trip;
           Alcotest.test_case "rejects garbage" `Quick test_json_rejects_garbage;
+          Alcotest.test_case "rejects malformed literals" `Quick
+            test_json_rejects_malformed_literals;
         ] );
       ( "liveness",
         [

@@ -5,6 +5,7 @@ module Placement = Lion_store.Placement
 module Kvstore = Lion_store.Kvstore
 module Config = Lion_store.Config
 module Cluster = Lion_store.Cluster
+module Transport = Lion_store.Transport
 module Engine = Lion_sim.Engine
 
 (* --- placement --- *)
@@ -568,8 +569,9 @@ let test_access_frequency_tracking () =
 let test_rpc_consumes_remote_service () =
   let cl = mk_cluster () in
   let finished = ref (-1.0) in
-  Cluster.rpc cl ~src:0 ~dst:1 ~bytes:128 ~work:10.0 (fun () ->
-      finished := Engine.now cl.Cluster.engine);
+  Transport.call cl ~src:0 ~dst:1 ~bytes:128 ~work:10.0
+    (fun () -> finished := Engine.now cl.Cluster.engine)
+    ();
   Engine.run_all cl.Cluster.engine ();
   (* 2 one-way trips + 10 µs service, with the default 60 µs latency. *)
   Alcotest.(check bool) "took at least 2 RT + work" true (!finished >= 130.0);
@@ -578,7 +580,7 @@ let test_rpc_consumes_remote_service () =
 
 let test_replicate_commit_charges_bytes () =
   let cl = mk_cluster () in
-  Cluster.replicate_commit cl [ 0; 1 ];
+  Transport.replicate_commit cl [ 0; 1 ];
   Alcotest.(check bool) "bytes charged" true
     (Lion_sim.Network.total_bytes cl.Cluster.network > 0)
 
@@ -719,7 +721,7 @@ let test_cluster_watermarks_span_standby_slots () =
 
 let test_commit_feeds_replication_log () =
   let cl = mk_cluster () in
-  Cluster.replicate_commit cl [ 3; 7 ];
+  Transport.replicate_commit cl [ 3; 7 ];
   Alcotest.(check int) "log grew" 1 (Replication.appends cl.Cluster.replication ~part:3);
   Alcotest.(check int) "both partitions" 1 (Replication.appends cl.Cluster.replication ~part:7)
 
@@ -728,7 +730,7 @@ let test_remaster_bytes_scale_with_lag () =
   let bytes_before = Lion_sim.Network.total_bytes cl.Cluster.network in
   (* Build up lag on partition 0, then remaster it. *)
   for _ = 1 to 100 do
-    Cluster.replicate_commit cl [ 0 ]
+    Transport.replicate_commit cl [ 0 ]
   done;
   let after_replication = Lion_sim.Network.total_bytes cl.Cluster.network in
   let target = Placement.secondaries cl.Cluster.placement 0 |> List.hd in
@@ -816,9 +818,10 @@ let test_rpc_dead_node_times_out () =
   let cl = mk_cluster () in
   Cluster.fail_node cl 1;
   let failed_at = ref (-1.0) and delivered = ref false in
-  Cluster.rpc cl ~src:0 ~dst:1 ~bytes:64 ~work:5.0
+  Transport.call cl ~src:0 ~dst:1 ~bytes:64 ~work:5.0
     ~on_fail:(fun () -> failed_at := Engine.now cl.Cluster.engine)
-    (fun () -> delivered := true);
+    (fun () -> delivered := true)
+    ();
   Engine.run_all cl.Cluster.engine ();
   Alcotest.(check bool) "success continuation never ran" false !delivered;
   (* Attempts start at 0, 5200, 10600 and 16400 µs: each times out
@@ -833,9 +836,10 @@ let test_rpc_retry_succeeds_after_recovery () =
   let cl = mk_cluster () in
   Cluster.fail_node cl 1;
   let delivered_at = ref (-1.0) and failed = ref false in
-  Cluster.rpc cl ~src:0 ~dst:1 ~bytes:0 ~work:0.0
+  Transport.call cl ~src:0 ~dst:1 ~bytes:0 ~work:0.0
     ~on_fail:(fun () -> failed := true)
-    (fun () -> delivered_at := Engine.now cl.Cluster.engine);
+    (fun () -> delivered_at := Engine.now cl.Cluster.engine)
+    ();
   Engine.schedule cl.Cluster.engine ~delay:3_000.0 (fun () -> Cluster.recover_node cl 1);
   Engine.run_all cl.Cluster.engine ();
   Alcotest.(check bool) "no failure surfaced" false !failed;
@@ -861,9 +865,10 @@ let reply_drop_cluster ~until =
 let test_rpc_reply_dropped_then_retried () =
   let cl = reply_drop_cluster ~until:1_000.0 in
   let delivered_at = ref (-1.0) and failed = ref false in
-  Cluster.rpc cl ~src:0 ~dst:1 ~bytes:64 ~work:5.0
+  Transport.call cl ~src:0 ~dst:1 ~bytes:64 ~work:5.0
     ~on_fail:(fun () -> failed := true)
-    (fun () -> delivered_at := Engine.now cl.Cluster.engine);
+    (fun () -> delivered_at := Engine.now cl.Cluster.engine)
+    ();
   Engine.run_all cl.Cluster.engine ();
   Alcotest.(check bool) "no failure surfaced" false !failed;
   (* The reply sent at 65.544 is lost; the timer fires at 5000, the
@@ -879,9 +884,10 @@ let test_rpc_reply_dropped_then_retried () =
 let test_rpc_reply_always_dropped_exhausts () =
   let cl = reply_drop_cluster ~until:1e9 in
   let failed_at = ref (-1.0) and delivered = ref false in
-  Cluster.rpc cl ~src:0 ~dst:1 ~bytes:64 ~work:5.0
+  Transport.call cl ~src:0 ~dst:1 ~bytes:64 ~work:5.0
     ~on_fail:(fun () -> failed_at := Engine.now cl.Cluster.engine)
-    (fun () -> delivered := true);
+    (fun () -> delivered := true)
+    ();
   Engine.run_all cl.Cluster.engine ();
   Alcotest.(check bool) "success continuation never ran" false !delivered;
   (* Same schedule as a dead destination (attempts at 0, 5200, 10600,
@@ -913,9 +919,10 @@ let test_rpc_shed_by_full_service_queue () =
     Lion_sim.Server.submit svc ~work:10_000.0 (fun () -> ())
   done;
   let delivered_at = ref (-1.0) and failed = ref false in
-  Cluster.rpc cl ~src:0 ~dst:1 ~bytes:64 ~work:5.0
+  Transport.call cl ~src:0 ~dst:1 ~bytes:64 ~work:5.0
     ~on_fail:(fun () -> failed := true)
-    (fun () -> delivered_at := Engine.now cl.Cluster.engine);
+    (fun () -> delivered_at := Engine.now cl.Cluster.engine)
+    ();
   Engine.run_all cl.Cluster.engine ();
   Alcotest.(check bool) "no failure surfaced" false !failed;
   Alcotest.(check (float 1e-6)) "third attempt delivered" 10_726.088 !delivered_at;
