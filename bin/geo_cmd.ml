@@ -6,17 +6,16 @@
    runs byte-for-byte. *)
 
 open Cmdliner
+module Geo = Lion_harness.Geo
 
 let run smoke seed assert_crossover =
   let scale = if smoke then 0.25 else 1.0 in
-  let rows2 = Lion_harness.Geo.sweep ~seed ~scale ~regions:2 () in
-  Lion_harness.Geo.print_sweep ~regions:2 rows2;
-  let rows3 = Lion_harness.Geo.sweep ~seed ~scale ~regions:3 () in
-  Lion_harness.Geo.print_sweep ~regions:3 rows3;
-  Lion_harness.Geo.print_partition ~scale
-    (Lion_harness.Geo.wan_partition ~seed ~scale ());
+  let rows2 = Geo.sweep ~seed ~scale ~regions:2 () in
+  Geo.print_sweep ~regions:2 rows2;
+  Geo.print_sweep ~regions:3 (Geo.sweep ~seed ~scale ~regions:3 ());
+  Geo.print_partition (Geo.wan_partition ~seed ~scale ());
   if not assert_crossover then 0
-  else if Lion_harness.Geo.crossover_ok rows2 then (
+  else if Geo.crossover_ok rows2 then (
     print_endline "crossover: OK (Lion wins at 0%, EpochOCC wins at 100%)";
     0)
   else (

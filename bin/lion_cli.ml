@@ -58,24 +58,23 @@ let do_run (protocol : Protocols.entry) workload nodes skew cross duration warmu
   let r =
     run_protocol protocol workload ~nodes ~skew ~cross ~warmup ~duration ~remaster_delay ~seed
   in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf "%s on %s (nodes=%d skew=%.2f cross=%.2f)" protocol.id workload nodes
-           skew cross)
-      ~columns:[ "metric"; "value" ]
-  in
-  Table.add_row t [ "throughput (txn/s)"; Table.cell_float ~decimals:0 r.Runner.throughput ];
-  Table.add_row t [ "commits"; Table.cell_int r.Runner.commits ];
-  Table.add_row t [ "aborts"; Table.cell_int r.Runner.aborts ];
-  Table.add_row t [ "p50 latency (ms)"; Table.cell_float ~decimals:2 (r.Runner.p50 /. 1000.0) ];
-  Table.add_row t [ "p95 latency (ms)"; Table.cell_float ~decimals:2 (r.Runner.p95 /. 1000.0) ];
-  Table.add_row t
-    [ "single-node %"; Table.cell_float ~decimals:1 (100.0 *. r.Runner.single_node_ratio) ];
-  Table.add_row t [ "bytes/txn"; Table.cell_float ~decimals:0 r.Runner.bytes_per_txn ];
-  Table.add_row t [ "remasters"; Table.cell_int r.Runner.remasters ];
-  Table.add_row t [ "replica adds"; Table.cell_int r.Runner.replica_adds ];
-  Table.print t;
+  Table.by_metric
+    ~title:
+      (Printf.sprintf "%s on %s (nodes=%d skew=%.2f cross=%.2f)" protocol.id workload nodes skew
+         cross)
+    "metric"
+    [
+      Runner.fixed ~decimals:0 "throughput (txn/s)" (fun r -> r.throughput);
+      Runner.count "commits" (fun r -> r.commits);
+      Runner.aborts;
+      Runner.ms ~decimals:2 "p50 latency (ms)" (fun r -> r.p50);
+      Runner.ms ~decimals:2 "p95 latency (ms)" (fun r -> r.p95);
+      Runner.single_node;
+      Runner.fixed ~decimals:0 "bytes/txn" (fun r -> r.bytes_per_txn);
+      Runner.count "remasters" (fun r -> r.remasters);
+      Runner.count "replica adds" (fun r -> r.replica_adds);
+    ]
+    [ ("value", r) ];
   write_summary csv [ (protocol.id, r) ]
 
 let run_cmd =
@@ -101,25 +100,17 @@ let do_compare protocols workload nodes skew cross duration warmup remaster_dela
         ))
       protocols
   in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf "%s (nodes=%d skew=%.2f cross=%.2f)" workload nodes skew cross)
-      ~columns:[ "protocol"; "k txn/s"; "p50 (ms)"; "p95 (ms)"; "single-node %"; "aborts" ]
-  in
-  List.iter
-    (fun (name, (r : Runner.result)) ->
-      Table.add_row t
-        [
-          name;
-          Table.cell_float ~decimals:1 (r.Runner.throughput /. 1000.0);
-          Table.cell_float ~decimals:2 (r.Runner.p50 /. 1000.0);
-          Table.cell_float ~decimals:2 (r.Runner.p95 /. 1000.0);
-          Table.cell_float ~decimals:1 (100.0 *. r.Runner.single_node_ratio);
-          Table.cell_int r.Runner.aborts;
-        ])
+  Table.by_row
+    ~title:(Printf.sprintf "%s (nodes=%d skew=%.2f cross=%.2f)" workload nodes skew cross)
+    "protocol"
+    [
+      Runner.k_txn ();
+      Runner.ms ~decimals:2 "p50 (ms)" (fun r -> r.p50);
+      Runner.ms ~decimals:2 "p95 (ms)" (fun r -> r.p95);
+      Runner.single_node;
+      Runner.aborts;
+    ]
     results;
-  Table.print t;
   write_summary csv results
 
 let compare_cmd =

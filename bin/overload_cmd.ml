@@ -28,14 +28,7 @@ let run smoke assert_budget out_dir seed =
   let protocols =
     if smoke then [ Lion_harness.Protocols.get "2pc" ] else Overload.protocols
   in
-  let sweeps =
-    List.concat_map
-      (fun protect ->
-        List.map
-          (Overload.sweep_one ~seed ~scale ~protect ~ratios)
-          protocols)
-      [ false; true ]
-  in
+  let sweeps = Overload.sweep ~seed ~scale ~ratios ~protocols [ false; true ] in
   Overload.print_sweeps sweeps;
   let metas =
     Overload.metastable_pair ~seed ~scale:(if smoke then 0.5 else 1.0) ()

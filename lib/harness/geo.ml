@@ -1,7 +1,5 @@
 module Config = Lion_store.Config
-module Cluster = Lion_store.Cluster
 module Kvstore = Lion_store.Kvstore
-module Metrics = Lion_sim.Metrics
 module Engine = Lion_sim.Engine
 module Fault = Lion_sim.Fault
 module Table = Lion_kernel.Table
@@ -60,77 +58,29 @@ let lineup =
     ~config:{ Planner.default_config with Planner.predict = false; use_lstm = false }
     [ "lion"; "star"; "2pc"; "epoch" ]
 
-type cell = {
-  ratio : float;
-  throughput : float;
-  goodput : float;
-  wan_mb : float;
-  wan_msgs : int;
-}
-
 let ratios = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]
-
-let run_one ?(seed = 7) ?trace ~scale ~batch ~cfg ~make ~cross () =
-  let rc =
-    { Runner.quick with Runner.warmup = 2.0 *. scale; duration = 4.0 *. scale }
-  in
-  let captured = ref None in
-  let r =
-    Runner.run ~seed ?trace ~batch ~cfg ~make
-      ~setup:(fun cl -> captured := Some cl)
-      ~gen:(gen ~seed ~cross cfg)
-      rc
-  in
-  let wan_bytes, wan_msgs =
-    match !captured with
-    | Some cl ->
-        (Metrics.wan_bytes cl.Cluster.metrics, Metrics.wan_messages cl.Cluster.metrics)
-    | None -> (0, 0)
-  in
-  {
-    ratio = cross;
-    throughput = r.Runner.throughput;
-    goodput = r.Runner.goodput;
-    wan_mb = float_of_int wan_bytes /. 1.0e6;
-    wan_msgs;
-  }
 
 let sweep ?(seed = 7) ?(scale = 1.0) ?(regions = 2) ?trace () =
   let cfg = geo_config ~regions () in
-  List.map
-    (fun (name, batch, make) ->
-      ( name,
-        List.map (fun cross -> run_one ~seed ?trace ~scale ~batch ~cfg ~make ~cross ()) ratios ))
-    lineup
-
-let fmt_k v = Table.cell_float ~decimals:1 (v /. 1000.0)
+  let rc = { Runner.quick with Runner.warmup = 2.0 *. scale; duration = 4.0 *. scale } in
+  List.combine
+    (List.map (fun (name, _, _) -> name) lineup)
+    (Runner.run_grid ?trace
+       (fun (_, batch, make) cross ->
+         Runner.cell ~seed ~batch ~cfg ~make ~gen:(fun () -> gen ~seed ~cross cfg) rc)
+       lineup ratios)
 
 let print_sweep ~regions rows =
-  let cols =
-    "protocol"
-    :: List.map (fun r -> Printf.sprintf "%d%%" (int_of_float (100.0 *. r))) ratios
+  let table what f =
+    Table.grid
+      ~title:(Printf.sprintf "Geo sweep: %d regions, cross-region ratio vs %s" regions what)
+      "protocol"
+      (List.map (fun r -> Printf.sprintf "%d%%" (int_of_float (100.0 *. r))) ratios)
+      f rows
   in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Geo sweep: %d regions, cross-region ratio vs throughput (k txn/s)" regions)
-      ~columns:cols
-  in
-  List.iter (fun (name, cells) -> Table.add_row t (name :: List.map (fun c -> fmt_k c.throughput) cells)) rows;
-  Table.print t;
-  let t2 =
-    Table.create
-      ~title:
-        (Printf.sprintf "Geo sweep: %d regions, cross-region ratio vs WAN traffic (MB)"
-           regions)
-      ~columns:cols
-  in
-  List.iter
-    (fun (name, cells) ->
-      Table.add_row t2 (name :: List.map (fun c -> Table.cell_float ~decimals:1 c.wan_mb) cells))
-    rows;
-  Table.print t2
+  table "throughput (k txn/s)" (fun r -> Runner.fmt_k r.Runner.throughput);
+  table "WAN traffic (MB)" (fun r ->
+      Table.cell_float ~decimals:1 (float_of_int r.Runner.wan_bytes /. 1.0e6))
 
 (* The headline claim of docs/GEO.md: Lion's adaptive replication wins
    while transactions stay region-local, epoch-based OCC wins once most
@@ -138,7 +88,7 @@ let print_sweep ~regions rows =
 let crossover_ok rows =
   match (List.assoc_opt "Lion" rows, List.assoc_opt "EpochOCC" rows) with
   | Some lion, Some epoch ->
-      let at l r = (List.find (fun c -> c.ratio = r) l).throughput in
+      let at l r = (List.assoc r (List.combine ratios l)).Runner.throughput in
       at lion 0.0 >= at epoch 0.0 && at epoch 1.0 >= at lion 1.0
   | _ -> false
 
@@ -154,63 +104,41 @@ let region_nodes cfg r =
    so intra-region transactions should keep committing throughout. *)
 let wan_partition ?(seed = 7) ?(scale = 1.0) ?trace () =
   let at = 4.0 *. scale and duration = 4.0 *. scale in
-  let total = 12.0 *. scale in
   let base = geo_config () in
   let plan =
     Fault.split_brain
       ~groups:[ region_nodes base 0; region_nodes base 1 ]
-      ~at:(Engine.seconds at)
-      ~duration:(Engine.seconds duration)
+      ~at:(Engine.seconds at) ~duration:(Engine.seconds duration)
   in
   let cfg = { base with Config.fault_plan = plan } in
-  List.map
-    (fun (name, batch, make) ->
-      let r =
-        Runner.run ~seed ?trace ~batch ~cfg ~make
-          ~gen:(gen ~seed ~cross:0.1 cfg)
-          { Runner.quick with Runner.warmup = 0.0; duration = total; tick_every = 1.0 }
-      in
-      (name, r))
-    lineup
-
-(* Mean of a per-second series over [from_s, until_s). No node dies in
-   a pure link partition, so the availability-based goodput_under_fault
-   stays at "never degraded" — the damage shows only in the series. *)
-let series_mean series ~from_s ~until_s =
-  let lo = int_of_float from_s and hi = int_of_float until_s in
-  let hi = Stdlib.min hi (Array.length series) in
-  if hi <= lo then 0.0
-  else (
-    let sum = ref 0.0 in
-    for i = lo to hi - 1 do
-      sum := !sum +. series.(i)
-    done;
-    !sum /. float_of_int (hi - lo))
-
-let print_partition ?(scale = 1.0) results =
-  let at = 4.0 *. scale and duration = 4.0 *. scale in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Geo: WAN partition region0|region1 from %.1fs to %.1fs (10%% cross)" at
-           (at +. duration))
-      ~columns:
-        [ "protocol"; "k txn/s"; "k txn/s in partition"; "k txn/s after"; "timeouts"; "aborts" ]
+  let cells =
+    List.map
+      (fun (_, batch, make) ->
+        Runner.cell ~seed ~batch ~cfg ~make
+          ~gen:(fun () -> gen ~seed ~cross:0.1 cfg)
+          { Runner.quick with Runner.warmup = 0.0; duration = 12.0 *. scale })
+      lineup
   in
-  List.iter
-    (fun (name, (r : Runner.result)) ->
-      let series = r.Runner.goodput_series in
-      Table.add_row t
-        [
-          name;
-          fmt_k r.Runner.throughput;
-          fmt_k (series_mean series ~from_s:at ~until_s:(at +. duration));
-          fmt_k
-            (series_mean series ~from_s:(at +. duration)
-               ~until_s:(float_of_int (Array.length series)));
-          string_of_int r.Runner.timeouts;
-          string_of_int r.Runner.aborts;
-        ])
-    results;
-  Table.print t
+  ( (at, at +. duration),
+    List.combine (List.map (fun (name, _, _) -> name) lineup) (Runner.run_cells ?trace cells) )
+
+(* No node dies in a pure link partition, so the availability-based
+   goodput_under_fault stays at "never degraded": the damage shows
+   only in the goodput series. *)
+let print_partition ((at, until), results) =
+  let mean from_ until (r : Runner.result) =
+    Runner.fmt_k (Lion_kernel.Stats.mean_range r.goodput_series ~from_ ~until)
+  in
+  Table.by_row
+    ~title:
+      (Printf.sprintf "Geo: WAN partition region0|region1 from %.1fs to %.1fs (10%% cross)" at
+         until)
+    "protocol"
+    [
+      Runner.k_txn ();
+      ("k txn/s in partition", mean (int_of_float at) (int_of_float until));
+      ("k txn/s after", mean (int_of_float until) max_int);
+      Runner.timeouts;
+      Runner.aborts;
+    ]
+    results

@@ -24,14 +24,6 @@ val gen :
     the seed placement (primary of [p] is node [p mod nodes]), so the
     mix is stable under remastering. *)
 
-type cell = {
-  ratio : float;  (** cross-region ratio of this run *)
-  throughput : float;  (** commits per measured second *)
-  goodput : float;
-  wan_mb : float;  (** cross-region traffic over the whole run, MB *)
-  wan_msgs : int;
-}
-
 val ratios : float list
 (** The sweep's cross-region ratios: 0, 0.25, 0.5, 0.75, 1. *)
 
@@ -41,19 +33,26 @@ val sweep :
   ?regions:int ->
   ?trace:Runner.trace_sink ->
   unit ->
-  (string * cell list) list
-(** One row per protocol (Lion, Star, 2PC, EpochOCC), one cell per
-    ratio. [scale] multiplies simulated durations (default 1.0). *)
+  (string * Runner.result list) list
+(** One row per protocol (Lion, Star, 2PC, EpochOCC), one result per
+    ratio, all cells on the pool. [scale] multiplies simulated
+    durations (default 1.0). *)
 
-val print_sweep : regions:int -> (string * cell list) list -> unit
+val print_sweep : regions:int -> (string * Runner.result list) list -> unit
+(** Throughput and WAN traffic (MB over the whole run) per ratio. *)
 
-val crossover_ok : (string * cell list) list -> bool
+val crossover_ok : (string * Runner.result list) list -> bool
 (** [Lion >= EpochOCC] at ratio 0 and [EpochOCC >= Lion] at ratio 1. *)
 
 val wan_partition :
-  ?seed:int -> ?scale:float -> ?trace:Runner.trace_sink -> unit -> (string * Runner.result) list
+  ?seed:int ->
+  ?scale:float ->
+  ?trace:Runner.trace_sink ->
+  unit ->
+  (float * float) * (string * Runner.result) list
 (** Goodput under a WAN partition: regions 0 and 1 are split for a
     window mid-run on a 10 % cross-region workload. [min_regions] = 2
-    keeps both sides holding a replica of every partition. *)
+    keeps both sides holding a replica of every partition. Returns the
+    window (start, end in seconds) with one result per protocol. *)
 
-val print_partition : ?scale:float -> (string * Runner.result) list -> unit
+val print_partition : (float * float) * (string * Runner.result) list -> unit

@@ -21,13 +21,12 @@ let make (p : Protocols.entry) =
    queues to matter. *)
 let gen_for ~seed cfg = Workloads.ycsb ~seed ~skew:0.8 ~cross:0.5 cfg
 
-let probe_capacity ?(seed = 1) ?(scale = 1.0) ?trace (p : Protocols.entry) =
-  let cfg = Config.default in
+let cell ~seed ~cfg (p : Protocols.entry) rc =
+  Runner.cell ~seed ~batch:p.batch ~cfg ~make:(make p) ~gen:(fun () -> gen_for ~seed cfg) rc
+
+let probe_capacity ?(seed = 1) ?(scale = 1.0) ?trace p =
   let rc = { Runner.quick with warmup = 2.0 *. scale; duration = 4.0 *. scale } in
-  let r =
-    Runner.run ~seed ?trace ~batch:p.batch ~cfg ~make:(make p) ~gen:(gen_for ~seed cfg) rc
-  in
-  r.Runner.throughput
+  (Runner.run_cell ?trace (cell ~seed ~cfg:Config.default p rc)).Runner.throughput
 
 type point = { ratio : float; result : Runner.result }
 
@@ -48,6 +47,8 @@ let default_ratios = [ 0.25; 0.5; 0.75; 1.0; 1.25; 1.5 ]
 let measured_deadline = Some { Config.default_deadline with enforce = false }
 let measured_baseline = { Config.default with Config.deadline = measured_deadline }
 
+(* Capacity first, then the points in order, inside one cell: the
+   points' offered loads depend on the probe. *)
 let sweep_one ?(seed = 1) ?(scale = 1.0) ?(protect = false)
     ?(ratios = default_ratios) ?trace proto =
   let capacity = probe_capacity ~seed ~scale ?trace proto in
@@ -55,28 +56,23 @@ let sweep_one ?(seed = 1) ?(scale = 1.0) ?(protect = false)
     if protect then Config.with_overload_defaults Config.default
     else measured_baseline
   in
-  let points =
-    List.map
-      (fun ratio ->
-        let rc =
-          {
-            Runner.quick with
-            warmup = 2.0 *. scale;
-            duration = 6.0 *. scale;
-            arrival = Runner.Poisson (ratio *. capacity);
-          }
-        in
-        let result =
-          Runner.run ~seed ?trace ~batch:proto.batch ~cfg ~make:(make proto)
-            ~gen:(gen_for ~seed cfg) rc
-        in
-        { ratio; result })
-      ratios
+  let point ratio =
+    let rc =
+      {
+        Runner.quick with
+        warmup = 2.0 *. scale;
+        duration = 6.0 *. scale;
+        arrival = Runner.Poisson (ratio *. capacity);
+      }
+    in
+    { ratio; result = Runner.run_cell ?trace (cell ~seed ~cfg proto rc) }
   in
-  { proto; protected_ = protect; capacity; points }
+  { proto; protected_ = protect; capacity; points = List.map point ratios }
 
-let sweep ?seed ?scale ?protect ?ratios ?trace () =
-  List.map (sweep_one ?seed ?scale ?protect ?ratios ?trace) protocols
+let sweep ?seed ?scale ?ratios ?trace ?(protocols = protocols) protects =
+  Runner.cells ?trace
+    (fun ?trace (protect, p) -> sweep_one ?seed ?scale ~protect ?ratios ?trace p)
+    (List.concat_map (fun protect -> List.map (fun p -> (protect, p)) protocols) protects)
 
 let sweep_rows sweeps =
   let header =
@@ -119,36 +115,23 @@ let sweep_rows sweeps =
 let print_sweeps sweeps =
   List.iter
     (fun s ->
-      let t =
-        Table.create
-          ~title:
-            (Printf.sprintf
-               "Offered-load sweep: %s%s (closed-loop capacity %.0f txn/s)"
-               s.proto.id
-               (if s.protected_ then " with overload protection" else "")
-               s.capacity)
-          ~columns:
-            [
-              "offered/capacity"; "offered"; "throughput"; "goodput"; "p99 (ms)";
-              "sheds"; "timeouts"; "giveups";
-            ]
-      in
-      List.iter
-        (fun p ->
-          let r = p.result in
-          Table.add_row t
-            [
-              Printf.sprintf "%.2f" p.ratio;
-              Table.cell_float ~decimals:0 r.Runner.offered;
-              Table.cell_float ~decimals:0 r.Runner.throughput;
-              Table.cell_float ~decimals:0 r.Runner.goodput;
-              Table.cell_float ~decimals:1 (r.Runner.p99 /. 1000.0);
-              Table.cell_int r.Runner.sheds;
-              Table.cell_int r.Runner.timeouts;
-              Table.cell_int r.Runner.deadline_giveups;
-            ])
-        s.points;
-      Table.print t)
+      Table.by_row
+        ~title:
+          (Printf.sprintf "Offered-load sweep: %s%s (closed-loop capacity %.0f txn/s)"
+             s.proto.id
+             (if s.protected_ then " with overload protection" else "")
+             s.capacity)
+        "offered/capacity"
+        [
+          Runner.fixed ~decimals:0 "offered" (fun r -> r.offered);
+          Runner.fixed ~decimals:0 "throughput" (fun r -> r.throughput);
+          Runner.fixed ~decimals:0 "goodput" (fun r -> r.goodput);
+          Runner.ms "p99 (ms)" (fun r -> r.p99);
+          Runner.count "sheds" (fun r -> r.sheds);
+          Runner.timeouts;
+          Runner.count "giveups" (fun r -> r.deadline_giveups);
+        ]
+        (List.map (fun p -> (Printf.sprintf "%.2f" p.ratio, p.result)) s.points))
     sweeps
 
 (* ------------------------------------------------------------------ *)
@@ -175,17 +158,6 @@ type meta = {
   commit_series : float array;  (* raw commits/s, per second *)
   result : Runner.result;
 }
-
-let mean_range series ~from_ ~until =
-  let n = Array.length series in
-  let lo = Stdlib.max 0 from_ and hi = Stdlib.min n until in
-  if hi <= lo then 0.0
-  else (
-    let sum = ref 0.0 in
-    for i = lo to hi - 1 do
-      sum := !sum +. series.(i)
-    done;
-    !sum /. float_of_int (hi - lo))
 
 (* Timeline (x [scale]): warmup 2 s; trigger (node 0 slowed 12x) from
    6 s to 9 s; run ends at 20 s. Peak goodput is measured on [2,6), the
@@ -222,12 +194,10 @@ let metastable ?(seed = 1) ?(scale = 1.0) ?(load = 1.0) ?trace ~protect () =
       arrival = Runner.Poisson (load *. capacity);
     }
   in
-  let result =
-    Runner.run ~seed ?trace ~batch:twopc.batch ~cfg ~make:(make twopc)
-      ~gen:(gen_for ~seed cfg) rc
-  in
+  let result = Runner.run_cell ?trace (cell ~seed ~cfg twopc rc) in
   let series = result.Runner.goodput_series in
   let sec x = int_of_float (Float.round (s x)) in
+  let mean_range = Lion_kernel.Stats.mean_range in
   {
     label = (if protect then "budgets+breakers+deadline" else "queue caps only");
     capacity;
@@ -240,10 +210,9 @@ let metastable ?(seed = 1) ?(scale = 1.0) ?(load = 1.0) ?trace ~protect () =
   }
 
 let metastable_pair ?seed ?scale ?load ?trace () =
-  [
-    metastable ?seed ?scale ?load ?trace ~protect:false ();
-    metastable ?seed ?scale ?load ?trace ~protect:true ();
-  ]
+  Runner.cells ?trace
+    (fun ?trace protect -> metastable ?seed ?scale ?load ?trace ~protect ())
+    [ false; true ]
 
 let metastable_rows metas =
   let len =
@@ -268,28 +237,20 @@ let metastable_rows metas =
   (header, rows)
 
 let print_metastable metas =
-  let t =
-    Table.create
-      ~title:
-        "Metastable failure: open-loop at saturation, node 0 slowed 12x for \
-         3 s (2PC; goodput/s, 200 ms client patience)"
-      ~columns:
-        [ "variant"; "peak"; "during trigger"; "after trigger"; "tail/peak"; "giveups" ]
-  in
-  List.iter
-    (fun m ->
-      Table.add_row t
-        [
-          m.label;
-          Table.cell_float ~decimals:0 m.peak;
-          Table.cell_float ~decimals:0 m.during;
-          Table.cell_float ~decimals:0 m.tail;
-          Table.cell_float ~decimals:2
-            (if m.peak > 0.0 then m.tail /. m.peak else 0.0);
-          Table.cell_int m.result.Runner.deadline_giveups;
-        ])
-    metas;
-  Table.print t;
+  Table.by_row
+    ~title:
+      "Metastable failure: open-loop at saturation, node 0 slowed 12x for 3 s (2PC; \
+       goodput/s, 200 ms client patience)"
+    "variant"
+    [
+      ("peak", fun m -> Table.cell_float ~decimals:0 m.peak);
+      ("during trigger", fun m -> Table.cell_float ~decimals:0 m.during);
+      ("after trigger", fun m -> Table.cell_float ~decimals:0 m.tail);
+      ( "tail/peak",
+        fun m -> Table.cell_float ~decimals:2 (if m.peak > 0.0 then m.tail /. m.peak else 0.0) );
+      ("giveups", fun m -> Table.cell_int m.result.Runner.deadline_giveups);
+    ]
+    (List.map (fun m -> (m.label, m)) metas);
   match metas with
   | [ unprot; prot ] when unprot.peak > 0.0 && prot.peak > 0.0 ->
       Printf.printf

@@ -48,12 +48,13 @@ val sweep_one :
 val sweep :
   ?seed:int ->
   ?scale:float ->
-  ?protect:bool ->
   ?ratios:float list ->
   ?trace:Runner.trace_sink ->
-  unit ->
+  ?protocols:Protocols.entry list ->
+  bool list ->
   sweep list
-(** [sweep_one] over every protocol in {!protocols}. *)
+(** [sweep protects]: one {!sweep_one} cell per [protect] flag and
+    protocol (default {!protocols}), in that order, on the pool. *)
 
 val sweep_rows : sweep list -> string list * string list list
 (** CSV header + rows (one row per protocol x ratio). *)
@@ -93,7 +94,8 @@ val metastable :
 
 val metastable_pair :
   ?seed:int -> ?scale:float -> ?load:float -> ?trace:Runner.trace_sink -> unit -> meta list
-(** The unprotected and protected runs, in that order. *)
+(** The unprotected and protected runs, in that order, as two cells on
+    the pool. *)
 
 val metastable_rows : meta list -> string list * string list list
 (** Per-second CSV: goodput/s and commits/s columns per variant. *)

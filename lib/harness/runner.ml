@@ -5,6 +5,7 @@ module Network = Lion_sim.Network
 module Metrics = Lion_sim.Metrics
 module Proto = Lion_protocols.Proto
 module Trace = Lion_trace.Trace
+module Table = Lion_kernel.Table
 
 type trace_sink = { fresh : unit -> Trace.t; emit : Trace.t -> unit }
 
@@ -60,6 +61,8 @@ type result = {
   time_to_recover : float;
   goodput_under_fault : float;
   engine_events : int;
+  wan_bytes : int;
+  wan_messages : int;
 }
 
 let degraded a = a < 0.9995
@@ -239,6 +242,8 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
     time_to_recover;
     goodput_under_fault;
     engine_events = Engine.events_processed engine;
+    wan_bytes = Metrics.wan_bytes metrics;
+    wan_messages = Metrics.wan_messages metrics;
   }
 
 (* Each cell's runs hand their tracers to a per-cell list instead of
@@ -257,3 +262,44 @@ let cells ?domains ?trace (run : ?trace:trace_sink -> 'a -> 'b) xs =
       |> List.map (fun (r, tracers) ->
              List.iter sink.emit tracers;
              r)
+
+type cell = {
+  seed : int;
+  batch : bool;
+  cfg : Config.t;
+  make : Cluster.t -> Proto.t;
+  gen : unit -> time:float -> Lion_workload.Txn.t;
+  rc : config;
+  setup : (Cluster.t -> unit) option;
+}
+
+let cell ?(seed = 1) ?(batch = false) ?setup ~cfg ~make ~gen rc =
+  { seed; batch; cfg; make; gen; rc; setup }
+
+(* The generator is built inside the cell, so every cell draws its own
+   stream whichever domain runs it. *)
+let run_cell ?trace c =
+  run ~seed:c.seed ~batch:c.batch ?setup:c.setup ?trace ~cfg:c.cfg ~make:c.make
+    ~gen:(c.gen ()) c.rc
+
+let run_cells ?domains ?trace cs = cells ?domains ?trace run_cell cs
+
+let run_grid ?trace cell rows cols =
+  let width = List.length cols in
+  let results =
+    run_cells ?trace (List.concat_map (fun r -> List.map (cell r) cols) rows)
+  in
+  List.mapi (fun i _ -> List.filteri (fun j _ -> j / width = i) results) rows
+
+type column = string * (result -> string)
+
+let fmt_k v = Table.cell_float ~decimals:1 (v /. 1000.0)
+let k_txn ?(header = "k txn/s") () = (header, fun r -> fmt_k r.throughput)
+let count header get = (header, fun r -> Table.cell_int (get r))
+let fixed ?(decimals = 1) header get = (header, fun r -> Table.cell_float ~decimals (get r))
+let ms ?decimals header get = fixed ?decimals header (fun r -> get r /. 1000.0)
+let aborts = count "aborts" (fun r -> r.aborts)
+let timeouts = count "timeouts" (fun r -> r.timeouts)
+let retries = count "retries" (fun r -> r.retries)
+let drops = count "drops" (fun r -> r.drops)
+let single_node = fixed "single-node %" (fun r -> 100.0 *. r.single_node_ratio)

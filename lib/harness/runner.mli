@@ -94,6 +94,8 @@ type result = {
       (** total simulation events executed over the whole run (incl.
           warmup) — the denominator the perf harness uses to turn wall
           time into events/sec *)
+  wan_bytes : int;  (** cross-region bytes over the whole run (0 without geo) *)
+  wan_messages : int;  (** cross-region messages over the whole run *)
 }
 
 type trace_sink = {
@@ -137,3 +139,70 @@ val cells :
     held back and handed to [trace.emit] from the calling domain in
     cell order once every cell is done, so trace numbering and report
     order do not depend on the domain count. *)
+
+(** {1 Declarative cells}
+
+    An experiment is a list of cells plus a renderer: build the cells,
+    run them with {!run_cells}, and print the results with one of the
+    {!Lion_kernel.Table} renderers. *)
+
+type cell = {
+  seed : int;
+  batch : bool;
+  cfg : Lion_store.Config.t;
+  make : Lion_store.Cluster.t -> Lion_protocols.Proto.t;
+  gen : unit -> time:float -> Lion_workload.Txn.t;
+      (** generator factory, called inside the cell *)
+  rc : config;
+  setup : (Lion_store.Cluster.t -> unit) option;
+}
+(** The arguments of one {!run} call. *)
+
+val cell :
+  ?seed:int ->
+  ?batch:bool ->
+  ?setup:(Lion_store.Cluster.t -> unit) ->
+  cfg:Lion_store.Config.t ->
+  make:(Lion_store.Cluster.t -> Lion_protocols.Proto.t) ->
+  gen:(unit -> time:float -> Lion_workload.Txn.t) ->
+  config ->
+  cell
+(** Defaults as in {!run}: seed 1, not batch, no setup. *)
+
+val run_cell : ?trace:trace_sink -> cell -> result
+(** One {!run} of the cell, with a fresh generator from its factory. *)
+
+val run_cells : ?domains:int -> ?trace:trace_sink -> cell list -> result list
+(** {!run_cell} over the list through {!cells}: on the pool, results
+    and traces in cell order. *)
+
+val run_grid : ?trace:trace_sink -> ('r -> 'c -> cell) -> 'r list -> 'c list -> result list list
+(** One cell per (row, column) pair, all on the pool; the results come
+    back as one list per row, in column order. *)
+
+(** {1 Result columns}
+
+    [(header, cell text)] pairs for {!Lion_kernel.Table.by_row} and
+    {!Lion_kernel.Table.by_metric}, shared by every results table. *)
+
+type column = string * (result -> string)
+
+val fmt_k : float -> string
+(** Thousands with one decimal: the [k txn/s] format. *)
+
+val k_txn : ?header:string -> unit -> column
+(** Throughput in k txn/s (header default ["k txn/s"]). *)
+
+val count : string -> (result -> int) -> column
+val fixed : ?decimals:int -> string -> (result -> float) -> column
+
+val ms : ?decimals:int -> string -> (result -> float) -> column
+(** A latency in µs, printed in ms ([decimals] default 1). *)
+
+val aborts : column
+val timeouts : column
+val retries : column
+val drops : column
+
+val single_node : column
+(** ["single-node %"]: share of commits that ran on one node. *)

@@ -88,6 +88,16 @@ let mean_of xs =
   | [] -> 0.0
   | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
+let mean_range series ~from_ ~until =
+  let lo = Stdlib.max 0 from_ and hi = Stdlib.min (Array.length series) until in
+  if hi <= lo then 0.0
+  else (
+    let sum = ref 0.0 in
+    for i = lo to hi - 1 do
+      sum := !sum +. series.(i)
+    done;
+    !sum /. float_of_int (hi - lo))
+
 let cosine_similarity a b =
   assert (Array.length a = Array.length b);
   let dot = ref 0.0 and na = ref 0.0 and nb = ref 0.0 in

@@ -41,6 +41,10 @@ val percentile_of_sorted : float array -> float -> float
 (** [percentile_of_sorted sorted p] with [p] in [0,100]. *)
 
 val mean_of : float list -> float
+val mean_range : float array -> from_:int -> until:int -> float
+(** Mean of [series.(from_) .. series.(until - 1)], clamped to the
+    array; 0 when the range is empty. *)
+
 val cosine_similarity : float array -> float array -> float
 (** Cosine of the angle between two equal-length vectors; 0 when either
     vector is all-zero. *)

@@ -45,3 +45,18 @@ let render t =
 let print t =
   print_string (render t);
   print_newline ()
+
+let by_row ~title label cols rows =
+  let t = create ~title ~columns:(label :: List.map fst cols) in
+  List.iter (fun (name, x) -> add_row t (name :: List.map (fun (_, f) -> f x) cols)) rows;
+  print t
+
+let by_metric ~title label cols rows =
+  let t = create ~title ~columns:(label :: List.map fst rows) in
+  List.iter (fun (header, f) -> add_row t (header :: List.map (fun (_, x) -> f x) rows)) cols;
+  print t
+
+let grid ~title label cols f rows =
+  let t = create ~title ~columns:(label :: cols) in
+  List.iter (fun (name, xs) -> add_row t (name :: List.map f xs)) rows;
+  print t

@@ -119,6 +119,8 @@ let test_result_rows_width () =
       time_to_recover = infinity;
       goodput_under_fault = 0.0;
       engine_events = 0;
+      wan_bytes = 0;
+      wan_messages = 0;
     }
   in
   let header, rows = Export.result_rows [ ("x", r) ] in
