@@ -214,16 +214,12 @@ let fig12 ?trace scale =
   Table.by_row
     ~title:
       (Printf.sprintf
-         "Fig 12: adaptation across shifting hotspot intervals (period %.0fs; the planner \
+         "Fig 12: adaptation across shifting hotspot intervals (period %gs; the planner \
           pre-replicates when wv fires ahead of each shift)"
          period)
     "second"
     [
-      ( "phase",
-        fun i ->
-          if Float.rem (float_of_int i) period = 0.0 then
-            Printf.sprintf "interval-%d" (int_of_float (float_of_int i /. period) mod 3)
-          else "" );
+      ("phase", phase_at (intervals ~period 6));
       ("throughput (k txn/s)", fun i -> fmt_k series.(i));
       ( "net bytes/txn",
         fun i ->
