@@ -4,7 +4,6 @@
 
 module Scenario = Lion_perf.Scenario
 module Report = Lion_perf.Report
-module Counters = Lion_perf.Counters
 module Engine = Lion_sim.Engine
 
 (* --- golden determinism ------------------------------------------- *)
@@ -22,30 +21,6 @@ let test_fig6_byte_identical () =
   in
   let want = Golden.read_file Golden.fig6_path in
   Alcotest.(check string) "fig6 output byte-identical to seed engine" want got
-
-(* --- counters ------------------------------------------------------ *)
-
-let test_counters_accumulate () =
-  let e = Engine.create () in
-  let c = Counters.create "drain" in
-  Counters.start ~engine:e c;
-  for i = 1 to 100 do
-    Engine.schedule e ~delay:(float_of_int i) (fun () -> ())
-  done;
-  Engine.run_all e ();
-  Counters.stop ~engine:e c;
-  Alcotest.(check int) "events attributed" 100 (Counters.events c);
-  Alcotest.(check int) "one span" 1 (Counters.spans c);
-  Alcotest.(check bool) "wall time sampled" true (Counters.wall_seconds c >= 0.0);
-  (* a second span adds, reset clears *)
-  Counters.start c;
-  Counters.stop c;
-  Alcotest.(check int) "two spans" 2 (Counters.spans c);
-  Counters.reset c;
-  Alcotest.(check int) "reset" 0 (Counters.events c);
-  Alcotest.check_raises "unbalanced stop"
-    (Invalid_argument "Counters.stop: no open span") (fun () ->
-      Counters.stop c)
 
 (* --- report: JSON round-trip -------------------------------------- *)
 
@@ -219,8 +194,6 @@ let () =
           Alcotest.test_case "fig6 byte-identical to seed engine" `Slow
             test_fig6_byte_identical;
         ] );
-      ( "counters",
-        [ Alcotest.test_case "accumulate and reset" `Quick test_counters_accumulate ] );
       ( "report",
         [
           Alcotest.test_case "JSON round-trip" `Quick test_report_roundtrip;
