@@ -36,7 +36,7 @@ let lineup ~use_lstm ids =
 let window warmup duration = { Runner.quick with warmup; duration }
 let timeline total = window 0.0 total
 
-let proto_cell ?setup (_, batch, make) ~cfg ~gen rc = Runner.cell ~batch ?setup ~cfg ~make ~gen rc
+let proto_cell (_, batch, make) ~cfg ~gen rc = Runner.cell ~batch ~cfg ~make ~gen rc
 let labelled lineup f = List.map (fun ((name, _, _) as p) -> (name, f p)) lineup
 
 (* Run labelled cells on the pool; the labels stay with their results. *)

@@ -209,10 +209,14 @@ let metastable ?(seed = 1) ?(scale = 1.0) ?(load = 1.0) ?trace ~protect () =
     result;
   }
 
+(* The protected cell comes first so that traces keep their numbering
+   from when the pair was a list literal, which OCaml evaluates right
+   to left. *)
 let metastable_pair ?seed ?scale ?load ?trace () =
-  Runner.cells ?trace
-    (fun ?trace protect -> metastable ?seed ?scale ?load ?trace ~protect ())
-    [ false; true ]
+  List.rev
+    (Runner.cells ?trace
+       (fun ?trace protect -> metastable ?seed ?scale ?load ?trace ~protect ())
+       [ true; false ])
 
 let metastable_rows metas =
   let len =

@@ -95,7 +95,7 @@ val metastable :
 val metastable_pair :
   ?seed:int -> ?scale:float -> ?load:float -> ?trace:Runner.trace_sink -> unit -> meta list
 (** The unprotected and protected runs, in that order, as two cells on
-    the pool. *)
+    the pool (traced protected first). *)
 
 val metastable_rows : meta list -> string list * string list list
 (** Per-second CSV: goodput/s and commits/s columns per variant. *)

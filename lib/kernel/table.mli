@@ -38,6 +38,7 @@ val by_metric :
 (** The transpose of {!by_row}: one column per [(name, x)], one row per
     [(header, text)]. *)
 
-val grid : title:string -> string -> string list -> ('a -> string) -> (string * 'a list) list -> unit
+val grid :
+  title:string -> string -> string list -> ('a -> string) -> (string * 'a list) list -> unit
 (** [grid ~title label cols f rows]: one row per [(name, xs)], the
     cells [f x] under the column headers [cols]. *)

@@ -511,6 +511,30 @@ let test_table_cell_formatting () =
   Alcotest.(check string) "float decimals" "3.14" (Table.cell_float ~decimals:2 3.14159);
   Alcotest.(check string) "int cell" "42" (Table.cell_int 42)
 
+(* The renderers print what create/add_row/print would: by_metric is
+   by_row transposed, and grid puts one value per cell. *)
+let test_table_renderers () =
+  let cols =
+    [ ("x2", fun v -> string_of_int (2 * v)); ("x3", fun v -> string_of_int (3 * v)) ]
+  in
+  let rows = [ ("a", 1); ("b", 5) ] in
+  let by_hand title header body =
+    let t = Table.create ~title ~columns:header in
+    List.iter (Table.add_row t) body;
+    Table.render t ^ "\n"
+  in
+  let check name want f = Alcotest.(check string) name want (Golden.capture_stdout f) in
+  check "by_row"
+    (by_hand "R" [ "k"; "x2"; "x3" ] [ [ "a"; "2"; "3" ]; [ "b"; "10"; "15" ] ])
+    (fun () -> Table.by_row ~title:"R" "k" cols rows);
+  check "by_metric"
+    (by_hand "M" [ "metric"; "a"; "b" ] [ [ "x2"; "2"; "10" ]; [ "x3"; "3"; "15" ] ])
+    (fun () -> Table.by_metric ~title:"M" "metric" cols rows);
+  check "grid"
+    (by_hand "G" [ "k"; "c1"; "c2" ] [ [ "a"; "1"; "2" ]; [ "b"; "3"; "4" ] ])
+    (fun () ->
+      Table.grid ~title:"G" "k" [ "c1"; "c2" ] string_of_int [ ("a", [ 1; 2 ]); ("b", [ 3; 4 ]) ])
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -578,5 +602,6 @@ let () =
           Alcotest.test_case "renders" `Quick test_table_renders_aligned;
           Alcotest.test_case "pads short rows" `Quick test_table_pads_short_rows;
           Alcotest.test_case "cell formatting" `Quick test_table_cell_formatting;
+          Alcotest.test_case "renderers" `Quick test_table_renderers;
         ] );
     ]
