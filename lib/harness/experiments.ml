@@ -201,14 +201,11 @@ let fig12 ?trace scale =
      the cycle-2 shifts. *)
   let total = 6.0 *. period in
   let r =
-    List.hd
-      (Runner.run_cells ?trace
-         [
-           Runner.cell ~cfg
-             ~make:(lion_std ~config:(lion_std_config ~predict:true ~use_lstm:true))
-             ~gen:(fun () -> Workloads.dynamic_interval ~period cfg)
-             (timeline total);
-         ])
+    Runner.run_cell ?trace
+      (Runner.cell ~cfg
+         ~make:(lion_std ~config:(lion_std_config ~predict:true ~use_lstm:true))
+         ~gen:(fun () -> Workloads.dynamic_interval ~period cfg)
+         (timeline total))
   in
   let series = r.throughput_series and bytes = r.bytes_series in
   Table.by_row
@@ -490,13 +487,10 @@ let abl_failover ?trace scale =
         Lion_store.Cluster.recover_node cl 0)
   in
   let r =
-    List.hd
-      (Runner.run_cells ?trace
-         [
-           Runner.cell ~cfg ~setup ~make:lion_std
-             ~gen:(fun () -> Workloads.ycsb ~cross:0.5 cfg)
-             (timeline total);
-         ])
+    Runner.run_cell ?trace
+      (Runner.cell ~cfg ~setup ~make:lion_std
+         ~gen:(fun () -> Workloads.ycsb ~cross:0.5 cfg)
+         (timeline total))
   in
   let series = r.throughput_series in
   Table.by_row

@@ -58,13 +58,13 @@ let lineup =
     ~config:{ Planner.default_config with Planner.predict = false; use_lstm = false }
     [ "lion"; "star"; "2pc"; "epoch" ]
 
+let names = List.map (fun (name, _, _) -> name) lineup
 let ratios = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]
 
 let sweep ?(seed = 7) ?(scale = 1.0) ?(regions = 2) ?trace () =
   let cfg = geo_config ~regions () in
   let rc = { Runner.quick with Runner.warmup = 2.0 *. scale; duration = 4.0 *. scale } in
-  List.combine
-    (List.map (fun (name, _, _) -> name) lineup)
+  List.combine names
     (Runner.run_grid ?trace
        (fun (_, batch, make) cross ->
          Runner.cell ~seed ~batch ~cfg ~make ~gen:(fun () -> gen ~seed ~cross cfg) rc)
@@ -119,8 +119,7 @@ let wan_partition ?(seed = 7) ?(scale = 1.0) ?trace () =
           { Runner.quick with Runner.warmup = 0.0; duration = 12.0 *. scale })
       lineup
   in
-  ( (at, at +. duration),
-    List.combine (List.map (fun (name, _, _) -> name) lineup) (Runner.run_cells ?trace cells) )
+  ((at, at +. duration), List.combine names (Runner.run_cells ?trace cells))
 
 (* No node dies in a pure link partition, so the availability-based
    goodput_under_fault stays at "never degraded": the damage shows

@@ -209,9 +209,8 @@ let metastable ?(seed = 1) ?(scale = 1.0) ?(load = 1.0) ?trace ~protect () =
     result;
   }
 
-(* The protected cell comes first so that traces keep their numbering
-   from when the pair was a list literal, which OCaml evaluates right
-   to left. *)
+(* The cells run protected-first, the order trace files are numbered
+   in; the results come back unprotected-first. *)
 let metastable_pair ?seed ?scale ?load ?trace () =
   List.rev
     (Runner.cells ?trace
