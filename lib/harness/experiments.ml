@@ -632,6 +632,8 @@ let registry =
     ("fault_straggler", "Chaos: slow-node CPU straggler", fault_straggler);
     ( "overload_sweep",
       "Overload: open-loop offered-load sweep past saturation",
+      (* One pool call per table, so each table follows its own
+         runs' trace reports. *)
       fun ?trace scale ->
         List.iter
           (fun protect -> Overload.print_sweeps (Overload.sweep ?trace ~scale [ protect ]))
