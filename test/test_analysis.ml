@@ -70,6 +70,80 @@ let test_graph_clear () =
   Alcotest.(check (float 1e-9)) "vertices cleared" 0.0 (Heatgraph.vertex_weight g 0);
   Alcotest.(check int) "edges cleared" 0 (Heatgraph.edge_count g)
 
+(* The heat graph as it was kept before edge weights moved into mutable
+   cells: one [(int, float) Hashtbl.t] per vertex, each bump replacing
+   the sum. Repeated bumps must leave the same weights, neighbour lists
+   and (summed in the same table order) the same mean, bit for bit. *)
+module Reference_graph = struct
+  type t = { adj : (int, float) Hashtbl.t array }
+
+  let create ~partitions = { adj = Array.init partitions (fun _ -> Hashtbl.create 8) }
+
+  let bump_edge t u v w =
+    let upd a b =
+      let cur = Option.value ~default:0.0 (Hashtbl.find_opt t.adj.(a) b) in
+      Hashtbl.replace t.adj.(a) b (cur +. w)
+    in
+    upd u v;
+    upd v u
+
+  let add_weighted t parts w =
+    let rec pairs = function
+      | [] -> ()
+      | p :: rest ->
+          List.iter (fun q -> bump_edge t p q w) rest;
+          pairs rest
+    in
+    pairs parts
+
+  let edge_weight t u v = Option.value ~default:0.0 (Hashtbl.find_opt t.adj.(u) v)
+  let neighbors t p = Hashtbl.fold (fun q _ acc -> q :: acc) t.adj.(p) [] |> List.sort compare
+
+  let mean_edge_weight t =
+    let total = ref 0.0 and count = ref 0 in
+    Array.iter
+      (fun tbl ->
+        Hashtbl.iter
+          (fun _ w ->
+            total := !total +. w;
+            incr count)
+          tbl)
+      t.adj;
+    if !count = 0 then 0.0 else !total /. float_of_int !count
+end
+
+let test_graph_matches_reference () =
+  let partitions = 24 in
+  let g = Heatgraph.create ~partitions and r = Reference_graph.create ~partitions in
+  let rng = Lion_kernel.Rng.create 5 in
+  for i = 1 to 2_000 do
+    let n = 1 + Lion_kernel.Rng.int rng 4 in
+    let parts =
+      List.sort_uniq compare (List.init n (fun _ -> Lion_kernel.Rng.int rng partitions))
+    in
+    (* Odd steps add predicted weight, so the sums are not integers and
+       their order shows in the mean. *)
+    if i mod 2 = 0 then (
+      Heatgraph.add_txn g ~parts;
+      Reference_graph.add_weighted r parts 1.0)
+    else (
+      let weight = 0.1 +. Lion_kernel.Rng.float rng 1.0 in
+      Heatgraph.add_predicted g ~parts ~weight;
+      Reference_graph.add_weighted r parts weight)
+  done;
+  for u = 0 to partitions - 1 do
+    Alcotest.(check (list int))
+      (Printf.sprintf "neighbors %d" u)
+      (Reference_graph.neighbors r u) (Heatgraph.neighbors g u);
+    for v = 0 to partitions - 1 do
+      if Heatgraph.edge_weight g u v <> Reference_graph.edge_weight r u v then
+        Alcotest.failf "edge (%d, %d): %h <> %h" u v (Heatgraph.edge_weight g u v)
+          (Reference_graph.edge_weight r u v)
+    done
+  done;
+  let mean = Heatgraph.mean_edge_weight g and want = Reference_graph.mean_edge_weight r in
+  if mean <> want then Alcotest.failf "mean edge weight %h <> %h" mean want
+
 (* --- clumps --- *)
 
 let test_clumps_group_hot_pairs () =
@@ -344,6 +418,7 @@ let () =
           Alcotest.test_case "hottest first" `Quick test_graph_hottest_first;
           Alcotest.test_case "mean edge weight" `Quick test_graph_mean_edge_weight;
           Alcotest.test_case "clear" `Quick test_graph_clear;
+          Alcotest.test_case "matches reference tables" `Quick test_graph_matches_reference;
         ] );
       ( "clumps",
         [

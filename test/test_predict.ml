@@ -26,6 +26,21 @@ let test_template_distinct_parts_distinct_ids () =
   let b = Template.observe t ~time:0.0 ~parts:[ 1; 3 ] in
   Alcotest.(check bool) "different ids" true (a <> b)
 
+(* One label per partition set, whatever the order or repeats of the
+   list it is observed with; a different set is a new label. *)
+let test_template_normalises_parts () =
+  let t = Template.create ~interval:(sec 1.0) () in
+  let a = Template.observe t ~time:0.0 ~parts:[ 3; 1; 3 ] in
+  let b = Template.observe t ~time:0.0 ~parts:[ 1; 3 ] in
+  let c = Template.observe t ~time:0.0 ~parts:[ 3; 1 ] in
+  let d = Template.observe t ~time:0.0 ~parts:[ 1; 2; 3 ] in
+  Alcotest.(check int) "repeats and order ignored" a b;
+  Alcotest.(check int) "reversed" a c;
+  Alcotest.(check bool) "new set, new id" true (d <> a);
+  Alcotest.(check (list int)) "stored sorted" [ 1; 3 ] (Template.parts_of t a);
+  Alcotest.(check (float 1e-9)) "three arrivals" 3.0 (Template.total_arrivals t a);
+  Alcotest.(check int) "two templates" 2 (Template.template_count t)
+
 let test_template_arrival_rate_buckets () =
   let t = Template.create ~interval:(sec 1.0) () in
   let id = Template.observe t ~time:(sec 0.5) ~parts:[ 1 ] in
@@ -252,6 +267,7 @@ let () =
           Alcotest.test_case "same parts same id" `Quick test_template_same_parts_same_id;
           Alcotest.test_case "distinct parts distinct ids" `Quick
             test_template_distinct_parts_distinct_ids;
+          Alcotest.test_case "parts normalised" `Quick test_template_normalises_parts;
           Alcotest.test_case "arrival-rate buckets" `Quick test_template_arrival_rate_buckets;
           Alcotest.test_case "upto excludes partial bucket" `Quick
             test_template_upto_excludes_partial;

@@ -237,6 +237,87 @@ let test_batch_duration_scales_with_busy () =
   | [ t ] -> Alcotest.(check bool) "epoch >= exec time" true (t >= 500.0)
   | _ -> Alcotest.fail "expected one commit"
 
+(* An epoch takes at most [batch_size] requests: the re-queued aborts
+   first, then new submissions, each queue in arrival order. *)
+let test_batch_epoch_takes_carryover_first () =
+  let cl = mk_cluster () in
+  let epochs = ref [] in
+  let process txns =
+    let ids = Array.to_list (Array.map (fun (t : Txn.t) -> t.Txn.id) txns) in
+    let first = !epochs = [] in
+    epochs := ids :: !epochs;
+    {
+      Batch.verdicts =
+        Array.map
+          (fun (t : Txn.t) ->
+            { Batch.committed = not (first && t.Txn.id < 10); single_node = true;
+              remastered = false })
+          txns;
+      node_busy = [| 1000.0; 1000.0 |];
+      serial_time = 0.0;
+      barrier_time = 0.0;
+      phase_split = [ (Metrics.Execution, 1.0) ];
+    }
+  in
+  let proto = Batch.create cl ~name:"t" ~process () in
+  let submit id = proto.Proto.submit (txn ~id [ Txn.read (key 0 0) ]) ~on_done:ignore in
+  for id = 0 to 15 do
+    submit id
+  done;
+  (* Submitted while the first epoch runs: they wait in the buffer
+     behind the ten aborts it re-queues. *)
+  Engine.schedule cl.Cluster.engine ~delay:10.0 (fun () ->
+      for id = 100 to 109 do
+        submit id
+      done);
+  Engine.run_until cl.Cluster.engine (Engine.seconds 1.0);
+  let range a b = List.init (b - a + 1) (fun i -> a + i) in
+  Alcotest.(check (list (list int)))
+    "epochs"
+    [ range 0 15; range 0 9 @ range 100 105; range 106 109 ]
+    (List.rev !epochs)
+
+(* [charge_replication] against the list formula it replaced: every
+   live holder of each touched partition (primary, then secondaries)
+   has applied the new record, and the bytes are one record per
+   secondary, dead or alive. *)
+let test_charge_replication_matches_lists () =
+  let cfg = { small_cfg with Config.nodes = 5; replicas = 1; max_replicas = 4 } in
+  let cl = mk_cluster ~cfg () in
+  let pl = cl.Cluster.placement and repl = cl.Cluster.replication in
+  (* Partition 0's primary is node 0. A crash drops the node's
+     secondaries, so node 3 crashes first and is then placed as one of
+     partition 0's three secondaries. *)
+  Cluster.fail_node cl 3;
+  List.iter (fun node -> Placement.add_secondary pl ~part:0 ~node) [ 1; 3; 4 ];
+  Alcotest.(check (list int)) "three secondaries" [ 1; 3; 4 ] (Placement.secondaries pl 0);
+  Alcotest.(check bool) "one dead" false (Cluster.alive cl 3);
+  let parts_of (t : Txn.t) = t.Txn.parts in
+  let t = txn [ Txn.write (key 0 1); Txn.read (key 2 0); Txn.write (key 7 3) ] in
+  let holders p = Placement.primary pl p :: Placement.secondaries pl p in
+  let expected_bytes =
+    List.fold_left
+      (fun acc p -> acc + (List.length (Placement.secondaries pl p) * cfg.Config.record_bytes))
+      0 (parts_of t)
+  in
+  let bytes0 = Lion_sim.Network.total_bytes cl.Cluster.network in
+  Lion_protocols.Batch_util.charge_replication cl t;
+  Lion_protocols.Batch_util.charge_replication cl t;
+  Alcotest.(check int) "bytes" (2 * expected_bytes)
+    (Lion_sim.Network.total_bytes cl.Cluster.network - bytes0);
+  List.iter
+    (fun p ->
+      let len = Lion_store.Replication.appends repl ~part:p in
+      Alcotest.(check int) (Printf.sprintf "appends %d" p) 2 len;
+      for node = 0 to Placement.nodes pl - 1 do
+        let want = if List.mem node (holders p) && Cluster.alive cl node then len else 0 in
+        Alcotest.(check int)
+          (Printf.sprintf "applied part %d node %d" p node)
+          want
+          (Lion_store.Replication.applied repl ~part:p ~node)
+      done)
+    (parts_of t)
+
 let test_batch_gives_up_after_max_retries () =
   let cl = mk_cluster () in
   let always_abort txns =
@@ -581,6 +662,9 @@ let () =
             test_batch_aborted_retry_next_epoch;
           Alcotest.test_case "duration from busy time" `Quick
             test_batch_duration_scales_with_busy;
+          Alcotest.test_case "carryover first, capped" `Quick
+            test_batch_epoch_takes_carryover_first;
+          Alcotest.test_case "replication charge" `Quick test_charge_replication_matches_lists;
           Alcotest.test_case "WAW conflicts" `Quick test_conflict_verdicts_waw;
           Alcotest.test_case "RAW only for Aria" `Quick test_conflict_verdicts_raw_only_for_aria;
           Alcotest.test_case "granule coarsening" `Quick test_conflict_granule_coarsening;
