@@ -6,18 +6,6 @@ module Pqueue = Lion_kernel.Pqueue
    one 3-word variant cell instead of a fresh closure. *)
 type ev = Thunk of (unit -> unit) | Apply : ('a -> unit) * 'a -> ev
 
-(* Same bijection as [Pqueue.key_of_time]/[time_of_key], duplicated
-   here so classic-mode ocamlopt inlines it and keeps the float and
-   Int64 intermediates unboxed on the per-event hot path — a
-   cross-module call is never inlined without flambda, and would box
-   the float argument plus the Int64 temporaries on every schedule.
-   The golden fig6 test pins the two definitions together. *)
-let[@inline] key_of_time (t : float) : int =
-  Int64.to_int (Int64.sub (Int64.bits_of_float (t +. 0.0)) 0x4000000000000000L)
-
-let[@inline] time_of_key (k : int) : float =
-  Int64.float_of_bits (Int64.add (Int64.of_int k) 0x4000000000000000L)
-
 (* The clock is stored in key space (an immediate int), not as a float
    field: an int field costs nothing to update per event, while a float
    field in this mixed record would be a pointer to a box reallocated
@@ -32,19 +20,19 @@ type t = {
 
 let create () =
   {
-    clock_key = key_of_time 0.0;
+    clock_key = Pqueue.key_of_time 0.0;
     events = Pqueue.create ();
     processed = 0;
     clamped = 0;
     exhausted = false;
   }
 
-let now t = time_of_key t.clock_key
+let[@inline] now t = Pqueue.time_of_key t.clock_key
 
 (* Scheduling in the past is always a bug somewhere upstream; the clamp
    keeps time monotone (as it always has) but is counted now, so
    [Metrics] can surface it instead of silently absorbing it. Because
-   [key_of_time] is monotone and injective, clamping in key space is
+   [Pqueue.key_of_time] is monotone and injective, clamping in key space is
    exactly the float clamp. *)
 let[@inline] push_key_at t key e =
   let key =
@@ -55,7 +43,7 @@ let[@inline] push_key_at t key e =
   in
   Pqueue.push_key t.events key e
 
-let at t ~time f = push_key_at t (key_of_time time) (Thunk f)
+let at t ~time f = push_key_at t (Pqueue.key_of_time time) (Thunk f)
 
 let schedule t ~delay f =
   let delay =
@@ -64,9 +52,9 @@ let schedule t ~delay f =
       0.0)
     else delay
   in
-  push_key_at t (key_of_time (time_of_key t.clock_key +. delay)) (Thunk f)
+  push_key_at t (Pqueue.key_of_time (Pqueue.time_of_key t.clock_key +. delay)) (Thunk f)
 
-let at_apply t ~time f x = push_key_at t (key_of_time time) (Apply (f, x))
+let at_apply t ~time f x = push_key_at t (Pqueue.key_of_time time) (Apply (f, x))
 
 let schedule_apply t ~delay f x =
   let delay =
@@ -75,7 +63,7 @@ let schedule_apply t ~delay f x =
       0.0)
     else delay
   in
-  push_key_at t (key_of_time (time_of_key t.clock_key +. delay)) (Apply (f, x))
+  push_key_at t (Pqueue.key_of_time (Pqueue.time_of_key t.clock_key +. delay)) (Apply (f, x))
 
 let[@inline] exec t e =
   t.processed <- t.processed + 1;
@@ -86,7 +74,7 @@ let run_until t deadline =
      advance the clock, and its key-space image would be garbage — so
      it is a no-op, as it always was. *)
   if deadline >= 0.0 then (
-    let dk = key_of_time deadline in
+    let dk = Pqueue.key_of_time deadline in
     let q = t.events in
     let continue = ref true in
     while !continue do
@@ -121,7 +109,7 @@ let run_all t ?(max_events = default_max_events) () =
        pending at t=%.0fus — runaway event loop?\n\
        %!"
       max_events (Pqueue.length q)
-      (time_of_key t.clock_key))
+      (Pqueue.time_of_key t.clock_key))
 
 let pending t = Pqueue.length t.events
 let events_processed t = t.processed

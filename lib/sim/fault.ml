@@ -72,7 +72,7 @@ let create ?(seed = 17) ~nodes plan =
   }
 
 let plan t = t.plan
-let up t node = not t.down.(node)
+let[@inline] up t node = not t.down.(node)
 let mark_down t node = t.down.(node) <- true
 let mark_up t node = t.down.(node) <- false
 
@@ -90,7 +90,7 @@ let group_of groups node =
 (* Shared, so a delivery with no added latency allocates nothing. *)
 let deliver_now = Deliver 0.0
 
-let link_inert t = match t.link_specs with [] -> true | _ :: _ -> false
+let[@inline] link_inert t = match t.link_specs with [] -> true | _ :: _ -> false
 let endpoints t ~src ~dst = if up t src && up t dst then deliver_now else Dropped
 
 (* The RNG is consulted only when an active probabilistic spec matches
@@ -129,7 +129,7 @@ let link t ~now ~src ~dst =
     in
     go 0.0 t.link_specs)
 
-let slow_inert t = match t.stragglers with [] -> true | _ :: _ -> false
+let[@inline] slow_inert t = match t.stragglers with [] -> true | _ :: _ -> false
 
 let slow_factor t ~now node =
   List.fold_left

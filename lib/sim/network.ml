@@ -108,17 +108,12 @@ let cross_region t ~src ~dst =
   | None -> false
   | Some g -> g.region_of.(src) <> g.region_of.(dst)
 
-let oneway_delay t ~bytes = t.latency +. (float_of_int bytes *. t.per_byte)
-
-let wan_oneway_delay t ~bytes =
-  match t.topology with
-  | None -> oneway_delay t ~bytes
-  | Some g -> g.wan_latency +. (float_of_int bytes *. g.wan_per_byte)
+let[@inline] oneway_delay t ~bytes = t.latency +. (float_of_int bytes *. t.per_byte)
 
 (* The per-link delay: LAN figures inside a region, WAN figures
    across. Region-free networks evaluate exactly the historical
    [oneway_delay] expression, keeping the default path byte-identical. *)
-let link_delay t ~src ~dst ~bytes =
+let[@inline] link_delay t ~src ~dst ~bytes =
   match t.topology with
   | None -> oneway_delay t ~bytes
   | Some g ->
@@ -127,7 +122,6 @@ let link_delay t ~src ~dst ~bytes =
       else oneway_delay t ~bytes
 
 let roundtrip t ~bytes = 2.0 *. oneway_delay t ~bytes
-let link_roundtrip t ~src ~dst ~bytes = 2.0 *. link_delay t ~src ~dst ~bytes
 
 (* Single accounting path: every non-local message — delivered or killed
    by the fault layer — charges its bytes here, so [bytes_series] stays

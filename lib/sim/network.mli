@@ -65,20 +65,13 @@ val charge : t -> bytes:int -> unit
 val oneway_delay : t -> bytes:int -> float
 (** The modelled one-way LAN delay for a remote message of [bytes]. *)
 
-val wan_oneway_delay : t -> bytes:int -> float
-(** The modelled one-way delay over a cross-region link. Equals
-    [oneway_delay] when no topology is installed. *)
-
 val link_delay : t -> src:int -> dst:int -> bytes:int -> float
 (** The delay a [send] between these endpoints would experience:
-    [wan_oneway_delay] when they are in different regions,
+    the WAN latency and per-byte cost when they are in different regions,
     [oneway_delay] otherwise (and always, region-free). *)
 
 val roundtrip : t -> bytes:int -> float
 (** Two one-way delays (request and reply of equal size). *)
-
-val link_roundtrip : t -> src:int -> dst:int -> bytes:int -> float
-(** Two [link_delay]s (request and reply of equal size). *)
 
 val topology : t -> topology option
 

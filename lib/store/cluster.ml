@@ -68,7 +68,7 @@ type t = {
   mutable reintroduce_phantom_secondary : bool;
 }
 
-let now t = Engine.now t.engine
+let[@inline] now t = Engine.now t.engine
 let node_count t = Placement.nodes t.placement
 let partition_count t = Placement.partitions t.placement
 
@@ -89,7 +89,7 @@ let session_for t ~part ~dst : Replication.session =
     epoch = t.node_epoch.(dst);
   }
 
-let session_stale t ~dst (s : Replication.session) =
+let[@inline] session_stale t ~dst (s : Replication.session) =
   t.node_epoch.(dst) <> s.Replication.epoch
 
 (* [access_peak.hottest] is the value [Array.fold_left max 0.0
@@ -98,7 +98,7 @@ let session_stale t ~dst (s : Replication.session) =
    maximum is the old one or that counter. A decay rescales every
    counter, so it recomputes the maximum over the rescaled values, once
    per planner round. *)
-let touch_partition t p =
+let[@inline] touch_partition t p =
   let v = t.part_access.(p) +. 1.0 in
   t.part_access.(p) <- v;
   if v > t.access_peak.hottest then t.access_peak.hottest <- v
@@ -118,7 +118,7 @@ let normalized_freq t p =
 
 (* [Stdlib.max 0.0], compared as floats: the polymorphic one calls the
    runtime's generic comparison. *)
-let partition_wait t p =
+let[@inline] partition_wait t p =
   let wait = t.part_available.(p) -. now t in
   if 0.0 >= wait then 0.0 else wait
 
@@ -142,7 +142,7 @@ let lag_bytes t ~part =
    [Transport]. *)
 let ctl_prio t = if t.cfg.Config.control_priority then Server.High else Server.Normal
 
-let worker_saturated t ~node =
+let[@inline] worker_saturated t ~node =
   Server.busy t.workers.(node) >= Server.capacity t.workers.(node)
 
 let try_begin_remaster t ~part ~node =
@@ -377,14 +377,14 @@ let remove_replica t ~part ~node =
 (* Routing liveness: a node must be both up and a current member —
    standby slots and decommissioned nodes are invisible to the router
    and the protocols even though their arrays exist. *)
-let alive t n = t.member.(n) && t.node_alive.(n)
+let[@inline] alive t n = t.member.(n) && t.node_alive.(n)
 
 let alive_nodes t =
   List.filter
     (fun n -> t.member.(n) && t.node_alive.(n))
     (List.init (Placement.nodes t.placement) Fun.id)
 
-let work_scale t node =
+let[@inline] work_scale t node =
   if Fault.slow_inert t.fault then 1.0 else Fault.slow_factor t.fault ~now:(now t) node
 
 let availability t =

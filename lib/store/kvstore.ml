@@ -230,7 +230,3 @@ let finalize s =
   release_reservation s
 
 let commit_session = install
-
-let abort_session s =
-  s.n_reads <- 0;
-  s.n_writes <- 0

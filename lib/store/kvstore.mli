@@ -98,5 +98,3 @@ val release_reservation : session -> unit
 val commit_session : session -> unit
 (** [try_reserve]-free install for single-threaded callers/tests. *)
 
-val abort_session : session -> unit
-(** Discard the footprint (no store effect; provided for symmetry). *)

@@ -23,10 +23,10 @@ let create ?(standby = 0) ~nodes ~partitions ~replicas ~max_replicas () =
   done;
   { nodes = slots; partitions; max_replicas; primary; secondary }
 
-let nodes t = t.nodes
+let[@inline] nodes t = t.nodes
 let partitions t = t.partitions
 let max_replicas t = t.max_replicas
-let primary t p = t.primary.(p)
+let[@inline] primary t p = t.primary.(p)
 
 let secondaries t p =
   let out = ref [] in
@@ -36,8 +36,8 @@ let secondaries t p =
   !out
 
 let replica_count t p = 1 + List.length (secondaries t p)
-let has_primary t ~part ~node = t.primary.(part) = node
-let has_secondary t ~part ~node = t.secondary.(part).(node)
+let[@inline] has_primary t ~part ~node = t.primary.(part) = node
+let[@inline] has_secondary t ~part ~node = t.secondary.(part).(node)
 let has_replica t ~part ~node = has_primary t ~part ~node || has_secondary t ~part ~node
 
 let remaster t ~part ~node =

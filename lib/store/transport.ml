@@ -2,17 +2,8 @@ module Engine = Lion_sim.Engine
 module Network = Lion_sim.Network
 module Metrics = Lion_sim.Metrics
 module Server = Lion_sim.Server
-module Fault = Lion_sim.Fault
 module Overload = Lion_sim.Overload
 module Trace = Lion_trace.Trace
-
-(* The clock and the straggler factor are read per message: reading
-   the fields here keeps a boxed float and a call into [Cluster] off the
-   path ([Cluster.work_scale] is the same rule). *)
-let now (t : Cluster.t) = Engine.now t.engine
-
-let work_scale (t : Cluster.t) node =
-  if Fault.slow_inert t.fault then 1.0 else Fault.slow_factor t.fault ~now:(now t) node
 
 (* ---- Overload controls (docs/OVERLOAD.md). Every helper collapses to
    a constant when its knob is off, so default runs stay bit-for-bit
@@ -23,7 +14,7 @@ let budget_allows (t : Cluster.t) =
   match t.retry_budget with
   | None -> true
   | Some b ->
-      Overload.Token_bucket.try_take b ~now:(now t)
+      Overload.Token_bucket.try_take b ~now:(Cluster.now t)
       ||
       (Metrics.record_budget_denial t.metrics;
        false)
@@ -43,7 +34,7 @@ let breaker_allows (t : Cluster.t) dst =
   | None -> true
   | Some b ->
       let ho = Overload.Breaker.half_opens b in
-      let ok = Overload.Breaker.allow b ~now:(now t) in
+      let ok = Overload.Breaker.allow b ~now:(Cluster.now t) in
       note_half_opens t b ho;
       ok
       ||
@@ -61,7 +52,7 @@ let breaker_failure (t : Cluster.t) dst =
   | Some b ->
       let opens = Overload.Breaker.opens b in
       let ho = Overload.Breaker.half_opens b in
-      Overload.Breaker.record_failure b ~now:(now t);
+      Overload.Breaker.record_failure b ~now:(Cluster.now t);
       note_half_opens t b ho;
       if Overload.Breaker.opens b > opens then Metrics.record_breaker_open t.metrics
 
@@ -70,7 +61,7 @@ let breaker_state t dst =
   | None -> Overload.Breaker.Closed
   | Some b ->
       let ho = Overload.Breaker.half_opens b in
-      let st = Overload.Breaker.state b ~now:(now t) in
+      let st = Overload.Breaker.state b ~now:(Cluster.now t) in
       note_half_opens t b ho;
       st
 
@@ -81,11 +72,11 @@ let close_span t note ctx =
   match ctx with
   | None -> ()
   | Some _ ->
-      Trace.note ~ts:(now t) note ctx;
-      Trace.finish ~ts:(now t) ctx
+      Trace.note ~ts:(Cluster.now t) note ctx;
+      Trace.finish ~ts:(Cluster.now t) ctx
 
 let finish_span t ctx =
-  match ctx with None -> () | Some _ -> Trace.finish ~ts:(now t) ctx
+  match ctx with None -> () | Some _ -> Trace.finish ~ts:(Cluster.now t) ctx
 
 (* ---- Remote calls ---- *)
 
@@ -124,7 +115,7 @@ type 'a call = {
    a "retry" annotation on the one that timed out. *)
 let rec call_attempt c =
   let t = c.cl in
-  c.t0 <- now t;
+  c.t0 <- Cluster.now t;
   (match c.ctx with
   | None -> ()
   | Some _ ->
@@ -147,7 +138,7 @@ and call_timer c =
   if c.attempt >= t.cfg.Config.rpc_retries then (
     Metrics.record_timeout t.metrics;
     give_up "timeout")
-  else if match c.deadline with Some d -> now t >= d | None -> false then (
+  else if match c.deadline with Some d -> Cluster.now t >= d | None -> false then (
     (* Deadline propagation: a transaction already past its deadline
        sheds instead of retrying. *)
     Metrics.record_timeout t.metrics;
@@ -172,7 +163,7 @@ let call_lost c =
      only find out by timing out. *)
   close_span t "shed" c.sctx;
   c.sctx <- None;
-  let remaining = Stdlib.max 0.0 (c.t0 +. t.cfg.Config.rpc_timeout -. now t) in
+  let remaining = Stdlib.max 0.0 (c.t0 +. t.cfg.Config.rpc_timeout -. Cluster.now t) in
   Engine.schedule_apply t.engine ~delay:remaining call_timer c
 
 let call_resume c =
@@ -182,10 +173,10 @@ let call_resume c =
       (* The request landed: queue it for [dst]'s messenger pool. *)
       (match c.actx with
       | None -> ()
-      | Some _ -> c.sctx <- Trace.child ~name:"service" ~ts:(now t) c.actx);
+      | Some _ -> c.sctx <- Trace.child ~name:"service" ~ts:(Cluster.now t) c.actx);
       c.stage <- Service;
       Server.submit t.services.(c.dst) ?prio:c.prio ?on_shed:c.lost
-        ~work:(c.work *. work_scale t c.dst) c.resume
+        ~work:(c.work *. Cluster.work_scale t c.dst) c.resume
   | Service ->
       finish_span t c.sctx;
       c.sctx <- None;
@@ -203,7 +194,7 @@ let call (t : Cluster.t) ?(on_fail = ignore) ?ctx ?deadline ?prio ~src ~dst ~byt
     if t.node_alive.(dst) then
       Server.submit t.services.(dst) ?prio
         ~on_shed:(fun () -> on_fail arg)
-        ~work:(work *. work_scale t dst)
+        ~work:(work *. Cluster.work_scale t dst)
         (fun () -> k arg)
     else on_fail arg
   else if not (breaker_allows t dst) then
@@ -375,7 +366,7 @@ let ship_dropped (s : ship) =
   else if not (budget_allows t) then give_up "budget-denied"
   else (
     Metrics.record_retry t.metrics;
-    (match s.rctx with None -> () | Some _ -> Trace.note ~ts:(now t) "retry" s.rctx);
+    (match s.rctx with None -> () | Some _ -> Trace.note ~ts:(Cluster.now t) "retry" s.rctx);
     let backoff = t.cfg.Config.rpc_backoff *. float_of_int (1 lsl s.tries) in
     s.tries <- s.tries + 1;
     Engine.schedule_apply t.engine ~delay:backoff ship_send s)
@@ -388,7 +379,7 @@ let start_ship (t : Cluster.t) ctx ~part ~src ~upto ~dst =
     match ctx with
     | None -> None
     | Some _ ->
-        Trace.child ~node:dst ~part ~phase:"replication" ~name:"log-ship" ~ts:(now t) ctx
+        Trace.child ~node:dst ~part ~phase:"replication" ~name:"log-ship" ~ts:(Cluster.now t) ctx
   in
   let session = Cluster.session_for t ~part ~dst in
   (* A destination whose breaker is open is handed straight to
