@@ -1,23 +1,37 @@
 module Placement = Lion_store.Placement
 
+(* An all-float record is stored unboxed, so a bump adds in place
+   instead of boxing a new sum. *)
+type weight = { mutable w : float }
+
+(* The generic table's hash and bucket order, with int equality in
+   place of [compare]. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   partitions : int;
   vweight : float array;
   (* adjacency: per-vertex hashtable of neighbour -> weight; edges are
      stored symmetrically. *)
-  adj : (int, float) Hashtbl.t array;
+  adj : weight Itbl.t array;
 }
 
 let create ~partitions =
-  { partitions; vweight = Array.make partitions 0.0; adj = Array.init partitions (fun _ -> Hashtbl.create 8) }
+  { partitions; vweight = Array.make partitions 0.0; adj = Array.init partitions (fun _ -> Itbl.create 8) }
+
+let bump tbl b w =
+  match Itbl.find tbl b with
+  | cell -> cell.w <- cell.w +. w
+  | exception Not_found -> Itbl.add tbl b { w }
 
 let bump_edge t u v w =
-  let upd a b =
-    let cur = Option.value ~default:0.0 (Hashtbl.find_opt t.adj.(a) b) in
-    Hashtbl.replace t.adj.(a) b (cur +. w)
-  in
-  upd u v;
-  upd v u
+  bump t.adj.(u) v w;
+  bump t.adj.(v) u w
 
 let add_weighted t parts w =
   List.iter (fun p -> t.vweight.(p) <- t.vweight.(p) +. w) parts;
@@ -33,7 +47,7 @@ let add_txn t ~parts = add_weighted t parts 1.0
 let add_predicted t ~parts ~weight = if weight > 0.0 then add_weighted t parts weight
 let vertex_weight t p = t.vweight.(p)
 
-let edge_weight t u v = Option.value ~default:0.0 (Hashtbl.find_opt t.adj.(u) v)
+let edge_weight t u v = match Itbl.find_opt t.adj.(u) v with Some c -> c.w | None -> 0.0
 
 let effective_edge_weight t ~placement ~cross_boost u v =
   let w = edge_weight t u v in
@@ -42,7 +56,7 @@ let effective_edge_weight t ~placement ~cross_boost u v =
     w *. cross_boost
   else w
 
-let neighbors t p = Hashtbl.fold (fun q _ acc -> q :: acc) t.adj.(p) [] |> List.sort compare
+let neighbors t p = Itbl.fold (fun q _ acc -> q :: acc) t.adj.(p) [] |> List.sort compare
 
 let hottest_first t =
   let verts = ref [] in
@@ -52,15 +66,15 @@ let hottest_first t =
   List.stable_sort (fun a b -> compare t.vweight.(b) t.vweight.(a)) !verts
 
 let edge_count t =
-  Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 t.adj / 2
+  Array.fold_left (fun acc tbl -> acc + Itbl.length tbl) 0 t.adj / 2
 
 let mean_edge_weight t =
   let total = ref 0.0 and count = ref 0 in
   Array.iter
     (fun tbl ->
-      Hashtbl.iter
-        (fun _ w ->
-          total := !total +. w;
+      Itbl.iter
+        (fun _ c ->
+          total := !total +. c.w;
           incr count)
         tbl)
     t.adj;
@@ -68,4 +82,4 @@ let mean_edge_weight t =
 
 let clear t =
   Array.fill t.vweight 0 t.partitions 0.0;
-  Array.iter Hashtbl.reset t.adj
+  Array.iter Itbl.reset t.adj

@@ -8,10 +8,19 @@ type entry = {
   mutable total : float;
 }
 
+(* The generic table's hash and bucket order, with a monomorphic
+   equality in place of [compare]. *)
+module Parts_tbl = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   capacity : int;
   interval : float;
-  by_parts : (int list, id) Hashtbl.t;
+  by_parts : id Parts_tbl.t;
   entries : (id, entry) Hashtbl.t;
   mutable next_id : id;
 }
@@ -20,7 +29,7 @@ let create ?(capacity = 4096) ~interval () =
   {
     capacity;
     interval;
-    by_parts = Hashtbl.create 256;
+    by_parts = Parts_tbl.create 256;
     entries = Hashtbl.create 256;
     next_id = 0;
   }
@@ -37,19 +46,24 @@ let evict_coldest t =
   | None -> ()
   | Some (id, _) ->
       let e = Hashtbl.find t.entries id in
-      Hashtbl.remove t.by_parts e.parts;
+      Parts_tbl.remove t.by_parts e.parts;
       Hashtbl.remove t.entries id
 
+let rec strictly_ascending = function
+  | (a : int) :: (b :: _ as rest) -> a < b && strictly_ascending rest
+  | [ _ ] | [] -> true
+
 let observe t ~time ~parts =
-  let parts = List.sort_uniq compare parts in
+  (* [Txn.parts] is already sorted and duplicate-free. *)
+  let parts = if strictly_ascending parts then parts else List.sort_uniq compare parts in
   let id =
-    match Hashtbl.find_opt t.by_parts parts with
+    match Parts_tbl.find_opt t.by_parts parts with
     | Some id -> id
     | None ->
         if Hashtbl.length t.entries >= t.capacity then evict_coldest t;
         let id = t.next_id in
         t.next_id <- id + 1;
-        Hashtbl.replace t.by_parts parts id;
+        Parts_tbl.replace t.by_parts parts id;
         Hashtbl.replace t.entries id
           { parts; series = Timeseries.create ~interval:t.interval; total = 0.0 };
         id

@@ -38,8 +38,10 @@ module Granule_set = struct
     t.stamp <- t.stamp + 1;
     t.count <- 0
 
-  (* Cell index of [g], or of the first stale cell of its probe run. *)
-  let rec probe cells mask stamp g i =
+  (* Cell index of [g], or of the first stale cell of its probe run.
+     The [int array] annotation keeps both tests immediate: without it
+     [probe] is polymorphic and calls the runtime's generic equality. *)
+  let rec probe (cells : int array) mask stamp g i =
     if Array.unsafe_get cells ((2 * i) + 1) <> stamp || Array.unsafe_get cells (2 * i) = g then i
     else probe cells mask stamp g ((i + 1) land mask)
 
@@ -198,22 +200,15 @@ let scale_phases phase_split latency =
 let rec start_epoch st =
   let cfg = st.cl.Cluster.cfg in
   let batch_size = cfg.Config.batch_size in
-  let take () =
-    let out = ref [] in
-    let n = ref 0 in
-    while !n < batch_size && not (Queue.is_empty st.carryover) do
-      out := Queue.pop st.carryover :: !out;
-      incr n
-    done;
-    while !n < batch_size && not (Queue.is_empty st.buffer) do
-      out := Queue.pop st.buffer :: !out;
-      incr n
-    done;
-    Array.of_list (List.rev !out)
-  in
-  let requests = take () in
-  if Array.length requests = 0 then st.running <- false
+  (* Up to [batch_size] requests: the re-queued aborts first, then new
+     submissions, each queue in FIFO order. *)
+  let n = Stdlib.min batch_size (Queue.length st.carryover + Queue.length st.buffer) in
+  if n = 0 then st.running <- false
   else (
+    let requests =
+      Array.init n (fun _ ->
+          if Queue.is_empty st.carryover then Queue.pop st.buffer else Queue.pop st.carryover)
+    in
     st.running <- true;
     let txns = Array.map (fun r -> r.txn) requests in
     let result = st.process txns in

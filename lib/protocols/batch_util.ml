@@ -32,31 +32,30 @@ let home_node cl (txn : Txn.t) =
   done;
   fst !best
 
+(* One replication record per touched partition. The epoch barrier
+   already synchronised every replica before the batch committed
+   (deterministic engines), so the analytic charge marks every live
+   holder as having applied it, and returns the partition's secondary
+   count. *)
+let replicate_part cl p =
+  let placement = cl.Cluster.placement and repl = cl.Cluster.replication in
+  Lion_store.Replication.append repl ~part:p;
+  let len = Lion_store.Replication.appends repl ~part:p in
+  let secondaries = ref 0 in
+  for n = 0 to Placement.nodes placement - 1 do
+    let secondary = Placement.has_secondary placement ~part:p ~node:n in
+    if secondary then incr secondaries;
+    if (secondary || Placement.has_primary placement ~part:p ~node:n) && Cluster.alive cl n then
+      Lion_store.Replication.set_applied repl ~part:p ~node:n ~upto:len
+  done;
+  !secondaries
+
+let rec replicate_parts cl secondaries = function
+  | [] -> secondaries
+  | p :: rest -> replicate_parts cl (secondaries + replicate_part cl p) rest
+
 let charge_replication cl (txn : Txn.t) =
-  let cfg = cl.Cluster.cfg in
-  List.iter
-    (fun p ->
-      let repl = cl.Cluster.replication in
-      Lion_store.Replication.append repl ~part:p;
-      (* The epoch barrier already synchronised every replica before
-         the batch committed (deterministic engines), so the analytic
-         charge marks all live holders as having applied the record. *)
-      let len = Lion_store.Replication.appends repl ~part:p in
-      List.iter
-        (fun n ->
-          if Cluster.alive cl n then
-            Lion_store.Replication.set_applied repl ~part:p ~node:n ~upto:len)
-        (Placement.primary cl.Cluster.placement p
-        :: Placement.secondaries cl.Cluster.placement p))
-    txn.Txn.parts;
-  let bytes =
-    List.fold_left
-      (fun acc part ->
-        acc
-        + List.length (Placement.secondaries cl.Cluster.placement part)
-          * cfg.Config.record_bytes)
-      0 txn.Txn.parts
-  in
+  let bytes = replicate_parts cl 0 txn.Txn.parts * cl.Cluster.cfg.Config.record_bytes in
   if bytes > 0 then Network.charge cl.Cluster.network ~bytes
 
 let touch cl (txn : Txn.t) =
