@@ -30,6 +30,7 @@ let run quick out only baseline list =
     0)
   else
     let scenarios = if only = [] then Registry.all else only in
+    Printf.printf "build profile: %s\n%!" Lion_perf.Build_profile.name;
     let results =
       List.map
         (fun (s : Scenario.spec) ->

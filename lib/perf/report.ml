@@ -3,7 +3,9 @@
    The file schema ("lion-bench/1") is stable: every scenario row
    carries the same fields whether it is a micro or an end-to-end
    scenario, so files from different dates diff cleanly and external
-   tooling can plot a trajectory without per-scenario cases.
+   tooling can plot a trajectory without per-scenario cases. The
+   top-level "profile" field names the dune profile the run was built
+   with; readers ignore it.
 
    Gating against a committed baseline separates machine-independent
    metrics from wall-time ones:
@@ -71,8 +73,12 @@ let scenario_json (r : Scenario.result) =
 let write ~path ~date ~quick results =
   let oc = open_out path in
   Printf.fprintf oc
-    "{ \"schema\": \"%s\",\n  \"date\": \"%s\",\n  \"quick\": %b,\n  \"scenarios\": [\n%s\n  ]\n}\n"
-    schema (json_escape date) quick
+    "{ \"schema\": \"%s\",\n\
+    \  \"date\": \"%s\",\n\
+    \  \"profile\": \"%s\",\n\
+    \  \"quick\": %b,\n\
+    \  \"scenarios\": [\n%s\n  ]\n}\n"
+    schema (json_escape date) (json_escape Build_profile.name) quick
     (String.concat ",\n" (List.map scenario_json results));
   close_out oc
 

@@ -52,7 +52,13 @@ let test_report_roundtrip () =
   let tmp = Filename.temp_file "lion_bench" ".json" in
   Report.write ~path:tmp ~date:"20260808" ~quick:false results;
   let back = Report.load tmp in
+  let profile =
+    match Report.field "profile" (Report.read_file tmp) with
+    | Some (Report.Str p) -> p
+    | _ -> "<missing>"
+  in
   Sys.remove tmp;
+  Alcotest.(check string) "build profile recorded" Lion_perf.Build_profile.name profile;
   Alcotest.(check int) "row count" (List.length results) (List.length back);
   List.iter2
     (fun (a : Scenario.result) (b : Scenario.result) ->
