@@ -52,7 +52,7 @@ let schedule t ~delay f =
       0.0)
     else delay
   in
-  push_key_at t (Pqueue.key_of_time (Pqueue.time_of_key t.clock_key +. delay)) (Thunk f)
+  push_key_at t (Pqueue.key_of_time (now t +. delay)) (Thunk f)
 
 let at_apply t ~time f x = push_key_at t (Pqueue.key_of_time time) (Apply (f, x))
 
@@ -63,7 +63,7 @@ let schedule_apply t ~delay f x =
       0.0)
     else delay
   in
-  push_key_at t (Pqueue.key_of_time (Pqueue.time_of_key t.clock_key +. delay)) (Apply (f, x))
+  push_key_at t (Pqueue.key_of_time (now t +. delay)) (Apply (f, x))
 
 let[@inline] exec t e =
   t.processed <- t.processed + 1;
