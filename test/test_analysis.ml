@@ -406,6 +406,58 @@ let prop_cost_nonnegative =
       Costmodel.clump_cost cm p ~parts ~node >= 0.0
       && Costmodel.txn_route_cost cm p ~parts ~node >= 0.0)
 
+(* Random cost-model inputs: a transaction's partitions, a node, a
+   per-partition access frequency in [0, 1] and a WAN factor >= 1. *)
+let cost_input_gen =
+  QCheck.(
+    quad
+      (list_of_size (Gen.int_range 1 5) (int_range 0 7))
+      (int_range 0 3)
+      (array_of_size (Gen.return 8) (float_range 0.0 1.0))
+      (float_range 1.0 64.0))
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_one_region_wan_is_region_free =
+  QCheck.Test.make ~name:"one-region WAN clump cost equals region-free, bit for bit"
+    ~count:300 cost_input_gen
+    (fun (parts, node, f, factor) ->
+      let p = mk_placement () in
+      let freq v = f.(v) in
+      let free = Costmodel.make ~freq () in
+      let one_region = Costmodel.make ~wan:{ Costmodel.region_of = (fun _ -> 0); factor } ~freq () in
+      same_bits
+        (Costmodel.clump_cost free p ~parts ~node)
+        (Costmodel.clump_cost one_region p ~parts ~node))
+
+(* Make [node] the primary of [part], copying a secondary there first
+   when it holds no replica. *)
+let promote p ~part ~node =
+  if not (Placement.has_replica p ~part ~node) then Placement.add_secondary p ~part ~node;
+  Placement.remaster p ~part ~node
+
+let prop_more_primaries_never_cost_more =
+  QCheck.Test.make ~name:"one more local primary never raises route or clump cost"
+    ~count:300
+    QCheck.(
+      triple cost_input_gen
+        (list_of_size (Gen.int_range 0 8) (pair (int_range 0 7) (int_range 0 3)))
+        (pair bool (int_range 0 4)))
+    (fun ((parts, node, f, factor), moves, (geo, pick)) ->
+      let p = mk_placement () in
+      List.iter (fun (part, node) -> promote p ~part ~node) moves;
+      let freq v = f.(v) in
+      let wan = if geo then Some { Costmodel.region_of = (fun n -> n / 2); factor } else None in
+      let cm = Costmodel.make ?wan ~freq () in
+      match List.filter (fun part -> not (Placement.has_primary p ~part ~node)) parts with
+      | [] -> true
+      | remote ->
+          let route0 = Costmodel.txn_route_cost cm p ~parts ~node in
+          let clump0 = Costmodel.clump_cost cm p ~parts ~node in
+          promote p ~part:(List.nth remote (pick mod List.length remote)) ~node;
+          Costmodel.txn_route_cost cm p ~parts ~node <= route0
+          && Costmodel.clump_cost cm p ~parts ~node <= clump0)
+
 let () =
   Alcotest.run "lion_analysis"
     [
@@ -466,5 +518,7 @@ let () =
             prop_rearrange_assigns_valid_nodes;
             prop_rearrange_balance_sums_to_total;
             prop_cost_nonnegative;
+            prop_one_region_wan_is_region_free;
+            prop_more_primaries_never_cost_more;
           ] );
     ]
