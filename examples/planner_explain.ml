@@ -88,7 +88,7 @@ let () =
   Table.print ct;
 
   (* Cost evaluation for the first clump across every node (Eq. 3). *)
-  let cost = Costmodel.make ~w_r:1.0 ~w_m:10.0 ~freq:(fun _ -> 0.0) () in
+  let cost = Costmodel.make ~freq:(fun _ -> 0.0) () in
   (match clumps with
   | first :: _ ->
       let et =

@@ -1,9 +1,14 @@
 module Placement = Lion_store.Placement
 
-type wan = { region_of : int -> int; factor : float }
-type t = { w_r : float; w_m : float; freq : int -> float; wan : wan option }
+(* Eq. 3's unit costs, fit to the simulated substrate: copying a
+   partition costs ten leader transfers. *)
+let w_r = 1.0
+let w_m = 10.0
 
-let make ?(w_r = 1.0) ?(w_m = 10.0) ?wan ~freq () = { w_r; w_m; freq; wan }
+type wan = { region_of : int -> int; factor : float }
+type t = { freq : int -> float; wan : wan option }
+
+let make ?wan ~freq () = { freq; wan }
 
 let cnt_r t placement ~part ~node =
   if Placement.has_primary placement ~part ~node then 0.0
@@ -18,8 +23,8 @@ let cnt_m _t placement ~part ~node =
 (* Cross-region multiplier for moving [part]'s mastership (or a copy)
    to [node]: a leader transfer or migration whose source primary sits
    in another region ships its bytes over the WAN, so both terms scale
-   by [factor]. [None] — every region-free run — takes the historical
-   expression untouched. *)
+   by [factor]. [None] — every region-free run — scales by 1.0, which
+   is exact. *)
 let[@inline] wan_scale t placement ~part ~node =
   match t.wan with
   | None -> 1.0
@@ -29,22 +34,13 @@ let[@inline] wan_scale t placement ~part ~node =
       else 1.0
 
 let clump_cost t placement ~parts ~node =
-  match t.wan with
-  | None ->
-      List.fold_left
-        (fun acc part ->
-          acc
-          +. (t.w_r *. cnt_r t placement ~part ~node)
-          +. (t.w_m *. cnt_m t placement ~part ~node))
-        0.0 parts
-  | Some _ ->
-      List.fold_left
-        (fun acc part ->
-          let s = wan_scale t placement ~part ~node in
-          acc
-          +. (s *. t.w_r *. cnt_r t placement ~part ~node)
-          +. (s *. t.w_m *. cnt_m t placement ~part ~node))
-        0.0 parts
+  List.fold_left
+    (fun acc part ->
+      let s = wan_scale t placement ~part ~node in
+      acc
+      +. (s *. w_r *. cnt_r t placement ~part ~node)
+      +. (s *. w_m *. cnt_m t placement ~part ~node))
+    0.0 parts
 
 let find_dst_node ?eligible t placement ~parts =
   let nodes = Placement.nodes placement in
@@ -80,7 +76,7 @@ let txn_route_cost t placement ~parts ~node =
         else if Placement.has_secondary placement ~part ~node then (
           let f = t.freq part *. route_freq_scale in
           let s = wan_scale t placement ~part ~node in
-          acc := !acc +. (s *. (t.w_r *. (1.0 +. (log (f +. 1.0) /. log 2.0)))))
-        else acc := !acc +. t.w_m
+          acc := !acc +. (s *. (w_r *. (1.0 +. (log (f +. 1.0) /. log 2.0)))))
+        else acc := !acc +. w_m
   done;
   !acc

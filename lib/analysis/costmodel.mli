@@ -21,16 +21,20 @@ type wan = {
     the planner keeps clumps region-local unless the co-access evidence
     overwhelms the multiplier. *)
 
+val w_r : float
+(** Remastering unit cost: 1.0. *)
+
+val w_m : float
+(** Migration unit cost: 10.0, the remaster-vs-migration cost ratio of
+    the simulated substrate. *)
+
 type t = {
-  w_r : float;  (** remastering unit cost *)
-  w_m : float;  (** migration unit cost *)
   freq : int -> float;  (** normalised access frequency f(v, ·) *)
   wan : wan option;  (** cross-region multiplier; [None] = region-free *)
 }
 
-val make : ?w_r:float -> ?w_m:float -> ?wan:wan -> freq:(int -> float) -> unit -> t
-(** Defaults follow the remaster-vs-migration cost ratio of the
-    simulated substrate: [w_r] 1.0, [w_m] 10.0, no WAN term. *)
+val make : ?wan:wan -> freq:(int -> float) -> unit -> t
+(** [wan] defaults to no WAN term. *)
 
 val cnt_r : t -> Lion_store.Placement.t -> part:int -> node:int -> float
 val cnt_m : t -> Lion_store.Placement.t -> part:int -> node:int -> float

@@ -41,9 +41,13 @@ let pp_outcome fmt o =
    ([Engine.run_all]): retries resolve, elections finish, log ships
    land, anti-entropy repairs terminate. Only at that point are the
    checker, the divergence audit and the liveness audit meaningful. *)
+(* Slack past the later of the horizon and the fault plan's last window
+   before a drain counts as a slow quiesce. *)
+let quiesce_slack = Engine.seconds 10.0
+
 let run ?(seed = 1) ?(clients = 8) ?(duration = 4.0) ?(nemesis_at = 1.0)
     ?tracer ?(max_events = 50_000_000) ?(actions = [])
-    ?(quiesce_slack = Engine.seconds 10.0) ?(observe = fun _ -> ()) ~cfg ~make
+    ?(observe = fun _ -> ()) ~cfg ~make
     ~gen ~nemesis () =
   let cfg =
     {

@@ -55,7 +55,6 @@ val run :
   ?tracer:Lion_trace.Trace.t ->
   ?max_events:int ->
   ?actions:(float * (Lion_store.Cluster.t -> unit)) list ->
-  ?quiesce_slack:float ->
   ?observe:(Lion_store.Cluster.t -> unit) ->
   cfg:Lion_store.Config.t ->
   make:(Lion_store.Cluster.t -> Lion_protocols.Proto.t) ->
@@ -71,8 +70,7 @@ val run :
     membership operations (join/decommission) at absolute simulated
     times — they are planner decisions, not fault-plan specs. The
     liveness audit's [Slow_quiesce] bound is the later of the horizon
-    and the plan's last window, plus [quiesce_slack] (default 10
-    simulated seconds). [observe] runs on the cluster after all audits,
-    before it is dropped — the fuzzer's hook for snapshotting metrics
+    and the plan's last window, plus 10 simulated seconds. [observe]
+    runs on the cluster after all audits, before it is dropped — the fuzzer's hook for snapshotting metrics
     and beacons into its coverage signal. Deterministic in ([seed],
     [cfg], nemesis, [actions]). *)

@@ -554,8 +554,7 @@ type campaign_result = {
   failures : (result * case option) list;
 }
 
-let campaign ?(rounds = 40) ?(shrink_failures = true) ?(shrink_budget = 150)
-    ?max_events ?(log = fun _ -> ()) ~seed ~phantom ~target () =
+let campaign ?(rounds = 40) ?(shrink_failures = true) ?max_events ?(log = fun _ -> ()) ~seed ~phantom ~target () =
   let rng = Rng.create (0x66757a7a lxor seed) in
   let seen = Hashtbl.create 64 in
   let pool = ref [] in
@@ -595,7 +594,7 @@ let campaign ?(rounds = 40) ?(shrink_failures = true) ?(shrink_budget = 150)
     if r.verdict <> Clean then begin
       let shrunk =
         if shrink_failures then begin
-          let mini, spent = shrink ~budget:shrink_budget ~target case r.verdict in
+          let mini, spent = shrink ~target case r.verdict in
           log
             (Printf.sprintf "  shrunk %d ops -> %d ops in %d runs"
                (List.length case.ops) (List.length mini.ops) spent);

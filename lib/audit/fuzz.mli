@@ -146,7 +146,6 @@ type campaign_result = {
 val campaign :
   ?rounds:int ->
   ?shrink_failures:bool ->
-  ?shrink_budget:int ->
   ?max_events:int ->
   ?log:(string -> unit) ->
   seed:int ->

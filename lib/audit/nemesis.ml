@@ -142,8 +142,8 @@ let overload_burst ?(node = 0) ?(duration = 2_000_000.0) ?(factor = 6.0)
      delivered after the node has crashed AND rejoined — the classic
      stale replication ack;
    - the crash itself lands [hold] after the tick, so a replica install
-     the planner initiated at the tick (a [replica_add_duration] =
-     200 ms background copy by default) completes after the rejoin too —
+     the planner initiated at the tick (a [Config.replica_add_duration]
+     = 200 ms background copy) completes after the rejoin too —
      a stale snapshot install.
 
    Untagged sessions accept both and corrupt the apply watermarks

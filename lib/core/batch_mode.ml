@@ -62,8 +62,7 @@ let create_with_planner ?name ?(seed = 31) ?(config = Planner.default_config) cl
       (fun part node ->
         let lag_bytes =
           Stdlib.max 256
-            (Lion_store.Replication.lag cl.Cluster.replication ~part
-            * cfg.Config.record_bytes)
+            (Lion_store.Replication.lag cl.Cluster.replication ~part * Config.record_bytes)
         in
         Network.charge cl.Cluster.network ~bytes:lag_bytes;
         cl.Cluster.remaster_count <- cl.Cluster.remaster_count + 1;
@@ -87,7 +86,7 @@ let create_with_planner ?name ?(seed = 31) ?(config = Planner.default_config) cl
               (fun part -> Placement.has_primary placement ~part ~node)
               txn.Txn.parts
           in
-          let work = Batch_util.ops_work cfg txn in
+          let work = Batch_util.ops_work txn in
           node_busy.(node) <-
             node_busy.(node) +. (if ok.(i) then work else 2.0 *. work);
           if not single then (
@@ -99,7 +98,7 @@ let create_with_planner ?name ?(seed = 31) ?(config = Planner.default_config) cl
                 let owner = Placement.primary placement part in
                 if owner <> node then
                   node_busy.(owner) <-
-                    node_busy.(owner) +. (2.0 *. cfg.Config.msg_handle_cost))
+                    node_busy.(owner) +. (2.0 *. Config.msg_handle_cost))
               txn.Txn.parts);
           Batch_util.charge_replication cl txn;
           { Batch.committed = true; single_node = single; remastered = wants_remaster.(i) })

@@ -15,32 +15,46 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type strategy = Rearrange | Schism_strategy
 
-type config = {
-  strategy : strategy;
-  predict : bool;
-  epsilon : float;
-  cross_boost : float;
-  alpha_factor : float;
-  w_r : float;
-  w_m : float;
-  decay : float;
-  use_lstm : bool;
-  w_p : float;
-}
+type config = { strategy : strategy; predict : bool; use_lstm : bool; w_p : float }
 
-let default_config =
-  {
-    strategy = Rearrange;
-    predict = true;
-    epsilon = 0.25;
-    cross_boost = 4.0;
-    alpha_factor = 2.0;
-    w_r = 1.0;
-    w_m = 10.0;
-    decay = 0.5;
-    use_lstm = true;
-    w_p = 1.0;
-  }
+let default_config = { strategy = Rearrange; predict = true; use_lstm = true; w_p = 1.0 }
+
+(* Clump threshold α = alpha_factor × mean edge weight. *)
+let alpha_factor = 2.0
+
+(* Edge-weight priority of cross-node co-access (e_c over e_s). It must
+   exceed [alpha_factor] for uniformly recurring templates to clump
+   while co-located ones rest. *)
+let cross_boost = 4.0
+
+(* Per-round decay of partition access counters (the frequency
+   window). *)
+let decay = 0.5
+
+type clumping = { alpha : float; max_weight : float; clumps : Clump.t list }
+
+let clump cl graph =
+  let alpha = alpha_factor *. Heatgraph.mean_edge_weight graph in
+  (* Cap clump growth at a fraction of the per-node fair share so the
+     rearrangement algorithm — which moves whole clumps — can always
+     balance a densely co-accessed hot set. *)
+  let total_weight = ref 0.0 and hottest = ref 0.0 in
+  for p = 0 to Cluster.partition_count cl - 1 do
+    let w = Heatgraph.vertex_weight graph p in
+    total_weight := !total_weight +. w;
+    if w > !hottest then hottest := w
+  done;
+  (* Floor at 2.2× the hottest vertex so a co-accessed pair can always
+     clump even when one partition dominates the heat. *)
+  let max_weight =
+    Stdlib.max
+      (0.35 *. !total_weight /. float_of_int (Cluster.node_count cl))
+      (2.2 *. !hottest)
+  in
+  let clumps =
+    Clump.generate ~max_weight graph ~placement:cl.Cluster.placement ~alpha ~cross_boost
+  in
+  { alpha; max_weight; clumps }
 
 type t = {
   cl : Cluster.t;
@@ -68,14 +82,11 @@ let create ?(seed = 23) cfg cl =
             Float.min 64.0
               (Float.max 1.0
                  (g.Lion_store.Config.wan_latency
-                 /. Float.max 1.0 c.Lion_store.Config.net_latency));
+                 /. Float.max 1.0 Lion_store.Config.net_latency));
         })
       c.Lion_store.Config.geo
   in
-  let cost =
-    Costmodel.make ~w_r:cfg.w_r ~w_m:cfg.w_m ?wan
-      ~freq:(Cluster.normalized_freq cl) ()
-  in
+  let cost = Costmodel.make ?wan ~freq:(Cluster.normalized_freq cl) () in
   {
     cl;
     cfg;
@@ -108,27 +119,7 @@ let tick t =
         (Predictor.analyze p ~time:(Cluster.now t.cl)))
     t.predictor;
   let placement = t.cl.Cluster.placement in
-  let alpha = t.cfg.alpha_factor *. Heatgraph.mean_edge_weight t.graph in
-  (* Cap clump growth at a fraction of the per-node fair share so the
-     rearrangement algorithm — which moves whole clumps — can always
-     balance a densely co-accessed hot set. *)
-  let total_weight = ref 0.0 and hottest = ref 0.0 in
-  for p = 0 to Cluster.partition_count t.cl - 1 do
-    let w = Heatgraph.vertex_weight t.graph p in
-    total_weight := !total_weight +. w;
-    if w > !hottest then hottest := w
-  done;
-  (* Floor at 2.2× the hottest vertex so a co-accessed pair can always
-     clump even when one partition dominates the heat. *)
-  let max_weight =
-    Stdlib.max
-      (0.35 *. !total_weight /. float_of_int (Cluster.node_count t.cl))
-      (2.2 *. !hottest)
-  in
-  let clumps =
-    Clump.generate ~max_weight t.graph ~placement ~alpha
-      ~cross_boost:t.cfg.cross_boost
-  in
+  let clumps = (clump t.cl t.graph).clumps in
   let plan =
     match t.cfg.strategy with
     | Rearrange ->
@@ -141,10 +132,7 @@ let tick t =
             (fun _ -> Cluster.plan_target_ok t.cl)
             t.cl.Cluster.cfg.Lion_store.Config.elastic
         in
-        let result =
-          Rearrange.rearrange ?eligible t.cost placement clumps
-            ~epsilon:t.cfg.epsilon ()
-        in
+        let result = Rearrange.rearrange ?eligible t.cost placement clumps () in
         (* Eager promotion: the plan's w_r costs are paid as the adaptor
            applies it (Example 2), so the router — which follows
            primaries — sees the rebalanced layout immediately. *)
@@ -161,7 +149,7 @@ let tick t =
         (match t.predictor with Some p -> Predictor.last_wv p | None -> 0.0));
   Lion_protocols.Apply.apply t.cl plan;
   Heatgraph.clear t.graph;
-  Cluster.decay_access t.cl t.cfg.decay
+  Cluster.decay_access t.cl decay
 
 let rounds t = t.rounds
 let last_plan_adds t = t.last_plan_adds

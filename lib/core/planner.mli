@@ -16,22 +16,31 @@ type strategy = Rearrange | Schism_strategy
 type config = {
   strategy : strategy;
   predict : bool;
-  epsilon : float;  (** load-imbalance tolerance of Algorithm 1 *)
-  cross_boost : float;  (** e_c over e_s edge-weight priority *)
-  alpha_factor : float;
-      (** clump threshold α = alpha_factor × mean edge weight *)
-  w_r : float;
-  w_m : float;
-  decay : float;  (** per-round decay of partition access counters *)
   use_lstm : bool;  (** false = trend-only forecaster (fast benches) *)
   w_p : float;
       (** weight of predicted co-access in the heat graph (§IV-C);
           0 disables the prediction algorithm, the paper's default is 1 *)
 }
+(** Algorithm 1's ε (0.25) is [Rearrange.rearrange]'s default; the
+    clump threshold factor (2), cross-node boost (4) and counter decay
+    (0.5) are constants of this module; [Costmodel.w_r]/[w_m] are
+    Eq. 3's unit costs. *)
 
 val default_config : config
-(** Rearrange + prediction, ε = 0.25, cross boost 4, α factor 2,
-    w_r = 1, w_m = 10, decay 0.5. *)
+(** Rearrange + prediction with the LSTM forecaster, w_p = 1. *)
+
+type clumping = {
+  alpha : float;  (** clump threshold: 2 × the mean edge weight *)
+  max_weight : float;
+      (** clump weight cap: the larger of 0.35 × the per-node share of
+          the total vertex weight and 2.2 × the hottest vertex *)
+  clumps : Lion_analysis.Clump.t list;
+}
+
+val clump : Lion_store.Cluster.t -> Lion_analysis.Heatgraph.t -> clumping
+(** The clump step of an analysis round on [graph], against the
+    cluster's current placement. [tick] runs it on the accumulated heat
+    graph; [lion debug planner] on a synthetic one. *)
 
 type t
 

@@ -98,7 +98,7 @@ let run ?(seed = 1) ?(smoke = false) () =
     Autoscale.create
       ~forecaster:(Forecaster.create ~seed ~use_lstm:(not smoke) ())
       ~per_node_rate ~min_members:cfg.Config.nodes
-      ~max_members:(Config.total_slots cfg) ()
+      ~max_members:(Config.total_slots cfg)
   in
   let events = ref [] in
   let control = Engine.ms 500.0 in

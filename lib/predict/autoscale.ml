@@ -5,10 +5,6 @@ type t = {
   per_node_rate : float;
   min_members : int;
   max_members : int;
-  horizon : int;
-  hysteresis : int;
-  headroom : float;
-  max_history : int;
   mutable history : float list;  (* newest first *)
   mutable last_forecast : float;
   mutable streak_dir : int;  (* sign of the pending desire: -1 / 0 / +1 *)
@@ -17,18 +13,24 @@ type t = {
   mutable downs : int;
 }
 
-let create ?(horizon = 3) ?(hysteresis = 3) ?(headroom = 1.2)
-    ?(max_history = 64) ~forecaster ~per_node_rate ~min_members ~max_members ()
-    =
+(* Control ticks ahead to forecast. *)
+let horizon = 3
+
+(* Consecutive same-direction desires needed before a scale step. *)
+let hysteresis = 3
+
+(* Over-provision factor on the forecast rate. *)
+let headroom = 1.2
+
+(* Observations kept for the forecaster. *)
+let max_history = 64
+
+let create ~forecaster ~per_node_rate ~min_members ~max_members =
   {
     fc = forecaster;
     per_node_rate = Stdlib.max 1e-6 per_node_rate;
     min_members;
     max_members;
-    horizon = Stdlib.max 1 horizon;
-    hysteresis = Stdlib.max 1 hysteresis;
-    headroom;
-    max_history = Stdlib.max 4 max_history;
     history = [];
     last_forecast = 0.0;
     streak_dir = 0;
@@ -42,8 +44,8 @@ let observe t ~rate =
   (* Bound the window: the forecaster trains on the recent past only,
      and an unbounded list would make each tick costlier than the
      last. *)
-  if List.length t.history > t.max_history then
-    t.history <- List.filteri (fun i _ -> i < t.max_history) t.history
+  if List.length t.history > max_history then
+    t.history <- List.filteri (fun i _ -> i < max_history) t.history
 
 let clamp t v = Stdlib.max t.min_members (Stdlib.min t.max_members v)
 
@@ -52,10 +54,10 @@ let desired t ~members =
   else begin
     let series = Array.of_list (List.rev t.history) in
     let f =
-      Forecaster.forecast t.fc ~key:0 ~series ~horizon:t.horizon
+      Forecaster.forecast t.fc ~key:0 ~series ~horizon
     in
     t.last_forecast <- f;
-    clamp t (int_of_float (Float.ceil (f *. t.headroom /. t.per_node_rate)))
+    clamp t (int_of_float (Float.ceil (f *. headroom /. t.per_node_rate)))
   end
 
 let forecast_rate t = t.last_forecast
@@ -74,7 +76,7 @@ let decide t ~members =
       t.streak_dir <- dir;
       t.streak_len <- 1
     end;
-    if t.streak_len < t.hysteresis then Hold
+    if t.streak_len < hysteresis then Hold
     else begin
       (* Emit one step and restart the streak: the next step needs the
          desire to persist for another full hysteresis window, so a

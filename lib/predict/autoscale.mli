@@ -2,10 +2,10 @@
 
     Couples the workload forecaster (§IV-C1's LSTM, with its
     trend-extrapolation fallback) to the cluster-size decision: observe
-    the arrival rate each control tick, forecast it [horizon] ticks
-    ahead, convert to a desired member count via a per-node capacity,
-    and emit a scale decision once the desire has persisted for
-    [hysteresis] consecutive ticks in the same direction.
+    the arrival rate each control tick, forecast it 3 ticks ahead,
+    convert to a desired member count via a per-node capacity, and emit
+    a scale decision once the desire has persisted for 3 consecutive
+    ticks in the same direction (the hysteresis).
 
     The hysteresis matters because membership changes are expensive —
     a join or decommission triggers a rate-limited rebalance
@@ -24,25 +24,12 @@ type decision =
   | Scale_down  (** decommission one member *)
 
 val create :
-  ?horizon:int ->
-  ?hysteresis:int ->
-  ?headroom:float ->
-  ?max_history:int ->
-  forecaster:Forecaster.t ->
-  per_node_rate:float ->
-  min_members:int ->
-  max_members:int ->
-  unit ->
-  t
+  forecaster:Forecaster.t -> per_node_rate:float -> min_members:int -> max_members:int -> t
 (** [per_node_rate] is the arrival rate (txns per simulated second) one
     member sustains comfortably; desired size is
-    [ceil (forecast * headroom / per_node_rate)] clamped to
-    [[min_members, max_members]]. [horizon] (default 3) is how many
-    control ticks ahead to forecast; [hysteresis] (default 3) how many
-    consecutive same-direction desires are needed before a non-[Hold]
-    decision; [headroom] (default 1.2) the over-provision factor;
-    [max_history] (default 64) the observation window kept for the
-    forecaster. *)
+    [ceil (forecast * 1.2 / per_node_rate)] (1.2 is the over-provision
+    headroom) clamped to [[min_members, max_members]]. The forecaster
+    sees the latest 64 observations. *)
 
 val observe : t -> rate:float -> unit
 (** Record one control tick's observed arrival rate (txns/s). *)
@@ -51,7 +38,7 @@ val decide : t -> members:int -> decision
 (** Decision for the current tick given the live member count. Returns
     [Hold] until enough history exists (3 observations) or while the
     hysteresis streak is still building; emitting a decision resets the
-    streak, so scale steps are at least [hysteresis] ticks apart. *)
+    streak, so scale steps are at least 3 ticks apart. *)
 
 val desired : t -> members:int -> int
 (** The clamped member count the latest forecast asks for (= [members]

@@ -7,28 +7,35 @@ type t = {
   registry : Template.t;
   forecaster : Forecaster.t;
   rng : Rng.t;
-  window : int;
-  beta : float;
   gamma : float;
-  horizon : int;
   w_p : float;
-  samples_per_class : int;
   mutable last_wv : float;
   mutable last_classes : int;
 }
 
-let create ?(seed = 17) ?(interval = 1e6) ?(window = 10) ?(beta = 0.15) ?(gamma = 0.30)
-    ?(horizon = 3) ?(w_p = 1.0) ?(samples_per_class = 8) ?(use_lstm = true) () =
+(* Arrival-rate sampling interval, µs (Eq. 5's i). *)
+let interval = 1e6
+
+(* Periods of history per forecast (the paper's "preceding
+   ten-period"). *)
+let window = 10
+
+(* Cosine-distance merge threshold of workload classification. *)
+let beta = 0.15
+
+(* Periods ahead to forecast (Eq. 6's h). *)
+let horizon = 3
+
+(* Templates reservoir-sampled per rising workload. *)
+let samples_per_class = 8
+
+let create ?(seed = 17) ?(gamma = 0.30) ?(w_p = 1.0) ?(use_lstm = true) () =
   {
     registry = Template.create ~interval ();
     forecaster = Forecaster.create ~seed:(seed + 1) ~window ~use_lstm ();
     rng = Rng.create seed;
-    window;
-    beta;
     gamma;
-    horizon;
     w_p;
-    samples_per_class;
     last_wv = 0.0;
     last_classes = 0;
   }
@@ -51,7 +58,7 @@ let analyze t ~time =
        like a collapse and spuriously fire the wv trigger every tick. *)
     let upto = Template.bucket_of_time t.registry time in
     let classes =
-      Classify.classify ~upto t.registry ~window:(2 * t.window) ~beta:t.beta
+      Classify.classify ~upto t.registry ~window:(2 * window) ~beta
     in
     t.last_classes <- List.length classes;
     if classes = [] then (
@@ -64,7 +71,7 @@ let analyze t ~time =
             let anchor = match w.templates with [] -> w.class_id | id :: _ -> id in
             let predicted =
               Forecaster.forecast t.forecaster ~key:anchor ~series:w.series
-                ~horizon:t.horizon
+                ~horizon
             in
             (w, current_rate w.series, predicted))
           classes
@@ -89,7 +96,7 @@ let analyze t ~time =
             if pred <= cur || pred <= 0.0 then []
             else (
               let sampled =
-                Classify.sample_templates w t.registry ~rng:t.rng ~k:t.samples_per_class
+                Classify.sample_templates w t.registry ~rng:t.rng ~k:samples_per_class
               in
               List.filter_map
                 (fun id ->

@@ -14,22 +14,11 @@ type prediction = {
 
 type t
 
-val create :
-  ?seed:int ->
-  ?interval:float ->
-  ?window:int ->
-  ?beta:float ->
-  ?gamma:float ->
-  ?horizon:int ->
-  ?w_p:float ->
-  ?samples_per_class:int ->
-  ?use_lstm:bool ->
-  unit ->
-  t
-(** Defaults: [interval] 1 s (in µs), [window] 10 periods, [beta] 0.15,
-    [gamma] 0.30 (normalised wv threshold), [horizon] 3 periods,
-    [w_p] 1.0 (the paper's default; 0 disables prediction), and 8
-    sampled templates per rising workload. *)
+val create : ?seed:int -> ?gamma:float -> ?w_p:float -> ?use_lstm:bool -> unit -> t
+(** Defaults: [gamma] 0.30 (normalised wv threshold) and [w_p] 1.0
+    (the paper's default; 0 disables prediction). Fixed: 1 s sampling
+    interval, a 10-period forecast window, [beta] 0.15, a 3-period
+    horizon and 8 sampled templates per rising workload. *)
 
 val observe : t -> time:float -> Lion_workload.Txn.t -> unit
 (** Feed one executed transaction's partition set into the registry. *)

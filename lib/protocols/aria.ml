@@ -25,7 +25,7 @@ let create cl =
           (* Execution happens before reservation checking, so aborted
              transactions consume their work too. *)
           node_busy.(home) <-
-            node_busy.(home) +. Batch_util.ops_work cfg txn
+            node_busy.(home) +. Batch_util.ops_work txn
             +. (if cross then rt else 0.0);
           if ok.(i) then (
             Batch_util.charge_replication cl txn;

@@ -5,21 +5,21 @@ module Network = Lion_sim.Network
 module Kvstore = Lion_store.Kvstore
 module Txn = Lion_workload.Txn
 
-let ops_work cfg (txn : Txn.t) =
-  cfg.Config.txn_setup_cost
-  +. (float_of_int (Array.length txn.Txn.ops) *. cfg.Config.local_op_cost)
+let ops_work (txn : Txn.t) =
+  Config.txn_setup_cost
+  +. (float_of_int (Array.length txn.Txn.ops) *. Config.local_op_cost)
 
-let part_ops_work cfg (txn : Txn.t) ~part =
+let part_ops_work (txn : Txn.t) ~part =
   let n =
     Array.fold_left
       (fun n op -> if Kvstore.part (Txn.key_of op) = part then n + 1 else n)
       0 txn.Txn.ops
   in
-  float_of_int n *. cfg.Config.local_op_cost
+  float_of_int n *. Config.local_op_cost
 
 let rt_block cl =
-  Network.roundtrip cl.Cluster.network ~bytes:cl.Cluster.cfg.Config.op_msg_bytes
-  +. cl.Cluster.cfg.Config.msg_handle_cost
+  Network.roundtrip cl.Cluster.network ~bytes:Config.op_msg_bytes
+  +. Config.msg_handle_cost
 
 let home_node cl (txn : Txn.t) =
   let placement = cl.Cluster.placement in
@@ -55,7 +55,7 @@ let rec replicate_parts cl secondaries = function
   | p :: rest -> replicate_parts cl (secondaries + replicate_part cl p) rest
 
 let charge_replication cl (txn : Txn.t) =
-  let bytes = replicate_parts cl 0 txn.Txn.parts * cl.Cluster.cfg.Config.record_bytes in
+  let bytes = replicate_parts cl 0 txn.Txn.parts * Config.record_bytes in
   if bytes > 0 then Network.charge cl.Cluster.network ~bytes
 
 let touch cl (txn : Txn.t) =

@@ -1,10 +1,10 @@
 (** Shared cost accounting for the analytic batch-epoch protocols. *)
 
-val ops_work : Lion_store.Config.t -> Lion_workload.Txn.t -> float
+val ops_work : Lion_workload.Txn.t -> float
 (** CPU µs to execute a whole transaction: per-transaction setup plus
     all of its operations. *)
 
-val part_ops_work : Lion_store.Config.t -> Lion_workload.Txn.t -> part:int -> float
+val part_ops_work : Lion_workload.Txn.t -> part:int -> float
 (** CPU µs for the operations touching one partition. *)
 
 val rt_block : Lion_store.Cluster.t -> float

@@ -4,7 +4,6 @@ module Metrics = Lion_sim.Metrics
 module Txn = Lion_workload.Txn
 
 let create cl =
-  let cfg = cl.Cluster.cfg in
   let process txns =
     let nodes = Cluster.node_count cl in
     let node_busy = Array.make nodes 0.0 in
@@ -20,7 +19,7 @@ let create cl =
             (fun part ->
               let owner = Placement.primary cl.Cluster.placement part in
               node_busy.(owner) <-
-                node_busy.(owner) +. Batch_util.part_ops_work cfg txn ~part)
+                node_busy.(owner) +. Batch_util.part_ops_work txn ~part)
             txn.Txn.parts;
           (* The home worker stalls on the remote-read exchange — the
              dominant cost of Calvin's distributed transactions (§VI-G

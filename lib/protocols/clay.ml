@@ -5,7 +5,10 @@ module Clump = Lion_analysis.Clump
 module Plan = Lion_analysis.Plan
 module Txn = Lion_workload.Txn
 
-let create ?(imbalance_threshold = 0.25) cl =
+(* The monitor triggers when max_load > avg·(1 + imbalance_threshold). *)
+let imbalance_threshold = 0.25
+
+let create cl =
   let parts = Cluster.partition_count cl in
   let graph = Heatgraph.create ~partitions:parts in
   let rebalance () =

@@ -13,8 +13,6 @@
     running single-node transactions as having an equal load to nodes
     with fewer distributed transactions"). *)
 
-val create :
-  ?imbalance_threshold:float -> Lion_store.Cluster.t -> Proto.t
-(** [imbalance_threshold] (default 0.25): trigger when
-    max_load > avg·(1 + threshold). The harness calls [tick]
-    periodically. *)
+val create : Lion_store.Cluster.t -> Proto.t
+(** The monitor triggers when max_load > avg·(1 + 0.25). The harness
+    calls [tick] periodically. *)

@@ -40,11 +40,15 @@ type pending = {
 
 type t = {
   cl : Cluster.t;
-  interval : float;
   mutable parked : pending list;  (* reverse arrival order *)
   mutable timer_armed : bool;
   mutable epochs : int;
 }
+
+(* Epoch length, µs: optimistic execution parks until the next
+   boundary, where validation and one cross-region replication round
+   happen for the whole epoch. *)
+let interval = 20_000.0
 
 (* Give-up bound for pathological schedules (every region unreachable
    past any nemesis horizon): keeps [Engine.run_all] terminating. Far
@@ -76,7 +80,7 @@ let rec arm_timer t =
   if not t.timer_armed then (
     t.timer_armed <- true;
     let engine = t.cl.Cluster.engine in
-    let wait = t.interval -. Float.rem (Engine.now engine) t.interval in
+    let wait = interval -. Float.rem (Engine.now engine) interval in
     Engine.schedule engine ~delay:wait (fun () ->
         t.timer_armed <- false;
         close_epoch t))
@@ -130,9 +134,7 @@ and close_epoch t =
           (fun acc p -> acc + Kvstore.write_count p.session)
           0 winners
       in
-      let bytes =
-        cfg.Config.op_msg_bytes + (cfg.Config.record_bytes * total_writes)
-      in
+      let bytes = Config.op_msg_bytes + (Config.record_bytes * total_writes) in
       (* Per-winner WAN span: pure trace data (only allocated for
          sampled transactions), closed when the round resolves. *)
       let spans =
@@ -198,7 +200,7 @@ and close_epoch t =
           List.iter
             (fun peer ->
               Transport.call cl ~src:leader ~dst:peer ~bytes
-                ~work:cfg.Config.msg_handle_cost ~on_fail:fail ok ())
+                ~work:Config.msg_handle_cost ~on_fail:fail ok ())
             peers));
   if t.parked <> [] then arm_timer t
 
@@ -243,7 +245,6 @@ and abort_retry t (p : pending) =
 and execute t ~txn ~start ~attempt ~octx ~on_parked =
   let cl = t.cl in
   let engine = cl.Cluster.engine in
-  let cfg = cl.Cluster.cfg in
   let coordinator = Exec.route_most_primaries cl txn in
   let actx =
     match octx with
@@ -264,7 +265,7 @@ and execute t ~txn ~start ~attempt ~octx ~on_parked =
       on_parked ())
     else
       Engine.schedule engine
-        ~delay:(cfg.Config.rpc_timeout +. Rng.float cl.Cluster.rng 50.0)
+        ~delay:(Config.rpc_timeout +. Rng.float cl.Cluster.rng 50.0)
         (fun () ->
           execute t ~txn ~start ~attempt:(attempt + 1) ~octx ~on_parked)
   in
@@ -272,8 +273,7 @@ and execute t ~txn ~start ~attempt ~octx ~on_parked =
       let session = Kvstore.begin_session cl.Cluster.store in
       let n_ops = Array.length txn.Txn.ops in
       let work =
-        (cfg.Config.txn_setup_cost
-        +. (float_of_int n_ops *. cfg.Config.local_op_cost))
+        (Config.txn_setup_cost +. (float_of_int n_ops *. Config.local_op_cost))
         *. Cluster.work_scale cl coordinator
       in
       let t0 = Engine.now engine in
@@ -312,10 +312,8 @@ let submit t txn ~on_done =
   execute t ~txn ~start:(Engine.now engine) ~attempt:1 ~octx
     ~on_parked:on_done
 
-let create ?(interval = 20_000.0) cl =
-  let t =
-    { cl; interval; parked = []; timer_armed = false; epochs = 0 }
-  in
+let create cl =
+  let t = { cl; parked = []; timer_armed = false; epochs = 0 } in
   Proto.make ~name:"EpochOCC"
     ~submit:(fun txn ~on_done -> submit t txn ~on_done)
     ~drain:(fun () -> close_epoch t)

@@ -22,7 +22,7 @@
     RPC retry schedule) aborts all its reserved transactions, which
     re-execute in a later epoch. *)
 
-val create : ?interval:float -> Lion_store.Cluster.t -> Proto.t
-(** [interval] is the epoch length, µs (default 20 ms): optimistic
-    execution parks until the next boundary, where validation and one
-    cross-region replication round happen for the whole epoch. *)
+val create : Lion_store.Cluster.t -> Proto.t
+(** Epochs are 20 ms long: optimistic execution parks until the next
+    boundary, where validation and one cross-region replication round
+    happen for the whole epoch. *)

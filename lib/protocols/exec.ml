@@ -244,13 +244,13 @@ let record_group a =
     if parts.(i) = a.part then record_op a.session ops.(i)
   done
 
-let local_work a = float_of_int a.n_ops *. (cfg a).Config.local_op_cost
+let local_work a = float_of_int a.n_ops *. Config.local_op_cost
 
 let rec send_oneway a = function
   | [] -> ()
   | node :: rest ->
       Network.send a.run.cl.Cluster.network ~src:a.coordinator ~dst:node
-        ~bytes:(cfg a).Config.op_msg_bytes nop;
+        ~bytes:Config.op_msg_bytes nop;
       send_oneway a rest
 
 (* An attempt that ends without a commit: the coordinator was dead,
@@ -361,7 +361,7 @@ and granted r ~coordinator ~actx ~wait_span lease =
     open_span (engine a) ~node:coordinator ~part:(-1) ~phase:"scheduling" ~name:"setup"
       actx;
   Engine.schedule_apply (engine a)
-    ~delay:((cfg a).Config.txn_setup_cost *. Cluster.work_scale cl coordinator)
+    ~delay:(Config.txn_setup_cost *. Cluster.work_scale cl coordinator)
     setup_done a
 
 and setup_done a =
@@ -387,7 +387,7 @@ and step a g =
            the transaction on a never-firing event — time out and
            abort, the retry loop keeps probing until the partition's
            node recovers. *)
-        Engine.schedule_apply (engine a) ~delay:(cfg a).Config.rpc_timeout part_lost a
+        Engine.schedule_apply (engine a) ~delay:Config.rpc_timeout part_lost a
       else (
         a.marks.step_start <- now a;
         a.span <-
@@ -451,7 +451,7 @@ and migrate a =
   let cl = a.run.cl in
   a.remastered <- true;
   let prim = Placement.primary cl.Cluster.placement a.part in
-  let bytes = a.n_ops * (cfg a).Config.record_bytes in
+  let bytes = a.n_ops * Config.record_bytes in
   let delay = Network.roundtrip cl.Cluster.network ~bytes +. leap_migration_overhead in
   (* Migration blocks concurrent transactions on the partition for the
      transfer (§II-B). *)
@@ -512,8 +512,8 @@ and exec_remote a =
       ~phase:"execution" ~name:"exec-remote" a.actx;
   a.awaiting <- Exec_reply;
   Transport.call cl ?deadline:a.run.enforced ~src:a.coordinator ~dst:prim
-    ~bytes:((cfg a).Config.op_msg_bytes * a.n_ops)
-    ~work:(local_work a +. (cfg a).Config.msg_handle_cost)
+    ~bytes:(Config.op_msg_bytes * a.n_ops)
+    ~work:(local_work a +. Config.msg_handle_cost)
     ~on_fail:rpc_failed ?ctx:a.span rpc_answered a
 
 and rpc_answered a =
@@ -591,16 +591,15 @@ and groups_done a =
       | _ ->
           a.votes <- List.length participants;
           a.awaiting <- Votes;
-          let cfg = cfg a in
           send_prepares a ~pctx:a.span
-            ~bytes:(cfg.Config.op_msg_bytes + cfg.Config.record_bytes)
+            ~bytes:(Config.op_msg_bytes + Config.record_bytes)
             participants
 
 and send_prepares a ~pctx ~bytes = function
   | [] -> ()
   | node :: rest ->
       Transport.call a.run.cl ?deadline:a.run.enforced ~src:a.coordinator ~dst:node ~bytes
-        ~work:(cfg a).Config.msg_handle_cost ~on_fail:rpc_failed ?ctx:pctx rpc_answered a;
+        ~work:Config.msg_handle_cost ~on_fail:rpc_failed ?ctx:pctx rpc_answered a;
       send_prepares a ~pctx ~bytes rest
 
 (* Votes arriving after the round failed are stragglers and ignored. *)
@@ -662,7 +661,7 @@ and send_commits a ~cctx = function
   | [] -> ()
   | node :: rest ->
       Transport.call a.run.cl ?deadline:a.run.enforced ~src:a.coordinator ~dst:node
-        ~bytes:(cfg a).Config.op_msg_bytes ~work:(cfg a).Config.msg_handle_cost
+        ~bytes:Config.op_msg_bytes ~work:Config.msg_handle_cost
         ~on_fail:rpc_failed ?ctx:cctx rpc_answered a;
       send_commits a ~cctx rest
 
@@ -691,7 +690,7 @@ and attempt_over a =
   let cfg = cl.Cluster.cfg in
   if a.committed then (
     (match a.actx with None -> () | Some _ -> Trace.finish ~ts:(now a) a.actx);
-    let interval = cfg.Config.group_commit_interval in
+    let interval = Config.group_commit_interval in
     let now = now a in
     let wait = interval -. Float.rem now interval in
     let latency = now -. r.start +. wait in

@@ -15,10 +15,9 @@ let per_move_stall = 300.0
 
 (* Hermes moves only the records a group needs, roughly a tenth of a
    partition per move. *)
-let move_bytes cfg = cfg.Config.partition_bytes / 10
+let move_bytes = Config.partition_bytes / 10
 
 let create cl =
-  let cfg = cl.Cluster.cfg in
   let parts = Cluster.partition_count cl in
   (* Hermes' own mastership view, seeded from the initial placement. *)
   let owner =
@@ -54,7 +53,7 @@ let create cl =
             if owner.(part) <> node then (
               owner.(part) <- node;
               incr moves;
-              Network.charge cl.Cluster.network ~bytes:(move_bytes cfg)))
+              Network.charge cl.Cluster.network ~bytes:move_bytes))
           c.pids)
       assignments;
     let verdicts =
@@ -67,7 +66,7 @@ let create cl =
           let home = ref 0 in
           Array.iteri (fun n c -> if c > counts.(!home) then home := n) counts;
           let single = List.for_all (fun p -> owner.(p) = !home) txn.Txn.parts in
-          node_busy.(!home) <- node_busy.(!home) +. Batch_util.ops_work cfg txn;
+          node_busy.(!home) <- node_busy.(!home) +. Batch_util.ops_work txn;
           if not single then node_busy.(!home) <- node_busy.(!home) +. rt;
           Batch_util.charge_replication cl txn;
           { Batch.committed = true; single_node = single; remastered = false })

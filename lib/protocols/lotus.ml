@@ -4,8 +4,10 @@ module Placement = Lion_store.Placement
 module Metrics = Lion_sim.Metrics
 module Txn = Lion_workload.Txn
 
-let create ?(granule_size = 16) cl =
-  let cfg = cl.Cluster.cfg in
+(* Rows per granule lock. *)
+let granule_size = 16
+
+let create cl =
   let process txns =
     let nodes = Cluster.node_count cl in
     let node_busy = Array.make nodes 0.0 in
@@ -49,8 +51,8 @@ let create ?(granule_size = 16) cl =
           (* Asynchronous commit/replication: cross transactions cost
              message handling, not a blocking round trip. *)
           node_busy.(home) <-
-            node_busy.(home) +. Batch_util.ops_work cfg txn
-            +. (if cross then 2.0 *. cfg.Lion_store.Config.msg_handle_cost else 0.0);
+            node_busy.(home) +. Batch_util.ops_work txn
+            +. (if cross then 2.0 *. Lion_store.Config.msg_handle_cost else 0.0);
           if ok.(i) then (
             Batch_util.charge_replication cl txn;
             { Batch.committed = true; single_node = not cross; remastered = false })

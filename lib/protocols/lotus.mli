@@ -8,6 +8,6 @@
     leading to transaction aborts and re-executions"). Commit and
     replication are asynchronous and overlap with computation, giving
     Lotus near-zero scheduling overhead and strong low-cross-ratio
-    performance. *)
+    performance. A granule is 16 consecutive rows of one partition. *)
 
-val create : ?granule_size:int -> Lion_store.Cluster.t -> Proto.t
+val create : Lion_store.Cluster.t -> Proto.t

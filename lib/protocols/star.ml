@@ -20,7 +20,7 @@ let create cl =
       Array.mapi
         (fun i txn ->
           Batch_util.touch cl txn;
-          let work = Batch_util.ops_work cfg txn in
+          let work = Batch_util.ops_work txn in
           let cross = Txn.is_cross_partition txn in
           let node = if cross then super else Batch_util.home_node cl txn in
           if cross then any_cross := true;
@@ -30,9 +30,7 @@ let create cl =
              other node; partitioned writes to their secondaries. *)
           if cross then
             Network.charge cl.Cluster.network
-              ~bytes:
-                (Txn.write_count txn
-                * cfg.Config.record_bytes * (nodes - 1))
+              ~bytes:(Txn.write_count txn * Config.record_bytes * (nodes - 1))
           else Batch_util.charge_replication cl txn;
           { Batch.committed = true; single_node = true; remastered = cross })
         txns

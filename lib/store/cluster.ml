@@ -135,7 +135,7 @@ let drop_secondary t ~part ~node =
 (* Bytes of the unacknowledged log suffix of [part] — what a leader
    transfer or an orphaned primary's resync ships (§III). *)
 let lag_bytes t ~part =
-  Stdlib.max 256 (Replication.lag t.replication ~part * t.cfg.Config.record_bytes)
+  Stdlib.max 256 (Replication.lag t.replication ~part * Config.record_bytes)
 
 (* Replica installs run at high priority when [control_priority] asks
    for it (docs/OVERLOAD.md); the retry budget and the breakers live in
@@ -322,17 +322,17 @@ let add_replica t ~part ~node ~on_ready =
         if
           Placement.replica_count t.placement part >= Placement.max_replicas t.placement
         then evict_one_secondary t ~part ~keep:node;
-        Network.send t.network ~src ~dst:node ~bytes:t.cfg.Config.partition_bytes
+        Network.send t.network ~src ~dst:node ~bytes:Config.partition_bytes
           (fun () -> ());
         (* Snapshotting on the source and applying on the destination
            consume worker CPU, interfering with transaction processing. *)
         Server.submit t.workers.(src) ~prio:(ctl_prio t)
-          ~work:t.cfg.Config.migration_cpu_cost (fun () -> ());
+          ~work:Config.migration_cpu_cost (fun () -> ());
         Server.submit t.workers.(node) ~prio:(ctl_prio t)
-          ~work:t.cfg.Config.migration_cpu_cost (fun () -> ());
+          ~work:Config.migration_cpu_cost (fun () -> ());
         t.migration_count <- t.migration_count + 1;
         let session = session_for t ~part ~dst:node in
-        Engine.schedule t.engine ~delay:t.cfg.Config.replica_add_duration (fun () ->
+        Engine.schedule t.engine ~delay:Config.replica_add_duration (fun () ->
             if t.node_alive.(node) then (
               let stale = session_stale t ~dst:node session in
               if stale && t.cfg.Config.session_tagging then
@@ -528,7 +528,7 @@ and start_move t ~part ~dst ~after =
              (not t.node_alive.(old))
              && Placement.has_secondary t.placement ~part ~node:old
            then drop_secondary t ~part ~node:old;
-           t.part_available.(part) <- now t +. t.cfg.Config.election_delay
+           t.part_available.(part) <- now t +. Config.election_delay
          end);
         after ();
         kick_rebalancer t);
@@ -822,8 +822,8 @@ let fail_node t node =
             Metrics.beacon t.metrics "partition-parked";
             t.part_available.(part) <- infinity
         | _ :: _ ->
-            block_partition t part (now t +. t.cfg.Config.election_delay);
-            Engine.schedule t.engine ~delay:t.cfg.Config.election_delay (fun () ->
+            block_partition t part (now t +. Config.election_delay);
+            Engine.schedule t.engine ~delay:Config.election_delay (fun () ->
                 let promoted =
                   match
                     List.filter
@@ -915,7 +915,7 @@ let recover_node t node =
         Replication.set_applied t.replication ~part ~node
           ~upto:(Replication.appends t.replication ~part);
         t.part_available.(part) <-
-          now t +. t.cfg.Config.election_delay
+          now t +. Config.election_delay
           +. Network.oneway_delay t.network ~bytes:lag_bytes
       end
     done;
@@ -979,7 +979,7 @@ let create ?(seed = 1) ?tracer ?history cfg =
       cfg.Config.geo
   in
   let network =
-    Network.create ~latency:cfg.Config.net_latency ~per_byte:cfg.Config.net_per_byte
+    Network.create ~latency:Config.net_latency ~per_byte:Config.net_per_byte
       ?topology ~fault ~metrics engine
   in
   let parts = Config.total_partitions cfg in
@@ -1015,7 +1015,7 @@ let create ?(seed = 1) ?tracer ?history cfg =
       placement;
       store = Kvstore.create ();
       replication =
-        Replication.create ~interval:cfg.Config.group_commit_interval ~partitions:parts
+        Replication.create ~interval:Config.group_commit_interval ~partitions:parts
           ~slots engine;
       workers = Array.init slots (fun _ -> server cfg.Config.workers_per_node);
       services = Array.init slots (fun _ -> server 2);

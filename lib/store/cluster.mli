@@ -182,8 +182,8 @@ val remaster_sync : t -> part:int -> node:int -> unit
     completion time. No-op when [node] is already primary. *)
 
 val add_replica : t -> part:int -> node:int -> on_ready:(unit -> unit) -> unit
-(** Background replica addition: charges [partition_bytes] to the
-    network, waits [replica_add_duration], then installs the secondary.
+(** Background replica addition: charges [Config.partition_bytes] to the
+    network, waits [Config.replica_add_duration], then installs the secondary.
     If the partition is at [max_replicas], evicts the coldest secondary
     (the delete_flag mechanism) first; if [node] already holds a
     replica, fires [on_ready] immediately. Never blocks transactions.
@@ -263,7 +263,7 @@ val fail_node : t -> int -> unit
     failover's own [Placement.remaster] would otherwise leave on the
     dead node); the fault layer starts dropping messages to and from
     it; every partition whose primary lived there blocks for
-    [cfg.election_delay] and is then failed over to a surviving
+    [Config.election_delay] and is then failed over to a surviving
     secondary. A partition with no surviving replica stays blocked
     until the node recovers (data loss is out of scope). Idempotent. *)
 
@@ -279,7 +279,7 @@ val recover_node : t -> int -> unit
     node after resynchronising: the unacknowledged log suffix is
     shipped from a live peer (charged to the network, same lagging-log
     rule as [try_begin_remaster]) and the partition reopens after
-    [cfg.election_delay] plus the shipping delay. *)
+    [Config.election_delay] plus the shipping delay. *)
 
 val worker_saturated : t -> node:int -> bool
 (** True when every worker on [node] is leased right now — a fresh

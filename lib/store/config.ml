@@ -1,3 +1,21 @@
+(* The simulator's calibration: one fit of the paper's testbed (§VI-A,
+   ~1 GbE, 8 workers per node). Times are simulated µs, sizes bytes. *)
+let txn_setup_cost = 50.0
+let local_op_cost = 15.0
+let msg_handle_cost = 4.0
+let net_latency = 60.0
+let net_per_byte = 0.0085
+let op_msg_bytes = 128
+let record_bytes = 64
+let partition_bytes = 1_000_000
+let migration_cpu_cost = 20_000.0
+let replica_add_duration = 200_000.0
+let election_delay = 10_000.0
+let group_commit_interval = 10_000.0
+let rpc_timeout = 5_000.0
+let rpc_retries = 3
+let rpc_backoff = 200.0
+
 type admission = { queue_cap : int; shed_policy : Lion_sim.Server.shed_policy }
 type retry_budget = { rate : float; burst : float }
 type breaker = { threshold : int; cooldown : float }
@@ -11,24 +29,9 @@ type t = {
   workers_per_node : int;
   replicas : int;
   max_replicas : int;
-  txn_setup_cost : float;
-  local_op_cost : float;
-  msg_handle_cost : float;
-  net_latency : float;
-  net_per_byte : float;
-  op_msg_bytes : int;
-  record_bytes : int;
   remaster_delay : float;
   remaster_cooldown : float;
-  partition_bytes : int;
-  migration_cpu_cost : float;
-  replica_add_duration : float;
-  election_delay : float;
-  group_commit_interval : float;
   batch_size : int;
-  rpc_timeout : float;
-  rpc_retries : int;
-  rpc_backoff : float;
   fault_plan : Lion_sim.Fault.plan;
   admission : admission option;
   control_priority : bool;
@@ -47,24 +50,9 @@ let default =
     workers_per_node = 8;
     replicas = 2;
     max_replicas = 4;
-    txn_setup_cost = 50.0;
-    local_op_cost = 15.0;
-    msg_handle_cost = 4.0;
-    net_latency = 60.0;
-    net_per_byte = 0.0085;
-    op_msg_bytes = 128;
-    record_bytes = 64;
     remaster_delay = 300.0;
     remaster_cooldown = 10_000.0;
-    partition_bytes = 1_000_000;
-    migration_cpu_cost = 20_000.0;
-    replica_add_duration = 200_000.0;
-    election_delay = 10_000.0;
-    group_commit_interval = 10_000.0;
     batch_size = 10_000;
-    rpc_timeout = 5_000.0;
-    rpc_retries = 3;
-    rpc_backoff = 200.0;
     fault_plan = Lion_sim.Fault.none;
     admission = None;
     control_priority = false;

@@ -5,6 +5,52 @@
     remaster delay 300 µs, ~1 GbE network. All costs are in simulated
     microseconds, all sizes in bytes. *)
 
+(** {1 Calibration}
+
+    One fit of the paper's testbed that every run shares, so these are
+    constants rather than fields of {!t} (docs/TUNING.md). *)
+
+val txn_setup_cost : float  (** coordinator CPU per transaction (parsing, context): 50 *)
+
+val local_op_cost : float  (** CPU to execute one local read/write: 15 *)
+
+val msg_handle_cost : float  (** CPU consumed at a message receiver: 4 *)
+
+val net_latency : float  (** one-way network latency: 60 *)
+
+val net_per_byte : float  (** µs per byte on the wire: 0.0085 (~1 GbE) *)
+
+val op_msg_bytes : int  (** request/response size for one operation: 128 *)
+
+val record_bytes : int  (** payload of one data record: 64 *)
+
+val partition_bytes : int  (** bytes copied when adding a replica: 1 MB *)
+
+val migration_cpu_cost : float
+(** Worker CPU on {e each} of the source and destination nodes per
+    replica addition — the interference that makes migration-heavy
+    strategies pay (§II-B): 20 ms. *)
+
+val replica_add_duration : float  (** background copy duration: 200 ms *)
+
+val election_delay : float
+(** Leader-election span after a node failure before an affected
+    partition's surviving secondary is promoted: 10 ms. *)
+
+val group_commit_interval : float  (** epoch length for group commit: 10 ms *)
+
+val rpc_timeout : float
+(** Wait for an RPC reply before declaring the attempt lost: 5 ms
+    (docs/FAULTS.md). *)
+
+val rpc_retries : int
+(** Retransmissions after the first attempt; once exhausted the
+    caller's [on_fail] fires: 3. *)
+
+val rpc_backoff : float  (** base of the exponential backoff between retries: 200 *)
+
+(** {1 Settings} *)
+
 (** Admission control: who waits, and who is turned away. *)
 type admission = {
   queue_cap : int;
@@ -63,13 +109,6 @@ type t = {
   workers_per_node : int;  (** worker threads per node (paper: 8) *)
   replicas : int;  (** initial replicas per partition (paper: 2) *)
   max_replicas : int;  (** replica cap per partition (paper: 4) *)
-  txn_setup_cost : float;  (** per-transaction CPU µs at the coordinator (parsing, context) *)
-  local_op_cost : float;  (** CPU µs to execute one local read/write *)
-  msg_handle_cost : float;  (** CPU µs consumed at a message receiver *)
-  net_latency : float;  (** one-way network latency, µs *)
-  net_per_byte : float;  (** µs per byte on the wire *)
-  op_msg_bytes : int;  (** request/response size for one operation *)
-  record_bytes : int;  (** payload of one data record *)
   remaster_delay : float;
       (** leader-transfer duration, µs. Default 300 (log tail sync +
           leader handover on a LAN); §VI-C1 experiments explicitly set
@@ -77,26 +116,7 @@ type t = {
   remaster_cooldown : float;
       (** minimum µs between two remasters of the same partition —
           damps ping-pong; transactions losing the race fall back to 2PC *)
-  partition_bytes : int;  (** bytes copied when adding a replica *)
-  migration_cpu_cost : float;
-      (** worker CPU µs consumed on {e each} of the source and
-          destination nodes per replica addition — the interference that
-          makes migration-heavy strategies pay (§II-B) *)
-  replica_add_duration : float;  (** background copy duration, µs *)
-  election_delay : float;
-      (** leader-election span after a node failure before an affected
-          partition's surviving secondary is promoted, µs *)
-  group_commit_interval : float;  (** epoch length for group commit, µs *)
   batch_size : int;  (** batch execution epoch size (paper: 10k) *)
-  rpc_timeout : float;
-      (** µs a sender waits for an RPC reply before declaring the
-          attempt lost (see docs/FAULTS.md) *)
-  rpc_retries : int;
-      (** bounded retransmissions after the first attempt; once
-          exhausted the caller's [on_fail] fires *)
-  rpc_backoff : float;
-      (** base µs of the exponential backoff between RPC retries
-          (doubles per attempt) *)
   fault_plan : Lion_sim.Fault.plan;
       (** scheduled crashes / partitions / drop / jitter / stragglers
           injected into this cluster (default: none) *)

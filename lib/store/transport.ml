@@ -135,7 +135,7 @@ and call_timer c =
     breaker_failure t c.dst;
     c.on_fail c.arg
   in
-  if c.attempt >= t.cfg.Config.rpc_retries then (
+  if c.attempt >= Config.rpc_retries then (
     Metrics.record_timeout t.metrics;
     give_up "timeout")
   else if match c.deadline with Some d -> Cluster.now t >= d | None -> false then (
@@ -147,7 +147,7 @@ and call_timer c =
   else (
     Metrics.record_retry t.metrics;
     close_span t "retry" c.actx;
-    let backoff = t.cfg.Config.rpc_backoff *. float_of_int (1 lsl c.attempt) in
+    let backoff = Config.rpc_backoff *. float_of_int (1 lsl c.attempt) in
     c.attempt <- c.attempt + 1;
     Engine.schedule_apply t.engine ~delay:backoff call_attempt c)
 
@@ -163,7 +163,7 @@ let call_lost c =
      only find out by timing out. *)
   close_span t "shed" c.sctx;
   c.sctx <- None;
-  let remaining = Stdlib.max 0.0 (c.t0 +. t.cfg.Config.rpc_timeout -. Cluster.now t) in
+  let remaining = Stdlib.max 0.0 (c.t0 +. Config.rpc_timeout -. Cluster.now t) in
   Engine.schedule_apply t.engine ~delay:remaining call_timer c
 
 let call_resume c =
@@ -270,7 +270,7 @@ let rec resync_replica (t : Cluster.t) ~part ~node ~tries ~backoff =
     | None -> retry () (* every other replica is down: wait for a recovery *)
     | Some src ->
         let cur = Replication.applied t.replication ~part ~node in
-        let bytes = Stdlib.max 256 ((goal - cur) * t.cfg.Config.record_bytes) in
+        let bytes = Stdlib.max 256 ((goal - cur) * Config.record_bytes) in
         let session = Cluster.session_for t ~part ~dst:node in
         Network.send t.network ~src ~dst:node ~bytes ~on_drop:retry (fun () ->
             let stale = Cluster.session_stale t ~dst:node session in
@@ -294,15 +294,15 @@ let rec resync_replica (t : Cluster.t) ~part ~node ~tries ~backoff =
                  flight: chase the tail before declaring victory. A
                  successful round resets the backoff: the link works. *)
               resync_replica t ~part ~node ~tries
-                ~backoff:(2.0 *. t.cfg.Config.rpc_timeout)
+                ~backoff:(2.0 *. Config.rpc_timeout)
             end)
 
 let start_resync (t : Cluster.t) ~part ~node =
   if not (Hashtbl.mem t.resync_inflight (part, node)) then (
     Hashtbl.add t.resync_inflight (part, node) ();
-    Engine.schedule t.engine ~delay:(2.0 *. t.cfg.Config.rpc_timeout) (fun () ->
+    Engine.schedule t.engine ~delay:(2.0 *. Config.rpc_timeout) (fun () ->
         resync_replica t ~part ~node ~tries:64
-          ~backoff:(2.0 *. t.cfg.Config.rpc_timeout)))
+          ~backoff:(2.0 *. Config.rpc_timeout)))
 
 (* One record per log ship (one record to one secondary), built like
    a [call]: the attempt number and the span are fields, the two
@@ -326,7 +326,7 @@ type ship = {
 
 let ship_send (s : ship) =
   Network.send s.owner.network ~src:s.from_node ~dst:s.to_node
-    ~bytes:s.owner.cfg.Config.record_bytes ?on_drop:s.dropped s.arrived
+    ~bytes:Config.record_bytes ?on_drop:s.dropped s.arrived
 
 let ship_arrived (s : ship) =
   let t = s.owner and dst = s.to_node in
@@ -362,12 +362,12 @@ let ship_dropped (s : ship) =
     breaker_failure t s.to_node;
     start_resync t ~part:s.part ~node:s.to_node
   in
-  if s.tries >= t.cfg.Config.rpc_retries then give_up "timeout"
+  if s.tries >= Config.rpc_retries then give_up "timeout"
   else if not (budget_allows t) then give_up "budget-denied"
   else (
     Metrics.record_retry t.metrics;
     (match s.rctx with None -> () | Some _ -> Trace.note ~ts:(Cluster.now t) "retry" s.rctx);
-    let backoff = t.cfg.Config.rpc_backoff *. float_of_int (1 lsl s.tries) in
+    let backoff = Config.rpc_backoff *. float_of_int (1 lsl s.tries) in
     s.tries <- s.tries + 1;
     Engine.schedule_apply t.engine ~delay:backoff ship_send s)
 

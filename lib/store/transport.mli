@@ -21,9 +21,9 @@ val call :
     for them; callers with no state pass [()]. Local calls skip the
     wire but still consume [work]. If the request or reply is lost
     (fault layer: drop, partition, dead endpoint) or shed by [dst]'s
-    admission queue, the sender times out [cfg.rpc_timeout] µs after
+    admission queue, the sender times out [Config.rpc_timeout] µs after
     the attempt began and retransmits with exponential backoff
-    ([cfg.rpc_backoff] doubling per attempt), up to [cfg.rpc_retries]
+    ([Config.rpc_backoff] doubling per attempt), up to [Config.rpc_retries]
     retries; exhausting them records a timeout and fires [on_fail x]
     (default: ignore). A retransmission may re-execute [work] on [dst] —
     modelled services are idempotent. Timers are created lazily at the

@@ -24,7 +24,6 @@ type policy = All | Every of int | Slowest of int | On_abort
 
 type t = {
   pol : policy;
-  max_keep : int;
   span_cap : int;
   mutable n_started : int;
   mutable n_sampled : int;
@@ -41,10 +40,12 @@ type t = {
 
 type ctx = { tracer : t; data : trace; span : span }
 
-let create ?(policy = Slowest 10) ?(max_keep = 10_000) ?(span_cap = 4096) () =
+(* Retention bound for [All], [Every] and [On_abort]. *)
+let max_keep = 10_000
+
+let create ?(policy = Slowest 10) ?(span_cap = 4096) () =
   {
     pol = policy;
-    max_keep;
     span_cap;
     n_started = 0;
     n_sampled = 0;
@@ -183,7 +184,7 @@ let finish_txn ~ts ~ok octx =
       data.duration <- span.end_ts -. span.start_ts;
       tracer.n_finished <- tracer.n_finished + 1;
       let keep_plain () =
-        if tracer.n_kept < tracer.max_keep then (
+        if tracer.n_kept < max_keep then (
           tracer.kept <- data :: tracer.kept;
           tracer.n_kept <- tracer.n_kept + 1)
       in

@@ -57,13 +57,13 @@ type trace = {
 }
 
 (** Which transactions are traced, and which finished traces are kept:
-    - [All]: trace and keep everything (up to [max_keep]);
+    - [All]: trace and keep everything (up to 10 000);
     - [Every n]: head sampling — trace every [n]th submitted
-      transaction (up to [max_keep] kept);
+      transaction (up to 10 000 kept);
     - [Slowest k]: trace everything, retain only the [k] slowest
       completed transactions (reservoir of size [k]);
     - [On_abort]: trace everything, retain only transactions that
-      suffered at least one abort/re-queue (up to [max_keep]). *)
+      suffered at least one abort/re-queue (up to 10 000). *)
 type policy = All | Every of int | Slowest of int | On_abort
 
 type t
@@ -74,10 +74,8 @@ type ctx
     passes [ctx option] down the causal chain; [None] means "not
     traced" and makes every operation free. *)
 
-val create : ?policy:policy -> ?max_keep:int -> ?span_cap:int -> unit -> t
-(** Fresh tracer. [policy] defaults to [Slowest 10]; [max_keep]
-    (default 10_000) bounds retention for [All]/[Every]/[On_abort];
-    [span_cap] (default 4096) bounds spans per trace — beyond it, child
+val create : ?policy:policy -> ?span_cap:int -> unit -> t
+(** Fresh tracer. [policy] defaults to [Slowest 10]; [span_cap] (default 4096) bounds spans per trace — beyond it, child
     creation returns [None] (deeper steps go untraced). *)
 
 val policy : t -> policy

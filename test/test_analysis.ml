@@ -214,13 +214,13 @@ let test_cost_zero_when_primary_local () =
 
 let test_cost_remaster_when_secondary () =
   let p = mk_placement () in
-  let cm = Costmodel.make ~w_r:1.0 ~w_m:10.0 ~freq:freq_zero () in
+  let cm = Costmodel.make ~freq:freq_zero () in
   (* Node 1 holds a secondary of partition 0; f = 0 so cnt_r = 1. *)
   Alcotest.(check (float 1e-9)) "w_r" 1.0 (Costmodel.clump_cost cm p ~parts:[ 0 ] ~node:1)
 
 let test_cost_migration_when_absent () =
   let p = mk_placement () in
-  let cm = Costmodel.make ~w_r:1.0 ~w_m:10.0 ~freq:freq_zero () in
+  let cm = Costmodel.make ~freq:freq_zero () in
   (* Node 3 has no replica of partition 0. *)
   Alcotest.(check (float 1e-9)) "w_m" 10.0 (Costmodel.clump_cost cm p ~parts:[ 0 ] ~node:3)
 
@@ -244,7 +244,7 @@ let test_find_dst_prefers_current_primary () =
 
 let test_route_cost_orders_options () =
   let p = mk_placement () in
-  let cm = Costmodel.make ~w_r:1.0 ~w_m:10.0 ~freq:freq_zero () in
+  let cm = Costmodel.make ~freq:freq_zero () in
   (* Transaction on partitions 0 (primary n0, secondary n1) and
      1 (primary n1, secondary n2). *)
   let c0 = Costmodel.txn_route_cost cm p ~parts:[ 0; 1 ] ~node:0 in

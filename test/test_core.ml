@@ -79,8 +79,8 @@ let reference_cost (cost : Costmodel.t) placement ~parts ~node =
       if Placement.has_primary placement ~part ~node then acc
       else if Placement.has_secondary placement ~part ~node then (
         let f = cost.Costmodel.freq part *. Costmodel.route_freq_scale in
-        acc +. (cost.Costmodel.w_r *. (1.0 +. (log (f +. 1.0) /. log 2.0))))
-      else acc +. cost.Costmodel.w_m)
+        acc +. (Costmodel.w_r *. (1.0 +. (log (f +. 1.0) /. log 2.0))))
+      else acc +. Costmodel.w_m)
     0.0 parts
 
 let reference_route cl cost (txn : Txn.t) =

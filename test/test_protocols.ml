@@ -297,7 +297,7 @@ let test_charge_replication_matches_lists () =
   let holders p = Placement.primary pl p :: Placement.secondaries pl p in
   let expected_bytes =
     List.fold_left
-      (fun acc p -> acc + (List.length (Placement.secondaries pl p) * cfg.Config.record_bytes))
+      (fun acc p -> acc + (List.length (Placement.secondaries pl p) * Config.record_bytes))
       0 (parts_of t)
   in
   let bytes0 = Lion_sim.Network.total_bytes cl.Cluster.network in
@@ -493,7 +493,7 @@ let test_unified_commits_in_one_round () =
 let test_clay_acts_only_on_imbalance () =
   (* Balanced cross workload: Clay must not migrate anything. *)
   let cl =
-    drive_protocol ~make:(Lion_protocols.Clay.create ?imbalance_threshold:None)
+    drive_protocol ~make:Lion_protocols.Clay.create
       ~gen:(cross_pair_gen ()) ~seconds:1.5 ()
   in
   Alcotest.(check int) "no migrations when balanced" 0 cl.Cluster.migration_count

@@ -1036,7 +1036,7 @@ let test_recover_resync_charges_network () =
   (* The rejoined primary pays the election delay plus the log-suffix
      transfer before serving again. *)
   Alcotest.(check bool) "blocked past election delay" true
-    (Cluster.partition_wait cl 1 > Config.default.Config.election_delay);
+    (Cluster.partition_wait cl 1 > Config.election_delay);
   Engine.run_until cl.Cluster.engine (Engine.seconds 1.0);
   Alcotest.(check (float 1e-9)) "serveable after resync" 0.0 (Cluster.partition_wait cl 1)
 
