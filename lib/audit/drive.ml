@@ -35,19 +35,18 @@ let pp_outcome fmt o =
     o.final_time Checker.pp_report o.check Divergence.pp_report o.divergence
     Liveness.pp_report o.liveness
 
+(* Slack past the later of the horizon and the fault plan's last window
+   before a drain counts as a slow quiesce. *)
+let quiesce_slack = Engine.seconds 10.0
+
 (* Unlike the throughput harness's closed loop — which reschedules
    clients forever and so never quiesces — audit clients stop issuing
    at the horizon. Everything in flight then runs to completion
    ([Engine.run_all]): retries resolve, elections finish, log ships
    land, anti-entropy repairs terminate. Only at that point are the
    checker, the divergence audit and the liveness audit meaningful. *)
-(* Slack past the later of the horizon and the fault plan's last window
-   before a drain counts as a slow quiesce. *)
-let quiesce_slack = Engine.seconds 10.0
-
 let run ?(seed = 1) ?(clients = 8) ?(duration = 4.0) ?(nemesis_at = 1.0)
-    ?tracer ?(max_events = 50_000_000) ?(actions = [])
-    ?(observe = fun _ -> ()) ~cfg ~make
+    ?tracer ?(max_events = 50_000_000) ?(actions = []) ?(observe = fun _ -> ()) ~cfg ~make
     ~gen ~nemesis () =
   let cfg =
     {

@@ -71,6 +71,7 @@ val run :
     times — they are planner decisions, not fault-plan specs. The
     liveness audit's [Slow_quiesce] bound is the later of the horizon
     and the plan's last window, plus 10 simulated seconds. [observe]
-    runs on the cluster after all audits, before it is dropped — the fuzzer's hook for snapshotting metrics
-    and beacons into its coverage signal. Deterministic in ([seed],
-    [cfg], nemesis, [actions]). *)
+    runs on the cluster after all audits, before it is dropped — the
+    fuzzer's hook for snapshotting metrics and beacons into its
+    coverage signal. Deterministic in ([seed], [cfg], nemesis,
+    [actions]). *)

@@ -554,7 +554,8 @@ type campaign_result = {
   failures : (result * case option) list;
 }
 
-let campaign ?(rounds = 40) ?(shrink_failures = true) ?max_events ?(log = fun _ -> ()) ~seed ~phantom ~target () =
+let campaign ?(rounds = 40) ?(shrink_failures = true) ?max_events ?(log = fun _ -> ())
+    ~seed ~phantom ~target () =
   let rng = Rng.create (0x66757a7a lxor seed) in
   let seen = Hashtbl.create 64 in
   let pool = ref [] in

@@ -53,9 +53,7 @@ let desired t ~members =
   if List.length t.history < 3 then members
   else begin
     let series = Array.of_list (List.rev t.history) in
-    let f =
-      Forecaster.forecast t.fc ~key:0 ~series ~horizon
-    in
+    let f = Forecaster.forecast t.fc ~key:0 ~series ~horizon in
     t.last_forecast <- f;
     clamp t (int_of_float (Float.ceil (f *. headroom /. t.per_node_rate)))
   end

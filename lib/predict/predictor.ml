@@ -57,9 +57,7 @@ let analyze t ~time =
     (* Exclude the in-progress bucket: its partial count would look
        like a collapse and spuriously fire the wv trigger every tick. *)
     let upto = Template.bucket_of_time t.registry time in
-    let classes =
-      Classify.classify ~upto t.registry ~window:(2 * window) ~beta
-    in
+    let classes = Classify.classify ~upto t.registry ~window:(2 * window) ~beta in
     t.last_classes <- List.length classes;
     if classes = [] then (
       t.last_wv <- 0.0;
@@ -69,10 +67,7 @@ let analyze t ~time =
         List.map
           (fun (w : Classify.workload) ->
             let anchor = match w.templates with [] -> w.class_id | id :: _ -> id in
-            let predicted =
-              Forecaster.forecast t.forecaster ~key:anchor ~series:w.series
-                ~horizon
-            in
+            let predicted = Forecaster.forecast t.forecaster ~key:anchor ~series:w.series ~horizon in
             (w, current_rate w.series, predicted))
           classes
       in
