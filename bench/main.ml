@@ -1,8 +1,8 @@
 (* Bechamel microbenchmarks of the core building blocks (heat-graph
    construction, clump generation, the cost model, Algorithm 1, LSTM
-   inference/training, OCC sessions, the event engine), reporting
-   ns/op. The paper's experiments run under [lion experiment]; `make
-   bench` runs both. *)
+   inference/training, the event engine), reporting ns/op. OCC sessions
+   are [lion perf]'s [store_versions] scenario. The paper's experiments
+   run under [lion experiment]; `make bench` runs both. *)
 
 open Bechamel
 open Toolkit
@@ -11,7 +11,6 @@ module Clump = Lion_analysis.Clump
 module Costmodel = Lion_analysis.Costmodel
 module Rearrange = Lion_analysis.Rearrange
 module Placement = Lion_store.Placement
-module Kvstore = Lion_store.Kvstore
 module Lstm = Lion_nn.Lstm
 module Rng = Lion_kernel.Rng
 module Zipf = Lion_kernel.Zipf
@@ -42,7 +41,6 @@ let micro_tests () =
   let seq = Array.init 10 (fun i -> [| sin (float_of_int i) |]) in
   let zipf = Zipf.create ~n:1_000_000 ~theta:0.8 in
   let zipf_rng = Rng.create 77 in
-  let store = Kvstore.create () in
   [
     Test.make ~name:"ycsb_generate_txn" (Staged.stage (fun () -> ignore (Ycsb.next gen)));
     Test.make ~name:"zipf_sample" (Staged.stage (fun () -> ignore (Zipf.sample zipf zipf_rng)));
@@ -62,13 +60,6 @@ let micro_tests () =
       (Staged.stage (fun () -> ignore (Lstm.predict lstm seq)));
     Test.make ~name:"lstm_train_sample"
       (Staged.stage (fun () -> ignore (Lstm.train_sample lstm ~seq ~target:0.5 ~lr:0.001)));
-    Test.make ~name:"occ_session_10ops"
-      (Staged.stage (fun () ->
-           let s = Kvstore.begin_session store in
-           for i = 0 to 9 do
-             Kvstore.write s (Kvstore.key ~part:i ~slot:i)
-           done;
-           if Kvstore.try_reserve s then Kvstore.finalize s));
     Test.make ~name:"engine_event_cycle"
       (Staged.stage
          (let e = Engine.create () in

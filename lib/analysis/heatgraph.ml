@@ -33,15 +33,28 @@ let bump_edge t u v w =
   bump t.adj.(u) v w;
   bump t.adj.(v) u w
 
+(* Top-level recursion, so adding a transaction builds no closure. *)
+let rec add_vertices t w = function
+  | [] -> ()
+  | p :: rest ->
+      t.vweight.(p) <- t.vweight.(p) +. w;
+      add_vertices t w rest
+
+let rec add_edges t p w = function
+  | [] -> ()
+  | q :: rest ->
+      bump_edge t p q w;
+      add_edges t p w rest
+
+let rec add_pairs t w = function
+  | [] -> ()
+  | p :: rest ->
+      add_edges t p w rest;
+      add_pairs t w rest
+
 let add_weighted t parts w =
-  List.iter (fun p -> t.vweight.(p) <- t.vweight.(p) +. w) parts;
-  let rec pairs = function
-    | [] -> ()
-    | p :: rest ->
-        List.iter (fun q -> bump_edge t p q w) rest;
-        pairs rest
-  in
-  pairs parts
+  add_vertices t w parts;
+  add_pairs t w parts
 
 let add_txn t ~parts = add_weighted t parts 1.0
 let add_predicted t ~parts ~weight = if weight > 0.0 then add_weighted t parts weight

@@ -104,9 +104,9 @@ let cost_model t = t.cost
 
 let observe t (txn : Txn.t) =
   Heatgraph.add_txn t.graph ~parts:txn.Txn.parts;
-  Option.iter
-    (fun p -> Predictor.observe p ~time:(Cluster.now t.cl) txn)
-    t.predictor
+  match t.predictor with
+  | None -> ()
+  | Some p -> Predictor.observe p ~time:(Cluster.now t.cl) txn
 
 let tick t =
   t.rounds <- t.rounds + 1;

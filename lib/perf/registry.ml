@@ -8,7 +8,7 @@
      their ratio is the tracked speedup, and the seed scenario doubles
      as a machine-speed probe for cross-machine baseline comparison),
      plus [network_storm] and [metrics_record] for the two per-event
-     service layers;
+     service layers, and [store_versions] for the store's OCC sessions;
    - end-to-end: one small uniform-YCSB cell per protocol family
      ([ycsb_2pc], [ycsb_star], [ycsb_lion]), where simulated txns/sec
      is the headline number, plus [ycsb_lion_standard], Lion's
@@ -30,6 +30,9 @@ module Metrics = Lion_sim.Metrics
 module Runner = Lion_harness.Runner
 module Workloads = Lion_harness.Workloads
 module Config = Lion_store.Config
+module Kvstore = Lion_store.Kvstore
+module Txn = Lion_workload.Txn
+module Ycsb = Lion_workload.Ycsb
 
 (* ---- engine drain ------------------------------------------------ *)
 
@@ -175,6 +178,41 @@ let metrics_record () =
   done;
   (metrics_commits, metrics_commits)
 
+(* ---- store versions ---------------------------------------------- *)
+
+(* OCC sessions over YCSB-shaped transactions on a fresh store: 10
+   operations, half of them writes, Zipf 0.6 slots among 1 M keys per
+   partition, half the transactions across two of the 48 partitions.
+   One op runs [store_txns] sessions, each recording its operations,
+   then [try_reserve] and [finalize]; it installs 244,524 distinct keys,
+   so every partition's version table grows from empty as it does in a
+   cell. The operations are generated once, outside the op. Events are
+   store operations. *)
+let store_txns = 50_000
+
+let store_ops =
+  lazy
+    (let gen =
+       Ycsb.create { (Ycsb.default_params ~partitions:48 ~nodes:4) with Ycsb.cross_ratio = 0.5 }
+     in
+     Array.init store_txns (fun _ -> (Ycsb.next gen).Txn.ops))
+
+let store_versions () =
+  let txns = Lazy.force store_ops in
+  let store = Kvstore.create () in
+  let ops = ref 0 in
+  Array.iter
+    (fun txn_ops ->
+      let s = Kvstore.begin_session ~ops:(Array.length txn_ops) store in
+      Array.iter
+        (fun op ->
+          if Txn.is_write op then Kvstore.write s (Txn.key_of op) else Kvstore.read s (Txn.key_of op))
+        txn_ops;
+      ops := !ops + Array.length txn_ops;
+      if Kvstore.try_reserve s then Kvstore.finalize s)
+    txns;
+  (!ops, store_txns)
+
 (* ---- end-to-end YCSB cells --------------------------------------- *)
 
 (* One small uniform-YCSB cell (all-distributed transactions, as in
@@ -294,6 +332,13 @@ let all : Scenario.spec list =
       name = "metrics_record";
       descr = Printf.sprintf "%d record_commit calls" metrics_commits;
       run = metrics_record;
+    };
+    {
+      name = "store_versions";
+      descr =
+        Printf.sprintf "%d YCSB-shaped OCC sessions on a fresh store, 48 partitions"
+          store_txns;
+      run = store_versions;
     };
     {
       name = "ycsb_2pc";

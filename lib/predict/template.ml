@@ -8,8 +8,9 @@ type entry = {
   mutable total : float;
 }
 
-(* The generic table's hash and bucket order, with a monomorphic
-   equality in place of [compare]. *)
+(* The generic tables' hash and bucket order, with monomorphic
+   equalities in place of [compare]: iteration, and so
+   [evict_coldest]'s tie-break, visits entries in the same order. *)
 module Parts_tbl = Hashtbl.Make (struct
   type t = int list
 
@@ -17,11 +18,18 @@ module Parts_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+module Id_tbl = Hashtbl.Make (struct
+  type t = id
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   capacity : int;
   interval : float;
   by_parts : id Parts_tbl.t;
-  entries : (id, entry) Hashtbl.t;
+  entries : entry Id_tbl.t;
   mutable next_id : id;
 }
 
@@ -30,13 +38,13 @@ let create ?(capacity = 4096) ~interval () =
     capacity;
     interval;
     by_parts = Parts_tbl.create 256;
-    entries = Hashtbl.create 256;
+    entries = Id_tbl.create 256;
     next_id = 0;
   }
 
 let evict_coldest t =
   let coldest = ref None in
-  Hashtbl.iter
+  Id_tbl.iter
     (fun id e ->
       match !coldest with
       | Some (_, total) when total <= e.total -> ()
@@ -45,9 +53,9 @@ let evict_coldest t =
   match !coldest with
   | None -> ()
   | Some (id, _) ->
-      let e = Hashtbl.find t.entries id in
+      let e = Id_tbl.find t.entries id in
       Parts_tbl.remove t.by_parts e.parts;
-      Hashtbl.remove t.entries id
+      Id_tbl.remove t.entries id
 
 let rec strictly_ascending = function
   | (a : int) :: (b :: _ as rest) -> a < b && strictly_ascending rest
@@ -60,32 +68,32 @@ let observe t ~time ~parts =
     match Parts_tbl.find_opt t.by_parts parts with
     | Some id -> id
     | None ->
-        if Hashtbl.length t.entries >= t.capacity then evict_coldest t;
+        if Id_tbl.length t.entries >= t.capacity then evict_coldest t;
         let id = t.next_id in
         t.next_id <- id + 1;
         Parts_tbl.replace t.by_parts parts id;
-        Hashtbl.replace t.entries id
+        Id_tbl.replace t.entries id
           { parts; series = Timeseries.create ~interval:t.interval; total = 0.0 };
         id
   in
-  let e = Hashtbl.find t.entries id in
+  let e = Id_tbl.find t.entries id in
   Timeseries.incr e.series ~time;
   e.total <- e.total +. 1.0;
   id
 
-let parts_of t id = (Hashtbl.find t.entries id).parts
-let total_arrivals t id = (Hashtbl.find t.entries id).total
+let parts_of t id = (Id_tbl.find t.entries id).parts
+let total_arrivals t id = (Id_tbl.find t.entries id).total
 
 let arrival_rate ?upto t id ~window =
-  let series = (Hashtbl.find t.entries id).series in
+  let series = (Id_tbl.find t.entries id).series in
   match upto with
   | None -> Timeseries.last_n series window
   | Some upto -> Timeseries.range series ~lo:(upto - window) ~hi:(upto - 1)
 
-let template_count t = Hashtbl.length t.entries
+let template_count t = Id_tbl.length t.entries
 
 let ids t =
-  Hashtbl.fold (fun id e acc -> (id, e.total) :: acc) t.entries []
+  Id_tbl.fold (fun id e acc -> (id, e.total) :: acc) t.entries []
   |> List.sort (fun (ida, ta) (idb, tb) ->
          let c = compare tb ta in
          if c <> 0 then c else compare ida idb)

@@ -682,7 +682,6 @@ and finish a =
   Cluster.release_worker a.run.cl ~node:a.coordinator a.lease;
   attempt_over a
 
-(* The attempt is over and its worker released (or never granted). *)
 (* The attempt is over and its worker released. *)
 and attempt_over a =
   let r = a.run in

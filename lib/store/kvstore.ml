@@ -26,28 +26,30 @@ let pp_key fmt k =
 let[@inline] check k =
   if k < 0 then invalid_arg "Kvstore: key outside the packable range"
 
-(* An open-addressing map from packed keys to non-negative ints, by
-   linear probing over one flat array: [cells.(2i)] holds a key or
+(* Fibonacci hashing: the top [63 - shift] bits of the product. *)
+let multiplier = 0x1E3779B97F4A7C15
+let[@inline] hash shift x = (x * multiplier) lsr shift
+
+(* An open-addressing map from non-negative ints to non-negative ints,
+   by linear probing over one flat array: [cells.(2i)] holds a key or
    [empty], [cells.(2i+1)] its value. A probe touches one cache line, no
    entry allocates a block, and lookups return the value or a default
    instead of an option. The capacity is a power of two and the table
    is at most three quarters full; a lower bound would cost memory, as
    a resize briefly holds both arrays. Removal shifts the rest of the
-   probe run back instead of leaving tombstones. *)
+   probe run back instead of leaving tombstones. It holds the pending
+   reservations and the partition index. *)
 module Itbl = struct
   type t = { mutable cells : int array; mutable shift : int; mutable count : int }
 
   let empty = -1
-
-  (* Fibonacci hashing: the top [log2 capacity] bits of the product. *)
-  let multiplier = 0x1E3779B97F4A7C15
 
   let create ~log2_capacity =
     { cells = Array.make (2 lsl log2_capacity) empty; shift = 63 - log2_capacity; count = 0 }
 
   let length t = t.count
   let[@inline] mask t = (Array.length t.cells lsr 1) - 1
-  let[@inline] home t k = (k * multiplier) lsr t.shift
+  let[@inline] home t k = hash t.shift k
 
   (* Cell index of [k], or of the empty cell ending its probe run. *)
   let rec probe cells mask k i =
@@ -87,11 +89,6 @@ module Itbl = struct
     let i = slot t k in
     Array.unsafe_set t.cells ((2 * i) + 1) v
 
-  (* [replace t k (find t k ~default:0 + 1)] in one probe. *)
-  let incr t k =
-    let i = slot t k in
-    Array.unsafe_set t.cells ((2 * i) + 1) (Array.unsafe_get t.cells ((2 * i) + 1) + 1)
-
   let remove t k =
     let cells = t.cells and mask = mask t in
     let hole = ref (probe cells mask k (home t k)) in
@@ -112,26 +109,123 @@ module Itbl = struct
     end
 end
 
-(* [versions] maps a key to its version (absent = 0); [pending] maps a
-   key to the session holding its reservation. *)
-type t = { versions : Itbl.t; pending : Itbl.t; mutable next_session : int }
+(* One partition's versions: linear probing over one int array whose
+   cells pack a slot (bits 31..62) and its version (bits 0..30). Only
+   written keys are stored, so a stored version is at least 1 and the
+   cell 0 can mark an empty one; a lookup that ends on it reads version
+   0, the version of an unseen key, with no test. The capacity is a
+   power of two, at most three quarters full, and nothing is ever
+   removed. *)
+module Vtbl = struct
+  type t = { mutable cells : int array; mutable shift : int; mutable count : int }
+
+  let version_bits = 31
+  let version_mask = (1 lsl version_bits) - 1
+
+  let create ~log2_capacity =
+    { cells = Array.make (1 lsl log2_capacity) 0; shift = 63 - log2_capacity; count = 0 }
+
+  (* Cell index of [slot], or of the empty cell ending its probe run. *)
+  let rec probe cells mask slot i =
+    let c = Array.unsafe_get cells i in
+    if c = 0 || c lsr version_bits = slot then i else probe cells mask slot ((i + 1) land mask)
+
+  let[@inline] index t slot =
+    let cells = t.cells in
+    probe cells (Array.length cells - 1) slot (hash t.shift slot)
+
+  let[@inline] find t slot = Array.unsafe_get t.cells (index t slot) land version_mask
+
+  let grow t =
+    let old = t.cells in
+    let cells = Array.make (2 * Array.length old) 0 in
+    t.cells <- cells;
+    t.shift <- t.shift - 1;
+    Array.iter (fun c -> if c <> 0 then cells.(index t (c lsr version_bits)) <- c) old
+
+  (* Bump [slot]'s version, inserting it at version 1 if absent; true
+     iff it was absent. *)
+  let rec incr t slot =
+    let i = index t slot in
+    let c = Array.unsafe_get t.cells i in
+    if c <> 0 then (
+      if c land version_mask = version_mask then failwith "Kvstore: version overflow";
+      Array.unsafe_set t.cells i (c + 1);
+      false)
+    else if 4 * (t.count + 1) > 3 * Array.length t.cells then (
+      grow t;
+      incr t slot)
+    else (
+      Array.unsafe_set t.cells i ((slot lsl version_bits) lor 1);
+      t.count <- t.count + 1;
+      true)
+end
+
+(* [tables] holds each written partition's versions in creation order
+   and [index] maps a partition to its position there; [last_part] and
+   [last] cache the most recent lookup that found a table ([-1] and
+   [no_table] before one does). [pending] maps a key to the session
+   holding its reservation. *)
+type t = {
+  mutable tables : Vtbl.t array;
+  index : Itbl.t;
+  mutable last_part : int;
+  mutable last : Vtbl.t;
+  mutable touched : int;
+  pending : Itbl.t;
+  mutable next_session : int;
+}
+
+(* The table of every partition without one: always empty, never
+   written. *)
+let no_table = Vtbl.create ~log2_capacity:0
 
 let create () =
   {
-    versions = Itbl.create ~log2_capacity:12;
+    tables = [||];
+    index = Itbl.create ~log2_capacity:4;
+    last_part = -1;
+    last = no_table;
+    touched = 0;
     pending = Itbl.create ~log2_capacity:6;
     next_session = 0;
   }
 
+let table t part =
+  if part = t.last_part then t.last
+  else
+    let i = Itbl.find t.index part ~default:(-1) in
+    if i < 0 then no_table
+    else (
+      let v = Array.unsafe_get t.tables i in
+      t.last_part <- part;
+      t.last <- v;
+      v)
+
+(* [table t part], creating the partition's table if it has none. *)
+let table_for_install t part =
+  let v = table t part in
+  if v != no_table then v
+  else (
+    let n = Itbl.length t.index in
+    if n = Array.length t.tables then
+      t.tables <- Array.append t.tables (Array.make (Int.max 8 n) no_table);
+    let v = Vtbl.create ~log2_capacity:4 in
+    t.tables.(n) <- v;
+    Itbl.replace t.index part n;
+    t.last_part <- part;
+    t.last <- v;
+    v)
+
 (* [stored_version] skips the range check: its callers hold keys a
    session already checked. *)
-let stored_version t k = Itbl.find t.versions k ~default:0
+let stored_version t k = Vtbl.find (table t (part k)) (slot k)
 
 let version t k =
   check k;
   stored_version t k
 
-let touched_keys t = Itbl.length t.versions
+let touched_keys t = t.touched
 
 (* A session's footprint in two flat int arrays: [reads] holds
    (key, observed version) pairs at [2i], [2i+1], [writes] one key per
@@ -221,8 +315,11 @@ let release_reservation s =
   done
 
 let install s =
+  let store = s.store in
   for i = s.n_writes - 1 downto 0 do
-    Itbl.incr s.store.versions s.writes.(i)
+    let k = s.writes.(i) in
+    if Vtbl.incr (table_for_install store (part k)) (slot k) then
+      store.touched <- store.touched + 1
   done
 
 let finalize s =

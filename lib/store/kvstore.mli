@@ -3,9 +3,12 @@
     Keys name a (partition, slot) pair. Only versions are materialised —
     payload bytes are modelled as message sizes by the simulator — and
     only touched keys occupy memory, so a "24 M items per node" YCSB
-    dataset costs nothing until accessed. Touched keys live in an
-    open-addressing table of packed integer keys, so an entry costs two
-    words of a flat array and no block of its own.
+    dataset costs nothing until accessed. Each written partition has
+    its own open-addressing table of one-word cells, a slot and its
+    version packed into one int, so an entry costs one word of a flat
+    array and no block of its own, and a table grows without copying
+    the others. A version is at most 2{^31} - 1: an install past it
+    raises [Failure] instead of wrapping.
 
     Concurrency control is classic backward-validation OCC: a session
     records the version of every key it reads (writes are treated as

@@ -458,6 +458,40 @@ let prop_more_primaries_never_cost_more =
           Costmodel.txn_route_cost cm p ~parts ~node <= route0
           && Costmodel.clump_cost cm p ~parts ~node <= clump0)
 
+(* The WAN factor [Planner.create] hands the cost model is the WAN/LAN
+   latency ratio clamped to [1, 64], for any geo layout: a WAN latency
+   of 0, one below [Config.net_latency], ordinary ones and very large
+   ones (infinity included). *)
+let prop_wan_factor_clamped =
+  QCheck.Test.make ~name:"planner's WAN factor lies in [1, 64]" ~count:100
+    QCheck.(
+      quad (int_range 2 4)
+        (oneof
+           [
+             always 0.0;
+             float_bound_exclusive Lion_store.Config.net_latency;
+             float_range 0.0 10_000.0;
+             float_range 1e6 1e300;
+             always Float.infinity;
+           ])
+        (float_bound_inclusive 1.0) (int_range 0 3))
+    (fun (regions, wan_latency, wan_per_byte, min_regions) ->
+      let cfg =
+        {
+          Lion_store.Config.default with
+          geo = Some { Lion_store.Config.regions; wan_latency; wan_per_byte; min_regions };
+        }
+      in
+      let cl = Lion_store.Cluster.create ~seed:1 cfg in
+      let planner =
+        Lion_core.Planner.create
+          { Lion_core.Planner.default_config with predict = false }
+          cl
+      in
+      match (Lion_core.Planner.cost_model planner).Costmodel.wan with
+      | None -> QCheck.Test.fail_report "a geo layout built no WAN term"
+      | Some { Costmodel.factor; _ } -> 1.0 <= factor && factor <= 64.0)
+
 let () =
   Alcotest.run "lion_analysis"
     [
@@ -520,5 +554,6 @@ let () =
             prop_cost_nonnegative;
             prop_one_region_wan_is_region_free;
             prop_more_primaries_never_cost_more;
+            prop_wan_factor_clamped;
           ] );
     ]

@@ -478,6 +478,73 @@ let test_kvstore_edge_key_usable () =
   Alcotest.(check int) "edge key versioned" 1 (Kvstore.version s k);
   Alcotest.(check int) "origin untouched" 0 (Kvstore.version s (Kvstore.key ~part:0 ~slot:0))
 
+(* Versions live in one table per partition, each cell packing a slot
+   and its version into one int. The tests below pin the packing's edges
+   and the tables' independence. *)
+let install store keys =
+  let w = Kvstore.begin_session store in
+  List.iter (Kvstore.write w) keys;
+  Kvstore.commit_session w
+
+let test_packed_cells_keep_slot_edges () =
+  let s = Kvstore.create () in
+  let lo = Kvstore.key ~part:5 ~slot:0 and hi = Kvstore.key ~part:5 ~slot:max_slot in
+  (* Fillers in the same partition grow its table several times while
+     the two edge slots are bumped. *)
+  for i = 1 to 3000 do
+    install s ((if i mod 3 = 0 then [ hi ] else [ lo ]) @ [ Kvstore.key ~part:5 ~slot:(7 * i) ])
+  done;
+  Alcotest.(check int) "slot 0" 2000 (Kvstore.version s lo);
+  Alcotest.(check int) "slot 2^32-1" 1000 (Kvstore.version s hi);
+  Alcotest.(check int) "filler" 1 (Kvstore.version s (Kvstore.key ~part:5 ~slot:21));
+  Alcotest.(check int) "unwritten slot 1" 0 (Kvstore.version s (Kvstore.key ~part:5 ~slot:1));
+  Alcotest.(check int) "same slots, other partition" 0
+    (Kvstore.version s (Kvstore.key ~part:4 ~slot:max_slot))
+
+let test_partition_tables_independent () =
+  let s = Kvstore.create () in
+  let keys = List.init 8 (fun part -> List.init 50 (fun i -> Kvstore.key ~part ~slot:(i * i))) in
+  List.iteri (fun part ks -> for _ = 0 to part do install s ks done) keys;
+  let versions () = List.map (List.map (Kvstore.version s)) keys in
+  let before = versions () and touched = Kvstore.touched_keys s in
+  Alcotest.(check int) "touched before" 400 touched;
+  (* Partition 3's table grows from a few cells to over 100k. *)
+  for slot = 1_000_000 to 1_099_999 do
+    install s [ Kvstore.key ~part:3 ~slot ]
+  done;
+  Alcotest.(check (list (list int))) "every version unchanged" before (versions ());
+  Alcotest.(check int) "touched grows by the new keys only" (touched + 100_000)
+    (Kvstore.touched_keys s)
+
+let test_last_partition_like_first () =
+  (* The same sessions on partition 0 and on partition 2^30-1, in two
+     stores, give the same versions and verdicts. *)
+  let run part =
+    let s = Kvstore.create () in
+    let k slot = Kvstore.key ~part ~slot in
+    let verdicts = ref [] in
+    for i = 0 to 999 do
+      let a = Kvstore.begin_session s and b = Kvstore.begin_session s in
+      Kvstore.write a (k (i mod 7));
+      Kvstore.read a (k max_slot);
+      Kvstore.write b (k (i mod 5));
+      if i mod 11 = 0 then Kvstore.write b (k max_slot);
+      let ra = Kvstore.try_reserve a in
+      let rb = Kvstore.try_reserve b in
+      if ra then Kvstore.finalize a;
+      if rb then if i mod 2 = 0 then Kvstore.finalize b else Kvstore.release_reservation b;
+      verdicts := (ra, rb) :: !verdicts
+    done;
+    let versions = List.map (fun slot -> Kvstore.version s (k slot)) [ 0; 1; 2; 3; 4; 5; 6; max_slot ] in
+    (!verdicts, versions, Kvstore.touched_keys s)
+  in
+  let v0, versions0, touched0 = run 0 and v1, versions1, touched1 = run max_part in
+  Alcotest.(check (list (pair bool bool))) "same verdicts" v0 v1;
+  Alcotest.(check (list int)) "same versions" versions0 versions1;
+  Alcotest.(check int) "same touched keys" touched0 touched1;
+  Alcotest.(check bool) "slot 0 was bumped" true (List.hd versions0 > 0);
+  Alcotest.(check bool) "some reservations conflict" true (List.exists (fun (_, rb) -> not rb) v0)
+
 (* --- cluster --- *)
 
 let mk_cluster ?(cfg = Config.default) () = Cluster.create ~seed:5 cfg
@@ -1376,6 +1443,12 @@ let () =
           Alcotest.test_case "unpackable keys refused" `Quick
             test_kvstore_rejects_unpackable_keys;
           Alcotest.test_case "edge key usable" `Quick test_kvstore_edge_key_usable;
+          Alcotest.test_case "packed cells keep slot edges" `Quick
+            test_packed_cells_keep_slot_edges;
+          Alcotest.test_case "partition tables independent" `Quick
+            test_partition_tables_independent;
+          Alcotest.test_case "last partition like the first" `Quick
+            test_last_partition_like_first;
         ] );
       qsuite "key-packing" [ prop_key_roundtrip; prop_key_order ];
       qsuite "occ-props"
