@@ -3,9 +3,8 @@ module Config = Lion_store.Config
 module History = Lion_store.History
 module Engine = Lion_sim.Engine
 module Metrics = Lion_sim.Metrics
-module Fault = Lion_sim.Fault
+module Runner = Lion_harness.Runner
 module Proto = Lion_protocols.Proto
-module Txn = Lion_workload.Txn
 
 type outcome = {
   history : History.t;
@@ -39,15 +38,12 @@ let pp_outcome fmt o =
    before a drain counts as a slow quiesce. *)
 let quiesce_slack = Engine.seconds 10.0
 
-(* Unlike the throughput harness's closed loop — which reschedules
-   clients forever and so never quiesces — audit clients stop issuing
-   at the horizon. Everything in flight then runs to completion
-   ([Engine.run_all]): retries resolve, elections finish, log ships
-   land, anti-entropy repairs terminate. Only at that point are the
-   checker, the divergence audit and the liveness audit meaningful. *)
-let run ?(seed = 1) ?(clients = 8) ?(duration = 4.0) ?(nemesis_at = 1.0)
-    ?tracer ?(max_events = 50_000_000) ?(actions = []) ?(observe = fun _ -> ()) ~cfg ~make
-    ~gen ~nemesis () =
+(* One {!Runner.run} in the quiesce shape: the checker, the divergence
+   audit and the liveness audit are only meaningful once everything in
+   flight has run to completion. *)
+let run ?(seed = 1) ~clients ~duration ?(nemesis_at = 1.0)
+    ?(max_events = Runner.drain_budget) ?(actions = []) ?(observe = fun _ -> ()) ~cfg
+    ~make ~gen ~nemesis () =
   let cfg =
     {
       cfg with
@@ -57,47 +53,37 @@ let run ?(seed = 1) ?(clients = 8) ?(duration = 4.0) ?(nemesis_at = 1.0)
     }
   in
   let history = History.create () in
-  let cl = Cluster.create ~seed ?tracer ~history cfg in
-  let proto = make cl in
-  let engine = cl.Cluster.engine in
-  (* Membership actions (join/decommission) are not fault-plan specs:
-     they are planner decisions, scheduled here as absolute-time calls
-     against the cluster. *)
-  List.iter
-    (fun (time, act) -> Engine.at engine ~time (fun () -> act cl))
-    actions;
   let horizon = Engine.seconds duration in
+  let cluster = ref None in
+  let min_avail = ref 1.0 in
+  (* Membership actions (join/decommission) are planner decisions, not
+     fault-plan specs: absolute-time calls against the cluster. *)
+  let setup cl =
+    cluster := Some cl;
+    let engine = cl.Cluster.engine in
+    List.iter (fun (time, act) -> Engine.at engine ~time (fun () -> act cl)) actions;
+    Runner.every engine ~first:(Engine.ms 50.0) ~period:(Engine.ms 100.0) ~until:horizon
+      (fun () -> min_avail := Stdlib.min !min_avail (Cluster.availability cl))
+  in
+  (* The liveness audit's admission counts. *)
   let submitted = ref 0 in
   let completed = ref 0 in
-  let rec client_loop () =
-    if Engine.now engine < horizon then (
-      let txn = gen ~time:(Engine.now engine) in
+  let make cl =
+    let proto = make cl in
+    let submit txn ~on_done =
       incr submitted;
       proto.Proto.submit txn ~on_done:(fun () ->
           incr completed;
-          Engine.schedule engine ~delay:0.0 client_loop))
+          on_done ())
+    in
+    { proto with Proto.submit }
   in
-  for _ = 1 to clients do
-    client_loop ()
-  done;
-  let tick_us = Engine.seconds 1.0 in
-  let rec ticker () =
-    Engine.schedule engine ~delay:tick_us (fun () ->
-        if Engine.now engine < horizon then (
-          proto.Proto.tick ();
-          ticker ()))
+  let (_ : Runner.result) =
+    Runner.run ~seed ~setup ~history ~cfg ~make ~gen
+      { Runner.quick with clients; warmup = 0.0; duration; stop = Quiesce max_events }
   in
-  ticker ();
-  let min_avail = ref 1.0 in
-  let rec avail_loop () =
-    if Engine.now engine < horizon then (
-      min_avail := Stdlib.min !min_avail (Cluster.availability cl);
-      Engine.schedule engine ~delay:(Engine.ms 100.0) avail_loop)
-  in
-  Engine.schedule engine ~delay:(Engine.ms 50.0) avail_loop;
-  Engine.run_until engine horizon;
-  proto.Proto.drain ();
-  Engine.run_all engine ~max_events ();
+  let cl = Option.get !cluster in
+  let engine = cl.Cluster.engine in
   let metrics = cl.Cluster.metrics in
   let check = Checker.check (History.events history) in
   let divergence = Divergence.audit ~history cl in

@@ -1,8 +1,8 @@
 (** Audit harness: workload × protocol × nemesis → recorded history →
     checker + divergence audit + liveness audit.
 
-    Differs from the throughput harness ({!Lion_harness.Runner}) in one
-    essential way: clients and the protocol tick stop issuing work at
+    A run is one {!Lion_harness.Runner.run} in its quiesce shape:
+    clients, the protocol tick and the samplers stop issuing work at
     the horizon, so after [drain] the event queue {e empties} —
     in-flight retries resolve, elections finish, log ships and
     anti-entropy repairs land. The checker and the replica-divergence
@@ -49,10 +49,9 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 val run :
   ?seed:int ->
-  ?clients:int ->
-  ?duration:float ->
+  clients:int ->
+  duration:float ->
   ?nemesis_at:float ->
-  ?tracer:Lion_trace.Trace.t ->
   ?max_events:int ->
   ?actions:(float * (Lion_store.Cluster.t -> unit)) list ->
   ?observe:(Lion_store.Cluster.t -> unit) ->
@@ -62,10 +61,11 @@ val run :
   nemesis:Nemesis.t ->
   unit ->
   outcome
-(** Run [clients] (default 8) closed-loop clients for [duration]
-    simulated seconds (default 4), with the nemesis' fault plan
-    anchored [nemesis_at] seconds in (default 1), then drain to
-    quiescence (bounded by [max_events]) and audit. The nemesis plan
+(** Run [clients] closed-loop clients (0 picks the runner's
+    per-protocol count) for [duration] simulated seconds, with the
+    nemesis' fault plan anchored [nemesis_at] seconds in (default 1),
+    then drain to quiescence (bounded by [max_events], default
+    {!Lion_harness.Runner.drain_budget}) and audit. The nemesis plan
     is appended to any plan already in [cfg]. [actions] schedules
     membership operations (join/decommission) at absolute simulated
     times — they are planner decisions, not fault-plan specs. The

@@ -1,8 +1,6 @@
 module Config = Lion_store.Config
 module Cluster = Lion_store.Cluster
-module Metrics = Lion_sim.Metrics
 module Engine = Lion_sim.Engine
-module Proto = Lion_protocols.Proto
 module Planner = Lion_core.Planner
 module Forecaster = Lion_predict.Forecaster
 module Autoscale = Lion_predict.Autoscale
@@ -12,7 +10,6 @@ type event = { at : float; kind : string; node : int }
 type report = {
   seconds : int;
   offered_series : float array;
-  goodput_series : float array;
   members_series : int array;
   events : event list;
   joins : int;
@@ -20,9 +17,7 @@ type report = {
   rebalance_migrations : int;
   time_to_rebalance : float list;
   dips : (string * float * float) list;
-  stale_ack_rejections : int;
-  commits : int;
-  aborts : int;
+  result : Runner.result;
 }
 
 (* Diurnal offered rate: one raised-cosine cycle from trough to peak
@@ -50,46 +45,33 @@ let dip_after ~offered ~goodput ~window at_s =
   done;
   (!depth, float_of_int !dur)
 
-let run ?(seed = 1) ?(smoke = false) () =
+(* One {!Runner} cell in the quiesce shape: the drain after the cycle
+   also runs the self-terminating rebalancer and any draining
+   decommission to completion. *)
+let run ?(seed = 1) ?(smoke = false) ?trace () =
   let cfg = Config.with_elastic_defaults Config.default in
   let total_s = if smoke then 10 else 30 in
-  let total = Engine.seconds (float_of_int total_s) in
   let period = float_of_int total_s in
+  let total = Engine.seconds period in
   let trough = 2_000.0 and peak = 9_000.0 in
   let per_node_rate = 1_500.0 in
-  let cl = Cluster.create ~seed cfg in
-  let proto =
+  (* Per-second arrival counts, alongside Metrics' per-second commit
+     buckets, give the completion-ratio series. Arrivals stop at the
+     horizon, so every one lands in a bucket. *)
+  let offered_buckets = Array.make total_s 0 and arrivals = ref 0 in
+  let gen () =
+    let gen = Workloads.ycsb ~seed ~skew:0.6 ~cross:0.3 cfg in
+    fun ~time ->
+      let bucket = int_of_float (time /. 1e6) in
+      offered_buckets.(bucket) <- offered_buckets.(bucket) + 1;
+      incr arrivals;
+      gen ~time
+  in
+  let make cl =
     Lion_core.Standard.create ~name:"Lion"
       ~config:{ Planner.default_config with Planner.predict = true; use_lstm = false }
       cl
   in
-  let engine = cl.Cluster.engine in
-  let gen = Workloads.ycsb ~seed ~skew:0.6 ~cross:0.3 cfg in
-  (* Per-second arrival counts, alongside Metrics' per-second commit
-     buckets, give the completion-ratio series. *)
-  let offered_buckets = Array.make (total_s + 1) 0 in
-  let rate_now () =
-    diurnal ~trough ~peak ~period (Engine.now engine /. 1e6)
-  in
-  let rec arrive () =
-    if Engine.now engine < total then begin
-      let bucket = int_of_float (Engine.now engine /. 1e6) in
-      if bucket <= total_s then
-        offered_buckets.(bucket) <- offered_buckets.(bucket) + 1;
-      proto.Proto.submit (gen ~time:(Engine.now engine)) ~on_done:(fun () -> ());
-      Engine.schedule engine ~delay:(1e6 /. rate_now ()) arrive
-    end
-  in
-  Engine.schedule engine ~delay:(1e6 /. rate_now ()) arrive;
-  (* Planner tick, as in the benchmark runner. *)
-  let rec ticker () =
-    Engine.schedule engine ~delay:(Engine.seconds 1.0) (fun () ->
-        if Engine.now engine < total then begin
-          proto.Proto.tick ();
-          ticker ()
-        end)
-  in
-  ticker ();
   (* The autoscaler: observe the arrival rate every control tick,
      forecast ahead, and step the membership one node at a time. The
      smoke run keeps the trend-extrapolation fallback (the LSTM's
@@ -100,111 +82,81 @@ let run ?(seed = 1) ?(smoke = false) () =
       ~per_node_rate ~min_members:cfg.Config.nodes
       ~max_members:(Config.total_slots cfg)
   in
+  let cluster = ref None in
   let events = ref [] in
-  let control = Engine.ms 500.0 in
-  let arrivals_seen = ref 0 in
-  let total_arrivals () = Array.fold_left ( + ) 0 offered_buckets in
-  let first_standby () =
-    let n = Cluster.node_count cl in
-    let rec go i = if i >= n then None
-      else if not cl.Cluster.member.(i) then Some i else go (i + 1)
-    in
-    go 0
-  in
-  let last_removable () =
-    let rec go i =
-      if i < 0 then None
-      else if cl.Cluster.member.(i) && (not cl.Cluster.draining.(i))
-              && Cluster.alive cl i
-      then Some i
-      else go (i - 1)
-    in
-    go (Cluster.node_count cl - 1)
-  in
-  (* Draining nodes still count as members until their removal
-     completes; the scaler must see the post-drain size — and only one
-     drain at a time — or it keeps stepping down while the first drain
-     is still in progress. *)
-  let draining_count () =
-    Array.fold_left (fun a d -> if d then a + 1 else a) 0 cl.Cluster.draining
-  in
-  let effective_members () = Cluster.member_count cl - draining_count () in
-  let rec autoscale () =
-    Engine.schedule engine ~delay:control (fun () ->
-        if Engine.now engine < total then begin
-          let seen = total_arrivals () in
-          let rate =
-            float_of_int (seen - !arrivals_seen) /. (control /. 1e6)
-          in
-          arrivals_seen := seen;
-          Autoscale.observe scaler ~rate;
-          let now_s = Engine.now engine /. 1e6 in
-          (match Autoscale.decide scaler ~members:(effective_members ()) with
-          | Autoscale.Hold -> ()
-          | Autoscale.Scale_up -> (
-              match first_standby () with
-              | Some node when Cluster.join_node cl node ->
-                  events := { at = now_s; kind = "join"; node } :: !events
-              | _ -> ())
-          | Autoscale.Scale_down when draining_count () = 0 -> (
-              match last_removable () with
-              | Some node when Cluster.decommission_node cl node ->
-                  events :=
-                    { at = now_s; kind = "decommission"; node } :: !events
-              | _ -> ())
-          | Autoscale.Scale_down -> ());
-          autoscale ()
-        end)
-  in
-  autoscale ();
-  (* Samplers: member count once per second (mid-bucket), and the
-     rebalancer's running flag every 100 ms so each round's
-     start-to-quiescence span is captured. *)
   let members_series = Array.make total_s cfg.Config.nodes in
-  let rec member_loop () =
-    let bucket = int_of_float (Engine.now engine /. 1e6) in
-    if bucket < total_s then begin
-      members_series.(bucket) <- Cluster.member_count cl;
-      Engine.schedule engine ~delay:(Engine.seconds 1.0) member_loop
-    end
-  in
-  Engine.schedule engine ~delay:(Engine.ms 500.0) member_loop;
   let ttr = ref [] in
   let was_running = ref false in
-  let rec rebalance_watch () =
-    if Engine.now engine < total then begin
-      let running = cl.Cluster.rebalance_running in
-      if !was_running && not running then
-        ttr :=
-          ((cl.Cluster.rebalance_done -. cl.Cluster.rebalance_started) /. 1e6)
-          :: !ttr;
-      was_running := running;
-      Engine.schedule engine ~delay:(Engine.ms 100.0) rebalance_watch
-    end
-  in
-  rebalance_watch ();
-  Engine.run_until engine total;
-  proto.Proto.drain ();
-  (* Quiesce: in-flight transactions, the rebalancer and any draining
-     decommission all run to completion (the rebalance loop is
-     self-terminating, so the queue empties). *)
-  Engine.run_all engine ~max_events:50_000_000 ();
-  if !was_running && not cl.Cluster.rebalance_running then
+  let note_rebalance_done cl =
     ttr :=
-      ((cl.Cluster.rebalance_done -. cl.Cluster.rebalance_started) /. 1e6)
-      :: !ttr;
-  let metrics = cl.Cluster.metrics in
-  let goodput_series = Metrics.goodput_series metrics in
-  let offered_series =
-    Array.init total_s (fun i -> float_of_int offered_buckets.(i))
+      ((cl.Cluster.rebalance_done -. cl.Cluster.rebalance_started) /. 1e6) :: !ttr
   in
+  let setup cl =
+    cluster := Some cl;
+    let engine = cl.Cluster.engine in
+    let control = Engine.ms 500.0 in
+    let arrivals_seen = ref 0 in
+    let nodes = List.init (Cluster.node_count cl) Fun.id in
+    let removable i =
+      cl.Cluster.member.(i) && (not cl.Cluster.draining.(i)) && Cluster.alive cl i
+    in
+    (* Draining nodes still count as members until their removal
+       completes; the scaler must see the post-drain size — and only
+       one drain at a time — or it keeps stepping down while the first
+       drain is still in progress. *)
+    let draining_count () =
+      Array.fold_left (fun a d -> if d then a + 1 else a) 0 cl.Cluster.draining
+    in
+    let effective_members () = Cluster.member_count cl - draining_count () in
+    Runner.every engine ~first:control ~period:control ~until:total (fun () ->
+        let rate = float_of_int (!arrivals - !arrivals_seen) /. (control /. 1e6) in
+        arrivals_seen := !arrivals;
+        Autoscale.observe scaler ~rate;
+        let now_s = Engine.now engine /. 1e6 in
+        match Autoscale.decide scaler ~members:(effective_members ()) with
+        | Autoscale.Hold -> ()
+        | Autoscale.Scale_up -> (
+            match List.find_opt (fun i -> not cl.Cluster.member.(i)) nodes with
+            | Some node when Cluster.join_node cl node ->
+                events := { at = now_s; kind = "join"; node } :: !events
+            | _ -> ())
+        | Autoscale.Scale_down when draining_count () = 0 -> (
+            match List.find_opt removable (List.rev nodes) with
+            | Some node when Cluster.decommission_node cl node ->
+                events := { at = now_s; kind = "decommission"; node } :: !events
+            | _ -> ())
+        | Autoscale.Scale_down -> ());
+    (* Samplers: member count once per second (mid-bucket), and the
+       rebalancer's running flag every 100 ms (from t=0) so each
+       round's start-to-quiescence span is captured. *)
+    Runner.every engine ~first:(Engine.ms 500.0) ~period:(Engine.seconds 1.0)
+      ~until:total (fun () ->
+        members_series.(int_of_float (Engine.now engine /. 1e6)) <-
+          Cluster.member_count cl);
+    let rebalance_watch () =
+      let running = cl.Cluster.rebalance_running in
+      if !was_running && not running then note_rebalance_done cl;
+      was_running := running
+    in
+    rebalance_watch ();
+    Runner.every engine ~first:(Engine.ms 100.0) ~period:(Engine.ms 100.0)
+      ~until:total rebalance_watch
+  in
+  let rc =
+    { Runner.quick with warmup = 0.0; duration = period;
+      arrival = Uniform (diurnal ~trough ~peak ~period); stop = Quiesce Runner.drain_budget }
+  in
+  let result = Runner.run_cell ?trace (Runner.cell ~seed ~setup ~cfg ~make ~gen rc) in
+  let cl = Option.get !cluster in
+  if !was_running && not cl.Cluster.rebalance_running then note_rebalance_done cl;
+  let offered_series = Array.map float_of_int offered_buckets in
   let events = List.rev !events in
   let dips =
     List.map
       (fun e ->
         let depth, dur =
-          dip_after ~offered:offered_series ~goodput:goodput_series ~window:4
-            (int_of_float e.at)
+          dip_after ~offered:offered_series ~goodput:result.Runner.goodput_series
+            ~window:4 (int_of_float e.at)
         in
         (e.kind, depth, dur))
       events
@@ -212,7 +164,6 @@ let run ?(seed = 1) ?(smoke = false) () =
   {
     seconds = total_s;
     offered_series;
-    goodput_series;
     members_series;
     events;
     joins = cl.Cluster.join_count;
@@ -220,12 +171,11 @@ let run ?(seed = 1) ?(smoke = false) () =
     rebalance_migrations = cl.Cluster.rebalance_migrations;
     time_to_rebalance = List.rev !ttr;
     dips;
-    stale_ack_rejections = Metrics.stale_ack_rejections metrics;
-    commits = Metrics.commits metrics;
-    aborts = Metrics.aborts metrics;
+    result;
   }
 
 let print_report r =
+  let res = r.result in
   Printf.printf
     "Elastic scale: diurnal open-loop load, forecast-driven membership\n";
   Printf.printf "%-8s %-12s %-12s %-8s %s\n" "second" "offered/s" "goodput/s"
@@ -240,7 +190,7 @@ let print_report r =
   in
   for i = 0 to r.seconds - 1 do
     let g =
-      if i < Array.length r.goodput_series then r.goodput_series.(i) else 0.0
+      if i < Array.length res.goodput_series then res.goodput_series.(i) else 0.0
     in
     Printf.printf "%-8d %-12.0f %-12.0f %-8d %s\n" (i + 1)
       r.offered_series.(i) g r.members_series.(i)
@@ -259,4 +209,4 @@ let print_report r =
         (100.0 *. depth) dur)
     r.dips;
   Printf.printf "stale-ack rejections %d, commits %d, aborts %d\n"
-    r.stale_ack_rejections r.commits r.aborts
+    res.stale_ack_rejections res.commits res.aborts

@@ -25,7 +25,6 @@ type event = { at : float;  (** seconds *) kind : string; node : int }
 type report = {
   seconds : int;  (** measured duration *)
   offered_series : float array;  (** arrivals per second *)
-  goodput_series : float array;  (** commits per second *)
   members_series : int array;  (** member count sampled each second *)
   events : event list;  (** joins / decommissions, in time order *)
   joins : int;
@@ -37,15 +36,17 @@ type report = {
   dips : (string * float * float) list;
       (** per scale event: (kind, depth in [0,1], duration in s) of the
           completion-ratio dip in the following window *)
-  stale_ack_rejections : int;
-  commits : int;
-  aborts : int;
+  result : Runner.result;
+      (** the cell's run: its [goodput_series] (commits per second),
+          commits, aborts and stale-ack rejections are the report's *)
 }
 
-val run : ?seed:int -> ?smoke:bool -> unit -> report
-(** [smoke] (default false) shrinks the run (one diurnal cycle in 10
-    simulated seconds, trend forecaster instead of the LSTM) so CI can
-    afford it; the full run is a 30 s cycle with the LSTM on.
-    Deterministic in [seed] — two runs print byte-identical reports. *)
+val run : ?seed:int -> ?smoke:bool -> ?trace:Runner.trace_sink -> unit -> report
+(** One {!Runner} cell in its quiesce shape, traced through [trace]
+    without changing the report. [smoke] (default false) shrinks the run
+    (one diurnal cycle in 10 simulated seconds, trend forecaster instead
+    of the LSTM) so CI can afford it; the full run is a 30 s cycle with
+    the LSTM on. Deterministic in [seed] — two runs print
+    byte-identical reports. *)
 
 val print_report : report -> unit

@@ -646,7 +646,7 @@ let registry =
       (* Two fixed sizes (a 30 s diurnal cycle with the LSTM, a 10 s
          smoke cycle on the trend fallback): any reduced scale selects
          the smoke run. *)
-      fun ?trace:_ scale -> Elastic.print_report (Elastic.run ~smoke:(scale < 1.0) ()) );
+      fun ?trace scale -> Elastic.print_report (Elastic.run ?trace ~smoke:(scale < 1.0) ()) );
     ( "geo",
       "Geo: cross-region ratio sweep and WAN partition (docs/GEO.md)",
       fun ?trace scale ->

@@ -12,7 +12,9 @@ type trace_sink = { fresh : unit -> Trace.t; emit : Trace.t -> unit }
 type arrival =
   | Closed
   | Poisson of float
-  | Uniform of float
+  | Uniform of (float -> float)
+
+type stop = Forever | Quiesce of int
 
 type config = {
   clients : int;
@@ -20,10 +22,22 @@ type config = {
   duration : float;
   tick_every : float;
   arrival : arrival;
+  stop : stop;
 }
 
 let quick =
-  { clients = 0; warmup = 2.0; duration = 6.0; tick_every = 1.0; arrival = Closed }
+  { clients = 0; warmup = 2.0; duration = 6.0; tick_every = 1.0; arrival = Closed;
+    stop = Forever }
+
+let drain_budget = 50_000_000
+
+let every engine ~first ~period ~until f =
+  let rec loop () =
+    if Engine.now engine < until then (
+      f ();
+      Engine.schedule engine ~delay:period loop)
+  in
+  Engine.schedule engine ~delay:first loop
 
 type result = {
   throughput : float;
@@ -111,7 +125,26 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
   setup cl;
   let proto = make cl in
   let engine = cl.Cluster.engine in
+  let horizon = Engine.seconds (rc.warmup +. rc.duration) in
+  (* When the tick and the sampler stop issuing. *)
+  let until = match rc.stop with Forever -> infinity | Quiesce _ -> horizon in
   let measured_arrivals = ref 0 in
+  (* Open-loop arrivals: transactions arrive on their own clock,
+     oblivious to completions — the offered load stays fixed even when
+     the system falls behind, which is what exposes overload and
+     metastable behaviour (docs/OVERLOAD.md). They stop at the horizon
+     in both stop shapes. *)
+  let open_loop gap =
+    let warm_end = Engine.seconds rc.warmup in
+    let rec arrive () =
+      if Engine.now engine < horizon then (
+        if Engine.now engine >= warm_end then incr measured_arrivals;
+        let txn = gen ~time:(Engine.now engine) in
+        proto.Proto.submit txn ~on_done:(fun () -> ());
+        Engine.schedule engine ~delay:(gap ()) arrive)
+    in
+    Engine.schedule engine ~delay:(gap ()) arrive
+  in
   (match rc.arrival with
   | Closed ->
       let clients =
@@ -121,65 +154,58 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
       in
       (* Closed-loop clients: each submits its next transaction the
          moment the previous one finishes, so the offered load tracks
-         the system's own pace and can never run away from it. *)
-      let rec client_loop () =
+         the system's own pace and can never run away from it. Only
+         the quiesce shape pays a horizon check per transaction. *)
+      let issue next =
         let txn = gen ~time:(Engine.now engine) in
         proto.Proto.submit txn ~on_done:(fun () ->
-            Engine.schedule engine ~delay:0.0 client_loop)
+            Engine.schedule engine ~delay:0.0 next)
       in
+      let rec forever () = issue forever in
+      let rec bounded () = if Engine.now engine < horizon then issue bounded in
+      let client = match rc.stop with Forever -> forever | Quiesce _ -> bounded in
       for _ = 1 to clients do
-        client_loop ()
+        client ()
       done
-  | (Poisson rate | Uniform rate) when rate > 0.0 ->
-      (* Open-loop arrivals: transactions arrive on their own clock,
-         oblivious to completions — the offered load stays fixed even
-         when the system falls behind, which is what exposes overload
-         and metastable behaviour (docs/OVERLOAD.md). A dedicated Rng
-         keeps the arrival process independent of every other seeded
-         stream. *)
+  | Poisson rate when rate > 0.0 ->
+      (* A dedicated Rng keeps the arrival process independent of every
+         other seeded stream. Inverse-CDF exponential; log1p keeps u→0
+         exact and Rng.float never returns 1.0, so the draw is finite. *)
       let arr_rng = Lion_kernel.Rng.create (seed + 0x0a51) in
       let mean_gap = 1e6 /. rate in
-      let warm_end = Engine.seconds rc.warmup in
-      let horizon = Engine.seconds (rc.warmup +. rc.duration) in
-      let gap () =
-        match rc.arrival with
-        | Uniform _ -> mean_gap
-        | _ ->
-            (* Inverse-CDF exponential; log1p keeps u→0 exact and
-               Rng.float never returns 1.0, so the draw is finite. *)
-            -.mean_gap *. log1p (-.Lion_kernel.Rng.float arr_rng 1.0)
-      in
-      let rec arrive () =
-        if Engine.now engine < horizon then (
-          if Engine.now engine >= warm_end then incr measured_arrivals;
-          let txn = gen ~time:(Engine.now engine) in
-          proto.Proto.submit txn ~on_done:(fun () -> ());
-          Engine.schedule engine ~delay:(gap ()) arrive)
-      in
-      Engine.schedule engine ~delay:(gap ()) arrive
+      open_loop (fun () -> -.mean_gap *. log1p (-.Lion_kernel.Rng.float arr_rng 1.0))
+  | Uniform rate when rate 0.0 > 0.0 ->
+      open_loop (fun () -> 1e6 /. rate (Engine.now engine /. 1e6))
   | _ -> ());
   (* Periodic protocol tick (planner / load monitor). *)
   let tick_us = Engine.seconds rc.tick_every in
-  let rec ticker () =
-    Engine.schedule engine ~delay:tick_us (fun () ->
-        proto.Proto.tick ();
-        ticker ())
-  in
-  ticker ();
+  every engine ~first:tick_us ~period:tick_us ~until proto.Proto.tick;
   (* Availability sampler: one mid-bucket probe per simulated second,
-     so each bucket of the series holds exactly one sample. *)
+     so each bucket of the series holds exactly one sample. No probe is
+     queued past [until], where it would outlive a drained queue. *)
   let avail_tick = Engine.seconds 1.0 in
   let rec avail_loop () =
     Metrics.note_availability cl.Cluster.metrics ~frac:(Cluster.availability cl);
-    Engine.schedule engine ~delay:avail_tick avail_loop
+    next_probe avail_tick
+  and next_probe delay =
+    if Engine.now engine +. delay <= until then
+      Engine.schedule engine ~delay avail_loop
   in
-  Engine.schedule engine ~delay:(avail_tick /. 2.0) avail_loop;
-  (* Warm up, reset the summary window, then measure. *)
-  Engine.run_until engine (Engine.seconds rc.warmup);
-  Metrics.reset_window cl.Cluster.metrics;
+  next_probe (avail_tick /. 2.0);
+  (* Warm up, reset the summary window, then measure. A quiesce run
+     without warmup measures from t=0 and resets nothing, so a fault at
+     the first instant keeps its counters and beacons. *)
+  (match rc.stop with
+  | Quiesce _ when rc.warmup <= 0.0 -> ()
+  | _ ->
+      Engine.run_until engine (Engine.seconds rc.warmup);
+      Metrics.reset_window cl.Cluster.metrics);
   let bytes_before = Network.total_bytes cl.Cluster.network in
-  Engine.run_until engine (Engine.seconds (rc.warmup +. rc.duration));
+  Engine.run_until engine horizon;
   proto.Proto.drain ();
+  (match rc.stop with
+  | Forever -> ()
+  | Quiesce max_events -> Engine.run_all engine ~max_events ());
   let metrics = cl.Cluster.metrics in
   let commits = Metrics.commits metrics in
   let bytes_delta = Network.total_bytes cl.Cluster.network - bytes_before in

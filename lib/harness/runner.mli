@@ -1,6 +1,7 @@
 (** Experiment runner: builds a cluster, drives a protocol over a
     workload for a span of simulated time, and collects the series and
-    summary statistics every figure needs.
+    summary statistics every figure needs. The audit harness
+    ([Lion_audit.Drive]) and {!Elastic} run through it too.
 
     The default drive is closed-loop: a small client pool (a multiple
     of the cluster's worker count for standard protocols, one client
@@ -9,27 +10,58 @@
     previous finishes. [arrival] switches to open-loop driving, where
     transactions arrive at a configured offered rate regardless of
     completions — the mode that can push the system past saturation
-    (docs/OVERLOAD.md, EXPERIMENTS.md). *)
+    (docs/OVERLOAD.md, EXPERIMENTS.md).
+
+    A run stops in one of two shapes ([stop]). The benchmark shape
+    stops the clock at the horizon and abandons whatever is still
+    queued after [drain]. The quiesce shape stops clients, the tick and
+    every sampler from issuing at the horizon, then runs everything in
+    flight to completion, so the queue empties — what an audit of the
+    final state needs. *)
 
 type arrival =
   | Closed  (** closed loop: [clients] concurrent submitters *)
   | Poisson of float
       (** open loop, Poisson arrivals at this rate (txns per simulated
           second); [clients] is ignored *)
-  | Uniform of float
-      (** open loop, deterministic evenly-spaced arrivals at this rate *)
+  | Uniform of (float -> float)
+      (** open loop, deterministic arrivals: the gap after an arrival at
+          simulated second [t] is [1 / rate t] ([Fun.const r] for a
+          constant rate); none if [rate 0.] is not positive *)
+
+type stop =
+  | Forever  (** stop the clock at the horizon; a tick due exactly then runs *)
+  | Quiesce of int
+      (** stop issuing at the horizon (a tick due exactly then does not
+          run), then [drain] and {!Lion_sim.Engine.run_all} within this
+          event budget *)
 
 type config = {
   clients : int;  (** closed-loop concurrency; 0 = auto per protocol *)
-  warmup : float;  (** simulated seconds excluded from summary stats *)
+  warmup : float;
+      (** simulated seconds excluded from summary stats (a [Quiesce] run
+          without warmup also counts events at t=0) *)
   duration : float;  (** measured simulated seconds *)
   tick_every : float;  (** planner/monitor tick period, seconds *)
   arrival : arrival;  (** load drive; [Closed] is the benchmark default *)
+  stop : stop;  (** [Forever] is the benchmark default *)
 }
 
 val quick : config
-(** warmup 2 s, duration 6 s, tick 1 s, closed loop — the benchmark
-    default. *)
+(** warmup 2 s, duration 6 s, tick 1 s, closed loop, stopping the clock
+    at the horizon — the benchmark default. *)
+
+val drain_budget : int
+(** The usual [Quiesce] budget (50 M events): hitting it means a
+    runaway event loop. *)
+
+val every :
+  Lion_sim.Engine.t -> first:float -> period:float -> until:float -> (unit -> unit) -> unit
+(** [every engine ~first ~period ~until f] runs [f] [first] µs from now
+    and every [period] µs after that while the clock is below [until],
+    checked as each event fires (so a last no-op event runs at the first
+    time at or past [until]). The protocol tick and the harnesses'
+    samplers run on it. *)
 
 type result = {
   throughput : float;  (** commits per measured second *)

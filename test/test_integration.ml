@@ -233,6 +233,29 @@ let test_experiments_registry_complete () =
       "fig13b"; "fig14";
     ]
 
+(* The registry's elastic_scale passes its trace sink on to the run: a
+   traced run hands the sink a tracer, and tracing leaves the table as
+   it was. *)
+let test_elastic_scale_traced () =
+  let run =
+    match
+      List.find_opt (fun (id, _, _) -> id = "elastic_scale") Lion_harness.Experiments.registry
+    with
+    | Some (_, _, run) -> run
+    | None -> Alcotest.fail "elastic_scale missing from the registry"
+  in
+  let emitted = ref 0 in
+  let trace =
+    {
+      Runner.fresh = (fun () -> Lion_trace.Trace.create ~policy:(Lion_trace.Trace.Slowest 5) ());
+      emit = (fun _ -> incr emitted);
+    }
+  in
+  let plain = Golden.capture_stdout (fun () -> run 0.05) in
+  let traced = Golden.capture_stdout (fun () -> run ~trace 0.05) in
+  Alcotest.(check bool) "a tracer reached the sink" true (!emitted >= 1);
+  Alcotest.(check string) "same table traced and untraced" plain traced
+
 let () =
   Alcotest.run "integration"
     [
@@ -262,5 +285,8 @@ let () =
             test_fault_cells_match_golden;
         ] );
       ( "experiments",
-        [ Alcotest.test_case "registry complete" `Quick test_experiments_registry_complete ] );
+        [
+          Alcotest.test_case "registry complete" `Quick test_experiments_registry_complete;
+          Alcotest.test_case "elastic_scale traced" `Quick test_elastic_scale_traced;
+        ] );
     ]

@@ -42,21 +42,37 @@ let test_open_loop_offered_tracks_rate () =
     (r.Runner.goodput > 0.9 *. r.Runner.offered)
 
 let test_uniform_arrivals_deterministic_gap () =
-  (* A 1000 txn/s deterministic process over 1 s of measurement admits
-     1000 +/- 1 transactions — no randomness in the gaps at all. *)
+  (* Deterministic arrivals admit the rate's integral over the 1 s
+     measured window to within one transaction — no randomness in the
+     gaps at all: a constant 1000 txn/s, and a linear ramp from 1000
+     txn/s at t=0 to 3000 at the end of the run (0.5 s warmup + 1 s),
+     whose integral over [0.5, 1.5] is 2333.3. *)
   let cfg = Config.default in
-  let r =
-    Runner.run ~seed:2 ~cfg ~make:twopc
-      ~gen:(Workloads.ycsb ~seed:2 ~skew:0.8 ~cross:0.5 cfg)
-      {
-        Runner.quick with
-        warmup = 0.5;
-        duration = 1.0;
-        arrival = Runner.Uniform 1_000.0;
-      }
+  let offered rate =
+    (Runner.run ~seed:2 ~cfg ~make:twopc
+       ~gen:(Workloads.ycsb ~seed:2 ~skew:0.8 ~cross:0.5 cfg)
+       {
+         Runner.quick with
+         warmup = 0.5;
+         duration = 1.0;
+         arrival = Runner.Uniform rate;
+       })
+      .Runner.offered
   in
-  Alcotest.(check bool) "arrival count exact" true
-    (Float.abs (r.Runner.offered -. 1_000.0) <= 1.0)
+  let slope = 2_000.0 /. 1.5 in
+  let ramp t = 1_000.0 +. (slope *. t) in
+  let ramp_integral a b = (1_000.0 *. (b -. a)) +. (slope *. ((b *. b) -. (a *. a)) /. 2.0) in
+  List.iter
+    (fun (name, rate, expect) ->
+      let got = offered rate in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f arrivals, integral %.1f" name got expect)
+        true
+        (Float.abs (got -. expect) <= 1.0))
+    [
+      ("constant", Fun.const 1_000.0, 1_000.0);
+      ("ramp", ramp, ramp_integral 0.5 1.5);
+    ]
 
 let test_metastable_shape () =
   match Overload.metastable_pair ~seed:1 ~scale:0.35 () with
