@@ -60,8 +60,8 @@ let () =
   report "after 8s of Lion:";
   let m = cl.Cluster.metrics in
   Printf.printf "\ncommits: %d, single-node %.0f%%, remasters %d, replica adds %d\n"
-    (Lion_sim.Metrics.commits m)
+    (Lion_sim.Metrics.count m Commits)
     (100.0
-    *. float_of_int (Lion_sim.Metrics.single_node_commits m)
-    /. float_of_int (max 1 (Lion_sim.Metrics.commits m)))
+    *. float_of_int (Lion_sim.Metrics.count m Single_node_commits)
+    /. float_of_int (max 1 (Lion_sim.Metrics.count m Commits)))
     cl.Cluster.remaster_count cl.Cluster.replica_add_count

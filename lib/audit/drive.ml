@@ -106,12 +106,12 @@ let run ?(seed = 1) ~clients ~duration ?(nemesis_at = 1.0)
     liveness;
     submitted = !submitted;
     completed = !completed;
-    commits = Metrics.commits metrics;
-    aborts = Metrics.aborts metrics;
+    commits = Metrics.count metrics Commits;
+    aborts = Metrics.count metrics Aborts;
     min_availability = !min_avail;
     resyncs = cl.Cluster.resync_count;
-    stale_rejections = Metrics.stale_ack_rejections metrics;
-    replica_purges = Metrics.replica_purges metrics;
+    stale_rejections = Metrics.count metrics Stale_acks;
+    replica_purges = Metrics.count metrics Replica_purges;
     exhausted = Engine.last_run_exhausted engine;
     pending_events = Engine.pending engine;
     final_time = Engine.now engine;

@@ -24,11 +24,11 @@ type outcome = {
   resyncs : int;  (** anti-entropy repairs that completed *)
   stale_rejections : int;
       (** stale-session stream deliveries rejected by tagging
-          ([Metrics.stale_ack_rejections]; 0 unless
+          ([Metrics.Stale_acks]; 0 unless
           [Config.session_tagging]) *)
   replica_purges : int;
       (** stale secondaries purged at node recovery
-          ([Metrics.replica_purges]) *)
+          ([Metrics.Replica_purges]) *)
   exhausted : bool;
       (** the drain stopped on [max_events] instead of emptying the
           queue — also reported as a liveness finding, never a silent

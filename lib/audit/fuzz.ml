@@ -152,26 +152,17 @@ let actions_of_case c =
 (* {2 Coverage signal} *)
 
 let counter_specs =
-  [
-    ("timeouts", Metrics.timeouts);
-    ("retries", Metrics.retries);
-    ("drops", Metrics.drops);
-    ("sheds", Metrics.sheds);
-    ("breaker-rejects", Metrics.breaker_rejects);
-    ("breaker-opens", Metrics.breaker_opens);
-    ("breaker-half-opens", Metrics.breaker_half_opens);
-    ("budget-denials", Metrics.budget_denials);
-    ("deadline-giveups", Metrics.deadline_giveups);
-    ("stale-acks", Metrics.stale_ack_rejections);
-    ("replica-purges", Metrics.replica_purges);
-    ("remasters", Metrics.remaster_begins);
-    ("aborts", Metrics.aborts);
-  ]
+  Metrics.
+    [
+      Timeouts; Retries; Drops; Sheds; Breaker_rejects; Breaker_opens;
+      Breaker_half_opens; Budget_denials; Deadline_giveups; Stale_acks;
+      Replica_purges; Remasters; Aborts;
+    ]
 
 let coverage_of cl =
   let m = cl.Cluster.metrics in
   List.filter_map
-    (fun (n, f) -> if f m > 0 then Some ("m:" ^ n) else None)
+    (fun c -> if Metrics.count m c > 0 then Some ("m:" ^ Metrics.name c) else None)
     counter_specs
   @ List.map (fun (n, _) -> "b:" ^ n) (Metrics.beacons m)
 

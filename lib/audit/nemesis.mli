@@ -98,7 +98,7 @@ val crash_rejoin :
     node has rejoined. Without [Config.session_tagging] the stale
     streams are accepted and the divergence audit reports
     [Stale_replica]; with it they are rejected (counted as
-    [Metrics.stale_ack_rejections]) and the audit stays clean. Cycles
+    [Metrics.Stale_acks]) and the audit stays clean. Cycles
     (default 2) repeat every [period] (default 1 s — the audit driver's
     planner-tick period, so installs are in flight when the crash
     lands; a further cycle would crash the node again {e after} the

@@ -207,7 +207,7 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
   | Forever -> ()
   | Quiesce max_events -> Engine.run_all engine ~max_events ());
   let metrics = cl.Cluster.metrics in
-  let commits = Metrics.commits metrics in
+  let commits = Metrics.count metrics Commits in
   let bytes_delta = Network.total_bytes cl.Cluster.network - bytes_before in
   let availability = Metrics.availability_series metrics in
   let throughput_series = Metrics.throughput_series metrics in
@@ -224,14 +224,14 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
        client had already given up on them. Without a deadline it
        equals throughput. *)
     goodput =
-      float_of_int (commits - Metrics.deadline_misses metrics) /. rc.duration;
+      float_of_int (commits - Metrics.count metrics Deadline_misses) /. rc.duration;
     offered =
       (match rc.arrival with
       | Closed -> throughput
       | Poisson _ | Uniform _ ->
           float_of_int !measured_arrivals /. rc.duration);
     commits;
-    aborts = Metrics.aborts metrics;
+    aborts = Metrics.count metrics Aborts;
     p50 = Metrics.latency_percentile metrics 50.0;
     p75 = Metrics.latency_percentile metrics 75.0;
     p90 = Metrics.latency_percentile metrics 90.0;
@@ -240,10 +240,10 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
     mean_latency = Metrics.mean_latency metrics;
     single_node_ratio =
       (if commits = 0 then 0.0
-       else float_of_int (Metrics.single_node_commits metrics) /. float_of_int commits);
+       else float_of_int (Metrics.count metrics Single_node_commits) /. float_of_int commits);
     remaster_ratio =
       (if commits = 0 then 0.0
-       else float_of_int (Metrics.remastered_commits metrics) /. float_of_int commits);
+       else float_of_int (Metrics.count metrics Remastered_commits) /. float_of_int commits);
     throughput_series;
     goodput_series = Metrics.goodput_series metrics;
     bytes_series = Lion_kernel.Timeseries.to_array (Network.bytes_series cl.Cluster.network);
@@ -253,23 +253,23 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
       List.map (fun p -> (p, Metrics.phase_fraction metrics p)) Metrics.all_phases;
     remasters = cl.Cluster.remaster_count;
     replica_adds = cl.Cluster.replica_add_count;
-    timeouts = Metrics.timeouts metrics;
-    retries = Metrics.retries metrics;
-    drops = Metrics.drops metrics;
-    sheds = Metrics.sheds metrics;
-    breaker_rejects = Metrics.breaker_rejects metrics;
-    breaker_opens = Metrics.breaker_opens metrics;
-    budget_denials = Metrics.budget_denials metrics;
-    deadline_giveups = Metrics.deadline_giveups metrics;
-    deadline_misses = Metrics.deadline_misses metrics;
-    stale_ack_rejections = Metrics.stale_ack_rejections metrics;
+    timeouts = Metrics.count metrics Timeouts;
+    retries = Metrics.count metrics Retries;
+    drops = Metrics.count metrics Drops;
+    sheds = Metrics.count metrics Sheds;
+    breaker_rejects = Metrics.count metrics Breaker_rejects;
+    breaker_opens = Metrics.count metrics Breaker_opens;
+    budget_denials = Metrics.count metrics Budget_denials;
+    deadline_giveups = Metrics.count metrics Deadline_giveups;
+    deadline_misses = Metrics.count metrics Deadline_misses;
+    stale_ack_rejections = Metrics.count metrics Stale_acks;
     availability;
     unavail_seconds;
     time_to_recover;
     goodput_under_fault;
     engine_events = Engine.events_processed engine;
-    wan_bytes = Metrics.wan_bytes metrics;
-    wan_messages = Metrics.wan_messages metrics;
+    wan_bytes = Metrics.count metrics Wan_bytes;
+    wan_messages = Metrics.count metrics Wan_messages;
   }
 
 (* Each cell's runs hand their tracers to a per-cell list instead of

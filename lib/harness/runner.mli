@@ -126,8 +126,8 @@ type result = {
       (** total simulation events executed over the whole run (incl.
           warmup) — the denominator the perf harness uses to turn wall
           time into events/sec *)
-  wan_bytes : int;  (** cross-region bytes over the whole run (0 without geo) *)
-  wan_messages : int;  (** cross-region messages over the whole run *)
+  wan_bytes : int;  (** cross-region bytes (measured window; 0 without geo) *)
+  wan_messages : int;  (** cross-region messages (measured window) *)
 }
 
 type trace_sink = {

@@ -173,8 +173,8 @@ let metrics_record () =
     Metrics.record_commit m
       ~latency:(200.0 +. float_of_int (i land 1023))
       ~single_node:(i land 3 = 0) ~remastered:(i land 15 = 0) ~phases;
-    if i land 7 = 0 then Metrics.record_retry m;
-    if i land 31 = 0 then Metrics.record_abort m
+    if i land 7 = 0 then Metrics.incr m Retries;
+    if i land 31 = 0 then Metrics.incr m Aborts
   done;
   (metrics_commits, metrics_commits)
 

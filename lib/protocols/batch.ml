@@ -239,7 +239,6 @@ let rec start_epoch st =
                  accounting matches the standard path: a commit past
                  the client's patience counts out of goodput. *)
               let late = Config.misses_deadline cfg latency in
-              if late then Metrics.record_deadline_miss st.cl.Cluster.metrics;
               Metrics.record_commit ~late st.cl.Cluster.metrics ~latency
                 ~single_node:v.single_node ~remastered:v.remastered
                 ~phases:(scale_phases result.phase_split latency);
@@ -247,7 +246,7 @@ let rec start_epoch st =
               Trace.finish_txn ~ts:now ~ok:v.committed req.ctx;
               req.on_done ())
             else (
-              Metrics.record_abort st.cl.Cluster.metrics;
+              Metrics.incr st.cl.Cluster.metrics Aborts;
               emit_stages st req ~t0 ~t1 ~t2 ~t3 ~now;
               Trace.note_abort ~ts:now req.ctx;
               req.wait_from <- now;

@@ -159,7 +159,6 @@ and close_epoch t =
             Transport.replicate_commit cl ?ctx:p.octx p.txn.Txn.parts;
             let latency = Engine.now engine -. p.start in
             let late = Config.misses_deadline cfg latency in
-            if late then Metrics.record_deadline_miss cl.Cluster.metrics;
             let single_node =
               peers = []
               && List.for_all
@@ -208,11 +207,11 @@ and abort_retry t (p : pending) =
   let cl = t.cl in
   let engine = cl.Cluster.engine in
   record_outcome t p History.Aborted;
-  Metrics.record_abort cl.Cluster.metrics;
+  Metrics.incr cl.Cluster.metrics Aborts;
   Trace.note_abort ~ts:(Engine.now engine) p.octx;
   let cfg = cl.Cluster.cfg in
   let give_up reason =
-    Metrics.record_deadline_giveup cl.Cluster.metrics;
+    Metrics.incr cl.Cluster.metrics Deadline_giveups;
     Trace.note ~ts:(Engine.now engine) reason p.octx;
     Trace.finish_txn ~ts:(Engine.now engine) ~ok:false p.octx
   in
@@ -258,9 +257,9 @@ and execute t ~txn ~start ~attempt ~octx ~on_parked =
     (* Shed at admission or the coordinator died under us: no session
        state to abort — pay a backoff and re-route. *)
     Trace.finish ~ts:(Engine.now engine) actx;
-    Metrics.record_abort cl.Cluster.metrics;
+    Metrics.incr cl.Cluster.metrics Aborts;
     if attempt >= max_attempts then (
-      Metrics.record_deadline_giveup cl.Cluster.metrics;
+      Metrics.incr cl.Cluster.metrics Deadline_giveups;
       Trace.finish_txn ~ts:(Engine.now engine) ~ok:false octx;
       on_parked ())
     else

@@ -264,14 +264,14 @@ let rec attempt_failed r actx =
   | None, None -> ()
   | Some _, _ -> Trace.note_abort ~ts:(Engine.now engine) actx
   | None, Some _ -> Trace.note_abort ~ts:(Engine.now engine) r.octx);
-  Metrics.record_abort cl.Cluster.metrics;
+  Metrics.incr cl.Cluster.metrics Aborts;
   match r.enforced with
   | Some d when Engine.now engine >= d ->
       (* Deadline propagation, load-shedding half: a transaction already
          older than any client would wait for stops consuming retries —
          the metastable sustaining loop (ever-growing population of
          retrying zombies) is cut here. *)
-      Metrics.record_deadline_giveup cl.Cluster.metrics;
+      Metrics.incr cl.Cluster.metrics Deadline_giveups;
       (match r.octx with
       | None -> ()
       | Some _ ->
@@ -397,7 +397,7 @@ and step a g =
   end
 
 and part_lost a =
-  Metrics.record_timeout a.run.cl.Cluster.metrics;
+  Metrics.incr a.run.cl.Cluster.metrics Timeouts;
   (match a.actx with None -> () | Some _ -> Trace.note ~ts:(now a) "timeout" a.actx);
   fail_txn a
 
@@ -697,7 +697,6 @@ and attempt_over a =
     (* Committed but late: it still counts as a commit (throughput)
        while goodput discounts it — the client gave up waiting. *)
     let late = Config.misses_deadline cfg latency in
-    if late then Metrics.record_deadline_miss cl.Cluster.metrics;
     let span =
       open_span cl.Cluster.engine ~node:(-1) ~part:(-1) ~phase:"replication"
         ~name:"group-commit-wait" r.octx

@@ -1,9 +1,13 @@
-(** Experiment metrics: commits, aborts, latency, phase breakdown.
+(** Experiment metrics: counters, latency, phase breakdown and the
+    per-second series.
 
-    One recorder per experiment run. Commit events also record whether
-    the transaction ran as a single-node transaction, whether it used
-    remastering, and how its latency divides into phases — everything
-    Figs. 8, 10, 12 and 14 need. *)
+    One recorder per experiment run. Its event counts are the
+    {!counter} variant: each declared once, with a printed {!name},
+    bumped with {!incr} or {!add} and read with {!count}; one
+    {!reset_window} zeroes them all. Commit events also record
+    whether the transaction ran as a single-node transaction, whether
+    it used remastering, and how its latency divides into phases —
+    everything Figs. 8, 10, 12 and 14 need. *)
 
 type phase =
   | Execution  (** read/write processing, incl. remote reads *)
@@ -19,6 +23,66 @@ val all_phases : phase list
 type t
 
 val create : ?seed:int -> Engine.t -> t
+
+(** The run's counters. Each counts events over the measured window:
+    since {!create} or the last {!reset_window}. *)
+type counter =
+  | Commits  (** committed transactions *)
+  | Single_node_commits  (** commits that ran on one node *)
+  | Remastered_commits  (** commits that used a leader transfer *)
+  | Aborts
+      (** abort-and-retry occurrences; the eventual commit is still
+          recorded by {!record_commit} *)
+  | Timeouts  (** RPCs (or partition waits) that exhausted their retries *)
+  | Retries  (** RPC attempts that timed out and were retried with backoff *)
+  | Drops
+      (** messages the fault layer killed (drop spec, partition, or dead
+          endpoint) *)
+  | Sheds
+      (** requests admission control turned away (bounded queue
+          overflow, CoDel delay bound, or a dead node's drained queue) *)
+  | Breaker_rejects  (** RPCs an open circuit breaker refused *)
+  | Breaker_opens  (** circuit-breaker trips *)
+  | Breaker_half_opens
+      (** open breakers whose cooldown elapsed, admitting one probe; a
+          breaker pinned open by a persistent fault shows opens and
+          half-opens climbing in lockstep *)
+  | Budget_denials  (** retransmissions abandoned for a dry retry budget *)
+  | Deadline_giveups  (** transactions past their deadline shed instead of retried *)
+  | Deadline_misses
+      (** transactions committed after their deadline, counted out of
+          goodput (by {!record_commit} [~late:true]) *)
+  | Stale_acks
+      (** replication/remaster stream messages from a stale session —
+          initiated before their destination left and rejoined — rejected
+          instead of applied (docs/MEMBERSHIP.md); only counted while
+          [Config.session_tagging] is on *)
+  | Replica_purges
+      (** secondaries purged at recovery because their partition was
+          remastered away while the node was down *)
+  | Remasters  (** leader transfers admitted (cooldown passed, none in flight) *)
+  | Wan_messages
+      (** cross-region messages; this and the other three link counters
+          are only bumped by [Network.send] under a region topology, so a
+          region-free run leaves them at 0 (docs/GEO.md) *)
+  | Wan_bytes  (** bytes carried by cross-region messages *)
+  | Lan_messages  (** intra-region messages under a region topology *)
+  | Lan_bytes  (** bytes carried by intra-region messages *)
+
+val all : counter list
+(** Every counter, each once. *)
+
+val name : counter -> string
+(** The counter's printed name, e.g. ["breaker-rejects"]; distinct per
+    counter. The fuzzer's [m:] coverage signals use it. *)
+
+val incr : t -> counter -> unit
+
+val add : t -> counter -> int -> unit
+(** [add t c n] adds [n] to [c]; [incr t c] is [add t c 1]. *)
+
+val count : t -> counter -> int
+(** The counter's total over the measured window. *)
 
 (** One committed transaction's time per phase, µs. An all-float
     record, so its fields are stored unboxed and can be filled in
@@ -51,78 +115,12 @@ val record_commit :
   remastered:bool ->
   phases:phase_times ->
   unit
-(** Record a committed transaction. [latency] in µs from first submit
-    (including retries) to commit. [late] (default false) marks a
-    commit that landed past its client deadline: it still counts in
-    throughput and the latency distribution but is excluded from the
-    goodput series. *)
-
-val record_abort : t -> unit
-(** One abort-and-retry occurrence (the eventual commit is still
-    recorded via [record_commit]). *)
-
-val record_timeout : t -> unit
-(** An RPC (or partition wait) gave up after exhausting its retries. *)
-
-val record_retry : t -> unit
-(** An RPC attempt timed out and was retried with backoff. *)
-
-val record_drop : t -> unit
-(** The fault layer killed a message (drop spec, partition, or dead
-    endpoint). *)
-
-val record_shed : t -> unit
-(** Admission control turned a request away (bounded queue overflow,
-    CoDel delay bound, or a dead node's drained queue). *)
-
-val record_breaker_reject : t -> unit
-(** A per-destination circuit breaker refused an RPC while open. *)
-
-val record_breaker_open : t -> unit
-(** A circuit breaker tripped open. *)
-
-val record_breaker_half_open : t -> unit
-(** An open breaker's cooldown elapsed and it moved to [Half_open],
-    admitting one probe. A breaker pinned open by a persistent fault
-    shows opens and half-opens climbing in lockstep. *)
-
-val record_budget_denial : t -> unit
-(** A retransmission was abandoned because the retry budget was dry. *)
-
-val record_deadline_giveup : t -> unit
-(** A transaction past its deadline was shed instead of retried. *)
-
-val record_deadline_miss : t -> unit
-(** A transaction committed, but only after its deadline — counted out
-    of goodput. *)
-
-val record_stale_ack : t -> unit
-(** A replication/remaster stream message from a stale session —
-    initiated before its destination left and rejoined the membership —
-    was rejected instead of applied (docs/MEMBERSHIP.md). Only counted
-    while [Config.session_tagging] is on. *)
-
-val record_replica_purge : t -> unit
-(** A rejoining node held a secondary whose partition was remastered
-    away while it was down; the stale copy was purged at recovery. *)
-
-val record_remaster_begin : t -> unit
-(** A leader transfer was admitted (cooldown passed, no transfer in
-    flight for the partition). Increments both the lifetime begin
-    counter and the in-flight gauge. *)
-
-val record_remaster_end : t -> unit
-(** The matching end for a [record_remaster_begin] — completion, stale
-    refusal or cancellation. Every begin must be paired with exactly
-    one end; at quiescence the gauge must read 0, which the liveness
-    auditor asserts (docs/FUZZING.md). *)
-
-val record_link_msg : t -> cross:bool -> bytes:int -> unit
-(** Classify one sent message by link class under a region topology:
-    [cross] marks a cross-region (WAN) hop, otherwise the hop is
-    intra-region (LAN). Only called by [Network.send] when a topology
-    is installed — region-free runs never touch these counters
-    (docs/GEO.md). *)
+(** Record a committed transaction: [Commits], and [Single_node_commits]
+    / [Remastered_commits] when those flags are set. [latency] in µs
+    from first submit (including retries) to commit. [late] (default
+    false) marks a commit that landed past its client deadline: it
+    still counts in throughput and the latency distribution, counts a
+    [Deadline_misses], and is excluded from the goodput series. *)
 
 val beacon : t -> string -> unit
 (** Light a named code-path beacon — a control-flow waypoint such as an
@@ -134,39 +132,6 @@ val beacon : t -> string -> unit
 val beacons : t -> (string * int) list
 (** All beacons lit since [create] (or the last [reset_window]),
     sorted by name for deterministic output. *)
-
-val timeouts : t -> int
-val retries : t -> int
-val drops : t -> int
-val sheds : t -> int
-val breaker_rejects : t -> int
-val breaker_opens : t -> int
-val budget_denials : t -> int
-val deadline_giveups : t -> int
-val deadline_misses : t -> int
-val breaker_half_opens : t -> int
-val stale_ack_rejections : t -> int
-val replica_purges : t -> int
-val remaster_begins : t -> int
-
-val wan_messages : t -> int
-(** Cross-region messages sent since [create] / [reset_window]. *)
-
-val wan_bytes : t -> int
-(** Bytes carried by cross-region messages. *)
-
-val lan_messages : t -> int
-(** Intra-region messages sent under a region topology. Zero (like all
-    four link counters) when the run is region-free. *)
-
-val lan_bytes : t -> int
-(** Bytes carried by intra-region messages. *)
-
-val remasters_inflight : t -> int
-(** Leader transfers currently in flight (begins minus ends). Unlike
-    the counters this is live state, not a window total: it survives
-    [reset_window] so a transfer spanning the boundary still reads
-    correctly. *)
 
 val schedule_clamps : t -> int
 (** Past-dated schedules the engine clamped to [now] since [create] —
@@ -180,11 +145,6 @@ val note_availability : t -> frac:float -> unit
 
 val availability_series : t -> float array
 (** Availability samples bucketed per simulated second. *)
-
-val commits : t -> int
-val aborts : t -> int
-val single_node_commits : t -> int
-val remastered_commits : t -> int
 
 val throughput : t -> duration:float -> float
 (** Committed txns per simulated second over [duration] µs. *)
@@ -203,5 +163,6 @@ val phase_fraction : t -> phase -> float
 (** Fraction of total committed-transaction time spent in a phase. *)
 
 val reset_window : t -> unit
-(** Clear counters and latency (not the per-second series) so a run can
-    exclude its warm-up from reported numbers. *)
+(** Zero every counter, the beacons, the phase totals and latency (not
+    the per-second series) so a run can exclude its warm-up from
+    reported numbers. *)

@@ -60,7 +60,7 @@ let release_msg t m =
 
 let record_drop t =
   t.drops <- t.drops + 1;
-  Option.iter Metrics.record_drop t.metrics
+  match t.metrics with Some m -> Metrics.incr m Drops | None -> ()
 
 (* In-flight delivery to a node that died after the message left: lost
    on arrival. The record is recycled before the continuation runs, so
@@ -170,7 +170,9 @@ let send t ~src ~dst ~bytes ?(on_drop = nop) ?ctx k =
       | Some g ->
           let cross = g.region_of.(src) <> g.region_of.(dst) in
           (match t.metrics with
-          | Some m -> Metrics.record_link_msg m ~cross ~bytes
+          | Some m ->
+              Metrics.add m (if cross then Wan_messages else Lan_messages) 1;
+              Metrics.add m (if cross then Wan_bytes else Lan_bytes) bytes
           | None -> ());
           cross
     in

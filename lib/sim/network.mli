@@ -19,7 +19,7 @@ type topology = {
     WAN link class. Links between nodes of the same region keep the
     LAN [latency]/[per_byte]; links crossing regions pay [wan_latency]
     / [wan_per_byte] instead, and are counted separately in
-    {!Metrics.wan_messages} / {!Metrics.wan_bytes}. *)
+    [Metrics.Wan_messages] / [Metrics.Wan_bytes]. *)
 
 val create :
   ?latency:float -> ?per_byte:float -> ?topology:topology -> ?fault:Fault.t ->

@@ -155,7 +155,7 @@ let try_begin_remaster t ~part ~node =
   then false
   else (
     t.remaster_inflight.(part) <- true;
-    Metrics.record_remaster_begin t.metrics;
+    Metrics.incr t.metrics Remasters;
     (* Burn the cooldown optimistically so concurrent attempts see it,
        but remember the previous stamp: a transfer that fails (target
        died mid-flight, or the lag ship was lost to a partition) must
@@ -208,7 +208,7 @@ let try_begin_remaster t ~part ~node =
                (* The lag ship belongs to the target's previous
                   incarnation: refuse the handover rather than promote
                   a primary missing its log suffix. *)
-               Metrics.record_stale_ack t.metrics;
+               Metrics.incr t.metrics Stale_acks;
                Metrics.beacon t.metrics "remaster-stale-refuse";
                if t.part_last_remaster.(part) = started then
                  t.part_last_remaster.(part) <- prev
@@ -234,7 +234,6 @@ let try_begin_remaster t ~part ~node =
              if t.part_last_remaster.(part) = started then
                t.part_last_remaster.(part) <- prev
            end);
-          Metrics.record_remaster_end t.metrics;
           t.remaster_inflight.(part) <- false;
           t.remaster_target.(part) <- -1
         end);
@@ -341,7 +340,7 @@ let add_replica t ~part ~node ~on_ready =
                    storage that has since restarted empty. Tagged
                    sessions catch this and drop the install; the
                    planner will try again with a fresh stream. *)
-                Metrics.record_stale_ack t.metrics
+                Metrics.incr t.metrics Stale_acks
               else (
                 (if not (Placement.has_replica t.placement ~part ~node) then begin
                    (* Re-check the cap at completion: another install for
@@ -784,7 +783,6 @@ let fail_node t node =
     for part = 0 to parts - 1 do
       if t.remaster_inflight.(part) && t.remaster_target.(part) = node then begin
         Metrics.beacon t.metrics "remaster-cancel";
-        Metrics.record_remaster_end t.metrics;
         t.remaster_inflight.(part) <- false;
         if t.part_last_remaster.(part) = t.remaster_started_at.(part) then
           t.part_last_remaster.(part) <- t.remaster_prev.(part);
@@ -890,7 +888,7 @@ let recover_node t node =
         if Placement.has_secondary t.placement ~part ~node then begin
           Metrics.beacon t.metrics "rejoin-purge";
           drop_secondary t ~part ~node;
-          Metrics.record_replica_purge t.metrics
+          Metrics.incr t.metrics Replica_purges
         end
       done;
     (* The log-shipping peer for resynchronisation: any live node can
@@ -944,7 +942,7 @@ let note_replica_synced t ~part ~node =
 (* Ground-truth liveness introspection (docs/FUZZING.md): after a run
    drains to quiescence, every leader transfer must have resolved and
    every partition must have a live primary again. The liveness auditor
-   reads these directly rather than trusting the metrics gauge. *)
+   reads these. *)
 let remasters_inflight t =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.remaster_inflight
 
@@ -1002,7 +1000,7 @@ let create ?(seed = 1) ?tracer ?history cfg =
     Server.create
       ?queue_cap:(Option.map (fun a -> a.Config.queue_cap) cfg.Config.admission)
       ?policy:(Option.map (fun a -> a.Config.shed_policy) cfg.Config.admission)
-      ~on_shed:(fun () -> Metrics.record_shed metrics)
+      ~on_shed:(fun () -> Metrics.incr metrics Sheds)
       engine ~capacity
   in
   let t =

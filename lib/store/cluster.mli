@@ -274,7 +274,7 @@ val recover_node : t -> int -> unit
     before the crash are recognisably stale. Stale secondaries left on
     the node by layers that remastered partitions away through
     [Placement] directly while it was down are purged (counted as
-    [Metrics.replica_purges]). Any
+    [Metrics.Replica_purges]). Any
     partition that was blocked for lack of replicas revives on this
     node after resynchronising: the unacknowledged log suffix is
     shipped from a live peer (charged to the network, same lagging-log

@@ -148,7 +148,7 @@ type t = {
           session id ([Replication.session]) and deliveries from a
           session opened before the destination left and rejoined the
           membership are rejected (counted as
-          [Metrics.stale_ack_rejections]). false (default) reproduces
+          [Metrics.Stale_acks]). false (default) reproduces
           the classic stale-replication-ack hazard — see
           docs/MEMBERSHIP.md for the openraft/Ra comparison *)
 }

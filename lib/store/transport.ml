@@ -16,7 +16,7 @@ let budget_allows (t : Cluster.t) =
   | Some b ->
       Overload.Token_bucket.try_take b ~now:(Cluster.now t)
       ||
-      (Metrics.record_budget_denial t.metrics;
+      (Metrics.incr t.metrics Budget_denials;
        false)
 
 let breaker_for (t : Cluster.t) dst =
@@ -27,7 +27,7 @@ let breaker_for (t : Cluster.t) dst =
    observe that from outside, so every wrapper funnels through here. *)
 let note_half_opens (t : Cluster.t) b before =
   if Overload.Breaker.half_opens b > before then
-    Metrics.record_breaker_half_open t.metrics
+    Metrics.incr t.metrics Breaker_half_opens
 
 let breaker_allows (t : Cluster.t) dst =
   match breaker_for t dst with
@@ -38,7 +38,7 @@ let breaker_allows (t : Cluster.t) dst =
       note_half_opens t b ho;
       ok
       ||
-      (Metrics.record_breaker_reject t.metrics;
+      (Metrics.incr t.metrics Breaker_rejects;
        false)
 
 let breaker_success t dst =
@@ -54,7 +54,7 @@ let breaker_failure (t : Cluster.t) dst =
       let ho = Overload.Breaker.half_opens b in
       Overload.Breaker.record_failure b ~now:(Cluster.now t);
       note_half_opens t b ho;
-      if Overload.Breaker.opens b > opens then Metrics.record_breaker_open t.metrics
+      if Overload.Breaker.opens b > opens then Metrics.incr t.metrics Breaker_opens
 
 let breaker_state t dst =
   match breaker_for t dst with
@@ -136,16 +136,16 @@ and call_timer c =
     c.on_fail c.arg
   in
   if c.attempt >= Config.rpc_retries then (
-    Metrics.record_timeout t.metrics;
+    Metrics.incr t.metrics Timeouts;
     give_up "timeout")
   else if match c.deadline with Some d -> Cluster.now t >= d | None -> false then (
     (* Deadline propagation: a transaction already past its deadline
        sheds instead of retrying. *)
-    Metrics.record_timeout t.metrics;
+    Metrics.incr t.metrics Timeouts;
     give_up "deadline")
   else if not (budget_allows t) then give_up "budget-denied"
   else (
-    Metrics.record_retry t.metrics;
+    Metrics.incr t.metrics Retries;
     close_span t "retry" c.actx;
     let backoff = Config.rpc_backoff *. float_of_int (1 lsl c.attempt) in
     c.attempt <- c.attempt + 1;
@@ -278,7 +278,7 @@ let rec resync_replica (t : Cluster.t) ~part ~node ~tries ~backoff =
               (* The node rejoined while the suffix was in flight: the
                  shipped range was computed against its previous
                  incarnation. Reject and restart with a fresh session. *)
-              Metrics.record_stale_ack t.metrics;
+              Metrics.incr t.metrics Stale_acks;
               Metrics.beacon t.metrics "resync-stale";
               resync_replica t ~part ~node ~tries:(tries - 1) ~backoff
             end
@@ -335,7 +335,7 @@ let ship_arrived (s : ship) =
     (* Delivered to a node that left and rejoined while the record was
        in flight: the ack would stamp a watermark the node's storage no
        longer backs. *)
-    Metrics.record_stale_ack t.metrics;
+    Metrics.incr t.metrics Stale_acks;
     close_span t "stale-session" s.rctx
   end
   else begin
@@ -357,7 +357,7 @@ let ship_arrived (s : ship) =
 let ship_dropped (s : ship) =
   let t = s.owner in
   let give_up note =
-    Metrics.record_timeout t.metrics;
+    Metrics.incr t.metrics Timeouts;
     close_span t note s.rctx;
     breaker_failure t s.to_node;
     start_resync t ~part:s.part ~node:s.to_node
@@ -365,7 +365,7 @@ let ship_dropped (s : ship) =
   if s.tries >= Config.rpc_retries then give_up "timeout"
   else if not (budget_allows t) then give_up "budget-denied"
   else (
-    Metrics.record_retry t.metrics;
+    Metrics.incr t.metrics Retries;
     (match s.rctx with None -> () | Some _ -> Trace.note ~ts:(Cluster.now t) "retry" s.rctx);
     let backoff = Config.rpc_backoff *. float_of_int (1 lsl s.tries) in
     s.tries <- s.tries + 1;

@@ -180,7 +180,7 @@ let test_read_at_secondary_serves_locally () =
   Engine.run_until cl.Cluster.engine (Engine.seconds 1.0);
   Alcotest.(check bool) "committed" true !done_;
   Alcotest.(check int) "single node without promotion" 1
-    (Metrics.single_node_commits cl.Cluster.metrics);
+    (Metrics.count cl.Cluster.metrics Single_node_commits);
   Alcotest.(check int) "no remaster happened" 0 cl.Cluster.remaster_count
 
 let test_read_at_secondary_writes_still_promote () =
@@ -286,8 +286,8 @@ let test_lion_standard_converts_to_single_node () =
   let cl =
     drive (fun cl -> Lion_core.Standard.create ~config:no_predict cl) (pair_gen ())
   in
-  let total = Metrics.commits cl.Cluster.metrics in
-  let single = Metrics.single_node_commits cl.Cluster.metrics in
+  let total = Metrics.count cl.Cluster.metrics Commits in
+  let single = Metrics.count cl.Cluster.metrics Single_node_commits in
   Alcotest.(check bool) "commits" true (total > 0);
   Alcotest.(check bool)
     (Printf.sprintf "mostly single-node after adaptation (%d/%d)" single total)
@@ -295,7 +295,7 @@ let test_lion_standard_converts_to_single_node () =
     (float_of_int single /. float_of_int total > 0.6)
 
 let test_lion_standard_beats_2pc_on_recurring_pairs () =
-  let run make = Metrics.commits (drive make (pair_gen ())).Cluster.metrics in
+  let run make = Metrics.count (drive make (pair_gen ())).Cluster.metrics Commits in
   let lion = run (fun cl -> Lion_core.Standard.create ~config:no_predict cl) in
   let twopc = run Lion_protocols.Twopc.create in
   Alcotest.(check bool)
@@ -309,10 +309,10 @@ let test_lion_batch_converts_and_commits () =
   let cl =
     drive (fun cl -> Lion_core.Batch_mode.create ~config:no_predict cl) (pair_gen ())
   in
-  let total = Metrics.commits cl.Cluster.metrics in
+  let total = Metrics.count cl.Cluster.metrics Commits in
   Alcotest.(check bool) "commits" true (total > 0);
   Alcotest.(check bool) "single-node majority" true
-    (float_of_int (Metrics.single_node_commits cl.Cluster.metrics) /. float_of_int total
+    (float_of_int (Metrics.count cl.Cluster.metrics Single_node_commits) /. float_of_int total
     > 0.6)
 
 let test_lion_batch_remaster_overlap_single_barrier () =
@@ -370,10 +370,10 @@ let test_lion_on_ycsb_uniform_cross () =
       (fun cl -> Lion_core.Standard.create ~config:no_predict cl)
       (fun () -> Ycsb.next gen)
   in
-  let total = Metrics.commits cl.Cluster.metrics in
+  let total = Metrics.count cl.Cluster.metrics Commits in
   Alcotest.(check bool) "substantial throughput" true (total > 10_000);
   Alcotest.(check bool) "conversion happened" true
-    (Metrics.single_node_commits cl.Cluster.metrics > total / 4)
+    (Metrics.count cl.Cluster.metrics Single_node_commits > total / 4)
 
 let () =
   Alcotest.run "lion_core"

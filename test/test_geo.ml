@@ -46,8 +46,8 @@ let test_default_topology_free () =
   Alcotest.(check int) "one region" 1 (Network.regions cl.Cluster.network);
   Network.send cl.Cluster.network ~src:0 ~dst:3 ~bytes:1000 (fun () -> ());
   Engine.run_all cl.Cluster.engine ();
-  Alcotest.(check int) "no wan msgs" 0 (Metrics.wan_messages cl.Cluster.metrics);
-  Alcotest.(check int) "no lan msgs" 0 (Metrics.lan_messages cl.Cluster.metrics)
+  Alcotest.(check int) "no wan msgs" 0 (Metrics.count cl.Cluster.metrics Wan_messages);
+  Alcotest.(check int) "no lan msgs" 0 (Metrics.count cl.Cluster.metrics Lan_messages)
 
 let test_geo_link_accounting () =
   let cl = Cluster.create ~seed:5 geo_cfg in
@@ -62,10 +62,10 @@ let test_geo_link_accounting () =
   Network.send net ~src:0 ~dst:1 ~bytes:100 (fun () -> ());
   Network.send net ~src:0 ~dst:2 ~bytes:200 (fun () -> ());
   Engine.run_all cl.Cluster.engine ();
-  Alcotest.(check int) "1 lan msg" 1 (Metrics.lan_messages cl.Cluster.metrics);
-  Alcotest.(check int) "1 wan msg" 1 (Metrics.wan_messages cl.Cluster.metrics);
-  Alcotest.(check int) "lan bytes" 100 (Metrics.lan_bytes cl.Cluster.metrics);
-  Alcotest.(check int) "wan bytes" 200 (Metrics.wan_bytes cl.Cluster.metrics)
+  Alcotest.(check int) "1 lan msg" 1 (Metrics.count cl.Cluster.metrics Lan_messages);
+  Alcotest.(check int) "1 wan msg" 1 (Metrics.count cl.Cluster.metrics Wan_messages);
+  Alcotest.(check int) "lan bytes" 100 (Metrics.count cl.Cluster.metrics Lan_bytes);
+  Alcotest.(check int) "wan bytes" 200 (Metrics.count cl.Cluster.metrics Wan_bytes)
 
 (* --- min_regions placement --- *)
 

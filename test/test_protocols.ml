@@ -94,8 +94,8 @@ let test_single_node_commit_skips_prepare () =
   let cl = mk_cluster () in
   let t = txn [ Txn.write (key 0 1); Txn.read (key 0 2) ] in
   Alcotest.(check bool) "committed" true (run_txn cl t);
-  Alcotest.(check int) "recorded" 1 (Metrics.commits cl.Cluster.metrics);
-  Alcotest.(check int) "single node" 1 (Metrics.single_node_commits cl.Cluster.metrics);
+  Alcotest.(check int) "recorded" 1 (Metrics.count cl.Cluster.metrics Commits);
+  Alcotest.(check int) "single node" 1 (Metrics.count cl.Cluster.metrics Single_node_commits);
   (* Single-node commit writes installed. *)
   Alcotest.(check int) "version bumped" 1 (Kvstore.version cl.Cluster.store (key 0 1))
 
@@ -104,7 +104,7 @@ let test_distributed_commit_runs_2pc () =
   (* Partition 0 on node 0, partition 1 on node 1. *)
   let t = txn [ Txn.write (key 0 1); Txn.write (key 1 1) ] in
   Alcotest.(check bool) "committed" true (run_txn cl t);
-  Alcotest.(check int) "not single node" 0 (Metrics.single_node_commits cl.Cluster.metrics);
+  Alcotest.(check int) "not single node" 0 (Metrics.count cl.Cluster.metrics Single_node_commits);
   Alcotest.(check int) "both writes installed" 1 (Kvstore.version cl.Cluster.store (key 1 1))
 
 let test_conflicting_txns_serialize () =
@@ -129,8 +129,8 @@ let test_lion_flavor_remasters_secondary () =
       committed := true);
   Engine.run_until cl.Cluster.engine (Engine.seconds 2.0);
   Alcotest.(check bool) "committed" true !committed;
-  Alcotest.(check int) "became single-node" 1 (Metrics.single_node_commits cl.Cluster.metrics);
-  Alcotest.(check int) "remastered" 1 (Metrics.remastered_commits cl.Cluster.metrics);
+  Alcotest.(check int) "became single-node" 1 (Metrics.count cl.Cluster.metrics Single_node_commits);
+  Alcotest.(check int) "remastered" 1 (Metrics.count cl.Cluster.metrics Remastered_commits);
   Alcotest.(check int) "primary moved" 0 (Placement.primary cl.Cluster.placement 1)
 
 let test_leap_flavor_migrates_everything () =
@@ -142,7 +142,7 @@ let test_leap_flavor_migrates_everything () =
   Engine.run_until cl.Cluster.engine (Engine.seconds 2.0);
   Alcotest.(check bool) "committed" true !committed;
   Alcotest.(check int) "single node after pull" 1
-    (Metrics.single_node_commits cl.Cluster.metrics);
+    (Metrics.count cl.Cluster.metrics Single_node_commits);
   Alcotest.(check int) "mastership pulled" 0 (Placement.primary cl.Cluster.placement 1)
 
 let test_abort_retry_records_aborts () =
@@ -187,7 +187,7 @@ let test_batch_epoch_commits_all () =
   done;
   Engine.run_until cl.Cluster.engine (Engine.seconds 1.0);
   Alcotest.(check int) "all done" 10 !done_count;
-  Alcotest.(check int) "commits recorded" 10 (Metrics.commits cl.Cluster.metrics)
+  Alcotest.(check int) "commits recorded" 10 (Metrics.count cl.Cluster.metrics Commits)
 
 let test_batch_aborted_retry_next_epoch () =
   let cl = mk_cluster () in
@@ -211,7 +211,7 @@ let test_batch_aborted_retry_next_epoch () =
   proto.Proto.submit (txn [ Txn.read (key 0 0) ]) ~on_done:(fun () -> incr done_count);
   Engine.run_until cl.Cluster.engine (Engine.seconds 1.0);
   Alcotest.(check int) "committed on retry" 1 !done_count;
-  Alcotest.(check int) "abort recorded" 1 (Metrics.aborts cl.Cluster.metrics)
+  Alcotest.(check int) "abort recorded" 1 (Metrics.count cl.Cluster.metrics Aborts)
 
 let test_batch_duration_scales_with_busy () =
   let cl = mk_cluster () in
@@ -337,7 +337,7 @@ let test_batch_gives_up_after_max_retries () =
   proto.Proto.submit (txn [ Txn.read (key 0 0) ]) ~on_done:(fun () -> incr done_count);
   Engine.run_until cl.Cluster.engine (Engine.seconds 2.0);
   Alcotest.(check int) "forced commit keeps the loop live" 1 !done_count;
-  Alcotest.(check int) "three aborts recorded" 3 (Metrics.aborts cl.Cluster.metrics)
+  Alcotest.(check int) "three aborts recorded" 3 (Metrics.count cl.Cluster.metrics Aborts)
 
 let test_2pc_records_prepare_phase () =
   let cl = mk_cluster () in
@@ -430,25 +430,25 @@ let test_star_routes_cross_to_super_node () =
   let cl =
     drive_protocol ~make:Lion_protocols.Star.create ~gen:(cross_pair_gen ()) ~seconds:1.0 ()
   in
-  Alcotest.(check bool) "commits happened" true (Metrics.commits cl.Cluster.metrics > 0);
+  Alcotest.(check bool) "commits happened" true (Metrics.count cl.Cluster.metrics Commits > 0);
   (* Every cross transaction is single-node on the super node. *)
   Alcotest.(check int) "all single node"
-    (Metrics.commits cl.Cluster.metrics)
-    (Metrics.single_node_commits cl.Cluster.metrics)
+    (Metrics.count cl.Cluster.metrics Commits)
+    (Metrics.count cl.Cluster.metrics Single_node_commits)
 
 let test_calvin_no_aborts () =
   let cl =
     drive_protocol ~make:Lion_protocols.Calvin.create ~gen:(cross_pair_gen ()) ~seconds:1.0 ()
   in
-  Alcotest.(check int) "deterministic: no aborts" 0 (Metrics.aborts cl.Cluster.metrics);
-  Alcotest.(check bool) "commits" true (Metrics.commits cl.Cluster.metrics > 0)
+  Alcotest.(check int) "deterministic: no aborts" 0 (Metrics.count cl.Cluster.metrics Aborts);
+  Alcotest.(check bool) "commits" true (Metrics.count cl.Cluster.metrics Commits > 0)
 
 let test_hermes_colocates_recurring_pair () =
   let cl =
     drive_protocol ~make:Lion_protocols.Hermes.create ~gen:(cross_pair_gen ()) ~seconds:2.0 ()
   in
-  let total = Metrics.commits cl.Cluster.metrics in
-  let single = Metrics.single_node_commits cl.Cluster.metrics in
+  let total = Metrics.count cl.Cluster.metrics Commits in
+  let single = Metrics.count cl.Cluster.metrics Single_node_commits in
   Alcotest.(check bool) "commits" true (total > 0);
   Alcotest.(check bool)
     (Printf.sprintf "mostly single-home after migration (%d/%d)" single total)
@@ -460,14 +460,14 @@ let test_aria_aborts_on_contention () =
      win its reservation. *)
   let gen () = txn [ Txn.write (key 0 0); Txn.write (key 1 0) ] in
   let cl = drive_protocol ~make:Lion_protocols.Aria.create ~gen ~seconds:1.0 () in
-  Alcotest.(check bool) "aborts under contention" true (Metrics.aborts cl.Cluster.metrics > 0)
+  Alcotest.(check bool) "aborts under contention" true (Metrics.count cl.Cluster.metrics Aborts > 0)
 
 let test_lotus_single_home_never_aborts () =
   (* Same-partition contention serializes on the partition executor. *)
   let gen () = txn [ Txn.write (key 0 0) ] in
   let cl = drive_protocol ~make:Lion_protocols.Lotus.create ~gen ~seconds:1.0 () in
-  Alcotest.(check int) "no aborts" 0 (Metrics.aborts cl.Cluster.metrics);
-  Alcotest.(check bool) "commits" true (Metrics.commits cl.Cluster.metrics > 0)
+  Alcotest.(check int) "no aborts" 0 (Metrics.count cl.Cluster.metrics Aborts);
+  Alcotest.(check bool) "commits" true (Metrics.count cl.Cluster.metrics Commits > 0)
 
 let test_unified_commits_in_one_round () =
   let cl = mk_cluster () in

@@ -544,11 +544,11 @@ let test_metrics_counts () =
     ~phases:(Metrics.phase_times ());
   Metrics.record_commit m ~latency:200.0 ~single_node:false ~remastered:true
     ~phases:(Metrics.phase_times ());
-  Metrics.record_abort m;
-  Alcotest.(check int) "commits" 2 (Metrics.commits m);
-  Alcotest.(check int) "aborts" 1 (Metrics.aborts m);
-  Alcotest.(check int) "single" 1 (Metrics.single_node_commits m);
-  Alcotest.(check int) "remastered" 1 (Metrics.remastered_commits m)
+  Metrics.incr m Aborts;
+  Alcotest.(check int) "commits" 2 (Metrics.count m Commits);
+  Alcotest.(check int) "aborts" 1 (Metrics.count m Aborts);
+  Alcotest.(check int) "single" 1 (Metrics.count m Single_node_commits);
+  Alcotest.(check int) "remastered" 1 (Metrics.count m Remastered_commits)
 
 let test_metrics_throughput () =
   let e = Engine.create () in
@@ -590,15 +590,15 @@ let test_metrics_reset_window () =
   let m = Metrics.create e in
   Metrics.record_commit m ~latency:50.0 ~single_node:true ~remastered:false
     ~phases:(Metrics.phase_times ());
-  Metrics.record_timeout m;
-  Metrics.record_retry m;
-  Metrics.record_drop m;
+  Metrics.incr m Timeouts;
+  Metrics.incr m Retries;
+  Metrics.incr m Drops;
   Metrics.reset_window m;
-  Alcotest.(check int) "commits cleared" 0 (Metrics.commits m);
+  Alcotest.(check int) "commits cleared" 0 (Metrics.count m Commits);
   Alcotest.(check (float 0.0)) "latency cleared" 0.0 (Metrics.latency_percentile m 50.0);
-  Alcotest.(check int) "timeouts cleared" 0 (Metrics.timeouts m);
-  Alcotest.(check int) "retries cleared" 0 (Metrics.retries m);
-  Alcotest.(check int) "drops cleared" 0 (Metrics.drops m)
+  Alcotest.(check int) "timeouts cleared" 0 (Metrics.count m Timeouts);
+  Alcotest.(check int) "retries cleared" 0 (Metrics.count m Retries);
+  Alcotest.(check int) "drops cleared" 0 (Metrics.count m Drops)
 
 (* An empty latency window — a fresh metrics object, or right after
    [reset_window] before any commit lands — must read as 0 from the
@@ -621,15 +621,51 @@ let test_metrics_empty_window_no_nan () =
 let test_metrics_fault_counters () =
   let e = Engine.create () in
   let m = Metrics.create e in
-  Metrics.record_timeout m;
-  Metrics.record_retry m;
-  Metrics.record_retry m;
-  Metrics.record_drop m;
-  Metrics.record_drop m;
-  Metrics.record_drop m;
-  Alcotest.(check int) "timeouts" 1 (Metrics.timeouts m);
-  Alcotest.(check int) "retries" 2 (Metrics.retries m);
-  Alcotest.(check int) "drops" 3 (Metrics.drops m)
+  Metrics.incr m Timeouts;
+  Metrics.incr m Retries;
+  Metrics.incr m Retries;
+  Metrics.incr m Drops;
+  Metrics.incr m Drops;
+  Metrics.incr m Drops;
+  Alcotest.(check int) "timeouts" 1 (Metrics.count m Timeouts);
+  Alcotest.(check int) "retries" 2 (Metrics.count m Retries);
+  Alcotest.(check int) "drops" 3 (Metrics.count m Drops)
+
+(* Every counter in the table has its own slot: it starts at 0, [incr]
+   and [add] move it and no other, [reset_window] zeroes them all, and
+   no two share a printed name. *)
+let test_metrics_counter_table () =
+  let m = Metrics.create (Engine.create ()) in
+  let counts () = List.map (Metrics.count m) Metrics.all in
+  let zeros = List.map (fun _ -> 0) Metrics.all in
+  Alcotest.(check (list int)) "all start at 0" zeros (counts ());
+  List.iteri
+    (fun i c ->
+      Metrics.incr m c;
+      Metrics.add m c (i + 2);
+      let expect = List.mapi (fun j _ -> if j = i then i + 3 else 0) Metrics.all in
+      Alcotest.(check (list int)) (Metrics.name c ^ " moves alone") expect (counts ());
+      Metrics.reset_window m;
+      Alcotest.(check (list int)) (Metrics.name c ^ " reset") zeros (counts ()))
+    Metrics.all;
+  List.iter (fun c -> Metrics.incr m c) Metrics.all;
+  Metrics.reset_window m;
+  Alcotest.(check (list int)) "reset zeroes every counter" zeros (counts ());
+  let names = List.map Metrics.name Metrics.all in
+  Alcotest.(check int) "names pairwise distinct" (List.length names)
+    (List.length (List.sort_uniq String.compare names))
+
+(* A late commit counts itself as a deadline miss and stays out of the
+   goodput series. *)
+let test_metrics_late_commit () =
+  let m = Metrics.create (Engine.create ()) in
+  Metrics.record_commit ~late:true m ~latency:1.0 ~single_node:true ~remastered:false
+    ~phases:(Metrics.phase_times ());
+  Metrics.record_commit m ~latency:1.0 ~single_node:true ~remastered:false
+    ~phases:(Metrics.phase_times ());
+  Alcotest.(check int) "commits" 2 (Metrics.count m Commits);
+  Alcotest.(check int) "one miss" 1 (Metrics.count m Deadline_misses);
+  Alcotest.(check (float 1e-9)) "goodput" 1.0 (Metrics.goodput_series m).(0)
 
 let test_metrics_availability_series () =
   let e = Engine.create () in
@@ -867,6 +903,8 @@ let () =
           Alcotest.test_case "empty window reads 0" `Quick
             test_metrics_empty_window_no_nan;
           Alcotest.test_case "fault counters" `Quick test_metrics_fault_counters;
+          Alcotest.test_case "counter table" `Quick test_metrics_counter_table;
+          Alcotest.test_case "late commit" `Quick test_metrics_late_commit;
           Alcotest.test_case "availability series" `Quick test_metrics_availability_series;
           Alcotest.test_case "percentiles" `Quick test_metrics_percentiles;
         ] );

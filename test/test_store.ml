@@ -870,9 +870,9 @@ let test_lion_survives_failover () =
   done;
   Engine.at engine ~time:(Engine.seconds 0.5) (fun () -> Cluster.fail_node cl 2);
   Engine.run_until engine (Engine.seconds 2.0);
-  let commits_at_1s = Lion_sim.Metrics.commits cl.Cluster.metrics in
+  let commits_at_1s = Lion_sim.Metrics.count cl.Cluster.metrics Commits in
   Engine.run_until engine (Engine.seconds 3.0);
-  let commits_at_2s = Lion_sim.Metrics.commits cl.Cluster.metrics in
+  let commits_at_2s = Lion_sim.Metrics.count cl.Cluster.metrics Commits in
   Alcotest.(check bool) "commits continue after failure" true
     (commits_at_2s > commits_at_1s);
   (* Nothing is mastered on the dead node. *)
@@ -895,9 +895,9 @@ let test_rpc_dead_node_times_out () =
      after the 5000 µs rpc_timeout, with exponential backoffs of
      200/400/800 µs between attempts. *)
   Alcotest.(check (float 1e-6)) "gave up after the retry budget" 21_400.0 !failed_at;
-  Alcotest.(check int) "three retries" 3 (Lion_sim.Metrics.retries cl.Cluster.metrics);
-  Alcotest.(check int) "one timeout" 1 (Lion_sim.Metrics.timeouts cl.Cluster.metrics);
-  Alcotest.(check int) "every attempt dropped" 4 (Lion_sim.Metrics.drops cl.Cluster.metrics)
+  Alcotest.(check int) "three retries" 3 (Lion_sim.Metrics.count cl.Cluster.metrics Retries);
+  Alcotest.(check int) "one timeout" 1 (Lion_sim.Metrics.count cl.Cluster.metrics Timeouts);
+  Alcotest.(check int) "every attempt dropped" 4 (Lion_sim.Metrics.count cl.Cluster.metrics Drops)
 
 let test_rpc_retry_succeeds_after_recovery () =
   let cl = mk_cluster () in
@@ -913,8 +913,8 @@ let test_rpc_retry_succeeds_after_recovery () =
   (* First attempt lost at t=0, timer at 5000, backoff 200; the retry
      at 5200 finds the node recovered: two 60 µs one-way trips later. *)
   Alcotest.(check (float 1e-6)) "retry delivered" 5_320.0 !delivered_at;
-  Alcotest.(check int) "one retry" 1 (Lion_sim.Metrics.retries cl.Cluster.metrics);
-  Alcotest.(check int) "no timeout" 0 (Lion_sim.Metrics.timeouts cl.Cluster.metrics)
+  Alcotest.(check int) "one retry" 1 (Lion_sim.Metrics.count cl.Cluster.metrics Retries);
+  Alcotest.(check int) "no timeout" 0 (Lion_sim.Metrics.count cl.Cluster.metrics Timeouts)
 
 (* The request reaches node 1 and is served, but every reply on the
    1->0 link is lost while the drop window lasts. One-way delay for 64
@@ -944,9 +944,9 @@ let test_rpc_reply_dropped_then_retried () =
   Alcotest.(check (float 1e-6)) "retry delivered" 5_326.088 !delivered_at;
   Alcotest.(check (float 1e-6)) "both requests served" 10.0
     (Lion_sim.Server.busy_time cl.Cluster.services.(1));
-  Alcotest.(check int) "one retry" 1 (Lion_sim.Metrics.retries cl.Cluster.metrics);
-  Alcotest.(check int) "no timeout" 0 (Lion_sim.Metrics.timeouts cl.Cluster.metrics);
-  Alcotest.(check int) "one reply dropped" 1 (Lion_sim.Metrics.drops cl.Cluster.metrics)
+  Alcotest.(check int) "one retry" 1 (Lion_sim.Metrics.count cl.Cluster.metrics Retries);
+  Alcotest.(check int) "no timeout" 0 (Lion_sim.Metrics.count cl.Cluster.metrics Timeouts);
+  Alcotest.(check int) "one reply dropped" 1 (Lion_sim.Metrics.count cl.Cluster.metrics Drops)
 
 let test_rpc_reply_always_dropped_exhausts () =
   let cl = reply_drop_cluster ~until:1e9 in
@@ -962,9 +962,9 @@ let test_rpc_reply_always_dropped_exhausts () =
   Alcotest.(check (float 1e-6)) "gave up after the retry budget" 21_400.0 !failed_at;
   Alcotest.(check (float 1e-6)) "every request served" 20.0
     (Lion_sim.Server.busy_time cl.Cluster.services.(1));
-  Alcotest.(check int) "three retries" 3 (Lion_sim.Metrics.retries cl.Cluster.metrics);
-  Alcotest.(check int) "one timeout" 1 (Lion_sim.Metrics.timeouts cl.Cluster.metrics);
-  Alcotest.(check int) "every reply dropped" 4 (Lion_sim.Metrics.drops cl.Cluster.metrics)
+  Alcotest.(check int) "three retries" 3 (Lion_sim.Metrics.count cl.Cluster.metrics Retries);
+  Alcotest.(check int) "one timeout" 1 (Lion_sim.Metrics.count cl.Cluster.metrics Timeouts);
+  Alcotest.(check int) "every reply dropped" 4 (Lion_sim.Metrics.count cl.Cluster.metrics Drops)
 
 (* Node 1's two service slots are held until 10000 µs and its one queue
    place is taken, so the first two requests are shed on arrival; the
@@ -994,9 +994,9 @@ let test_rpc_shed_by_full_service_queue () =
   Alcotest.(check bool) "no failure surfaced" false !failed;
   Alcotest.(check (float 1e-6)) "third attempt delivered" 10_726.088 !delivered_at;
   Alcotest.(check int) "two sheds" 2 (Lion_sim.Server.sheds svc);
-  Alcotest.(check int) "two retries" 2 (Lion_sim.Metrics.retries cl.Cluster.metrics);
-  Alcotest.(check int) "no timeout" 0 (Lion_sim.Metrics.timeouts cl.Cluster.metrics);
-  Alcotest.(check int) "nothing dropped" 0 (Lion_sim.Metrics.drops cl.Cluster.metrics)
+  Alcotest.(check int) "two retries" 2 (Lion_sim.Metrics.count cl.Cluster.metrics Retries);
+  Alcotest.(check int) "no timeout" 0 (Lion_sim.Metrics.count cl.Cluster.metrics Timeouts);
+  Alcotest.(check int) "nothing dropped" 0 (Lion_sim.Metrics.count cl.Cluster.metrics Drops)
 
 let test_submit_local_dead_node_fails () =
   let cl = mk_cluster () in
@@ -1236,7 +1236,7 @@ let test_stale_install_rejected_when_tagged () =
   Alcotest.(check bool) "install dropped" false
     (Placement.has_secondary cl.Cluster.placement ~part:0 ~node:3);
   Alcotest.(check int) "rejection counted" 1
-    (Lion_sim.Metrics.stale_ack_rejections cl.Cluster.metrics)
+    (Lion_sim.Metrics.count cl.Cluster.metrics Stale_acks)
 
 let test_stale_install_accepted_when_untagged () =
   let cl = Cluster.create ~seed:5 Config.default in
@@ -1256,7 +1256,7 @@ let test_stale_install_accepted_when_untagged () =
   Alcotest.(check int) "storage durably empty" 0
     (Lion_store.Replication.durable repl ~part:0 ~node:3);
   Alcotest.(check int) "nothing rejected" 0
-    (Lion_sim.Metrics.stale_ack_rejections cl.Cluster.metrics)
+    (Lion_sim.Metrics.count cl.Cluster.metrics Stale_acks)
 
 (* Satellite: a node that was remastered away from (through Placement
    directly, planner-style) while down must not resurrect its stale
@@ -1272,10 +1272,10 @@ let test_recover_purges_stale_secondary () =
   Alcotest.(check bool) "stale copy purged" false
     (Placement.has_secondary cl.Cluster.placement ~part:1 ~node:1);
   Alcotest.(check int) "purge counted" 1
-    (Lion_sim.Metrics.replica_purges cl.Cluster.metrics);
+    (Lion_sim.Metrics.count cl.Cluster.metrics Replica_purges);
   Engine.run_all cl.Cluster.engine ();
   Alcotest.(check bool) "no double purge" true
-    (Lion_sim.Metrics.replica_purges cl.Cluster.metrics = 1)
+    (Lion_sim.Metrics.count cl.Cluster.metrics Replica_purges = 1)
 
 (* Satellite: the remaster target dying mid-transfer must clear the
    inflight flag and roll back the cooldown immediately, leaving the
