@@ -2,7 +2,7 @@
    per-second commits, remaster/replica-add activity, aborts and
    per-node worker load — the fastest way to watch a protocol converge.
    It is one closed-loop [Runner.run] without warmup; the printer is an
-   event on [Runner.every], like the protocol tick.
+   event on [Runner.every], like the protocol tick, and prints after it.
 
    [variant] is a protocol id from Lion_harness.Protocols ([lion] is
    standard-mode Lion) or one of the Table II ablations lion-s, lion-r,
@@ -52,8 +52,14 @@ let run variant skew cross secs remaster_delay =
   in
   let cfg = Terms.with_remaster_delay remaster_delay Config.default in
   let second = Engine.seconds 1.0 in
+  (* The printer and the protocol tick both fall on t = k s, and the
+     printer's event is queued first; rescheduling it at zero delay runs
+     it after the tick, so a monitor that reads the workers' counters
+     (Clay's) sees them before the printer resets them. *)
   let setup cl =
-    Runner.every cl.Cluster.engine ~first:second ~period:second ~until:infinity (printer cl)
+    let engine = cl.Cluster.engine and print = printer cl in
+    Runner.every engine ~first:second ~period:second ~until:infinity (fun () ->
+        Engine.schedule engine ~delay:0.0 print)
   in
   let t_wall = Unix.gettimeofday () in
   ignore

@@ -45,16 +45,23 @@ type counter =
   | Lan_messages
   | Lan_bytes
 
-(* The counter table. [all] lists every counter in slot order and sizes
-   the array, so a counter left out of it has no slot; [slot] and [name]
-   are exhaustive, so a new constructor compiles only with both. The
-   test suite checks that each counter in [all] moves its own slot alone
-   and that no two share a name. *)
-let all =
-  [ Commits; Single_node_commits; Remastered_commits; Aborts; Timeouts; Retries; Drops;
-    Sheds; Breaker_rejects; Breaker_opens; Breaker_half_opens; Budget_denials;
-    Deadline_giveups; Deadline_misses; Stale_acks; Replica_purges; Remasters;
-    Wan_messages; Wan_bytes; Lan_messages; Lan_bytes ]
+(* The counter table, in slot order: each counter once, with the name
+   the fuzzer prints as its [m:] coverage signal (so a name stays fixed
+   once a corpus or golden holds it). [all], [name] and the array's
+   size come from it. [slot] is exhaustive, so a new constructor
+   compiles only with a slot; the check below fails at start-up if the
+   table's order disagrees with [slot], and a constructor left out of
+   the table has a slot past the array, so its first [incr] raises. *)
+let table =
+  [| (Commits, "commits"); (Single_node_commits, "single-node-commits");
+     (Remastered_commits, "remastered-commits"); (Aborts, "aborts"); (Timeouts, "timeouts");
+     (Retries, "retries"); (Drops, "drops"); (Sheds, "sheds");
+     (Breaker_rejects, "breaker-rejects"); (Breaker_opens, "breaker-opens");
+     (Breaker_half_opens, "breaker-half-opens"); (Budget_denials, "budget-denials");
+     (Deadline_giveups, "deadline-giveups"); (Deadline_misses, "deadline-misses");
+     (Stale_acks, "stale-acks"); (Replica_purges, "replica-purges"); (Remasters, "remasters");
+     (Wan_messages, "wan-messages"); (Wan_bytes, "wan-bytes"); (Lan_messages, "lan-messages");
+     (Lan_bytes, "lan-bytes") |]
 
 let slot = function
   | Commits -> 0
@@ -79,30 +86,13 @@ let slot = function
   | Lan_messages -> 19
   | Lan_bytes -> 20
 
-(* The fuzzer prints these as its [m:] coverage signals, so they stay
-   fixed once a corpus or golden holds them. *)
-let name = function
-  | Commits -> "commits"
-  | Single_node_commits -> "single-node-commits"
-  | Remastered_commits -> "remastered-commits"
-  | Aborts -> "aborts"
-  | Timeouts -> "timeouts"
-  | Retries -> "retries"
-  | Drops -> "drops"
-  | Sheds -> "sheds"
-  | Breaker_rejects -> "breaker-rejects"
-  | Breaker_opens -> "breaker-opens"
-  | Breaker_half_opens -> "breaker-half-opens"
-  | Budget_denials -> "budget-denials"
-  | Deadline_giveups -> "deadline-giveups"
-  | Deadline_misses -> "deadline-misses"
-  | Stale_acks -> "stale-acks"
-  | Replica_purges -> "replica-purges"
-  | Remasters -> "remasters"
-  | Wan_messages -> "wan-messages"
-  | Wan_bytes -> "wan-bytes"
-  | Lan_messages -> "lan-messages"
-  | Lan_bytes -> "lan-bytes"
+let () =
+  Array.iteri
+    (fun i (c, n) -> if slot c <> i then invalid_arg ("Metrics: counter table out of order at " ^ n))
+    table
+
+let all = Array.to_list (Array.map fst table)
+let name c = snd table.(slot c)
 
 type t = {
   engine : Engine.t;
@@ -124,7 +114,7 @@ type t = {
 let create ?(seed = 42) engine =
   {
     engine;
-    counts = Array.make (List.length all) 0;
+    counts = Array.make (Array.length table) 0;
     latency = Stats.Reservoir.create (Rng.create seed);
     phase_time = Array.make 6 0.0;
     series = Timeseries.create ~interval:(Engine.seconds 1.0);
