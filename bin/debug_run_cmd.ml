@@ -29,17 +29,18 @@ let ablations =
 let printer cl =
   let m = cl.Cluster.metrics in
   let sec = ref 0 and last_commits = ref 0 and last_rem = ref 0 and last_adds = ref 0
-  and last_aborts = ref 0 in
+  and last_aborts = ref 0 and last_single = ref 0 in
   fun () ->
     incr sec;
     let c = Metrics.count m Commits and ab = Metrics.count m Aborts in
+    let single = Metrics.count m Single_node_commits in
     let r = cl.Cluster.remaster_count and a = cl.Cluster.replica_add_count in
     let loads = Array.map (fun s -> Server.busy_time s /. 1e6) cl.Cluster.workers in
     Printf.printf "t=%ds commits/s=%d remasters=%d adds=%d aborts=%d single=%.2f loads=[%s]\n%!"
       !sec (c - !last_commits) (r - !last_rem) (a - !last_adds) (ab - !last_aborts)
-      (float_of_int (Metrics.count m Single_node_commits) /. float_of_int (max 1 c))
+      (float_of_int (single - !last_single) /. float_of_int (max 1 (c - !last_commits)))
       (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.1f") loads)));
-    last_commits := c; last_rem := r; last_adds := a; last_aborts := ab;
+    last_commits := c; last_rem := r; last_adds := a; last_aborts := ab; last_single := single;
     Array.iter Server.reset_counters cl.Cluster.workers
 
 let run variant skew cross secs remaster_delay =
