@@ -184,20 +184,6 @@ type attempt = {
    still reach the vote handlers, which ignore them. *)
 and awaiting = Exec_reply | Votes | Acks
 
-(* What a commit still needs while it waits for its group-commit epoch:
-   the attempt, its session and its transaction are garbage by then, so
-   the wait holds this instead of them. *)
-type commit_wait = {
-  cw_cluster : Cluster.t;
-  cw_root : Trace.ctx option;
-  cw_span : Trace.ctx option;
-  cw_phases : Metrics.phase_times;
-  cw_latency : float;
-  cw_late : bool;
-  cw_single_node : bool;
-  cw_remastered : bool;
-}
-
 let engine a = a.run.cl.Cluster.engine
 let cfg a = a.run.cl.Cluster.cfg
 let now a = Engine.now (engine a)
@@ -552,8 +538,7 @@ and groups_done a =
   match List.sort_uniq Int.compare a.remote_parts with
   | [] ->
       a.single_node <- true;
-      if Kvstore.try_reserve a.session then (
-        Kvstore.finalize a.session;
+      if Kvstore.try_commit a.session then (
         record_outcome a History.Committed;
         Transport.replicate_commit cl ?ctx:a.actx a.run.txn.Txn.parts;
         a.committed <- true)
@@ -701,30 +686,11 @@ and attempt_over a =
       open_span cl.Cluster.engine ~node:(-1) ~part:(-1) ~phase:"replication"
         ~name:"group-commit-wait" r.octx
     in
-    Engine.schedule_apply (engine a) ~delay:wait commit_visible
-      {
-        cw_cluster = cl;
-        cw_root = r.octx;
-        cw_span = span;
-        cw_phases = a.phases;
-        cw_latency = latency;
-        cw_late = late;
-        cw_single_node = a.single_node;
-        cw_remastered = a.remastered;
-      };
+    Metrics.defer_commit cl.Cluster.metrics ~delay:wait ~late ~latency
+      ~single_node:a.single_node ~remastered:a.remastered ~phases:a.phases ~root:r.octx
+      ~span;
     r.on_done ())
   else attempt_failed r a.actx
-
-and commit_visible w =
-  let cl = w.cw_cluster in
-  (match w.cw_span with
-  | None -> ()
-  | Some _ -> Trace.finish ~ts:(Engine.now cl.Cluster.engine) w.cw_span);
-  Metrics.record_commit ~late:w.cw_late cl.Cluster.metrics ~latency:w.cw_latency
-    ~single_node:w.cw_single_node ~remastered:w.cw_remastered ~phases:w.cw_phases;
-  match w.cw_root with
-  | None -> ()
-  | Some _ -> Trace.finish_txn ~ts:(Engine.now cl.Cluster.engine) ~ok:true w.cw_root
 
 let run cl ~route ~flavor txn ~on_done =
   let start = Engine.now cl.Cluster.engine in

@@ -1,6 +1,8 @@
 module Stats = Lion_kernel.Stats
 module Timeseries = Lion_kernel.Timeseries
 module Rng = Lion_kernel.Rng
+module Pqueue = Lion_kernel.Pqueue
+module Trace = Lion_trace.Trace
 
 type phase = Execution | Prepare | Commit | Remaster | Scheduling | Replication
 
@@ -94,8 +96,30 @@ let () =
 let all = Array.to_list (Array.map fst table)
 let name c = snd table.(slot c)
 
+(* Commits waiting for their visibility time, in arrival order: commit
+   [i]'s due time (as a [Pqueue] key), its flags ([late_bit] ...), its
+   latency, its six phases at [6i .. 6i+5] and its two spans. [due_keys]
+   holds each distinct due key whose flush event is still queued. The
+   arrays are reused from boundary to boundary and double when full. *)
+type deferred = {
+  mutable n : int;
+  mutable due : int array;
+  mutable flags : int array;
+  mutable lat : float array;
+  mutable ph : float array;
+  mutable roots : Trace.ctx option array;
+  mutable spans : Trace.ctx option array;
+  mutable due_keys : int array;
+  mutable n_keys : int;
+}
+
+let late_bit = 1
+let single_bit = 2
+let remastered_bit = 4
+
 type t = {
   engine : Engine.t;
+  deferred : deferred;
   counts : int array;  (** indexed by [slot] *)
   latency : Stats.Reservoir.t;
   phase_time : float array;
@@ -121,6 +145,18 @@ let create ?(seed = 42) engine =
     good_series = Timeseries.create ~interval:(Engine.seconds 1.0);
     beacons = Hashtbl.create 32;
     avail_series = Timeseries.create ~interval:(Engine.seconds 1.0);
+    deferred =
+      {
+        n = 0;
+        due = Array.make 16 0;
+        flags = Array.make 16 0;
+        lat = Array.make 16 0.0;
+        ph = Array.make (6 * 16) 0.0;
+        roots = Array.make 16 None;
+        spans = Array.make 16 None;
+        due_keys = Array.make 4 0;
+        n_keys = 0;
+      };
   }
 
 let add t c n =
@@ -158,15 +194,108 @@ let add_phases t p =
   a.(4) <- a.(4) +. p.scheduling;
   a.(5) <- a.(5) +. p.replication
 
-let record_commit ?(late = false) t ~latency ~single_node ~remastered ~phases =
+(* Everything [record_commit] records but the phases. *)
+let record t ~late ~latency ~single_node ~remastered =
   incr t Commits;
   if single_node then incr t Single_node_commits;
   if remastered then incr t Remastered_commits;
   if late then incr t Deadline_misses;
   Stats.Reservoir.add t.latency latency;
-  add_phases t phases;
   Timeseries.incr t.series ~time:(Engine.now t.engine);
   if not late then Timeseries.incr t.good_series ~time:(Engine.now t.engine)
+
+let record_commit ?(late = false) t ~latency ~single_node ~remastered ~phases =
+  record t ~late ~latency ~single_node ~remastered;
+  add_phases t phases
+
+(* Replay commit [i]: close its wait span, record it as [record_commit]
+   would (phases in the same order, so the sums are the same floats),
+   close its trace. *)
+let replay t d i =
+  let ts = Engine.now t.engine in
+  (match d.spans.(i) with None -> () | Some _ as span -> Trace.finish ~ts span);
+  let f = d.flags.(i) in
+  record t ~late:(f land late_bit <> 0) ~latency:d.lat.(i)
+    ~single_node:(f land single_bit <> 0) ~remastered:(f land remastered_bit <> 0);
+  let a = t.phase_time and p = 6 * i in
+  for j = 0 to 5 do
+    a.(j) <- a.(j) +. d.ph.(p + j)
+  done;
+  match d.roots.(i) with None -> () | Some _ as root -> Trace.finish_txn ~ts ~ok:true root
+
+let move d ~src ~dst =
+  d.due.(dst) <- d.due.(src);
+  d.flags.(dst) <- d.flags.(src);
+  d.lat.(dst) <- d.lat.(src);
+  Array.blit d.ph (6 * src) d.ph (6 * dst) 6;
+  d.roots.(dst) <- d.roots.(src);
+  d.spans.(dst) <- d.spans.(src)
+
+(* The flush event of the due keys up to now (one, unless the engine
+   clamped a past-dated time): replay their commits in arrival order
+   and keep the rest, in order. *)
+let flush t =
+  let d = t.deferred in
+  let now = Pqueue.key_of_time (Engine.now t.engine) in
+  let kept = ref 0 in
+  for j = 0 to d.n_keys - 1 do
+    let k = d.due_keys.(j) in
+    if k > now then (
+      d.due_keys.(!kept) <- k;
+      Stdlib.incr kept)
+  done;
+  d.n_keys <- !kept;
+  kept := 0;
+  for i = 0 to d.n - 1 do
+    if d.due.(i) <= now then replay t d i
+    else (
+      if !kept < i then move d ~src:i ~dst:!kept;
+      Stdlib.incr kept)
+  done;
+  (* Drop the replayed commits' spans so they are not held alive. *)
+  Array.fill d.roots !kept (d.n - !kept) None;
+  Array.fill d.spans !kept (d.n - !kept) None;
+  d.n <- !kept
+
+let grow d =
+  let extend a fill = Array.append a (Array.make (Array.length a) fill) in
+  d.due <- extend d.due 0;
+  d.flags <- extend d.flags 0;
+  d.lat <- extend d.lat 0.0;
+  d.ph <- extend d.ph 0.0;
+  d.roots <- extend d.roots None;
+  d.spans <- extend d.spans None
+
+let rec has_key d k j = j < d.n_keys && (d.due_keys.(j) = k || has_key d k (j + 1))
+
+let defer_commit t ~delay ~late ~latency ~single_node ~remastered ~phases ~root ~span =
+  let d = t.deferred in
+  let time = Engine.now t.engine +. delay in
+  let key = Pqueue.key_of_time time in
+  if not (has_key d key 0) then (
+    if d.n_keys = Array.length d.due_keys then
+      d.due_keys <- Array.append d.due_keys (Array.make d.n_keys 0);
+    d.due_keys.(d.n_keys) <- key;
+    d.n_keys <- d.n_keys + 1;
+    Engine.at_apply t.engine ~time flush t);
+  if d.n = Array.length d.due then grow d;
+  let i = d.n in
+  d.due.(i) <- key;
+  d.flags.(i) <-
+    (if late then late_bit else 0)
+    lor (if single_node then single_bit else 0)
+    lor if remastered then remastered_bit else 0;
+  d.lat.(i) <- latency;
+  let p = 6 * i in
+  d.ph.(p) <- phases.execution;
+  d.ph.(p + 1) <- phases.prepare;
+  d.ph.(p + 2) <- phases.commit;
+  d.ph.(p + 3) <- phases.remaster;
+  d.ph.(p + 4) <- phases.scheduling;
+  d.ph.(p + 5) <- phases.replication;
+  d.roots.(i) <- root;
+  d.spans.(i) <- span;
+  d.n <- i + 1
 
 let beacon t name =
   match Hashtbl.find_opt t.beacons name with
@@ -209,6 +338,8 @@ let phase_fraction t phase =
   let total = Array.fold_left ( +. ) 0.0 t.phase_time in
   if total <= 0.0 then 0.0 else t.phase_time.(phase_index phase) /. total
 
+(* Commits still waiting for their visibility time are not part of the
+   closed window: they stay deferred and are recorded when they land. *)
 let reset_window t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   Hashtbl.reset t.beacons;

@@ -122,6 +122,29 @@ val record_commit :
     still counts in throughput and the latency distribution, counts a
     [Deadline_misses], and is excluded from the goodput series. *)
 
+val defer_commit :
+  t ->
+  delay:float ->
+  late:bool ->
+  latency:float ->
+  single_node:bool ->
+  remastered:bool ->
+  phases:phase_times ->
+  root:Lion_trace.Trace.ctx option ->
+  span:Lion_trace.Trace.ctx option ->
+  unit
+(** Record a commit [delay] µs from now, when group commit makes it
+    visible: then [span] (its wait) is closed, the commit is recorded
+    as {!record_commit} would, and [root] (its trace) is finished. The
+    commit and its phases are copied at the call, so the caller may
+    reuse [phases].
+
+    Commits are batched by exact due time (the engine key of
+    [now +. delay]): the first commit due at a time queues one engine
+    event, which takes that commit's place in the engine's (time, FIFO)
+    order and replays every commit due then in arrival order. A
+    {!reset_window} before then keeps them pending. *)
+
 val beacon : t -> string -> unit
 (** Light a named code-path beacon — a control-flow waypoint such as an
     election, a phantom purge or a cancelled remaster. Beacons are pure
@@ -165,4 +188,5 @@ val phase_fraction : t -> phase -> float
 val reset_window : t -> unit
 (** Zero every counter, the beacons, the phase totals and latency (not
     the per-second series) so a run can exclude its warm-up from
-    reported numbers. *)
+    reported numbers. Commits deferred by {!defer_commit} and not yet
+    visible stay pending and count in the new window. *)

@@ -115,7 +115,15 @@ end
    cell 0 can mark an empty one; a lookup that ends on it reads version
    0, the version of an unseen key, with no test. The capacity is a
    power of two, at most three quarters full, and nothing is ever
-   removed. *)
+   removed.
+
+   Since no cell is ever emptied, a slot stays in its cell and a probe
+   run only grows until the table grows. So a probe that once ended at
+   cell [i] may resume there for as long as the capacity is unchanged:
+   the slot is still at [i] if it was found there, and if it was absent
+   then, every cell from its home up to [i] was full and still is. A
+   read records where its probe ended as a hint beside the version it
+   saw (see [observe]); validation and install resume from it. *)
 module Vtbl = struct
   type t = { mutable cells : int array; mutable shift : int; mutable count : int }
 
@@ -134,7 +142,40 @@ module Vtbl = struct
     let cells = t.cells in
     probe cells (Array.length cells - 1) slot (hash t.shift slot)
 
+  (* An observed word: the version in bits 0..30, then the hint, the
+     table's log2 capacity in bits 31..36 and the cell index in bits
+     37..62. An index of 2^26 or more does not fit, so its word carries
+     the log2 field 63, which matches no table. *)
+  let log2_shift = version_bits
+  let index_shift = 37
+  let no_hint = 63 lsl log2_shift
+
+  let[@inline] log2 t = 63 - t.shift
+
+  (* [slot]'s version, with the hint to where its probe ended. *)
+  let observe t slot =
+    let i = index t slot in
+    let v = Array.unsafe_get t.cells i land version_mask in
+    if i lsr (63 - index_shift) = 0 then
+      v lor (log2 t lsl log2_shift) lor (i lsl index_shift)
+    else v lor no_hint
+
+  (* Where to start probing for [slot] given a word [observe] returned
+     on this table: its hinted cell if the capacity is unchanged, else
+     the slot's home. *)
+  let[@inline] start t slot word =
+    if (word lsr log2_shift) land 63 = log2 t then word lsr index_shift
+    else hash t.shift slot
+
   let[@inline] find t slot = Array.unsafe_get t.cells (index t slot) land version_mask
+
+  let[@inline] index_from t slot word =
+    let cells = t.cells in
+    probe cells (Array.length cells - 1) slot (start t slot word)
+
+  (* [slot]'s current version, resuming from [word]'s hint. *)
+  let[@inline] find_from t slot word =
+    Array.unsafe_get t.cells (index_from t slot word) land version_mask
 
   let grow t =
     let old = t.cells in
@@ -144,9 +185,10 @@ module Vtbl = struct
     Array.iter (fun c -> if c <> 0 then cells.(index t (c lsr version_bits)) <- c) old
 
   (* Bump [slot]'s version, inserting it at version 1 if absent; true
-     iff it was absent. *)
-  let rec incr t slot =
-    let i = index t slot in
+     iff it was absent. The probe starts at [i]; a growth re-probes
+     from home. *)
+  let rec incr_at t slot i =
+    let i = probe t.cells (Array.length t.cells - 1) slot i in
     let c = Array.unsafe_get t.cells i in
     if c <> 0 then (
       if c land version_mask = version_mask then failwith "Kvstore: version overflow";
@@ -154,11 +196,13 @@ module Vtbl = struct
       false)
     else if 4 * (t.count + 1) > 3 * Array.length t.cells then (
       grow t;
-      incr t slot)
+      incr_at t slot (hash t.shift slot))
     else (
       Array.unsafe_set t.cells i ((slot lsl version_bits) lor 1);
       t.count <- t.count + 1;
       true)
+
+  let[@inline] incr_from t slot word = incr_at t slot (start t slot word)
 end
 
 (* [tables] holds each written partition's versions in creation order
@@ -217,20 +261,18 @@ let table_for_install t part =
     t.last <- v;
     v)
 
-(* [stored_version] skips the range check: its callers hold keys a
-   session already checked. *)
-let stored_version t k = Vtbl.find (table t (part k)) (slot k)
-
 let version t k =
   check k;
-  stored_version t k
+  Vtbl.find (table t (part k)) (slot k)
 
 let touched_keys t = t.touched
 
 (* A session's footprint in two flat int arrays: [reads] holds
-   (key, observed version) pairs at [2i], [2i+1], [writes] one key per
-   cell, both in access order and both doubling when full. Recording an
-   operation writes cells instead of consing a tuple and a list cell. *)
+   (key, observed word) pairs at [2i], [2i+1], the word being the
+   version read and the hint of [Vtbl.observe]; [writes] holds, per
+   write, the position in [reads] of the read the write recorded. Both
+   are in access order and double when full. Recording an operation
+   writes cells instead of consing a tuple and a list cell. *)
 type session = {
   store : t;
   sid : int;
@@ -256,53 +298,63 @@ let begin_session ?(ops = 16) store =
 let grown a = Array.append a (Array.make (Array.length a) 0)
 
 let read s k =
-  let v = version s.store k in
+  check k;
+  let w = Vtbl.observe (table s.store (part k)) (slot k) in
   if 2 * s.n_reads = Array.length s.reads then s.reads <- grown s.reads;
   s.reads.(2 * s.n_reads) <- k;
-  s.reads.((2 * s.n_reads) + 1) <- v;
+  s.reads.((2 * s.n_reads) + 1) <- w;
   s.n_reads <- s.n_reads + 1
 
 let write s k =
   read s k;
   if s.n_writes = Array.length s.writes then s.writes <- grown s.writes;
-  s.writes.(s.n_writes) <- k;
+  s.writes.(s.n_writes) <- s.n_reads - 1;
   s.n_writes <- s.n_writes + 1
 
+let[@inline] write_key s i = s.reads.(2 * s.writes.(i))
+
 let read_set s = List.init s.n_reads (fun i -> s.reads.(2 * i))
+
 let observed_reads s =
-  List.init s.n_reads (fun i -> (s.reads.(2 * i), s.reads.((2 * i) + 1)))
-let write_set s = Array.to_list (Array.sub s.writes 0 s.n_writes)
+  List.init s.n_reads (fun i -> (s.reads.(2 * i), s.reads.((2 * i) + 1) land Vtbl.version_mask))
+
+let write_set s = List.init s.n_writes (write_key s)
 let write_count s = s.n_writes
+
+(* Whether read [i]'s version is still current. No range check: [read]
+   made it. *)
+let[@inline] current s i =
+  let k = s.reads.(2 * i) and w = s.reads.((2 * i) + 1) in
+  Vtbl.find_from (table s.store (part k)) (slot k) w = w land Vtbl.version_mask
 
 (* The read checks are pure, so their order does not matter; the write
    loops below run newest first, the order the list representation
    visited them in, so the tables are filled in the same order. *)
 let validate s =
-  let rec go i =
-    i >= s.n_reads
-    || (stored_version s.store s.reads.(2 * i) = s.reads.((2 * i) + 1) && go (i + 1))
-  in
+  let rec go i = i >= s.n_reads || (current s i && go (i + 1)) in
   go 0
 
 let no_session = -1
 
+(* Every read current and no read key reserved by another session. *)
 let reservable s =
-  let store = s.store and sid = s.sid and reads = s.reads in
+  let pending = s.store.pending and sid = s.sid in
+  let free = Itbl.length pending = 0 in
   let rec go i =
     i >= s.n_reads
-    ||
-    let k = reads.(2 * i) in
-    stored_version store k = reads.((2 * i) + 1)
-    && (let holder = Itbl.find store.pending k ~default:no_session in
-        holder = no_session || holder = sid)
-    && go (i + 1)
+    || current s i
+       && (free
+          ||
+          let holder = Itbl.find pending s.reads.(2 * i) ~default:no_session in
+          holder = no_session || holder = sid)
+       && go (i + 1)
   in
   go 0
 
 let try_reserve s =
   if reservable s then (
     for i = s.n_writes - 1 downto 0 do
-      Itbl.replace s.store.pending s.writes.(i) s.sid
+      Itbl.replace s.store.pending (write_key s i) s.sid
     done;
     true)
   else false
@@ -310,20 +362,27 @@ let try_reserve s =
 let release_reservation s =
   let pending = s.store.pending in
   for i = s.n_writes - 1 downto 0 do
-    let k = s.writes.(i) in
+    let k = write_key s i in
     if Itbl.find pending k ~default:no_session = s.sid then Itbl.remove pending k
   done
 
 let install s =
   let store = s.store in
   for i = s.n_writes - 1 downto 0 do
-    let k = s.writes.(i) in
-    if Vtbl.incr (table_for_install store (part k)) (slot k) then
+    let r = s.writes.(i) in
+    let k = s.reads.(2 * r) in
+    if Vtbl.incr_from (table_for_install store (part k)) (slot k) s.reads.((2 * r) + 1) then
       store.touched <- store.touched + 1
   done
 
 let finalize s =
   install s;
   release_reservation s
+
+let try_commit s =
+  if reservable s then (
+    install s;
+    true)
+  else false
 
 let commit_session = install

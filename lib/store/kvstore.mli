@@ -52,7 +52,9 @@ val touched_keys : t -> int
 
 (** An in-flight transaction's footprint, kept in flat int arrays that
     grow as needed; the list accessors below build their lists on
-    demand. *)
+    demand. Beside each version it read, a session keeps where that
+    read's probe ended, so validating or installing the key usually
+    probes one cell. *)
 type session
 
 val begin_session : ?ops:int -> t -> session
@@ -93,6 +95,12 @@ val try_reserve : session -> bool
 val finalize : session -> unit
 (** Install a reserved session's writes (bump versions) and clear its
     pending marks. Must follow a successful [try_reserve]. *)
+
+val try_commit : session -> bool
+(** Validate and install in one step, for a session holding no
+    reservation: checks what [try_reserve] checks, then installs as
+    [finalize] does, and never marks or clears a pending write.
+    [try_commit s] behaves as [try_reserve s && (finalize s; true)]. *)
 
 val release_reservation : session -> unit
 (** Clear pending marks without installing (a post-reserve abort, e.g.

@@ -374,6 +374,181 @@ let prop_kvstore_matches_model =
         QCheck.Test.fail_reportf "only %d distinct keys" (Hashtbl.length versions);
       true)
 
+(* Probe hints against a store without them. A read records where its
+   probe ended, and validation and install resume there while the
+   table's capacity is unchanged. The schedules below drive two stores
+   and a reference (a version [Hashtbl] and a pending map) through the
+   same operations, over six partitions that start with no table: reads
+   before a partition's first write, [Fill]s that grow a table between
+   a read and its validation or install, hot slots that sessions write
+   again and again, and 2PC-style reserve, finalize and release. A
+   [Commit] is [try_commit] on the first store and [try_reserve] then
+   [finalize] on the second. Every verdict, version and [touched_keys]
+   must agree. *)
+type hint_op =
+  | H_read of int * int * int  (** session, partition, slot *)
+  | H_write of int * int * int
+  | H_fill of int * int  (** partition, fresh keys installed by another session *)
+  | H_reserve of int
+  | H_finalize of int
+  | H_release of int
+  | H_commit of int
+
+let pp_hint_op = function
+  | H_read (s, p, k) -> Printf.sprintf "read s%d P%d/%d" s p k
+  | H_write (s, p, k) -> Printf.sprintf "write s%d P%d/%d" s p k
+  | H_fill (p, n) -> Printf.sprintf "fill P%d +%d" p n
+  | H_reserve s -> Printf.sprintf "reserve s%d" s
+  | H_finalize s -> Printf.sprintf "finalize s%d" s
+  | H_release s -> Printf.sprintf "release s%d" s
+  | H_commit s -> Printf.sprintf "commit s%d" s
+
+let hint_sessions = 3
+
+let gen_hint_op =
+  let open QCheck.Gen in
+  let sess = int_range 0 (hint_sessions - 1) and part = int_range 0 5 in
+  (* Mostly eight hot slots, so writes repeat and sessions conflict. *)
+  let slot = frequency [ (4, int_range 0 7); (1, int_range 0 2000) ] in
+  frequency
+    [
+      (6, map3 (fun s p k -> H_read (s, p, k)) sess part slot);
+      (6, map3 (fun s p k -> H_write (s, p, k)) sess part slot);
+      (2, map2 (fun p n -> H_fill (p, n)) part (int_range 1 40));
+      (2, map (fun s -> H_reserve s) sess);
+      (2, map (fun s -> H_finalize s) sess);
+      (1, map (fun s -> H_release s) sess);
+      (3, map (fun s -> H_commit s) sess);
+    ]
+
+type hint_ref_session = {
+  mutable r_reads : (int * int) list;  (** (key, observed version), newest first *)
+  mutable r_writes : int list;  (** newest first *)
+  mutable reserved : bool;
+  r_sid : int;
+}
+
+let prop_hints_match_reference =
+  QCheck.Test.make ~name:"hinted store agrees with a hint-free reference" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_hint_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 300) gen_hint_op))
+    (fun ops ->
+      let a = Kvstore.create () and b = Kvstore.create () in
+      let versions = Hashtbl.create 64 and pending = Hashtbl.create 16 in
+      let rversion k = Option.value ~default:0 (Hashtbl.find_opt versions k) in
+      let next_sid = ref 0 and fresh = ref 0 in
+      let new_ref () =
+        incr next_sid;
+        { r_reads = []; r_writes = []; reserved = false; r_sid = !next_sid }
+      in
+      let sa = Array.init hint_sessions (fun _ -> Kvstore.begin_session a)
+      and sb = Array.init hint_sessions (fun _ -> Kvstore.begin_session b)
+      and sr = Array.init hint_sessions (fun _ -> new_ref ()) in
+      let restart i =
+        sa.(i) <- Kvstore.begin_session a;
+        sb.(i) <- Kvstore.begin_session b;
+        sr.(i) <- new_ref ()
+      in
+      let key p k = Kvstore.key ~part:p ~slot:k in
+      let r_reservable r =
+        List.for_all
+          (fun (k, v) ->
+            rversion k = v
+            && match Hashtbl.find_opt pending k with None -> true | Some sid -> sid = r.r_sid)
+          r.r_reads
+      in
+      let r_install r =
+        List.iter (fun k -> Hashtbl.replace versions k (rversion k + 1)) (List.rev r.r_writes)
+      in
+      let r_release r =
+        List.iter
+          (fun k -> if Hashtbl.find_opt pending k = Some r.r_sid then Hashtbl.remove pending k)
+          r.r_writes
+      in
+      let agree what ra rb rr =
+        if ra <> rr || rb <> rr then
+          QCheck.Test.fail_reportf "%s: reference %b, try_commit store %b, reserve store %b"
+            what rr ra rb
+      in
+      let check_store () =
+        Hashtbl.iter
+          (fun k v ->
+            let k' = Kvstore.key_of_int k in
+            if Kvstore.version a k' <> v || Kvstore.version b k' <> v then
+              QCheck.Test.fail_reportf "version of %d: reference %d, stores %d and %d" k v
+                (Kvstore.version a k') (Kvstore.version b k'))
+          versions;
+        let n = Hashtbl.length versions in
+        if Kvstore.touched_keys a <> n || Kvstore.touched_keys b <> n then
+          QCheck.Test.fail_reportf "touched keys: reference %d, stores %d and %d" n
+            (Kvstore.touched_keys a) (Kvstore.touched_keys b)
+      in
+      let record i p k ~write =
+        let k' = key p k in
+        let r = sr.(i) in
+        if write then (
+          Kvstore.write sa.(i) k';
+          Kvstore.write sb.(i) k';
+          r.r_writes <- (k' :> int) :: r.r_writes)
+        else (
+          Kvstore.read sa.(i) k';
+          Kvstore.read sb.(i) k');
+        r.r_reads <- ((k' :> int), rversion (k' :> int)) :: r.r_reads
+      in
+      let finalize i =
+        Kvstore.finalize sa.(i);
+        Kvstore.finalize sb.(i);
+        r_install sr.(i);
+        r_release sr.(i);
+        restart i
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | H_read (i, p, k) -> record i p k ~write:false
+          | H_write (i, p, k) -> record i p k ~write:true
+          | H_fill (p, n) ->
+              let fa = Kvstore.begin_session a and fb = Kvstore.begin_session b in
+              for _ = 1 to n do
+                incr fresh;
+                let k' = key p (100_000 + !fresh) in
+                Kvstore.write fa k';
+                Kvstore.write fb k';
+                Hashtbl.replace versions (k' :> int) (rversion (k' :> int) + 1)
+              done;
+              Kvstore.commit_session fa;
+              Kvstore.commit_session fb
+          | H_reserve i ->
+              let r = sr.(i) in
+              let ok = r_reservable r in
+              if ok then (
+                List.iter (fun k -> Hashtbl.replace pending k r.r_sid) r.r_writes;
+                r.reserved <- true);
+              agree "reserve" (Kvstore.try_reserve sa.(i)) (Kvstore.try_reserve sb.(i)) ok
+          | H_finalize i -> if sr.(i).reserved then finalize i
+          | H_release i ->
+              if sr.(i).reserved then (
+                Kvstore.release_reservation sa.(i);
+                Kvstore.release_reservation sb.(i);
+                r_release sr.(i);
+                restart i)
+          | H_commit i ->
+              (* [try_commit] is for a session holding no reservation. *)
+              if sr.(i).reserved then finalize i
+              else
+                let r = sr.(i) in
+                let ok = r_reservable r in
+                if ok then r_install r;
+                let wa = Kvstore.try_commit sa.(i) in
+                let wb = Kvstore.try_reserve sb.(i) && (Kvstore.finalize sb.(i); true) in
+                agree "commit" wa wb ok;
+                restart i);
+          check_store ())
+        ops;
+      true)
+
 (* Sessions far longer than the flat arrays' initial capacity (16
    operations by default) must grow without losing or reordering anything:
    every accessor returns what the list representation did, in access
@@ -1455,6 +1630,7 @@ let () =
         [
           test_occ_serializability_property;
           prop_kvstore_matches_model;
+          prop_hints_match_reference;
           prop_long_sessions_keep_access_order;
         ];
       ( "cluster",

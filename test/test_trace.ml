@@ -176,6 +176,95 @@ let test_tracer_no_perturbation () =
   Alcotest.(check (float 0.0)) "mean latency" a.Runner.mean_latency
     b.Runner.mean_latency
 
+(* Lion standard on skewed, half-cross YCSB, traced one transaction in
+   seven: traced and untraced commits land on the same group-commit
+   boundaries, whose one flush event closes the traced ones' spans. The
+   untraced run's results must come out exactly. *)
+let test_lion_no_perturbation () =
+  let run ?tracer () =
+    let cfg = Config.default in
+    Runner.run ~seed:5 ?tracer ~cfg
+      ~make:(fun cl -> Lion_core.Standard.create ~name:"Lion" cl)
+      ~gen:(Workloads.ycsb ~seed:5 ~skew:0.8 ~cross:0.5 cfg)
+      small_rc
+  in
+  let tracer = Trace.create ~policy:(Trace.Every 7) () in
+  let a = run () and b = run ~tracer () in
+  Alcotest.(check bool) "some traced" true (Trace.finished tracer > 0);
+  Alcotest.(check bool) "some untraced" true (Trace.sampled tracer < Trace.started tracer);
+  Alcotest.(check int) "commits" a.Runner.commits b.Runner.commits;
+  Alcotest.(check int) "aborts" a.Runner.aborts b.Runner.aborts;
+  Alcotest.(check (float 0.0)) "p50" a.Runner.p50 b.Runner.p50;
+  Alcotest.(check (float 0.0)) "p95" a.Runner.p95 b.Runner.p95;
+  Alcotest.(check (float 0.0)) "p99" a.Runner.p99 b.Runner.p99;
+  Alcotest.(check (float 0.0)) "mean latency" a.Runner.mean_latency b.Runner.mean_latency;
+  List.iter2
+    (fun (p, x) (_, y) -> Alcotest.(check (float 0.0)) (Lion_sim.Metrics.phase_name p) x y)
+    a.Runner.phase_fractions b.Runner.phase_fractions
+
+(* [Metrics.defer_commit] against [record_commit] called at each due
+   time, in (due time, arrival) order. The latencies (1e16 beside 1.0)
+   make the running latency sum depend on that order, and a
+   [reset_window] at 7 µs falls between the deferral and the flush of
+   the commits due at 10 µs, which must count in the new window. *)
+let test_deferred_commit_order () =
+  let module Engine = Lion_sim.Engine in
+  let module Metrics = Lion_sim.Metrics in
+  let engine = Engine.create () in
+  let m = Metrics.create engine and r = Metrics.create engine in
+  let tracer = Trace.create ~policy:Trace.All () in
+  (* (arrival, delay, latency), in arrival order. *)
+  let commits =
+    [ (0.0, 10.0, 1e16); (1.0, 4.0, 1.0); (2.0, 8.0, 1.0); (3.0, 7.0, -1e16); (4.0, 6.0, 3.0);
+      (5.0, 15.0, 1.0); (6.0, 4.0, 2.0) ]
+  in
+  let seen = ref [] in
+  let probe name = Engine.at engine ~time:10.0 (fun () -> seen := (name, Metrics.count m Commits) :: !seen) in
+  (* Queued before any commit due at 10: it runs before their flush. *)
+  probe "before";
+  List.iteri
+    (fun i (arrival, delay, latency) ->
+      Engine.at engine ~time:arrival (fun () ->
+          let phases = Metrics.phase_times ~execution:latency ~commit:(float_of_int i) () in
+          let root = Trace.start_txn tracer ~ts:arrival ~txn_id:i in
+          let span = Trace.child ~phase:"replication" ~name:"group-commit-wait" ~ts:arrival root in
+          Metrics.defer_commit m ~delay ~late:(i = 3) ~latency ~single_node:(i mod 2 = 0)
+            ~remastered:(i = 4) ~phases ~root ~span;
+          Engine.schedule engine ~delay (fun () ->
+              Metrics.record_commit ~late:(i = 3) r ~latency ~single_node:(i mod 2 = 0)
+                ~remastered:(i = 4) ~phases);
+          (* Queued after the first commit due at 10 and before the
+             rest: the flush takes the first one's place and replays
+             them all. *)
+          if i = 0 then probe "after"))
+    commits;
+  Engine.at engine ~time:7.0 (fun () ->
+      Metrics.reset_window m;
+      Metrics.reset_window r);
+  Engine.run_all engine ();
+  Alcotest.(check (list (pair string int)))
+    "probes at 10" [ ("before", 0); ("after", 5) ] (List.rev !seen);
+  (* The commit due at 5 fell before the reset; the six after it count. *)
+  Alcotest.(check int) "pending commits kept" 6 (Metrics.count m Commits);
+  List.iter
+    (fun c -> Alcotest.(check int) (Metrics.name c) (Metrics.count r c) (Metrics.count m c))
+    Metrics.all;
+  Alcotest.(check (float 0.0)) "mean latency" (Metrics.mean_latency r) (Metrics.mean_latency m);
+  List.iter
+    (fun p ->
+      Alcotest.(check (float 0.0)) (Metrics.phase_name p) (Metrics.phase_fraction r p)
+        (Metrics.phase_fraction m p))
+    Metrics.all_phases;
+  Alcotest.(check (array (float 0.0))) "goodput series" (Metrics.goodput_series r)
+    (Metrics.goodput_series m);
+  (* Each trace closed at its due time. *)
+  Alcotest.(check int) "traces finished" (List.length commits) (Trace.finished tracer);
+  List.iter
+    (fun (tr : Trace.trace) ->
+      let _, delay, _ = List.nth commits tr.Trace.txn_id in
+      Alcotest.(check (float 0.0)) "closed when due" delay tr.Trace.duration)
+    (Trace.retained tracer)
+
 let () =
   Alcotest.run "lion_trace"
     [
@@ -201,5 +290,9 @@ let () =
             test_deterministic_export;
           Alcotest.test_case "tracer does not perturb" `Quick
             test_tracer_no_perturbation;
+          Alcotest.test_case "tracer does not perturb lion" `Quick
+            test_lion_no_perturbation;
+          Alcotest.test_case "deferred commits replay in order" `Quick
+            test_deferred_commit_order;
         ] );
     ]
