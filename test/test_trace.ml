@@ -219,7 +219,9 @@ let test_deferred_commit_order () =
       (5.0, 15.0, 1.0); (6.0, 4.0, 2.0) ]
   in
   let seen = ref [] in
-  let probe name = Engine.at engine ~time:10.0 (fun () -> seen := (name, Metrics.count m Commits) :: !seen) in
+  let probe name =
+    Engine.at engine ~time:10.0 (fun () -> seen := (name, Metrics.count m Commits) :: !seen)
+  in
   (* Queued before any commit due at 10: it runs before their flush. *)
   probe "before";
   List.iteri
