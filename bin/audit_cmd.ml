@@ -76,7 +76,7 @@ let assert_rejoin_safe ~seed ~seconds ~clients ~cross ~skew () =
         let ok = Drive.passed o in
         Printf.printf "tagging on   %-5s: %s (%d stale acks rejected)\n" name
           (if ok then "clean" else "DIVERGED")
-          o.Drive.stale_rejections;
+          (Lion_harness.Runner.count o.Drive.result Stale_acks);
         ok)
       [ "lion"; "star"; "2pc" ]
   in
@@ -130,7 +130,7 @@ let run proto nemesis seed seconds clients cross skew overload rejoin_safe asser
             in
             if not ok then incr failures;
             Printf.printf "%-10s  %-16s  %7d  %6d  %9d  %7d  %6d  %6.3f  %s\n"
-              p.id nname o.Drive.commits o.Drive.aborts
+              p.id nname o.Drive.result.commits o.Drive.result.aborts
               (List.length o.Drive.check.Checker.anomalies)
               (List.length o.Drive.divergence.Divergence.findings)
               (List.length o.Drive.liveness.Lion_audit.Liveness.findings)

@@ -77,7 +77,7 @@ let run crashed fail_s recover_s total min_avail max_anomalies json =
       crashed (fl fail_s) (fl recover_s) (fl total)
       (series (fun v -> fl v) r.Runner.throughput_series)
       (series (fun v -> fl v) r.Runner.availability)
-      r.Runner.timeouts r.Runner.retries r.Runner.drops
+      r.Runner.timeouts r.Runner.retries (Runner.count r Drops)
       (fl r.Runner.unavail_seconds)
       (if Float.is_finite r.Runner.time_to_recover then
          fl r.Runner.time_to_recover
@@ -98,7 +98,7 @@ let run crashed fail_s recover_s total min_avail max_anomalies json =
       r.Runner.throughput_series;
     Printf.printf
       "timeouts %d  retries %d  drops %d  unavail %.1fs  recovery %s  goodput %.1fk\n"
-      r.Runner.timeouts r.Runner.retries r.Runner.drops r.Runner.unavail_seconds
+      r.Runner.timeouts r.Runner.retries (Runner.count r Drops) r.Runner.unavail_seconds
       (if Float.is_finite r.Runner.time_to_recover then
          Printf.sprintf "%.0fs" r.Runner.time_to_recover
        else "not yet")

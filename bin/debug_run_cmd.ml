@@ -24,24 +24,27 @@ let ablations =
   [ ("lion-s", Ablation.V_s); ("lion-r", Ablation.V_r); ("lion-rw", Ablation.V_rw);
     ("lion-rb", Ablation.V_rb) ]
 
-(* One line per simulated second, from the counters' change since the
-   last line. *)
+(* One line per simulated second: each column is the change since the
+   last line, between two snapshots of the counters and two readings of
+   each worker's busy time. *)
 let printer cl =
-  let m = cl.Cluster.metrics in
-  let sec = ref 0 and last_commits = ref 0 and last_rem = ref 0 and last_adds = ref 0
-  and last_aborts = ref 0 and last_single = ref 0 in
+  let m = cl.Cluster.metrics and workers = cl.Cluster.workers in
+  let sec = ref 0 and last = ref (Metrics.snapshot m) in
+  let last_busy = ref (Array.map Server.busy_time workers) in
   fun () ->
     incr sec;
-    let c = Metrics.count m Commits and ab = Metrics.count m Aborts in
-    let single = Metrics.count m Single_node_commits in
-    let r = cl.Cluster.remaster_count and a = cl.Cluster.replica_add_count in
-    let loads = Array.map (fun s -> Server.busy_time s /. 1e6) cl.Cluster.workers in
+    let now = Metrics.snapshot m and busy = Array.map Server.busy_time workers in
+    let d c = Metrics.get now c - Metrics.get !last c in
+    let commits = d Commits in
+    let loads = Array.map2 (fun b a -> (b -. a) /. 1e6) busy !last_busy in
     Printf.printf "t=%ds commits/s=%d remasters=%d adds=%d aborts=%d single=%.2f loads=[%s]\n%!"
-      !sec (c - !last_commits) (r - !last_rem) (a - !last_adds) (ab - !last_aborts)
-      (float_of_int (single - !last_single) /. float_of_int (max 1 (c - !last_commits)))
+      !sec commits
+      (Metrics.completed_remasters now - Metrics.completed_remasters !last)
+      (d Replica_adds) (d Aborts)
+      (float_of_int (d Single_node_commits) /. float_of_int (max 1 commits))
       (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.1f") loads)));
-    last_commits := c; last_rem := r; last_adds := a; last_aborts := ab; last_single := single;
-    Array.iter Server.reset_counters cl.Cluster.workers
+    last := now;
+    last_busy := busy
 
 let run variant skew cross secs remaster_delay =
   let batch, make =
@@ -55,8 +58,8 @@ let run variant skew cross secs remaster_delay =
   let second = Engine.seconds 1.0 in
   (* The printer and the protocol tick both fall on t = k s, and the
      printer's event is queued first; rescheduling it at zero delay runs
-     it after the tick, so a monitor that reads the workers' counters
-     (Clay's) sees them before the printer resets them. *)
+     it after the tick, so each line reads the counters as the tick due
+     at the same instant left them. *)
   let setup cl =
     let engine = cl.Cluster.engine and print = printer cl in
     Runner.every engine ~first:second ~period:second ~until:infinity (fun () ->

@@ -65,14 +65,14 @@ let do_run (protocol : Protocols.entry) workload nodes skew cross duration warmu
     "metric"
     [
       Runner.fixed ~decimals:0 "throughput (txn/s)" (fun r -> r.throughput);
-      Runner.count "commits" (fun r -> r.commits);
+      Runner.tally "commits" (fun r -> r.commits);
       Runner.aborts;
       Runner.ms ~decimals:2 "p50 latency (ms)" (fun r -> r.p50);
       Runner.ms ~decimals:2 "p95 latency (ms)" (fun r -> r.p95);
       Runner.single_node;
       Runner.fixed ~decimals:0 "bytes/txn" (fun r -> r.bytes_per_txn);
-      Runner.count "remasters" (fun r -> r.remasters);
-      Runner.count "replica adds" (fun r -> r.replica_adds);
+      Runner.tally "remasters" (fun r -> r.remasters);
+      Runner.tally "replica adds" (fun r -> r.replica_adds);
     ]
     [ ("value", r) ];
   write_summary csv [ (protocol.id, r) ]

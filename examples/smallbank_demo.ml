@@ -64,4 +64,5 @@ let () =
     (100.0
     *. float_of_int (Lion_sim.Metrics.count m Single_node_commits)
     /. float_of_int (max 1 (Lion_sim.Metrics.count m Commits)))
-    cl.Cluster.remaster_count cl.Cluster.replica_add_count
+    (Lion_sim.Metrics.count m Remaster_complete)
+    (Lion_sim.Metrics.count m Replica_adds)

@@ -2,7 +2,6 @@ module Cluster = Lion_store.Cluster
 module Config = Lion_store.Config
 module History = Lion_store.History
 module Engine = Lion_sim.Engine
-module Metrics = Lion_sim.Metrics
 module Runner = Lion_harness.Runner
 module Proto = Lion_protocols.Proto
 
@@ -11,14 +10,10 @@ type outcome = {
   check : Checker.report;
   divergence : Divergence.report;
   liveness : Liveness.report;
+  result : Runner.result;
   submitted : int;
   completed : int;
-  commits : int;
-  aborts : int;
   min_availability : float;
-  resyncs : int;
-  stale_rejections : int;
-  replica_purges : int;
   exhausted : bool;
   pending_events : int;
   final_time : float;
@@ -30,7 +25,8 @@ let healthy o = passed o && Liveness.clean o.liveness
 let pp_outcome fmt o =
   Format.fprintf fmt
     "@[<v>%d submitted, %d completed, %d commits, %d aborts, min availability %.3f, %d resyncs, end t=%.0fus@,%a%a@,%a@]"
-    o.submitted o.completed o.commits o.aborts o.min_availability o.resyncs
+    o.submitted o.completed o.result.commits o.result.aborts o.min_availability
+    (Runner.count o.result Resync_apply)
     o.final_time Checker.pp_report o.check Divergence.pp_report o.divergence
     Liveness.pp_report o.liveness
 
@@ -42,8 +38,7 @@ let quiesce_slack = Engine.seconds 10.0
    audit and the liveness audit are only meaningful once everything in
    flight has run to completion. *)
 let run ?(seed = 1) ~clients ~duration ?(nemesis_at = 1.0)
-    ?(max_events = Runner.drain_budget) ?(actions = []) ?(observe = fun _ -> ()) ~cfg
-    ~make ~gen ~nemesis () =
+    ?(max_events = Runner.drain_budget) ?(actions = []) ~cfg ~make ~gen ~nemesis () =
   let cfg =
     {
       cfg with
@@ -78,13 +73,12 @@ let run ?(seed = 1) ~clients ~duration ?(nemesis_at = 1.0)
     in
     { proto with Proto.submit }
   in
-  let (_ : Runner.result) =
+  let result =
     Runner.run ~seed ~setup ~history ~cfg ~make ~gen
       { Runner.quick with clients; warmup = 0.0; duration; stop = Quiesce max_events }
   in
   let cl = Option.get !cluster in
   let engine = cl.Cluster.engine in
-  let metrics = cl.Cluster.metrics in
   let check = Checker.check (History.events history) in
   let divergence = Divergence.audit ~history cl in
   (* A healthy drain ends within the last scheduled disturbance plus a
@@ -98,20 +92,15 @@ let run ?(seed = 1) ~clients ~duration ?(nemesis_at = 1.0)
     Liveness.audit ~quiesce_bound ~cluster:cl ~submitted:!submitted
       ~completed:!completed ()
   in
-  observe cl;
   {
     history;
     check;
     divergence;
     liveness;
+    result;
     submitted = !submitted;
     completed = !completed;
-    commits = Metrics.count metrics Commits;
-    aborts = Metrics.count metrics Aborts;
     min_availability = !min_avail;
-    resyncs = cl.Cluster.resync_count;
-    stale_rejections = Metrics.count metrics Stale_acks;
-    replica_purges = Metrics.count metrics Replica_purges;
     exhausted = Engine.last_run_exhausted engine;
     pending_events = Engine.pending engine;
     final_time = Engine.now engine;

@@ -7,28 +7,25 @@
     in-flight retries resolve, elections finish, log ships and
     anti-entropy repairs land. The checker and the replica-divergence
     audit run at that true quiescence; the liveness audit
-    ({!Liveness.audit}) checks the run actually reached it. *)
+    ({!Liveness.audit}) checks the run actually reached it. The run's
+    counts (commits, aborts, anti-entropy repairs, stale-session
+    rejections, replica purges, the fuzzer's coverage signals) are
+    read from the outcome's [result], {!Lion_harness.Runner.count}
+    over its one snapshot. *)
 
 type outcome = {
   history : Lion_store.History.t;
   check : Checker.report;
   divergence : Divergence.report;
   liveness : Liveness.report;
+  result : Lion_harness.Runner.result;
+      (** the run's result; a run without warm-up, so its counts cover
+          the whole run, drain included *)
   submitted : int;
   completed : int;
-  commits : int;
-  aborts : int;
   min_availability : float;
       (** lowest 100 ms-sampled {!Lion_store.Cluster.availability}
           before the horizon *)
-  resyncs : int;  (** anti-entropy repairs that completed *)
-  stale_rejections : int;
-      (** stale-session stream deliveries rejected by tagging
-          ([Metrics.Stale_acks]; 0 unless
-          [Config.session_tagging]) *)
-  replica_purges : int;
-      (** stale secondaries purged at node recovery
-          ([Metrics.Replica_purges]) *)
   exhausted : bool;
       (** the drain stopped on [max_events] instead of emptying the
           queue — also reported as a liveness finding, never a silent
@@ -54,7 +51,6 @@ val run :
   ?nemesis_at:float ->
   ?max_events:int ->
   ?actions:(float * (Lion_store.Cluster.t -> unit)) list ->
-  ?observe:(Lion_store.Cluster.t -> unit) ->
   cfg:Lion_store.Config.t ->
   make:(Lion_store.Cluster.t -> Lion_protocols.Proto.t) ->
   gen:(time:float -> Lion_workload.Txn.t) ->
@@ -70,8 +66,5 @@ val run :
     membership operations (join/decommission) at absolute simulated
     times — they are planner decisions, not fault-plan specs. The
     liveness audit's [Slow_quiesce] bound is the later of the horizon
-    and the plan's last window, plus 10 simulated seconds. [observe]
-    runs on the cluster after all audits, before it is dropped — the
-    fuzzer's hook for snapshotting metrics and beacons into its
-    coverage signal. Deterministic in ([seed], [cfg], nemesis,
-    [actions]). *)
+    and the plan's last window, plus 10 simulated seconds.
+    Deterministic in ([seed], [cfg], nemesis, [actions]). *)

@@ -151,27 +151,18 @@ let actions_of_case c =
 
 (* {2 Coverage signal} *)
 
-let counter_specs =
-  Metrics.
-    [
-      Timeouts; Retries; Drops; Sheds; Breaker_rejects; Breaker_opens;
-      Breaker_half_opens; Budget_denials; Deadline_giveups; Stale_acks;
-      Replica_purges; Remasters; Aborts;
-    ]
-
-let coverage_of cl =
-  let m = cl.Cluster.metrics in
+(* Every counter that declares a signal and counted something. *)
+let coverage_of (o : Drive.outcome) =
   List.filter_map
-    (fun c -> if Metrics.count m c > 0 then Some ("m:" ^ Metrics.name c) else None)
-    counter_specs
-  @ List.map (fun (n, _) -> "b:" ^ n) (Metrics.beacons m)
+    (fun c -> if Lion_harness.Runner.count o.result c > 0 then Metrics.signal c else None)
+    Metrics.all
 
 let divergence_class = function
   | Divergence.Replica_behind _ -> "replica-behind"
   | Divergence.Stale_replica _ -> "stale-replica"
   | Divergence.Lost_write _ -> "lost-write"
 
-let signature_of ~coverage (o : Drive.outcome) =
+let signature_of (o : Drive.outcome) =
   let anoms =
     List.map (fun a -> "a:" ^ Checker.anomaly_name a) o.check.Checker.anomalies
   in
@@ -185,7 +176,7 @@ let signature_of ~coverage (o : Drive.outcome) =
       (fun f -> "l:" ^ Liveness.finding_name f)
       o.liveness.Liveness.findings
   in
-  List.sort_uniq compare (coverage @ anoms @ divs @ lives)
+  List.sort_uniq compare (coverage_of o @ anoms @ divs @ lives)
 
 (* {2 Running one case} *)
 
@@ -208,12 +199,10 @@ let run_case ?(max_events = 2_000_000) ~target c =
       ~skew:(float_of_int c.skew_pct /. 100.0)
       ~cross:(float_of_int c.cross_pct /. 100.0)
   in
-  let coverage = ref [] in
   let outcome =
     Drive.run ~seed:c.seed ~clients:c.clients
       ~duration:(float_of_int c.seconds) ~nemesis_at:0.0 ~max_events
       ~actions:(actions_of_case c)
-      ~observe:(fun cl -> coverage := coverage_of cl)
       ~cfg ~make ~gen ~nemesis:Nemesis.calm ()
   in
   let verdict =
@@ -221,7 +210,7 @@ let run_case ?(max_events = 2_000_000) ~target c =
     else if not (Liveness.clean outcome.Drive.liveness) then Liveness
     else Clean
   in
-  { case = c; verdict; signature = signature_of ~coverage:!coverage outcome; outcome }
+  { case = c; verdict; signature = signature_of outcome; outcome }
 
 (* {2 Generation and mutation} *)
 

@@ -5,11 +5,12 @@
     message loss, overload bursts, join/decommission, crash-rejoin
     cycles — and runs each through the audit harness ({!Drive}):
     safety checker, divergence audit and liveness audit. Schedules
-    that light up new coverage (metrics counters, code-path beacons,
-    anomaly classes) enter a pool; later rounds mutate pool entries
-    instead of starting fresh. A failing schedule is minimized by a
-    delta-debugging shrinker and can be serialized to a corpus file
-    that replays deterministically. See docs/FUZZING.md.
+    that light up new coverage (the {!Lion_sim.Metrics.signal}s of
+    the counters that fired, anomaly classes) enter a pool; later
+    rounds mutate pool entries instead of starting fresh. A failing
+    schedule is minimized by a delta-debugging shrinker and can be
+    serialized to a corpus file that replays deterministically. See
+    docs/FUZZING.md.
 
     Every number — schedule shapes, mutation picks, cluster seeds —
     flows from the campaign seed through one {!Lion_kernel.Rng}, so a
@@ -66,9 +67,10 @@ type result = {
   case : case;
   verdict : verdict;
   signature : string list;
-      (** sorted, deduplicated coverage signal: ["m:"] counters that
-          fired, ["b:"] beacons lit, ["a:"] anomaly classes, ["d:"]
-          divergence classes, ["l:"] liveness classes *)
+      (** sorted, deduplicated coverage signal: the ["m:"] and ["b:"]
+          {!Lion_sim.Metrics.signal}s of counters that fired, ["a:"]
+          anomaly classes, ["d:"] divergence classes, ["l:"] liveness
+          classes *)
   outcome : Drive.outcome;
 }
 

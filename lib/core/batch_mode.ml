@@ -65,7 +65,7 @@ let create_with_planner ?name ?(seed = 31) ?(config = Planner.default_config) cl
             (Lion_store.Replication.lag cl.Cluster.replication ~part * Config.record_bytes)
         in
         Network.charge cl.Cluster.network ~bytes:lag_bytes;
-        cl.Cluster.remaster_count <- cl.Cluster.remaster_count + 1;
+        Metrics.incr cl.Cluster.metrics Batch_promotions;
         Placement.remaster placement ~part ~node;
         (* The lag ship above brings the promoted copy current. *)
         Cluster.note_replica_synced cl ~part ~node)

@@ -166,7 +166,7 @@ let run ?(seed = 1) ?(smoke = false) ?trace () =
     offered_series;
     members_series;
     events;
-    joins = cl.Cluster.join_count;
+    joins = Runner.count result Node_join;
     decommissions = cl.Cluster.decommission_count;
     rebalance_migrations = cl.Cluster.rebalance_migrations;
     time_to_rebalance = List.rev !ttr;
@@ -209,4 +209,4 @@ let print_report r =
         (100.0 *. depth) dur)
     r.dips;
   Printf.printf "stale-ack rejections %d, commits %d, aborts %d\n"
-    res.stale_ack_rejections res.commits res.aborts
+    (Runner.count res Stale_acks) res.commits res.aborts

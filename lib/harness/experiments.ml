@@ -354,8 +354,8 @@ let abl_cooldown ?trace scale =
     "metric"
     [
       Runner.k_txn ~header:"throughput" ();
-      Runner.count "remasters/s" (fun r ->
-          int_of_float (float_of_int r.remasters /. (10.0 *. scale)));
+      Runner.tally "remasters/s" (fun r ->
+          int_of_float (float_of_int r.remasters /. (5.0 *. scale)));
     ]
     (run_labelled ?trace
        (List.map

@@ -81,7 +81,7 @@ let result_rows results =
     @ [
         string_of_int r.Runner.timeouts;
         string_of_int r.Runner.retries;
-        string_of_int r.Runner.drops;
+        string_of_int (Runner.count r Drops);
         Printf.sprintf "%.1f" r.Runner.unavail_seconds;
         (if r.Runner.time_to_recover = infinity then "inf"
          else Printf.sprintf "%.1f" r.Runner.time_to_recover);
@@ -90,11 +90,11 @@ let result_rows results =
         Printf.sprintf "%.1f" r.Runner.goodput;
         Printf.sprintf "%.1f" r.Runner.p99;
         string_of_int r.Runner.sheds;
-        string_of_int r.Runner.breaker_rejects;
-        string_of_int r.Runner.breaker_opens;
-        string_of_int r.Runner.budget_denials;
+        string_of_int (Runner.count r Breaker_rejects);
+        string_of_int (Runner.count r Breaker_opens);
+        string_of_int (Runner.count r Budget_denials);
         string_of_int r.Runner.deadline_giveups;
-        string_of_int r.Runner.deadline_misses;
+        string_of_int (Runner.count r Deadline_misses);
       ]
   in
   (header, List.map row results)

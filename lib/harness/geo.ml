@@ -80,7 +80,7 @@ let print_sweep ~regions rows =
   in
   table "throughput (k txn/s)" (fun r -> Runner.fmt_k r.Runner.throughput);
   table "WAN traffic (MB)" (fun r ->
-      Table.cell_float ~decimals:1 (float_of_int r.Runner.wan_bytes /. 1.0e6))
+      Table.cell_float ~decimals:1 (float_of_int (Runner.count r Wan_bytes) /. 1.0e6))
 
 (* The headline claim of docs/GEO.md: Lion's adaptive replication wins
    while transactions stay region-local, epoch-based OCC wins once most

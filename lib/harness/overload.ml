@@ -101,11 +101,11 @@ let sweep_rows sweeps =
               string_of_int r.Runner.sheds;
               string_of_int r.Runner.timeouts;
               string_of_int r.Runner.retries;
-              string_of_int r.Runner.breaker_rejects;
-              string_of_int r.Runner.breaker_opens;
-              string_of_int r.Runner.budget_denials;
+              string_of_int (Runner.count r Breaker_rejects);
+              string_of_int (Runner.count r Breaker_opens);
+              string_of_int (Runner.count r Budget_denials);
               string_of_int r.Runner.deadline_giveups;
-              string_of_int r.Runner.deadline_misses;
+              string_of_int (Runner.count r Deadline_misses);
             ])
           s.points)
       sweeps
@@ -127,9 +127,9 @@ let print_sweeps sweeps =
           Runner.fixed ~decimals:0 "throughput" (fun r -> r.throughput);
           Runner.fixed ~decimals:0 "goodput" (fun r -> r.goodput);
           Runner.ms "p99 (ms)" (fun r -> r.p99);
-          Runner.count "sheds" (fun r -> r.sheds);
+          Runner.tally "sheds" (fun r -> r.sheds);
           Runner.timeouts;
-          Runner.count "giveups" (fun r -> r.deadline_giveups);
+          Runner.tally "giveups" (fun r -> r.deadline_giveups);
         ]
         (List.map (fun p -> (Printf.sprintf "%.2f" p.ratio, p.result)) s.points))
     sweeps

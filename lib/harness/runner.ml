@@ -62,22 +62,17 @@ type result = {
   replica_adds : int;
   timeouts : int;
   retries : int;
-  drops : int;
   sheds : int;
-  breaker_rejects : int;
-  breaker_opens : int;
-  budget_denials : int;
   deadline_giveups : int;
-  deadline_misses : int;
-  stale_ack_rejections : int;
   availability : float array;
   unavail_seconds : float;
   time_to_recover : float;
   goodput_under_fault : float;
   engine_events : int;
-  wan_bytes : int;
-  wan_messages : int;
+  counters : Metrics.snapshot;
 }
+
+let count r c = Metrics.get r.counters c
 
 let degraded a = a < 0.9995
 
@@ -194,7 +189,7 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
   next_probe (avail_tick /. 2.0);
   (* Warm up, reset the summary window, then measure. A quiesce run
      without warmup measures from t=0 and resets nothing, so a fault at
-     the first instant keeps its counters and beacons. *)
+     the first instant keeps its counters. *)
   (match rc.stop with
   | Quiesce _ when rc.warmup <= 0.0 -> ()
   | _ ->
@@ -207,7 +202,9 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
   | Forever -> ()
   | Quiesce max_events -> Engine.run_all engine ~max_events ());
   let metrics = cl.Cluster.metrics in
-  let commits = Metrics.count metrics Commits in
+  let counters = Metrics.snapshot metrics in
+  let get = Metrics.get counters in
+  let commits = get Commits in
   let bytes_delta = Network.total_bytes cl.Cluster.network - bytes_before in
   let availability = Metrics.availability_series metrics in
   let throughput_series = Metrics.throughput_series metrics in
@@ -224,14 +221,14 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
        client had already given up on them. Without a deadline it
        equals throughput. *)
     goodput =
-      float_of_int (commits - Metrics.count metrics Deadline_misses) /. rc.duration;
+      float_of_int (commits - get Deadline_misses) /. rc.duration;
     offered =
       (match rc.arrival with
       | Closed -> throughput
       | Poisson _ | Uniform _ ->
           float_of_int !measured_arrivals /. rc.duration);
     commits;
-    aborts = Metrics.count metrics Aborts;
+    aborts = get Aborts;
     p50 = Metrics.latency_percentile metrics 50.0;
     p75 = Metrics.latency_percentile metrics 75.0;
     p90 = Metrics.latency_percentile metrics 90.0;
@@ -240,10 +237,10 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
     mean_latency = Metrics.mean_latency metrics;
     single_node_ratio =
       (if commits = 0 then 0.0
-       else float_of_int (Metrics.count metrics Single_node_commits) /. float_of_int commits);
+       else float_of_int (get Single_node_commits) /. float_of_int commits);
     remaster_ratio =
       (if commits = 0 then 0.0
-       else float_of_int (Metrics.count metrics Remastered_commits) /. float_of_int commits);
+       else float_of_int (get Remastered_commits) /. float_of_int commits);
     throughput_series;
     goodput_series = Metrics.goodput_series metrics;
     bytes_series = Lion_kernel.Timeseries.to_array (Network.bytes_series cl.Cluster.network);
@@ -251,25 +248,18 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
       (if commits = 0 then 0.0 else float_of_int bytes_delta /. float_of_int commits);
     phase_fractions =
       List.map (fun p -> (p, Metrics.phase_fraction metrics p)) Metrics.all_phases;
-    remasters = cl.Cluster.remaster_count;
-    replica_adds = cl.Cluster.replica_add_count;
-    timeouts = Metrics.count metrics Timeouts;
-    retries = Metrics.count metrics Retries;
-    drops = Metrics.count metrics Drops;
-    sheds = Metrics.count metrics Sheds;
-    breaker_rejects = Metrics.count metrics Breaker_rejects;
-    breaker_opens = Metrics.count metrics Breaker_opens;
-    budget_denials = Metrics.count metrics Budget_denials;
-    deadline_giveups = Metrics.count metrics Deadline_giveups;
-    deadline_misses = Metrics.count metrics Deadline_misses;
-    stale_ack_rejections = Metrics.count metrics Stale_acks;
+    remasters = Metrics.completed_remasters counters;
+    replica_adds = get Replica_adds;
+    timeouts = get Timeouts;
+    retries = get Retries;
+    sheds = get Sheds;
+    deadline_giveups = get Deadline_giveups;
     availability;
     unavail_seconds;
     time_to_recover;
     goodput_under_fault;
     engine_events = Engine.events_processed engine;
-    wan_bytes = Metrics.count metrics Wan_bytes;
-    wan_messages = Metrics.count metrics Wan_messages;
+    counters;
   }
 
 (* Each cell's runs hand their tracers to a per-cell list instead of
@@ -321,11 +311,11 @@ type column = string * (result -> string)
 
 let fmt_k v = Table.cell_float ~decimals:1 (v /. 1000.0)
 let k_txn ?(header = "k txn/s") () = (header, fun r -> fmt_k r.throughput)
-let count header get = (header, fun r -> Table.cell_int (get r))
+let tally header get = (header, fun r -> Table.cell_int (get r))
 let fixed ?(decimals = 1) header get = (header, fun r -> Table.cell_float ~decimals (get r))
 let ms ?decimals header get = fixed ?decimals header (fun r -> get r /. 1000.0)
-let aborts = count "aborts" (fun r -> r.aborts)
-let timeouts = count "timeouts" (fun r -> r.timeouts)
-let retries = count "retries" (fun r -> r.retries)
-let drops = count "drops" (fun r -> r.drops)
+let aborts = tally "aborts" (fun r -> r.aborts)
+let timeouts = tally "timeouts" (fun r -> r.timeouts)
+let retries = tally "retries" (fun r -> r.retries)
+let drops = tally "drops" (fun r -> count r Drops)
 let single_node = fixed "single-node %" (fun r -> 100.0 *. r.single_node_ratio)

@@ -17,7 +17,12 @@
     queued after [drain]. The quiesce shape stops clients, the tick and
     every sampler from issuing at the horizon, then runs everything in
     flight to completion, so the queue empties — what an audit of the
-    final state needs. *)
+    final state needs.
+
+    The warm-up ends with {!Lion_sim.Metrics.reset_window}, so every
+    count in a {!result} covers the measured window only, and all of
+    them come from one snapshot of the counter table taken after the
+    drain ({!count}). *)
 
 type arrival =
   | Closed  (** closed loop: [clients] concurrent submitters *)
@@ -63,6 +68,11 @@ val every :
     time at or past [until]). The protocol tick and the harnesses'
     samplers run on it. *)
 
+(** A run's results. Every count is over the measured window, read
+    from [counters], one snapshot of the run's {!Lion_sim.Metrics}
+    table taken when the run ends; {!count} reads any counter from it.
+    The integer fields below copy a counter (or, for [remasters], two)
+    only because the [bench/e2e] benchmark reads them by name. *)
 type result = {
   throughput : float;  (** commits per measured second *)
   goodput : float;
@@ -71,8 +81,8 @@ type result = {
   offered : float;
       (** arrivals per measured second under open-loop driving; equals
           [throughput] under closed loop, where load tracks completion *)
-  commits : int;
-  aborts : int;
+  commits : int;  (** [Commits] *)
+  aborts : int;  (** [Aborts] *)
   p50 : float;  (** latency percentiles over the measured window, µs *)
   p75 : float;
   p90 : float;
@@ -88,27 +98,18 @@ type result = {
   bytes_series : float array;  (** network bytes per second, incl. warmup *)
   bytes_per_txn : float;  (** measured-window bytes / commits *)
   phase_fractions : (Lion_sim.Metrics.phase * float) list;
-  remasters : int;  (** cluster-wide remaster operations *)
-  replica_adds : int;
-  timeouts : int;  (** RPCs that exhausted their retries (measured window) *)
-  retries : int;  (** RPC retransmissions after a loss (measured window) *)
-  drops : int;  (** messages killed by the fault layer (measured window) *)
+  remasters : int;
+      (** leader transfers completed
+          ({!Lion_sim.Metrics.completed_remasters}) *)
+  replica_adds : int;  (** [Replica_adds]: secondary installs completed *)
+  timeouts : int;  (** [Timeouts]: RPCs that exhausted their retries *)
+  retries : int;  (** [Retries]: RPC retransmissions after a loss *)
   sheds : int;
-      (** requests turned away by admission control — bounded queues,
-          CoDel, dead-node drains (measured window) *)
-  breaker_rejects : int;  (** RPCs fast-failed by an open circuit breaker *)
-  breaker_opens : int;  (** circuit-breaker trips (measured window) *)
-  budget_denials : int;
-      (** retransmissions abandoned for lack of retry-budget tokens *)
+      (** [Sheds]: requests turned away by admission control — bounded
+          queues, CoDel, dead-node drains *)
   deadline_giveups : int;
-      (** transactions shed past their deadline instead of retried *)
-  deadline_misses : int;
-      (** transactions committed after their deadline (counted in
-          [throughput], discounted from [goodput]) *)
-  stale_ack_rejections : int;
-      (** stale-session replication deliveries rejected by
-          [Config.session_tagging] (measured window; always 0 with
-          tagging off) *)
+      (** [Deadline_giveups]: transactions shed past their deadline
+          instead of retried *)
   availability : float array;
       (** per-second availability samples (incl. warmup); see
           [Cluster.availability] *)
@@ -126,9 +127,12 @@ type result = {
       (** total simulation events executed over the whole run (incl.
           warmup) — the denominator the perf harness uses to turn wall
           time into events/sec *)
-  wan_bytes : int;  (** cross-region bytes (measured window; 0 without geo) *)
-  wan_messages : int;  (** cross-region messages (measured window) *)
+  counters : Lion_sim.Metrics.snapshot;
+      (** every counter at the end of the run, over the measured window *)
 }
+
+val count : result -> Lion_sim.Metrics.counter -> int
+(** [count r c] is counter [c] over [r]'s measured window. *)
 
 type trace_sink = {
   fresh : unit -> Lion_trace.Trace.t;
@@ -225,7 +229,7 @@ val fmt_k : float -> string
 val k_txn : ?header:string -> unit -> column
 (** Throughput in k txn/s (header default ["k txn/s"]). *)
 
-val count : string -> (result -> int) -> column
+val tally : string -> (result -> int) -> column
 val fixed : ?decimals:int -> string -> (result -> float) -> column
 
 val ms : ?decimals:int -> string -> (result -> float) -> column

@@ -11,16 +11,19 @@ let imbalance_threshold = 0.25
 let create cl =
   let parts = Cluster.partition_count cl in
   let graph = Heatgraph.create ~partitions:parts in
+  (* Each worker's [Server.completed] at the previous tick. *)
+  let seen = Array.make (Array.length cl.Cluster.workers) 0 in
   let rebalance () =
     let nodes = Cluster.node_count cl in
     (* Clay's monitor counts transactions per node, not worker time —
        the paper's critique: a node saturated by single-node
        transactions "has a similar load" to nodes running fewer but
        more expensive distributed transactions, so some imbalances are
-       never detected. *)
+       never detected. Each tick counts the transactions since the
+       last. *)
     let loads =
       Array.init nodes (fun n ->
-          float_of_int (Lion_sim.Server.completed cl.Cluster.workers.(n)))
+          float_of_int (Lion_sim.Server.completed cl.Cluster.workers.(n) - seen.(n)))
     in
     let total = Array.fold_left ( +. ) 0.0 loads in
     let avg = total /. float_of_int nodes in
@@ -80,7 +83,7 @@ let create cl =
         in
         Apply.apply cl plan));
     Heatgraph.clear graph;
-    Cluster.reset_load_counters cl
+    Array.iteri (fun n w -> seen.(n) <- Lion_sim.Server.completed w) cl.Cluster.workers
   in
   let route = Exec.route_most_primaries cl in
   Proto.make ~name:"Clay"

@@ -177,7 +177,7 @@ and close_epoch t =
       in
       let abort_all () =
         close_spans ();
-        Metrics.beacon cl.Cluster.metrics "epoch-round-failed";
+        Metrics.incr cl.Cluster.metrics Epoch_round_failed;
         List.iter
           (fun p ->
             Kvstore.release_reservation p.session;

@@ -608,31 +608,31 @@ and prepare_failed a =
   finish a
 
 and after_prepare a =
-  let cl = a.run.cl in
+  let cl = a.run.cl and unified = a.run.flavor.unified_commit in
   close_span a;
   a.phases.prepare <- now a -. a.marks.round_start;
   (* Participants replicate their prepare logs. *)
   Transport.replicate_commit cl ?ctx:a.actx a.remote_parts;
-  if Kvstore.try_reserve a.session then
-    if a.run.flavor.unified_commit then (
-      (* The unified round already carried the writes and collected
-         every replica's vote: commit now, send the decision one-way. *)
-      Kvstore.finalize a.session;
-      record_outcome a History.Committed;
-      send_oneway a a.participants;
-      a.committed <- true;
-      finish a)
-    else (
-      a.marks.round_start <- now a;
-      a.span <-
-        open_span (engine a) ~node:a.coordinator ~part:(-1)
-          ~phase:"commit" ~name:"2pc-commit" a.actx;
-      match a.participants with
-      | [] -> after_commit a
-      | participants ->
-          a.acks <- List.length participants;
-          a.awaiting <- Acks;
-          send_commits a ~cctx:a.span participants)
+  if unified && Kvstore.try_commit a.session then (
+    (* The unified round already carried the writes and collected
+       every replica's vote: validate and install in one pass, send
+       the decision one-way. *)
+    record_outcome a History.Committed;
+    send_oneway a a.participants;
+    a.committed <- true;
+    finish a)
+  else if (not unified) && Kvstore.try_reserve a.session then (
+    (* 2PC holds the reservation until the commit round is acked. *)
+    a.marks.round_start <- now a;
+    a.span <-
+      open_span (engine a) ~node:a.coordinator ~part:(-1)
+        ~phase:"commit" ~name:"2pc-commit" a.actx;
+    match a.participants with
+    | [] -> after_commit a
+    | participants ->
+        a.acks <- List.length participants;
+        a.awaiting <- Acks;
+        send_commits a ~cctx:a.span participants)
   else (
     (* Validation failed: one-way aborts, no waiting. *)
     record_outcome a History.Aborted;

@@ -49,8 +49,6 @@ type t = {
   link_specs : spec list;
   stragglers : spec list;
   down : bool array;
-  mutable drops : int;
-  mutable dead_drops : int;
 }
 
 let create ?(seed = 17) ~nodes plan =
@@ -67,8 +65,6 @@ let create ?(seed = 17) ~nodes plan =
         plan;
     stragglers = List.filter (function Straggler _ -> true | _ -> false) plan;
     down = Array.make (Stdlib.max 1 nodes) false;
-    drops = 0;
-    dead_drops = 0;
   }
 
 let plan t = t.plan
@@ -140,11 +136,6 @@ let slow_factor t ~now node =
           acc *. factor
       | _ -> acc)
     1.0 t.stragglers
-
-let count_drop t = t.drops <- t.drops + 1
-let count_dead_drop t = t.dead_drops <- t.dead_drops + 1
-let drops t = t.drops
-let dead_drops t = t.dead_drops
 
 let crash_events plan =
   let evs =

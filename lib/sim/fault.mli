@@ -108,15 +108,6 @@ val slow_inert : t -> bool
 (** The plan has no straggler spec: [slow_factor] is 1.0 at any time,
     so a caller need not read its clock. *)
 
-val count_drop : t -> unit
-val count_dead_drop : t -> unit
-
-val drops : t -> int
-(** Messages killed by the fault layer (partition/drop/dead endpoint). *)
-
-val dead_drops : t -> int
-(** The subset of [drops] that targeted a dead node. *)
-
 val crash_events : plan -> (float * [ `Crash of int | `Recover of int ]) list
 (** The plan's node-lifecycle events, sorted by time — the cluster
     schedules these against its engine at startup. *)

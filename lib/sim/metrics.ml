@@ -25,76 +25,80 @@ let phase_index = function
   | Replication -> 5
 
 type counter =
-  | Commits
-  | Single_node_commits
-  | Remastered_commits
-  | Aborts
-  | Timeouts
-  | Retries
-  | Drops
-  | Sheds
-  | Breaker_rejects
-  | Breaker_opens
-  | Breaker_half_opens
-  | Budget_denials
-  | Deadline_giveups
-  | Deadline_misses
-  | Stale_acks
-  | Replica_purges
-  | Remasters
-  | Wan_messages
-  | Wan_bytes
-  | Lan_messages
-  | Lan_bytes
+  | Commits | Single_node_commits | Remastered_commits | Aborts | Timeouts | Retries
+  | Drops | Sheds | Breaker_rejects | Breaker_opens | Breaker_half_opens | Budget_denials
+  | Deadline_giveups | Deadline_misses | Stale_acks | Replica_purges | Remasters
+  | Wan_messages | Wan_bytes | Lan_messages | Lan_bytes | Remaster_complete | Replica_adds
+  | Batch_promotions | Remaster_stale_refuse | Remaster_abandon | Remaster_cancel
+  | Parked_promote | Partition_parked | Election_promote | Phantom_purge | Rejoin_purge
+  | Orphan_resync | Node_join | Node_decommission | Node_crash | Node_recover
+  | Resync_stale | Resync_apply | Epoch_round_failed
 
-(* The counter table, in slot order: each counter once, with the name
-   the fuzzer prints as its [m:] coverage signal (so a name stays fixed
-   once a corpus or golden holds it). [all], [name] and the array's
-   size come from it. [slot] is exhaustive, so a new constructor
-   compiles only with a slot; the check below fails at start-up if the
-   table's order disagrees with [slot], and a constructor left out of
-   the table has a slot past the array, so its first [incr] raises. *)
+(* A counter's fuzz coverage signal is a prefix on its name: [m] for a
+   count the fuzzer watches, [b] for a code-path waypoint (an election,
+   a phantom purge, a cancelled remaster ...), [none] for neither. *)
+let m = "m:"
+let b = "b:"
+let none = ""
+
+(* The counter table, in slot order: each counter once, with its name
+   and its signal prefix. A signal is part of every fuzz signature, so
+   a name or prefix stays fixed once a corpus or golden holds it.
+   [all], [name], [signal] and the array's size come from it. [slot] is
+   exhaustive, so a new constructor compiles only with a slot; the
+   check below fails at start-up if the table's order disagrees with
+   [slot], and a constructor left out of the table has a slot past the
+   array, so its first [incr] raises. *)
 let table =
-  [| (Commits, "commits"); (Single_node_commits, "single-node-commits");
-     (Remastered_commits, "remastered-commits"); (Aborts, "aborts"); (Timeouts, "timeouts");
-     (Retries, "retries"); (Drops, "drops"); (Sheds, "sheds");
-     (Breaker_rejects, "breaker-rejects"); (Breaker_opens, "breaker-opens");
-     (Breaker_half_opens, "breaker-half-opens"); (Budget_denials, "budget-denials");
-     (Deadline_giveups, "deadline-giveups"); (Deadline_misses, "deadline-misses");
-     (Stale_acks, "stale-acks"); (Replica_purges, "replica-purges"); (Remasters, "remasters");
-     (Wan_messages, "wan-messages"); (Wan_bytes, "wan-bytes"); (Lan_messages, "lan-messages");
-     (Lan_bytes, "lan-bytes") |]
+  [| (Commits, "commits", none); (Single_node_commits, "single-node-commits", none);
+     (Remastered_commits, "remastered-commits", none); (Aborts, "aborts", m);
+     (Timeouts, "timeouts", m); (Retries, "retries", m); (Drops, "drops", m);
+     (Sheds, "sheds", m); (Breaker_rejects, "breaker-rejects", m);
+     (Breaker_opens, "breaker-opens", m); (Breaker_half_opens, "breaker-half-opens", m);
+     (Budget_denials, "budget-denials", m); (Deadline_giveups, "deadline-giveups", m);
+     (Deadline_misses, "deadline-misses", none); (Stale_acks, "stale-acks", m);
+     (Replica_purges, "replica-purges", m); (Remasters, "remasters", m);
+     (Wan_messages, "wan-messages", none); (Wan_bytes, "wan-bytes", none);
+     (Lan_messages, "lan-messages", none); (Lan_bytes, "lan-bytes", none);
+     (Remaster_complete, "remaster-complete", b); (Replica_adds, "replica-adds", none);
+     (Batch_promotions, "batch-promotions", none);
+     (Remaster_stale_refuse, "remaster-stale-refuse", b);
+     (Remaster_abandon, "remaster-abandon", b); (Remaster_cancel, "remaster-cancel", b);
+     (Parked_promote, "parked-promote", b); (Partition_parked, "partition-parked", b);
+     (Election_promote, "election-promote", b); (Phantom_purge, "phantom-purge", b);
+     (Rejoin_purge, "rejoin-purge", b); (Orphan_resync, "orphan-resync", b);
+     (Node_join, "node-join", b); (Node_decommission, "node-decommission", b);
+     (Node_crash, "node-crash", b); (Node_recover, "node-recover", b);
+     (Resync_stale, "resync-stale", b); (Resync_apply, "resync-apply", b);
+     (Epoch_round_failed, "epoch-round-failed", b) |]
 
 let slot = function
-  | Commits -> 0
-  | Single_node_commits -> 1
-  | Remastered_commits -> 2
-  | Aborts -> 3
-  | Timeouts -> 4
-  | Retries -> 5
-  | Drops -> 6
-  | Sheds -> 7
-  | Breaker_rejects -> 8
-  | Breaker_opens -> 9
-  | Breaker_half_opens -> 10
-  | Budget_denials -> 11
-  | Deadline_giveups -> 12
-  | Deadline_misses -> 13
-  | Stale_acks -> 14
-  | Replica_purges -> 15
-  | Remasters -> 16
-  | Wan_messages -> 17
-  | Wan_bytes -> 18
-  | Lan_messages -> 19
-  | Lan_bytes -> 20
+  | Commits -> 0 | Single_node_commits -> 1 | Remastered_commits -> 2 | Aborts -> 3
+  | Timeouts -> 4 | Retries -> 5 | Drops -> 6 | Sheds -> 7 | Breaker_rejects -> 8
+  | Breaker_opens -> 9 | Breaker_half_opens -> 10 | Budget_denials -> 11
+  | Deadline_giveups -> 12 | Deadline_misses -> 13 | Stale_acks -> 14
+  | Replica_purges -> 15 | Remasters -> 16 | Wan_messages -> 17 | Wan_bytes -> 18
+  | Lan_messages -> 19 | Lan_bytes -> 20 | Remaster_complete -> 21 | Replica_adds -> 22
+  | Batch_promotions -> 23 | Remaster_stale_refuse -> 24 | Remaster_abandon -> 25
+  | Remaster_cancel -> 26 | Parked_promote -> 27 | Partition_parked -> 28
+  | Election_promote -> 29 | Phantom_purge -> 30 | Rejoin_purge -> 31 | Orphan_resync -> 32
+  | Node_join -> 33 | Node_decommission -> 34 | Node_crash -> 35 | Node_recover -> 36
+  | Resync_stale -> 37 | Resync_apply -> 38 | Epoch_round_failed -> 39
 
 let () =
   Array.iteri
-    (fun i (c, n) -> if slot c <> i then invalid_arg ("Metrics: counter table out of order at " ^ n))
+    (fun i (c, n, _) ->
+      if slot c <> i then invalid_arg ("Metrics: counter table out of order at " ^ n))
     table
 
-let all = Array.to_list (Array.map fst table)
-let name c = snd table.(slot c)
+let all = Array.to_list (Array.map (fun (c, _, _) -> c) table)
+
+let name c =
+  let _, n, _ = table.(slot c) in
+  n
+
+let signal c =
+  match table.(slot c) with _, _, "" -> None | _, n, prefix -> Some (prefix ^ n)
 
 (* Commits waiting for their visibility time, in arrival order: commit
    [i]'s due time (as a [Pqueue] key), its flags ([late_bit] ...), its
@@ -125,13 +129,6 @@ type t = {
   phase_time : float array;
   series : Timeseries.t;
   good_series : Timeseries.t;
-  (* Code-path beacons: named control-flow waypoints (elections,
-     purges, cancelled remasters, anti-entropy rounds …) recorded as
-     bare counters. Pure bookkeeping — no engine events, no RNG — so
-     lighting one up never perturbs a run; the fault-schedule fuzzer
-     uses the set of lit beacons as its coverage signal
-     (docs/FUZZING.md). *)
-  beacons : (string, int) Hashtbl.t;
   avail_series : Timeseries.t;
 }
 
@@ -143,7 +140,6 @@ let create ?(seed = 42) engine =
     phase_time = Array.make 6 0.0;
     series = Timeseries.create ~interval:(Engine.seconds 1.0);
     good_series = Timeseries.create ~interval:(Engine.seconds 1.0);
-    beacons = Hashtbl.create 32;
     avail_series = Timeseries.create ~interval:(Engine.seconds 1.0);
     deferred =
       {
@@ -165,6 +161,12 @@ let add t c n =
 
 let incr t c = add t c 1
 let count t c = t.counts.(slot c)
+
+type snapshot = int array
+
+let snapshot t = Array.copy t.counts
+let get s c = s.(slot c)
+let completed_remasters s = get s Remaster_complete + get s Batch_promotions
 
 (* All floats, so the record is stored flat: an attempt fills one in
    place without boxing a duration per phase. *)
@@ -297,15 +299,6 @@ let defer_commit t ~delay ~late ~latency ~single_node ~remastered ~phases ~root 
   d.spans.(i) <- span;
   d.n <- i + 1
 
-let beacon t name =
-  match Hashtbl.find_opt t.beacons name with
-  | Some n -> Hashtbl.replace t.beacons name (n + 1)
-  | None -> Hashtbl.replace t.beacons name 1
-
-let beacons t =
-  Hashtbl.fold (fun name n acc -> (name, n) :: acc) t.beacons []
-  |> List.sort compare
-
 (* Past-dated schedules the engine clamped to [now]: each one is a
    scheduling bug somewhere upstream (a negative delay, an absolute
    time computed from a stale clock). Surfaced here so experiment
@@ -342,6 +335,5 @@ let phase_fraction t phase =
    closed window: they stay deferred and are recorded when they land. *)
 let reset_window t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
-  Hashtbl.reset t.beacons;
   Array.fill t.phase_time 0 6 0.0;
   Stats.Reservoir.reset t.latency

@@ -1,13 +1,16 @@
 (** Experiment metrics: counters, latency, phase breakdown and the
     per-second series.
 
-    One recorder per experiment run. Its event counts are the
-    {!counter} variant: each declared once, with a printed {!name},
-    bumped with {!incr} or {!add} and read with {!count}; one
-    {!reset_window} zeroes them all. Commit events also record
-    whether the transaction ran as a single-node transaction, whether
-    it used remastering, and how its latency divides into phases —
-    everything Figs. 8, 10, 12 and 14 need. *)
+    One recorder per experiment run. Every count the run makes is a
+    {!counter}: each declared once, with a printed {!name} and its fuzz
+    coverage {!signal}, bumped with {!incr} or {!add} and read with
+    {!count}. Code-path waypoints (an election, a phantom purge, a
+    cancelled remaster) are counters too. One {!reset_window} zeroes
+    them all, so every count covers the measured window; a run's result
+    keeps one {!snapshot} of the table, taken when the run ends. Commit
+    events also record whether the transaction ran as a single-node
+    transaction, whether it used remastering, and how its latency
+    divides into phases — everything Figs. 8, 10, 12 and 14 need. *)
 
 type phase =
   | Execution  (** read/write processing, incl. remote reads *)
@@ -68,13 +71,40 @@ type counter =
   | Wan_bytes  (** bytes carried by cross-region messages *)
   | Lan_messages  (** intra-region messages under a region topology *)
   | Lan_bytes  (** bytes carried by intra-region messages *)
+  | Remaster_complete  (** leader transfers that completed *)
+  | Replica_adds  (** secondary installs that completed *)
+  | Batch_promotions  (** primaries a batch epoch moved (Lion batch mode) *)
+  (* Code-path waypoints, each counted where the cluster passes it: *)
+  | Remaster_stale_refuse  (** handover refused: the target rejoined *)
+  | Remaster_abandon  (** transfer abandoned: target dead or lag ship lost *)
+  | Remaster_cancel  (** in-flight transfer cancelled by the target's crash *)
+  | Parked_promote
+  | Partition_parked  (** no live replica left to elect *)
+  | Election_promote
+  | Phantom_purge
+  | Rejoin_purge
+  | Orphan_resync
+  | Node_join
+  | Node_decommission  (** a member started draining *)
+  | Node_crash
+  | Node_recover
+  | Resync_stale  (** anti-entropy repair dropped as stale *)
+  | Resync_apply  (** anti-entropy repair applied *)
+  | Epoch_round_failed  (** an epoch's replication round failed *)
 
 val all : counter list
 (** Every counter, each once. *)
 
 val name : counter -> string
 (** The counter's printed name, e.g. ["breaker-rejects"]; distinct per
-    counter. The fuzzer's [m:] coverage signals use it. *)
+    counter. *)
+
+val signal : counter -> string option
+(** The fuzzer's coverage signal for the counter, lit when its count is
+    positive: its {!name} after ["m:"] (a watched count, such as
+    [m:timeouts]) or ["b:"] (a code-path waypoint, such as
+    [b:node-crash]), or none. Declared once per counter next to its
+    name; corpus files and goldens hold these strings. *)
 
 val incr : t -> counter -> unit
 
@@ -83,6 +113,18 @@ val add : t -> counter -> int -> unit
 
 val count : t -> counter -> int
 (** The counter's total over the measured window. *)
+
+type snapshot
+(** Every counter's value at one instant; immutable. *)
+
+val snapshot : t -> snapshot
+
+val get : snapshot -> counter -> int
+(** The counter's value when the snapshot was taken. *)
+
+val completed_remasters : snapshot -> int
+(** Leader transfers that completed, by either path: [Remaster_complete]
+    plus [Batch_promotions]. *)
 
 (** One committed transaction's time per phase, µs. An all-float
     record, so its fields are stored unboxed and can be filled in
@@ -145,17 +187,6 @@ val defer_commit :
     order and replays every commit due then in arrival order. A
     {!reset_window} before then keeps them pending. *)
 
-val beacon : t -> string -> unit
-(** Light a named code-path beacon — a control-flow waypoint such as an
-    election, a phantom purge or a cancelled remaster. Beacons are pure
-    bookkeeping (no engine events, no RNG), so recording one never
-    perturbs a run; the fault-schedule fuzzer uses the set of lit
-    beacons as its coverage signal. *)
-
-val beacons : t -> (string * int) list
-(** All beacons lit since [create] (or the last [reset_window]),
-    sorted by name for deterministic output. *)
-
 val schedule_clamps : t -> int
 (** Past-dated schedules the engine clamped to [now] since [create] —
     each one is a scheduling bug somewhere upstream (negative delay, or
@@ -186,7 +217,7 @@ val phase_fraction : t -> phase -> float
 (** Fraction of total committed-transaction time spent in a phase. *)
 
 val reset_window : t -> unit
-(** Zero every counter, the beacons, the phase totals and latency (not
+(** Zero every counter, the phase totals and latency (not
     the per-second series) so a run can exclude its warm-up from
     reported numbers. Commits deferred by {!defer_commit} and not yet
     visible stay pending and count in the new window. *)

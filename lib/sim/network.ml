@@ -33,7 +33,6 @@ type t = {
   topology : topology option;
   mutable total_bytes : int;
   mutable messages : int;
-  mutable drops : int;
   bytes_series : Timeseries.t;
   fault : Fault.t option;
   metrics : Metrics.t option;
@@ -58,9 +57,7 @@ let release_msg t m =
   m.next <- t.free_msgs;
   t.free_msgs <- m
 
-let record_drop t =
-  t.drops <- t.drops + 1;
-  match t.metrics with Some m -> Metrics.incr m Drops | None -> ()
+let record_drop t = match t.metrics with Some m -> Metrics.incr m Drops | None -> ()
 
 (* In-flight delivery to a node that died after the message left: lost
    on arrival. The record is recycled before the continuation runs, so
@@ -70,8 +67,6 @@ let deliver_msg t m =
   release_msg t m;
   match t.fault with
   | Some f when not (Fault.up f dst) ->
-      Fault.count_drop f;
-      Fault.count_dead_drop f;
       record_drop t;
       on_drop ()
   | _ -> k ()
@@ -86,7 +81,6 @@ let create ?(latency = 60.0) ?(per_byte = 0.0085) ?topology ?fault ?metrics
       topology;
       total_bytes = 0;
       messages = 0;
-      drops = 0;
       bytes_series = Timeseries.create ~interval:(Engine.seconds 1.0);
       fault;
       metrics;
@@ -147,8 +141,6 @@ let dispatch t ~src ~dst ~bytes k on_drop =
       in
       match verdict with
       | Fault.Blocked | Fault.Dropped ->
-          Fault.count_drop f;
-          if not (Fault.up f src && Fault.up f dst) then Fault.count_dead_drop f;
           record_drop t;
           on_drop ()
       | Fault.Deliver extra ->
@@ -204,4 +196,3 @@ let send t ~src ~dst ~bytes ?(on_drop = nop) ?ctx k =
 let total_bytes t = t.total_bytes
 let bytes_series t = t.bytes_series
 let message_count t = t.messages
-let drops t = t.drops

@@ -28,7 +28,7 @@ val create :
     (default 0.0085). When [fault] is given, every non-local send
     consults it for partitions, probabilistic drop, latency jitter and
     dead-endpoint loss; when [metrics] is given, fault-layer drops are
-    also counted there. When [topology] is given, links crossing
+    counted there ([Metrics.Drops]). When [topology] is given, links crossing
     regions pay the WAN latency class and are accounted per link class
     in [metrics]; omitting it (the default) keeps the historical
     single-latency-class network bit-for-bit. *)
@@ -93,6 +93,3 @@ val bytes_series : t -> Lion_kernel.Timeseries.t
 (** Bytes bucketed per simulated second. *)
 
 val message_count : t -> int
-
-val drops : t -> int
-(** Messages killed by the fault layer. *)

@@ -33,7 +33,6 @@ type t = {
   waiting_hi : waiter Queue.t; (* control traffic: never shed by policy *)
   mutable busy_time : float;
   mutable completed : int;
-  mutable window_start : float;
   mutable alive : bool;
   mutable sheds : int;
   mutable queue_wait : float;
@@ -115,17 +114,11 @@ let acquire t ?(prio = Normal) ?on_shed k =
             let len = Queue.length t.waiting + Queue.length t.waiting_hi in
             if len > t.max_queue then t.max_queue <- len)
 
-(* [Stdlib.max] on floats, compared as floats: the polymorphic one
-   calls the runtime's generic comparison. *)
-let fmax (a : float) b = if a >= b then a else b
-
 let release t lease =
   if lease.released then invalid_arg "Server.release: lease already released";
   lease.released <- true;
   t.busy <- t.busy - 1;
-  t.busy_time <-
-    t.busy_time
-    +. (Engine.now t.engine -. fmax lease.acquired_at t.window_start);
+  t.busy_time <- t.busy_time +. (Engine.now t.engine -. lease.acquired_at);
   t.completed <- t.completed + 1;
   (* A dead node grants nothing: queued work was drained at [kill],
      and anything that raced in since is shed on arrival. *)
@@ -165,7 +158,6 @@ let create ?(queue_cap = 0) ?(policy = Reject_newest)
       waiting_hi = Queue.create ();
       busy_time = 0.0;
       completed = 0;
-      window_start = Engine.now engine;
       alive = true;
       sheds = 0;
       queue_wait = 0.0;
@@ -209,16 +201,3 @@ let completed t = t.completed
 let sheds t = t.sheds
 let queue_wait t = t.queue_wait
 let max_queue t = t.max_queue
-
-let reset_counters t =
-  t.busy_time <- 0.0;
-  t.completed <- 0;
-  (* In-flight leases acquired before this reset charge only their
-     post-reset span to the new window (see [release]); without the
-     clamp a long hold straddling the reset would inflate the next
-     window's utilization past 1. *)
-  t.window_start <- Engine.now t.engine
-
-let utilization t ~since ~now =
-  let span = (now -. since) *. float_of_int t.cap in
-  if span <= 0.0 then 0.0 else Stdlib.min 1.0 (t.busy_time /. span)

@@ -85,28 +85,20 @@ val queue_length : t -> int
 (** Acquire requests waiting for a free unit (both priority classes). *)
 
 val busy_time : t -> float
-(** Held µs accumulated since creation (or last reset); includes time
-    leases spend blocked on the network. A lease straddling
-    [reset_counters] charges only its post-reset span. *)
+(** Held µs accumulated since creation, charged when each lease is
+    released; includes time leases spend blocked on the network. A
+    reader that wants a window differences two readings. *)
 
 val completed : t -> int
-(** Leases released since creation (or last reset). *)
+(** Leases released since creation. *)
 
 val sheds : t -> int
 (** Requests turned away by admission control or node death since
-    creation (never reset — overload accounting spans the whole run). *)
+    creation. *)
 
 val queue_wait : t -> float
-(** Total µs granted requests spent waiting in the queue (never
-    reset). *)
+(** Total µs granted requests spent waiting in the queue since
+    creation. *)
 
 val max_queue : t -> int
-(** High-water mark of the wait queue length (never reset). *)
-
-val reset_counters : t -> unit
-(** Zero [busy_time]/[completed] and restart the utilization window —
-    in-flight leases are charged to the new window only from this
-    instant, so [busy_time] can never exceed wall-span × capacity. *)
-
-val utilization : t -> since:float -> now:float -> float
-(** [busy_time / (capacity × window)], clamped to [0, 1]. *)
+(** High-water mark of the wait queue length since creation. *)

@@ -34,8 +34,6 @@ type t = {
   access_peak : access_peak;
   node_alive : bool array;
   part_last_remaster : float array;
-  mutable remaster_count : int;
-  mutable replica_add_count : int;
   mutable migration_count : int;
   mutable remaster_inflight : bool array;
   resync_inflight : (int * int, unit) Hashtbl.t;
@@ -51,7 +49,6 @@ type t = {
   node_epoch : int array;
   primary_term : int array;
   mutable membership_version : int;
-  mutable join_count : int;
   mutable decommission_count : int;
   mutable rebalance_migrations : int;
   mutable rebalance_running : bool;
@@ -209,12 +206,12 @@ let try_begin_remaster t ~part ~node =
                   incarnation: refuse the handover rather than promote
                   a primary missing its log suffix. *)
                Metrics.incr t.metrics Stale_acks;
-               Metrics.beacon t.metrics "remaster-stale-refuse";
+               Metrics.incr t.metrics Remaster_stale_refuse;
                if t.part_last_remaster.(part) = started then
                  t.part_last_remaster.(part) <- prev
              end
              else begin
-               Metrics.beacon t.metrics "remaster-complete";
+               Metrics.incr t.metrics Remaster_complete;
                Placement.remaster t.placement ~part ~node;
                t.primary_term.(part) <- t.primary_term.(part) + 1;
                (* The handover ships the lag, not the partition: an
@@ -223,14 +220,13 @@ let try_begin_remaster t ~part ~node =
                Replication.ack_stream t.replication ~part ~node
                  ~upto:(Replication.appends t.replication ~part)
                  ~stale ~reject:false;
-               t.remaster_count <- t.remaster_count + 1;
                (* A partition parked as unavailable (lost quorum) now has
                   a live primary again: reopen it. *)
                if t.part_available.(part) = infinity then
                  t.part_available.(part) <- now t
              end
            else begin
-             Metrics.beacon t.metrics "remaster-abandon";
+             Metrics.incr t.metrics Remaster_abandon;
              if t.part_last_remaster.(part) = started then
                t.part_last_remaster.(part) <- prev
            end);
@@ -366,7 +362,7 @@ let add_replica t ~part ~node ~on_ready =
                          replica starts caught up with the log. *)
                       Replication.set_applied t.replication ~part ~node
                         ~upto:(Replication.appends t.replication ~part));
-                   t.replica_add_count <- t.replica_add_count + 1
+                   Metrics.incr t.metrics Replica_adds
                  end);
                 on_ready ())))
 
@@ -519,7 +515,7 @@ and start_move t ~part ~dst ~after =
            the node cannot resurrect it as a live replica on recovery
            (and so the partition is not over-replicated when it does). *)
         (if t.part_available.(part) = infinity then begin
-           Metrics.beacon t.metrics "parked-promote";
+           Metrics.incr t.metrics Parked_promote;
            let old = Placement.primary t.placement part in
            Placement.remaster t.placement ~part ~node:dst;
            t.primary_term.(part) <- t.primary_term.(part) + 1;
@@ -707,7 +703,7 @@ let join_node t node =
   if node < 0 || node >= Placement.nodes t.placement || t.member.(node) then false
   else begin
     Log.info (fun m -> m "node %d joined at t=%.0fus" node (now t));
-    Metrics.beacon t.metrics "node-join";
+    Metrics.incr t.metrics Node_join;
     Option.iter (fun tr -> Trace.instant ~node ~ts:(now t) tr "join") t.tracer;
     t.member.(node) <- true;
     t.draining.(node) <- false;
@@ -719,7 +715,6 @@ let join_node t node =
     Server.revive t.workers.(node);
     Server.revive t.services.(node);
     t.membership_version <- t.membership_version + 1;
-    t.join_count <- t.join_count + 1;
     t.rebalance_started <- now t;
     kick_rebalancer t;
     true
@@ -752,7 +747,7 @@ let decommission_node t node =
   then false
   else begin
     Log.info (fun m -> m "node %d draining at t=%.0fus" node (now t));
-    Metrics.beacon t.metrics "node-decommission";
+    Metrics.incr t.metrics Node_decommission;
     Option.iter (fun tr -> Trace.instant ~node ~ts:(now t) tr "decommission") t.tracer;
     t.draining.(node) <- true;
     t.membership_version <- t.membership_version + 1;
@@ -764,7 +759,7 @@ let decommission_node t node =
 let fail_node t node =
   if t.node_alive.(node) then (
     Log.warn (fun m -> m "node %d failed at t=%.0fus" node (now t));
-    Metrics.beacon t.metrics "node-crash";
+    Metrics.incr t.metrics Node_crash;
     Option.iter (fun tr -> Trace.instant ~node ~ts:(now t) tr "crash") t.tracer;
     t.node_alive.(node) <- false;
     Fault.mark_down t.fault node;
@@ -782,7 +777,7 @@ let fail_node t node =
        path. *)
     for part = 0 to parts - 1 do
       if t.remaster_inflight.(part) && t.remaster_target.(part) = node then begin
-        Metrics.beacon t.metrics "remaster-cancel";
+        Metrics.incr t.metrics Remaster_cancel;
         t.remaster_inflight.(part) <- false;
         if t.part_last_remaster.(part) = t.remaster_started_at.(part) then
           t.part_last_remaster.(part) <- t.remaster_prev.(part);
@@ -806,7 +801,7 @@ let fail_node t node =
                   (fun n -> t.node_alive.(n))
                   (Placement.secondaries t.placement part))
         then (
-          Metrics.beacon t.metrics "partition-parked";
+          Metrics.incr t.metrics Partition_parked;
           t.part_available.(part) <- infinity))
     done;
     for part = 0 to parts - 1 do
@@ -817,7 +812,7 @@ let fail_node t node =
         | [] ->
             (* No surviving replica: unavailable until the node
                recovers with its (stale but only) copy. *)
-            Metrics.beacon t.metrics "partition-parked";
+            Metrics.incr t.metrics Partition_parked;
             t.part_available.(part) <- infinity
         | _ :: _ ->
             block_partition t part (now t +. Config.election_delay);
@@ -829,7 +824,7 @@ let fail_node t node =
                       (Placement.secondaries t.placement part)
                   with
                   | winner :: _ when Placement.primary t.placement part = node ->
-                      Metrics.beacon t.metrics "election-promote";
+                      Metrics.incr t.metrics Election_promote;
                       Placement.remaster t.placement ~part ~node:winner;
                       (* Election includes catching the winner up from the
                          surviving quorum's logs. *)
@@ -856,7 +851,7 @@ let fail_node t node =
                   && (not t.node_alive.(node))
                   && Placement.has_secondary t.placement ~part ~node
                 then (
-                  Metrics.beacon t.metrics "phantom-purge";
+                  Metrics.incr t.metrics Phantom_purge;
                   drop_secondary t ~part ~node)))
     done;
     (* A failure consumed replicas: the elastic rebalancer (when
@@ -866,7 +861,7 @@ let fail_node t node =
 let recover_node t node =
   if t.member.(node) && not t.node_alive.(node) then (
     Log.info (fun m -> m "node %d recovered at t=%.0fus" node (now t));
-    Metrics.beacon t.metrics "node-recover";
+    Metrics.incr t.metrics Node_recover;
     Option.iter (fun tr -> Trace.instant ~node ~ts:(now t) tr "recover") t.tracer;
     (* The rejoining node is a new incarnation of the slot: bump its
        epoch first, so every stream opened before the crash is
@@ -886,7 +881,7 @@ let recover_node t node =
     if not t.reintroduce_phantom_secondary then
       for part = 0 to parts - 1 do
         if Placement.has_secondary t.placement ~part ~node then begin
-          Metrics.beacon t.metrics "rejoin-purge";
+          Metrics.incr t.metrics Rejoin_purge;
           drop_secondary t ~part ~node;
           Metrics.incr t.metrics Replica_purges
         end
@@ -900,7 +895,7 @@ let recover_node t node =
     for part = 0 to parts - 1 do
       if Placement.has_primary t.placement ~part ~node && t.part_available.(part) = infinity
       then begin
-        Metrics.beacon t.metrics "orphan-resync";
+        Metrics.incr t.metrics Orphan_resync;
         (* The orphaned primary rejoins with a stale copy: resync the
            unacknowledged log suffix through the replication model —
            the same lagging-log rule [try_begin_remaster] applies —
@@ -918,8 +913,6 @@ let recover_node t node =
       end
     done;
     kick_rebalancer t)
-
-let reset_load_counters t = Array.iter Server.reset_counters t.workers
 
 let submit_local t ?(on_fail = fun () -> ()) ?prio ~node ~work k =
   if t.node_alive.(node) then
@@ -1025,8 +1018,6 @@ let create ?(seed = 1) ?tracer ?history cfg =
       access_peak = { hottest = 0.0 };
       node_alive = Array.init slots (fun n -> n < cfg.Config.nodes);
       part_last_remaster = Array.make parts neg_infinity;
-      remaster_count = 0;
-      replica_add_count = 0;
       migration_count = 0;
       remaster_inflight = Array.make parts false;
       resync_inflight = Hashtbl.create 64;
@@ -1046,7 +1037,6 @@ let create ?(seed = 1) ?tracer ?history cfg =
       node_epoch = Array.make slots 0;
       primary_term = Array.make parts 0;
       membership_version = 0;
-      join_count = 0;
       decommission_count = 0;
       rebalance_migrations = 0;
       rebalance_running = false;

@@ -50,8 +50,6 @@ type t = {
   part_last_remaster : float array;
       (** start time of each partition's most recent remaster, enforcing
           [Config.remaster_cooldown] against ping-pong *)
-  mutable remaster_count : int;
-  mutable replica_add_count : int;
   mutable migration_count : int;
   mutable remaster_inflight : bool array;
       (** per-partition flag to serialise concurrent remaster attempts
@@ -84,7 +82,6 @@ type t = {
           (failover election or remaster) *)
   mutable membership_version : int;
       (** bumped on every join, decommission and failover *)
-  mutable join_count : int;
   mutable decommission_count : int;  (** completed (fully drained) removals *)
   mutable rebalance_migrations : int;
       (** replica installs initiated by the background rebalancer *)
@@ -168,9 +165,10 @@ val try_begin_remaster : t -> part:int -> node:int -> bool
     fall back to 2PC) or if [node] holds no replica. On success the
     partition blocks for [cfg.remaster_delay]; at the end the placement
     is updated and lagging-log bytes are charged to the network.
-    [remaster_count] and the [remaster_cooldown] stamp are only charged
-    when the transfer actually completes — a target dying mid-flight
-    rolls the cooldown back so the partition can retry immediately
+    [Metrics.Remaster_complete] counts the transfer, and the
+    [remaster_cooldown] stamp stays, only when it actually completes —
+    a target dying mid-flight rolls the cooldown back so the partition
+    can retry immediately
     ([fail_node] cancels such transfers eagerly rather than waiting for
     the completion timer). With [Config.session_tagging], a handover
     whose lag ship predates the target's current incarnation is
@@ -296,8 +294,6 @@ val parked_partitions : t -> int list
 (** Partitions currently parked as unavailable (no live primary and no
     surviving copy to promote), ascending. Non-empty after a full drain
     with every node recovered is a liveness finding. *)
-
-val reset_load_counters : t -> unit
 
 val submit_local :
   t ->

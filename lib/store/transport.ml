@@ -279,7 +279,7 @@ let rec resync_replica (t : Cluster.t) ~part ~node ~tries ~backoff =
                  shipped range was computed against its previous
                  incarnation. Reject and restart with a fresh session. *)
               Metrics.incr t.metrics Stale_acks;
-              Metrics.beacon t.metrics "resync-stale";
+              Metrics.incr t.metrics Resync_stale;
               resync_replica t ~part ~node ~tries:(tries - 1) ~backoff
             end
             else begin
@@ -288,7 +288,7 @@ let rec resync_replica (t : Cluster.t) ~part ~node ~tries ~backoff =
                  exists — and not at all on an untagged stale ship. *)
               Replication.ack_stream t.replication ~part ~node ~upto:goal ~stale
                 ~reject:false;
-              Metrics.beacon t.metrics "resync-apply";
+              Metrics.incr t.metrics Resync_apply;
               t.resync_count <- t.resync_count + 1;
               (* More records may have landed while the suffix was in
                  flight: chase the tail before declaring victory. A

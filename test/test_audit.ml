@@ -259,7 +259,7 @@ let test_divergence_clean_after_crash_sweep () =
       ~nemesis:(Nemesis.crash ~node:1 ~downtime:400_000.0 ())
       ()
   in
-  Alcotest.(check bool) "some work committed" true (o.Drive.commits > 0);
+  Alcotest.(check bool) "some work committed" true (o.Drive.result.commits > 0);
   Alcotest.(check bool) "divergence clean" true (Divergence.clean o.Drive.divergence);
   Alcotest.(check bool) "serializable" true (Checker.serializable o.Drive.check)
 
@@ -283,18 +283,18 @@ let rejoin_drive cfg =
 
 let test_crash_rejoin_diverges_untagged () =
   let o = rejoin_drive Config.default in
-  Alcotest.(check bool) "some work committed" true (o.Drive.commits > 0);
+  Alcotest.(check bool) "some work committed" true (o.Drive.result.commits > 0);
   Alcotest.(check bool) "stale replica reproduced" true
     (List.exists
        (function Divergence.Stale_replica _ -> true | _ -> false)
        o.Drive.divergence.Divergence.findings);
-  Alcotest.(check int) "nothing rejected without tagging" 0 o.Drive.stale_rejections
+  Alcotest.(check int) "nothing rejected without tagging" 0 (Runner.count o.Drive.result Stale_acks)
 
 let test_crash_rejoin_clean_tagged () =
   let o = rejoin_drive { Config.default with Config.session_tagging = true } in
-  Alcotest.(check bool) "some work committed" true (o.Drive.commits > 0);
+  Alcotest.(check bool) "some work committed" true (o.Drive.result.commits > 0);
   Alcotest.(check bool) "audit clean" true (Drive.passed o);
-  Alcotest.(check bool) "stale streams rejected" true (o.Drive.stale_rejections > 0)
+  Alcotest.(check bool) "stale streams rejected" true (Runner.count o.Drive.result Stale_acks > 0)
 
 (* --- nemesis / drive properties --- *)
 
@@ -331,7 +331,7 @@ let prop_recording_off_bit_identical =
             { Runner.quick with Runner.warmup = 0.2; duration = 0.8 }
         in
         (r.Runner.commits, r.Runner.aborts, r.Runner.timeouts, r.Runner.retries,
-         r.Runner.drops, r.Runner.p95)
+         Runner.count r Drops, r.Runner.p95)
       in
       run None = run (Some (History.create ())))
 
@@ -354,7 +354,7 @@ let prop_every_protocol_audits_clean =
               ~nemesis:(Nemesis.crash ~node:1 ~downtime:300_000.0 ())
               ()
           in
-          if not (Drive.passed o && o.Drive.commits > 0) then
+          if not (Drive.passed o && o.Drive.result.commits > 0) then
             QCheck.Test.fail_reportf "%s failed the audit:@ %a" p.id Drive.pp_outcome o)
         Protocols.all;
       true)

@@ -181,7 +181,8 @@ let test_read_at_secondary_serves_locally () =
   Alcotest.(check bool) "committed" true !done_;
   Alcotest.(check int) "single node without promotion" 1
     (Metrics.count cl.Cluster.metrics Single_node_commits);
-  Alcotest.(check int) "no remaster happened" 0 cl.Cluster.remaster_count
+  Alcotest.(check int) "no remaster happened" 0
+    (Metrics.count cl.Cluster.metrics Remaster_complete)
 
 let test_read_at_secondary_writes_still_promote () =
   let cl = Cluster.create ~seed:1 small_cfg in
@@ -191,7 +192,8 @@ let test_read_at_secondary_writes_still_promote () =
   proto.Proto.submit t ~on_done:(fun () -> done_ := true);
   Engine.run_until cl.Cluster.engine (Engine.seconds 1.0);
   Alcotest.(check bool) "committed" true !done_;
-  Alcotest.(check bool) "write path still remasters" true (cl.Cluster.remaster_count > 0)
+  Alcotest.(check bool) "write path still remasters" true
+    (Metrics.count cl.Cluster.metrics Remaster_complete > 0)
 
 (* --- planner --- *)
 

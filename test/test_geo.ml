@@ -148,7 +148,7 @@ let epoch_drive nemesis =
 
 let test_epoch_audit_crash () =
   let o = epoch_drive (Nemesis.crash ~node:1 ~downtime:400_000.0 ()) in
-  Alcotest.(check bool) "some work committed" true (o.Drive.commits > 0);
+  Alcotest.(check bool) "some work committed" true (o.Drive.result.commits > 0);
   Alcotest.(check bool) "audit passed" true (Drive.passed o)
 
 let test_epoch_audit_partition () =
@@ -156,7 +156,7 @@ let test_epoch_audit_partition () =
     epoch_drive
       (Nemesis.partition_primary_from_majority ~node:0 ~duration:800_000.0 ~nodes:4 ())
   in
-  Alcotest.(check bool) "some work committed" true (o.Drive.commits > 0);
+  Alcotest.(check bool) "some work committed" true (o.Drive.result.commits > 0);
   Alcotest.(check bool) "audit passed" true (Drive.passed o)
 
 let test_epoch_geo_commits_over_wan () =
@@ -169,7 +169,7 @@ let test_epoch_geo_commits_over_wan () =
       { Runner.quick with Runner.warmup = 0.5; duration = 1.0 }
   in
   Alcotest.(check bool) "commits" true (r.Runner.commits > 0);
-  Alcotest.(check bool) "wan traffic" true (r.Runner.wan_messages > 0)
+  Alcotest.(check bool) "wan traffic" true (Runner.count r Wan_messages > 0)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 

@@ -106,21 +106,14 @@ let test_result_rows_width () =
       replica_adds = 0;
       timeouts = 0;
       retries = 0;
-      drops = 0;
       sheds = 0;
-      breaker_rejects = 0;
-      breaker_opens = 0;
-      budget_denials = 0;
       deadline_giveups = 0;
-      deadline_misses = 0;
-      stale_ack_rejections = 0;
       availability = [||];
       unavail_seconds = 0.0;
       time_to_recover = infinity;
       goodput_under_fault = 0.0;
       engine_events = 0;
-      wan_bytes = 0;
-      wan_messages = 0;
+      counters = Lion_sim.Metrics.(snapshot (create (Lion_sim.Engine.create ())));
     }
   in
   let header, rows = Export.result_rows [ ("x", r) ] in

@@ -99,7 +99,7 @@ let test_metastable_shape () =
       Alcotest.(check bool) "protected sheds the backlog" true
         (prot.Overload.result.Runner.deadline_giveups > 0);
       Alcotest.(check bool) "unprotected commits go stale instead" true
-        (unprot.Overload.result.Runner.deadline_misses > 0)
+        (Runner.count unprot.Overload.result Deadline_misses > 0)
   | _ -> Alcotest.fail "metastable_pair returned wrong arity"
 
 let test_budget_wins_past_saturation () =

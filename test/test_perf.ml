@@ -146,6 +146,25 @@ let test_gate_catches_speedup_loss () =
          contains 0)
        failures)
 
+(* The speedup gate in each shape of run: both engine probes (gated),
+   neither, as under [--only] (a note, no failure), and one alone
+   (a failure: the ratio cannot be computed). *)
+let test_drain_speedup_shapes () =
+  let store = [ sample_result "store_versions" ~events:0 ~txns:0 ~p50:1.0e6 ~words:0.0 ] in
+  let failures current =
+    snd (Report.compare_against ~baseline:current ~current ~wall_gates:true)
+  in
+  let both = drain_pair ~speedup:4.0 in
+  Alcotest.(check (list string)) "both probes: gated and passing" [] (failures both);
+  let notes, fails = Report.compare_against ~baseline:store ~current:store ~wall_gates:true in
+  Alcotest.(check (list string)) "neither probe: no failure" [] fails;
+  Alcotest.(check bool) "neither probe: noted" true
+    (List.mem "drain speedup not gated: neither engine_drain nor engine_drain_seed ran" notes);
+  let one = List.filter (fun (r : Scenario.result) -> r.Scenario.name = "engine_drain") both in
+  Alcotest.(check (list string)) "one probe: fails"
+    [ "cannot compute drain speedup: engine_drain(_seed) missing" ]
+    (failures (one @ store))
+
 let test_wall_gate_calibrates_machine_speed () =
   let baseline = drain_pair ~speedup:4.0 in
   (* Same program on a machine 2.5x slower: every scenario's p50 grows
@@ -212,6 +231,7 @@ let () =
             test_gate_catches_speedup_loss;
           Alcotest.test_case "machine-speed calibration" `Quick
             test_wall_gate_calibrates_machine_speed;
+          Alcotest.test_case "drain speedup by run shape" `Quick test_drain_speedup_shapes;
         ] );
       ( "scenario",
         [ Alcotest.test_case "measure smoke" `Quick test_scenario_measure_smoke ] );

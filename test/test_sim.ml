@@ -198,30 +198,6 @@ let test_server_queue_length () =
   Engine.run_all e ();
   Alcotest.(check int) "drained" 0 (Server.queue_length s)
 
-let test_server_utilization () =
-  let e = Engine.create () in
-  let s = Server.create e ~capacity:2 in
-  Server.submit s ~work:10.0 (fun () -> ());
-  Engine.run_all e ();
-  Alcotest.(check (float 1e-9)) "half utilized" 0.5
-    (Server.utilization s ~since:0.0 ~now:10.0)
-
-let test_server_utilization_window () =
-  (* A lease held across [reset_counters] must charge only its
-     post-reset span to the new window — the cross-window attribution
-     bug made utilization read above 1. *)
-  let e = Engine.create () in
-  let s = Server.create e ~capacity:1 in
-  let held = ref None in
-  Server.acquire s (fun lease -> held := Some lease);
-  Engine.schedule e ~delay:10.0 (fun () -> Server.reset_counters s);
-  Engine.schedule e ~delay:30.0 (fun () ->
-      match !held with Some l -> Server.release s l | None -> ());
-  Engine.run_all e ();
-  Alcotest.(check (float 1e-9)) "post-reset span only" 20.0 (Server.busy_time s);
-  Alcotest.(check (float 1e-9)) "utilization capped at window" 1.0
-    (Server.utilization s ~since:10.0 ~now:30.0)
-
 let test_server_bounded_queue_rejects_newest () =
   let e = Engine.create () in
   let global = ref 0 in
@@ -469,7 +445,8 @@ let test_fault_dropped_message_still_charged () =
   let f =
     Fault.create ~nodes:2 [ Fault.drop ~prob:1.0 ~from_:0.0 ~until:1e9 () ]
   in
-  let n = Network.create ~fault:f e in
+  let m = Metrics.create e in
+  let n = Network.create ~fault:f ~metrics:m e in
   let delivered = ref false and dropped = ref false in
   Network.send n ~src:0 ~dst:1 ~bytes:700
     ~on_drop:(fun () -> dropped := true)
@@ -478,7 +455,7 @@ let test_fault_dropped_message_still_charged () =
   Alcotest.(check bool) "never delivered" false !delivered;
   Alcotest.(check bool) "on_drop fired" true !dropped;
   Alcotest.(check int) "bytes still charged" 700 (Network.total_bytes n);
-  Alcotest.(check int) "drop counted" 1 (Network.drops n)
+  Alcotest.(check int) "drop counted" 1 (Metrics.count m Drops)
 
 let test_fault_send_to_dead_node_drops () =
   let e = Engine.create () in
@@ -653,7 +630,16 @@ let test_metrics_counter_table () =
   Alcotest.(check (list int)) "reset zeroes every counter" zeros (counts ());
   let names = List.map Metrics.name Metrics.all in
   Alcotest.(check int) "names pairwise distinct" (List.length names)
-    (List.length (List.sort_uniq String.compare names))
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun c ->
+      let n = Metrics.name c in
+      match Metrics.signal c with
+      | None -> ()
+      | Some s ->
+          Alcotest.(check bool) (n ^ " signal is m: or b: and its name") true
+            (s = "m:" ^ n || s = "b:" ^ n))
+    Metrics.all
 
 (* A late commit counts itself as a deadline miss and stays out of the
    goodput series. *)
@@ -772,7 +758,8 @@ let prop_send_inert_plan_matches_walk =
         let e = Engine.create () in
         let f = Fault.create ~nodes:4 plan in
         if down >= 0 then Fault.mark_down f down;
-        let n = Network.create ~fault:f e in
+        let m = Metrics.create e in
+        let n = Network.create ~fault:f ~metrics:m e in
         let log = ref [] in
         List.iteri
           (fun i (at, src, dst, bytes) ->
@@ -782,7 +769,7 @@ let prop_send_inert_plan_matches_walk =
                   (fun () -> log := (`Deliver, i, Engine.now e) :: !log)))
           sends;
         Engine.run_all e ();
-        (List.rev !log, Network.drops n, Fault.drops f)
+        (List.rev !log, Metrics.count m Drops)
       in
       run Fault.none
       = run [ Fault.drop ~prob:0.5 ~from_:1e12 ~until:2e12 () ])
@@ -853,9 +840,6 @@ let () =
             test_server_lease_busy_time_includes_wait;
           Alcotest.test_case "double release raises" `Quick test_server_double_release_raises;
           Alcotest.test_case "queue length" `Quick test_server_queue_length;
-          Alcotest.test_case "utilization" `Quick test_server_utilization;
-          Alcotest.test_case "utilization window attribution" `Quick
-            test_server_utilization_window;
           Alcotest.test_case "bounded queue rejects newest" `Quick
             test_server_bounded_queue_rejects_newest;
           Alcotest.test_case "CoDel sheds standing queue" `Quick

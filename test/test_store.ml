@@ -724,6 +724,8 @@ let test_last_partition_like_first () =
 
 let mk_cluster ?(cfg = Config.default) () = Cluster.create ~seed:5 cfg
 
+let remasters_done cl = Lion_sim.Metrics.count cl.Cluster.metrics Remaster_complete
+
 let test_cluster_shape () =
   let cl = mk_cluster () in
   Alcotest.(check int) "nodes" 4 (Cluster.node_count cl);
@@ -737,7 +739,7 @@ let test_remaster_blocks_partition () =
   Alcotest.(check bool) "partition blocked" true (Cluster.partition_wait cl part > 0.0);
   Engine.run_all cl.Cluster.engine ();
   Alcotest.(check int) "primary moved" target (Placement.primary cl.Cluster.placement part);
-  Alcotest.(check int) "counted" 1 cl.Cluster.remaster_count
+  Alcotest.(check int) "counted" 1 (remasters_done cl)
 
 let test_remaster_conflict_refused () =
   let cl = mk_cluster () in
@@ -1220,7 +1222,7 @@ let test_failed_remaster_keeps_cooldown () =
   Cluster.fail_node cl 1;
   Engine.run_all cl.Cluster.engine ();
   Alcotest.(check int) "primary unchanged" 0 (Placement.primary cl.Cluster.placement 0);
-  Alcotest.(check int) "not counted" 0 cl.Cluster.remaster_count;
+  Alcotest.(check int) "not counted" 0 (remasters_done cl);
   Alcotest.(check bool) "cooldown not burned" true
     (Cluster.try_begin_remaster cl ~part:0 ~node:2)
 
@@ -1245,7 +1247,7 @@ let test_remaster_during_partition () =
   Alcotest.(check int) "primary unchanged" 0 (Placement.primary cl.Cluster.placement 0);
   Alcotest.(check bool) "target still a secondary, not a second primary" true
     (Placement.has_secondary cl.Cluster.placement ~part:0 ~node:1);
-  Alcotest.(check int) "not counted" 0 cl.Cluster.remaster_count;
+  Alcotest.(check int) "not counted" 0 (remasters_done cl);
   (* Healed: the retry is admitted immediately — the failed attempt did
      not burn the partition's remaster cooldown. *)
   Alcotest.(check bool) "cooldown not burned" true
@@ -1468,7 +1470,7 @@ let test_remaster_cancelled_when_target_dies () =
     (Cluster.try_begin_remaster cl ~part:0 ~node:2);
   Engine.run_all cl.Cluster.engine ();
   Alcotest.(check int) "retry promoted" 2 (Placement.primary cl.Cluster.placement 0);
-  Alcotest.(check int) "only the retry counted" 1 cl.Cluster.remaster_count
+  Alcotest.(check int) "only the retry counted" 1 (remasters_done cl)
 
 let prop_membership_interleaving =
   QCheck.Test.make
