@@ -74,7 +74,7 @@ type counter =
   | Remaster_complete  (** leader transfers that completed *)
   | Replica_adds  (** secondary installs that completed *)
   | Batch_promotions  (** primaries a batch epoch moved (Lion batch mode) *)
-  (* Code-path waypoints, each counted where the cluster passes it: *)
+  (* Code-path waypoints: each counts the times a run passed it. *)
   | Remaster_stale_refuse  (** handover refused: the target rejoined *)
   | Remaster_abandon  (** transfer abandoned: target dead or lag ship lost *)
   | Remaster_cancel  (** in-flight transfer cancelled by the target's crash *)
