@@ -426,6 +426,77 @@ let test_reservoir_large_approximates () =
   Alcotest.(check bool) "p50 near 50000" true (Float.abs (p50 -. 50_000.0) < 5_000.0);
   Alcotest.(check int) "count tracks all" 100_000 (Stats.Reservoir.count r)
 
+(* A reference reservoir: the same Algorithm R over its own copy of the
+   seeded stream, read through a polymorphic [Array.sort compare] of
+   the retained samples. *)
+type ref_reservoir = {
+  cap : int;
+  kept : float array;
+  mutable filled : int;
+  mutable seen : int;
+  ref_rng : Rng.t;
+}
+
+let ref_add m x =
+  m.seen <- m.seen + 1;
+  if m.filled < m.cap then (
+    m.kept.(m.filled) <- x;
+    m.filled <- m.filled + 1)
+  else (
+    let j = Rng.int m.ref_rng m.seen in
+    if j < m.cap then m.kept.(j) <- x)
+
+let ref_percentile m p =
+  if m.filled = 0 then 0.0
+  else (
+    let sorted = Array.sub m.kept 0 m.filled in
+    Array.sort compare sorted;
+    Stats.percentile_of_sorted sorted p)
+
+let ranks = [ 0.0; 1.0; 25.0; 50.0; 75.0; 90.0; 95.0; 99.0; 99.9; 100.0 ]
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Duplicates, both zeros, NaNs of both signs and infinities, through
+   overflowing capacities and resets: every rank read from the reservoir
+   equals the reference bit for bit. *)
+let test_reservoir_matches_reference =
+  let sample =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl [ 0.0; -0.0; Float.nan; -.Float.nan; 1.0; 2.0; infinity; neg_infinity ];
+          map float_of_int (int_range (-3) 3);
+          float_range (-1e3) 1e3;
+        ])
+  in
+  let action = QCheck.Gen.(frequency [ (30, map Option.some sample); (1, return None) ]) in
+  QCheck.Test.make ~name:"reservoir percentiles equal the sort-compare reference" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (cap, seed, xs) ->
+          Printf.sprintf "cap=%d seed=%d %s" cap seed
+            (String.concat " "
+               (List.map (function None -> "reset" | Some x -> Printf.sprintf "%h" x) xs)))
+        Gen.(triple (int_range 1 48) (int_range 0 1000) (list_size (int_range 0 200) action)))
+    (fun (cap, seed, xs) ->
+      let r = Stats.Reservoir.create ~capacity:cap (Rng.create seed) in
+      let m = { cap; kept = Array.make cap 0.0; filled = 0; seen = 0; ref_rng = Rng.create seed } in
+      let agrees () =
+        List.for_all (fun p -> same_bits (ref_percentile m p) (Stats.Reservoir.percentile r p)) ranks
+      in
+      List.for_all
+        (fun x ->
+          (match x with
+          | Some x ->
+              Stats.Reservoir.add r x;
+              ref_add m x
+          | None ->
+              Stats.Reservoir.reset r;
+              m.filled <- 0;
+              m.seen <- 0);
+          agrees ())
+        xs)
+
 let test_cosine_similarity () =
   Alcotest.(check (float 1e-9)) "identical" 1.0
     (Stats.cosine_similarity [| 1.0; 2.0 |] [| 2.0; 4.0 |]);
@@ -588,6 +659,7 @@ let () =
           Alcotest.test_case "cosine similarity" `Quick test_cosine_similarity;
           Alcotest.test_case "mean_of" `Quick test_stats_mean_of;
         ] );
+      qsuite "stats-props" [ test_reservoir_matches_reference ];
       ( "timeseries",
         [
           Alcotest.test_case "bucketing" `Quick test_timeseries_bucketing;

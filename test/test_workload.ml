@@ -355,6 +355,42 @@ let test_dynamic_nonoverlapping_hotspots () =
   Alcotest.(check bool) "mostly disjoint" true
     (List.length overlap <= 2 + (List.length p0 / 4))
 
+(* --- stream fingerprints --- *)
+
+(* FNV-style fold of the first [n] transactions a generator yields: id,
+   every operation (key and kind) and the partition list. A change to a
+   draw, its order or the parts computation moves the digest. *)
+let fingerprint gen n =
+  let h = ref 0x84222325 in
+  let mix x = h := (!h lxor x) * 0x100000001b3 in
+  for _ = 1 to n do
+    let t = gen ~time:0.0 in
+    mix t.Txn.id;
+    Array.iter (fun op -> mix (op : Txn.op :> int)) t.Txn.ops;
+    mix (-1);
+    List.iter mix t.Txn.parts;
+    mix (-2)
+  done;
+  Printf.sprintf "%016x" !h
+
+(* The first 100k transactions of each stream the benchmark cells and
+   the compare goldens draw, pinned as digests: a generator rewrite
+   must leave every one unchanged. *)
+let test_stream_fingerprints () =
+  let cfg = Lion_store.Config.default in
+  let ycsb ~skew ~cross seed = Lion_harness.Workloads.ycsb ~seed ~skew ~cross cfg in
+  let tpcc seed = Lion_harness.Workloads.tpcc ~seed ~skew:0.8 ~cross:0.5 cfg in
+  List.iter
+    (fun (name, gen, want) -> Alcotest.(check string) name want (fingerprint gen 100_000))
+    [
+      ("ycsb skewed seed 1", ycsb ~skew:0.8 ~cross:0.5 1, "5a544d4a75c54446");
+      ("ycsb skewed seed 7", ycsb ~skew:0.8 ~cross:0.5 7, "5c36a8a4bcddacb9");
+      ("ycsb uniform all-cross seed 1", ycsb ~skew:0.0 ~cross:1.0 1, "4df86a2a25a4a188");
+      ("ycsb uniform all-cross seed 7", ycsb ~skew:0.0 ~cross:1.0 7, "498eb283b909ccfb");
+      ("tpcc seed 1", tpcc 1, "47b59fe51d13e21f");
+      ("tpcc seed 11", tpcc 11, "7e1faf0ebe268164");
+    ]
+
 (* --- property tests --- *)
 
 let prop_ycsb_keys_in_bounds =
@@ -432,6 +468,7 @@ let () =
           Alcotest.test_case "ids increment" `Quick test_ycsb_ids_increment;
           Alcotest.test_case "set_params switches" `Quick test_ycsb_set_params_switches;
           Alcotest.test_case "workload mixes" `Quick test_ycsb_workload_mixes;
+          Alcotest.test_case "stream fingerprints" `Quick test_stream_fingerprints;
         ] );
       ( "tpcc",
         [
