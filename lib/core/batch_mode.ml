@@ -27,33 +27,38 @@ let create_with_planner ?name ?(seed = 31) ?(config = Planner.default_config) cl
     let routed = Array.map (fun txn -> Router.route router txn) txns in
     let claims = Hashtbl.create 64 in
     let wants_remaster = Array.make (Array.length txns) false in
+    (* A transaction wants a remaster when its node holds a replica of
+       every partition it touches but not the primary of at least one,
+       and no other node has claimed a primary it lacks; it then claims
+       them all. Nothing is built unless it claims. *)
+    let rec all_replicas node = function
+      | [] -> true
+      | part :: rest -> Placement.has_replica placement ~part ~node && all_replicas node rest
+    in
+    let rec claimable node wanted = function
+      | [] -> wanted
+      | part :: rest when Placement.has_primary placement ~part ~node -> claimable node wanted rest
+      | part :: rest -> (
+          match Hashtbl.find claims part with
+          | owner -> owner = node && claimable node true rest
+          | exception Not_found -> claimable node true rest)
+    in
+    let rec claim node = function
+      | [] -> ()
+      | part :: rest ->
+          if not (Placement.has_primary placement ~part ~node) then
+            Hashtbl.replace claims part node;
+          claim node rest
+    in
     Array.iteri
       (fun i txn ->
         Planner.observe planner txn;
         Batch_util.touch cl txn;
         let node = routed.(i) in
-        let missing =
-          List.exists
-            (fun part -> not (Placement.has_replica placement ~part ~node))
-            txn.Txn.parts
-        in
-        if not missing then (
-          let needed =
-            List.filter
-              (fun part -> not (Placement.has_primary placement ~part ~node))
-              txn.Txn.parts
-          in
-          let all_claimable =
-            List.for_all
-              (fun part ->
-                match Hashtbl.find_opt claims part with
-                | Some n -> n = node
-                | None -> true)
-              needed
-          in
-          if all_claimable && needed <> [] then (
-            List.iter (fun part -> Hashtbl.replace claims part node) needed;
-            wants_remaster.(i) <- true)))
+        let parts = txn.Txn.parts in
+        if all_replicas node parts && claimable node false parts then (
+          claim node parts;
+          wants_remaster.(i) <- true))
       txns;
     (* Apply the winning promotions; their network delays overlap into
        a single barrier (§IV-D). *)
@@ -74,18 +79,16 @@ let create_with_planner ?name ?(seed = 31) ?(config = Planner.default_config) cl
        conflicts among overlapping executions restart within the epoch
        (double work), they do not re-queue. *)
     let window = 4 * Config.total_workers cfg in
-    let ok =
-      Batch.conflict_verdicts ~window ~granule:(fun k -> (k :> int)) txns
+    let ok = Batch.conflict_verdicts ~window txns in
+    let rec all_primaries node = function
+      | [] -> true
+      | part :: rest -> Placement.has_primary placement ~part ~node && all_primaries node rest
     in
     let verdicts =
       Array.mapi
         (fun i txn ->
           let node = routed.(i) in
-          let single =
-            List.for_all
-              (fun part -> Placement.has_primary placement ~part ~node)
-              txn.Txn.parts
-          in
+          let single = all_primaries node txn.Txn.parts in
           let work = Batch_util.ops_work txn in
           node_busy.(node) <-
             node_busy.(node) +. (if ok.(i) then work else 2.0 *. work);

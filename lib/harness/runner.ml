@@ -149,16 +149,20 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
       in
       (* Closed-loop clients: each submits its next transaction the
          moment the previous one finishes, so the offered load tracks
-         the system's own pace and can never run away from it. Only
-         the quiesce shape pays a horizon check per transaction. *)
-      let issue next =
-        let txn = gen ~time:(Engine.now engine) in
-        proto.Proto.submit txn ~on_done:(fun () ->
-            Engine.schedule engine ~delay:0.0 next)
+         the system's own pace and can never run away from it. A
+         client's completion callback is built once, not per
+         transaction. Only the quiesce shape pays a horizon check per
+         transaction. *)
+      let client () =
+        let rec on_done () = Engine.schedule engine ~delay:0.0 next
+        and issue () = proto.Proto.submit (gen ~time:(Engine.now engine)) ~on_done
+        and next () =
+          match rc.stop with
+          | Forever -> issue ()
+          | Quiesce _ -> if Engine.now engine < horizon then issue ()
+        in
+        next ()
       in
-      let rec forever () = issue forever in
-      let rec bounded () = if Engine.now engine < horizon then issue bounded in
-      let client = match rc.stop with Forever -> forever | Quiesce _ -> bounded in
       for _ = 1 to clients do
         client ()
       done
@@ -215,6 +219,7 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
   | Some t, Some s -> s.emit t
   | _ -> ());
   let throughput = float_of_int commits /. rc.duration in
+  let pct = Metrics.latency_percentiles metrics [| 50.0; 75.0; 90.0; 95.0; 99.0 |] in
   {
     throughput;
     (* Goodput discounts commits that landed past their deadline: the
@@ -229,11 +234,11 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
           float_of_int !measured_arrivals /. rc.duration);
     commits;
     aborts = get Aborts;
-    p50 = Metrics.latency_percentile metrics 50.0;
-    p75 = Metrics.latency_percentile metrics 75.0;
-    p90 = Metrics.latency_percentile metrics 90.0;
-    p95 = Metrics.latency_percentile metrics 95.0;
-    p99 = Metrics.latency_percentile metrics 99.0;
+    p50 = pct.(0);
+    p75 = pct.(1);
+    p90 = pct.(2);
+    p95 = pct.(3);
+    p99 = pct.(4);
     mean_latency = Metrics.mean_latency metrics;
     single_node_ratio =
       (if commits = 0 then 0.0

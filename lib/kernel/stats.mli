@@ -29,13 +29,21 @@ module Reservoir : sig
   val count : t -> int
   (** Total number of samples offered, not just those retained. *)
 
+  val percentiles : t -> float array -> float array
+  (** [percentiles t [| 50.0; 99.0 |]] — each rank by linear
+      interpolation between order statistics, from one sort of the
+      retained samples; 0 for every rank if empty. *)
+
   val percentile : t -> float -> float
-  (** [percentile t 95.0] — linear interpolation between order
-      statistics; 0 if empty. *)
+  (** One rank of [percentiles]. *)
 
   val mean : t -> float
   val reset : t -> unit
 end
+
+val sort_floats : float array -> unit
+(** Sorts in place into exactly the order [Array.sort compare] gives,
+    the placement of equal elements (0.0 and -0.0, NaNs) included. *)
 
 val percentile_of_sorted : float array -> float -> float
 (** [percentile_of_sorted sorted p] with [p] in [0,100]. *)

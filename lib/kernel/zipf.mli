@@ -18,5 +18,14 @@ val create : n:int -> theta:float -> t
 val sample : t -> Rng.t -> int
 (** Draw one value in [0, n). Rank 0 is the most popular item. *)
 
+val scaled_pow25 : ?margin:float -> float -> float -> float
+(** [scaled_pow25 scale b] truncates ([int_of_float]) to the same
+    integer as [scale *. Float.pow b 2.5], for [b] in [0, 1] and
+    [scale] a positive integer, at about a third of the cost: it is
+    [scale *. (b *. b *. sqrt b)] unless that lies within
+    [margin *. v] (default 1e-13) of an integer, and [Float.pow]'s
+    value otherwise. [sample] uses it when the exponent is 2.5
+    (theta = 0.6). *)
+
 val n : t -> int
 val theta : t -> float

@@ -8,7 +8,8 @@
      their ratio is the tracked speedup, and the seed scenario doubles
      as a machine-speed probe for cross-machine baseline comparison),
      plus [network_storm] and [metrics_record] for the two per-event
-     service layers, and [store_versions] for the store's OCC sessions;
+     service layers, [store_versions] for the store's OCC sessions, and
+     [ycsb_gen] for the YCSB generator every cell draws from;
    - end-to-end: one small uniform-YCSB cell per protocol family
      ([ycsb_2pc], [ycsb_star], [ycsb_lion]), where simulated txns/sec
      is the headline number, plus [ycsb_lion_standard], Lion's
@@ -213,6 +214,22 @@ let store_versions () =
     txns;
   (!ops, store_txns)
 
+(* ---- YCSB generation --------------------------------------------- *)
+
+(* The harness's own per-transaction work: [gen_draws] transactions
+   from a fresh skewed, half-cross YCSB generator (the [ycsb-lion]
+   benchmark cell's stream: Zipf 0.6 slots, ten operations, the
+   partition list), with no protocol behind them. Events are
+   transactions, so words/event is words per generated transaction. *)
+let gen_draws = 50_000
+
+let ycsb_gen () =
+  let gen = Workloads.ycsb ~skew:0.8 ~cross:0.5 Config.default in
+  for _ = 1 to gen_draws do
+    ignore (Sys.opaque_identity (gen ~time:0.0))
+  done;
+  (gen_draws, gen_draws)
+
 (* ---- end-to-end YCSB cells --------------------------------------- *)
 
 (* One small uniform-YCSB cell (all-distributed transactions, as in
@@ -339,6 +356,11 @@ let all : Scenario.spec list =
         Printf.sprintf "%d YCSB-shaped OCC sessions on a fresh store, 48 partitions"
           store_txns;
       run = store_versions;
+    };
+    {
+      name = "ycsb_gen";
+      descr = Printf.sprintf "%d skewed, half-cross YCSB transactions generated" gen_draws;
+      run = ycsb_gen;
     };
     {
       name = "ycsb_2pc";

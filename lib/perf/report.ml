@@ -10,8 +10,11 @@
    Gating against a committed baseline separates machine-independent
    metrics from wall-time ones:
 
-   - minor-words/event is a property of the compiled program, not the
-     machine: compared raw, > 30% growth fails.
+   - minor words are a property of the compiled program, not the
+     machine: compared raw, > 30% growth fails. Scenarios that count
+     transactions compare words per transaction, so a change that
+     removes events from a transaction is not read as a regression;
+     the others compare words per event.
    - the drain speedup (engine_drain vs engine_drain_seed events/sec,
      both measured in the same process) is a ratio of two runs on the
      same machine: compared raw against its floor (3x). A run with
@@ -119,6 +122,14 @@ let drain_speedup rs =
       Some (d.Scenario.events_per_sec /. s.Scenario.events_per_sec)
   | _ -> None
 
+(* Minor words per transaction, or per event when [per_txn] is false.
+   A run that commits nothing allocates infinitely much per
+   transaction. *)
+let alloc_rate ~per_txn (r : Scenario.result) =
+  if not per_txn then r.Scenario.minor_words_per_event
+  else if r.Scenario.txns_per_op = 0 then infinity
+  else r.Scenario.minor_words_per_op /. float_of_int r.Scenario.txns_per_op
+
 (* Returns failure messages; empty list = all gates pass. Scenarios
    present on only one side are reported but do not fail the gate —
    adding a scenario must not require regenerating every baseline
@@ -145,14 +156,16 @@ let compare_against ~baseline ~current ~wall_gates =
       match find b.Scenario.name current with
       | None -> note "scenario %s in baseline but not in current run" b.Scenario.name
       | Some c ->
-          if b.Scenario.events_per_op > 0 && b.Scenario.minor_words_per_event > 0.0
-          then (
-            let limit = (b.Scenario.minor_words_per_event *. alloc_slack) +. 0.5 in
-            if c.Scenario.minor_words_per_event > limit then
-              fail
-                "%s: minor-words/event %.2f exceeds baseline %.2f (+30%% slack)"
-                c.Scenario.name c.Scenario.minor_words_per_event
-                b.Scenario.minor_words_per_event);
+          (* The baseline's row decides the unit: per transaction when
+             it counts transactions. A row with no allocation (or no
+             events) is not gated. *)
+          let per_txn = b.Scenario.txns_per_op > 0 in
+          let base = alloc_rate ~per_txn b in
+          if base > 0.0 then (
+            let cur = alloc_rate ~per_txn c in
+            if cur > (base *. alloc_slack) +. 0.5 then
+              fail "%s: minor-words/%s %.2f exceeds baseline %.2f (+30%% slack)"
+                c.Scenario.name (if per_txn then "txn" else "event") cur base);
           if
             wall_gates
             && List.mem b.Scenario.name two_domain_scenarios

@@ -11,11 +11,7 @@ let create cl =
     (* Aria's reordering mechanism confines conflicts to transactions
        whose executions actually overlap; losers re-enter next epoch. *)
     let window = 4 * Lion_store.Config.total_workers cfg in
-    let ok =
-      Batch.conflict_verdicts ~include_raw:true ~window
-        ~granule:(fun k -> (k :> int))
-        txns
-    in
+    let ok = Batch.conflict_verdicts ~include_raw:true ~window txns in
     let verdicts =
       Array.mapi
         (fun i txn ->

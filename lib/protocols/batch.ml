@@ -71,7 +71,14 @@ module Granule_set = struct
     done
 end
 
-let conflict_verdicts ?(include_raw = false) ?window ?footprint ~granule txns =
+(* Without a footprint or a granule map (key-level OCC) both are a
+   branch per operation, not a closure call. *)
+let[@inline] participates in_footprint k = match in_footprint with None -> true | Some f -> f k
+
+let[@inline] granule_of granule k =
+  match granule with None -> (k : Kvstore.key :> int) | Some g -> g k
+
+let conflict_verdicts ?(include_raw = false) ?window ?footprint ?granule txns =
   let n = Array.length txns in
   let window = match window with Some w -> Stdlib.max 1 w | None -> n in
   let reserved = Granule_set.create () in
@@ -80,22 +87,23 @@ let conflict_verdicts ?(include_raw = false) ?window ?footprint ~granule txns =
     if i mod window = 0 then Granule_set.next_window reserved;
     let txn = txns.(i) in
     let ops = txn.Txn.ops in
-    let in_footprint = match footprint with None -> fun _ -> true | Some f -> f txn in
+    let in_footprint = match footprint with None -> None | Some f -> Some (f txn) in
     let doomed = ref false and j = ref 0 in
     while (not !doomed) && !j < Array.length ops do
       let op = ops.(!j) in
       (if include_raw || Txn.is_write op then
          let k = Txn.key_of op in
-         doomed := in_footprint k && Granule_set.mem reserved (granule k));
+         doomed := participates in_footprint k && Granule_set.mem reserved (granule_of granule k));
       incr j
     done;
     if !doomed then ok.(i) <- false
     else
-      Array.iter
-        (fun op ->
-          let k = Txn.key_of op in
-          if Txn.is_write op && in_footprint k then Granule_set.add reserved (granule k))
-        ops
+      for j = 0 to Array.length ops - 1 do
+        let op = ops.(j) in
+        let k = Txn.key_of op in
+        if Txn.is_write op && participates in_footprint k then
+          Granule_set.add reserved (granule_of granule k)
+      done
   done;
   ok
 
@@ -179,8 +187,8 @@ let record_history st ~now req (v : verdict) =
         ~outcome:(if v.committed then History.Committed else History.Aborted)
         ~ts:now
 
-let scale_phases phase_split latency =
-  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 phase_split in
+(* [total] is the sum of the split's weights, taken once per epoch. *)
+let scale_phases ~total phase_split latency =
   if total <= 0.0 then Metrics.phase_times ~execution:latency ()
   else
     let times = Metrics.phase_times () in
@@ -221,6 +229,7 @@ let rec start_epoch st =
     let duration =
       result.serial_time +. exec_time +. result.barrier_time +. epoch_commit_cost st.cl
     in
+    let phase_total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 result.phase_split in
     Engine.schedule st.cl.Cluster.engine ~delay:duration (fun () ->
         let now = Engine.now st.cl.Cluster.engine in
         let t0 = epoch_start in
@@ -241,7 +250,7 @@ let rec start_epoch st =
               let late = Config.misses_deadline cfg latency in
               Metrics.record_commit ~late st.cl.Cluster.metrics ~latency
                 ~single_node:v.single_node ~remastered:v.remastered
-                ~phases:(scale_phases result.phase_split latency);
+                ~phases:(scale_phases ~total:phase_total result.phase_split latency);
               emit_stages st req ~t0 ~t1 ~t2 ~t3 ~now;
               Trace.finish_txn ~ts:now ~ok:v.committed req.ctx;
               req.on_done ())

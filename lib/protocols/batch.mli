@@ -33,7 +33,7 @@ val conflict_verdicts :
   ?include_raw:bool ->
   ?window:int ->
   ?footprint:(Lion_workload.Txn.t -> Lion_store.Kvstore.key -> bool) ->
-  granule:(Lion_store.Kvstore.key -> int) ->
+  ?granule:(Lion_store.Kvstore.key -> int) ->
   Lion_workload.Txn.t array ->
   bool array
 (** First-reserver-wins conflict analysis within a batch: transaction i
@@ -41,7 +41,9 @@ val conflict_verdicts :
     write-reserved by an earlier transaction, or — when [include_raw]
     (Aria's read-after-write rule) — reads one. [granule] maps keys to
     the conflict unit (identity for key-level OCC, coarser for Lotus'
-    granule locks). Reserving allocates nothing per key.
+    granule locks; default the key itself). Reserving allocates nothing
+    per key, and with neither [granule] nor [footprint] the pass calls
+    no closure per operation.
 
     [window] (default: the whole batch) bounds the concurrency scope:
     reservations reset every [window] transactions, modelling that a

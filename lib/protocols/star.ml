@@ -14,7 +14,7 @@ let create cl =
     (* OCC conflicts among concurrently-executing transactions restart
        within the epoch: the loser pays a second execution. *)
     let window = 4 * Config.total_workers cfg in
-    let ok = Batch.conflict_verdicts ~window ~granule:(fun k -> (k :> int)) txns in
+    let ok = Batch.conflict_verdicts ~window txns in
     let any_cross = ref false in
     let verdicts =
       Array.mapi

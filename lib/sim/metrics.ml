@@ -319,9 +319,11 @@ let goodput_series t = Timeseries.to_array t.good_series
 (* An empty window — e.g. right after [reset_window], before any commit
    lands — must read as 0, never NaN or an out-of-bounds access,
    whatever the reservoir's internals do. *)
-let latency_percentile t p =
-  if Stats.Reservoir.count t.latency = 0 then 0.0
-  else Stats.Reservoir.percentile t.latency p
+let latency_percentiles t ps =
+  if Stats.Reservoir.count t.latency = 0 then Array.map (fun _ -> 0.0) ps
+  else Stats.Reservoir.percentiles t.latency ps
+
+let latency_percentile t p = (latency_percentiles t [| p |]).(0)
 
 let mean_latency t =
   if Stats.Reservoir.count t.latency = 0 then 0.0

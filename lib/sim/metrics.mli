@@ -210,6 +210,10 @@ val goodput_series : t -> float array
 (** In-deadline commits bucketed per simulated second — equals
     [throughput_series] while no transaction deadline is configured. *)
 
+val latency_percentiles : t -> float array -> float array
+(** Each rank ([0, 100]) of the window's latency sample, from one sort;
+    0 for every rank while the window is empty. *)
+
 val latency_percentile : t -> float -> float
 val mean_latency : t -> float
 

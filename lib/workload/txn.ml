@@ -21,16 +21,21 @@ let[@inline] key_of op = Kvstore.key_of_int (if op < 0 then lnot op else op)
 
 type t = { id : int; ops : op array; parts : int list }
 
-(* Insert into an ascending list of distinct partitions; a transaction
-   touches few partitions, so this beats sorting. *)
+(* An ascending list of distinct partitions; a transaction touches few
+   partitions, so this beats sorting. Most operations hit a partition
+   already listed, and the membership test finds it without copying a
+   cell. *)
+let rec mem_part (p : int) = function [] -> false | q :: rest -> p = q || (q < p && mem_part p rest)
+
 let rec insert_part (p : int) = function
   | [] -> [ p ]
-  | q :: rest as l -> if p < q then p :: l else if p = q then l else q :: insert_part p rest
+  | q :: rest as l -> if p < q then p :: l else q :: insert_part p rest
 
 let parts_of_ops ops =
   let parts = ref [] in
   for i = 0 to Array.length ops - 1 do
-    parts := insert_part (Kvstore.part (key_of ops.(i))) !parts
+    let p = Kvstore.part (key_of ops.(i)) in
+    if not (mem_part p !parts) then parts := insert_part p !parts
   done;
   !parts
 

@@ -108,18 +108,27 @@ let make_op t part =
   let k = Kvstore.key ~part ~slot in
   if Rng.bernoulli t.rng t.p.write_ratio then Txn.write k else Txn.read k
 
+(* The first [split] operations go to the home partition, the rest to
+   [remote]; drawn in index order, as [Array.init] would. *)
+let fill_ops t n ~home ~remote ~split =
+  if n = 0 then [||]
+  else (
+    let ops = Array.make n (make_op t home) in
+    for i = 1 to n - 1 do
+      ops.(i) <- make_op t (if i < split then home else remote)
+    done;
+    ops)
+
 let next t =
   let p = t.p in
   let raw = raw_home t in
   let home = rotate t raw in
   let cross = p.cross_ratio > 0.0 && Rng.bernoulli t.rng p.cross_ratio in
+  let n = p.ops_per_txn in
   let ops =
-    if cross then (
-      let remote = rotate t (raw_other t raw) in
-      let split = max 1 (p.ops_per_txn / 2) in
-      Array.init p.ops_per_txn (fun i ->
-          make_op t (if i < split then home else remote)))
-    else Array.init p.ops_per_txn (fun _ -> make_op t home)
+    if cross then
+      fill_ops t n ~home ~remote:(rotate t (raw_other t raw)) ~split:(max 1 (n / 2))
+    else fill_ops t n ~home ~remote:home ~split:n
   in
   let id = t.next_id in
   t.next_id <- id + 1;

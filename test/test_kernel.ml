@@ -272,6 +272,47 @@ let test_zipf_range_property =
           x >= 0 && x < n)
         (List.init 50 Fun.id))
 
+(* [Zipf.scaled_pow25] must truncate as [scale *. Float.pow b 2.5] does,
+   across the b range a draw reaches and the key counts the workloads
+   use. *)
+let test_zipf_fast_pow_exact () =
+  let rng = Rng.create 2024 in
+  let mismatches = ref 0 in
+  List.iter
+    (fun scale ->
+      for _ = 1 to 250_000 do
+        let b = Rng.float rng 1.0 in
+        if int_of_float (Zipf.scaled_pow25 scale b) <> int_of_float (scale *. Float.pow b 2.5)
+        then incr mismatches
+      done)
+    [ 1e6; 1e5; 1234.0; 3e4 ];
+  Alcotest.(check int) "1e6 draws truncate alike" 0 !mismatches
+
+(* Values of b a few ulps either side of b^2.5 * scale = k for 2000
+   integers k, all within 1e-12 of a truncation boundary. With the
+   margin the fast path truncates as [Float.pow] on every one; with the
+   margin at 0 it does not, which is what the margin is for. *)
+let test_zipf_fast_pow_boundaries () =
+  let scale = 1e6 in
+  let misses margin =
+    let n = ref 0 in
+    for i = 1 to 2000 do
+      let b = ref (Float.pow (float_of_int (i * 499) /. scale) 0.4) in
+      for _ = 1 to 8 do
+        b := Float.pred !b
+      done;
+      for _ = 1 to 17 do
+        if int_of_float (Zipf.scaled_pow25 ?margin scale !b)
+           <> int_of_float (scale *. Float.pow !b 2.5)
+        then incr n;
+        b := Float.succ !b
+      done
+    done;
+    !n
+  in
+  Alcotest.(check int) "default margin: no mismatch" 0 (misses None);
+  Alcotest.(check bool) "margin 0: mismatches" true (misses (Some 0.0) > 0)
+
 (* --- pqueue --- *)
 
 let test_pqueue_ordering () =
@@ -456,19 +497,32 @@ let ref_percentile m p =
 let ranks = [ 0.0; 1.0; 25.0; 50.0; 75.0; 90.0; 95.0; 99.0; 99.9; 100.0 ]
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+let special_float =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0.0; -0.0; Float.nan; -.Float.nan; 1.0; 2.0; infinity; neg_infinity ];
+        map float_of_int (int_range (-3) 3);
+        float_range (-1e3) 1e3;
+      ])
+
+(* The float sort leaves every element where [Array.sort compare] does,
+   bit for bit: which zero comes first and which NaN, too. *)
+let test_sort_floats_matches_stdlib =
+  QCheck.Test.make ~name:"sort_floats permutes as Array.sort compare" ~count:500
+    QCheck.(make ~print:(fun a -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a)))
+      Gen.(array_size (int_range 0 300) special_float))
+    (fun a ->
+      let want = Array.copy a and got = Array.copy a in
+      Array.sort compare want;
+      Stats.sort_floats got;
+      Array.for_all2 same_bits want got)
+
 (* Duplicates, both zeros, NaNs of both signs and infinities, through
-   overflowing capacities and resets: every rank read from the reservoir
-   equals the reference bit for bit. *)
+   overflowing capacities and resets: every rank read from the reservoir,
+   one at a time or all from one sort, equals the reference bit for bit. *)
 let test_reservoir_matches_reference =
-  let sample =
-    QCheck.Gen.(
-      oneof
-        [
-          oneofl [ 0.0; -0.0; Float.nan; -.Float.nan; 1.0; 2.0; infinity; neg_infinity ];
-          map float_of_int (int_range (-3) 3);
-          float_range (-1e3) 1e3;
-        ])
-  in
+  let sample = special_float in
   let action = QCheck.Gen.(frequency [ (30, map Option.some sample); (1, return None) ]) in
   QCheck.Test.make ~name:"reservoir percentiles equal the sort-compare reference" ~count:300
     QCheck.(
@@ -482,7 +536,12 @@ let test_reservoir_matches_reference =
       let r = Stats.Reservoir.create ~capacity:cap (Rng.create seed) in
       let m = { cap; kept = Array.make cap 0.0; filled = 0; seen = 0; ref_rng = Rng.create seed } in
       let agrees () =
-        List.for_all (fun p -> same_bits (ref_percentile m p) (Stats.Reservoir.percentile r p)) ranks
+        let all = Stats.Reservoir.percentiles r (Array.of_list ranks) in
+        List.for_all2
+          (fun p one ->
+            let want = ref_percentile m p in
+            same_bits want (Stats.Reservoir.percentile r p) && same_bits want one)
+          ranks (Array.to_list all)
       in
       List.for_all
         (fun x ->
@@ -630,6 +689,12 @@ let () =
           Alcotest.test_case "theta 0 is uniform" `Slow test_zipf_uniform_when_theta0;
           Alcotest.test_case "skew orders ranks" `Slow test_zipf_skew_orders_ranks;
         ] );
+      ( "zipf-fast-path",
+        [
+          Alcotest.test_case "equals Float.pow over 1e6 draws" `Quick test_zipf_fast_pow_exact;
+          Alcotest.test_case "exact at truncation boundaries" `Quick
+            test_zipf_fast_pow_boundaries;
+        ] );
       qsuite "zipf-props" [ test_zipf_range_property ];
       ( "pqueue",
         [
@@ -659,7 +724,7 @@ let () =
           Alcotest.test_case "cosine similarity" `Quick test_cosine_similarity;
           Alcotest.test_case "mean_of" `Quick test_stats_mean_of;
         ] );
-      qsuite "stats-props" [ test_reservoir_matches_reference ];
+      qsuite "stats-props" [ test_sort_floats_matches_stdlib; test_reservoir_matches_reference ];
       ( "timeseries",
         [
           Alcotest.test_case "bucketing" `Quick test_timeseries_bucketing;

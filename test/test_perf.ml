@@ -165,6 +165,32 @@ let test_drain_speedup_shapes () =
     [ "cannot compute drain speedup: engine_drain(_seed) missing" ]
     (failures (one @ store))
 
+(* A scenario that counts transactions is gated on words per
+   transaction. The baseline is [ycsb_lion_standard]'s row before group
+   commits shared one event (9.48 events and 599.5 words per
+   transaction, 63.2 words/event). *)
+let test_alloc_gate_per_txn () =
+  let txns = 31_642 in
+  let row ~events_per_txn ~words_per_txn =
+    sample_result "ycsb_lion_standard"
+      ~events:(int_of_float (events_per_txn *. float_of_int txns))
+      ~txns ~p50:5.0e8
+      ~words:(words_per_txn *. float_of_int txns)
+  in
+  let failures current =
+    snd (Report.compare_against ~baseline:[ row ~events_per_txn:9.48 ~words_per_txn:599.5 ]
+           ~current:[ current ] ~wall_gates:false)
+  in
+  let pr26 = row ~events_per_txn:8.08 ~words_per_txn:588.2 in
+  Alcotest.(check (float 0.05)) "its words/event rose" 72.8 pr26.Scenario.minor_words_per_event;
+  Alcotest.(check (list string)) "one event fewer per txn passes" [] (failures pr26);
+  Alcotest.(check (list string)) "half the events, same words/txn, passes" []
+    (failures (row ~events_per_txn:4.74 ~words_per_txn:599.5));
+  let worse = failures (row ~events_per_txn:18.96 ~words_per_txn:(599.5 *. 1.4)) in
+  Alcotest.(check int) "+40% words/txn fails even with words/event flat" 1 (List.length worse);
+  Alcotest.(check bool) "reported per txn" true
+    (String.starts_with ~prefix:"ycsb_lion_standard: minor-words/txn" (List.hd worse))
+
 let test_wall_gate_calibrates_machine_speed () =
   let baseline = drain_pair ~speedup:4.0 in
   (* Same program on a machine 2.5x slower: every scenario's p50 grows
@@ -232,6 +258,7 @@ let () =
           Alcotest.test_case "machine-speed calibration" `Quick
             test_wall_gate_calibrates_machine_speed;
           Alcotest.test_case "drain speedup by run shape" `Quick test_drain_speedup_shapes;
+          Alcotest.test_case "alloc gate per transaction" `Quick test_alloc_gate_per_txn;
         ] );
       ( "scenario",
         [ Alcotest.test_case "measure smoke" `Quick test_scenario_measure_smoke ] );
