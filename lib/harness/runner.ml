@@ -149,22 +149,19 @@ let run ?(seed = 1) ?(batch = false) ?(setup = fun _ -> ()) ?trace ?tracer ?hist
       in
       (* Closed-loop clients: each submits its next transaction the
          moment the previous one finishes, so the offered load tracks
-         the system's own pace and can never run away from it. A
-         client's completion callback is built once, not per
-         transaction. Only the quiesce shape pays a horizon check per
-         transaction. *)
-      let client () =
-        let rec on_done () = Engine.schedule engine ~delay:0.0 next
-        and issue () = proto.Proto.submit (gen ~time:(Engine.now engine)) ~on_done
-        and next () =
-          match rc.stop with
-          | Forever -> issue ()
-          | Quiesce _ -> if Engine.now engine < horizon then issue ()
-        in
-        next ()
+         the system's own pace and can never run away from it. Clients
+         are interchangeable, so they share one completion callback,
+         built once for the run rather than once per transaction. Only
+         the quiesce shape pays a horizon check per transaction. *)
+      let rec on_done () = Engine.schedule engine ~delay:0.0 next
+      and issue () = proto.Proto.submit (gen ~time:(Engine.now engine)) ~on_done
+      and next () =
+        match rc.stop with
+        | Forever -> issue ()
+        | Quiesce _ -> if Engine.now engine < horizon then issue ()
       in
       for _ = 1 to clients do
-        client ()
+        next ()
       done
   | Poisson rate when rate > 0.0 ->
       (* A dedicated Rng keeps the arrival process independent of every
