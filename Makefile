@@ -24,8 +24,9 @@ perf:
 	dune exec -- lion perf --baseline bench/perf_baseline.json
 
 # Quick CI variant: fewer samples, shorter quota, same scenarios and
-# the same gates (minor-words/event, calibrated wall p50, drain
-# speedup floor).
+# the same gates (minor words per transaction, or per event where a
+# scenario counts no transactions; calibrated wall p50; drain speedup
+# floor).
 perf-smoke:
 	dune exec -- lion perf --quick --baseline bench/perf_baseline.json
 

@@ -21,11 +21,11 @@ val sample : t -> Rng.t -> int
 val scaled_pow25 : ?margin:float -> float -> float -> float
 (** [scaled_pow25 scale b] truncates ([int_of_float]) to the same
     integer as [scale *. Float.pow b 2.5], for [b] in [0, 1] and
-    [scale] a positive integer, at about a third of the cost: it is
-    [scale *. (b *. b *. sqrt b)] unless that lies within
-    [margin *. v] (default 1e-13) of an integer, and [Float.pow]'s
-    value otherwise. [sample] uses it when the exponent is 2.5
-    (theta = 0.6). *)
+    [scale] a positive integer, without calling [Float.pow] on almost
+    every input: it is [v = scale *. (b *. b *. sqrt b)] unless [v]
+    lies within [margin *. v] (default 1e-13) of an integer, and
+    [Float.pow]'s value otherwise. [sample] uses it when the exponent
+    is 2.5 (theta = 0.6). *)
 
 val n : t -> int
 val theta : t -> float

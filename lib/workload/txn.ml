@@ -24,7 +24,8 @@ type t = { id : int; ops : op array; parts : int list }
 (* An ascending list of distinct partitions; a transaction touches few
    partitions, so this beats sorting. Most operations hit a partition
    already listed, and the membership test finds it without copying a
-   cell. *)
+   cell; [insert_part] is only called for a partition not yet in the
+   list. *)
 let rec mem_part (p : int) = function [] -> false | q :: rest -> p = q || (q < p && mem_part p rest)
 
 let rec insert_part (p : int) = function
