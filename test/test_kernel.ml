@@ -689,7 +689,7 @@ let () =
           Alcotest.test_case "theta 0 is uniform" `Slow test_zipf_uniform_when_theta0;
           Alcotest.test_case "skew orders ranks" `Slow test_zipf_skew_orders_ranks;
         ] );
-      ( "zipf-fast-path",
+      ( "zipf-pow",
         [
           Alcotest.test_case "equals Float.pow over 1e6 draws" `Quick test_zipf_fast_pow_exact;
           Alcotest.test_case "exact at truncation boundaries" `Quick
