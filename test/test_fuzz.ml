@@ -317,6 +317,29 @@ let test_recover_inside_partition () =
     Fuzz.Clean r.Fuzz.verdict;
   Alcotest.(check bool) "healthy" true (Drive.healthy r.Fuzz.outcome)
 
+(* One lion case holding one op of each of the nine kinds, pinned to
+   the counts, drain time and coverage signature it produced when
+   first recorded: a drifted recipe constant, window or spec order in
+   any op's fault plan moves one of them. *)
+let test_every_op_kind () =
+  let case = { kitchen_sink with Fuzz.name = "every-op-kind"; proto = "lion" } in
+  let r = Fuzz.run_case ~target case in
+  let res = r.Fuzz.outcome.Drive.result in
+  Alcotest.(check verdict) "clean" Fuzz.Clean r.Fuzz.verdict;
+  Alcotest.(check int) "commits" 27833 res.Lion_harness.Runner.commits;
+  Alcotest.(check int) "aborts" 549 res.Lion_harness.Runner.aborts;
+  Alcotest.(check (float 0.0)) "final time" 7_360_000.0 r.Fuzz.outcome.Drive.final_time;
+  Alcotest.(check (list string))
+    "signature"
+    [
+      "b:election-promote"; "b:node-crash"; "b:node-decommission"; "b:node-join";
+      "b:node-recover"; "b:phantom-purge"; "b:remaster-abandon"; "b:remaster-complete";
+      "b:resync-apply"; "m:aborts"; "m:breaker-half-opens"; "m:breaker-opens";
+      "m:breaker-rejects"; "m:drops"; "m:remasters"; "m:retries"; "m:stale-acks";
+      "m:timeouts";
+    ]
+    r.Fuzz.signature
+
 let () =
   Alcotest.run "lion_fuzz"
     [
@@ -356,5 +379,6 @@ let () =
         [
           Alcotest.test_case "recover inside active partition" `Quick
             test_recover_inside_partition;
+          Alcotest.test_case "every op kind" `Quick test_every_op_kind;
         ] );
     ]
