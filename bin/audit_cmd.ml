@@ -11,6 +11,7 @@
 open Cmdliner
 module Config = Lion_store.Config
 module Workloads = Lion_harness.Workloads
+module Fault = Lion_sim.Fault
 module Nemesis = Lion_audit.Nemesis
 module Drive = Lion_audit.Drive
 module Checker = Lion_audit.Checker
@@ -18,33 +19,36 @@ module Divergence = Lion_audit.Divergence
 
 module Protocols = Lion_harness.Protocols
 
-let nemeses ~nodes ~seed :
-    (string * Nemesis.t) list =
+(* Each entry is a [Fault] recipe applied to everything but its start
+   time, which [Drive.run] supplies. *)
+let nemeses ~nodes ~seed : (string * Nemesis.t) list =
   [
     ("calm", Nemesis.calm);
-    ("crash", Nemesis.crash ~node:1 ~downtime:1_000_000.0 ());
-    ( "partition",
-      Nemesis.partition_primary_from_majority ~node:0 ~duration:800_000.0
-        ~nodes () );
-    ("straggler", Nemesis.straggler_on_coordinator ~node:0 ~duration:1_500_000.0 ());
-    ("lossy", Nemesis.lossy ~prob:0.2 ~duration:1_000_000.0 ());
-    ("crash-remaster", Nemesis.crash_during_remaster ~node:1 ~downtime:500_000.0 ());
+    ("crash", Fault.crash_recover ~node:1 ~downtime:1_000_000.0);
+    (* Cut a primary-heavy node away from the majority: its partitions
+       must fail over while every log ship across the cut dies. *)
+    ("partition", Fault.isolate ~node:0 ~nodes ~duration:800_000.0);
+    (* Slow the busiest coordinator without killing it: transactions
+       keep routing there, timeouts and retries pile up. *)
+    ( "straggler",
+      fun ~at -> Fault.slow_node ~node:0 ~factor:16.0 ~from_:at ~until:(at +. 1_500_000.0) );
+    ("lossy", fun ~at -> Fault.lossy ~prob:0.2 ~from_:at ~until:(at +. 1_000_000.0) ());
+    (* Crash Lion's usual promotion target briefly, so the crash lands
+       inside transfer windows and the recovery inside the run. *)
+    ("crash-remaster", Fault.crash_recover ~node:1 ~downtime:500_000.0);
     ( "rolling",
-      Nemesis.rename "rolling"
-        (Nemesis.stagger ~gap:700_000.0
-           [
-             Nemesis.crash ~node:1 ~downtime:500_000.0 ();
-             Nemesis.crash ~node:2 ~downtime:500_000.0 ();
-           ]) );
-    ("adversarial", Nemesis.adversarial ~seed ~nodes ~events:5 ~window:2_500_000.0 ());
-    ("overload", Nemesis.overload_burst ~node:0 ~duration:1_500_000.0 ());
+      fun ~at ->
+        Fault.crash_recover ~node:1 ~at ~downtime:500_000.0
+        @ Fault.crash_recover ~node:2 ~at:(at +. 700_000.0) ~downtime:500_000.0 );
+    ("adversarial", Fault.adversarial ~seed ~nodes ~events:5 ~window:2_500_000.0);
+    ("overload", Fault.overload_burst ~node:0 ~duration:1_500_000.0);
   ]
 
 (* Selectable by name but excluded from "all": with the default config
    (session tagging off) this nemesis is *supposed* to produce the
    stale-replica divergence — that is its point. Run it with
    --rejoin-safe, or let --assert-rejoin-safe check both sides. *)
-let crash_rejoin_nemesis = ("crash-rejoin", Nemesis.crash_rejoin ())
+let crash_rejoin_nemesis = ("crash-rejoin", Fault.crash_rejoin ~node:1 ~cycles:2)
 
 (* The membership-safety gate (docs/MEMBERSHIP.md): the crash-rejoin
    nemesis must corrupt an untagged cluster — proving the scenario has

@@ -9,18 +9,9 @@
    output, which CI diffs across two consecutive runs. *)
 
 open Cmdliner
-module Config = Lion_store.Config
-module Workloads = Lion_harness.Workloads
 module Fuzz = Lion_audit.Fuzz
 module Liveness = Lion_audit.Liveness
 module Protocols = Lion_harness.Protocols
-
-let target protos : Fuzz.target =
-  {
-    Fuzz.protos = List.map (fun (p : Protocols.entry) -> (p.id, fun cl -> p.make cl)) protos;
-    workload =
-      (fun ~cfg ~seed ~skew ~cross -> Workloads.ycsb ~seed ~skew ~cross cfg);
-  }
 
 let replay ~max_events path =
   match Fuzz.load_file path with
@@ -28,7 +19,7 @@ let replay ~max_events path =
       Printf.printf "%s: unreadable corpus case: %s\n" path msg;
       1
   | Ok (case, expect) ->
-      let r = Fuzz.run_case ?max_events ~target:(target Protocols.all) case in
+      let r = Fuzz.run_case ?max_events case in
       let got = r.Fuzz.verdict in
       Printf.printf "%s: expected %s, got %s\n" case.Fuzz.name
         (Fuzz.verdict_name expect) (Fuzz.verdict_name got);
@@ -40,13 +31,14 @@ let run seed rounds shrink corpus assert_clean assert_finds_bug phantom protos m
   match replay_file with
   | Some path -> replay ~max_events path
   | None ->
+      let protos = List.map (fun (p : Protocols.entry) -> p.id) protos in
       Printf.printf "fuzz: seed %d, %d rounds, protocols %s%s%s\n" seed rounds
-        (String.concat "," (List.map (fun (p : Protocols.entry) -> p.id) protos))
+        (String.concat "," protos)
         (if phantom then ", phantom-secondary bug re-planted" else "")
         (if shrink then ", shrinking failures" else "");
       let res =
         Fuzz.campaign ~rounds ~shrink_failures:shrink ?max_events ~log:print_endline ~seed
-          ~phantom ~target:(target protos) ()
+          ~phantom ~protos ()
       in
       Printf.printf "\n%d rounds, %d distinct coverage signatures, %d failure(s)\n"
         res.Fuzz.rounds_run res.Fuzz.pool_size

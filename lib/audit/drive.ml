@@ -44,7 +44,7 @@ let run ?(seed = 1) ~clients ~duration ?(nemesis_at = 1.0)
       cfg with
       Config.fault_plan =
         cfg.Config.fault_plan
-        @ Nemesis.plan nemesis ~at:(Engine.seconds nemesis_at);
+        @ nemesis ~at:(Engine.seconds nemesis_at);
     }
   in
   let history = History.create () in

@@ -1,11 +1,8 @@
 module Cluster = Lion_store.Cluster
 module Config = Lion_store.Config
-module Engine = Lion_sim.Engine
 module Fault = Lion_sim.Fault
 module Metrics = Lion_sim.Metrics
 module Rng = Lion_kernel.Rng
-module Proto = Lion_protocols.Proto
-module Txn = Lion_workload.Txn
 
 type op =
   | Crash of { node : int; at_us : int; downtime_us : int }
@@ -45,17 +42,6 @@ type result = {
   outcome : Drive.outcome;
 }
 
-type target = {
-  protos : (string * (Cluster.t -> Proto.t)) list;
-  workload :
-    cfg:Config.t ->
-    seed:int ->
-    skew:float ->
-    cross:float ->
-    time:float ->
-    Txn.t;
-}
-
 (* {2 Case -> configuration / fault plan / membership actions} *)
 
 (* Elastic defaults always: standby slots give join/decommission ops
@@ -71,71 +57,27 @@ let cfg_of_case c =
 
 let us = float_of_int
 
+(* Each op is the [Fault] recipe of the same name; [Slow_link] is a
+   bare spec. *)
 let plan_of_case c =
   let slots = Config.total_slots (cfg_of_case c) in
   List.concat_map
     (fun op ->
       match op with
       | Crash { node; at_us; downtime_us } ->
-          [
-            Fault.crash ~node ~at:(us at_us)
-              ~recover_at:(us (at_us + downtime_us))
-              ();
-          ]
+          Fault.crash_recover ~node ~at:(us at_us) ~downtime:(us downtime_us)
       | Isolate { node; at_us; dur_us } ->
-          let others =
-            List.filter (fun n -> n <> node) (List.init slots Fun.id)
-          in
-          [
-            Fault.partition
-              ~groups:[ [ node ]; others ]
-              ~from_:(us at_us)
-              ~until:(us (at_us + dur_us));
-          ]
+          Fault.isolate ~node ~nodes:slots ~at:(us at_us) ~duration:(us dur_us)
       | Straggle { node; factor; at_us; dur_us } ->
-          [
-            Fault.straggler ~node ~factor:(float_of_int factor)
-              ~from_:(us at_us)
-              ~until:(us (at_us + dur_us));
-          ]
+          Fault.slow_node ~node ~factor:(float_of_int factor) ~from_:(us at_us)
+            ~until:(us (at_us + dur_us))
       | Slow_link { dst; extra_us; at_us; dur_us } ->
-          [
-            Fault.delay ~dst ~extra:(us extra_us) ~from_:(us at_us)
-              ~until:(us (at_us + dur_us))
-              ();
-          ]
+          [ Fault.delay ~dst ~extra:(us extra_us) ~from_:(us at_us) ~until:(us (at_us + dur_us)) () ]
       | Lossy { pct; at_us; dur_us } ->
-          [
-            Fault.drop
-              ~prob:(float_of_int pct /. 100.0)
-              ~from_:(us at_us)
-              ~until:(us (at_us + dur_us))
-              ();
-          ]
+          Fault.lossy ~prob:(float_of_int pct /. 100.0) ~from_:(us at_us) ~until:(us (at_us + dur_us)) ()
       | Burst { node; at_us; dur_us } ->
-          (* The overload-burst recipe (docs/OVERLOAD.md): straggler
-             overlaid with message loss in the same window. *)
-          [
-            Fault.straggler ~node ~factor:6.0 ~from_:(us at_us)
-              ~until:(us (at_us + dur_us));
-            Fault.drop ~prob:0.15 ~from_:(us at_us)
-              ~until:(us (at_us + dur_us))
-              ();
-          ]
-      | Crash_rejoin { node; at_us; cycles } ->
-          (* The crash-rejoin recipe ({!Nemesis.crash_rejoin}): delay
-             deliveries into the node just before each crash so
-             in-flight streams land after the rejoin. *)
-          let hold = 50_000 and downtime = 120_000 and period = 1_000_000 in
-          let extra = us (downtime + hold + 30_000) in
-          List.concat
-            (List.init (Stdlib.max 1 cycles) (fun k ->
-                 let t0 = at_us + (k * period) in
-                 Fault.delay ~dst:node ~extra ~from_:(us t0)
-                   ~until:(us (t0 + hold))
-                   ()
-                 :: Fault.crash_recover ~node ~at:(us (t0 + hold))
-                      ~downtime:(us downtime)))
+          Fault.overload_burst ~node ~at:(us at_us) ~duration:(us dur_us)
+      | Crash_rejoin { node; at_us; cycles } -> Fault.crash_rejoin ~node ~cycles ~at:(us at_us)
       | Join _ | Decommission _ -> [])
     c.ops
 
@@ -180,10 +122,10 @@ let signature_of (o : Drive.outcome) =
 
 (* {2 Running one case} *)
 
-let run_case ?(max_events = 2_000_000) ~target c =
+let run_case ?(max_events = 2_000_000) c =
   let make =
-    match List.assoc_opt c.proto target.protos with
-    | Some m -> m
+    match Lion_harness.Protocols.find c.proto with
+    | Some p -> p.make
     | None -> invalid_arg ("Fuzz.run_case: unknown protocol " ^ c.proto)
   in
   (* [Drive.run] builds the protocol right after the cluster, before
@@ -195,9 +137,10 @@ let run_case ?(max_events = 2_000_000) ~target c =
   let cfg = cfg_of_case c in
   let cfg = { cfg with Config.fault_plan = plan_of_case c } in
   let gen =
-    target.workload ~cfg ~seed:c.seed
+    Lion_harness.Workloads.ycsb ~seed:c.seed
       ~skew:(float_of_int c.skew_pct /. 100.0)
       ~cross:(float_of_int c.cross_pct /. 100.0)
+      cfg
   in
   let outcome =
     Drive.run ~seed:c.seed ~clients:c.clients
@@ -259,11 +202,11 @@ let gen_op rng ~slots ~nodes ~horizon =
   | 7 -> Decommission { node = member (); at_us = at () }
   | _ -> Crash_rejoin { node = member (); at_us = at (); cycles = 1 + Rng.int rng 2 }
 
-let generate ?proto rng ~target ~phantom ~name =
+let generate ?proto rng ~protos ~phantom ~name =
   let proto =
     match proto with
     | Some p -> p
-    | None -> fst (List.nth target.protos (Rng.int rng (List.length target.protos)))
+    | None -> List.nth protos (Rng.int rng (List.length protos))
   in
   let seconds = 2 in
   let c0 =
@@ -318,7 +261,7 @@ let retarget_op rng ~slots ~nodes op =
 
 let map_nth f i ops = List.mapi (fun j op -> if j = i then f op else op) ops
 
-let mutate rng ~target ~name base =
+let mutate rng ~protos ~name base =
   let cfg = cfg_of_case base in
   let slots = Config.total_slots cfg and nodes = cfg.Config.nodes in
   let horizon = horizon_us base in
@@ -343,10 +286,7 @@ let mutate rng ~target ~name base =
         (* Protocol switch: the same schedule often behaves very
            differently under another engine (standard vs batch-mode
            remaster paths), so coverage transfers. *)
-        let p =
-          fst (List.nth target.protos (Rng.int rng (List.length target.protos)))
-        in
-        { c with proto = p }
+        { c with proto = List.nth protos (Rng.int rng (List.length protos)) }
     | _ -> { c with ops = c.ops @ [ gen_op rng ~slots ~nodes ~horizon ] }
   in
   let c = { base with name } in
@@ -375,13 +315,13 @@ let split_chunks lst n =
   in
   go 0 lst []
 
-let shrink ?(budget = 150) ~target case verdict =
+let shrink ?(budget = 150) case verdict =
   let runs = ref 0 in
   let reproduces ops =
     !runs < budget
     &&
     (incr runs;
-     (run_case ~target { case with ops }).verdict = verdict)
+     (run_case { case with ops }).verdict = verdict)
   in
   let rec ddmin ops n =
     let len = List.length ops in
@@ -535,7 +475,7 @@ type campaign_result = {
 }
 
 let campaign ?(rounds = 40) ?(shrink_failures = true) ?max_events ?(log = fun _ -> ())
-    ~seed ~phantom ~target () =
+    ~seed ~phantom ~protos () =
   let rng = Rng.create (0x66757a7a lxor seed) in
   let seen = Hashtbl.create 64 in
   let pool = ref [] in
@@ -550,16 +490,14 @@ let campaign ?(rounds = 40) ?(shrink_failures = true) ?max_events ?(log = fun _ 
     let name = Printf.sprintf "fuzz-s%d-r%03d" seed round in
     let case =
       if !pool_n > 0 && Rng.bernoulli rng 0.6 then
-        mutate rng ~target ~name (List.nth !pool (Rng.int rng !pool_n))
+        mutate rng ~protos ~name (List.nth !pool (Rng.int rng !pool_n))
       else begin
-        let proto =
-          fst (List.nth target.protos (!fresh_n mod List.length target.protos))
-        in
+        let proto = List.nth protos (!fresh_n mod List.length protos) in
         incr fresh_n;
-        generate ~proto rng ~target ~phantom ~name
+        generate ~proto rng ~protos ~phantom ~name
       end
     in
-    let r = run_case ?max_events ~target case in
+    let r = run_case ?max_events case in
     let key = String.concat "," r.signature in
     let fresh = not (Hashtbl.mem seen key) in
     if fresh then (
@@ -575,7 +513,7 @@ let campaign ?(rounds = 40) ?(shrink_failures = true) ?max_events ?(log = fun _ 
     if r.verdict <> Clean then begin
       let shrunk =
         if shrink_failures then begin
-          let mini, spent = shrink ~target case r.verdict in
+          let mini, spent = shrink case r.verdict in
           log
             (Printf.sprintf "  shrunk %d ops -> %d ops in %d runs"
                (List.length case.ops) (List.length mini.ops) spent);

@@ -19,7 +19,10 @@
 
 (** One scheduled fault or membership operation. Times are absolute
     simulated µs from the run's start; all fields are integers so a
-    JSON round-trip is exact. *)
+    JSON round-trip is exact. Each fault op builds its plan with the
+    {!Lion_sim.Fault} recipe of the same name ([Straggle] is
+    [slow_node], [Burst] is [overload_burst]); [Slow_link] is a bare
+    [Delay] spec. *)
 type op =
   | Crash of { node : int; at_us : int; downtime_us : int }
       (** crash [node], recover after [downtime_us] (possibly past the
@@ -33,20 +36,19 @@ type op =
   | Lossy of { pct : int; at_us : int; dur_us : int }
       (** drop every message with probability [pct]/100 *)
   | Burst of { node : int; at_us : int; dur_us : int }
-      (** overload burst: 6× straggler on [node] overlaid with 15%
-          message loss — the retry-storm recipe *)
+      (** {!Lion_sim.Fault.overload_burst} on [node] *)
   | Join of { node : int; at_us : int }
       (** activate standby slot [node] ({!Lion_store.Cluster.join_node}) *)
   | Decommission of { node : int; at_us : int }
       (** start draining [node] *)
   | Crash_rejoin of { node : int; at_us : int; cycles : int }
-      (** crash/rejoin cycles with a pre-crash delivery delay, tuned to
+      (** {!Lion_sim.Fault.crash_rejoin}: crash/rejoin cycles tuned to
           catch replication streams mid-flight (docs/MEMBERSHIP.md) *)
 
 type case = {
   name : string;
   seed : int;  (** cluster + workload seed *)
-  proto : string;  (** protocol name, resolved through {!target} *)
+  proto : string;  (** protocol registry id ({!Lion_harness.Protocols}) *)
   seconds : int;  (** client horizon, simulated seconds *)
   clients : int;
   phantom : bool;  (** [Cluster.reintroduce_phantom_secondary] *)
@@ -74,48 +76,34 @@ type result = {
   outcome : Drive.outcome;
 }
 
-(** What the fuzzer drives: a protocol registry and a workload
-    factory. Both live with the caller ([lion fuzz], tests) so this
-    library needs no dependency on the experiment harness. *)
-type target = {
-  protos : (string * (Lion_store.Cluster.t -> Lion_protocols.Proto.t)) list;
-  workload :
-    cfg:Lion_store.Config.t ->
-    seed:int ->
-    skew:float ->
-    cross:float ->
-    time:float ->
-    Lion_workload.Txn.t;
-}
-
 val cfg_of_case : case -> Lion_store.Config.t
 (** Elastic defaults (standbys, rebalancing, session tagging) plus the
     case's [overload] flag. No transaction deadline: wedges must wedge,
     not time out. The [phantom] flag is not configuration: [run_case]
     sets the cluster's test-only hook. *)
 
-val run_case : ?max_events:int -> target:target -> case -> result
-(** Run one schedule to quiescence and audit it. [max_events] (default
-    2M) bounds the drain; exhaustion is a liveness finding, not an
-    error. Raises [Invalid_argument] on an unknown protocol name. *)
+val run_case : ?max_events:int -> case -> result
+(** Run one schedule to quiescence and audit it, on YCSB
+    ({!Lion_harness.Workloads.ycsb}). [max_events] (default 2M) bounds
+    the drain; exhaustion is a liveness finding, not an error. Raises
+    [Invalid_argument] on an unknown protocol id. *)
 
 val generate :
   ?proto:string ->
   Lion_kernel.Rng.t ->
-  target:target ->
+  protos:string list ->
   phantom:bool ->
   name:string ->
   case
 (** Draw a fresh random schedule (1–6 ops). [proto] pins the protocol
     ({!campaign} cycles it across fresh generates so no engine is
-    crowded out); by default it is drawn from the registry. *)
+    crowded out); by default it is drawn from [protos] (registry ids). *)
 
-val mutate : Lion_kernel.Rng.t -> target:target -> name:string -> case -> case
+val mutate : Lion_kernel.Rng.t -> protos:string list -> name:string -> case -> case
 (** Derive a neighbour of [case]: add, drop, re-draw or time-shift ops,
-    or re-seed the run. *)
+    re-seed the run, or switch to another of [protos]. *)
 
-val shrink :
-  ?budget:int -> target:target -> case -> verdict -> case * int
+val shrink : ?budget:int -> case -> verdict -> case * int
 (** Delta-debugging (ddmin) minimization: the smallest op subset that
     still reproduces the same verdict category, re-running the case at
     each probe (at most [budget] runs, default 150). Returns the
@@ -152,10 +140,10 @@ val campaign :
   ?log:(string -> unit) ->
   seed:int ->
   phantom:bool ->
-  target:target ->
+  protos:string list ->
   unit ->
   campaign_result
 (** Run a fuzzing campaign: [rounds] (default 40) schedules, each
     either freshly generated or mutated from a coverage-pool entry.
     [log] receives one progress line per round. Deterministic in
-    ([seed], [phantom], [target], [rounds]). *)
+    ([seed], [phantom], [protos], [rounds]). *)

@@ -30,15 +30,77 @@ let jitter ~extra ~from_ ~until = Jitter { extra; from_; until }
 let delay ?src ?dst ~extra ~from_ ~until () = Delay { src; dst; extra; from_; until }
 let straggler ~node ~factor ~from_ ~until = Straggler { node; factor; from_; until }
 
-(* Named scenarios: each is a plan, and plans compose with [@]. *)
+(* Named scenarios: each is a plan, and plans compose with [@]. The
+   audit's nemesis table, the fuzzer's ops and the experiments all
+   build their plans from these, so a recipe is written once. *)
 let crash_recover ~node ~at ~downtime =
   [ crash ~node ~at ~recover_at:(at +. downtime) () ]
 
 let split_brain ~groups ~at ~duration =
   [ partition ~groups ~from_:at ~until:(at +. duration) ]
 
+let isolate ~node ~nodes ~at ~duration =
+  let others = List.filter (fun n -> n <> node) (List.init nodes Fun.id) in
+  split_brain ~groups:[ [ node ]; others ] ~at ~duration
+
 let lossy ?src ?dst ~prob ~from_ ~until () = [ drop ?src ?dst ~prob ~from_ ~until () ]
 let slow_node ~node ~factor ~from_ ~until = [ straggler ~node ~factor ~from_ ~until ]
+
+(* Overload trigger (docs/OVERLOAD.md): slow the busiest coordinator
+   while the network sheds a slice of messages in the same window —
+   service queues back up, RPC timeouts and retries pile on, and a
+   cluster without retry discipline can sustain the collapse after the
+   window ends. The audit checks that even then no anomaly appears:
+   shedding and fast-failing must lose availability, never safety. *)
+let overload_burst ~node ~at ~duration =
+  let until = at +. duration in
+  slow_node ~node ~factor:6.0 ~from_:at ~until @ lossy ~prob:0.15 ~from_:at ~until ()
+
+(* Crash/rejoin cycles engineered to land inside replication-stream
+   windows (docs/MEMBERSHIP.md). Each cycle, anchored on a planner tick
+   (cycles repeat every second, the audit driver's tick period):
+
+   - for [hold] µs before the crash, messages to the node are held in
+     flight just long enough ([Delay], deterministic) to be delivered
+     after the node has crashed AND rejoined — the classic stale
+     replication ack;
+   - the crash itself lands [hold] after the tick, so a replica install
+     the planner initiated at the tick (a [Config.replica_add_duration]
+     = 200 ms background copy) completes after the rejoin too —
+     a stale snapshot install.
+
+   Untagged sessions accept both and corrupt the apply watermarks
+   (the divergence audit reports [Stale_replica]); with
+   [Config.session_tagging] both are rejected and the audit is clean. *)
+let crash_rejoin ~node ~cycles ~at =
+  let hold = 50_000.0 and downtime = 120_000.0 and period = 1_000_000.0 in
+  let extra = downtime +. hold +. 30_000.0 in
+  List.concat
+    (List.init (Stdlib.max 1 cycles) (fun k ->
+         let t0 = at +. (float_of_int k *. period) in
+         delay ~dst:node ~extra ~from_:t0 ~until:(t0 +. hold) ()
+         :: crash_recover ~node ~at:(t0 +. hold) ~downtime))
+
+(* Seeded schedule generator: [events] random windows over [window] µs
+   from [at]. Its generator is its own, seeded from [seed] alone, so
+   building the plan draws nothing from the simulation. *)
+let adversarial ~seed ~nodes ~events ~window ~at =
+  let rng = Rng.create (0x6e656d65 lxor seed) in
+  List.concat
+    (List.init events (fun _ ->
+         let t0 = at +. Rng.float rng (window *. 0.8) in
+         let dur = 100_000.0 +. Rng.float rng (window /. 4.0) in
+         match Rng.int rng 4 with
+         | 0 ->
+             let node = Rng.int rng nodes in
+             crash_recover ~node ~at:t0 ~downtime:dur
+         | 1 ->
+             let node = Rng.int rng nodes in
+             isolate ~node ~nodes ~at:t0 ~duration:dur
+         | 2 ->
+             let node = Rng.int rng nodes in
+             slow_node ~node ~factor:(2.0 +. Rng.float rng 14.0) ~from_:t0 ~until:(t0 +. dur)
+         | _ -> lossy ~prob:(0.05 +. Rng.float rng 0.4) ~from_:t0 ~until:(t0 +. dur) ()))
 
 (* [link_specs] and [stragglers] split [plan] by what consults each
    spec, keeping plan order, so a message never walks crash or

@@ -58,15 +58,43 @@ val straggler : node:int -> factor:float -> from_:float -> until:float -> spec
 val delay :
   ?src:int -> ?dst:int -> extra:float -> from_:float -> until:float -> unit -> spec
 
-(** {2 Named scenarios} — small plans that compose with [@]. *)
+(** {2 Named scenarios} — small plans that compose with [@]. Times and
+    durations are simulated µs. Applied to everything but [~at], a
+    recipe is a scenario that can be anchored anywhere in a run (the
+    audit's nemesis table, {!Lion_audit.Nemesis.t}). *)
 
 val crash_recover : node:int -> at:float -> downtime:float -> plan
 val split_brain : groups:int list list -> at:float -> duration:float -> plan
+
+val isolate : node:int -> nodes:int -> at:float -> duration:float -> plan
+(** Partition [node] away from the other [nodes - 1]. *)
 
 val lossy :
   ?src:int -> ?dst:int -> prob:float -> from_:float -> until:float -> unit -> plan
 
 val slow_node : node:int -> factor:float -> from_:float -> until:float -> plan
+
+val overload_burst : node:int -> at:float -> duration:float -> plan
+(** The retry-storm recipe (docs/OVERLOAD.md): a 6× straggler on [node]
+    overlaid with 15 % message loss over the same window. *)
+
+val crash_rejoin : node:int -> cycles:int -> at:float -> plan
+(** Crash/rejoin cycles engineered to catch replication streams mid
+    flight (docs/MEMBERSHIP.md). Each cycle (at least one, every 1 s
+    from [at]) delays messages to [node] for 50 ms, then crashes it for
+    120 ms — shorter than a replica install — so both delayed log-ship
+    acks and in-flight snapshot installs land {e after} the node has
+    rejoined. Without [Config.session_tagging] the stale streams are
+    accepted and the divergence audit reports [Stale_replica]; with it
+    they are rejected (counted as [Metrics.Stale_acks]). A third cycle
+    would crash the node again after the stale installs landed, wiping
+    the evidence before the audit runs. *)
+
+val adversarial : seed:int -> nodes:int -> events:int -> window:float -> at:float -> plan
+(** [events] random fault windows — crashes, single-node partitions,
+    stragglers, message drops — placed over [window] from [at]. All
+    randomness comes from [seed] alone, so the same arguments always
+    build the same plan. *)
 
 (** {2 Runtime state} *)
 

@@ -14,7 +14,6 @@ module Engine = Lion_sim.Engine
 module Fault = Lion_sim.Fault
 module Checker = Lion_audit.Checker
 module Divergence = Lion_audit.Divergence
-module Nemesis = Lion_audit.Nemesis
 module Drive = Lion_audit.Drive
 module Runner = Lion_harness.Runner
 module Workloads = Lion_harness.Workloads
@@ -256,7 +255,7 @@ let test_divergence_clean_after_crash_sweep () =
           ~config:{ Lion_core.Planner.default_config with predict = true }
           cl)
       ~gen:(Workloads.ycsb ~cross:0.4 ~skew:0.6 Config.default)
-      ~nemesis:(Nemesis.crash ~node:1 ~downtime:400_000.0 ())
+      ~nemesis:(Fault.crash_recover ~node:1 ~downtime:400_000.0)
       ()
   in
   Alcotest.(check bool) "some work committed" true (o.Drive.result.commits > 0);
@@ -278,7 +277,7 @@ let rejoin_drive cfg =
         ~config:{ Lion_core.Planner.default_config with predict = true }
         cl)
     ~gen:(Workloads.ycsb ~seed:1 ~cross:0.4 ~skew:0.6 cfg)
-    ~nemesis:(Nemesis.crash_rejoin ())
+    ~nemesis:(Fault.crash_rejoin ~node:1 ~cycles:2)
     ()
 
 let test_crash_rejoin_diverges_untagged () =
@@ -303,8 +302,8 @@ let prop_nemesis_plan_deterministic =
     ~count:50
     QCheck.(pair (int_range 0 10_000) (float_range 0.0 5_000_000.0))
     (fun (seed, at) ->
-      let n = Nemesis.adversarial ~seed ~nodes:4 ~events:6 ~window:3_000_000.0 () in
-      Nemesis.plan n ~at = Nemesis.plan n ~at)
+      let n = Fault.adversarial ~seed ~nodes:4 ~events:6 ~window:3_000_000.0 in
+      n ~at = n ~at)
 
 let prop_recording_off_bit_identical =
   (* History recording must be purely observational: the same seeded
@@ -313,11 +312,12 @@ let prop_recording_off_bit_identical =
   QCheck.Test.make ~name:"history recording does not perturb the run" ~count:4
     QCheck.(int_range 1 1_000)
     (fun seed ->
-      let nemesis = Nemesis.adversarial ~seed ~nodes:4 ~events:3 ~window:800_000.0 () in
       let cfg =
         {
           Config.default with
-          Config.fault_plan = Nemesis.plan nemesis ~at:(Engine.seconds 0.3);
+          Config.fault_plan =
+            Fault.adversarial ~seed ~nodes:4 ~events:3 ~window:800_000.0
+              ~at:(Engine.seconds 0.3);
         }
       in
       let run history =
@@ -351,7 +351,7 @@ let prop_every_protocol_audits_clean =
             Drive.run ~seed:(41 + i) ~clients:4 ~duration:1.0 ~nemesis_at:0.3
               ~cfg:Config.default ~make:p.make
               ~gen:(Workloads.ycsb ~cross:0.4 Config.default)
-              ~nemesis:(Nemesis.crash ~node:1 ~downtime:300_000.0 ())
+              ~nemesis:(Fault.crash_recover ~node:1 ~downtime:300_000.0)
               ()
           in
           if not (Drive.passed o && o.Drive.result.commits > 0) then

@@ -15,17 +15,7 @@ module Drive = Lion_audit.Drive
 module Nemesis = Lion_audit.Nemesis
 module Workloads = Lion_harness.Workloads
 
-let protocols =
-  List.map
-    (fun id -> (id, fun cl -> (Option.get (Lion_harness.Protocols.find id)).make cl))
-    [ "2pc"; "lion"; "lion-batch" ]
-
-let target : Fuzz.target =
-  {
-    Fuzz.protos = protocols;
-    workload =
-      (fun ~cfg ~seed ~skew ~cross -> Workloads.ycsb ~seed ~skew ~cross cfg);
-  }
+let protos = [ "2pc"; "lion"; "lion-batch" ]
 
 let verdict = Alcotest.testable (Fmt.of_to_string Fuzz.verdict_name) ( = )
 
@@ -45,7 +35,7 @@ let test_corpus_replays () =
       match Fuzz.load_file path with
       | Error msg -> Alcotest.failf "%s: unreadable: %s" path msg
       | Ok (case, expect) ->
-          let r = Fuzz.run_case ~target case in
+          let r = Fuzz.run_case case in
           Alcotest.(check verdict)
             (Printf.sprintf "%s replays (signals: %s)" path
                (String.concat " " r.Fuzz.signature))
@@ -60,8 +50,8 @@ let test_phantom_flag_controls_verdict () =
   | Error msg -> Alcotest.failf "corpus case unreadable: %s" msg
   | Ok (case, _) ->
       Alcotest.(check bool) "corpus case has the flag on" true case.Fuzz.phantom;
-      let on = Fuzz.run_case ~target case in
-      let off = Fuzz.run_case ~target { case with Fuzz.phantom = false } in
+      let on = Fuzz.run_case case in
+      let off = Fuzz.run_case { case with Fuzz.phantom = false } in
       Alcotest.(check verdict) "flag on: divergence" Fuzz.Safety on.Fuzz.verdict;
       Alcotest.(check verdict) "flag off: clean" Fuzz.Clean off.Fuzz.verdict
 
@@ -70,7 +60,7 @@ let test_phantom_flag_controls_verdict () =
 let test_generate_deterministic () =
   let gen () =
     let rng = Rng.create 99 in
-    Fuzz.generate rng ~target ~phantom:false ~name:"g"
+    Fuzz.generate rng ~protos ~phantom:false ~name:"g"
   in
   Alcotest.(check bool) "same seed, same case" true (gen () = gen ())
 
@@ -78,8 +68,8 @@ let test_run_case_deterministic () =
   match Fuzz.load_file "corpus/resync-long-partition.json" with
   | Error msg -> Alcotest.failf "corpus case unreadable: %s" msg
   | Ok (case, _) ->
-      let a = Fuzz.run_case ~target case in
-      let b = Fuzz.run_case ~target case in
+      let a = Fuzz.run_case case in
+      let b = Fuzz.run_case case in
       Alcotest.(check (list string))
         "same coverage signature" a.Fuzz.signature b.Fuzz.signature;
       Alcotest.(check verdict) "same verdict" a.Fuzz.verdict b.Fuzz.verdict
@@ -92,7 +82,7 @@ let test_campaign_deterministic () =
         ~log:(fun l ->
           Buffer.add_string buf l;
           Buffer.add_char buf '\n')
-        ~seed:11 ~phantom:false ~target ()
+        ~seed:11 ~phantom:false ~protos ()
     in
     (Buffer.contents buf, res.Fuzz.pool_size, List.length res.Fuzz.failures)
   in
@@ -125,15 +115,15 @@ let test_shrink_recovers_essential_op () =
               ];
         }
       in
-      let r = Fuzz.run_case ~target noisy in
+      let r = Fuzz.run_case noisy in
       Alcotest.(check verdict) "noisy case still fails" Fuzz.Safety r.Fuzz.verdict;
-      let mini, runs = Fuzz.shrink ~target noisy Fuzz.Safety in
+      let mini, runs = Fuzz.shrink noisy Fuzz.Safety in
       Alcotest.(check bool)
         (Printf.sprintf "shrunk to %d op(s) in %d runs"
            (List.length mini.Fuzz.ops) runs)
         true
         (List.length mini.Fuzz.ops <= 3);
-      let r' = Fuzz.run_case ~target mini in
+      let r' = Fuzz.run_case mini in
       Alcotest.(check verdict) "minimized case reproduces" Fuzz.Safety
         r'.Fuzz.verdict
 
@@ -248,7 +238,7 @@ let test_healthy_run_is_clean () =
   let cfg = Config.default in
   let o =
     Drive.run ~seed:3 ~clients:4 ~duration:1.0 ~cfg
-      ~make:(List.assoc "2pc" protocols)
+      ~make:(Lion_harness.Protocols.get "2pc").make
       ~gen:(Workloads.ycsb ~cross:0.3 cfg)
       ~nemesis:Nemesis.calm ()
   in
@@ -268,7 +258,7 @@ let test_liveness_flags_wedged_run () =
   let cfg = Config.default in
   let o =
     Drive.run ~seed:3 ~clients:8 ~duration:1.0 ~max_events:50 ~cfg
-      ~make:(List.assoc "2pc" protocols)
+      ~make:(Lion_harness.Protocols.get "2pc").make
       ~gen:(Workloads.ycsb ~cross:0.3 cfg)
       ~nemesis:Nemesis.calm ()
   in
@@ -311,7 +301,7 @@ let test_recover_inside_partition () =
         ];
     }
   in
-  let r = Fuzz.run_case ~target case in
+  let r = Fuzz.run_case case in
   Alcotest.(check verdict)
     (Printf.sprintf "clean (signals: %s)" (String.concat " " r.Fuzz.signature))
     Fuzz.Clean r.Fuzz.verdict;
@@ -323,7 +313,7 @@ let test_recover_inside_partition () =
    any op's fault plan moves one of them. *)
 let test_every_op_kind () =
   let case = { kitchen_sink with Fuzz.name = "every-op-kind"; proto = "lion" } in
-  let r = Fuzz.run_case ~target case in
+  let r = Fuzz.run_case case in
   let res = r.Fuzz.outcome.Drive.result in
   Alcotest.(check verdict) "clean" Fuzz.Clean r.Fuzz.verdict;
   Alcotest.(check int) "commits" 27833 res.Lion_harness.Runner.commits;

@@ -10,7 +10,7 @@ module Placement = Lion_store.Placement
 module Engine = Lion_sim.Engine
 module Network = Lion_sim.Network
 module Metrics = Lion_sim.Metrics
-module Nemesis = Lion_audit.Nemesis
+module Fault = Lion_sim.Fault
 module Drive = Lion_audit.Drive
 module Runner = Lion_harness.Runner
 module Geo = Lion_harness.Geo
@@ -147,14 +147,13 @@ let epoch_drive nemesis =
     ~nemesis ()
 
 let test_epoch_audit_crash () =
-  let o = epoch_drive (Nemesis.crash ~node:1 ~downtime:400_000.0 ()) in
+  let o = epoch_drive (Fault.crash_recover ~node:1 ~downtime:400_000.0) in
   Alcotest.(check bool) "some work committed" true (o.Drive.result.commits > 0);
   Alcotest.(check bool) "audit passed" true (Drive.passed o)
 
 let test_epoch_audit_partition () =
   let o =
-    epoch_drive
-      (Nemesis.partition_primary_from_majority ~node:0 ~duration:800_000.0 ~nodes:4 ())
+    epoch_drive (Fault.isolate ~node:0 ~nodes:4 ~duration:800_000.0)
   in
   Alcotest.(check bool) "some work committed" true (o.Drive.result.commits > 0);
   Alcotest.(check bool) "audit passed" true (Drive.passed o)
