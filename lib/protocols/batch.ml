@@ -87,7 +87,7 @@ let conflict_verdicts ?(include_raw = false) ?window ?footprint ?granule txns =
     if i mod window = 0 then Granule_set.next_window reserved;
     let txn = txns.(i) in
     let ops = txn.Txn.ops in
-    let in_footprint = match footprint with None -> None | Some f -> Some (f txn) in
+    let in_footprint = match footprint with None -> None | Some f -> Some (f i) in
     let doomed = ref false and j = ref 0 in
     while (not !doomed) && !j < Array.length ops do
       let op = ops.(!j) in

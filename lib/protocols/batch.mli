@@ -32,7 +32,7 @@ type epoch_result = {
 val conflict_verdicts :
   ?include_raw:bool ->
   ?window:int ->
-  ?footprint:(Lion_workload.Txn.t -> Lion_store.Kvstore.key -> bool) ->
+  ?footprint:(int -> Lion_store.Kvstore.key -> bool) ->
   ?granule:(Lion_store.Kvstore.key -> int) ->
   Lion_workload.Txn.t array ->
   bool array
@@ -52,10 +52,11 @@ val conflict_verdicts :
     waves read the earlier waves' committed versions. Epoch-long lock
     holders (Lotus) keep the default.
 
-    [footprint txn] selects which of [txn]'s keys participate (default:
-    all of them) — Lotus selects only the keys on remote partitions,
-    since home-partition operations serialize on the partition's
-    executor and never abort. *)
+    [footprint i] selects which of transaction [i]'s keys participate
+    (default: all of them) — Lotus selects only the keys on remote
+    partitions, since home-partition operations serialize on the
+    partition's executor and never abort. It is called once per
+    transaction, before that transaction's keys are scanned. *)
 
 val create :
   Lion_store.Cluster.t ->

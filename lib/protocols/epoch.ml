@@ -59,18 +59,8 @@ let record_outcome t (p : pending) outcome =
   match t.cl.Cluster.history with
   | None -> ()
   | Some h ->
-      let writes =
-        match outcome with
-        | History.Committed ->
-            List.sort_uniq Kvstore.key_compare (Kvstore.write_set p.session)
-            |> List.map (fun key ->
-                   (key, Kvstore.version t.cl.Cluster.store key))
-        | History.Aborted | History.Indeterminate -> []
-      in
-      History.record h ~txn_id:p.txn.Txn.id ~attempt:p.attempt
-        ~reads:(Kvstore.observed_reads p.session)
-        ~writes ~outcome
-        ~ts:(Engine.now t.cl.Cluster.engine)
+      History.record_session h ~store:t.cl.Cluster.store p.session ~txn_id:p.txn.Txn.id
+        ~attempt:p.attempt ~outcome ~ts:(Engine.now t.cl.Cluster.engine)
 
 (* One epoch-close timer at a time, armed only while transactions are
    parked or executing toward a park — a free-running self-rescheduling

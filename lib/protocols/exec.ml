@@ -213,15 +213,8 @@ let record_outcome a outcome =
   match cl.Cluster.history with
   | None -> ()
   | Some h ->
-      let writes =
-        match outcome with
-        | History.Committed ->
-            List.sort_uniq Kvstore.key_compare (Kvstore.write_set a.session)
-            |> List.map (fun key -> (key, Kvstore.version cl.Cluster.store key))
-        | History.Aborted | History.Indeterminate -> []
-      in
-      History.record h ~txn_id:a.run.txn.Txn.id ~attempt:a.attempt_no
-        ~reads:(Kvstore.observed_reads a.session) ~writes ~outcome ~ts:(now a)
+      History.record_session h ~store:cl.Cluster.store a.session ~txn_id:a.run.txn.Txn.id
+        ~attempt:a.attempt_no ~outcome ~ts:(now a)
 
 (* The current group's operations, in op order, into the session. *)
 let record_group a =

@@ -11,42 +11,28 @@ let create cl =
   let process txns =
     let nodes = Cluster.node_count cl in
     let node_busy = Array.make nodes 0.0 in
+    let homes = Array.map (Batch_util.home_node cl) txns in
     (* Same-partition conflicts serialize on the partition's single
        executor thread and never abort; only cross-partition
        transactions — whose granule locks on REMOTE partitions live
        until the epoch ends — abort on conflict. The footprint is
-       restricted to remote-partition keys for exactly that reason. *)
-    let cross_txns =
-      Array.of_list
-        (List.filter Txn.is_cross_partition (Array.to_list txns))
-    in
-    let remote_footprint txn =
-      let home = Batch_util.home_node cl txn in
-      fun k -> Placement.primary cl.Cluster.placement (Kvstore.part k) <> home
+       restricted to their remote-partition keys for exactly that
+       reason. *)
+    let footprint i =
+      if Txn.is_cross_partition txns.(i) then
+        let home = homes.(i) in
+        fun k -> Placement.primary cl.Cluster.placement (Kvstore.part k) <> home
+      else fun _ -> false
     in
     let granule k =
       (Kvstore.key ~part:(Kvstore.part k) ~slot:(Kvstore.slot k / granule_size) :> int)
     in
-    let cross_ok =
-      Batch.conflict_verdicts ~footprint:remote_footprint ~granule cross_txns
-    in
-    let cross_verdict = Hashtbl.create 64 in
-    Array.iteri
-      (fun i txn -> Hashtbl.replace cross_verdict txn.Txn.id cross_ok.(i))
-      cross_txns;
-    let ok =
-      Array.map
-        (fun txn ->
-          match Hashtbl.find_opt cross_verdict txn.Txn.id with
-          | Some v -> v
-          | None -> true)
-        txns
-    in
+    let ok = Batch.conflict_verdicts ~footprint ~granule txns in
     let verdicts =
       Array.mapi
         (fun i txn ->
           Batch_util.touch cl txn;
-          let home = Batch_util.home_node cl txn in
+          let home = homes.(i) in
           let cross = Txn.is_cross_partition txn in
           (* Asynchronous commit/replication: cross transactions cost
              message handling, not a blocking round trip. *)

@@ -34,7 +34,6 @@ type t = {
   mutable busy_time : float;
   mutable completed : int;
   mutable alive : bool;
-  mutable sheds : int;
   mutable queue_wait : float;
   mutable max_queue : int;
   (* CoDel bookkeeping: when the head's sojourn first exceeded the
@@ -48,7 +47,6 @@ let capacity t = t.cap
 let alive t = t.alive
 
 let shed t w =
-  t.sheds <- t.sheds + 1;
   t.notify_shed ();
   match w.on_shed with None -> () | Some f -> f ()
 
@@ -159,7 +157,6 @@ let create ?(queue_cap = 0) ?(policy = Reject_newest)
       busy_time = 0.0;
       completed = 0;
       alive = true;
-      sheds = 0;
       queue_wait = 0.0;
       max_queue = 0;
       above_since = None;
@@ -198,6 +195,5 @@ let busy t = t.busy
 let queue_length t = Queue.length t.waiting + Queue.length t.waiting_hi
 let busy_time t = t.busy_time
 let completed t = t.completed
-let sheds t = t.sheds
 let queue_wait t = t.queue_wait
 let max_queue t = t.max_queue

@@ -50,7 +50,8 @@ val create :
 (** [queue_cap] 0 (default) = unbounded; [policy] defaults to
     [Reject_newest] (irrelevant while unbounded); [on_shed] is invoked
     once per shed request in addition to the request's own [on_shed]
-    callback — the cluster points it at its metrics recorder. *)
+    callback — the station keeps no count of its own; the cluster
+    points it at [Metrics.Sheds]. *)
 
 val capacity : t -> int
 
@@ -91,10 +92,6 @@ val busy_time : t -> float
 
 val completed : t -> int
 (** Leases released since creation. *)
-
-val sheds : t -> int
-(** Requests turned away by admission control or node death since
-    creation. *)
 
 val queue_wait : t -> float
 (** Total µs granted requests spent waiting in the queue since

@@ -36,6 +36,16 @@ let record t ~txn_id ~attempt ~reads ~writes ~outcome ~ts =
   t.rev_events <- { txn_id; attempt; reads; writes; outcome; ts; seq } :: t.rev_events;
   t.n <- t.n + 1
 
+let record_session t ~store session ~txn_id ~attempt ~outcome ~ts =
+  let writes =
+    match outcome with
+    | Committed ->
+        List.sort_uniq Kvstore.key_compare (Kvstore.write_set session)
+        |> List.map (fun key -> (key, Kvstore.version store key))
+    | Aborted | Indeterminate -> []
+  in
+  record t ~txn_id ~attempt ~reads:(Kvstore.observed_reads session) ~writes ~outcome ~ts
+
 let size t = t.n
 let events t = List.rev t.rev_events
 let shadow t = t.shadow

@@ -50,6 +50,20 @@ val record :
   ts:float ->
   unit
 
+val record_session :
+  t ->
+  store:Kvstore.t ->
+  Kvstore.session ->
+  txn_id:int ->
+  attempt:int ->
+  outcome:outcome ->
+  ts:float ->
+  unit
+(** [record] one attempt of a session run against [store]: the
+    versions the session observed and, on commit, its write set (sorted,
+    each key once) with the versions [store] now holds — the ones the
+    commit installed. *)
+
 val size : t -> int
 
 val events : t -> event list

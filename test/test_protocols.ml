@@ -586,7 +586,7 @@ let model_verdicts ~include_raw ~window ~footprint ~granule txns =
   Array.mapi
     (fun i txn ->
       if i mod window = 0 then reserved := [];
-      let granules keys = List.map granule (List.filter (footprint txn) keys) in
+      let granules keys = List.map granule (List.filter (footprint i) keys) in
       let writes = granules (Txn.write_keys txn) and reads = granules (Txn.read_keys txn) in
       let hit g = List.mem g !reserved in
       let doomed = List.exists hit writes || (include_raw && List.exists hit reads) in
@@ -625,11 +625,10 @@ let prop_conflict_verdicts_match_model =
       in
       let granule = if granule_size = 1 then fine else coarse granule_size in
       (* Lotus-style footprint: the keys on partitions of one parity,
-         shifted by the transaction id, count; the rest are home keys. *)
+         shifted by the transaction's index, count; the rest are home
+         keys. *)
       let footprint =
-        Option.map
-          (fun parity (t : Txn.t) k -> (Kvstore.part k + t.Txn.id) mod 2 = parity)
-          remote_parity
+        Option.map (fun parity i k -> (Kvstore.part k + i) mod 2 = parity) remote_parity
       in
       let got = Batch.conflict_verdicts ~include_raw ?window ?footprint ~granule txns in
       let want =

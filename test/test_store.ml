@@ -1170,7 +1170,7 @@ let test_rpc_shed_by_full_service_queue () =
   Engine.run_all cl.Cluster.engine ();
   Alcotest.(check bool) "no failure surfaced" false !failed;
   Alcotest.(check (float 1e-6)) "third attempt delivered" 10_726.088 !delivered_at;
-  Alcotest.(check int) "two sheds" 2 (Lion_sim.Server.sheds svc);
+  Alcotest.(check int) "two sheds" 2 (Lion_sim.Metrics.count cl.Cluster.metrics Sheds);
   Alcotest.(check int) "two retries" 2 (Lion_sim.Metrics.count cl.Cluster.metrics Retries);
   Alcotest.(check int) "no timeout" 0 (Lion_sim.Metrics.count cl.Cluster.metrics Timeouts);
   Alcotest.(check int) "nothing dropped" 0 (Lion_sim.Metrics.count cl.Cluster.metrics Drops)
