@@ -19,8 +19,8 @@ module Divergence = Lion_audit.Divergence
 
 module Protocols = Lion_harness.Protocols
 
-(* Each entry is a [Fault] recipe applied to everything but its start
-   time, which [Drive.run] supplies. *)
+(* Each entry builds its plan from [Fault] recipes once [Drive.run]
+   supplies the start time. *)
 let nemeses ~nodes ~seed : (string * Nemesis.t) list =
   [
     ("calm", Nemesis.calm);

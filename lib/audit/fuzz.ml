@@ -72,9 +72,17 @@ let plan_of_case c =
           Fault.slow_node ~node ~factor:(float_of_int factor) ~from_:(us at_us)
             ~until:(us (at_us + dur_us))
       | Slow_link { dst; extra_us; at_us; dur_us } ->
-          [ Fault.delay ~dst ~extra:(us extra_us) ~from_:(us at_us) ~until:(us (at_us + dur_us)) () ]
+          [
+            Fault.delay ~dst ~extra:(us extra_us) ~from_:(us at_us)
+              ~until:(us (at_us + dur_us))
+              ();
+          ]
       | Lossy { pct; at_us; dur_us } ->
-          Fault.lossy ~prob:(float_of_int pct /. 100.0) ~from_:(us at_us) ~until:(us (at_us + dur_us)) ()
+          Fault.lossy
+            ~prob:(float_of_int pct /. 100.0)
+            ~from_:(us at_us)
+            ~until:(us (at_us + dur_us))
+            ()
       | Burst { node; at_us; dur_us } ->
           Fault.overload_burst ~node ~at:(us at_us) ~duration:(us dur_us)
       | Crash_rejoin { node; at_us; cycles } -> Fault.crash_rejoin ~node ~cycles ~at:(us at_us)
