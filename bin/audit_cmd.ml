@@ -33,9 +33,6 @@ let nemeses ~nodes ~seed : (string * Nemesis.t) list =
     ( "straggler",
       fun ~at -> Fault.slow_node ~node:0 ~factor:16.0 ~from_:at ~until:(at +. 1_500_000.0) );
     ("lossy", fun ~at -> Fault.lossy ~prob:0.2 ~from_:at ~until:(at +. 1_000_000.0) ());
-    (* Crash Lion's usual promotion target briefly, so the crash lands
-       inside transfer windows and the recovery inside the run. *)
-    ("crash-remaster", Fault.crash_recover ~node:1 ~downtime:500_000.0);
     ( "rolling",
       fun ~at ->
         Fault.crash_recover ~node:1 ~at ~downtime:500_000.0

@@ -112,13 +112,6 @@ let create_with_planner ?name ?(seed = 31) ?(config = Planner.default_config) cl
       node_busy;
       serial_time = 0.0;
       barrier_time = (if any_remaster then cfg.Config.remaster_delay else 0.0);
-      phase_split =
-        [
-          (Metrics.Execution, 0.45);
-          (Metrics.Remaster, 0.1);
-          (Metrics.Replication, 0.35);
-          (Metrics.Commit, 0.1);
-        ];
     }
   in
   let proto =

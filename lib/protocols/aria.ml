@@ -1,5 +1,4 @@
 module Cluster = Lion_store.Cluster
-module Metrics = Lion_sim.Metrics
 module Txn = Lion_workload.Txn
 
 let create cl =
@@ -34,9 +33,6 @@ let create cl =
       node_busy;
       serial_time = 0.0;
       barrier_time = 0.0;
-      (* The reservation + reordering commit step costs Aria an extra
-         ~20 % of latency (§VI-G). *)
-      phase_split = [ (Metrics.Execution, 0.65); (Metrics.Commit, 0.2); (Metrics.Replication, 0.15) ];
     }
   in
   Batch.create cl ~name:"Aria" ~process

@@ -15,7 +15,6 @@ type epoch_result = {
   node_busy : float array;
   serial_time : float;
   barrier_time : float;
-  phase_split : (Metrics.phase * float) list;
 }
 
 (* The granules reserved in the current window of a conflict pass, by
@@ -107,15 +106,17 @@ let conflict_verdicts ?(include_raw = false) ?window ?footprint ?granule txns =
   done;
   ok
 
+(* What a re-queued request takes into its next epoch: [since], where
+   that epoch's queue-wait stage starts, and the phases so far. *)
+type carried = { since : float; so_far : Metrics.phase_times }
+
 type request = {
   txn : Txn.t;
   enqueued : float;
   mutable retries : int;
   on_done : unit -> unit;
   ctx : Trace.ctx option;  (* root trace context, None when untraced *)
-  mutable wait_from : float;
-      (* when this request last started waiting (enqueue or re-queue);
-         the next epoch's queue-wait span starts here *)
+  mutable carried : carried option;  (* None until its first re-queue *)
 }
 
 type state = {
@@ -134,24 +135,27 @@ type state = {
    of cross-node round trips regardless of batch size. *)
 let epoch_commit_cost cl = 4.0 *. Network.oneway_delay cl.Cluster.network ~bytes:64
 
-(* Epoch processing is analytic, so a traced transaction's spans are
-   reconstructed retroactively at epoch end from the makespan's stage
-   boundaries. The stages tile [wait_from, now] exactly, so the
-   critical path of a batch trace sums to its recorded latency. *)
-let emit_stages st req ~t0 ~t1 ~t2 ~t3 ~now =
-  match req.ctx with
-  | None -> ()
-  | Some _ as ctx ->
-      let seq_label, barrier_label = st.stage_labels in
-      let stage name phase a b =
-        if b > a then
-          Trace.finish ~ts:b (Trace.child ~phase ~name ~ts:a ctx)
-      in
-      stage "queue-wait" "scheduling" req.wait_from t0;
-      stage seq_label "scheduling" t0 t1;
-      stage "execution" "execution" t1 t2;
-      stage barrier_label "remaster" t2 t3;
-      stage "epoch-commit" "commit" t3 now
+(* The stages tile the request's wait and this epoch, up to [now]. Each
+   adds its length to the phases and, when traced, is a retroactive
+   span of them. A request is only given a record of its own when it
+   is re-queued, so a batch in flight holds none. *)
+let stage phases ctx name phase a b =
+  if b > a then (
+    Metrics.add_phase phases phase (b -. a);
+    match ctx with
+    | None -> ()
+    | Some _ -> Trace.finish ~ts:b (Trace.child ~phase:(Metrics.phase_name phase) ~name ~ts:a ctx))
+
+let walk_stages st req ~t0 ~t1 ~t2 ~t3 ~now =
+  let seq_label, barrier_label = st.stage_labels and ctx = req.ctx in
+  let phases = match req.carried with Some c -> c.so_far | None -> Metrics.phase_times () in
+  let wait_from = match req.carried with Some c -> c.since | None -> req.enqueued in
+  stage phases ctx "queue-wait" Metrics.Scheduling wait_from t0;
+  stage phases ctx seq_label Metrics.Scheduling t0 t1;
+  stage phases ctx "execution" Metrics.Execution t1 t2;
+  stage phases ctx barrier_label Metrics.Remaster t2 t3;
+  stage phases ctx "epoch-commit" Metrics.Commit t3 now;
+  phases
 
 (* Consistency-audit hook. Epoch engines are analytic — they never
    touch the real [Kvstore] — so history events are synthesized against
@@ -187,24 +191,6 @@ let record_history st ~now req (v : verdict) =
         ~outcome:(if v.committed then History.Committed else History.Aborted)
         ~ts:now
 
-(* [total] is the sum of the split's weights, taken once per epoch. *)
-let scale_phases ~total phase_split latency =
-  if total <= 0.0 then Metrics.phase_times ~execution:latency ()
-  else
-    let times = Metrics.phase_times () in
-    List.iter
-      (fun (p, w) ->
-        let d = latency *. w /. total in
-        match (p : Metrics.phase) with
-        | Execution -> times.execution <- d
-        | Prepare -> times.prepare <- d
-        | Commit -> times.commit <- d
-        | Remaster -> times.remaster <- d
-        | Scheduling -> times.scheduling <- d
-        | Replication -> times.replication <- d)
-      phase_split;
-    times
-
 let rec start_epoch st =
   let cfg = st.cl.Cluster.cfg in
   let batch_size = cfg.Config.batch_size in
@@ -229,7 +215,6 @@ let rec start_epoch st =
     let duration =
       result.serial_time +. exec_time +. result.barrier_time +. epoch_commit_cost st.cl
     in
-    let phase_total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 result.phase_split in
     Engine.schedule st.cl.Cluster.engine ~delay:duration (fun () ->
         let now = Engine.now st.cl.Cluster.engine in
         let t0 = epoch_start in
@@ -241,6 +226,7 @@ let rec start_epoch st =
             let v = result.verdicts.(i) in
             let give_up = req.retries >= st.max_retries in
             record_history st ~now req v;
+            let phases = walk_stages st req ~t0 ~t1 ~t2 ~t3 ~now in
             if v.committed || give_up then (
               let latency = now -. req.enqueued in
               (* Batch engines never enforce deadlines (retries are
@@ -250,15 +236,13 @@ let rec start_epoch st =
               let late = Config.misses_deadline cfg latency in
               Metrics.record_commit ~late st.cl.Cluster.metrics ~latency
                 ~single_node:v.single_node ~remastered:v.remastered
-                ~phases:(scale_phases ~total:phase_total result.phase_split latency);
-              emit_stages st req ~t0 ~t1 ~t2 ~t3 ~now;
+                ~phases;
               Trace.finish_txn ~ts:now ~ok:v.committed req.ctx;
               req.on_done ())
             else (
               Metrics.incr st.cl.Cluster.metrics Aborts;
-              emit_stages st req ~t0 ~t1 ~t2 ~t3 ~now;
               Trace.note_abort ~ts:now req.ctx;
-              req.wait_from <- now;
+              req.carried <- Some { since = now; so_far = phases };
               req.retries <- req.retries + 1;
               Queue.push req st.carryover))
           requests;
@@ -296,7 +280,7 @@ let create cl ~name ~process ?(tick = fun () -> ()) ?(max_retries = 100)
       | Some tracer -> Trace.start_txn tracer ~ts:now ~txn_id:txn.Txn.id
     in
     Queue.push
-      { txn; enqueued = now; retries = 0; on_done; ctx; wait_from = now }
+      { txn; enqueued = now; retries = 0; on_done; ctx; carried = None }
       st.buffer;
     maybe_start st
   in

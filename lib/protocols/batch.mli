@@ -15,7 +15,10 @@
     at epoch end with latency measured from enqueue (re-queued aborted
     transactions span multiple epochs, producing the tail latencies of
     Fig. 14); their clients resubmit immediately, keeping the system
-    saturated as in the paper's benchmarking harness. *)
+    saturated as in the paper's benchmarking harness. A transaction's
+    phases (Fig. 14b) are the stages of every epoch it sat in: queue
+    wait and serial term [Scheduling], max-term [Execution], barrier
+    [Remaster], epoch commit [Commit]; they sum to its latency. *)
 
 type verdict = { committed : bool; single_node : bool; remastered : bool }
 
@@ -24,9 +27,6 @@ type epoch_result = {
   node_busy : float array;  (** worker-µs consumed per node *)
   serial_time : float;  (** sequencer / lock-manager serial span *)
   barrier_time : float;  (** non-overlapped pauses (migrations, remasters) *)
-  phase_split : (Lion_sim.Metrics.phase * float) list;
-      (** relative weights used to attribute each transaction's latency
-          to phases for the Fig. 14 breakdown; each phase at most once *)
 }
 
 val conflict_verdicts :
@@ -74,7 +74,8 @@ val create :
     When the cluster carries a tracer ([Cluster.tracer]), sampled
     transactions get retroactive stage spans at each epoch end —
     queue-wait, sequencing, execution, barrier, epoch-commit — tiling
-    the makespan, with re-queues annotated as aborts. [stage_labels]
-    (default [("sequencing", "barrier")]) names the protocol-specific
-    serial and barrier stages, e.g. Calvin's lock scheduler or Star's
-    phase-switch remaster. *)
+    the makespan, with re-queues annotated as aborts; each span carries
+    its stage's phase, so the critical path is the recorded phases.
+    [stage_labels] (default [("sequencing", "barrier")]) names the
+    protocol-specific serial and barrier stages, e.g. Calvin's lock
+    scheduler or Star's phase-switch remaster. *)

@@ -1,6 +1,5 @@
 module Cluster = Lion_store.Cluster
 module Placement = Lion_store.Placement
-module Metrics = Lion_sim.Metrics
 module Txn = Lion_workload.Txn
 
 let create cl =
@@ -34,7 +33,6 @@ let create cl =
       node_busy;
       serial_time = float_of_int (Array.length txns) *. Batch_util.lock_grant_cost;
       barrier_time = 0.0;
-      phase_split = [ (Metrics.Scheduling, 0.08); (Metrics.Execution, 0.92) ];
     }
   in
   Batch.create cl ~name:"Calvin" ~process

@@ -199,29 +199,20 @@ and abort_retry t (p : pending) =
   record_outcome t p History.Aborted;
   Metrics.incr cl.Cluster.metrics Aborts;
   Trace.note_abort ~ts:(Engine.now engine) p.octx;
-  let cfg = cl.Cluster.cfg in
   let give_up reason =
     Metrics.incr cl.Cluster.metrics Deadline_giveups;
     Trace.note ~ts:(Engine.now engine) reason p.octx;
     Trace.finish_txn ~ts:(Engine.now engine) ~ok:false p.octx
   in
-  let past_deadline =
-    match cfg.Config.deadline with
-    | Some { Config.after; enforce = true } -> Engine.now engine >= p.start +. after
-    | _ -> false
-  in
-  if past_deadline then give_up "deadline-giveup"
-  else if p.attempt >= max_attempts then give_up "attempts-exhausted"
-  else (
-    let cap = Stdlib.min 8 p.attempt in
-    let backoff =
-      (50.0 *. float_of_int (1 lsl cap)) +. Rng.float cl.Cluster.rng 50.0
-    in
-    Engine.schedule engine
-      ~delay:(Stdlib.min 2000.0 backoff)
-      (fun () ->
-        execute t ~txn:p.txn ~start:p.start ~attempt:(p.attempt + 1)
-          ~octx:p.octx ~on_parked:(fun () -> ())))
+  match Config.enforced_deadline cl.Cluster.cfg ~start:p.start with
+  | Some d when Engine.now engine >= d -> give_up "deadline-giveup"
+  | _ when p.attempt >= max_attempts -> give_up "attempts-exhausted"
+  | _ ->
+      Engine.schedule engine
+        ~delay:(Exec.retry_backoff cl ~attempts:p.attempt)
+        (fun () ->
+          execute t ~txn:p.txn ~start:p.start ~attempt:(p.attempt + 1)
+            ~octx:p.octx ~on_parked:(fun () -> ()))
 
 (* Optimistic local execution: route to the node holding the most of
    the transaction's primaries, take a worker for setup + per-op CPU,

@@ -232,6 +232,10 @@ let rec send_oneway a = function
         ~bytes:Config.op_msg_bytes nop;
       send_oneway a rest
 
+let retry_backoff cl ~attempts =
+  let cap = Stdlib.min 8 attempts in
+  Float.min 2000.0 ((50.0 *. float_of_int (1 lsl cap)) +. Rng.float cl.Cluster.rng 50.0)
+
 (* An attempt that ends without a commit: the coordinator was dead,
    admission shed it, or it aborted. Retry after a backoff, or give the
    transaction up past an enforced deadline. *)
@@ -257,10 +261,7 @@ let rec attempt_failed r actx =
           Trace.note ~ts:(Engine.now engine) "deadline-giveup" r.octx;
           Trace.finish_txn ~ts:(Engine.now engine) ~ok:false r.octx);
       r.on_done ()
-  | _ ->
-      let cap = Stdlib.min 8 r.attempts in
-      let backoff = (50.0 *. float_of_int (1 lsl cap)) +. Rng.float cl.Cluster.rng 50.0 in
-      Engine.schedule_apply engine ~delay:(Stdlib.min 2000.0 backoff) start_attempt r
+  | _ -> Engine.schedule_apply engine ~delay:(retry_backoff cl ~attempts:r.attempts) start_attempt r
 
 and start_attempt r =
   let cl = r.cl in
@@ -707,9 +708,6 @@ let run cl ~route ~flavor txn ~on_done =
          retransmitting and aborted attempts stop retrying past it.
          Keeping the two apart lets the metastable repro measure goodput
          identically on the unprotected baseline. *)
-      enforced =
-        (match cl.Cluster.cfg.Config.deadline with
-        | Some { Config.after; enforce = true } -> Some (start +. after)
-        | _ -> None);
+      enforced = Config.enforced_deadline cl.Cluster.cfg ~start;
       attempts = 0;
     }

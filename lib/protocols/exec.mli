@@ -48,6 +48,10 @@ val record_op : Lion_store.Kvstore.session -> Lion_workload.Txn.op -> unit
 (** Record one operation in an OCC session: [Kvstore.write] for a
     write, [Kvstore.read] for a read. *)
 
+val retry_backoff : Lion_store.Cluster.t -> attempts:int -> float
+(** The delay before retry [attempts + 1] of [Exec] and [Epoch]: 50
+    µs·2^min(8, attempts) plus one RNG draw below 50 µs, at most 2 ms. *)
+
 val route_most_primaries : Lion_store.Cluster.t -> Lion_workload.Txn.t -> int
 (** The node holding the most of the transaction's primary partitions
     (lowest id on ties) — the standard router. *)

@@ -2,7 +2,6 @@ module Cluster = Lion_store.Cluster
 module Config = Lion_store.Config
 module Placement = Lion_store.Placement
 module Network = Lion_sim.Network
-module Metrics = Lion_sim.Metrics
 module Heatgraph = Lion_analysis.Heatgraph
 module Clump = Lion_analysis.Clump
 module Schism = Lion_analysis.Schism
@@ -77,13 +76,6 @@ let create cl =
       node_busy;
       serial_time = float_of_int (Array.length txns) *. Batch_util.lock_grant_cost;
       barrier_time = float_of_int !moves *. per_move_stall;
-      phase_split =
-        [
-          (Metrics.Scheduling, 0.19);
-          (Metrics.Execution, 0.51);
-          (Metrics.Remaster, 0.1);
-          (Metrics.Replication, 0.2);
-        ];
     }
   in
   Batch.create cl ~name:"Hermes" ~process

@@ -1,7 +1,6 @@
 module Cluster = Lion_store.Cluster
 module Kvstore = Lion_store.Kvstore
 module Placement = Lion_store.Placement
-module Metrics = Lion_sim.Metrics
 module Txn = Lion_workload.Txn
 
 (* Rows per granule lock. *)
@@ -50,7 +49,6 @@ let create cl =
       node_busy;
       serial_time = 0.0;
       barrier_time = 0.0;
-      phase_split = [ (Metrics.Execution, 0.7); (Metrics.Replication, 0.3) ];
     }
   in
   Batch.create cl ~name:"Lotus" ~process

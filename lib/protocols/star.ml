@@ -1,7 +1,6 @@
 module Cluster = Lion_store.Cluster
 module Config = Lion_store.Config
 module Network = Lion_sim.Network
-module Metrics = Lion_sim.Metrics
 module Txn = Lion_workload.Txn
 
 let super = 0
@@ -42,8 +41,6 @@ let create cl =
       (* The phase switch remasters primaries to/from the super node
          once per epoch; it overlaps nothing. *)
       barrier_time = (if !any_cross then cfg.Config.remaster_delay else 0.0);
-      phase_split =
-        [ (Metrics.Execution, 0.55); (Metrics.Remaster, 0.1); (Metrics.Replication, 0.35) ];
     }
   in
   Batch.create cl ~name:"Star" ~process

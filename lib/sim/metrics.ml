@@ -183,6 +183,15 @@ let phase_times ?(execution = 0.0) ?(prepare = 0.0) ?(commit = 0.0) ?(remaster =
     ?(scheduling = 0.0) ?(replication = 0.0) () =
   { execution; prepare; commit; remaster; scheduling; replication }
 
+let add_phase p phase d =
+  match phase with
+  | Execution -> p.execution <- p.execution +. d
+  | Prepare -> p.prepare <- p.prepare +. d
+  | Commit -> p.commit <- p.commit +. d
+  | Remaster -> p.remaster <- p.remaster +. d
+  | Scheduling -> p.scheduling <- p.scheduling +. d
+  | Replication -> p.replication <- p.replication +. d
+
 (* Each phase adds its own slot exactly once per commit. A phase a
    protocol does not report adds 0.0, which leaves a sum that started
    at 0.0 unchanged, so the totals match adding only the reported

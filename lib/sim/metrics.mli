@@ -149,6 +149,9 @@ val phase_times :
   phase_times
 (** A fresh record; every phase not given is 0. *)
 
+val add_phase : phase_times -> phase -> float -> unit
+(** [add_phase p phase d] adds [d] µs to [phase]'s field of [p]. *)
+
 val record_commit :
   ?late:bool ->
   t ->

@@ -89,6 +89,11 @@ let session_for t ~part ~dst : Replication.session =
 let[@inline] session_stale t ~dst (s : Replication.session) =
   t.node_epoch.(dst) <> s.Replication.epoch
 
+let refuse_stale t ~stale =
+  let refuse = stale && t.cfg.Config.session_tagging in
+  if refuse then Metrics.incr t.metrics Stale_acks;
+  refuse
+
 (* [access_peak.hottest] is the value [Array.fold_left max 0.0
    part_access] would return, maintained exactly rather than re-folded
    per routed transaction. A touch raises one counter, so the new
@@ -201,11 +206,10 @@ let try_begin_remaster t ~part ~node =
              && not !transfer_lost
            then
              let stale = session_stale t ~dst:node session in
-             if stale && t.cfg.Config.session_tagging then begin
+             if refuse_stale t ~stale then begin
                (* The lag ship belongs to the target's previous
                   incarnation: refuse the handover rather than promote
                   a primary missing its log suffix. *)
-               Metrics.incr t.metrics Stale_acks;
                Metrics.incr t.metrics Remaster_stale_refuse;
                if t.part_last_remaster.(part) = started then
                  t.part_last_remaster.(part) <- prev
@@ -219,7 +223,7 @@ let try_begin_remaster t ~part ~node =
                   moves where durable state already exists. *)
                Replication.ack_stream t.replication ~part ~node
                  ~upto:(Replication.appends t.replication ~part)
-                 ~stale ~reject:false;
+                 ~stale;
                (* A partition parked as unavailable (lost quorum) now has
                   a live primary again: reopen it. *)
                if t.part_available.(part) = infinity then
@@ -330,14 +334,10 @@ let add_replica t ~part ~node ~on_ready =
         Engine.schedule t.engine ~delay:Config.replica_add_duration (fun () ->
             if t.node_alive.(node) then (
               let stale = session_stale t ~dst:node session in
-              if stale && t.cfg.Config.session_tagging then
-                (* The snapshot stream was opened against the node's
-                   previous incarnation — whatever it shipped landed on
-                   storage that has since restarted empty. Tagged
-                   sessions catch this and drop the install; the
-                   planner will try again with a fresh stream. *)
-                Metrics.incr t.metrics Stale_acks
-              else (
+              (* A stale snapshot landed on storage that has since
+                 restarted empty: tagged sessions drop the install, and
+                 the planner retries with a fresh stream. *)
+              if not (refuse_stale t ~stale) then (
                 (if not (Placement.has_replica t.placement ~part ~node) then begin
                    (* Re-check the cap at completion: another install for
                       this partition may have filled the budget while the
@@ -356,7 +356,7 @@ let add_replica t ~part ~node ~on_ready =
                          audit exists to expose. *)
                       Replication.ack_stream t.replication ~part ~node
                         ~upto:(Replication.appends t.replication ~part)
-                        ~stale:true ~reject:false
+                        ~stale:true
                     else
                       (* A fresh install carries a full snapshot: the
                          replica starts caught up with the log. *)

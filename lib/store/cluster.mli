@@ -139,6 +139,10 @@ val session_for : t -> part:int -> dst:int -> Replication.session
 val session_stale : t -> dst:int -> Replication.session -> bool
 (** Whether [dst] has left and rejoined since the session opened. *)
 
+val refuse_stale : t -> stale:bool -> bool
+(** Whether a delivery on a [stale] session is refused: only with
+    [Config.session_tagging], and each refusal counts [Stale_acks]. *)
+
 val touch_partition : t -> int -> unit
 (** Bump the access counter used for f(v, n) in the cost model. *)
 

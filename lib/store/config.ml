@@ -89,6 +89,9 @@ let with_elastic_defaults t =
 let misses_deadline t latency =
   match t.deadline with Some d -> latency > d.after | None -> false
 
+let enforced_deadline t ~start =
+  match t.deadline with Some { after; enforce = true } -> Some (start +. after) | _ -> None
+
 let total_partitions t = t.nodes * t.partitions_per_node
 let total_workers t = t.nodes * t.workers_per_node
 let total_slots t =

@@ -195,6 +195,9 @@ val misses_deadline : t -> float -> bool
 (** Whether a commit [latency] µs after first submission is past the
     [deadline]; always false without one. *)
 
+val enforced_deadline : t -> start:float -> float option
+(** [start] plus an enforced [deadline]: past it, no more retries. *)
+
 val region_of_node : t -> int -> int
 (** Region of a node slot under the contiguous block layout: the
     [total_slots] ids divide into [regions] consecutive blocks (nodes

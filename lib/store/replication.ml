@@ -83,17 +83,15 @@ let seed_replica t ~part ~node =
   let i = index t ~part ~node in
   if t.durable_wm.(i) = no_row then t.durable_wm.(i) <- 0
 
-let ack_stream t ~part ~node ~upto ~stale ~reject =
-  if not (stale && reject) then begin
-    let i = index t ~part ~node in
-    raise_applied t i upto;
-    (* An incremental stream can only extend storage that already holds
-       the prefix, so the durable watermark moves only where a row
-       exists — and never on a stale stream, whose bytes belong to a
-       state the destination lost when it left the membership. *)
-    let d = t.durable_wm.(i) in
-    if (not stale) && d <> no_row && upto > d then t.durable_wm.(i) <- upto
-  end
+let ack_stream t ~part ~node ~upto ~stale =
+  let i = index t ~part ~node in
+  raise_applied t i upto;
+  (* An incremental stream can only extend storage that already holds
+     the prefix, so the durable watermark moves only where a row exists
+     — and never on a stale stream, whose bytes belong to a state the
+     destination lost when it left the membership. *)
+  let d = t.durable_wm.(i) in
+  if (not stale) && d <> no_row && upto > d then t.durable_wm.(i) <- upto
 
 let forget_applied t ~part ~node =
   let i = index t ~part ~node in

@@ -78,17 +78,16 @@ val seed_replica : t -> part:int -> node:int -> unit
 (** Create the durable row (at 0) for a replica that exists from the
     start — the cluster seeds every initial holder at creation. *)
 
-val ack_stream : t -> part:int -> node:int -> upto:int -> stale:bool -> reject:bool -> unit
+val ack_stream : t -> part:int -> node:int -> upto:int -> stale:bool -> unit
 (** Apply one {e incremental} stream delivery (per-commit log ship or
     legacy-session message). [stale] says the stream's session predates
-    the destination's current incarnation; [reject] (the
-    [Config.session_tagging] behaviour) refuses such a delivery
-    outright. An accepted delivery always advances the believed
+    the destination's current incarnation; with [Config.session_tagging]
+    the caller refuses such a delivery ({!Cluster.refuse_stale}) and
+    never gets here. A delivery always advances the believed
     watermark; the durable watermark advances only when the stream is
     fresh {e and} a durable row exists — an incremental stream cannot
-    conjure up the prefix it extends. A stale accepted delivery is thus
-    exactly the hazard: bookkeeping says caught-up, storage says
-    nothing. *)
+    conjure up the prefix it extends. A stale delivery is thus exactly
+    the hazard: bookkeeping says caught-up, storage says nothing. *)
 
 val forget_applied : t -> part:int -> node:int -> unit
 (** Drop both watermarks — the node no longer holds this replica. *)

@@ -274,11 +274,10 @@ let rec resync_replica (t : Cluster.t) ~part ~node ~tries ~backoff =
         let session = Cluster.session_for t ~part ~dst:node in
         Network.send t.network ~src ~dst:node ~bytes ~on_drop:retry (fun () ->
             let stale = Cluster.session_stale t ~dst:node session in
-            if stale && t.cfg.Config.session_tagging then begin
+            if Cluster.refuse_stale t ~stale then begin
               (* The node rejoined while the suffix was in flight: the
                  shipped range was computed against its previous
                  incarnation. Reject and restart with a fresh session. *)
-              Metrics.incr t.metrics Stale_acks;
               Metrics.incr t.metrics Resync_stale;
               resync_replica t ~part ~node ~tries:(tries - 1) ~backoff
             end
@@ -286,8 +285,7 @@ let rec resync_replica (t : Cluster.t) ~part ~node ~tries ~backoff =
               (* The suffix extends state from [cur]: incremental, so
                  the durable watermark moves only where durable state
                  exists — and not at all on an untagged stale ship. *)
-              Replication.ack_stream t.replication ~part ~node ~upto:goal ~stale
-                ~reject:false;
+              Replication.ack_stream t.replication ~part ~node ~upto:goal ~stale;
               Metrics.incr t.metrics Resync_apply;
               t.resync_count <- t.resync_count + 1;
               (* More records may have landed while the suffix was in
@@ -331,11 +329,10 @@ let ship_send (s : ship) =
 let ship_arrived (s : ship) =
   let t = s.owner and dst = s.to_node in
   let stale = Cluster.session_stale t ~dst s.session in
-  if stale && t.cfg.Config.session_tagging then begin
+  if Cluster.refuse_stale t ~stale then begin
     (* Delivered to a node that left and rejoined while the record was
        in flight: the ack would stamp a watermark the node's storage no
        longer backs. *)
-    Metrics.incr t.metrics Stale_acks;
     close_span t "stale-session" s.rctx
   end
   else begin
@@ -343,8 +340,7 @@ let ship_arrived (s : ship) =
        implies everything before it arrived (or was re-shipped) too —
        for the believed watermark always, for the durable one only where
        durable state exists and the session is fresh. *)
-    Replication.ack_stream t.replication ~part:s.part ~node:dst ~upto:s.upto ~stale
-      ~reject:false;
+    Replication.ack_stream t.replication ~part:s.part ~node:dst ~upto:s.upto ~stale;
     finish_span t s.rctx;
     breaker_success t dst
   end
@@ -420,8 +416,7 @@ let rec replicate_commit (t : Cluster.t) ?ctx = function
          promoted from a stale-session install has none: its commits
          stamp bookkeeping over state its storage never received, which
          is exactly what the divergence audit must still see.) *)
-      Replication.ack_stream t.replication ~part:p ~node:src ~upto:len ~stale:false
-        ~reject:false;
+      Replication.ack_stream t.replication ~part:p ~node:src ~upto:len ~stale:false;
       (* Secondaries in ascending node order, as [Placement.secondaries]
          lists them, without building the list. *)
       for dst = 0 to Placement.nodes t.placement - 1 do

@@ -174,7 +174,6 @@ let all_commit_process txns =
     node_busy = [| 100.0; 100.0 |];
     serial_time = 0.0;
     barrier_time = 0.0;
-    phase_split = [ (Metrics.Execution, 1.0) ];
   }
 
 let test_batch_epoch_commits_all () =
@@ -203,7 +202,6 @@ let test_batch_aborted_retry_next_epoch () =
       node_busy = [| 10.0; 10.0 |];
       serial_time = 0.0;
       barrier_time = 0.0;
-      phase_split = [ (Metrics.Execution, 1.0) ];
     }
   in
   let proto = Batch.create cl ~name:"test" ~process () in
@@ -225,7 +223,6 @@ let test_batch_duration_scales_with_busy () =
       node_busy = [| busy; 0.0 |];
       serial_time = 0.0;
       barrier_time = 0.0;
-      phase_split = [ (Metrics.Execution, 1.0) ];
     }
   in
   let proto = Batch.create cl ~name:"t" ~process:(process_busy 1000.0) () in
@@ -256,7 +253,6 @@ let test_batch_epoch_takes_carryover_first () =
       node_busy = [| 1000.0; 1000.0 |];
       serial_time = 0.0;
       barrier_time = 0.0;
-      phase_split = [ (Metrics.Execution, 1.0) ];
     }
   in
   let proto = Batch.create cl ~name:"t" ~process () in
@@ -329,7 +325,6 @@ let test_batch_gives_up_after_max_retries () =
       node_busy = [| 10.0; 10.0 |];
       serial_time = 0.0;
       barrier_time = 0.0;
-      phase_split = [ (Metrics.Execution, 1.0) ];
     }
   in
   let proto = Batch.create cl ~name:"t" ~process:always_abort ~max_retries:3 () in
@@ -338,6 +333,57 @@ let test_batch_gives_up_after_max_retries () =
   Engine.run_until cl.Cluster.engine (Engine.seconds 2.0);
   Alcotest.(check int) "forced commit keeps the loop live" 1 !done_count;
   Alcotest.(check int) "three aborts recorded" 3 (Metrics.count cl.Cluster.metrics Aborts)
+
+(* Batch phases are the makespan's stages, measured. [epochs] lists one
+   (committed, serial_time, barrier_time) per epoch the single request
+   sits in; every epoch has one node busy 8 x 100 us over 8 workers,
+   so 100 us of execution. Returns the recorded latency and the us per
+   phase (its fraction of the phase total, which the stages make equal
+   to the latency). *)
+let batch_phases epochs =
+  let cl = mk_cluster ~cfg:{ small_cfg with Config.workers_per_node = 8 } () in
+  let remaining = ref epochs in
+  let process txns =
+    match !remaining with
+    | [] -> Alcotest.fail "more epochs than planned"
+    | (committed, serial_time, barrier_time) :: rest ->
+        remaining := rest;
+        {
+          Batch.verdicts =
+            Array.map (fun _ -> { Batch.committed; single_node = true; remastered = false }) txns;
+          node_busy = [| 800.0; 0.0 |];
+          serial_time;
+          barrier_time;
+        }
+  in
+  let proto = Batch.create cl ~name:"t" ~process () in
+  proto.Proto.submit (txn [ Txn.read (key 0 0) ]) ~on_done:ignore;
+  Engine.run_until cl.Cluster.engine (Engine.seconds 1.0);
+  let m = cl.Cluster.metrics in
+  Alcotest.(check int) "one commit" 1 (Metrics.count m Commits);
+  Alcotest.(check int) "aborts" (List.length epochs - 1) (Metrics.count m Aborts);
+  let latency = Metrics.mean_latency m in
+  (latency, fun p -> latency *. Metrics.phase_fraction m p)
+
+let test_batch_phases_from_stages () =
+  let check what want got = Alcotest.(check (float 1e-6)) what want got in
+  let latency, phase = batch_phases [ (true, 100.0, 50.0) ] in
+  let commit = latency -. 250.0 in
+  Alcotest.(check bool) "epoch commit costs time" true (commit > 0.0);
+  check "scheduling" 100.0 (phase Scheduling);
+  check "execution" 100.0 (phase Execution);
+  check "remaster" 50.0 (phase Remaster);
+  check "commit" commit (phase Commit);
+  check "prepare" 0.0 (phase Prepare);
+  check "replication" 0.0 (phase Replication);
+  (* Aborted in an epoch with only a serial term, committed in one with
+     only a barrier: the request keeps the first epoch's stages too. *)
+  let latency, phase = batch_phases [ (false, 100.0, 0.0); (true, 0.0, 50.0) ] in
+  check "two epochs" (350.0 +. (2.0 *. commit)) latency;
+  check "scheduling, first epoch" 100.0 (phase Scheduling);
+  check "execution, both epochs" 200.0 (phase Execution);
+  check "remaster, second epoch" 50.0 (phase Remaster);
+  check "commit, both epochs" (2.0 *. commit) (phase Commit)
 
 let test_2pc_records_prepare_phase () =
   let cl = mk_cluster () in
@@ -669,6 +715,7 @@ let () =
           Alcotest.test_case "granule coarsening" `Quick test_conflict_granule_coarsening;
           Alcotest.test_case "give-up after retries" `Quick
             test_batch_gives_up_after_max_retries;
+          Alcotest.test_case "phases from the stages" `Quick test_batch_phases_from_stages;
           Alcotest.test_case "2PC prepare phase recorded" `Quick
             test_2pc_records_prepare_phase;
           Alcotest.test_case "blocked partition delays" `Quick

@@ -905,7 +905,7 @@ let test_replication_durable_rows () =
   (* 4 member nodes plus 2 standby slots, as [Config.total_slots]. *)
   let r = Replication.create ~interval:10_000.0 ~partitions:3 ~slots:6 e in
   let ack ?(stale = false) ~part ~node upto =
-    Replication.ack_stream r ~part ~node ~upto ~stale ~reject:false
+    Replication.ack_stream r ~part ~node ~upto ~stale
   in
   let wm what ~part ~node expect_applied expect_durable =
     Alcotest.(check int) (what ^ ": applied") expect_applied (Replication.applied r ~part ~node);
@@ -925,9 +925,6 @@ let test_replication_durable_rows () =
   wm "stale stream" ~part:0 ~node:2 9 4;
   Replication.seed_replica r ~part:0 ~node:2;
   wm "reseeding keeps the row" ~part:0 ~node:2 9 4;
-  (* A rejected stale stream changes nothing. *)
-  Replication.ack_stream r ~part:0 ~node:2 ~upto:12 ~stale:true ~reject:true;
-  wm "rejected stream" ~part:0 ~node:2 9 4;
   (* A full-state transfer creates a row, or raises the existing one
      even behind the believed watermark, and never lowers either. *)
   Replication.set_applied r ~part:0 ~node:1 ~upto:3;

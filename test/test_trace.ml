@@ -6,6 +6,8 @@
 module Config = Lion_store.Config
 module Runner = Lion_harness.Runner
 module Workloads = Lion_harness.Workloads
+module Protocols = Lion_harness.Protocols
+module Metrics = Lion_sim.Metrics
 module Trace = Lion_trace.Trace
 module Critical_path = Lion_trace.Critical_path
 module Chrome = Lion_trace.Chrome
@@ -132,6 +134,46 @@ let test_sum_batch () =
       { small_rc with clients = 32; duration = 0.5 }
   in
   check_sums tracer
+
+(* A batch transaction's phases are its trace's critical path: with
+   every transaction traced from t = 0, the per-phase critical-path
+   time summed over all traces gives each batch protocol's
+   [Runner.phase_fractions]. *)
+let test_batch_phases_match_traces () =
+  let cfg = Config.default in
+  List.iter
+    (fun (e : Protocols.entry) ->
+      let tracer = Trace.create ~policy:Trace.All () in
+      let r =
+        Runner.run ~seed:3 ~batch:true ~tracer ~cfg
+          ~make:(fun cl -> e.Protocols.make cl)
+          ~gen:(Workloads.ycsb ~seed:3 ~skew:0.8 ~cross:0.5 cfg)
+          { small_rc with clients = 100; warmup = 0.0; duration = 0.05 }
+      in
+      let traces = Trace.retained tracer in
+      Alcotest.(check bool) (e.id ^ ": commits") true (r.Runner.commits > 0);
+      Alcotest.(check int) (e.id ^ ": every commit traced") r.Runner.commits
+        (List.length traces);
+      let totals = Hashtbl.create 8 and sum = ref 0.0 in
+      List.iter
+        (fun tr ->
+          List.iter
+            (fun (phase, d) ->
+              let acc = Option.value ~default:0.0 (Hashtbl.find_opt totals phase) in
+              Hashtbl.replace totals phase (acc +. d);
+              sum := !sum +. d)
+            (Critical_path.phase_totals tr))
+        traces;
+      List.iter
+        (fun (p, frac) ->
+          let traced =
+            Option.value ~default:0.0 (Hashtbl.find_opt totals (Metrics.phase_name p))
+          in
+          Alcotest.(check (float 1e-9))
+            (Printf.sprintf "%s: %s" e.id (Metrics.phase_name p))
+            frac (traced /. !sum))
+        r.Runner.phase_fractions)
+    (List.filter (fun (e : Protocols.entry) -> e.Protocols.batch) Protocols.all)
 
 let test_sum_with_queue_phase () =
   (* Saturate the coordinator worker pools (128 closed-loop clients vs
@@ -285,6 +327,8 @@ let () =
           Alcotest.test_case "sums to latency (batch)" `Quick test_sum_batch;
           Alcotest.test_case "sums to latency with queue phase" `Quick
             test_sum_with_queue_phase;
+          Alcotest.test_case "batch phases are the critical path" `Quick
+            test_batch_phases_match_traces;
         ] );
       ( "determinism",
         [
