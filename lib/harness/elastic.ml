@@ -167,8 +167,8 @@ let run ?(seed = 1) ?(smoke = false) ?trace () =
     members_series;
     events;
     joins = Runner.count result Node_join;
-    decommissions = cl.Cluster.decommission_count;
-    rebalance_migrations = cl.Cluster.rebalance_migrations;
+    decommissions = Runner.count result Node_drained;
+    rebalance_migrations = Runner.count result Rebalance_moves;
     time_to_rebalance = List.rev !ttr;
     dips;
     result;

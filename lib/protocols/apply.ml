@@ -20,8 +20,6 @@ let apply cl (plan : Plan.t) =
     plan.Plan.actions;
   Hashtbl.iter
     (fun (part, node) (add, remaster) ->
-      if add then
-        Cluster.add_replica cl ~part ~node ~on_ready:(fun () ->
-            if remaster then Cluster.remaster_sync cl ~part ~node)
-      else if remaster then Cluster.remaster_sync cl ~part ~node)
+      let remaster () = if remaster then Cluster.remaster_sync cl ~part ~node in
+      if add then ignore (Cluster.install cl ~part ~node ~after:remaster) else remaster ())
     tbl

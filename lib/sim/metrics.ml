@@ -29,7 +29,8 @@ type counter =
   | Drops | Sheds | Breaker_rejects | Breaker_opens | Breaker_half_opens | Budget_denials
   | Deadline_giveups | Deadline_misses | Stale_acks | Replica_purges | Remasters
   | Wan_messages | Wan_bytes | Lan_messages | Lan_bytes | Remaster_complete | Replica_adds
-  | Batch_promotions | Remaster_stale_refuse | Remaster_abandon | Remaster_cancel
+  | Batch_promotions | Node_drained | Rebalance_moves | Remaster_stale_refuse
+  | Remaster_abandon | Remaster_cancel
   | Parked_promote | Partition_parked | Election_promote | Phantom_purge | Rejoin_purge
   | Orphan_resync | Node_join | Node_decommission | Node_crash | Node_recover
   | Resync_stale | Resync_apply | Epoch_round_failed
@@ -61,7 +62,8 @@ let table =
      (Wan_messages, "wan-messages", none); (Wan_bytes, "wan-bytes", none);
      (Lan_messages, "lan-messages", none); (Lan_bytes, "lan-bytes", none);
      (Remaster_complete, "remaster-complete", b); (Replica_adds, "replica-adds", none);
-     (Batch_promotions, "batch-promotions", none);
+     (Batch_promotions, "batch-promotions", none); (Node_drained, "node-drained", none);
+     (Rebalance_moves, "rebalance-moves", none);
      (Remaster_stale_refuse, "remaster-stale-refuse", b);
      (Remaster_abandon, "remaster-abandon", b); (Remaster_cancel, "remaster-cancel", b);
      (Parked_promote, "parked-promote", b); (Partition_parked, "partition-parked", b);
@@ -79,11 +81,12 @@ let slot = function
   | Deadline_giveups -> 12 | Deadline_misses -> 13 | Stale_acks -> 14
   | Replica_purges -> 15 | Remasters -> 16 | Wan_messages -> 17 | Wan_bytes -> 18
   | Lan_messages -> 19 | Lan_bytes -> 20 | Remaster_complete -> 21 | Replica_adds -> 22
-  | Batch_promotions -> 23 | Remaster_stale_refuse -> 24 | Remaster_abandon -> 25
-  | Remaster_cancel -> 26 | Parked_promote -> 27 | Partition_parked -> 28
-  | Election_promote -> 29 | Phantom_purge -> 30 | Rejoin_purge -> 31 | Orphan_resync -> 32
-  | Node_join -> 33 | Node_decommission -> 34 | Node_crash -> 35 | Node_recover -> 36
-  | Resync_stale -> 37 | Resync_apply -> 38 | Epoch_round_failed -> 39
+  | Batch_promotions -> 23 | Node_drained -> 24 | Rebalance_moves -> 25
+  | Remaster_stale_refuse -> 26 | Remaster_abandon -> 27
+  | Remaster_cancel -> 28 | Parked_promote -> 29 | Partition_parked -> 30
+  | Election_promote -> 31 | Phantom_purge -> 32 | Rejoin_purge -> 33 | Orphan_resync -> 34
+  | Node_join -> 35 | Node_decommission -> 36 | Node_crash -> 37 | Node_recover -> 38
+  | Resync_stale -> 39 | Resync_apply -> 40 | Epoch_round_failed -> 41
 
 let () =
   Array.iteri

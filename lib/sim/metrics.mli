@@ -74,6 +74,8 @@ type counter =
   | Remaster_complete  (** leader transfers that completed *)
   | Replica_adds  (** secondary installs that completed *)
   | Batch_promotions  (** primaries a batch epoch moved (Lion batch mode) *)
+  | Node_drained  (** decommissions that completed (the node fully drained) *)
+  | Rebalance_moves  (** replica installs the background rebalancer started *)
   (* Code-path waypoints: each counts the times a run passed it. *)
   | Remaster_stale_refuse  (** handover refused: the target rejoined *)
   | Remaster_abandon  (** transfer abandoned: target dead or lag ship lost *)

@@ -34,7 +34,6 @@ type t = {
   access_peak : access_peak;
   node_alive : bool array;
   part_last_remaster : float array;
-  mutable migration_count : int;
   mutable remaster_inflight : bool array;
   resync_inflight : (int * int, unit) Hashtbl.t;
   mutable resync_count : int;
@@ -49,12 +48,14 @@ type t = {
   node_epoch : int array;
   primary_term : int array;
   mutable membership_version : int;
-  mutable decommission_count : int;
-  mutable rebalance_migrations : int;
   mutable rebalance_running : bool;
   mutable rebalance_started : float;
   mutable rebalance_done : float;
-  move_inflight : (int * int, unit) Hashtbl.t;
+  (* ---- The install guard: one copy per partition in flight, with a
+     generation that turns a cancelled copy's completion into a no-op
+     for the guard (as [remaster_gen] does for remasters). ---- *)
+  move_target : int array;
+  move_gen : int array;
   (* ---- In-flight remaster bookkeeping so [fail_node] can cancel a
      transfer whose target just died instead of leaving the completion
      timer to find out ([remaster_gen] makes the timer a no-op). ---- *)
@@ -311,12 +312,19 @@ let live_replica_source t part =
   if t.node_alive.(prim) then Some prim
   else List.find_opt (fun n -> t.node_alive.(n)) (Placement.secondaries t.placement part)
 
-let add_replica t ~part ~node ~on_ready =
-  if not t.node_alive.(node) then ()
-  else if Placement.has_replica t.placement ~part ~node then on_ready ()
+(* Every replica copy starts here, the planner's and the rebalancer's.
+   One copy per partition is in flight: the placement does not show a
+   copy until it lands, so two installs picked independently would both
+   land and leave the partition over-replicated. *)
+let install t ~part ~node ~after =
+  if not t.node_alive.(node) then false
+  else if Placement.has_replica t.placement ~part ~node then (
+    after ();
+    true)
+  else if t.move_target.(part) >= 0 then false
   else
     match live_replica_source t part with
-    | None -> () (* no live copy to replicate from *)
+    | None -> false (* no live copy to replicate from *)
     | Some src ->
         if
           Placement.replica_count t.placement part >= Placement.max_replicas t.placement
@@ -329,42 +337,62 @@ let add_replica t ~part ~node ~on_ready =
           ~work:Config.migration_cpu_cost (fun () -> ());
         Server.submit t.workers.(node) ~prio:(ctl_prio t)
           ~work:Config.migration_cpu_cost (fun () -> ());
-        t.migration_count <- t.migration_count + 1;
-        let session = session_for t ~part ~dst:node in
+        t.move_target.(part) <- node;
+        let gen = t.move_gen.(part) and session = session_for t ~part ~dst:node in
         Engine.schedule t.engine ~delay:Config.replica_add_duration (fun () ->
-            if t.node_alive.(node) then (
-              let stale = session_stale t ~dst:node session in
-              (* A stale snapshot landed on storage that has since
-                 restarted empty: tagged sessions drop the install, and
-                 the planner retries with a fresh stream. *)
-              if not (refuse_stale t ~stale) then (
-                (if not (Placement.has_replica t.placement ~part ~node) then begin
-                   (* Re-check the cap at completion: another install for
-                      this partition may have filled the budget while the
-                      copy was in flight (the rebalancer and the planner
-                      can race on the same partition). *)
-                   if
-                     Placement.replica_count t.placement part
-                     >= Placement.max_replicas t.placement
-                   then evict_one_secondary t ~part ~keep:node;
-                   Placement.add_secondary t.placement ~part ~node;
-                   (if stale then
-                      (* Untagged stale install: the placement and the
-                         believed watermark now claim a caught-up
-                         replica whose storage never durably received
-                         the snapshot — the divergence the crash-rejoin
-                         audit exists to expose. *)
-                      Replication.ack_stream t.replication ~part ~node
-                        ~upto:(Replication.appends t.replication ~part)
-                        ~stale:true
-                    else
-                      (* A fresh install carries a full snapshot: the
-                         replica starts caught up with the log. *)
-                      Replication.set_applied t.replication ~part ~node
-                        ~upto:(Replication.appends t.replication ~part));
-                   Metrics.incr t.metrics Replica_adds
-                 end);
-                on_ready ())))
+            (* The one completion hook. It releases the guard on every
+               exit, unless [take_down] already cancelled it. *)
+            if t.move_gen.(part) = gen then t.move_target.(part) <- -1;
+            let stale = session_stale t ~dst:node session in
+            (* A stale snapshot landed on storage that has since restarted
+               empty: tagged sessions drop the install, and the caller
+               retries with a fresh stream. *)
+            if t.node_alive.(node) && not (refuse_stale t ~stale) then begin
+              (if not (Placement.has_replica t.placement ~part ~node) then begin
+                 (* Re-check the cap: Leap's migrate path
+                    ([Exec.migrate_done]) adds secondaries through
+                    [Placement] directly, so it can fill the budget while
+                    the copy is in flight. *)
+                 if
+                   Placement.replica_count t.placement part
+                   >= Placement.max_replicas t.placement
+                 then evict_one_secondary t ~part ~keep:node;
+                 Placement.add_secondary t.placement ~part ~node;
+                 (if stale then
+                    (* Untagged stale install: the placement and the
+                       believed watermark now claim a caught-up replica
+                       whose storage never durably received the snapshot
+                       — the divergence the crash-rejoin audit exists to
+                       expose. *)
+                    Replication.ack_stream t.replication ~part ~node
+                      ~upto:(Replication.appends t.replication ~part)
+                      ~stale:true
+                  else
+                    (* A fresh install carries a full snapshot: the
+                       replica starts caught up with the log. *)
+                    Replication.set_applied t.replication ~part ~node
+                      ~upto:(Replication.appends t.replication ~part));
+                 Metrics.incr t.metrics Replica_adds
+               end);
+              (* A parked partition (no live copy left at crash time)
+                 just received a full copy: promote it now rather than
+                 wait for the corpse to revive, and purge the dead
+                 primary's demoted phantom copy so it cannot come back as
+                 a live replica on recovery. *)
+              (if t.part_available.(part) = infinity then begin
+                 Metrics.incr t.metrics Parked_promote;
+                 let old = Placement.primary t.placement part in
+                 Placement.remaster t.placement ~part ~node;
+                 t.primary_term.(part) <- t.primary_term.(part) + 1;
+                 if
+                   (not t.node_alive.(old))
+                   && Placement.has_secondary t.placement ~part ~node:old
+                 then drop_secondary t ~part ~node:old;
+                 t.part_available.(part) <- now t +. Config.election_delay
+               end);
+              after ()
+            end);
+        true
 
 let remove_replica t ~part ~node =
   if Placement.has_secondary t.placement ~part ~node then drop_secondary t ~part ~node
@@ -412,18 +440,16 @@ let eligible_targets t =
 
 (* Least-loaded eligible node not yet holding [part] among those
    passing [pred]; first-lowest id on ties, so rebalancing stays
-   deterministic. *)
+   deterministic. A copy in flight counts toward its target's load:
+   the drain and the repair start copies of several partitions at
+   once, and would otherwise aim them all at the same node. *)
 let least_loaded t ~part pred =
+  let load = Array.init (Placement.nodes t.placement) (Placement.replicas_on t.placement) in
+  Array.iter (fun d -> if d >= 0 then load.(d) <- load.(d) + 1) t.move_target;
   List.fold_left
     (fun best n ->
       if Placement.has_replica t.placement ~part ~node:n || not (pred n) then best
-      else
-        match best with
-        | None -> Some n
-        | Some b ->
-            if Placement.replicas_on t.placement n < Placement.replicas_on t.placement b
-            then Some n
-            else best)
+      else match best with None -> Some n | Some b -> if load.(n) < load.(b) then Some n else best)
     None (eligible_targets t)
 
 (* Under the region-spread constraint, targets in a region with no
@@ -457,16 +483,31 @@ let live_replica_holders t part =
 let rebalance_period t =
   match t.cfg.Config.elastic with Some e -> 1e6 /. e.Config.rebalance_rate | None -> infinity
 
-(* Drop the guards of rebalance moves headed for [node]: a dead or
-   departed target never fires their [on_ready], so the guards would
-   keep the rebalancer ticking forever. *)
-let drop_moves_to t node =
-  let moves =
-    Hashtbl.fold
-      (fun (p, d) () acc -> if d = node then (p, d) :: acc else acc)
-      t.move_inflight []
-  in
-  List.iter (Hashtbl.remove t.move_inflight) moves
+let moves_in_flight t = Array.exists (fun d -> d >= 0) t.move_target
+
+(* Take [node] out of service (a crash, a finished decommission, a
+   standby slot): routing and the fault layer see it gone, its queues
+   close, and the copies headed for it are cancelled — it lands none, so
+   their partitions need not wait them out. The generation bump keeps a
+   cancelled copy's completion off the guard of a later install. *)
+let take_down t node =
+  t.node_alive.(node) <- false;
+  Fault.mark_down t.fault node;
+  Server.kill t.workers.(node);
+  Server.kill t.services.(node);
+  Array.iteri
+    (fun part d ->
+      if d = node then begin
+        t.move_target.(part) <- -1;
+        t.move_gen.(part) <- t.move_gen.(part) + 1
+      end)
+    t.move_target
+
+(* A rebalancer move: an install, counted as one. *)
+let start_move t ~part ~dst ~after =
+  let started = install t ~part ~node:dst ~after in
+  if started then Metrics.incr t.metrics Rebalance_moves;
+  started
 
 let rec rebalance_tick t =
   let stepped =
@@ -478,7 +519,7 @@ let rec rebalance_tick t =
     in
     drain 0 || repair_step t || spread_step t || balance_step t
   in
-  if stepped || Hashtbl.length t.move_inflight > 0 then
+  if stepped || moves_in_flight t then
     Engine.schedule t.engine ~delay:(rebalance_period t) (fun () -> rebalance_tick t)
   else begin
     t.rebalance_running <- false;
@@ -491,50 +532,14 @@ and kick_rebalancer t =
     Engine.schedule t.engine ~delay:(rebalance_period t) (fun () -> rebalance_tick t)
   end
 
-(* Start one (part, dst) replica install, guarded against duplicates;
-   [after] runs once the replica is in place. Returns whether a move is
-   now pending for this partition. One install per partition at a time:
-   the drain and repair paths pick their targets independently, so
-   without this serialisation they can install the same partition onto
-   two different nodes and leave it over-replicated at quiescence —
-   nothing ever trims an excess copy. A caller finding another move
-   pending just waits for it and re-evaluates on a later tick. *)
-and start_move t ~part ~dst ~after =
-  if Hashtbl.fold (fun (p, _) () pending -> pending || p = part) t.move_inflight false
-  then true
-  else if live_replica_holders t part = [] then false (* no live copy to pull *)
-  else begin
-    Hashtbl.add t.move_inflight (part, dst) ();
-    t.rebalance_migrations <- t.rebalance_migrations + 1;
-    add_replica t ~part ~node:dst ~on_ready:(fun () ->
-        Hashtbl.remove t.move_inflight (part, dst);
-        (* A parked partition (primary dead, no surviving copy at crash
-           time) just received a fresh full copy: promote it now rather
-           than wait for the corpse to revive. The dead old primary is
-           demoted in place by the remaster — purge that phantom copy so
-           the node cannot resurrect it as a live replica on recovery
-           (and so the partition is not over-replicated when it does). *)
-        (if t.part_available.(part) = infinity then begin
-           Metrics.incr t.metrics Parked_promote;
-           let old = Placement.primary t.placement part in
-           Placement.remaster t.placement ~part ~node:dst;
-           t.primary_term.(part) <- t.primary_term.(part) + 1;
-           if
-             (not t.node_alive.(old))
-             && Placement.has_secondary t.placement ~part ~node:old
-           then drop_secondary t ~part ~node:old;
-           t.part_available.(part) <- now t +. Config.election_delay
-         end);
-        after ();
-        kick_rebalancer t);
-    true
-  end
-
 (* One step for a draining node, in order: move its primaries away,
-   then its remaining secondaries, then finalise the removal. *)
+   then its remaining secondaries, then finalise the removal. A
+   partition whose copy is in flight is passed over, so the drain keeps
+   one install going per partition rather than one at a time. *)
 and drain_node_step t node =
-  match Placement.parts_primary_on t.placement node with
-  | part :: _ -> (
+  let idle p = t.move_target.(p) < 0 in
+  match List.find_opt idle (Placement.parts_primary_on t.placement node) with
+  | Some part -> (
       match
         List.filter (fun n -> plan_target_ok t n) (Placement.secondaries t.placement part)
       with
@@ -549,11 +554,11 @@ and drain_node_step t node =
           | Some dst ->
               start_move t ~part ~dst ~after:(fun () -> remaster_sync t ~part ~node:dst)
           | None -> false))
-  | [] -> (
+  | None -> (
       let parts = Placement.partitions t.placement in
       let rec first_secondary p =
         if p >= parts then None
-        else if Placement.has_secondary t.placement ~part:p ~node then Some p
+        else if idle p && Placement.has_secondary t.placement ~part:p ~node then Some p
         else first_secondary (p + 1)
       in
       match first_secondary 0 with
@@ -579,13 +584,9 @@ and drain_node_step t node =
             (* Drained: leave the membership for good. *)
             t.draining.(node) <- false;
             t.member.(node) <- false;
-            t.node_alive.(node) <- false;
-            drop_moves_to t node;
-            Fault.mark_down t.fault node;
-            Server.kill t.workers.(node);
-            Server.kill t.services.(node);
+            take_down t node;
             t.membership_version <- t.membership_version + 1;
-            t.decommission_count <- t.decommission_count + 1;
+            Metrics.incr t.metrics Node_drained;
             t.rebalance_done <- now t;
             Log.info (fun m -> m "node %d decommissioned at t=%.0fus" node (now t));
             Option.iter
@@ -603,9 +604,12 @@ and repair_step t =
     if p >= parts then false
     else
       let holders = live_replica_holders t p in
-      if holders <> [] && List.length holders < t.cfg.Config.replicas then
+      if
+        t.move_target.(p) < 0 && holders <> []
+        && List.length holders < t.cfg.Config.replicas
+      then
         match best_install_target t ~part:p with
-        | Some dst when not (Hashtbl.mem t.move_inflight (p, dst)) ->
+        | Some dst ->
             (* The factor can be restored underneath the in-flight copy:
                a dead holder counted out at initiation may revive (its
                recovery resync brings it current) before the install
@@ -618,7 +622,7 @@ and repair_step t =
                   if removal_keeps_spread t ~part:p ~node:dst () then
                     remove_replica t ~part:p ~node:dst
                   else evict_one_secondary t ~part:p ~keep:dst)
-        | _ -> go (p + 1)
+        | None -> go (p + 1)
       else go (p + 1)
   in
   go 0
@@ -631,7 +635,7 @@ and repair_step t =
    regions have no eligible member is skipped — the next membership
    event re-kicks the rebalancer and retries. *)
 and spread_step t =
-  if (not (geo_spread_on t)) || Hashtbl.length t.move_inflight > 0 then false
+  if (not (geo_spread_on t)) || moves_in_flight t then false
   else
     let min_r = min_regions t in
     let parts = Placement.partitions t.placement in
@@ -651,14 +655,10 @@ and spread_step t =
         in
         match least_loaded t ~part:p (fun n -> not (covered (region_of t n))) with
         | Some dst ->
-            if
-              start_move t ~part:p ~dst ~after:(fun () ->
-                  if
-                    List.length (live_replica_holders t p)
-                    > t.cfg.Config.replicas
-                  then evict_one_secondary t ~part:p ~keep:dst)
-            then true
-            else go (p + 1)
+            start_move t ~part:p ~dst ~after:(fun () ->
+                if List.length (live_replica_holders t p) > t.cfg.Config.replicas
+                then evict_one_secondary t ~part:p ~keep:dst)
+            || go (p + 1)
         | None -> go (p + 1)
     in
     go 0
@@ -670,7 +670,7 @@ and spread_step t =
    overlapping balance moves all target the same "underloaded" node and
    overshoot — then swing back, forever. One move at a time converges. *)
 and balance_step t =
-  if Hashtbl.length t.move_inflight > 0 then false
+  if moves_in_flight t then false
   else
   match eligible_targets t with
   | [] | [ _ ] -> false
@@ -690,7 +690,6 @@ and balance_step t =
           else if
             Placement.has_secondary t.placement ~part:p ~node:hi
             && (not (Placement.has_replica t.placement ~part:p ~node:lo))
-            && (not (Hashtbl.mem t.move_inflight (p, lo)))
             && removal_keeps_spread t ~part:p ~node:hi ~dst:lo ()
           then
             start_move t ~part:p ~dst:lo ~after:(fun () ->
@@ -761,13 +760,10 @@ let fail_node t node =
     Log.warn (fun m -> m "node %d failed at t=%.0fus" node (now t));
     Metrics.incr t.metrics Node_crash;
     Option.iter (fun tr -> Trace.instant ~node ~ts:(now t) tr "crash") t.tracer;
-    t.node_alive.(node) <- false;
-    Fault.mark_down t.fault node;
     (* Fail-fast the admission queues: work parked behind the dead
        node's workers/messengers is shed now (its [on_shed] fires)
        instead of executing after a grant from a corpse. *)
-    Server.kill t.workers.(node);
-    Server.kill t.services.(node);
+    take_down t node;
     let parts = Placement.partitions t.placement in
     (* Cancel in-flight remasters whose transfer target just died:
        clear the inflight flag and roll back the optimistically burned
@@ -785,7 +781,6 @@ let fail_node t node =
         t.remaster_target.(part) <- -1
       end
     done;
-    drop_moves_to t node;
     if t.member.(node) then t.membership_version <- t.membership_version + 1;
     for part = 0 to parts - 1 do
       if Placement.has_secondary t.placement ~part ~node then (
@@ -1018,7 +1013,6 @@ let create ?(seed = 1) ?tracer ?history cfg =
       access_peak = { hottest = 0.0 };
       node_alive = Array.init slots (fun n -> n < cfg.Config.nodes);
       part_last_remaster = Array.make parts neg_infinity;
-      migration_count = 0;
       remaster_inflight = Array.make parts false;
       resync_inflight = Hashtbl.create 64;
       resync_count = 0;
@@ -1037,12 +1031,11 @@ let create ?(seed = 1) ?tracer ?history cfg =
       node_epoch = Array.make slots 0;
       primary_term = Array.make parts 0;
       membership_version = 0;
-      decommission_count = 0;
-      rebalance_migrations = 0;
       rebalance_running = false;
       rebalance_started = 0.0;
       rebalance_done = 0.0;
-      move_inflight = Hashtbl.create 16;
+      move_target = Array.make parts (-1);
+      move_gen = Array.make parts 0;
       remaster_target = Array.make parts (-1);
       remaster_prev = Array.make parts neg_infinity;
       remaster_started_at = Array.make parts neg_infinity;
@@ -1053,9 +1046,7 @@ let create ?(seed = 1) ?tracer ?history cfg =
   (* Standby slots are outside the membership until a join: the fault
      layer drops traffic to them and their (empty) queues are closed. *)
   for n = cfg.Config.nodes to slots - 1 do
-    Fault.mark_down fault n;
-    Server.kill t.workers.(n);
-    Server.kill t.services.(n)
+    take_down t n
   done;
   (* Every initial replica holds its (empty) partition durably — the
      ground-truth rows the durable watermark advances through. *)

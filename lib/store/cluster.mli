@@ -50,7 +50,6 @@ type t = {
   part_last_remaster : float array;
       (** start time of each partition's most recent remaster, enforcing
           [Config.remaster_cooldown] against ping-pong *)
-  mutable migration_count : int;
   mutable remaster_inflight : bool array;
       (** per-partition flag to serialise concurrent remaster attempts
           (the paper's remastering-conflict rule: one wins, others fall
@@ -82,9 +81,6 @@ type t = {
           (failover election or remaster) *)
   mutable membership_version : int;
       (** bumped on every join, decommission and failover *)
-  mutable decommission_count : int;  (** completed (fully drained) removals *)
-  mutable rebalance_migrations : int;
-      (** replica installs initiated by the background rebalancer *)
   mutable rebalance_running : bool;
   mutable rebalance_started : float;
       (** time of the most recent membership change that started
@@ -92,9 +88,13 @@ type t = {
           time-to-rebalance measurement *)
   mutable rebalance_done : float;
       (** time the rebalancer last ran out of work and stopped *)
-  move_inflight : (int * int, unit) Hashtbl.t;
-      (** (part, dst) rebalance installs in flight, guarding against
-          duplicate moves; cleared on completion or target death *)
+  move_target : int array;
+      (** per-partition target of the replica copy in flight (-1 when
+          none): the guard [install] keeps, one copy per partition *)
+  move_gen : int array;
+      (** generation guard: a copy whose guard [fail_node] or a
+          finished decommission dropped completes without touching the
+          guard of a later install into the same partition *)
   remaster_target : int array;
       (** per-partition in-flight remaster target (-1 when none) — lets
           [fail_node] cancel transfers aimed at a dying node *)
@@ -183,17 +183,31 @@ val remaster_sync : t -> part:int -> node:int -> unit
     transaction execution: blocks the partition and updates placement at
     completion time. No-op when [node] is already primary. *)
 
-val add_replica : t -> part:int -> node:int -> on_ready:(unit -> unit) -> unit
-(** Background replica addition: charges [Config.partition_bytes] to the
-    network, waits [Config.replica_add_duration], then installs the secondary.
-    If the partition is at [max_replicas], evicts the coldest secondary
-    (the delete_flag mechanism) first; if [node] already holds a
-    replica, fires [on_ready] immediately. Never blocks transactions.
+val install : t -> part:int -> node:int -> after:(unit -> unit) -> bool
+(** The one way a replica copy starts — the planner's adds (through
+    [Apply]) and every background rebalancer move go through it.
+    Charges [Config.partition_bytes] to the network, waits
+    [Config.replica_add_duration], then installs the secondary and runs
+    [after]. If the partition is at [max_replicas], evicts the coldest
+    secondary (the delete_flag mechanism) first, and again at
+    completion if a direct [Placement] install (Leap's migrate path)
+    filled the budget meanwhile. Never blocks transactions.
+
+    One copy per partition is in flight at a time ([move_target]): a
+    call for a partition whose copy is still in flight starts nothing
+    and returns false, as do a dead [node] and a partition with no live
+    copy to pull from; the caller re-plans later. If [node] already
+    holds a replica, [after] runs at once and the result is true. The
+    completion releases the guard on every exit — installed, already
+    present, target dead, or refused as stale. A copy landing on a parked
+    partition (no live primary) promotes [node] at once.
+
     The install stream carries a [Replication.session]: if the target
     crashed and rejoined while the snapshot was in flight, a tagged
-    session drops the install (counted as a stale-ack rejection), while
-    an untagged one reproduces the stale-ack hazard — the placement
-    gains a replica whose durable watermark never moved. *)
+    session drops the install (counted as a stale-ack rejection, and
+    [after] does not run), while an untagged one reproduces the
+    stale-ack hazard — the placement gains a replica whose durable
+    watermark never moved. *)
 
 val remove_replica : t -> part:int -> node:int -> unit
 (** Drop [node]'s secondary copy of [part], if it holds one. *)
@@ -209,7 +223,7 @@ val note_replica_synced : t -> part:int -> node:int -> unit
 (** Stamp a replica's applied watermark to the current log length — for
     layers that install or refresh copies through [Placement] directly
     (the migration path, batch-mode remasters) rather than via
-    [add_replica]/[try_begin_remaster], which stamp it themselves. *)
+    [install]/[try_begin_remaster], which stamp it themselves. *)
 
 val alive : t -> int -> bool
 (** Routing liveness: the node is a current member and up. Standby
@@ -225,9 +239,12 @@ val alive_nodes : t -> int list
     step per [1/rate] seconds: draining a decommissioned node's
     primaries (remaster away) and secondaries (copy, then drop),
     repairing under-replicated partitions, and evening replica counts
-    onto a freshly joined node. The loop stops whenever it has no work
-    and nothing in flight — membership and liveness events restart it —
-    so quiescing via [Engine.run_all] always terminates. *)
+    onto a freshly joined node. Every copy goes through [install]; the
+    drain and the repair pass over partitions whose copy is in flight,
+    so they keep several partitions' copies going at once. The loop
+    stops whenever it has no work and nothing in flight — membership
+    and liveness events restart it — so quiescing via [Engine.run_all]
+    always terminates. *)
 
 val join_node : t -> int -> bool
 (** Activate a standby (or previously removed) slot: new incarnation
@@ -238,7 +255,7 @@ val join_node : t -> int -> bool
 val decommission_node : t -> int -> bool
 (** Begin draining a member: it keeps serving while the rebalancer
     moves its primaries and secondaries away, then it leaves the
-    membership for good ([decommission_count] ticks at completion).
+    membership for good ([Metrics.Node_drained] counts the completion).
     Returns false if the node is not a member, already draining, or too
     few other live members would remain to hold [Config.replicas]
     copies. *)
@@ -264,7 +281,7 @@ val fail_node : t -> int -> unit
     dropped from the placement — including the phantom secondary that
     failover's own [Placement.remaster] would otherwise leave on the
     dead node); the fault layer starts dropping messages to and from
-    it; every partition whose primary lived there blocks for
+    it; replica copies headed for it are cancelled; every partition whose primary lived there blocks for
     [Config.election_delay] and is then failed over to a surviving
     secondary. A partition with no surviving replica stays blocked
     until the node recovers (data loss is out of scope). Idempotent. *)

@@ -769,31 +769,41 @@ let test_remaster_without_replica_refused () =
   (* Node 3 holds no replica of partition 0 (primary 0, secondary 1). *)
   Alcotest.(check bool) "refused" false (Cluster.try_begin_remaster cl ~part:0 ~node:3)
 
+(* A background copy the caller does not wait on. *)
+let install cl ~part ~node = ignore (Cluster.install cl ~part ~node ~after:ignore)
+
 let test_add_replica_background () =
   let cl = mk_cluster () in
   let ready = ref false in
-  Cluster.add_replica cl ~part:0 ~node:3 ~on_ready:(fun () -> ready := true);
+  Alcotest.(check bool) "started" true
+    (Cluster.install cl ~part:0 ~node:3 ~after:(fun () -> ready := true));
   Alcotest.(check bool) "not yet" false
     (Placement.has_secondary cl.Cluster.placement ~part:0 ~node:3);
+  Alcotest.(check int) "guard holds the partition" 3 cl.Cluster.move_target.(0);
   Engine.run_all cl.Cluster.engine ();
   Alcotest.(check bool) "installed" true
     (Placement.has_secondary cl.Cluster.placement ~part:0 ~node:3);
-  Alcotest.(check bool) "callback fired" true !ready
+  Alcotest.(check bool) "callback fired" true !ready;
+  Alcotest.(check int) "guard released" (-1) cl.Cluster.move_target.(0)
 
 let test_add_replica_idempotent () =
   let cl = mk_cluster () in
   let fired = ref 0 in
   (* Node 1 already has a secondary of partition 0. *)
-  Cluster.add_replica cl ~part:0 ~node:1 ~on_ready:(fun () -> incr fired);
+  Alcotest.(check bool) "present counts as done" true
+    (Cluster.install cl ~part:0 ~node:1 ~after:(fun () -> incr fired));
   Alcotest.(check int) "immediate" 1 !fired;
-  Alcotest.(check int) "no migration" 0 cl.Cluster.migration_count
+  Alcotest.(check int) "no copy in flight" (-1) cl.Cluster.move_target.(0);
+  Engine.run_all cl.Cluster.engine ();
+  Alcotest.(check int) "no migration" 0
+    (Lion_sim.Metrics.count cl.Cluster.metrics Replica_adds)
 
 let test_add_replica_evicts_at_max () =
   let cfg = { Config.default with Config.max_replicas = 2 } in
   let cl = mk_cluster ~cfg () in
   (* Partition 0 already has 2 replicas (nodes 0, 1); adding on node 2
      must evict the node-1 secondary. *)
-  Cluster.add_replica cl ~part:0 ~node:2 ~on_ready:(fun () -> ());
+  install cl ~part:0 ~node:2;
   Engine.run_all cl.Cluster.engine ();
   Alcotest.(check int) "still at max" 2 (Placement.replica_count cl.Cluster.placement 0);
   Alcotest.(check bool) "new replica present" true
@@ -1211,7 +1221,7 @@ let test_crash_fails_queued_worker_requests () =
 
 let test_failed_remaster_keeps_cooldown () =
   let cl = mk_cluster () in
-  Cluster.add_replica cl ~part:0 ~node:2 ~on_ready:(fun () -> ());
+  install cl ~part:0 ~node:2;
   Engine.run_all cl.Cluster.engine ();
   Alcotest.(check bool) "starts" true (Cluster.try_begin_remaster cl ~part:0 ~node:1);
   (* The target dies mid-transfer: the remaster must fail, leave the
@@ -1360,7 +1370,8 @@ let test_join_node_populates () =
   (* The balance pass populates the newcomer one bounded step at a time. *)
   Alcotest.(check bool) "replicas moved onto joiner" true
     (Placement.replicas_on cl.Cluster.placement 4 > 0);
-  Alcotest.(check bool) "migrations counted" true (cl.Cluster.rebalance_migrations > 0)
+  Alcotest.(check bool) "migrations counted" true
+    (Lion_sim.Metrics.count cl.Cluster.metrics Rebalance_moves > 0)
 
 let test_decommission_drains_fully () =
   let cfg, cl = mk_elastic () in
@@ -1369,7 +1380,8 @@ let test_decommission_drains_fully () =
   Alcotest.(check bool) "still a member while draining" true cl.Cluster.member.(3);
   Engine.run_all cl.Cluster.engine ();
   Alcotest.(check bool) "left the membership" false cl.Cluster.member.(3);
-  Alcotest.(check int) "completion counted" 1 cl.Cluster.decommission_count;
+  Alcotest.(check int) "completion counted" 1
+    (Lion_sim.Metrics.count cl.Cluster.metrics Node_drained);
   Alcotest.(check int) "node emptied" 0 (Placement.replicas_on cl.Cluster.placement 3);
   for part = 0 to Cluster.partition_count cl - 1 do
     let prim = Placement.primary cl.Cluster.placement part in
@@ -1401,7 +1413,7 @@ let test_stale_install_rejected_when_tagged () =
   for _ = 1 to 5 do
     Lion_store.Replication.append cl.Cluster.replication ~part:0
   done;
-  Cluster.add_replica cl ~part:0 ~node:3 ~on_ready:(fun () -> ());
+  install cl ~part:0 ~node:3;
   (* Crash + rejoin before the 200 ms copy completes: the install's
      session now predates node 3's incarnation. *)
   Cluster.fail_node cl 3;
@@ -1418,7 +1430,7 @@ let test_stale_install_accepted_when_untagged () =
   for _ = 1 to 5 do
     Lion_store.Replication.append repl ~part:0
   done;
-  Cluster.add_replica cl ~part:0 ~node:3 ~on_ready:(fun () -> ());
+  install cl ~part:0 ~node:3;
   Cluster.fail_node cl 3;
   Cluster.recover_node cl 3;
   Engine.run_all cl.Cluster.engine ();
@@ -1533,7 +1545,100 @@ let test_decommission_drops_moves_to_leaver () =
   Engine.run_all e ~max_events:1_000_000 ();
   Alcotest.(check bool) "queue drained" false (Engine.last_run_exhausted e);
   Alcotest.(check bool) "rebalancer stopped" false cl.Cluster.rebalance_running;
-  Alcotest.(check int) "no moves pending" 0 (Hashtbl.length cl.Cluster.move_inflight)
+  Alcotest.(check bool) "no moves pending" true
+    (Array.for_all (fun d -> d < 0) cl.Cluster.move_target)
+
+(* A planner add and a rebalancer repair for the same partition start
+   one copy between them: the partition ends at the replication
+   factor, not one over it. *)
+let test_install_one_copy_per_partition () =
+  let cfg, cl = mk_elastic () in
+  let e = cl.Cluster.engine in
+  (* Partition 0: primary 0, secondary 1. The crash leaves it one copy
+     short, and partition 0 is the first one the repair scan meets. *)
+  Cluster.fail_node cl 1;
+  Engine.run_until e (Engine.now e +. (1e6 /. 200.0) +. 1.0);
+  let dst = cl.Cluster.move_target.(0) in
+  Alcotest.(check bool) "repair copy in flight" true (dst = 2 || dst = 3);
+  let other = if dst = 2 then 3 else 2 in
+  Alcotest.(check bool) "planner add refused" false
+    (Cluster.install cl ~part:0 ~node:other ~after:ignore);
+  Engine.run_all e ();
+  Alcotest.(check int) "factor, not one over" cfg.Config.replicas
+    (Placement.replica_count cl.Cluster.placement 0)
+
+(* A drain keeps one copy going per partition: a node holding N
+   primaries with no secondary anywhere drains in about one copy
+   duration plus one rebalance tick per step, not N copy durations. *)
+let test_drain_copies_in_parallel () =
+  let cfg =
+    {
+      Config.default with
+      Config.replicas = 1;
+      elastic = Some Config.default_elastic;
+      session_tagging = true;
+    }
+  in
+  let cl = Cluster.create ~seed:5 cfg in
+  let n = List.length (Placement.parts_primary_on cl.Cluster.placement 3) in
+  Alcotest.(check bool) "several primaries, nothing else" true
+    (n > 1 && Placement.replicas_on cl.Cluster.placement 3 = n);
+  Alcotest.(check bool) "accepted" true (Cluster.decommission_node cl 3);
+  Engine.run_all cl.Cluster.engine ();
+  Alcotest.(check int) "drained" 1 (Lion_sim.Metrics.count cl.Cluster.metrics Node_drained);
+  (* One step per tick: N installs, N drops of the demoted copies and
+     the removal, with slack for a tick that meets a remaster still in
+     flight. *)
+  let bound =
+    Config.replica_add_duration
+    +. (float_of_int ((3 * n) + 3) *. 1e6 /. Config.default_elastic.Config.rebalance_rate)
+  in
+  let took = cl.Cluster.rebalance_done in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d primaries drained in %.0f us (bound %.0f, serial %.0f)" n took
+       bound (float_of_int n *. Config.replica_add_duration))
+    true (took <= bound)
+
+(* A session-tagged install refused as stale releases its guard: the
+   rebalancer runs out of work and stops, so the queue drains. *)
+let test_stale_refusal_releases_guard () =
+  let _cfg, cl = mk_elastic () in
+  let ran = ref false in
+  Alcotest.(check bool) "started" true
+    (Cluster.install cl ~part:0 ~node:3 ~after:(fun () -> ran := true));
+  Cluster.fail_node cl 3;
+  Cluster.recover_node cl 3;
+  let e = cl.Cluster.engine in
+  Engine.run_all e ~max_events:1_000_000 ();
+  Alcotest.(check bool) "queue drained" false (Engine.last_run_exhausted e);
+  Alcotest.(check int) "refused as stale" 1
+    (Lion_sim.Metrics.count cl.Cluster.metrics Stale_acks);
+  Alcotest.(check bool) "after not run" false !ran;
+  Alcotest.(check bool) "rebalancer stopped" false cl.Cluster.rebalance_running;
+  Alcotest.(check bool) "every guard released" true
+    (Array.for_all (fun d -> d < 0) cl.Cluster.move_target)
+
+(* A copy whose guard the crash dropped may still complete after a newer
+   install into the same partition took the guard: the generation keeps
+   that completion off the newer install's guard. *)
+let test_cancelled_copy_spares_newer_guard () =
+  let cfg = { Config.default with Config.session_tagging = true } in
+  let cl = Cluster.create ~seed:5 cfg in
+  let e = cl.Cluster.engine in
+  install cl ~part:0 ~node:3;
+  Cluster.fail_node cl 3;
+  Alcotest.(check int) "crash drops the guard" (-1) cl.Cluster.move_target.(0);
+  Cluster.recover_node cl 3;
+  Engine.run_until e (Engine.now e +. (Config.replica_add_duration /. 2.0));
+  install cl ~part:0 ~node:3;
+  (* The first copy lands (refused as stale); the second is in flight. *)
+  Engine.run_until e (Engine.now e +. (0.75 *. Config.replica_add_duration));
+  Alcotest.(check int) "old copy refused" 1 (Lion_sim.Metrics.count cl.Cluster.metrics Stale_acks);
+  Alcotest.(check int) "newer guard kept" 3 cl.Cluster.move_target.(0);
+  Engine.run_all e ();
+  Alcotest.(check bool) "newer copy landed" true
+    (Placement.has_secondary cl.Cluster.placement ~part:0 ~node:3);
+  Alcotest.(check int) "guard released" (-1) cl.Cluster.move_target.(0)
 
 (* --- configuration presets --- *)
 
@@ -1723,6 +1828,13 @@ let () =
             test_remaster_cancelled_when_target_dies;
           Alcotest.test_case "decommission drops moves to leaver" `Quick
             test_decommission_drops_moves_to_leaver;
+          Alcotest.test_case "one copy per partition" `Quick
+            test_install_one_copy_per_partition;
+          Alcotest.test_case "drain copies in parallel" `Quick test_drain_copies_in_parallel;
+          Alcotest.test_case "stale refusal releases guard" `Quick
+            test_stale_refusal_releases_guard;
+          Alcotest.test_case "cancelled copy spares newer guard" `Quick
+            test_cancelled_copy_spares_newer_guard;
         ] );
       ( "config",
         [
