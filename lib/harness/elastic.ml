@@ -85,11 +85,15 @@ let run ?(seed = 1) ?(smoke = false) ?trace () =
   let cluster = ref None in
   let events = ref [] in
   let members_series = Array.make total_s cfg.Config.nodes in
-  let ttr = ref [] in
-  let was_running = ref false in
-  let note_rebalance_done cl =
-    ttr :=
-      ((cl.Cluster.rebalance_done -. cl.Cluster.rebalance_started) /. 1e6) :: !ttr
+  (* Time-to-rebalance: each join and decommission opens a span (its
+     start time, in [opened]) that ends when the rebalancer next stops. *)
+  let ttr = ref [] and opened = ref [] in
+  let rebalance_watch cl =
+    if not cl.Cluster.rebalance_running then (
+      List.iter
+        (fun at -> ttr := ((cl.Cluster.rebalance_done -. at) /. 1e6) :: !ttr)
+        (List.rev !opened);
+      opened := [])
   in
   let setup cl =
     cluster := Some cl;
@@ -118,29 +122,24 @@ let run ?(seed = 1) ?(smoke = false) ?trace () =
         | Autoscale.Scale_up -> (
             match List.find_opt (fun i -> not cl.Cluster.member.(i)) nodes with
             | Some node when Cluster.join_node cl node ->
+                opened := Engine.now engine :: !opened;
                 events := { at = now_s; kind = "join"; node } :: !events
             | _ -> ())
         | Autoscale.Scale_down when draining_count () = 0 -> (
             match List.find_opt removable (List.rev nodes) with
             | Some node when Cluster.decommission_node cl node ->
+                opened := Engine.now engine :: !opened;
                 events := { at = now_s; kind = "decommission"; node } :: !events
             | _ -> ())
         | Autoscale.Scale_down -> ());
     (* Samplers: member count once per second (mid-bucket), and the
-       rebalancer's running flag every 100 ms (from t=0) so each
-       round's start-to-quiescence span is captured. *)
+       rebalancer's running flag every 100 ms. *)
     Runner.every engine ~first:(Engine.ms 500.0) ~period:(Engine.seconds 1.0)
       ~until:total (fun () ->
         members_series.(int_of_float (Engine.now engine /. 1e6)) <-
           Cluster.member_count cl);
-    let rebalance_watch () =
-      let running = cl.Cluster.rebalance_running in
-      if !was_running && not running then note_rebalance_done cl;
-      was_running := running
-    in
-    rebalance_watch ();
     Runner.every engine ~first:(Engine.ms 100.0) ~period:(Engine.ms 100.0)
-      ~until:total rebalance_watch
+      ~until:total (fun () -> rebalance_watch cl)
   in
   let rc =
     { Runner.quick with warmup = 0.0; duration = period;
@@ -148,7 +147,7 @@ let run ?(seed = 1) ?(smoke = false) ?trace () =
   in
   let result = Runner.run_cell ?trace (Runner.cell ~seed ~setup ~cfg ~make ~gen rc) in
   let cl = Option.get !cluster in
-  if !was_running && not cl.Cluster.rebalance_running then note_rebalance_done cl;
+  rebalance_watch cl;
   let offered_series = Array.map float_of_int offered_buckets in
   let events = List.rev !events in
   let dips =

@@ -106,17 +106,15 @@ let conflict_verdicts ?(include_raw = false) ?window ?footprint ?granule txns =
   done;
   ok
 
-(* What a re-queued request takes into its next epoch: [since], where
-   that epoch's queue-wait stage starts, and the phases so far. *)
-type carried = { since : float; so_far : Metrics.phase_times }
-
 type request = {
   txn : Txn.t;
   enqueued : float;
   mutable retries : int;
   on_done : unit -> unit;
   ctx : Trace.ctx option;  (* root trace context, None when untraced *)
-  mutable carried : carried option;  (* None until its first re-queue *)
+  mutable phases : Metrics.phase_times option;
+      (* None until its first re-queue; then the phases so far, whose
+         [since] is where the next epoch's queue-wait stage starts *)
 }
 
 type state = {
@@ -135,26 +133,28 @@ type state = {
    of cross-node round trips regardless of batch size. *)
 let epoch_commit_cost cl = 4.0 *. Network.oneway_delay cl.Cluster.network ~bytes:64
 
-(* The stages tile the request's wait and this epoch, up to [now]. Each
-   adds its length to the phases and, when traced, is a retroactive
-   span of them. A request is only given a record of its own when it
-   is re-queued, so a batch in flight holds none. *)
-let stage phases ctx name phase a b =
+(* The stages tile the request's wait and this epoch, up to [now]: each
+   runs the clock from [since] to its end [b] and, when traced, is a
+   retroactive span of that stretch. A request is only given a record
+   of its own when it is re-queued, so a batch in flight holds none. *)
+let stage phases ctx name phase b =
+  let a = phases.Metrics.since in
   if b > a then (
-    Metrics.add_phase phases phase (b -. a);
+    Metrics.charge phases phase ~now:b;
     match ctx with
     | None -> ()
-    | Some _ -> Trace.finish ~ts:b (Trace.child ~phase:(Metrics.phase_name phase) ~name ~ts:a ctx))
+    | Some _ -> Trace.finish ~ts:b (Trace.child ~phase ~name ~ts:a ctx))
 
 let walk_stages st req ~t0 ~t1 ~t2 ~t3 ~now =
   let seq_label, barrier_label = st.stage_labels and ctx = req.ctx in
-  let phases = match req.carried with Some c -> c.so_far | None -> Metrics.phase_times () in
-  let wait_from = match req.carried with Some c -> c.since | None -> req.enqueued in
-  stage phases ctx "queue-wait" Metrics.Scheduling wait_from t0;
-  stage phases ctx seq_label Metrics.Scheduling t0 t1;
-  stage phases ctx "execution" Metrics.Execution t1 t2;
-  stage phases ctx barrier_label Metrics.Remaster t2 t3;
-  stage phases ctx "epoch-commit" Metrics.Commit t3 now;
+  let phases =
+    match req.phases with Some p -> p | None -> Metrics.phase_times ~since:req.enqueued ()
+  in
+  stage phases ctx "queue-wait" Scheduling t0;
+  stage phases ctx seq_label Scheduling t1;
+  stage phases ctx "execution" Execution t2;
+  stage phases ctx barrier_label Remaster t3;
+  stage phases ctx "epoch-commit" Commit now;
   phases
 
 (* Consistency-audit hook. Epoch engines are analytic — they never
@@ -242,7 +242,8 @@ let rec start_epoch st =
             else (
               Metrics.incr st.cl.Cluster.metrics Aborts;
               Trace.note_abort ~ts:now req.ctx;
-              req.carried <- Some { since = now; so_far = phases };
+              (* The walk left [since] at [now]. *)
+              if Option.is_none req.phases then req.phases <- Some phases;
               req.retries <- req.retries + 1;
               Queue.push req st.carryover))
           requests;
@@ -280,7 +281,7 @@ let create cl ~name ~process ?(tick = fun () -> ()) ?(max_retries = 100)
       | Some tracer -> Trace.start_txn tracer ~ts:now ~txn_id:txn.Txn.id
     in
     Queue.push
-      { txn; enqueued = now; retries = 0; on_done; ctx; carried = None }
+      { txn; enqueued = now; retries = 0; on_done; ctx; phases = None }
       st.buffer;
     maybe_start st
   in

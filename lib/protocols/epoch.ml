@@ -33,8 +33,9 @@ type pending = {
   coordinator : int;
   start : float;  (* first submission time *)
   attempt : int;
-  exec_time : float;
-  parked_at : float;
+  phases : Metrics.phase_times;
+      (* the transaction's clock: scheduling while parked, replication
+         through the epoch's round *)
   octx : Trace.ctx option;
 }
 
@@ -110,7 +111,9 @@ and close_epoch t =
       List.filter
         (fun p ->
           if Cluster.alive cl p.coordinator && Kvstore.try_reserve p.session
-          then true
+          then (
+            Metrics.charge p.phases Scheduling ~now:boundary;
+            true)
           else (
             abort_retry t p;
             false))
@@ -125,23 +128,24 @@ and close_epoch t =
           0 winners
       in
       let bytes = Config.op_msg_bytes + (Config.record_bytes * total_writes) in
-      (* Per-winner WAN span: pure trace data (only allocated for
-         sampled transactions), closed when the round resolves. *)
+      (* Per-winner replication span: pure trace data (only allocated
+         for sampled transactions), closed when the round resolves,
+         where every winner's replication stretch ends too. *)
       let spans =
         List.filter_map
           (fun p ->
-            Trace.child ~node:leader ~phase:"wan" ~name:"epoch-commit"
+            Trace.child ~node:leader ~phase:Replication ~name:"epoch-commit"
               ~ts:boundary p.octx)
           (List.filter (fun p -> p.octx <> None) winners)
       in
-      let close_spans () =
+      let end_round () =
         List.iter
           (fun s -> Trace.finish ~ts:(Engine.now engine) (Some s))
-          spans
+          spans;
+        List.iter (fun p -> Metrics.charge p.phases Replication ~now:(Engine.now engine)) winners
       in
       let commit_all () =
-        close_spans ();
-        let commit_time = Engine.now engine -. boundary in
+        end_round ();
         List.iter
           (fun p ->
             Kvstore.finalize p.session;
@@ -158,15 +162,12 @@ and close_epoch t =
                    p.txn.Txn.parts
             in
             Metrics.record_commit ~late cl.Cluster.metrics ~latency
-              ~single_node ~remastered:false
-              ~phases:
-                (Metrics.phase_times ~execution:p.exec_time
-                   ~scheduling:(boundary -. p.parked_at) ~replication:commit_time ());
+              ~single_node ~remastered:false ~phases:p.phases;
             Trace.finish_txn ~ts:(Engine.now engine) ~ok:true p.octx)
           winners
       in
       let abort_all () =
-        close_spans ();
+        end_round ();
         Metrics.incr cl.Cluster.metrics Epoch_round_failed;
         List.iter
           (fun p ->
@@ -212,7 +213,7 @@ and abort_retry t (p : pending) =
         ~delay:(Exec.retry_backoff cl ~attempts:p.attempt)
         (fun () ->
           execute t ~txn:p.txn ~start:p.start ~attempt:(p.attempt + 1)
-            ~octx:p.octx ~on_parked:(fun () -> ()))
+            ~phases:p.phases ~octx:p.octx ~on_parked:(fun () -> ()))
 
 (* Optimistic local execution: route to the node holding the most of
    the transaction's primaries, take a worker for setup + per-op CPU,
@@ -221,8 +222,10 @@ and abort_retry t (p : pending) =
    the coordinator's local (possibly stale) snapshot; staleness is what
    boundary validation catches. [on_parked] fires at worker release,
    which is when the submitting client may proceed (mirroring the
-   standard protocols' worker-bound closed loop). *)
-and execute t ~txn ~start ~attempt ~octx ~on_parked =
+   standard protocols' worker-bound closed loop). As in [Exec], the
+   clock runs scheduling until the worker grant and execution from it
+   to the worker's release. *)
+and execute t ~txn ~start ~attempt ~phases ~octx ~on_parked =
   let cl = t.cl in
   let engine = cl.Cluster.engine in
   let coordinator = Exec.route_most_primaries cl txn in
@@ -230,7 +233,7 @@ and execute t ~txn ~start ~attempt ~octx ~on_parked =
     match octx with
     | None -> None
     | Some _ ->
-        Trace.child ~node:coordinator ~phase:"execution"
+        Trace.child ~node:coordinator ~phase:Execution
           ~name:(Printf.sprintf "attempt %d" attempt)
           ~ts:(Engine.now engine) octx
   in
@@ -247,17 +250,18 @@ and execute t ~txn ~start ~attempt ~octx ~on_parked =
       Engine.schedule engine
         ~delay:(Config.rpc_timeout +. Rng.float cl.Cluster.rng 50.0)
         (fun () ->
-          execute t ~txn ~start ~attempt:(attempt + 1) ~octx ~on_parked)
+          execute t ~txn ~start ~attempt:(attempt + 1) ~phases ~octx ~on_parked)
   in
-  Cluster.acquire_worker cl ~node:coordinator ~on_fail:requeue (fun lease ->
+  Exec.acquire_worker cl ~node:coordinator actx ~on_fail:requeue (fun lease ->
+      Metrics.charge phases Scheduling ~now:(Engine.now engine);
       let session = Kvstore.begin_session cl.Cluster.store in
       let n_ops = Array.length txn.Txn.ops in
       let work =
         (Config.txn_setup_cost +. (float_of_int n_ops *. Config.local_op_cost))
         *. Cluster.work_scale cl coordinator
       in
-      let t0 = Engine.now engine in
       Engine.schedule engine ~delay:work (fun () ->
+          Metrics.charge phases Execution ~now:(Engine.now engine);
           if not (Cluster.alive cl coordinator) then (
             Cluster.release_worker cl ~node:coordinator lease;
             requeue ())
@@ -266,18 +270,7 @@ and execute t ~txn ~start ~attempt ~octx ~on_parked =
             Array.iter (Exec.record_op session) txn.Txn.ops;
             Cluster.release_worker cl ~node:coordinator lease;
             Trace.finish ~ts:(Engine.now engine) actx;
-            t.parked <-
-              {
-                txn;
-                session;
-                coordinator;
-                start;
-                attempt;
-                exec_time = Engine.now engine -. t0;
-                parked_at = Engine.now engine;
-                octx;
-              }
-              :: t.parked;
+            t.parked <- { txn; session; coordinator; start; attempt; phases; octx } :: t.parked;
             arm_timer t;
             on_parked ())))
 
@@ -289,8 +282,9 @@ let submit t txn ~on_done =
     | Some tracer ->
         Trace.start_txn tracer ~ts:(Engine.now engine) ~txn_id:txn.Txn.id
   in
-  execute t ~txn ~start:(Engine.now engine) ~attempt:1 ~octx
-    ~on_parked:on_done
+  execute t ~txn ~start:(Engine.now engine) ~attempt:1
+    ~phases:(Metrics.phase_times ~since:(Engine.now engine) ())
+    ~octx ~on_parked:on_done
 
 let create cl =
   let t = { cl; parked = []; timer_armed = false; epochs = 0 } in

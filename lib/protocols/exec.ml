@@ -129,7 +129,12 @@ let nop () = ()
    event, so a hop costs an engine cell rather than a fresh closure.
    Attempts of one transaction never overlap, but an attempt's record
    outlives it while stragglers of a failed prepare round still answer,
-   which is why each attempt gets a fresh one. *)
+   which is why each attempt gets a fresh one.
+
+   The transaction's phase clock runs across attempts, switching where
+   its spans open and close: scheduling until a worker is granted (the
+   backoff and the worker wait), execution between steps, a step's
+   phase while it is open, and replication after the commit. *)
 
 type txn_run = {
   cl : Cluster.t;
@@ -143,13 +148,8 @@ type txn_run = {
   octx : Trace.ctx option;  (** the transaction's root span *)
   enforced : float option;  (** absolute deadline, when enforced *)
   mutable attempts : int;
-}
-
-(* All floats, so stored flat: setting a mark allocates nothing. *)
-type marks = {
-  mutable exec_start : float;
-  mutable step_start : float;  (** start of the current remaster, migration or wait *)
-  mutable round_start : float;  (** start of the current 2PC round *)
+  clock : Metrics.phase_times;  (** the phases so far; [since] marks the running one *)
+  mutable phase : Metrics.phase;  (** the running phase *)
 }
 
 type attempt = {
@@ -158,8 +158,6 @@ type attempt = {
   attempt_no : int;
   actx : Trace.ctx option;  (** this attempt's span *)
   session : Kvstore.session;
-  phases : Metrics.phase_times;
-  marks : marks;
   lease : Lion_sim.Server.lease;
   mutable span : Trace.ctx option;
       (** the open step span: setup, a group's execution, remaster or
@@ -199,10 +197,40 @@ let open_span engine ~node ~part ~phase ~name ctx =
         ?part:(if part < 0 then None else Some part)
         ~phase ~name ~ts:(Engine.now engine) ctx
 
-let close_span a =
-  match a.span with
-  | None -> ()
-  | Some _ -> Trace.finish ~ts:(now a) a.span
+(* End the running phase's stretch now and start [phase]'s. *)
+let switch r phase =
+  Metrics.charge r.clock r.phase ~now:(Engine.now r.cl.Cluster.engine);
+  r.phase <- phase
+
+(* An attempt's step: its span and its stretch of the clock open in one
+   call, and closing the step returns the clock to execution. *)
+let open_step a ~node ~part ~phase ~name =
+  switch a.run phase;
+  a.span <- open_span (engine a) ~node ~part ~phase ~name a.actx
+
+let close_step a =
+  (match a.span with None -> () | Some _ -> Trace.finish ~ts:(now a) a.span);
+  switch a.run Execution
+
+(* The wait for a worker is part of the attempt's scheduling stretch,
+   which the grant ends. A traced wait that cannot be granted at once
+   (every worker leased) is also a span; an untraced one allocates
+   nothing more. *)
+let acquire_worker cl ~node actx ~on_fail k =
+  match actx with
+  | Some _ when Cluster.worker_saturated cl ~node ->
+      let engine = cl.Cluster.engine in
+      let wait = open_span engine ~node ~part:(-1) ~phase:Scheduling ~name:"worker-wait" actx in
+      Cluster.acquire_worker cl ~node
+        ~on_fail:(fun () ->
+          let ts = Engine.now engine in
+          Trace.note ~ts "shed" wait;
+          Trace.finish ~ts wait;
+          on_fail ())
+        (fun lease ->
+          Trace.finish ~ts:(Engine.now engine) wait;
+          k lease)
+  | _ -> Cluster.acquire_worker cl ~node ~on_fail k
 
 (* Consistency-audit hook: one history event per attempt, with the
    versions the session observed and (for commits) the versions
@@ -242,6 +270,7 @@ let retry_backoff cl ~attempts =
 let rec attempt_failed r actx =
   let cl = r.cl in
   let engine = cl.Cluster.engine in
+  switch r Scheduling;
   (match actx with None -> () | Some _ -> Trace.finish ~ts:(Engine.now engine) actx);
   (match (actx, r.octx) with
   | None, None -> ()
@@ -271,7 +300,7 @@ and start_attempt r =
     match r.octx with
     | None -> None
     | Some _ ->
-        Trace.child ~node:coordinator ~phase:"execution"
+        Trace.child ~node:coordinator ~phase:Execution
           ~name:(Printf.sprintf "attempt %d" r.attempts)
           ~ts:(Engine.now cl.Cluster.engine) r.octx
   in
@@ -280,37 +309,17 @@ and start_attempt r =
        the retry loop re-routes to a live coordinator. *)
     attempt_failed r actx
   else
-    (* Admission wait gets its own span phase, opened only when the
-       grant cannot be immediate (every worker leased right now) — an
-       unloaded run allocates nothing and traces identically. *)
-    let wait_span =
-      match actx with
-      | Some _ when Cluster.worker_saturated cl ~node:coordinator ->
-          open_span cl.Cluster.engine ~node:coordinator ~part:(-1) ~phase:"queue"
-            ~name:"worker-wait" actx
-      | _ -> None
-    in
     (* The attempt record and its session are built at the grant, so a
-       request parked in the worker queue holds neither. *)
-    Cluster.acquire_worker cl ~node:coordinator
-      ~on_fail:(fun () ->
-        (* Shed at admission (bounded worker queue, or the coordinator
-           died with this request parked): no lease was granted, so
-           there is nothing to release — report the attempt failed. *)
-        (match wait_span with
-        | None -> ()
-        | Some _ ->
-            let ts = Engine.now cl.Cluster.engine in
-            Trace.note ~ts "shed" wait_span;
-            Trace.finish ~ts wait_span);
-        attempt_failed r actx)
-      (fun lease -> granted r ~coordinator ~actx ~wait_span lease)
+       request parked in the worker queue holds neither. Shed at
+       admission (bounded worker queue, or the coordinator died with
+       this request parked), no lease was granted, so there is nothing
+       to release: the attempt failed. *)
+    acquire_worker cl ~node:coordinator actx
+      ~on_fail:(fun () -> attempt_failed r actx)
+      (fun lease -> granted r ~coordinator ~actx lease)
 
-and granted r ~coordinator ~actx ~wait_span lease =
+and granted r ~coordinator ~actx lease =
   let cl = r.cl in
-  (match wait_span with
-  | None -> ()
-  | Some _ -> Trace.finish ~ts:(Engine.now cl.Cluster.engine) wait_span);
   let a =
     {
       run = r;
@@ -318,9 +327,6 @@ and granted r ~coordinator ~actx ~wait_span lease =
       attempt_no = r.attempts;
       actx;
       session = Kvstore.begin_session ~ops:(Array.length r.parts) cl.Cluster.store;
-      phases = Metrics.phase_times ();
-      marks =
-        { exec_start = Engine.now cl.Cluster.engine; step_start = 0.0; round_start = 0.0 };
       lease;
       span = None;
       group = 0;
@@ -337,15 +343,13 @@ and granted r ~coordinator ~actx ~wait_span lease =
       awaiting = Exec_reply;
     }
   in
-  a.span <-
-    open_span (engine a) ~node:coordinator ~part:(-1) ~phase:"scheduling" ~name:"setup"
-      actx;
+  open_step a ~node:coordinator ~part:(-1) ~phase:Execution ~name:"setup";
   Engine.schedule_apply (engine a)
     ~delay:(Config.txn_setup_cost *. Cluster.work_scale cl coordinator)
     setup_done a
 
 and setup_done a =
-  close_span a;
+  close_step a;
   step a 0
 
 (* Execute the group opened by operation [g] (or, past the last group,
@@ -369,9 +373,7 @@ and step a g =
            node recovers. *)
         Engine.schedule_apply (engine a) ~delay:Config.rpc_timeout part_lost a
       else (
-        a.marks.step_start <- now a;
-        a.span <-
-          open_span (engine a) ~node:(-1) ~part ~phase:"remaster" ~name:"part-wait" a.actx;
+        open_step a ~node:(-1) ~part ~phase:Remaster ~name:"part-wait";
         Engine.schedule_apply (engine a) ~delay:wait part_ready a)
     else proceed a
   end
@@ -382,8 +384,7 @@ and part_lost a =
   fail_txn a
 
 and part_ready a =
-  close_span a;
-  a.phases.remaster <- a.phases.remaster +. (now a -. a.marks.step_start);
+  close_step a;
   proceed a
 
 and proceed a =
@@ -404,10 +405,7 @@ and proceed a =
   then
     if Cluster.try_begin_remaster cl ~part ~node:coordinator then (
       a.remastered <- true;
-      a.marks.step_start <- now a;
-      a.span <-
-        open_span (engine a) ~node:coordinator ~part ~phase:"remaster" ~name:"remaster"
-          a.actx;
+      open_step a ~node:coordinator ~part ~phase:Remaster ~name:"remaster";
       Engine.schedule_apply (engine a) ~delay:(cfg a).Config.remaster_delay remaster_done a)
     else
       (* Remastering conflict: another transaction is promoting this
@@ -417,8 +415,7 @@ and proceed a =
   else exec_remote a
 
 and remaster_done a =
-  close_span a;
-  a.phases.remaster <- a.phases.remaster +. (now a -. a.marks.step_start);
+  close_step a;
   (* The transfer may not have landed (this node crashed mid-flight and
      the cluster rolled the remaster back): re-check who is primary. *)
   let cl = a.run.cl in
@@ -437,15 +434,11 @@ and migrate a =
      transfer (§II-B). *)
   Cluster.block_partition_for cl ~part:a.part ~duration:delay;
   Network.send cl.Cluster.network ~src:prim ~dst:a.coordinator ~bytes nop;
-  a.marks.step_start <- now a;
-  a.span <-
-    open_span (engine a) ~node:a.coordinator ~part:a.part
-      ~phase:"remaster" ~name:"migrate" a.actx;
+  open_step a ~node:a.coordinator ~part:a.part ~phase:Remaster ~name:"migrate";
   Engine.schedule_apply (engine a) ~delay migrate_done a
 
 and migrate_done a =
-  close_span a;
-  a.phases.remaster <- a.phases.remaster +. (now a -. a.marks.step_start);
+  close_step a;
   let cl = a.run.cl in
   let placement = cl.Cluster.placement and part = a.part and coordinator = a.coordinator in
   if not (Cluster.alive cl coordinator) then fail_txn a
@@ -472,24 +465,20 @@ and migrate_done a =
 
 and exec_local a =
   record_group a;
-  a.span <-
-    open_span (engine a) ~node:a.coordinator ~part:a.part ~phase:"execution"
-      ~name:"exec-local" a.actx;
+  open_step a ~node:a.coordinator ~part:a.part ~phase:Execution ~name:"exec-local";
   Engine.schedule_apply (engine a)
     ~delay:(local_work a *. Cluster.work_scale a.run.cl a.coordinator)
     local_done a
 
 and local_done a =
-  close_span a;
+  close_step a;
   step a a.run.links.(a.group)
 
 and exec_remote a =
   let cl = a.run.cl in
   a.remote_parts <- a.part :: a.remote_parts;
   let prim = Placement.primary cl.Cluster.placement a.part in
-  a.span <-
-    open_span (engine a) ~node:prim ~part:a.part
-      ~phase:"execution" ~name:"exec-remote" a.actx;
+  open_step a ~node:prim ~part:a.part ~phase:Execution ~name:"exec-remote";
   a.awaiting <- Exec_reply;
   Transport.call cl ?deadline:a.run.enforced ~src:a.coordinator ~dst:prim
     ~bytes:(Config.op_msg_bytes * a.n_ops)
@@ -509,12 +498,12 @@ and rpc_failed a =
   | Acks -> commit_ack a
 
 and exec_reply a =
-  close_span a;
+  close_step a;
   record_group a;
   step a a.run.links.(a.group)
 
 and exec_fail a =
-  close_span a;
+  close_step a;
   fail_txn a
 
 (* Abort path for unreachable participants / unavailable partitions:
@@ -526,9 +515,6 @@ and fail_txn a =
 and groups_done a =
   let cl = a.run.cl and flavor = a.run.flavor in
   let placement = cl.Cluster.placement in
-  (* [Stdlib.max 0.0], compared as floats. *)
-  let exec_time = now a -. a.marks.exec_start -. a.phases.remaster in
-  a.phases.execution <- (if 0.0 >= exec_time then 0.0 else exec_time);
   match List.sort_uniq Int.compare a.remote_parts with
   | [] ->
       a.single_node <- true;
@@ -557,10 +543,7 @@ and groups_done a =
           |> List.filter (fun n -> n <> a.coordinator)
       in
       a.participants <- participants;
-      a.marks.round_start <- now a;
-      a.span <-
-        open_span (engine a) ~node:a.coordinator ~part:(-1)
-          ~phase:"prepare" ~name:"2pc-prepare" a.actx;
+      open_step a ~node:a.coordinator ~part:(-1) ~phase:Prepare ~name:"2pc-prepare";
       (* Presumed abort (§2PC under faults): if any participant stays
          unreachable through the RPC retry schedule, the coordinator
          aborts, tells the reachable participants one-way, and gives the
@@ -597,14 +580,13 @@ and vote_fail a =
    indeterminate. *)
 and prepare_failed a =
   record_outcome a History.Indeterminate;
-  close_span a;
+  close_step a;
   send_oneway a a.participants;
   finish a
 
 and after_prepare a =
   let cl = a.run.cl and unified = a.run.flavor.unified_commit in
-  close_span a;
-  a.phases.prepare <- now a -. a.marks.round_start;
+  close_step a;
   (* Participants replicate their prepare logs. *)
   Transport.replicate_commit cl ?ctx:a.actx a.remote_parts;
   if unified && Kvstore.try_commit a.session then (
@@ -617,10 +599,7 @@ and after_prepare a =
     finish a)
   else if (not unified) && Kvstore.try_reserve a.session then (
     (* 2PC holds the reservation until the commit round is acked. *)
-    a.marks.round_start <- now a;
-    a.span <-
-      open_span (engine a) ~node:a.coordinator ~part:(-1)
-        ~phase:"commit" ~name:"2pc-commit" a.actx;
+    open_step a ~node:a.coordinator ~part:(-1) ~phase:Commit ~name:"2pc-commit";
     match a.participants with
     | [] -> after_commit a
     | participants ->
@@ -649,8 +628,7 @@ and commit_ack a =
   if a.acks = 0 then after_commit a
 
 and after_commit a =
-  close_span a;
-  a.phases.commit <- now a -. a.marks.round_start;
+  close_step a;
   Kvstore.finalize a.session;
   record_outcome a History.Committed;
   Transport.replicate_commit a.run.cl ?ctx:a.actx a.run.txn.Txn.parts;
@@ -672,16 +650,17 @@ and attempt_over a =
     let now = now a in
     let wait = interval -. Float.rem now interval in
     let latency = now -. r.start +. wait in
-    a.phases.replication <- wait;
+    switch r Replication;
+    Metrics.charge r.clock Replication ~now:(now +. wait);
     (* Committed but late: it still counts as a commit (throughput)
        while goodput discounts it — the client gave up waiting. *)
     let late = Config.misses_deadline cfg latency in
     let span =
-      open_span cl.Cluster.engine ~node:(-1) ~part:(-1) ~phase:"replication"
+      open_span cl.Cluster.engine ~node:(-1) ~part:(-1) ~phase:Replication
         ~name:"group-commit-wait" r.octx
     in
     Metrics.defer_commit cl.Cluster.metrics ~delay:wait ~late ~latency
-      ~single_node:a.single_node ~remastered:a.remastered ~phases:a.phases ~root:r.octx
+      ~single_node:a.single_node ~remastered:a.remastered ~phases:r.clock ~root:r.octx
       ~span;
     r.on_done ())
   else attempt_failed r a.actx
@@ -710,4 +689,6 @@ let run cl ~route ~flavor txn ~on_done =
          identically on the unprotected baseline. *)
       enforced = Config.enforced_deadline cl.Cluster.cfg ~start;
       attempts = 0;
+      clock = Metrics.phase_times ~since:start ();
+      phase = Scheduling;
     }

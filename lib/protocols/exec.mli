@@ -52,6 +52,18 @@ val retry_backoff : Lion_store.Cluster.t -> attempts:int -> float
 (** The delay before retry [attempts + 1] of [Exec] and [Epoch]: 50
     µs·2^min(8, attempts) plus one RNG draw below 50 µs, at most 2 ms. *)
 
+val acquire_worker :
+  Lion_store.Cluster.t ->
+  node:int ->
+  Lion_trace.Trace.ctx option ->
+  on_fail:(unit -> unit) ->
+  (Lion_sim.Server.lease -> unit) ->
+  unit
+(** A worker on [node] for an attempt of [Exec] or [Epoch], whose phase
+    clock runs scheduling until the grant. When the attempt is traced,
+    a grant that cannot be immediate gets a scheduling-phase
+    [worker-wait] span, noted "shed" if admission refuses it. *)
+
 val route_most_primaries : Lion_store.Cluster.t -> Lion_workload.Txn.t -> int
 (** The node holding the most of the transaction's primary partitions
     (lowest id on ties) — the standard router. *)
@@ -73,10 +85,10 @@ val run :
     the bounded worker queue may shed the admission request
     (docs/OVERLOAD.md; never happens with the default unbounded
     queue), which fails the attempt. When the grant cannot be
-    immediate, the wait is traced as a "queue"-phase [worker-wait]
-    span. An enforced deadline (absolute simulated time) is propagated
-    into every RPC the attempt issues: once past it, lost RPCs stop
-    retransmitting. Each attempt is one mutable record advanced by
+    immediate, the wait is a scheduling-phase [worker-wait] span
+    ({!acquire_worker}). An enforced deadline (absolute simulated
+    time) is propagated into every RPC the attempt issues: once past
+    it, lost RPCs stop retransmitting. Each attempt is one mutable record advanced by
     engine events, not a chain of per-hop closures.
 
     When the cluster carries a history sink ([Cluster.history]), each
@@ -97,4 +109,9 @@ val run :
     When the cluster carries a tracer ([Cluster.tracer]), each
     transaction is offered to it: sampled ones get a root span, one
     child span per attempt (aborted attempts annotated), and a
-    group-commit-wait span; the trace closes at commit visibility. *)
+    group-commit-wait span; the trace closes at commit visibility.
+
+    The recorded phases come from one clock per transaction, switched
+    where those spans open and close, so they equal a traced
+    transaction's critical path, aborted attempts and worker waits
+    included. *)

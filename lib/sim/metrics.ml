@@ -4,17 +4,10 @@ module Rng = Lion_kernel.Rng
 module Pqueue = Lion_kernel.Pqueue
 module Trace = Lion_trace.Trace
 
-type phase = Execution | Prepare | Commit | Remaster | Scheduling | Replication
+type phase = Trace.phase = Execution | Prepare | Commit | Remaster | Scheduling | Replication
 
-let phase_name = function
-  | Execution -> "execution"
-  | Prepare -> "prepare"
-  | Commit -> "commit"
-  | Remaster -> "remaster"
-  | Scheduling -> "scheduling"
-  | Replication -> "replication"
-
-let all_phases = [ Execution; Prepare; Commit; Remaster; Scheduling; Replication ]
+let phase_name = Trace.phase_name
+let all_phases = Trace.all_phases
 
 let phase_index = function
   | Execution -> 0
@@ -171,8 +164,8 @@ let snapshot t = Array.copy t.counts
 let get s c = s.(slot c)
 let completed_remasters s = get s Remaster_complete + get s Batch_promotions
 
-(* All floats, so the record is stored flat: an attempt fills one in
-   place without boxing a duration per phase. *)
+(* All floats, so the record is stored flat: a transaction's clock
+   switches phase in place without boxing a duration or a mark. *)
 type phase_times = {
   mutable execution : float;
   mutable prepare : float;
@@ -180,20 +173,23 @@ type phase_times = {
   mutable remaster : float;
   mutable scheduling : float;
   mutable replication : float;
+  mutable since : float;
 }
 
 let phase_times ?(execution = 0.0) ?(prepare = 0.0) ?(commit = 0.0) ?(remaster = 0.0)
-    ?(scheduling = 0.0) ?(replication = 0.0) () =
-  { execution; prepare; commit; remaster; scheduling; replication }
+    ?(scheduling = 0.0) ?(replication = 0.0) ?(since = 0.0) () =
+  { execution; prepare; commit; remaster; scheduling; replication; since }
 
-let add_phase p phase d =
-  match phase with
+let[@inline] charge p phase ~now =
+  let d = now -. p.since in
+  (match phase with
   | Execution -> p.execution <- p.execution +. d
   | Prepare -> p.prepare <- p.prepare +. d
   | Commit -> p.commit <- p.commit +. d
   | Remaster -> p.remaster <- p.remaster +. d
   | Scheduling -> p.scheduling <- p.scheduling +. d
-  | Replication -> p.replication <- p.replication +. d
+  | Replication -> p.replication <- p.replication +. d);
+  p.since <- now
 
 (* Each phase adds its own slot exactly once per commit. A phase a
    protocol does not report adds 0.0, which leaves a sum that started

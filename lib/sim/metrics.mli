@@ -12,13 +12,9 @@
     transaction, whether it used remastering, and how its latency
     divides into phases — everything Figs. 8, 10, 12 and 14 need. *)
 
-type phase =
-  | Execution  (** read/write processing, incl. remote reads *)
-  | Prepare  (** 2PC prepare round *)
-  | Commit  (** commit round / group-commit wait *)
-  | Remaster  (** waiting on leader transfers *)
-  | Scheduling  (** deterministic lock-manager / sequencer wait *)
-  | Replication  (** replica synchronisation *)
+(** The latency taxonomy, declared once as {!Lion_trace.Trace.phase}. *)
+type phase = Lion_trace.Trace.phase =
+  | Execution | Prepare | Commit | Remaster | Scheduling | Replication
 
 val phase_name : phase -> string
 val all_phases : phase list
@@ -128,9 +124,9 @@ val completed_remasters : snapshot -> int
 (** Leader transfers that completed, by either path: [Remaster_complete]
     plus [Batch_promotions]. *)
 
-(** One committed transaction's time per phase, µs. An all-float
-    record, so its fields are stored unboxed and can be filled in
-    place. *)
+(** One transaction's time per phase, µs, and its clock: [since] is
+    where the running phase's stretch began. All floats, so a switch
+    allocates nothing. *)
 type phase_times = {
   mutable execution : float;
   mutable prepare : float;
@@ -138,6 +134,7 @@ type phase_times = {
   mutable remaster : float;
   mutable scheduling : float;
   mutable replication : float;
+  mutable since : float;
 }
 
 val phase_times :
@@ -147,12 +144,14 @@ val phase_times :
   ?remaster:float ->
   ?scheduling:float ->
   ?replication:float ->
+  ?since:float ->
   unit ->
   phase_times
-(** A fresh record; every phase not given is 0. *)
+(** A fresh record; every field not given is 0. *)
 
-val add_phase : phase_times -> phase -> float -> unit
-(** [add_phase p phase d] adds [d] µs to [phase]'s field of [p]. *)
+val charge : phase_times -> phase -> now:float -> unit
+(** [charge p phase ~now] ends the running [phase]'s stretch: adds
+    [now -. p.since] to it and moves [since] to [now]. *)
 
 val record_commit :
   ?late:bool ->

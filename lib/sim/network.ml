@@ -170,17 +170,15 @@ let send t ~src ~dst ~bytes ?(on_drop = nop) ?ctx k =
     in
     (* Tracing wraps the continuations only for sampled transactions:
        the [None] path (tracing disabled or txn unsampled) allocates
-       nothing and schedules no extra events. Cross-region hops get the
-       distinct "wan" span phase so critical-path reports and Perfetto
-       exports show WAN time; intra-region hops inherit the parent
-       phase as before. *)
+       nothing and schedules no extra events. A hop takes its parent's
+       phase; a cross-region hop is named [wan s->d], so critical-path
+       reports and Perfetto exports still show WAN time. *)
     match ctx with
     | None -> dispatch t ~src ~dst ~bytes k on_drop
     | Some _ ->
         let mctx =
           Trace.child ~node:dst
-            ?phase:(if cross then Some "wan" else None)
-            ~name:(Printf.sprintf "msg %d->%d" src dst)
+            ~name:(Printf.sprintf "%s %d->%d" (if cross then "wan" else "msg") src dst)
             ~ts:(Engine.now t.engine) ctx
         in
         dispatch t ~src ~dst ~bytes

@@ -51,8 +51,9 @@ val send :
     even for dropped messages — they left the NIC.
 
     [ctx] (a trace context of the transaction this message serves, see
-    {!Lion_trace.Trace}) opens a child span covering the wire time and
-    annotates it on loss; [None] — the default and the
+    {!Lion_trace.Trace}) opens a child span covering the wire time, in
+    the parent's phase and named [msg s->d] ([wan s->d] across
+    regions), and annotates it on loss; [None] — the default and the
     tracing-disabled path — costs nothing and never perturbs the
     simulation. *)
 

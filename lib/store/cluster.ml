@@ -49,7 +49,6 @@ type t = {
   primary_term : int array;
   mutable membership_version : int;
   mutable rebalance_running : bool;
-  mutable rebalance_started : float;
   mutable rebalance_done : float;
   (* ---- The install guard: one copy per partition in flight, with a
      generation that turns a cancelled copy's completion into a no-op
@@ -714,7 +713,6 @@ let join_node t node =
     Server.revive t.workers.(node);
     Server.revive t.services.(node);
     t.membership_version <- t.membership_version + 1;
-    t.rebalance_started <- now t;
     kick_rebalancer t;
     true
   end
@@ -750,7 +748,6 @@ let decommission_node t node =
     Option.iter (fun tr -> Trace.instant ~node ~ts:(now t) tr "decommission") t.tracer;
     t.draining.(node) <- true;
     t.membership_version <- t.membership_version + 1;
-    t.rebalance_started <- now t;
     kick_rebalancer t;
     true
   end
@@ -1032,7 +1029,6 @@ let create ?(seed = 1) ?tracer ?history cfg =
       primary_term = Array.make parts 0;
       membership_version = 0;
       rebalance_running = false;
-      rebalance_started = 0.0;
       rebalance_done = 0.0;
       move_target = Array.make parts (-1);
       move_gen = Array.make parts 0;

@@ -82,10 +82,6 @@ type t = {
   mutable membership_version : int;
       (** bumped on every join, decommission and failover *)
   mutable rebalance_running : bool;
-  mutable rebalance_started : float;
-      (** time of the most recent membership change that started
-          rebalancing work — with [rebalance_done], the experiment's
-          time-to-rebalance measurement *)
   mutable rebalance_done : float;
       (** time the rebalancer last ran out of work and stopped *)
   move_target : int array;

@@ -368,14 +368,14 @@ let ship_dropped (s : ship) =
     Engine.schedule_apply t.engine ~delay:backoff ship_send s)
 
 let start_ship (t : Cluster.t) ctx ~part ~src ~upto ~dst =
-  (* The asynchronous log ship gets its own span (phase "replication"):
+  (* The asynchronous log ship gets its own span (phase [Replication]):
      it usually outlives the transaction, so it shows up in the exported
      trace as the async tail but is never blamed on the critical path. *)
   let rctx =
     match ctx with
     | None -> None
     | Some _ ->
-        Trace.child ~node:dst ~part ~phase:"replication" ~name:"log-ship" ~ts:(Cluster.now t) ctx
+        Trace.child ~node:dst ~part ~phase:Trace.Replication ~name:"log-ship" ~ts:(Cluster.now t) ctx
   in
   let session = Cluster.session_for t ~part ~dst in
   (* A destination whose breaker is open is handed straight to

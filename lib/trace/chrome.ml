@@ -16,7 +16,7 @@ let emit_trace buf ~first (data : Trace.trace) =
       let dur = Trace.span_duration s in
       add_event buf ~first
         {|{"name":"%s","cat":"%s","ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d,"args":{"txn":%d,"span":%d,"part":%d%s}}|}
-        (Json.escape s.Trace.name) (Json.escape s.Trace.phase) s.Trace.start_ts dur
+        (Json.escape s.Trace.name) (Trace.phase_name s.Trace.phase) s.Trace.start_ts dur
         (pid_of_node s.Trace.node) tid data.Trace.txn_id s.Trace.id
         s.Trace.part
         (if Trace.is_open s then {|,"open":true|} else "");
@@ -24,7 +24,7 @@ let emit_trace buf ~first (data : Trace.trace) =
         (fun (ts, msg) ->
           add_event buf ~first
             {|{"name":"%s","cat":"%s","ph":"i","ts":%.3f,"pid":%d,"tid":%d,"s":"t"}|}
-            (Json.escape msg) (Json.escape s.Trace.phase) ts (pid_of_node s.Trace.node)
+            (Json.escape msg) (Trace.phase_name s.Trace.phase) ts (pid_of_node s.Trace.node)
             tid)
         (List.rev s.Trace.notes))
     spans

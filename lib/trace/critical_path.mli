@@ -27,8 +27,8 @@ val segments : Trace.trace -> segment list
     async replication still in flight) and spans outliving the window
     under inspection are never blamed. *)
 
-val phase_totals : Trace.trace -> (string * float) list
-(** Total critical-path time per phase name, descending by time.
+val phase_totals : Trace.trace -> (Trace.phase * float) list
+(** Total critical-path time per phase, descending by time.
     Sums to the trace's duration within float tolerance. *)
 
 val path_spans : Trace.trace -> Trace.span list

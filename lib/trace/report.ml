@@ -17,7 +17,7 @@ let pp_trace fmt (data : Trace.trace) =
   Format.fprintf fmt "  critical path by phase (sums to latency):@.";
   List.iter
     (fun (phase, d) ->
-      Format.fprintf fmt "    %-12s %10.1f us  %5.1f%%@." phase d
+      Format.fprintf fmt "    %-12s %10.1f us  %5.1f%%@." (Trace.phase_name phase) d
         (if sum > 0.0 then 100.0 *. d /. sum else 0.0))
     totals;
   let chain = Critical_path.path_spans data in
@@ -27,7 +27,8 @@ let pp_trace fmt (data : Trace.trace) =
   List.iter
     (fun (s : Trace.span) ->
       Format.fprintf fmt "    [%10.1f .. %10.1f] %-18s %-11s node=%d%s%s@."
-        s.Trace.start_ts s.Trace.end_ts s.Trace.name s.Trace.phase
+        s.Trace.start_ts s.Trace.end_ts s.Trace.name
+        (Trace.phase_name s.Trace.phase)
         s.Trace.node
         (if s.Trace.part >= 0 then Printf.sprintf " part=%d" s.Trace.part
          else "")

@@ -1,8 +1,20 @@
+type phase = Execution | Prepare | Commit | Remaster | Scheduling | Replication
+
+let phase_name = function
+  | Execution -> "execution"
+  | Prepare -> "prepare"
+  | Commit -> "commit"
+  | Remaster -> "remaster"
+  | Scheduling -> "scheduling"
+  | Replication -> "replication"
+
+let all_phases = [ Execution; Prepare; Commit; Remaster; Scheduling; Replication ]
+
 type span = {
   id : int;
   parent : int;
   name : string;
-  phase : string;
+  phase : phase;
   node : int;
   part : int;
   start_ts : float;
@@ -95,7 +107,7 @@ let start_txn t ~ts ~txn_id =
         id = 0;
         parent = -1;
         name = "txn";
-        phase = "scheduling";
+        phase = Scheduling;
         node = -1;
         part = -1;
         start_ts = ts;

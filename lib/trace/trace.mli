@@ -24,6 +24,18 @@
       are traced or retained; a per-trace span cap stops pathological
       retry storms from accumulating unbounded spans. *)
 
+(** The latency taxonomy, one phase per span; [Metrics] re-exports it. *)
+type phase =
+  | Execution  (** read/write processing, incl. setup and remote reads *)
+  | Prepare  (** 2PC prepare round *)
+  | Commit  (** 2PC commit round, or a batch epoch's commit barrier *)
+  | Remaster  (** waiting on leader transfers or migrations *)
+  | Scheduling  (** worker queue, retry backoff, epoch parking, sequencer *)
+  | Replication  (** group-commit wait, epoch replication round, log ship *)
+
+val phase_name : phase -> string
+val all_phases : phase list
+
 (** One timed step of a transaction, linked to its causal parent.
     Timestamps are engine time (µs). [end_ts] is [neg_infinity] while
     the span is still open. *)
@@ -31,10 +43,7 @@ type span = {
   id : int;  (** per-trace, in creation order; 0 is the root *)
   parent : int;  (** parent span id, -1 for the root *)
   name : string;
-  phase : string;
-      (** latency-taxonomy bucket, matching [Metrics.phase_name]:
-          "execution", "prepare", "commit", "remaster", "scheduling" or
-          "replication" *)
+  phase : phase;
   node : int;  (** node the step ran on, -1 for client/cluster-wide *)
   part : int;  (** partition involved, -1 when not partition-specific *)
   start_ts : float;
@@ -104,12 +113,12 @@ val instants : t -> (float * int * string) list
 
 val start_txn : t -> ts:float -> txn_id:int -> ctx option
 (** Sampling decision for one transaction. [Some ctx] opens the root
-    span (name "txn", phase "scheduling"); [None] means skip. *)
+    span (name "txn", phase [Scheduling]); [None] means skip. *)
 
 val child :
   ?node:int ->
   ?part:int ->
-  ?phase:string ->
+  ?phase:phase ->
   name:string ->
   ts:float ->
   ctx option ->

@@ -71,9 +71,9 @@ let test_critical_path_hand_built () =
   (* Two sequential children: A [10,20], B [25,40]. Walking backwards
      from 50, B gates [25,40], A gates [10,20], the root owns the gaps
      [0,10], [20,25] and [40,50]. *)
-  let a = Trace.child ~phase:"execution" ~name:"A" ~ts:10.0 root in
+  let a = Trace.child ~phase:Execution ~name:"A" ~ts:10.0 root in
   Trace.finish ~ts:20.0 a;
-  let b = Trace.child ~phase:"prepare" ~name:"B" ~ts:25.0 root in
+  let b = Trace.child ~phase:Prepare ~name:"B" ~ts:25.0 root in
   Trace.finish ~ts:40.0 b;
   Trace.finish_txn ~ts:50.0 ~ok:true root;
   let tr = List.hd (Trace.retained t) in
@@ -89,9 +89,9 @@ let test_critical_path_hand_built () =
   Alcotest.(check (float 1e-9)) "segments partition the root" 50.0 sum;
   let totals = Critical_path.phase_totals tr in
   let blame p = try List.assoc p totals with Not_found -> 0.0 in
-  Alcotest.(check (float 1e-9)) "B's window" 15.0 (blame "prepare");
-  Alcotest.(check (float 1e-9)) "A's window" 10.0 (blame "execution");
-  Alcotest.(check (float 1e-9)) "root gaps" 25.0 (blame "scheduling")
+  Alcotest.(check (float 1e-9)) "B's window" 15.0 (blame Trace.Prepare);
+  Alcotest.(check (float 1e-9)) "A's window" 10.0 (blame Trace.Execution);
+  Alcotest.(check (float 1e-9)) "root gaps" 25.0 (blame Trace.Scheduling)
 
 (* ---------------- end-to-end runs ---------------- *)
 
@@ -135,51 +135,67 @@ let test_sum_batch () =
   in
   check_sums tracer
 
-(* A batch transaction's phases are its trace's critical path: with
+(* A transaction's recorded phases are its trace's critical path: with
    every transaction traced from t = 0, the per-phase critical-path
-   time summed over all traces gives each batch protocol's
-   [Runner.phase_fractions]. *)
-let test_batch_phases_match_traces () =
-  let cfg = Config.default in
+   time summed over the committed traces gives each protocol's
+   [Runner.phase_fractions]. Metrics records a batch engine's forced
+   commit (its trace closes not ok) and never a standard engine's
+   give-up. *)
+let phases_match_traces ~cfg ~clients (e : Protocols.entry) =
+  let tracer = Trace.create ~policy:Trace.All () in
+  let r =
+    Runner.run ~seed:3 ~batch:e.Protocols.batch ~tracer ~cfg
+      ~make:(fun cl -> e.Protocols.make cl)
+      ~gen:(Workloads.ycsb ~seed:3 ~skew:0.8 ~cross:0.5 cfg)
+      { small_rc with clients; warmup = 0.0; duration = 0.05 }
+  in
+  let traces =
+    List.filter (fun (tr : Trace.trace) -> tr.Trace.ok || e.Protocols.batch)
+      (Trace.retained tracer)
+  in
+  Alcotest.(check bool) (e.id ^ ": commits") true (r.Runner.commits > 0);
+  Alcotest.(check int) (e.id ^ ": every commit traced") r.Runner.commits
+    (List.length traces);
+  let totals = Hashtbl.create 8 and sum = ref 0.0 in
+  List.iter
+    (fun tr ->
+      List.iter
+        (fun (phase, d) ->
+          let acc = Option.value ~default:0.0 (Hashtbl.find_opt totals phase) in
+          Hashtbl.replace totals phase (acc +. d);
+          sum := !sum +. d)
+        (Critical_path.phase_totals tr))
+    traces;
+  List.iter
+    (fun (p, frac) ->
+      let traced = Option.value ~default:0.0 (Hashtbl.find_opt totals p) in
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "%s: %s" e.id (Metrics.phase_name p))
+        frac (traced /. !sum))
+    r.Runner.phase_fractions;
+  r
+
+let test_phases_match_traces () =
+  List.iter
+    (fun e -> ignore (phases_match_traces ~cfg:Config.default ~clients:100 e))
+    Protocols.all;
+  (* Under overload (bounded worker queues, deadlines, retry budgets,
+     128 clients on 32 workers), sheds, aborted attempts and their
+     backoff sit on the standard engines' critical paths. *)
+  let cfg = Config.with_overload_defaults Config.default in
   List.iter
     (fun (e : Protocols.entry) ->
-      let tracer = Trace.create ~policy:Trace.All () in
-      let r =
-        Runner.run ~seed:3 ~batch:true ~tracer ~cfg
-          ~make:(fun cl -> e.Protocols.make cl)
-          ~gen:(Workloads.ycsb ~seed:3 ~skew:0.8 ~cross:0.5 cfg)
-          { small_rc with clients = 100; warmup = 0.0; duration = 0.05 }
-      in
-      let traces = Trace.retained tracer in
-      Alcotest.(check bool) (e.id ^ ": commits") true (r.Runner.commits > 0);
-      Alcotest.(check int) (e.id ^ ": every commit traced") r.Runner.commits
-        (List.length traces);
-      let totals = Hashtbl.create 8 and sum = ref 0.0 in
-      List.iter
-        (fun tr ->
-          List.iter
-            (fun (phase, d) ->
-              let acc = Option.value ~default:0.0 (Hashtbl.find_opt totals phase) in
-              Hashtbl.replace totals phase (acc +. d);
-              sum := !sum +. d)
-            (Critical_path.phase_totals tr))
-        traces;
-      List.iter
-        (fun (p, frac) ->
-          let traced =
-            Option.value ~default:0.0 (Hashtbl.find_opt totals (Metrics.phase_name p))
-          in
-          Alcotest.(check (float 1e-9))
-            (Printf.sprintf "%s: %s" e.id (Metrics.phase_name p))
-            frac (traced /. !sum))
-        r.Runner.phase_fractions)
-    (List.filter (fun (e : Protocols.entry) -> e.Protocols.batch) Protocols.all)
+      if not e.Protocols.batch then
+        let r = phases_match_traces ~cfg ~clients:128 e in
+        Alcotest.(check bool) (e.id ^ ": attempts failed under overload") true
+          (r.Runner.aborts > 0))
+    Protocols.all
 
 let test_sum_with_queue_phase () =
   (* Saturate the coordinator worker pools (128 closed-loop clients vs
      32 workers, overload preset on) so admission waits open their own
-     "queue" spans — the critical path must still partition the root
-     exactly, and the new phase must actually show up in it. *)
+     [worker-wait] spans — the critical path must still partition the
+     root exactly, and such a wait must actually gate some path. *)
   let cfg = Config.with_overload_defaults Config.default in
   let tracer = Trace.create ~policy:(Trace.Slowest 16) () in
   let _ =
@@ -189,15 +205,17 @@ let test_sum_with_queue_phase () =
       { small_rc with clients = 128; duration = 0.5 }
   in
   check_sums tracer;
-  let has_queue =
+  let has_wait =
     List.exists
       (fun (tr : Trace.trace) ->
         List.exists
-          (fun (phase, d) -> phase = "queue" && d > 0.0)
-          (Critical_path.phase_totals tr))
+          (fun (s : Trace.span) ->
+            s.Trace.name = "worker-wait" && s.Trace.phase = Trace.Scheduling
+            && Trace.span_duration s > 0.0)
+          (Critical_path.path_spans tr))
       (Trace.retained tracer)
   in
-  Alcotest.(check bool) "queue phase on some critical path" true has_queue
+  Alcotest.(check bool) "worker wait on some critical path" true has_wait
 
 let test_deterministic_export () =
   let json () =
@@ -271,7 +289,7 @@ let test_deferred_commit_order () =
       Engine.at engine ~time:arrival (fun () ->
           let phases = Metrics.phase_times ~execution:latency ~commit:(float_of_int i) () in
           let root = Trace.start_txn tracer ~ts:arrival ~txn_id:i in
-          let span = Trace.child ~phase:"replication" ~name:"group-commit-wait" ~ts:arrival root in
+          let span = Trace.child ~phase:Replication ~name:"group-commit-wait" ~ts:arrival root in
           Metrics.defer_commit m ~delay ~late:(i = 3) ~latency ~single_node:(i mod 2 = 0)
             ~remastered:(i = 4) ~phases ~root ~span;
           Engine.schedule engine ~delay (fun () ->
@@ -327,8 +345,8 @@ let () =
           Alcotest.test_case "sums to latency (batch)" `Quick test_sum_batch;
           Alcotest.test_case "sums to latency with queue phase" `Quick
             test_sum_with_queue_phase;
-          Alcotest.test_case "batch phases are the critical path" `Quick
-            test_batch_phases_match_traces;
+          Alcotest.test_case "phases are the critical path" `Quick
+            test_phases_match_traces;
         ] );
       ( "determinism",
         [
