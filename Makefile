@@ -37,15 +37,15 @@ chaos:
 	dune exec -- lion experiment fault_straggler --scale 0.25
 
 # Jepsen-style consistency audit (see docs/CONSISTENCY.md): every
-# protocol under a crash, then Lion under every nemesis. Exits
-# non-zero on any serializability anomaly or diverged replica.
+# protocol under a crash, then Lion under every nemesis (crash-rejoin
+# included). Exits non-zero on any serializability anomaly, diverged
+# replica or liveness finding.
 audit:
 	dune exec -- lion audit --proto all --nemesis crash --seconds 2
 	dune exec -- lion audit --proto lion --nemesis all --seconds 2
 	dune exec -- lion audit --proto lion --nemesis overload --overload \
 		--seconds 2
 	dune exec -- lion audit --proto epoch --nemesis all --seconds 2
-	dune exec -- lion audit --assert-rejoin-safe
 
 # Coverage-guided fault-schedule fuzzing (see docs/FUZZING.md): a
 # seeded campaign over random fault schedules, checked for safety and

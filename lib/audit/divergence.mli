@@ -21,9 +21,10 @@ type finding =
       (** the believed watermark claims the replica is caught up, but
           its storage durably holds less than the log — the signature a
           stale replication session leaves when its install or ack is
-          accepted after the node crashed and rejoined. Session tagging
-          ([Config.session_tagging]) prevents it; the crash-rejoin
-          nemesis reproduces it (docs/MEMBERSHIP.md) *)
+          accepted after the node crashed and rejoined. The cluster
+          refuses stale sessions, so the crash-rejoin nemesis reproduces
+          it only under [Cluster.reintroduce_stale_sessions]
+          (docs/MEMBERSHIP.md) *)
   | Lost_write of {
       key : Lion_store.Kvstore.key;
       history_version : int;

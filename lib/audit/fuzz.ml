@@ -45,11 +45,9 @@ type result = {
 (* {2 Case -> configuration / fault plan / membership actions} *)
 
 (* Elastic defaults always: standby slots give join/decommission ops
-   something to act on, and session tagging keeps the known (and
-   documented) untagged crash-rejoin hazard from drowning the fuzzer
-   in expected Stale_replica findings. The overload knobs come without
-   the transaction deadline — a deadline converts every wedge into a
-   tidy give-up, and the liveness audit exists to see wedges. *)
+   something to act on. The overload knobs come without the transaction
+   deadline — a deadline converts every wedge into a tidy give-up, and
+   the liveness audit exists to see wedges. *)
 let cfg_of_case c =
   let cfg = Config.with_elastic_defaults Config.default in
   if c.overload then { (Config.with_overload_defaults cfg) with Config.deadline = None }

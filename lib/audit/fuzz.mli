@@ -77,9 +77,9 @@ type result = {
 }
 
 val cfg_of_case : case -> Lion_store.Config.t
-(** Elastic defaults (standbys, rebalancing, session tagging) plus the
-    case's [overload] flag. No transaction deadline: wedges must wedge,
-    not time out. The [phantom] flag is not configuration: [run_case]
+(** Elastic defaults (standbys, rebalancing) plus the case's
+    [overload] flag. No transaction deadline: wedges must wedge, not
+    time out. The [phantom] flag is not configuration: [run_case]
     sets the cluster's test-only hook. *)
 
 val run_case : ?max_events:int -> case -> result

@@ -13,33 +13,32 @@ let name = function
 
 let is_batch = function V_rb | V_full -> true | _ -> false
 
-let config ~strategy ~predict ~use_lstm =
-  { Planner.default_config with Planner.strategy; predict; use_lstm }
+let config ~strategy ~w_p ~use_lstm = { Planner.strategy; w_p; use_lstm }
 
 let create ?seed ?(use_lstm = true) variant cl =
   match variant with
   | V_2pc -> Lion_protocols.Twopc.create cl
   | V_s ->
       Standard.create ?seed
-        ~config:(config ~strategy:Planner.Schism_strategy ~predict:false ~use_lstm)
+        ~config:(config ~strategy:Planner.Schism_strategy ~w_p:0.0 ~use_lstm)
         cl
   | V_r ->
       Standard.create ?seed
-        ~config:(config ~strategy:Planner.Rearrange ~predict:false ~use_lstm)
+        ~config:(config ~strategy:Planner.Rearrange ~w_p:0.0 ~use_lstm)
         cl
   | V_sw ->
       Standard.create ?seed
-        ~config:(config ~strategy:Planner.Schism_strategy ~predict:true ~use_lstm)
+        ~config:(config ~strategy:Planner.Schism_strategy ~w_p:1.0 ~use_lstm)
         cl
   | V_rw ->
       Standard.create ?seed
-        ~config:(config ~strategy:Planner.Rearrange ~predict:true ~use_lstm)
+        ~config:(config ~strategy:Planner.Rearrange ~w_p:1.0 ~use_lstm)
         cl
   | V_rb ->
       Batch_mode.create ?seed
-        ~config:(config ~strategy:Planner.Rearrange ~predict:false ~use_lstm)
+        ~config:(config ~strategy:Planner.Rearrange ~w_p:0.0 ~use_lstm)
         cl
   | V_full ->
       Batch_mode.create ?seed
-        ~config:(config ~strategy:Planner.Rearrange ~predict:true ~use_lstm)
+        ~config:(config ~strategy:Planner.Rearrange ~w_p:1.0 ~use_lstm)
         cl

@@ -15,7 +15,7 @@ let create_with_planner ?name ?(seed = 31) ?(config = Planner.default_config) cl
   let name =
     match name with
     | Some n -> n
-    | None -> if config.Planner.predict then "Lion" else "Lion(RB)"
+    | None -> if config.Planner.w_p > 0.0 then "Lion" else "Lion(RB)"
   in
   let process txns =
     let placement = cl.Cluster.placement in

@@ -15,9 +15,9 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type strategy = Rearrange | Schism_strategy
 
-type config = { strategy : strategy; predict : bool; use_lstm : bool; w_p : float }
+type config = { strategy : strategy; use_lstm : bool; w_p : float }
 
-let default_config = { strategy = Rearrange; predict = true; use_lstm = true; w_p = 1.0 }
+let default_config = { strategy = Rearrange; use_lstm = true; w_p = 1.0 }
 
 (* Clump threshold α = alpha_factor × mean edge weight. *)
 let alpha_factor = 2.0
@@ -93,7 +93,7 @@ let create ?(seed = 23) cfg cl =
     graph = Heatgraph.create ~partitions:(Cluster.partition_count cl);
     cost;
     predictor =
-      (if cfg.predict && cfg.w_p > 0.0 then
+      (if cfg.w_p > 0.0 then
          Some (Predictor.create ~seed ~use_lstm:cfg.use_lstm ~w_p:cfg.w_p ())
        else None);
     rounds = 0;

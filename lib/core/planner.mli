@@ -15,7 +15,6 @@ type strategy = Rearrange | Schism_strategy
 
 type config = {
   strategy : strategy;
-  predict : bool;
   use_lstm : bool;  (** false = trend-only forecaster (fast benches) *)
   w_p : float;
       (** weight of predicted co-access in the heat graph (§IV-C);

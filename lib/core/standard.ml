@@ -9,7 +9,7 @@ let create_with_planner ?name ?(read_at_secondary = false) ?(seed = 29)
     match name with
     | Some n -> n
     | None -> (
-        match (config.Planner.strategy, config.Planner.predict) with
+        match (config.Planner.strategy, config.Planner.w_p > 0.0) with
         | Rearrange, true -> "Lion(RW)"
         | Rearrange, false -> "Lion(R)"
         | Schism_strategy, true -> "Lion(SW)"

@@ -69,7 +69,7 @@ let run ?(seed = 1) ?(smoke = false) ?trace () =
   in
   let make cl =
     Lion_core.Standard.create ~name:"Lion"
-      ~config:{ Planner.default_config with Planner.predict = true; use_lstm = false }
+      ~config:{ Planner.default_config with Planner.use_lstm = false }
       cl
   in
   (* The autoscaler: observe the arrival rate every control tick,

@@ -15,10 +15,8 @@
       join or decommission shows directly. The report gives the dip's
       depth (worst shortfall) and duration (seconds below 98 %
       completion) in the seconds following each scale event;
-    - {b stale-ack rejections}: session tagging is on
-      ({!Lion_store.Config.with_elastic_defaults}), so replication
-      streams outliving a membership change are rejected, not
-      applied. *)
+    - {b stale-ack rejections}: replication streams outliving a
+      membership change are rejected, not applied. *)
 
 type event = { at : float;  (** seconds *) kind : string; node : int }
 

@@ -15,13 +15,12 @@ let fmt_k = Runner.fmt_k
 let slow_remaster cfg =
   { cfg with Config.remaster_delay = 3000.0; remaster_cooldown = 30_000.0 }
 
-let lion_std_config ~predict ~use_lstm =
-  { Planner.default_config with Planner.predict; use_lstm }
+(* Lion's planner with neither prediction nor the LSTM, as in the
+   ablations and chaos runs. *)
+let no_predict = { Planner.default_config with Planner.w_p = 0.0; use_lstm = false }
 
-(* Lion standard; without [config] it runs with neither prediction nor
-   the LSTM, as in the ablations and chaos runs. *)
-let lion_std ?(name = "Lion") ?read_at_secondary
-    ?(config = lion_std_config ~predict:false ~use_lstm:false) cl =
+(* Lion standard; [no_predict] without [config]. *)
+let lion_std ?(name = "Lion") ?read_at_secondary ?(config = no_predict) cl =
   Lion_core.Standard.create ~name ?read_at_secondary ~config cl
 
 (* The paper's two line-ups (§VI), in its plotting order. *)
@@ -203,7 +202,7 @@ let fig12 ?trace scale =
   let r =
     Runner.run_cell ?trace
       (Runner.cell ~cfg
-         ~make:(lion_std ~config:(lion_std_config ~predict:true ~use_lstm:true))
+         ~make:(lion_std ~config:Planner.default_config)
          ~gen:(fun () -> Workloads.dynamic_interval ~period cfg)
          (timeline total))
   in
@@ -254,7 +253,7 @@ let fig13a ?trace scale =
       ~make:
         (lion_std
            ~name:(if predict then "Lion(RW)" else "Lion(R)")
-           ~config:(lion_std_config ~predict ~use_lstm:predict))
+           ~config:(if predict then Planner.default_config else no_predict))
       ~gen:(fun () -> Workloads.dynamic_interval ~period cfg)
       (timeline (6.0 *. period))
   in
@@ -287,13 +286,14 @@ let fig13b ?trace scale =
      path; standard Lion pays each delay inline, batch Lion overlaps
      them behind one barrier per epoch. *)
   let period = 6.0 *. scale in
-  let config = lion_std_config ~predict:false ~use_lstm:false in
   throughput_grid ?trace
     ~title:"Fig 13b: impact of remastering delay — standard vs batch Lion (throughput, k txn/s)"
     "variant"
     [
-      ("Lion standard", false, fun cl -> Lion_core.Standard.create ~name:"Lion-std" ~config cl);
-      ("Lion batch", true, fun cl -> Lion_core.Batch_mode.create ~name:"Lion-batch" ~config cl);
+      ("Lion standard", false, fun cl ->
+        Lion_core.Standard.create ~name:"Lion-std" ~config:no_predict cl);
+      ("Lion batch", true, fun cl ->
+        Lion_core.Batch_mode.create ~name:"Lion-batch" ~config:no_predict cl);
     ]
     [ 300.0; 1000.0; 3000.0; 10000.0 ]
     (Printf.sprintf "%.0fus")
@@ -382,7 +382,7 @@ let abl_wp ?trace scale =
   let cfg = Config.default in
   let period = 8.0 *. scale in
   let cell w_p =
-    let config = { (lion_std_config ~predict:(w_p > 0.0) ~use_lstm:false) with Planner.w_p } in
+    let config = { Planner.default_config with Planner.w_p; use_lstm = false } in
     Runner.cell ~cfg ~make:(lion_std ~config)
       ~gen:(fun () -> Workloads.dynamic_interval ~period cfg)
       (timeline (2.0 *. period))
@@ -568,9 +568,7 @@ let fault_partition ?trace scale =
     "protocol" fault_cols
     (run_labelled ?trace
        (labelled
-          (Protocols.lineup
-             ~config:(lion_std_config ~predict:false ~use_lstm:false)
-             [ "2pc"; "lion" ])
+          (Protocols.lineup ~config:no_predict [ "2pc"; "lion" ])
           (fun (_, batch, make) -> chaos_cell ~make ~batch plan (15.0 *. scale))))
 
 let fault_straggler ?trace scale =

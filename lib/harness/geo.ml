@@ -55,7 +55,7 @@ let gen ?(seed = 7) ?(cross = 0.0) cfg =
 (* The crossover's four protocols; Lion runs without prediction. *)
 let lineup =
   Protocols.lineup
-    ~config:{ Planner.default_config with Planner.predict = false; use_lstm = false }
+    ~config:{ Planner.default_config with Planner.w_p = 0.0; use_lstm = false }
     [ "lion"; "star"; "2pc"; "epoch" ]
 
 let names = List.map (fun (name, _, _) -> name) lineup

@@ -251,7 +251,7 @@ let ycsb_star = ycsb_cell ~batch:true (fun cl -> Lion_protocols.Star.create cl)
 let ycsb_lion =
   ycsb_cell ~batch:true (fun cl ->
       Lion_core.Batch_mode.create ~name:"Lion"
-        ~config:{ Lion_core.Planner.default_config with Lion_core.Planner.predict = true; use_lstm = false }
+        ~config:{ Lion_core.Planner.default_config with Lion_core.Planner.use_lstm = false }
         cl)
 
 (* Lion's standard (ad-hoc) mode with the default planner on skewed,

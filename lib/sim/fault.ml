@@ -69,9 +69,10 @@ let overload_burst ~node ~at ~duration =
      = 200 ms background copy) completes after the rejoin too —
      a stale snapshot install.
 
-   Untagged sessions accept both and corrupt the apply watermarks
-   (the divergence audit reports [Stale_replica]); with
-   [Config.session_tagging] both are rejected and the audit is clean. *)
+   The cluster rejects both as stale sessions and the audit is clean;
+   under the [Cluster.reintroduce_stale_sessions] test hook both are
+   accepted and corrupt the apply watermarks (the divergence audit
+   reports [Stale_replica]). *)
 let crash_rejoin ~node ~cycles ~at =
   let hold = 50_000.0 and downtime = 120_000.0 and period = 1_000_000.0 in
   let extra = downtime +. hold +. 30_000.0 in

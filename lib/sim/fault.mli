@@ -84,9 +84,10 @@ val crash_rejoin : node:int -> cycles:int -> at:float -> plan
     from [at]) delays messages to [node] for 50 ms, then crashes it for
     120 ms — shorter than a replica install — so both delayed log-ship
     acks and in-flight snapshot installs land {e after} the node has
-    rejoined. Without [Config.session_tagging] the stale streams are
-    accepted and the divergence audit reports [Stale_replica]; with it
-    they are rejected (counted as [Metrics.Stale_acks]). A third cycle
+    rejoined. The cluster rejects the stale streams (counted as
+    [Metrics.Stale_acks]); under the [Cluster.reintroduce_stale_sessions]
+    test hook they are accepted and the divergence audit reports
+    [Stale_replica]. A third cycle
     would crash the node again after the stale installs landed, wiping
     the evidence before the audit runs. *)
 

@@ -54,8 +54,7 @@ type counter =
   | Stale_acks
       (** replication/remaster stream messages from a stale session —
           initiated before their destination left and rejoined — rejected
-          instead of applied (docs/MEMBERSHIP.md); only counted while
-          [Config.session_tagging] is on *)
+          instead of applied (docs/MEMBERSHIP.md) *)
   | Replica_purges
       (** secondaries purged at recovery because their partition was
           remastered away while the node was down *)

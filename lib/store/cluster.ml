@@ -63,6 +63,7 @@ type t = {
   remaster_started_at : float array;
   remaster_gen : int array;
   mutable reintroduce_phantom_secondary : bool;
+  mutable reintroduce_stale_sessions : bool;
 }
 
 let[@inline] now t = Engine.now t.engine
@@ -90,7 +91,7 @@ let[@inline] session_stale t ~dst (s : Replication.session) =
   t.node_epoch.(dst) <> s.Replication.epoch
 
 let refuse_stale t ~stale =
-  let refuse = stale && t.cfg.Config.session_tagging in
+  let refuse = stale && not t.reintroduce_stale_sessions in
   if refuse then Metrics.incr t.metrics Stale_acks;
   refuse
 
@@ -344,8 +345,8 @@ let install t ~part ~node ~after =
             if t.move_gen.(part) = gen then t.move_target.(part) <- -1;
             let stale = session_stale t ~dst:node session in
             (* A stale snapshot landed on storage that has since restarted
-               empty: tagged sessions drop the install, and the caller
-               retries with a fresh stream. *)
+               empty: the install is dropped, and the caller retries
+               with a fresh stream. *)
             if t.node_alive.(node) && not (refuse_stale t ~stale) then begin
               (if not (Placement.has_replica t.placement ~part ~node) then begin
                  (* Re-check the cap: Leap's migrate path
@@ -358,7 +359,8 @@ let install t ~part ~node ~after =
                  then evict_one_secondary t ~part ~keep:node;
                  Placement.add_secondary t.placement ~part ~node;
                  (if stale then
-                    (* Untagged stale install: the placement and the
+                    (* Accepted stale install (only under
+                       [reintroduce_stale_sessions]): the placement and the
                        believed watermark now claim a caught-up replica
                        whose storage never durably received the snapshot
                        — the divergence the crash-rejoin audit exists to
@@ -1037,6 +1039,7 @@ let create ?(seed = 1) ?tracer ?history cfg =
       remaster_started_at = Array.make parts neg_infinity;
       remaster_gen = Array.make parts 0;
       reintroduce_phantom_secondary = false;
+      reintroduce_stale_sessions = false;
     }
   in
   (* Standby slots are outside the membership until a join: the fault

@@ -105,6 +105,11 @@ type t = {
           demoted in place by a planner remaster racing the election
           timer is {e not} purged, so the recovered node serves a
           frozen copy — the fuzzer's planted bug (docs/FUZZING.md) *)
+  mutable reintroduce_stale_sessions : bool;
+      (** test-only hook, false after [create]: when set, {!refuse_stale}
+          accepts deliveries on stale sessions, re-planting the classic
+          stale-replication-ack hazard that the divergence audit's
+          [Stale_replica] check exists to catch (docs/MEMBERSHIP.md) *)
 }
 
 val create :
@@ -136,8 +141,9 @@ val session_stale : t -> dst:int -> Replication.session -> bool
 (** Whether [dst] has left and rejoined since the session opened. *)
 
 val refuse_stale : t -> stale:bool -> bool
-(** Whether a delivery on a [stale] session is refused: only with
-    [Config.session_tagging], and each refusal counts [Stale_acks]. *)
+(** Whether a delivery on a [stale] session is refused: always, unless
+    [reintroduce_stale_sessions] is set; each refusal counts
+    [Stale_acks]. *)
 
 val touch_partition : t -> int -> unit
 (** Bump the access counter used for f(v, n) in the cost model. *)
@@ -170,9 +176,9 @@ val try_begin_remaster : t -> part:int -> node:int -> bool
     a target dying mid-flight rolls the cooldown back so the partition
     can retry immediately
     ([fail_node] cancels such transfers eagerly rather than waiting for
-    the completion timer). With [Config.session_tagging], a handover
-    whose lag ship predates the target's current incarnation is
-    refused and counted as a stale-ack rejection. *)
+    the completion timer). A handover whose lag ship predates the
+    target's current incarnation is refused and counted as a stale-ack
+    rejection. *)
 
 val remaster_sync : t -> part:int -> node:int -> unit
 (** Planner-side immediate remaster used when applying a plan outside
@@ -199,11 +205,11 @@ val install : t -> part:int -> node:int -> after:(unit -> unit) -> bool
     partition (no live primary) promotes [node] at once.
 
     The install stream carries a [Replication.session]: if the target
-    crashed and rejoined while the snapshot was in flight, a tagged
-    session drops the install (counted as a stale-ack rejection, and
-    [after] does not run), while an untagged one reproduces the
-    stale-ack hazard — the placement gains a replica whose durable
-    watermark never moved. *)
+    crashed and rejoined while the snapshot was in flight, the install
+    is dropped (counted as a stale-ack rejection, and [after] does not
+    run). Under [reintroduce_stale_sessions] it lands instead,
+    reproducing the stale-ack hazard: the placement gains a replica
+    whose durable watermark never moved. *)
 
 val remove_replica : t -> part:int -> node:int -> unit
 (** Drop [node]'s secondary copy of [part], if it holds one. *)

@@ -40,7 +40,6 @@ type t = {
   deadline : deadline option;
   geo : geo option;
   elastic : elastic option;
-  session_tagging : bool;
 }
 
 let default =
@@ -61,7 +60,6 @@ let default =
     deadline = None;
     geo = None;
     elastic = None;
-    session_tagging = false;
   }
 
 (* Starting points for each optional subsystem; the experiments sweep
@@ -83,8 +81,7 @@ let with_overload_defaults t =
     deadline = Some default_deadline;
   }
 
-let with_elastic_defaults t =
-  { t with elastic = Some default_elastic; session_tagging = true }
+let with_elastic_defaults t = { t with elastic = Some default_elastic }
 
 let misses_deadline t latency =
   match t.deadline with Some d -> latency > d.after | None -> false

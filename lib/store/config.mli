@@ -143,14 +143,6 @@ type t = {
       (** standby slots and the background rebalancer; [None]
           (default) freezes the membership at [nodes]
           (docs/MEMBERSHIP.md) *)
-  session_tagging : bool;
-      (** if true, every replication / remaster stream carries a
-          session id ([Replication.session]) and deliveries from a
-          session opened before the destination left and rejoined the
-          membership are rejected (counted as
-          [Metrics.Stale_acks]). false (default) reproduces
-          the classic stale-replication-ack hazard — see
-          docs/MEMBERSHIP.md for the openraft/Ra comparison *)
 }
 
 val default : t
@@ -188,8 +180,7 @@ val with_overload_defaults : t -> t
     starting points, plus [control_priority]. *)
 
 val with_elastic_defaults : t -> t
-(** [elastic] at its starting point, plus [session_tagging], so streams
-    from before a crash/rejoin cannot corrupt watermarks. *)
+(** [elastic] at its starting point. *)
 
 val misses_deadline : t -> float -> bool
 (** Whether a commit [latency] µs after first submission is past the

@@ -19,7 +19,7 @@ type t = {
   (* Ground truth behind [applied_wm]: what the replica's storage
      actually holds. The two differ only when a stale stream stamped
      the believed watermark of a node that lost its state in between —
-     the divergence the session-tagging audit exists to catch
+     the divergence the stale-session audit exists to catch
      (docs/MEMBERSHIP.md). A row exists only for replicas seeded at
      startup or installed by a full-state transfer; [no_row] marks the
      others, distinct from a row holding 0. *)

@@ -81,9 +81,9 @@ val seed_replica : t -> part:int -> node:int -> unit
 val ack_stream : t -> part:int -> node:int -> upto:int -> stale:bool -> unit
 (** Apply one {e incremental} stream delivery (per-commit log ship or
     legacy-session message). [stale] says the stream's session predates
-    the destination's current incarnation; with [Config.session_tagging]
-    the caller refuses such a delivery ({!Cluster.refuse_stale}) and
-    never gets here. A delivery always advances the believed
+    the destination's current incarnation; the caller refuses such a
+    delivery ({!Cluster.refuse_stale}) and gets here with it only under
+    the [Cluster.reintroduce_stale_sessions] test hook. A delivery always advances the believed
     watermark; the durable watermark advances only when the stream is
     fresh {e and} a durable row exists — an incremental stream cannot
     conjure up the prefix it extends. A stale delivery is thus exactly

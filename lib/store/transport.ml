@@ -284,7 +284,7 @@ let rec resync_replica (t : Cluster.t) ~part ~node ~tries ~backoff =
             else begin
               (* The suffix extends state from [cur]: incremental, so
                  the durable watermark moves only where durable state
-                 exists — and not at all on an untagged stale ship. *)
+                 exists — and not at all on an accepted stale ship. *)
               Replication.ack_stream t.replication ~part ~node ~upto:goal ~stale;
               Metrics.incr t.metrics Resync_apply;
               t.resync_count <- t.resync_count + 1;

@@ -485,7 +485,7 @@ let prop_wan_factor_clamped =
       let cl = Lion_store.Cluster.create ~seed:1 cfg in
       let planner =
         Lion_core.Planner.create
-          { Lion_core.Planner.default_config with predict = false }
+          { Lion_core.Planner.default_config with w_p = 0.0 }
           cl
       in
       match (Lion_core.Planner.cost_model planner).Costmodel.wan with

@@ -250,10 +250,7 @@ let test_divergence_clean_after_crash_sweep () =
   let o =
     Drive.run ~seed:11 ~clients:4 ~duration:1.5 ~nemesis_at:0.3
       ~cfg:Config.default
-      ~make:(fun cl ->
-        Lion_core.Standard.create ~name:"Lion"
-          ~config:{ Lion_core.Planner.default_config with predict = true }
-          cl)
+      ~make:(Lion_core.Standard.create ~name:"Lion")
       ~gen:(Workloads.ycsb ~cross:0.4 ~skew:0.6 Config.default)
       ~nemesis:(Fault.crash_recover ~node:1 ~downtime:400_000.0)
       ()
@@ -266,33 +263,35 @@ let test_divergence_clean_after_crash_sweep () =
 
 (* The same seeded run under the crash-rejoin nemesis, which lands
    delayed log-ship acks and in-flight replica installs after their
-   target has crashed and rejoined (docs/MEMBERSHIP.md). Without
-   session tagging the stale streams are accepted and the divergence
-   audit must catch the corruption; with tagging they are rejected
-   (counted) and the audit must be clean. *)
-let rejoin_drive cfg =
+   target has crashed and rejoined (docs/MEMBERSHIP.md). The cluster
+   rejects the stale streams (counted) and the audit must be healthy;
+   with the [reintroduce_stale_sessions] hook set they are accepted and
+   the divergence audit must catch the corruption. *)
+let rejoin_drive ~hook =
+  let cfg = Config.default in
   Drive.run ~seed:1 ~clients:8 ~duration:4.0 ~nemesis_at:1.0 ~cfg
     ~make:(fun cl ->
-      Lion_core.Standard.create ~name:"Lion"
-        ~config:{ Lion_core.Planner.default_config with predict = true }
-        cl)
+      cl.Cluster.reintroduce_stale_sessions <- hook;
+      Lion_core.Standard.create ~name:"Lion" cl)
     ~gen:(Workloads.ycsb ~seed:1 ~cross:0.4 ~skew:0.6 cfg)
     ~nemesis:(Fault.crash_rejoin ~node:1 ~cycles:2)
     ()
 
 let test_crash_rejoin_diverges_untagged () =
-  let o = rejoin_drive Config.default in
+  let o = rejoin_drive ~hook:true in
   Alcotest.(check bool) "some work committed" true (o.Drive.result.commits > 0);
   Alcotest.(check bool) "stale replica reproduced" true
     (List.exists
        (function Divergence.Stale_replica _ -> true | _ -> false)
        o.Drive.divergence.Divergence.findings);
-  Alcotest.(check int) "nothing rejected without tagging" 0 (Runner.count o.Drive.result Stale_acks)
+  Alcotest.(check int) "nothing rejected under the hook" 0
+    (Runner.count o.Drive.result Stale_acks);
+  Alcotest.(check bool) "not healthy" false (Drive.healthy o)
 
 let test_crash_rejoin_clean_tagged () =
-  let o = rejoin_drive { Config.default with Config.session_tagging = true } in
+  let o = rejoin_drive ~hook:false in
   Alcotest.(check bool) "some work committed" true (o.Drive.result.commits > 0);
-  Alcotest.(check bool) "audit clean" true (Drive.passed o);
+  Alcotest.(check bool) "audit healthy" true (Drive.healthy o);
   Alcotest.(check bool) "stale streams rejected" true (Runner.count o.Drive.result Stale_acks > 0)
 
 (* --- nemesis / drive properties --- *)
@@ -323,10 +322,7 @@ let prop_recording_off_bit_identical =
       let run history =
         let r =
           Runner.run ~seed ?history ~cfg
-            ~make:(fun cl ->
-              Lion_core.Standard.create ~name:"Lion"
-                ~config:{ Lion_core.Planner.default_config with predict = true }
-                cl)
+            ~make:(Lion_core.Standard.create ~name:"Lion")
             ~gen:(Workloads.ycsb ~cross:0.4 cfg)
             { Runner.quick with Runner.warmup = 0.2; duration = 0.8 }
         in
@@ -339,7 +335,8 @@ module Protocols = Lion_harness.Protocols
 
 let prop_every_protocol_audits_clean =
   (* Every registry protocol, audited under a crash nemesis: zero
-     serializability anomalies, zero diverged replicas, some commits.
+     serializability anomalies, zero diverged replicas, a clean liveness
+     audit, some commits.
      The single case walks the whole registry, seed varied with the
      index, so no protocol is left to chance. *)
   QCheck.Test.make ~name:"every built-in protocol audits clean under a crash" ~count:1
@@ -354,7 +351,7 @@ let prop_every_protocol_audits_clean =
               ~nemesis:(Fault.crash_recover ~node:1 ~downtime:300_000.0)
               ()
           in
-          if not (Drive.passed o && o.Drive.result.commits > 0) then
+          if not (Drive.healthy o && o.Drive.result.commits > 0) then
             QCheck.Test.fail_reportf "%s failed the audit:@ %a" p.id Drive.pp_outcome o)
         Protocols.all;
       true)

@@ -27,7 +27,7 @@ let key part slot = Kvstore.key ~part ~slot
 let txn ?(id = 0) ops = Txn.make ~id (Array.of_list ops)
 
 let no_predict =
-  { Planner.default_config with Planner.predict = false; use_lstm = false }
+  { Planner.default_config with Planner.w_p = 0.0; use_lstm = false }
 
 (* --- router --- *)
 

@@ -100,7 +100,6 @@ let prop_geo_membership_interleaving =
           Config.default with
           Config.geo = Some Config.default_geo;
           elastic = Some { Config.default_elastic with rebalance_rate = 200.0 };
-          session_tagging = true;
         }
       in
       let cl = Cluster.create ~seed:5 cfg in

@@ -161,8 +161,8 @@ let same_run ~batch make_a make_b =
   run make_a = run make_b
 
 (* Each registry constructor against the constructor expression the
-   replaced tables used; the last case is the experiments' LSTM-off
-   Lion, formerly [lion_std_config ~predict:true ~use_lstm:false]. *)
+   replaced tables used; the last case is the LSTM-off Lion with
+   prediction on. *)
 let test_registry_matches_direct () =
   List.iter
     (fun (id, config, direct) ->
@@ -178,7 +178,7 @@ let test_registry_matches_direct () =
         Some { Planner.default_config with Planner.use_lstm = false },
         fun cl ->
           Lion_core.Standard.create ~name:"Lion"
-            ~config:{ Planner.default_config with Planner.predict = true; use_lstm = false }
+            ~config:{ Planner.default_config with Planner.use_lstm = false }
             cl );
     ];
   (* The LSTM needs more history than 0.3 s, so check with a planner

@@ -79,7 +79,7 @@ let test_lion_beats_2pc_on_distributed_workload () =
     Runner.run ~seed:1 ~cfg
       ~make:(fun cl ->
         Lion_core.Standard.create
-          ~config:{ Lion_core.Planner.default_config with predict = false; use_lstm = false }
+          ~config:{ Lion_core.Planner.default_config with w_p = 0.0; use_lstm = false }
           cl)
       ~gen:(gen ()) rc
   in
@@ -96,7 +96,7 @@ let test_lion_single_node_ratio_rises () =
     Runner.run ~seed:1 ~cfg
       ~make:(fun cl ->
         Lion_core.Standard.create
-          ~config:{ Lion_core.Planner.default_config with predict = false; use_lstm = false }
+          ~config:{ Lion_core.Planner.default_config with w_p = 0.0; use_lstm = false }
           cl)
       ~gen:(Workloads.ycsb ~cross:1.0 cfg) rc
   in
@@ -125,7 +125,7 @@ let test_tpcc_runs_under_lion () =
     run
       (fun cl ->
         Lion_core.Standard.create
-          ~config:{ Lion_core.Planner.default_config with predict = false; use_lstm = false }
+          ~config:{ Lion_core.Planner.default_config with w_p = 0.0; use_lstm = false }
           cl)
       (Workloads.tpcc ~skew:0.5 ~cross:0.3 cfg)
   in
@@ -157,7 +157,7 @@ let test_crash_plan_degrades_and_recovers () =
     Runner.run ~seed:1 ~cfg
       ~make:(fun cl ->
         Lion_core.Standard.create
-          ~config:{ Lion_core.Planner.default_config with predict = false; use_lstm = false }
+          ~config:{ Lion_core.Planner.default_config with w_p = 0.0; use_lstm = false }
           cl)
       ~gen:(Workloads.ycsb ~cross:0.5 cfg) rc
   in
@@ -210,9 +210,7 @@ let fault_golden_plan =
   @ Lion_sim.Fault.crash_recover ~node:3 ~at:(ms 300.0) ~downtime:(ms 100.0)
 
 let fault_golden_lines () =
-  let cfg =
-    { cfg with Config.fault_plan = fault_golden_plan; session_tagging = true }
-  in
+  let cfg = { cfg with Config.fault_plan = fault_golden_plan } in
   let rc = { Runner.quick with Runner.warmup = 0.0; duration = 0.5; tick_every = 0.1 } in
   List.map
     (fun (label, id, cfg) ->

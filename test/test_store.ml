@@ -1351,7 +1351,6 @@ let mk_elastic ?(rate = 200.0) () =
     {
       Config.default with
       Config.elastic = Some { Config.default_elastic with rebalance_rate = rate };
-      session_tagging = true;
     }
   in
   (cfg, Cluster.create ~seed:5 cfg)
@@ -1404,12 +1403,12 @@ let test_decommission_floor_refused () =
   Alcotest.(check bool) "non-member refused" false (Cluster.decommission_node cl 3)
 
 (* Satellite: a replica install whose target crashed and rejoined
-   mid-copy is a stale-session stream. Tagged sessions reject it (and
-   count it); untagged sessions accept it and leave the divergence
-   signature — believed watermark caught up, durable watermark empty. *)
+   mid-copy is a stale-session stream. The cluster rejects it (and
+   counts it); under the [reintroduce_stale_sessions] hook it is
+   accepted and leaves the divergence signature — believed watermark
+   caught up, durable watermark empty. *)
 let test_stale_install_rejected_when_tagged () =
-  let cfg = { Config.default with Config.session_tagging = true } in
-  let cl = Cluster.create ~seed:5 cfg in
+  let cl = Cluster.create ~seed:5 Config.default in
   for _ = 1 to 5 do
     Lion_store.Replication.append cl.Cluster.replication ~part:0
   done;
@@ -1426,6 +1425,7 @@ let test_stale_install_rejected_when_tagged () =
 
 let test_stale_install_accepted_when_untagged () =
   let cl = Cluster.create ~seed:5 Config.default in
+  cl.Cluster.reintroduce_stale_sessions <- true;
   let repl = cl.Cluster.replication in
   for _ = 1 to 5 do
     Lion_store.Replication.append repl ~part:0
@@ -1533,7 +1533,6 @@ let test_decommission_drops_moves_to_leaver () =
       Config.default with
       Config.geo = Some Config.default_geo;
       elastic = Some { Config.default_elastic with rebalance_rate = 200.0 };
-      session_tagging = true;
     }
   in
   let cl = Cluster.create ~seed:5 cfg in
@@ -1576,7 +1575,6 @@ let test_drain_copies_in_parallel () =
       Config.default with
       Config.replicas = 1;
       elastic = Some Config.default_elastic;
-      session_tagging = true;
     }
   in
   let cl = Cluster.create ~seed:5 cfg in
@@ -1599,8 +1597,8 @@ let test_drain_copies_in_parallel () =
        bound (float_of_int n *. Config.replica_add_duration))
     true (took <= bound)
 
-(* A session-tagged install refused as stale releases its guard: the
-   rebalancer runs out of work and stops, so the queue drains. *)
+(* An install refused as stale releases its guard: the rebalancer runs
+   out of work and stops, so the queue drains. *)
 let test_stale_refusal_releases_guard () =
   let _cfg, cl = mk_elastic () in
   let ran = ref false in
@@ -1622,8 +1620,7 @@ let test_stale_refusal_releases_guard () =
    install into the same partition took the guard: the generation keeps
    that completion off the newer install's guard. *)
 let test_cancelled_copy_spares_newer_guard () =
-  let cfg = { Config.default with Config.session_tagging = true } in
-  let cl = Cluster.create ~seed:5 cfg in
+  let cl = Cluster.create ~seed:5 Config.default in
   let e = cl.Cluster.engine in
   install cl ~part:0 ~node:3;
   Cluster.fail_node cl 3;
@@ -1665,8 +1662,7 @@ let test_geo_preset_values () =
 let test_elastic_preset_values () =
   let c = Config.with_elastic_defaults Config.default in
   Alcotest.(check bool) "elastic" true
-    (c.Config.elastic = Some { Config.standby_nodes = 2; rebalance_rate = 50.0 });
-  Alcotest.(check bool) "session tagging" true c.Config.session_tagging
+    (c.Config.elastic = Some { Config.standby_nodes = 2; rebalance_rate = 50.0 })
 
 let test_default_subsystems_off () =
   let c = Config.default in
@@ -1676,8 +1672,7 @@ let test_default_subsystems_off () =
   Alcotest.(check bool) "deadline" true (c.Config.deadline = None);
   Alcotest.(check bool) "geo" true (c.Config.geo = None);
   Alcotest.(check bool) "elastic" true (c.Config.elastic = None);
-  Alcotest.(check bool) "control priority" false c.Config.control_priority;
-  Alcotest.(check bool) "session tagging" false c.Config.session_tagging
+  Alcotest.(check bool) "control priority" false c.Config.control_priority
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
