@@ -34,7 +34,6 @@ type t = {
   access_peak : access_peak;
   node_alive : bool array;
   part_last_remaster : float array;
-  mutable remaster_inflight : bool array;
   resync_inflight : (int * int, unit) Hashtbl.t;
   mutable resync_count : int;
   retry_budget : Overload.Token_bucket.t option;
@@ -50,10 +49,11 @@ type t = {
   mutable membership_version : int;
   mutable rebalance_running : bool;
   mutable rebalance_done : float;
-  (* ---- The install guard: one copy per partition in flight, with a
-     generation that turns a cancelled copy's completion into a no-op
-     for the guard (as [remaster_gen] does for remasters). ---- *)
+  (* ---- The install guard: one copy per partition in flight, the node
+     it vacates, and a generation that turns a cancelled copy's
+     completion into a no-op for the guard (as [remaster_gen] does). ---- *)
   move_target : int array;
+  move_source : int array;
   move_gen : int array;
   (* ---- In-flight remaster bookkeeping so [fail_node] can cancel a
      transfer whose target just died instead of leaving the completion
@@ -150,14 +150,13 @@ let[@inline] worker_saturated t ~node =
 
 let try_begin_remaster t ~part ~node =
   if not t.node_alive.(node) then false
-  else if t.remaster_inflight.(part) then false
+  else if t.remaster_target.(part) >= 0 then false
   else if not (Placement.has_replica t.placement ~part ~node) then false
   else if Placement.has_primary t.placement ~part ~node then true
   else if
     now t -. t.part_last_remaster.(part) < t.cfg.Config.remaster_cooldown
   then false
   else (
-    t.remaster_inflight.(part) <- true;
     Metrics.incr t.metrics Remasters;
     (* Burn the cooldown optimistically so concurrent attempts see it,
        but remember the previous stamp: a transfer that fails (target
@@ -199,7 +198,7 @@ let try_begin_remaster t ~part ~node =
            cooldown was already rolled back): the timer is a no-op. *)
         if t.remaster_gen.(part) = gen then begin
           (* The placement may have changed while blocked only via this
-             remaster (the inflight flag excludes races) — but the target
+             remaster ([remaster_target] excludes races) — but the target
              may have died in the meantime. *)
           (if
              t.node_alive.(node)
@@ -235,7 +234,6 @@ let try_begin_remaster t ~part ~node =
              if t.part_last_remaster.(part) = started then
                t.part_last_remaster.(part) <- prev
            end);
-          t.remaster_inflight.(part) <- false;
           t.remaster_target.(part) <- -1
         end);
     true)
@@ -304,13 +302,15 @@ let evict_one_secondary t ~part ~keep =
       in
       Option.iter (fun n -> drop_secondary t ~part ~node:n) victim
 
-(* A copy source for [part]: the primary if it is live, else a live
-   secondary. [None] when every replica sits on a dead node — the data
-   is unreachable until one of them recovers. *)
-let live_replica_source t part =
+(* The live replica holders of [part], the primary first: the first is
+   a copy source, and none means the data is unreachable until a holder
+   recovers. *)
+let live_replica_holders t part =
   let prim = Placement.primary t.placement part in
-  if t.node_alive.(prim) then Some prim
-  else List.find_opt (fun n -> t.node_alive.(n)) (Placement.secondaries t.placement part)
+  let secs =
+    List.filter (fun n -> t.node_alive.(n)) (Placement.secondaries t.placement part)
+  in
+  if t.node_alive.(prim) then prim :: secs else secs
 
 (* Every replica copy starts here, the planner's and the rebalancer's.
    One copy per partition is in flight: the placement does not show a
@@ -323,9 +323,9 @@ let install t ~part ~node ~after =
     true)
   else if t.move_target.(part) >= 0 then false
   else
-    match live_replica_source t part with
-    | None -> false (* no live copy to replicate from *)
-    | Some src ->
+    match live_replica_holders t part with
+    | [] -> false (* no live copy to replicate from *)
+    | src :: _ ->
         if
           Placement.replica_count t.placement part >= Placement.max_replicas t.placement
         then evict_one_secondary t ~part ~keep:node;
@@ -342,7 +342,10 @@ let install t ~part ~node ~after =
         Engine.schedule t.engine ~delay:Config.replica_add_duration (fun () ->
             (* The one completion hook. It releases the guard on every
                exit, unless [take_down] already cancelled it. *)
-            if t.move_gen.(part) = gen then t.move_target.(part) <- -1;
+            if t.move_gen.(part) = gen then begin
+              t.move_target.(part) <- -1;
+              t.move_source.(part) <- -1
+            end;
             let stale = session_stale t ~dst:node session in
             (* A stale snapshot landed on storage that has since restarted
                empty: the install is dropped, and the caller retries
@@ -439,14 +442,21 @@ let eligible_targets t =
   List.filter (fun n -> plan_target_ok t n)
     (List.init (Placement.nodes t.placement) Fun.id)
 
+(* Each node's replica load once the copies in flight land: placed
+   replicas, plus copies headed to it, minus copies that vacate it.
+   Every rebalancer step starts copies of several partitions at once
+   and aims them by this load, so they do not all pick one node. *)
+let loads t =
+  let load = Array.init (Placement.nodes t.placement) (Placement.replicas_on t.placement) in
+  let add n d = if n >= 0 then load.(n) <- load.(n) + d in
+  Array.iteri (fun p dst -> add dst 1; add t.move_source.(p) (-1)) t.move_target;
+  load
+
 (* Least-loaded eligible node not yet holding [part] among those
    passing [pred]; first-lowest id on ties, so rebalancing stays
-   deterministic. A copy in flight counts toward its target's load:
-   the drain and the repair start copies of several partitions at
-   once, and would otherwise aim them all at the same node. *)
+   deterministic. *)
 let least_loaded t ~part pred =
-  let load = Array.init (Placement.nodes t.placement) (Placement.replicas_on t.placement) in
-  Array.iter (fun d -> if d >= 0 then load.(d) <- load.(d) + 1) t.move_target;
+  let load = loads t in
   List.fold_left
     (fun best n ->
       if Placement.has_replica t.placement ~part ~node:n || not (pred n) then best
@@ -474,13 +484,6 @@ let best_install_target t ~part =
     | None -> least_loaded (fun _ -> true))
   else least_loaded (fun _ -> true)
 
-let live_replica_holders t part =
-  let prim = Placement.primary t.placement part in
-  let secs =
-    List.filter (fun n -> t.node_alive.(n)) (Placement.secondaries t.placement part)
-  in
-  if t.node_alive.(prim) then prim :: secs else secs
-
 let rebalance_period t =
   match t.cfg.Config.elastic with Some e -> 1e6 /. e.Config.rebalance_rate | None -> infinity
 
@@ -500,6 +503,7 @@ let take_down t node =
     (fun part d ->
       if d = node then begin
         t.move_target.(part) <- -1;
+        t.move_source.(part) <- -1;
         t.move_gen.(part) <- t.move_gen.(part) + 1
       end)
     t.move_target
@@ -508,6 +512,13 @@ let take_down t node =
 let start_move t ~part ~dst ~after =
   let started = install t ~part ~node:dst ~after in
   if started then Metrics.incr t.metrics Rebalance_moves;
+  started
+
+(* A move of [src]'s secondary copy of [part] to [dst], which holds
+   none: the guard records [src], so [loads] counts it as vacated. *)
+let relocate t ~part ~src ~dst =
+  let started = start_move t ~part ~dst ~after:(fun () -> remove_replica t ~part ~node:src) in
+  if started then t.move_source.(part) <- src;
   started
 
 let rec rebalance_tick t =
@@ -577,8 +588,7 @@ and drain_node_step t node =
           end
           else (
             match best_install_target t ~part with
-            | Some dst ->
-                start_move t ~part ~dst ~after:(fun () -> remove_replica t ~part ~node)
+            | Some dst -> relocate t ~part ~src:node ~dst
             | None -> false)
       | None ->
           if Placement.replicas_on t.placement node = 0 then begin
@@ -636,14 +646,15 @@ and repair_step t =
    regions have no eligible member is skipped — the next membership
    event re-kicks the rebalancer and retries. *)
 and spread_step t =
-  if (not (geo_spread_on t)) || moves_in_flight t then false
+  if not (geo_spread_on t) then false
   else
     let min_r = min_regions t in
     let parts = Placement.partitions t.placement in
     let rec go p =
       if p >= parts then false
       else if
-        Placement.regions_spanned t.placement ~region_of:(region_of t) ~part:p
+        t.move_target.(p) >= 0
+        || Placement.regions_spanned t.placement ~region_of:(region_of t) ~part:p
         >= min_r
       then go (p + 1)
       else
@@ -665,36 +676,29 @@ and spread_step t =
     go 0
 
 (* Even out replica counts across eligible nodes — the catch-up path
-   that populates a freshly joined node, one bounded step at a time.
-   Runs only when no move is in flight: replica loads are read from the
-   placement, which an in-flight install has not updated yet, so
-   overlapping balance moves all target the same "underloaded" node and
-   overshoot — then swing back, forever. One move at a time converges. *)
+   that populates a freshly joined node: one copy from the most to the
+   least loaded node per step, by [loads], so the copies in flight
+   together fill it without overshooting. *)
 and balance_step t =
-  if moves_in_flight t then false
-  else
   match eligible_targets t with
   | [] | [ _ ] -> false
   | elig ->
-      let load n = Placement.replicas_on t.placement n in
-      let hi =
-        List.fold_left (fun a n -> if load n > load a then n else a) (List.hd elig) elig
+      let load = loads t in
+      let pick beats =
+        List.fold_left (fun a n -> if beats load.(n) load.(a) then n else a) (List.hd elig) elig
       in
-      let lo =
-        List.fold_left (fun a n -> if load n < load a then n else a) (List.hd elig) elig
-      in
-      if load hi <= load lo + 1 then false
+      let hi = pick ( > ) and lo = pick ( < ) in
+      if load.(hi) <= load.(lo) + 1 then false
       else
         let parts = Placement.partitions t.placement in
         let rec go p =
           if p >= parts then false
           else if
-            Placement.has_secondary t.placement ~part:p ~node:hi
+            t.move_target.(p) < 0
+            && Placement.has_secondary t.placement ~part:p ~node:hi
             && (not (Placement.has_replica t.placement ~part:p ~node:lo))
             && removal_keeps_spread t ~part:p ~node:hi ~dst:lo ()
-          then
-            start_move t ~part:p ~dst:lo ~after:(fun () ->
-                remove_replica t ~part:p ~node:hi)
+          then relocate t ~part:p ~src:hi ~dst:lo
           else go (p + 1)
         in
         go 0
@@ -720,11 +724,7 @@ let join_node t node =
   end
 
 let decommission_node t node =
-  let others =
-    List.filter
-      (fun n -> n <> node && plan_target_ok t n)
-      (List.init (Placement.nodes t.placement) Fun.id)
-  in
+  let others = List.filter (fun n -> n <> node) (eligible_targets t) in
   (* Under the spread constraint, the last member of a region cannot
      leave: [min_regions] would become unsatisfiable for every
      partition (docs/GEO.md). *)
@@ -765,15 +765,14 @@ let fail_node t node =
     take_down t node;
     let parts = Placement.partitions t.placement in
     (* Cancel in-flight remasters whose transfer target just died:
-       clear the inflight flag and roll back the optimistically burned
+       release the guard and roll back the optimistically burned
        cooldown now, instead of leaving both to a completion timer that
        can only discover the death [remaster_delay] later. The
        generation bump turns that timer into a no-op on every exit
        path. *)
     for part = 0 to parts - 1 do
-      if t.remaster_inflight.(part) && t.remaster_target.(part) = node then begin
+      if t.remaster_target.(part) = node then begin
         Metrics.incr t.metrics Remaster_cancel;
-        t.remaster_inflight.(part) <- false;
         if t.part_last_remaster.(part) = t.remaster_started_at.(part) then
           t.part_last_remaster.(part) <- t.remaster_prev.(part);
         t.remaster_gen.(part) <- t.remaster_gen.(part) + 1;
@@ -931,7 +930,7 @@ let note_replica_synced t ~part ~node =
    every partition must have a live primary again. The liveness auditor
    reads these. *)
 let remasters_inflight t =
-  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.remaster_inflight
+  Array.fold_left (fun acc d -> if d >= 0 then acc + 1 else acc) 0 t.remaster_target
 
 let parked_partitions t =
   let parts = Placement.partitions t.placement in
@@ -1012,7 +1011,6 @@ let create ?(seed = 1) ?tracer ?history cfg =
       access_peak = { hottest = 0.0 };
       node_alive = Array.init slots (fun n -> n < cfg.Config.nodes);
       part_last_remaster = Array.make parts neg_infinity;
-      remaster_inflight = Array.make parts false;
       resync_inflight = Hashtbl.create 64;
       resync_count = 0;
       retry_budget =
@@ -1033,6 +1031,7 @@ let create ?(seed = 1) ?tracer ?history cfg =
       rebalance_running = false;
       rebalance_done = 0.0;
       move_target = Array.make parts (-1);
+      move_source = Array.make parts (-1);
       move_gen = Array.make parts 0;
       remaster_target = Array.make parts (-1);
       remaster_prev = Array.make parts neg_infinity;

@@ -50,10 +50,6 @@ type t = {
   part_last_remaster : float array;
       (** start time of each partition's most recent remaster, enforcing
           [Config.remaster_cooldown] against ping-pong *)
-  mutable remaster_inflight : bool array;
-      (** per-partition flag to serialise concurrent remaster attempts
-          (the paper's remastering-conflict rule: one wins, others fall
-          back to 2PC) *)
   resync_inflight : (int * int, unit) Hashtbl.t;
       (** (part, node) pairs with an anti-entropy repair in progress;
           owned by {!Transport} *)
@@ -87,13 +83,17 @@ type t = {
   move_target : int array;
       (** per-partition target of the replica copy in flight (-1 when
           none): the guard [install] keeps, one copy per partition *)
+  move_source : int array;
+      (** per-partition node the copy in flight vacates (-1 when none):
+          set by balance and drain moves, cleared with [move_target] *)
   move_gen : int array;
       (** generation guard: a copy whose guard [fail_node] or a
           finished decommission dropped completes without touching the
           guard of a later install into the same partition *)
   remaster_target : int array;
-      (** per-partition in-flight remaster target (-1 when none) — lets
-          [fail_node] cancel transfers aimed at a dying node *)
+      (** per-partition in-flight remaster target (-1 when none): one
+          transfer at a time (the paper's remastering-conflict rule), and
+          [fail_node] cancels those aimed at a dying node *)
   remaster_prev : float array;
       (** cooldown stamp to restore if the in-flight remaster fails *)
   remaster_started_at : float array;
@@ -241,12 +241,12 @@ val alive_nodes : t -> int list
     step per [1/rate] seconds: draining a decommissioned node's
     primaries (remaster away) and secondaries (copy, then drop),
     repairing under-replicated partitions, and evening replica counts
-    onto a freshly joined node. Every copy goes through [install]; the
-    drain and the repair pass over partitions whose copy is in flight,
-    so they keep several partitions' copies going at once. The loop
-    stops whenever it has no work and nothing in flight — membership
-    and liveness events restart it — so quiescing via [Engine.run_all]
-    always terminates. *)
+    onto a freshly joined node. Every copy goes through [install]; each
+    step passes over partitions whose copy is in flight and aims by the
+    load the copies in flight will leave, so several partitions' copies
+    run at once. The loop stops whenever it has no work and nothing in
+    flight — membership and liveness events restart it — so quiescing
+    via [Engine.run_all] always terminates. *)
 
 val join_node : t -> int -> bool
 (** Activate a standby (or previously removed) slot: new incarnation

@@ -316,9 +316,9 @@ let test_every_op_kind () =
   let r = Fuzz.run_case case in
   let res = r.Fuzz.outcome.Drive.result in
   Alcotest.(check verdict) "clean" Fuzz.Clean r.Fuzz.verdict;
-  Alcotest.(check int) "commits" 26214 res.Lion_harness.Runner.commits;
-  Alcotest.(check int) "aborts" 553 res.Lion_harness.Runner.aborts;
-  Alcotest.(check (float 0.0)) "final time" 4_120_000.0 r.Fuzz.outcome.Drive.final_time;
+  Alcotest.(check int) "commits" 26312 res.Lion_harness.Runner.commits;
+  Alcotest.(check int) "aborts" 557 res.Lion_harness.Runner.aborts;
+  Alcotest.(check (float 0.0)) "final time" 2_680_000.0 r.Fuzz.outcome.Drive.final_time;
   Alcotest.(check (list string))
     "signature"
     [

@@ -1366,7 +1366,7 @@ let test_join_node_populates () =
   Alcotest.(check int) "five members" 5 (Cluster.member_count cl);
   Alcotest.(check bool) "version bumped" true (cl.Cluster.membership_version > v);
   Engine.run_all cl.Cluster.engine ();
-  (* The balance pass populates the newcomer one bounded step at a time. *)
+  (* The balance pass populates the newcomer, one copy started per tick. *)
   Alcotest.(check bool) "replicas moved onto joiner" true
     (Placement.replicas_on cl.Cluster.placement 4 > 0);
   Alcotest.(check bool) "migrations counted" true
@@ -1464,7 +1464,7 @@ let test_recover_purges_stale_secondary () =
     (Lion_sim.Metrics.count cl.Cluster.metrics Replica_purges = 1)
 
 (* Satellite: the remaster target dying mid-transfer must clear the
-   inflight flag and roll back the cooldown immediately, leaving the
+   in-flight guard and roll back the cooldown immediately, leaving the
    completion timer a no-op. *)
 let test_remaster_cancelled_when_target_dies () =
   let cfg = { Config.default with Config.replicas = 3 } in
@@ -1472,7 +1472,7 @@ let test_remaster_cancelled_when_target_dies () =
   (* Partition 0: primary 0, secondaries 1 and 2. *)
   Alcotest.(check bool) "starts" true (Cluster.try_begin_remaster cl ~part:0 ~node:1);
   Cluster.fail_node cl 1;
-  Alcotest.(check bool) "inflight cleared eagerly" false cl.Cluster.remaster_inflight.(0);
+  Alcotest.(check int) "inflight cleared eagerly" (-1) cl.Cluster.remaster_target.(0);
   (* The cooldown was rolled back too: a retry to the surviving
      secondary is admitted immediately, not [remaster_cooldown] later. *)
   Alcotest.(check bool) "retry admitted at once" true
@@ -1521,7 +1521,11 @@ let prop_membership_interleaving =
         ok := !ok && List.length holders = cfg.Config.replicas;
         List.iter (fun n -> ok := !ok && Cluster.alive cl n) holders
       done;
-      !ok)
+      (* The rebalancer has stopped and holds no guard. *)
+      !ok
+      && (not cl.Cluster.rebalance_running)
+      && Array.for_all (fun d -> d < 0) cl.Cluster.move_target
+      && Array.for_all (fun s -> s < 0) cl.Cluster.move_source)
 
 (* A decommission can finalise while a catch-up install is still
    copying to the leaving node. The copy's completion skips a dead
@@ -1595,6 +1599,28 @@ let test_drain_copies_in_parallel () =
   Alcotest.(check bool)
     (Printf.sprintf "%d primaries drained in %.0f us (bound %.0f, serial %.0f)" n took
        bound (float_of_int n *. Config.replica_add_duration))
+    true (took <= bound)
+
+(* The mirror of the drain: a joined node is filled by balance copies
+   that run side by side, aimed by the load the copies in flight will
+   leave. It ends at the loads a serial fill reaches, with the same
+   number of moves, one copy's duration after the last one starts. *)
+let test_join_fills_in_parallel () =
+  let _cfg, cl = mk_elastic ~rate:50.0 () in
+  Alcotest.(check bool) "join accepted" true (Cluster.join_node cl 4);
+  Engine.run_all cl.Cluster.engine ();
+  let moves = Lion_sim.Metrics.count cl.Cluster.metrics Rebalance_moves in
+  Alcotest.(check int) "moves" 19 moves;
+  Alcotest.(check (list int)) "final loads" [ 19; 19; 19; 20; 19 ]
+    (List.init 5 (Placement.replicas_on cl.Cluster.placement));
+  (* One move per tick, the last copy's duration, and two ticks of
+     slack: the kick's first tick and the one that finds no work. *)
+  let bound =
+    Config.replica_add_duration +. (float_of_int (moves + 2) *. 1e6 /. 50.0)
+  in
+  let took = cl.Cluster.rebalance_done in
+  Alcotest.(check bool)
+    (Printf.sprintf "filled in %.0f us (bound %.0f)" took bound)
     true (took <= bound)
 
 (* An install refused as stale releases its guard: the rebalancer runs
@@ -1826,6 +1852,7 @@ let () =
           Alcotest.test_case "one copy per partition" `Quick
             test_install_one_copy_per_partition;
           Alcotest.test_case "drain copies in parallel" `Quick test_drain_copies_in_parallel;
+          Alcotest.test_case "join fills in parallel" `Quick test_join_fills_in_parallel;
           Alcotest.test_case "stale refusal releases guard" `Quick
             test_stale_refusal_releases_guard;
           Alcotest.test_case "cancelled copy spares newer guard" `Quick
