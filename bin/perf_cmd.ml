@@ -1,7 +1,9 @@
 (* lion perf: runs the registered scenarios under bechamel and writes a
    schema-stable BENCH_<date>.json; with --baseline it also gates the
-   fresh run against a committed baseline file (docs/PERF.md). Exit
-   codes: 0 ok, 1 gate failure, 2 unreadable baseline, 124 usage. *)
+   fresh run against a committed baseline file (docs/PERF.md); with
+   --history it prints the committed trajectory instead. Exit codes:
+   0 ok, 1 gate failure, 2 unreadable baseline or trajectory, 124
+   usage. *)
 
 open Cmdliner
 module Scenario = Lion_perf.Scenario
@@ -24,10 +26,20 @@ let scenario_conv =
   in
   Arg.conv (parse, fun ppf (s : Scenario.spec) -> Format.pp_print_string ppf s.Scenario.name)
 
-let run quick out only baseline list =
+let history_dir = "bench/history"
+
+let run quick out only baseline list history =
   if list then (
     List.iter print_endline (Registry.names ());
     0)
+  else if history then (
+    match Report.history_table (Report.history_files history_dir) with
+    | exception (Sys_error e | Report.Parse_error e) ->
+        Printf.eprintf "cannot read the trajectory: %s\n" e;
+        2
+    | table ->
+        print_string table;
+        0)
   else
     let scenarios = if only = [] then Registry.all else only in
     Printf.printf "build profile: %s\n%!" Lion_perf.Build_profile.name;
@@ -90,9 +102,16 @@ let cmd =
     & info [ "baseline" ] ~docv:"FILE" ~doc:"Gate the fresh run against this bench file."
   in
   let list = value & flag & info [ "list" ] ~doc:"List scenario names and exit." in
+  let history =
+    value & flag
+    & info [ "history" ]
+        ~doc:
+          "Print every scenario's p50 at each point of bench/history, divided by that point's \
+           engine_drain_seed p50, and exit."
+  in
   Cmd.v
     (Cmd.info "perf" ~doc:"Run the perf scenarios under bechamel and gate against a baseline")
     Term.(
       const run $ quick
       $ Terms.out ~docv:"FILE" ~doc:"Output path (default BENCH_<date>.json)." ""
-      $ only $ baseline $ list)
+      $ only $ baseline $ list $ history)

@@ -3,11 +3,17 @@
     The [theta] parameter matches the YCSB/Gray self-similar convention:
     [theta = 0] is uniform and larger values are more skewed (YCSB's
     default "zipfian constant" is 0.99; the paper's skew_factor 0.8 maps
-    to theta = 0.8). Sampling uses the rejection-inversion-free method of
-    Gray et al. ("Quickly generating billion-record synthetic databases"),
-    which is exact and O(1) per draw after O(n)… — to stay O(1) in both
-    time and space for very large [n], we use the analytic approximation
-    with precomputed zeta constants, the same scheme YCSB itself uses. *)
+    to theta = 0.8). Sampling uses the method of Gray et al. ("Quickly
+    generating billion-record synthetic databases"), the scheme YCSB
+    itself uses: one uniform draw and at most one power per sample,
+    from constants computed at construction.
+
+    Costs. Construction needs the normalising constant zeta(n, theta),
+    summed over the first [min n 10_000] terms ([Float.pow] calls each)
+    with an analytic tail for larger [n]. The process keeps the eight
+    most recently computed (n, theta) pairs, so only the first [create]
+    for a pair pays the sum (about 0.4 ms at n > 10^4); later ones, on
+    any domain, pay a list lookup. A draw is O(1). *)
 
 type t
 
@@ -29,3 +35,11 @@ val scaled_pow25 : ?margin:float -> float -> float -> float
 
 val n : t -> int
 val theta : t -> float
+
+val zeta : int -> float -> float
+(** [zeta n theta] computes the normalising constant directly, without
+    the process-wide memo: [create] stores exactly this value. *)
+
+val zetan : t -> float
+(** The normalising constant the generator draws with ([0.] when
+    [theta = 0.]). *)

@@ -192,3 +192,64 @@ let compare_against ~baseline ~current ~wall_gates =
       note "drain speedup not gated: neither engine_drain nor engine_drain_seed ran"
   | None -> fail "cannot compute drain speedup: engine_drain(_seed) missing");
   (List.rev !notes, List.rev !failures)
+
+(* ---- trajectory -------------------------------------------------- *)
+
+(* A point is [BENCH_<date>.json], or [BENCH_<date>-<k>.json] for the
+   k-th point of a day: its label and its place in the trajectory. *)
+let history_prefix = "BENCH_"
+
+let point_of_file path =
+  let base = Filename.remove_extension (Filename.basename path) in
+  let skip = String.length history_prefix in
+  let label = String.sub base skip (String.length base - skip) in
+  match String.split_on_char '-' label with
+  | [ date; k ] -> (label, (date, int_of_string k))
+  | _ -> (label, (label, 1))
+
+let history_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> String.starts_with ~prefix:history_prefix f && Filename.check_suffix f ".json")
+  |> List.map (Filename.concat dir)
+  |> List.sort (fun a b -> compare (snd (point_of_file a)) (snd (point_of_file b)))
+
+(* Every scenario's p50 at each point, divided by that point's own
+   [engine_drain_seed] p50. The frozen seed engine never changes, so
+   the ratio cancels the speed of the host that wrote the point and
+   points from different machines line up. Rows follow first
+   appearance; "-" marks a scenario a point did not run. A point
+   without the probe cannot be normalised and raises [Parse_error]. *)
+let history_table paths =
+  let probe = "engine_drain_seed" in
+  let points =
+    List.map
+      (fun path ->
+        let rs = load path in
+        match find probe rs with
+        | Some p when p.Scenario.p50_ns > 0.0 -> (fst (point_of_file path), p.Scenario.p50_ns, rs)
+        | _ -> raise (Parse_error (path ^ ": no " ^ probe ^ " probe")))
+      paths
+  in
+  let names =
+    List.concat_map (fun (_, _, rs) -> List.map (fun (r : Scenario.result) -> r.Scenario.name) rs) points
+    |> List.fold_left (fun acc n -> if n = probe || List.mem n acc then acc else n :: acc) []
+    |> List.rev
+  in
+  let t =
+    Lion_kernel.Table.create ~title:("p50 / " ^ probe ^ " p50, per trajectory point")
+      ~columns:("scenario" :: List.map (fun (label, _, _) -> label) points)
+  in
+  Lion_kernel.Table.add_row t
+    ("probe p50 ms" :: List.map (fun (_, p, _) -> Printf.sprintf "%.1f" (p /. 1e6)) points);
+  List.iter
+    (fun name ->
+      Lion_kernel.Table.add_row t
+        (name
+        :: List.map
+             (fun (_, p, rs) ->
+               match find name rs with
+               | Some r -> Printf.sprintf "%.4f" (r.Scenario.p50_ns /. p)
+               | None -> "-")
+             points))
+    names;
+  Lion_kernel.Table.render t

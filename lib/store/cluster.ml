@@ -515,10 +515,13 @@ let start_move t ~part ~dst ~after =
   started
 
 (* A move of [src]'s secondary copy of [part] to [dst], which holds
-   none: the guard records [src], so [loads] counts it as vacated. *)
+   none: the guard records [src], so [loads] counts it as vacated —
+   unless the install's eviction (the partition was at [max_replicas])
+   has already dropped that copy, which [loads] then no longer sees. *)
 let relocate t ~part ~src ~dst =
   let started = start_move t ~part ~dst ~after:(fun () -> remove_replica t ~part ~node:src) in
-  if started then t.move_source.(part) <- src;
+  if started && Placement.has_secondary t.placement ~part ~node:src then
+    t.move_source.(part) <- src;
   started
 
 let rec rebalance_tick t =

@@ -85,7 +85,9 @@ type t = {
           none): the guard [install] keeps, one copy per partition *)
   move_source : int array;
       (** per-partition node the copy in flight vacates (-1 when none):
-          set by balance and drain moves, cleared with [move_target] *)
+          set by balance and drain moves whose source still holds its
+          copy once the install's eviction ran, cleared with
+          [move_target] *)
   move_gen : int array;
       (** generation guard: a copy whose guard [fail_node] or a
           finished decommission dropped completes without touching the

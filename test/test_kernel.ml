@@ -272,6 +272,59 @@ let test_zipf_range_property =
           x >= 0 && x < n)
         (List.init 50 Fun.id))
 
+let zipf_draws z =
+  let rng = Rng.create 41 in
+  List.init 2000 (fun _ -> Zipf.sample z rng)
+
+(* n on both sides of the 10^4 terms summed directly, at the skews the
+   workloads use; 12 pairs, more than the memo keeps. *)
+let zipf_grid =
+  List.concat_map (fun n -> List.map (fun theta -> (n, theta)) [ 0.6; 0.8; 0.99 ])
+    [ 977; 10_000; 10_001; 1_234_567 ]
+
+(* A first [create] (a miss), a repeat (a hit) and a rebuild after the
+   pair has been pushed out all hold the directly summed constant and
+   draw one stream. *)
+let test_zipf_memo_matches_sum () =
+  let check (n, theta) =
+    let name = Printf.sprintf "n=%d theta=%g" n theta in
+    let first = Zipf.create ~n ~theta in
+    let again = Zipf.create ~n ~theta in
+    let direct = Zipf.zeta n theta in
+    Alcotest.(check (float 0.0)) (name ^ " first") direct (Zipf.zetan first);
+    Alcotest.(check (float 0.0)) (name ^ " repeat") direct (Zipf.zetan again);
+    Alcotest.(check (list int)) (name ^ " draws") (zipf_draws first) (zipf_draws again);
+    zipf_draws first
+  in
+  let streams = List.map check zipf_grid in
+  let evicted = List.hd zipf_grid in
+  Alcotest.(check (list int)) "rebuilt after eviction" (List.hd streams)
+    (zipf_draws (Zipf.create ~n:(fst evicted) ~theta:(snd evicted)))
+
+(* Generators built on two domains at once, each pair twice so the two
+   may race on one miss, draw what sequentially built ones draw. *)
+let test_zipf_memo_domains () =
+  let pairs = List.concat_map (fun p -> [ p; p ]) [ (50_111, 0.61); (50_113, 0.83); (9_973, 0.97) ] in
+  let build (n, theta) = zipf_draws (Zipf.create ~n ~theta) in
+  let parallel = Lion_harness.Pool.map ~domains:2 build pairs in
+  Alcotest.(check (list (list int))) "same streams" (List.map build pairs) parallel
+
+(* [Ycsb.set_params] swaps the key generator when theta changes; a
+   round trip 0.6 -> 0.99 -> 0.6, or a single switch, leaves the
+   generator drawing what a fresh one with the final parameters draws. *)
+let test_ycsb_set_params_round_trip () =
+  let module Ycsb = Lion_workload.Ycsb in
+  let p = Ycsb.default_params ~partitions:8 ~nodes:4 in
+  let skewed = { p with Ycsb.key_theta = 0.99 } in
+  let draws g = List.init 500 (fun _ -> Array.to_list (Ycsb.next g).Lion_workload.Txn.ops) in
+  let switched = Ycsb.create p in
+  Ycsb.set_params switched skewed;
+  Alcotest.(check bool) "0.6 -> 0.99" true (draws switched = draws (Ycsb.create skewed));
+  let round = Ycsb.create p in
+  Ycsb.set_params round skewed;
+  Ycsb.set_params round p;
+  Alcotest.(check bool) "0.6 -> 0.99 -> 0.6" true (draws round = draws (Ycsb.create p))
+
 (* [Zipf.scaled_pow25] must truncate as [scale *. Float.pow b 2.5] does,
    across the b range a draw reaches and the key counts the workloads
    use. *)
@@ -688,6 +741,10 @@ let () =
         [
           Alcotest.test_case "theta 0 is uniform" `Slow test_zipf_uniform_when_theta0;
           Alcotest.test_case "skew orders ranks" `Slow test_zipf_skew_orders_ranks;
+          Alcotest.test_case "memo equals the direct sum" `Quick test_zipf_memo_matches_sum;
+          Alcotest.test_case "memo shared across domains" `Quick test_zipf_memo_domains;
+          Alcotest.test_case "ycsb set_params round trip" `Quick
+            test_ycsb_set_params_round_trip;
         ] );
       ( "zipf-pow",
         [

@@ -212,6 +212,44 @@ let test_wall_gate_calibrates_machine_speed () =
   in
   Alcotest.(check (list string)) "slow machine alone doesn't fail" [] failures
 
+(* --- report: trajectory --------------------------------------------- *)
+
+(* Three points in a fresh directory, written out of order: the table
+   lists them by date and day index (the unsuffixed file is a day's
+   first), and divides each p50 by its own point's probe, so a host
+   twice as slow reads the same. *)
+let test_history_normalises_by_probe () =
+  let dir = Filename.temp_dir "lion_history" "" in
+  let point file ~probe ~scenarios =
+    let rows =
+      sample_result "engine_drain_seed" ~events:1 ~txns:0 ~p50:probe ~words:0.0
+      :: List.map (fun (name, p50) -> sample_result name ~events:1 ~txns:0 ~p50 ~words:0.0) scenarios
+    in
+    Report.write ~path:(Filename.concat dir file) ~date:"" ~quick:false rows
+  in
+  point "BENCH_20260102.json" ~probe:4e8 ~scenarios:[ ("cell", 2e7); ("cell_b", 1e8) ];
+  point "BENCH_20260101-2.json" ~probe:2e8 ~scenarios:[ ("cell", 1e7) ];
+  point "BENCH_20260101.json" ~probe:1e8 ~scenarios:[ ("cell", 1e7) ];
+  let files = Report.history_files dir in
+  Alcotest.(check (list string)) "points in order"
+    [ "BENCH_20260101.json"; "BENCH_20260101-2.json"; "BENCH_20260102.json" ]
+    (List.map Filename.basename files);
+  let lines = String.split_on_char '\n' (Report.history_table files) in
+  let row name =
+    match List.find_opt (fun l -> String.starts_with ~prefix:(name ^ " ") l) lines with
+    | Some l -> List.filter (( <> ) "") (String.split_on_char ' ' l)
+    | None -> []
+  in
+  List.iter (fun f -> Sys.remove f) files;
+  Sys.rmdir dir;
+  Alcotest.(check (list string)) "header" [ "scenario"; "20260101"; "20260101-2"; "20260102" ]
+    (row "scenario");
+  Alcotest.(check (list string)) "probe row" [ "probe"; "p50"; "ms"; "100.0"; "200.0"; "400.0" ]
+    (row "probe");
+  Alcotest.(check (list string)) "normalised p50" [ "cell"; "0.1000"; "0.0500"; "0.0500" ]
+    (row "cell");
+  Alcotest.(check (list string)) "missing marked" [ "cell_b"; "-"; "-"; "0.2500" ] (row "cell_b")
+
 (* --- scenario measurement smoke ----------------------------------- *)
 
 let test_scenario_measure_smoke () =
@@ -259,6 +297,8 @@ let () =
             test_wall_gate_calibrates_machine_speed;
           Alcotest.test_case "drain speedup by run shape" `Quick test_drain_speedup_shapes;
           Alcotest.test_case "alloc gate per transaction" `Quick test_alloc_gate_per_txn;
+          Alcotest.test_case "history normalised by probe" `Quick
+            test_history_normalises_by_probe;
         ] );
       ( "scenario",
         [ Alcotest.test_case "measure smoke" `Quick test_scenario_measure_smoke ] );

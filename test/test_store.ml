@@ -1623,6 +1623,29 @@ let test_join_fills_in_parallel () =
     (Printf.sprintf "filled in %.0f us (bound %.0f)" took bound)
     true (took <= bound)
 
+(* A balance move whose install evicts its own source: partition 0 is
+   at [max_replicas] and node 1, its secondary, is the most loaded
+   holder, so filling the joined node 4 picks part 0 off node 1 and the
+   install's eviction drops node 1's copy at once. The guard then
+   records no source, or [loads] would subtract that copy a second time
+   while the new one is in flight. *)
+let test_relocate_evicting_source () =
+  let _cfg, cl = mk_elastic () in
+  let pl = cl.Cluster.placement in
+  List.iter (fun node -> Placement.add_secondary pl ~part:0 ~node) [ 2; 3 ];
+  List.iter (fun part -> Placement.add_secondary pl ~part ~node:1) [ 2; 3 ];
+  Alcotest.(check int) "part 0 full" (Placement.max_replicas pl) (Placement.replica_count pl 0);
+  Alcotest.(check (list int)) "node 1 most loaded" [ 24; 26; 25; 25 ]
+    (List.init 4 (Placement.replicas_on pl));
+  Alcotest.(check bool) "join accepted" true (Cluster.join_node cl 4);
+  let e = cl.Cluster.engine in
+  Engine.run_until e (Engine.now e +. (1.5e6 /. 200.0));
+  Alcotest.(check int) "part 0 copying to node 4" 4 cl.Cluster.move_target.(0);
+  Alcotest.(check bool) "source evicted" false (Placement.has_replica pl ~part:0 ~node:1);
+  Alcotest.(check int) "no source recorded" (-1) cl.Cluster.move_source.(0);
+  Engine.run_all e ();
+  Alcotest.(check bool) "copy landed" true (Placement.has_replica pl ~part:0 ~node:4)
+
 (* An install refused as stale releases its guard: the rebalancer runs
    out of work and stops, so the queue drains. *)
 let test_stale_refusal_releases_guard () =
@@ -1853,6 +1876,8 @@ let () =
             test_install_one_copy_per_partition;
           Alcotest.test_case "drain copies in parallel" `Quick test_drain_copies_in_parallel;
           Alcotest.test_case "join fills in parallel" `Quick test_join_fills_in_parallel;
+          Alcotest.test_case "relocate evicting its source" `Quick
+            test_relocate_evicting_source;
           Alcotest.test_case "stale refusal releases guard" `Quick
             test_stale_refusal_releases_guard;
           Alcotest.test_case "cancelled copy spares newer guard" `Quick
