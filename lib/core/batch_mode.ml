@@ -104,7 +104,7 @@ let create_with_planner ?name ?(seed = 31) ?(config = Planner.default_config) cl
                     node_busy.(owner) +. (2.0 *. Config.msg_handle_cost))
               txn.Txn.parts);
           Batch_util.charge_replication cl txn;
-          { Batch.committed = true; single_node = single; remastered = wants_remaster.(i) })
+          Batch.verdict ~committed:true ~single_node:single ~remastered:wants_remaster.(i))
         txns
     in
     {

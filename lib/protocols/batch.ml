@@ -7,8 +7,20 @@ module Metrics = Lion_sim.Metrics
 module Txn = Lion_workload.Txn
 module Trace = Lion_trace.Trace
 module History = Lion_store.History
+module Pqueue = Lion_kernel.Pqueue
 
 type verdict = { committed : bool; single_node : bool; remastered : bool }
+
+(* The eight verdicts, indexed by their three flags as bits, so an
+   epoch's verdict array shares them instead of holding one record per
+   transaction. *)
+let verdicts =
+  Array.init 8 (fun b ->
+      { committed = b land 4 <> 0; single_node = b land 2 <> 0; remastered = b land 1 <> 0 })
+
+let[@inline] verdict ~committed ~single_node ~remastered =
+  Array.unsafe_get verdicts
+    ((Bool.to_int committed lsl 2) lor (Bool.to_int single_node lsl 1) lor Bool.to_int remastered)
 
 type epoch_result = {
   verdicts : verdict array;
@@ -18,55 +30,72 @@ type epoch_result = {
 }
 
 (* The granules reserved in the current window of a conflict pass, by
-   linear probing over one flat array of (granule, stamp) cell pairs. A
-   cell belongs to the window only while it carries the current stamp,
-   so starting a window is one increment instead of a clear, and a
-   reservation allocates nothing. Nothing is removed within a window,
-   so a probe may stop at the first cell of an older stamp. *)
+   linear probing over one flat array of one-word cells: 0 is free,
+   [g + 1] holds granule [g]. [filled] lists the window's filled cells,
+   so starting a window clears just those, and a reservation allocates
+   nothing. Nothing is removed within a window, so a probe run only
+   grows: a probe may resume from where an earlier one for the same
+   granule ended. *)
 module Granule_set = struct
-  type t = { mutable cells : int array; mutable shift : int; mutable count : int; mutable stamp : int }
+  type t = { mutable cells : int array; mutable shift : int; mutable filled : int array; mutable count : int }
 
   (* Fibonacci hashing, as in [Kvstore]'s table. *)
   let multiplier = 0x1E3779B97F4A7C15
   let log2_capacity = 10
 
   let create () =
-    { cells = Array.make (2 lsl log2_capacity) 0; shift = 63 - log2_capacity; count = 0; stamp = 1 }
+    let cap = 1 lsl log2_capacity in
+    { cells = Array.make cap 0; shift = 63 - log2_capacity; filled = Array.make cap 0; count = 0 }
 
   let next_window t =
-    t.stamp <- t.stamp + 1;
+    for j = 0 to t.count - 1 do
+      Array.unsafe_set t.cells (Array.unsafe_get t.filled j) 0
+    done;
     t.count <- 0
 
-  (* Cell index of [g], or of the first stale cell of its probe run.
-     The [int array] annotation keeps both tests immediate: without it
-     [probe] is polymorphic and calls the runtime's generic equality. *)
-  let rec probe (cells : int array) mask stamp g i =
-    if Array.unsafe_get cells ((2 * i) + 1) <> stamp || Array.unsafe_get cells (2 * i) = g then i
-    else probe cells mask stamp g ((i + 1) land mask)
+  (* From cell [i] on, the cell holding [c] or the free cell that ends
+     the run. The [int array] annotation keeps both tests immediate:
+     without it [probe] is polymorphic and calls the runtime's generic
+     equality. *)
+  let rec probe (cells : int array) mask c i =
+    let x = Array.unsafe_get cells i in
+    if x = 0 || x = c then i else probe cells mask c ((i + 1) land mask)
 
+  (* Cell of granule [g] (stored as [g + 1]), or the free cell where it
+     would go. *)
   let[@inline] find t g =
-    probe t.cells ((Array.length t.cells lsr 1) - 1) t.stamp g ((g * multiplier) lsr t.shift)
+    probe t.cells (Array.length t.cells - 1) (g + 1) ((g * multiplier) lsr t.shift)
 
-  let mem t g = Array.unsafe_get t.cells ((2 * find t g) + 1) = t.stamp
+  let[@inline] holds t i g = Array.unsafe_get t.cells i = g + 1
 
-  let rec add t g =
-    let i = find t g in
-    if Array.unsafe_get t.cells ((2 * i) + 1) <> t.stamp then
-      if 4 * (t.count + 1) > 3 * (Array.length t.cells lsr 1) then (
-        grow t;
-        add t g)
-      else (
-        Array.unsafe_set t.cells (2 * i) g;
-        Array.unsafe_set t.cells ((2 * i) + 1) t.stamp;
-        t.count <- t.count + 1)
+  (* Reserve [g] from cell [i], the end of an earlier [find] for it in
+     this window, with no [grow] since. *)
+  let add_from t i g =
+    let i = probe t.cells (Array.length t.cells - 1) (g + 1) i in
+    if Array.unsafe_get t.cells i = 0 then (
+      Array.unsafe_set t.cells i (g + 1);
+      Array.unsafe_set t.filled t.count i;
+      t.count <- t.count + 1)
 
-  and grow t =
-    let old = t.cells in
-    t.cells <- Array.make (2 * Array.length old) 0;
+  let grow t =
+    let old = t.cells and old_filled = t.filled in
+    let cap = 2 * Array.length old in
+    t.cells <- Array.make cap 0;
+    t.filled <- Array.make cap 0;
     t.shift <- t.shift - 1;
+    let n = t.count in
     t.count <- 0;
-    for i = 0 to (Array.length old / 2) - 1 do
-      if old.((2 * i) + 1) = t.stamp then add t old.(2 * i)
+    for j = 0 to n - 1 do
+      let g = old.(old_filled.(j)) - 1 in
+      add_from t (find t g) g
+    done
+
+  (* Room for [n] more granules at a load of at most 3/4. Called before
+     the [find]s whose cells [add_from] resumes from, since a resize
+     moves every cell. *)
+  let ensure t n =
+    while 4 * (t.count + n) > 3 * Array.length t.cells do
+      grow t
     done
 end
 
@@ -82,33 +111,50 @@ let conflict_verdicts ?(include_raw = false) ?window ?footprint ?granule txns =
   let window = match window with Some w -> Stdlib.max 1 w | None -> n in
   let reserved = Granule_set.create () in
   let ok = Array.make n true in
+  (* Per operation of the current transaction: the granule of each
+     participating write and the cell its probe ended on, or -1. *)
+  let granule_buf = ref (Array.make 64 0) and cell_buf = ref (Array.make 64 (-1)) in
   for i = 0 to n - 1 do
     if i mod window = 0 then Granule_set.next_window reserved;
     let txn = txns.(i) in
     let ops = txn.Txn.ops in
+    let n_ops = Array.length ops in
+    if n_ops > Array.length !cell_buf then (
+      granule_buf := Array.make n_ops 0;
+      cell_buf := Array.make n_ops (-1));
+    let granules = !granule_buf and cells = !cell_buf in
+    Granule_set.ensure reserved n_ops;
     let in_footprint = match footprint with None -> None | Some f -> Some (f i) in
     let doomed = ref false and j = ref 0 in
-    while (not !doomed) && !j < Array.length ops do
+    while (not !doomed) && !j < n_ops do
       let op = ops.(!j) in
-      (if include_raw || Txn.is_write op then
+      let write = Txn.is_write op in
+      Array.unsafe_set cells !j (-1);
+      (if include_raw || write then
          let k = Txn.key_of op in
-         doomed := participates in_footprint k && Granule_set.mem reserved (granule_of granule k));
+         if participates in_footprint k then (
+           let g = granule_of granule k in
+           let c = Granule_set.find reserved g in
+           if Granule_set.holds reserved c g then doomed := true
+           else if write then (
+             Array.unsafe_set granules !j g;
+             Array.unsafe_set cells !j c)));
       incr j
     done;
     if !doomed then ok.(i) <- false
     else
-      for j = 0 to Array.length ops - 1 do
-        let op = ops.(j) in
-        let k = Txn.key_of op in
-        if Txn.is_write op && participates in_footprint k then
-          Granule_set.add reserved (granule_of granule k)
+      for j = 0 to n_ops - 1 do
+        let c = Array.unsafe_get cells j in
+        if c >= 0 then Granule_set.add_from reserved c (Array.unsafe_get granules j)
       done
   done;
   ok
 
 type request = {
   txn : Txn.t;
-  enqueued : float;
+  enqueued : int;
+      (* submit time as [Pqueue.key_of_time], which round-trips exactly:
+         an int field keeps the record free of a boxed float *)
   mutable retries : int;
   on_done : unit -> unit;
   ctx : Trace.ctx option;  (* root trace context, None when untraced *)
@@ -124,6 +170,7 @@ type state = {
   buffer : request Queue.t;
   carryover : request Queue.t;  (* aborted transactions, retried first *)
   mutable running : bool;
+      (* an epoch is in flight, or its deferred start is queued *)
   stage_labels : string * string;
       (* protocol-specific names for the sequencing and barrier stage
          spans of traced transactions *)
@@ -145,10 +192,10 @@ let stage phases ctx name phase b =
     | None -> ()
     | Some _ -> Trace.finish ~ts:b (Trace.child ~phase ~name ~ts:a ctx))
 
-let walk_stages st req ~t0 ~t1 ~t2 ~t3 ~now =
+let walk_stages st req ~enqueued ~t0 ~t1 ~t2 ~t3 ~now =
   let seq_label, barrier_label = st.stage_labels and ctx = req.ctx in
   let phases =
-    match req.phases with Some p -> p | None -> Metrics.phase_times ~since:req.enqueued ()
+    match req.phases with Some p -> p | None -> Metrics.phase_times ~since:enqueued ()
   in
   stage phases ctx "queue-wait" Scheduling t0;
   stage phases ctx seq_label Scheduling t1;
@@ -203,7 +250,6 @@ let rec start_epoch st =
       Array.init n (fun _ ->
           if Queue.is_empty st.carryover then Queue.pop st.buffer else Queue.pop st.carryover)
     in
-    st.running <- true;
     let txns = Array.map (fun r -> r.txn) requests in
     let result = st.process txns in
     assert (Array.length result.verdicts = Array.length txns);
@@ -226,9 +272,10 @@ let rec start_epoch st =
             let v = result.verdicts.(i) in
             let give_up = req.retries >= st.max_retries in
             record_history st ~now req v;
-            let phases = walk_stages st req ~t0 ~t1 ~t2 ~t3 ~now in
+            let enqueued = Pqueue.time_of_key req.enqueued in
+            let phases = walk_stages st req ~enqueued ~t0 ~t1 ~t2 ~t3 ~now in
             if v.committed || give_up then (
-              let latency = now -. req.enqueued in
+              let latency = now -. enqueued in
               (* Batch engines never enforce deadlines (retries are
                  already bounded by [max_retries]) but the goodput
                  accounting matches the standard path: a commit past
@@ -247,18 +294,16 @@ let rec start_epoch st =
               req.retries <- req.retries + 1;
               Queue.push req st.carryover))
           requests;
-        if Queue.is_empty st.buffer && Queue.is_empty st.carryover then
-          st.running <- false
-        else start_epoch st))
+        start_epoch st))
 
+(* Defer the start to the event loop so all same-instant submissions
+   land in the same epoch. Setting [running] now makes the instant's
+   later submissions queue no start of their own; under FIFO ties the
+   one start fires after every event already queued for the instant. *)
 let maybe_start st =
-  if (not st.running) && Queue.length st.buffer + Queue.length st.carryover > 0 then
-    (* Defer to the event loop so all same-instant submissions land in
-       the same epoch. *)
-    Engine.schedule st.cl.Cluster.engine ~delay:0.0 (fun () ->
-        if not st.running then (
-          st.running <- true;
-          start_epoch st))
+  if (not st.running) && Queue.length st.buffer + Queue.length st.carryover > 0 then (
+    st.running <- true;
+    Engine.schedule_apply st.cl.Cluster.engine ~delay:0.0 start_epoch st)
 
 let create cl ~name ~process ?(tick = fun () -> ()) ?(max_retries = 100)
     ?(stage_labels = ("sequencing", "barrier")) () =
@@ -281,7 +326,7 @@ let create cl ~name ~process ?(tick = fun () -> ()) ?(max_retries = 100)
       | Some tracer -> Trace.start_txn tracer ~ts:now ~txn_id:txn.Txn.id
     in
     Queue.push
-      { txn; enqueued = now; retries = 0; on_done; ctx; phases = None }
+      { txn; enqueued = Pqueue.key_of_time now; retries = 0; on_done; ctx; phases = None }
       st.buffer;
     maybe_start st
   in

@@ -18,9 +18,21 @@
     saturated as in the paper's benchmarking harness. A transaction's
     phases (Fig. 14b) are the stages of every epoch it sat in: queue
     wait and serial term [Scheduling], max-term [Execution], barrier
-    [Remaster], epoch commit [Commit]; they sum to its latency. *)
+    [Remaster], epoch commit [Commit]; they sum to its latency.
+
+    An idle engine opens its next epoch through one deferred (delay-0)
+    start event: the first submission queues it and marks the engine
+    running, so the same instant's later submissions queue none and
+    join that epoch. Under the engine's FIFO
+    ties the start fires after every event already queued for the
+    instant (ROADMAP item 10 is the plan to stop depending on that). *)
 
 type verdict = { committed : bool; single_node : bool; remastered : bool }
+
+val verdict : committed:bool -> single_node:bool -> remastered:bool -> verdict
+(** The verdict with these flags: one of eight shared immutable
+    records, so a [process] that builds its verdicts with it allocates
+    no record per transaction. *)
 
 type epoch_result = {
   verdicts : verdict array;  (** one per transaction, in order *)
@@ -41,9 +53,14 @@ val conflict_verdicts :
     write-reserved by an earlier transaction, or — when [include_raw]
     (Aria's read-after-write rule) — reads one. [granule] maps keys to
     the conflict unit (identity for key-level OCC, coarser for Lotus'
-    granule locks; default the key itself). Reserving allocates nothing
-    per key, and with neither [granule] nor [footprint] the pass calls
-    no closure per operation.
+    granule locks; default the key itself); granules are non-negative,
+    as keys are. The reserved granules live in an open-addressing table
+    of one-word cells ([granule + 1], 0 free) that a new window clears
+    from its list of filled cells. Each written granule is probed once:
+    the doom check records where its probe ended and the reservation
+    resumes from there. Reserving allocates nothing per key, and with
+    neither [granule] nor [footprint] the pass calls no closure per
+    operation.
 
     [window] (default: the whole batch) bounds the concurrency scope:
     reservations reset every [window] transactions, modelling that a

@@ -25,7 +25,7 @@ let create cl =
              measures it at over 90 % of execution time). *)
           if cross then node_busy.(home) <- node_busy.(home) +. (2.0 *. rt);
           Batch_util.charge_replication cl txn;
-          { Batch.committed = true; single_node = not cross; remastered = false })
+          Batch.verdict ~committed:true ~single_node:(not cross) ~remastered:false)
         txns
     in
     {

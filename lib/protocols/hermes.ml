@@ -68,7 +68,7 @@ let create cl =
           node_busy.(!home) <- node_busy.(!home) +. Batch_util.ops_work txn;
           if not single then node_busy.(!home) <- node_busy.(!home) +. rt;
           Batch_util.charge_replication cl txn;
-          { Batch.committed = true; single_node = single; remastered = false })
+          Batch.verdict ~committed:true ~single_node:single ~remastered:false)
         txns
     in
     {

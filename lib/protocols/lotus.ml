@@ -38,10 +38,8 @@ let create cl =
           node_busy.(home) <-
             node_busy.(home) +. Batch_util.ops_work txn
             +. (if cross then 2.0 *. Lion_store.Config.msg_handle_cost else 0.0);
-          if ok.(i) then (
-            Batch_util.charge_replication cl txn;
-            { Batch.committed = true; single_node = not cross; remastered = false })
-          else { Batch.committed = false; single_node = not cross; remastered = false })
+          if ok.(i) then Batch_util.charge_replication cl txn;
+          Batch.verdict ~committed:ok.(i) ~single_node:(not cross) ~remastered:false)
         txns
     in
     {

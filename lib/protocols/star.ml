@@ -31,7 +31,7 @@ let create cl =
             Network.charge cl.Cluster.network
               ~bytes:(Txn.write_count txn * Config.record_bytes * (nodes - 1))
           else Batch_util.charge_replication cl txn;
-          { Batch.committed = true; single_node = true; remastered = cross })
+          Batch.verdict ~committed:true ~single_node:true ~remastered:cross)
         txns
     in
     {

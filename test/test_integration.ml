@@ -70,6 +70,20 @@ let test_batch_runner_records_bytes () =
   let r = run ~batch:true Lion_protocols.Star.create (Workloads.ycsb ~cross:0.5 cfg) in
   Alcotest.(check bool) "bytes per txn positive" true (r.Runner.bytes_per_txn > 0.0)
 
+(* A batch engine costs two events per epoch, its start and its end,
+   on top of the closed loop's one resubmission event per transaction.
+   Pinned on a small lion-batch TPC-C cell (the [tpcc_lion_batch] perf
+   scenario's shape), where a start event per submission read 70005. *)
+let test_batch_events_per_epoch () =
+  let rc = { Runner.quick with Runner.warmup = 0.3; duration = 0.7 } in
+  let r =
+    run ~batch:true ~rc
+      (fun cl -> Lion_core.Batch_mode.create ~name:"Lion" cl)
+      (Workloads.tpcc ~skew:0.8 ~cross:0.5 cfg)
+  in
+  Alcotest.(check int) "commits" 30000 r.Runner.commits;
+  Alcotest.(check int) "engine events" 30009 r.Runner.engine_events
+
 (* --- headline shapes on small runs --- *)
 
 let test_lion_beats_2pc_on_distributed_workload () =
@@ -287,6 +301,7 @@ let () =
           Alcotest.test_case "warm-up remasters not counted" `Quick
             test_warmup_remasters_not_counted;
           Alcotest.test_case "batch bytes" `Quick test_batch_runner_records_bytes;
+          Alcotest.test_case "batch events per epoch" `Quick test_batch_events_per_epoch;
         ] );
       ( "shapes",
         [

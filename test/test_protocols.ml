@@ -211,6 +211,20 @@ let test_batch_aborted_retry_next_epoch () =
   Alcotest.(check int) "committed on retry" 1 !done_count;
   Alcotest.(check int) "abort recorded" 1 (Metrics.count cl.Cluster.metrics Aborts)
 
+(* Every same-instant submission to an idle batch engine joins one
+   epoch through one deferred start event, not one event each. *)
+let test_batch_one_start_per_instant () =
+  let cl = mk_cluster () in
+  let proto = Batch.create cl ~name:"test" ~process:all_commit_process () in
+  let before = Engine.pending cl.Cluster.engine in
+  for i = 0 to 9 do
+    proto.Proto.submit (txn ~id:i [ Txn.read (key 0 i) ]) ~on_done:ignore
+  done;
+  proto.Proto.drain ();
+  Alcotest.(check int) "one start event" (before + 1) (Engine.pending cl.Cluster.engine);
+  Engine.run_until cl.Cluster.engine (Engine.seconds 1.0);
+  Alcotest.(check int) "one epoch took all" 10 (Metrics.count cl.Cluster.metrics Commits)
+
 let test_batch_duration_scales_with_busy () =
   let cl = mk_cluster () in
   let commit_times = ref [] in
@@ -444,6 +458,19 @@ let test_conflict_granule_coarsening () =
   in
   Alcotest.(check (array bool)) "same granule conflicts" [| true; false |] coarse
 
+(* A whole-batch window that reserves more granules than the initial
+   table's 3/4 load (768 of 1024 cells) grows it mid-window: every
+   reservation made before the growth must still be found after it. *)
+let test_conflict_table_growth () =
+  let writers = 3000 in
+  let fresh = Array.init writers (fun i -> txn ~id:i [ Txn.write (key (i mod 4) i) ]) in
+  let again = Array.map (fun i -> txn ~id:(writers + i) [ Txn.write (key (i mod 4) i) ]) [| 0; 767; 1500; 2999 |] in
+  let ok = Batch.conflict_verdicts (Array.append fresh again) in
+  Alcotest.(check int) "first writers commit" writers
+    (Array.fold_left (fun n b -> if b then n + 1 else n) 0 (Array.sub ok 0 writers));
+  Alcotest.(check (array bool)) "rewrites abort" [| false; false; false; false |]
+    (Array.sub ok writers 4)
+
 (* --- baselines' characteristic behaviour --- *)
 
 let drive_protocol ?(cfg = small_cfg) ~make ~gen ~seconds () =
@@ -643,7 +670,7 @@ let model_verdicts ~include_raw ~window ~footprint ~granule txns =
 
 (* Batches of up to 300 transactions of up to 8 operations; the slot
    range is either tiny (heavy contention) or wide enough that a window
-   reserves thousands of granules, which grows the stamped set. *)
+   reserves thousands of granules, which grows the conflict table. *)
 let conflict_case_gen =
   QCheck.Gen.(
     let* slots = oneofl [ 8; 100_000 ] in
@@ -654,6 +681,88 @@ let conflict_case_gen =
     let* granule_size = oneofl [ 1; 4; 16 ] in
     let* remote_parity = opt (int_range 0 1) in
     return (txns, window, include_raw, granule_size, remote_parity))
+
+(* A second reference, with [conflict_verdicts]' own optional
+   arguments: a [Hashtbl] of reserved granules, reset at each window
+   start; first reserver wins. *)
+let hashtbl_verdicts ~include_raw ?window ?footprint ?granule txns =
+  let window = match window with Some w -> w | None -> Array.length txns in
+  let reserved = Hashtbl.create 16 in
+  Array.mapi
+    (fun i txn ->
+      if i mod window = 0 then Hashtbl.reset reserved;
+      let counted op =
+        let k = Txn.key_of op in
+        if match footprint with None -> true | Some f -> f i k then
+          Some (match granule with None -> fine k | Some g -> g k)
+        else None
+      in
+      let ops = Array.to_list txn.Txn.ops in
+      let doomed =
+        List.exists
+          (fun op ->
+            (include_raw || Txn.is_write op)
+            && match counted op with Some g -> Hashtbl.mem reserved g | None -> false)
+          ops
+      in
+      if not doomed then
+        List.iter
+          (fun op ->
+            if Txn.is_write op then
+              Option.iter (fun g -> Hashtbl.replace reserved g ()) (counted op))
+          ops;
+      not doomed)
+    txns
+
+(* Windows of 1, 7 and the whole batch; RAW on and off; with and
+   without a footprint and a granule map. A transaction may write one
+   of its own keys again. With the wider slot ranges and mostly writes,
+   a whole-batch window reserves more than the initial table holds, so
+   it grows in the middle of the window; the middle range also makes
+   probe runs collide and later transactions rewrite their granules. *)
+let hashtbl_case_gen =
+  QCheck.Gen.(
+    let* slots = oneofl [ 8; 500; 100_000 ] in
+    let* write_share = oneofl [ 0.5; 0.9 ] in
+    let op =
+      map3
+        (fun p part slot -> (p < write_share, part, slot))
+        (float_bound_exclusive 1.0) (int_range 0 3)
+        (int_range 0 (slots - 1))
+    in
+    let with_dups =
+      let* ops = list_size (int_range 1 16) op in
+      let* dups = list_size (int_range 0 3) (int_range 0 7) in
+      return (ops @ List.map (fun d -> List.nth ops (d mod List.length ops)) dups)
+    in
+    let* txns = list_size (int_range 0 400) with_dups in
+    let* window = oneofl [ Some 1; Some 7; None ] in
+    let* include_raw = bool in
+    let* granule_size = opt (oneofl [ 1; 16 ]) in
+    let* remote_parity = opt (int_range 0 1) in
+    return (txns, window, include_raw, granule_size, remote_parity))
+
+let prop_conflict_verdicts_match_hashtbl =
+  QCheck.Test.make ~name:"conflict_verdicts equals the Hashtbl first-reserver reference"
+    ~count:500 (QCheck.make hashtbl_case_gen)
+    (fun (specs, window, include_raw, granule_size, remote_parity) ->
+      let txns =
+        Array.of_list
+          (List.mapi
+             (fun id ops ->
+               txn ~id
+                 (List.map
+                    (fun (w, part, slot) ->
+                      if w then Txn.write (key part slot) else Txn.read (key part slot))
+                    ops))
+             specs)
+      in
+      let granule = Option.map (fun size -> if size = 1 then fine else coarse size) granule_size in
+      let footprint =
+        Option.map (fun parity i k -> (Kvstore.part k + i) mod 2 = parity) remote_parity
+      in
+      Batch.conflict_verdicts ~include_raw ?window ?footprint ?granule txns
+      = hashtbl_verdicts ~include_raw ?window ?footprint ?granule txns)
 
 let prop_conflict_verdicts_match_model =
   QCheck.Test.make ~name:"conflict_verdicts equals the naive first-reserver model" ~count:300
@@ -706,6 +815,7 @@ let () =
           Alcotest.test_case "epoch commits all" `Quick test_batch_epoch_commits_all;
           Alcotest.test_case "aborted retry next epoch" `Quick
             test_batch_aborted_retry_next_epoch;
+          Alcotest.test_case "one start per instant" `Quick test_batch_one_start_per_instant;
           Alcotest.test_case "duration from busy time" `Quick
             test_batch_duration_scales_with_busy;
           Alcotest.test_case "carryover first, capped" `Quick
@@ -714,6 +824,7 @@ let () =
           Alcotest.test_case "WAW conflicts" `Quick test_conflict_verdicts_waw;
           Alcotest.test_case "RAW only for Aria" `Quick test_conflict_verdicts_raw_only_for_aria;
           Alcotest.test_case "granule coarsening" `Quick test_conflict_granule_coarsening;
+          Alcotest.test_case "conflict table growth" `Quick test_conflict_table_growth;
           Alcotest.test_case "give-up after retries" `Quick
             test_batch_gives_up_after_max_retries;
           Alcotest.test_case "phases from the stages" `Quick test_batch_phases_from_stages;
@@ -741,6 +852,7 @@ let () =
             prop_window_reset_allows_later_winners;
             prop_read_only_batches_never_abort;
             prop_conflict_verdicts_match_model;
+            prop_conflict_verdicts_match_hashtbl;
             prop_groups_match_hashtbl_reference;
           ] );
     ]
